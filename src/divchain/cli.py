@@ -3,14 +3,18 @@
 Exit codes (stable contract):
   0  all checks passed
   1  one or more checks failed
-  2  scenario parse error
+  2  scenario parse error, or the scenario file cannot be read
   3  scenario validation error
   4  numerical failure (quadrature, solver)
+
+With several paths each scenario gets its own code and lines, a bad one does
+not stop the others, and the process exits with the largest code.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import importlib.resources
 import os
 import sys
@@ -40,13 +44,24 @@ def _resolve(path):
     cand = bundled_dir() / f"{path}.scn"
     if cand.is_file():
         return str(cand)
-    raise FileNotFoundError(path)
+    raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+
+
+# a missing, unopenable or non-UTF-8 scenario file
+_UNREADABLE = (OSError, UnicodeDecodeError)
+
+
+def _unreadable(path, exc):
+    return f"cannot read scenario {path}: {getattr(exc, 'strerror', None) or exc}"
 
 
 def _run_one(args_tuple):
     path, out_dir, tol_abs, tol_rel = args_tuple
     try:
-        scn = load(_resolve(path))
+        try:
+            scn = load(_resolve(path))
+        except _UNREADABLE as exc:
+            return EXIT_PARSE_ERROR, _unreadable(path, exc)
         if tol_abs is not None:
             scn.tol_abs = tol_abs
         if tol_rel is not None:
@@ -97,6 +112,9 @@ def main(argv=None):
             try:
                 scn = load(_resolve(path))
                 print(f"ok: {scn.id} ({', '.join(scn.experiments)})")
+            except _UNREADABLE as exc:
+                print(_unreadable(path, exc))
+                worst = max(worst, EXIT_PARSE_ERROR)
             except ScenarioParseError as exc:
                 print(f"parse error in {path}: {exc}")
                 worst = max(worst, EXIT_PARSE_ERROR)

@@ -166,11 +166,25 @@ class KineticMeasure:
         return True
 
 
+def _interface_states(traj: Trajectory, iface_uhat):
+    """[(i, states)] per coefficient jump i; u^ averages over the states."""
+    if iface_uhat not in ("left", "right", "mean"):
+        raise ScenarioValidationError(
+            f"iface_uhat must be one of left, right, mean; got {iface_uhat!r}")
+    slabs = traj.states[:-1]
+    out = []
+    for i in traj.interfaces():
+        um, up = slabs[:, i - 1], slabs[:, i]
+        out.append((i, {"left": (um,), "right": (up,), "mean": (um, up)}[iface_uhat]))
+    return out
+
+
 def _assemble_masses(traj: Trajectory, t_basis, x_basis, v_weights, iface_uhat="mean"):
     """<m, T_a X_b W_c> for piecewise-linear weights W_c in v.
 
-    The three defining integrals of the kinetic defect are evaluated
-    exactly for the piecewise-constant solver output:
+    The three defining integrals of the kinetic defect, for the
+    piecewise-constant solver output (the B terms by Gauss-12 in v, see
+    kinetic_measure):
 
       - time part: - d_t psi against \\int_0^v chi(w, u) dw = min(v, u);
       - flux part: - d_x psi against \\int_0^v b(x, w) chi(w, u) dw
@@ -191,6 +205,7 @@ def _assemble_masses(traj: Trajectory, t_basis, x_basis, v_weights, iface_uhat="
     dX = x_basis.point_diffs(traj.edges)         # (nb, ncell)
 
     kround = traj.kvals.round(12)
+    ifaces = _interface_states(traj, iface_uhat)
     masses = np.empty((len(t_basis.hats), len(x_basis.hats), len(v_weights)))
     for c, vh in enumerate(v_weights):
         g0 = vh.min_integral(slabs.ravel()).reshape(slabs.shape)
@@ -202,16 +217,9 @@ def _assemble_masses(traj: Trajectory, t_basis, x_basis, v_weights, iface_uhat="
                 + flux.flux_at(kv, u) * vh.upper_integral(u)
             g1[:, cols] = vals.reshape(slabs.shape[0], len(cols))
         m = -(dT @ g0 @ XI.T) - (TI @ g1 @ dX.T)
-        for i in traj.interfaces():
+        for i, uhat in ifaces:
             km_, kp_ = traj.kvals[i - 1], traj.kvals[i]
             xw = x_basis.vals(np.array([traj.edges[i]]))[:, 0]
-            um, up = slabs[:, i - 1], slabs[:, i]
-            if iface_uhat == "left":
-                uhat = (um,)
-            elif iface_uhat == "right":
-                uhat = (up,)
-            else:
-                uhat = (um, up)
             xi = np.zeros(slabs.shape[0])
             for uh in uhat:
                 xi += vh.weighted_to_upper(
@@ -226,9 +234,11 @@ def kinetic_measure(traj: Trajectory, n_t=6, n_x=10, n_v=14, check=False, slack=
     """Assemble m from its three defining integrals against tensor hats.
 
     With piecewise-constant-in-(t, x) solver output and hat test functions
-    every (t, x) factor integrates in closed form and the v-integrals are
-    exact polynomial formulas, so the returned cell masses carry no
-    quadrature error -- only the scheme's own structure.
+    every (t, x) factor integrates in closed form.  In v, the min(v, u) and
+    indicator terms are closed forms too; the flux-weighted terms use
+    12-point Gauss on each hat piece, exact when Ahat is a polynomial in u
+    of degree <= 22 (all bundled fluxes are) and a Gauss-12 approximation
+    otherwise.
     """
     flux = traj.flux
     if np.min(traj.states) < -1e-12:
@@ -267,7 +277,7 @@ def kinetic_identity_residual(traj: Trajectory, km: KineticMeasure, iface_uhat="
     m_dv = _assemble_masses(traj, km.t_basis, km.x_basis, dvhs, iface_uhat)
 
     worst = 0.0
-    ifaces = traj.interfaces()
+    ifaces = _interface_states(traj, iface_uhat)
     kround = traj.kvals.round(12)
     for c, vh in enumerate(km.v_basis.hats):
         # <d_t chi, psi> = -sum dT * XI * int V chi dv
@@ -283,11 +293,9 @@ def kinetic_identity_residual(traj: Trajectory, km: KineticMeasure, iface_uhat="
         t2 = -(TI @ bi @ dX.T)
         # <d_v(-Div_x B chi), psi> = + int d_v psi chi(v, u^) d Div_x B
         t3 = np.zeros_like(t1)
-        for i in ifaces:
+        for i, pairs in ifaces:
             km_, kp_ = traj.kvals[i - 1], traj.kvals[i]
             xw = km.x_basis.vals(np.array([traj.edges[i]]))[:, 0]
-            um, up = slabs[:, i - 1], slabs[:, i]
-            pairs = {"left": (um,), "right": (up,), "mean": (um, up)}[iface_uhat]
             jump = np.zeros(slabs.shape[0])
             for uh in pairs:
                 jump += dvhs[c].weighted_to_upper(

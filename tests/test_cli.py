@@ -81,3 +81,33 @@ def test_parallel_jobs(tmp_path):
     code = main(["run", scenario_path("volpert-heaviside"),
                  scenario_path("sign-const"), "--jobs", "2", "--out", str(tmp_path)])
     assert code == EXIT_OK
+
+
+def test_missing_path_is_a_parse_error(tmp_path, capsys):
+    missing = str(tmp_path / "nonexistent.scn")
+    assert main(["run", missing, "--out", str(tmp_path)]) == EXIT_PARSE_ERROR
+    assert f"cannot read scenario {missing}:" in capsys.readouterr().out
+
+
+def test_missing_path_does_not_stop_the_batch(tmp_path, capsys):
+    missing = str(tmp_path / "nonexistent.scn")
+    code = main(["run", scenario_path("sign-const"), missing, "--jobs", "2",
+                 "--out", str(tmp_path)])
+    assert code == EXIT_PARSE_ERROR
+    out = capsys.readouterr().out
+    assert "SCENARIO sign-const: PASS" in out
+    assert f"cannot read scenario {missing}:" in out
+
+
+def test_validate_missing_path(tmp_path, capsys):
+    missing = str(tmp_path / "nonexistent.scn")
+    assert main(["validate", missing]) == EXIT_PARSE_ERROR
+    assert f"cannot read scenario {missing}:" in capsys.readouterr().out
+
+
+def test_non_utf8_file_is_a_parse_error(tmp_path, capsys):
+    binary = tmp_path / "binary.scn"
+    binary.write_bytes(b"\xff\xfe[scenario]\n")
+    assert main(["validate", str(binary)]) == EXIT_PARSE_ERROR
+    assert main(["run", str(binary), "--out", str(tmp_path)]) == EXIT_PARSE_ERROR
+    assert capsys.readouterr().out.count(f"cannot read scenario {binary}:") == 2

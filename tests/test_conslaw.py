@@ -241,6 +241,17 @@ def test_kinetic_identity_machine_level():
     assert kinetic_identity_residual(traj, km) < 1e-12
 
 
+def test_kinetic_rejects_unknown_iface_uhat():
+    g = GridState.from_function(DOM, 100, lambda x: 0.5 * np.ones_like(x))
+    traj = fv_solve(traffic_flux(), g, 0.2)
+    assert traj.interfaces()
+    with pytest.raises(ScenarioValidationError, match="left, right, mean"):
+        kinetic_measure(traj, iface_uhat="bogus")
+    km = kinetic_measure(traj, n_t=4, n_x=6, n_v=6)
+    with pytest.raises(ScenarioValidationError, match="left, right, mean"):
+        kinetic_identity_residual(traj, km, iface_uhat="bogus")
+
+
 def test_div_xv_zero():
     psi = plateau_bump([(-0.6, 0.6), (0.05, 0.9)], [(-0.3, 0.3), (0.3, 0.7)])
     for flux in (traffic_flux((1.0, 0.6), 0.0), burgers_flux(), transport_flux()):
