@@ -5,7 +5,6 @@ from .diagnostics import (KineticMeasure, accumulated_interface_W, cavalieri_lhs
                           kato_check, kinetic_identity_residual, kinetic_l1_distance,
                           kinetic_measure, l1_distance, space_time_bumps)
 from .flux import EntropyPair, FluxSpec, chi, entropy_flux, eta_div_measure
-from .kernels import HAVE_COMPILED, backend_name, godunov_sweep
 from .solver import GridState, Trajectory, fv_solve
 
 __all__ = [
@@ -13,6 +12,5 @@ __all__ = [
     "div_xv_zero_residual", "entropy_residual", "interface_W", "kato_check",
     "kinetic_identity_residual", "kinetic_l1_distance", "kinetic_measure",
     "l1_distance", "space_time_bumps", "EntropyPair", "FluxSpec", "chi",
-    "entropy_flux", "eta_div_measure", "HAVE_COMPILED", "backend_name",
-    "godunov_sweep", "GridState", "Trajectory", "fv_solve",
+    "entropy_flux", "eta_div_measure", "GridState", "Trajectory", "fv_solve",
 ]

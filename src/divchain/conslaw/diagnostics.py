@@ -124,7 +124,7 @@ def entropy_residual(traj: Trajectory, pair: EntropyPair, phi_family=None):
         term_iface = 0.0
         for i in ifaces:
             km, kp = traj.kvals[i - 1], traj.kvals[i]
-            tser = _edge_time_integrals(phi.value, traj.edges[i:i + 1], t_edges)[:, 0]
+            tser = edgeint[:, i]
             variants = []
             for uhat in (slabs[:, i - 1], slabs[:, i]):
                 eta_jump = (pair.eta_of_k(flux, kp, uhat) - pair.eta_of_k(flux, km, uhat))

@@ -29,20 +29,18 @@ class FluxSpec:
     """Composite flux Ahat(k(x), u) with derived flux-derivative field.
 
     Ahat, dAhat_du: vectorized in (k, u).  critical(k) lists the interior
-    critical points of u -> Ahat(k, u) on the invariant region (used by the
-    Godunov flux).  quadratic: optional (alpha(k), beta(k)) coefficient
-    callables when Ahat(k, u) = alpha(k) u^2 + beta(k) u, enabling the
-    compiled sweep kernel.
+    critical points of u -> Ahat(k, u) on the invariant region; the Godunov
+    flux takes its extrema over the Riemann interval from these and the
+    interval's ends, so any flux works as long as its critical points are
+    declared.
     """
 
-    def __init__(self, k: BVFunction, ahat, dahat_du, u_range, critical=None,
-                 quadratic=None, name="flux"):
+    def __init__(self, k: BVFunction, ahat, dahat_du, u_range, critical=None, name="flux"):
         self.k = k
         self.ahat = ahat
         self.dahat_du = dahat_du
         self.u_range = (float(u_range[0]), float(u_range[1]))
         self.critical = critical or (lambda kv: ())
-        self.quadratic = quadratic
         self.name = name
         z = self.ahat(self._k_probe(), 0.0)
         if np.max(np.abs(z)) > 1e-12:

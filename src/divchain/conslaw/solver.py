@@ -3,7 +3,8 @@
 First-order monotone scheme on a uniform 1D mesh with zero-gradient ghost
 cells.  Coefficient jumps must sit on cell faces; those faces couple the
 two one-sided fluxes through the demand/supply form of the Godunov flux,
-which selects the admissible interface state.
+which selects the admissible interface state.  One vectorized numpy sweep
+serves every flux: it needs only Ahat and its declared critical points.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import numpy as np
 from ..errors import GeometryError, ScenarioValidationError
 from ..geometry import Domain
 from .flux import FluxSpec
-from .kernels import godunov_sweep
 
 
 class GridState:
@@ -57,7 +57,7 @@ class GridState:
 class Trajectory:
     """Immutable record of a solver run: all states, mesh and flux metadata."""
 
-    def __init__(self, flux: FluxSpec, grid: GridState, times, states, kvals, backend):
+    def __init__(self, flux: FluxSpec, grid: GridState, times, states, kvals):
         self.flux = flux
         self.domain = grid.domain
         self.dx = grid.dx
@@ -67,7 +67,6 @@ class Trajectory:
         self.times = times
         self.states = states
         self.kvals = kvals
-        self.backend = backend
 
     @property
     def dt(self):
@@ -122,7 +121,7 @@ def _validate_interface_fluxes(flux: FluxSpec, kvals, n_checks=101):
                 "interface coupling requires concave (single-max) fluxes")
 
 
-def fv_solve(flux: FluxSpec, u0: GridState, T, cfl=None, force_python=False) -> Trajectory:
+def fv_solve(flux: FluxSpec, u0: GridState, T, cfl=None) -> Trajectory:
     """March to time T with Godunov fluxes; dt = cfl dx / max |speed|."""
     cfl = float(cfl if cfl is not None else u0.cfl)
     if not (0.0 < cfl < 1.0):
@@ -136,30 +135,24 @@ def fv_solve(flux: FluxSpec, u0: GridState, T, cfl=None, force_python=False) -> 
     speed = max(flux.M, 1e-12)
     nsteps = max(1, math.ceil(float(T) * speed / (cfl * u0.dx)))
     dt = float(T) / nsteps
-    lam = dt / u0.dx
 
-    if flux.quadratic is not None:
-        alpha_fn, beta_fn = flux.quadratic
-        alpha = np.asarray(alpha_fn(kvals), dtype=float)
-        beta = np.asarray(beta_fn(kvals), dtype=float)
-        states = godunov_sweep(u0.averages, alpha, beta, lam, nsteps, lo, hi,
-                               force_python=force_python)
-        backend = "python" if force_python else None
-    else:
-        states = _generic_sweep(flux, kvals, u0.averages, lam, nsteps)
-        backend = "generic"
-    if backend is None:
-        from .kernels import backend_name
-        backend = backend_name()
-
+    states = _sweep(face_fluxes(flux, kvals), u0.averages, dt / u0.dx, nsteps)
     if not np.all(np.isfinite(states)):
         raise ScenarioValidationError("solver produced non-finite values")
     times = u0.time + dt * np.arange(nsteps + 1)
-    return Trajectory(flux, u0, times, states, kvals, backend)
+    return Trajectory(flux, u0, times, states, kvals)
 
 
-def _generic_sweep(flux: FluxSpec, kvals, u0, lam, nsteps):
-    """Vectorized fallback for non-quadratic fluxes (callable evaluations)."""
+def face_fluxes(flux: FluxSpec, kvals):
+    """Godunov fluxes on the n+1 faces of n cells with coefficients kvals.
+
+    Returns F(u), the face fluxes for cell averages u (zero-gradient ghost
+    cells).  Faces inside one coefficient piece take the classical Godunov
+    min/max of the flux over the Riemann interval, using the declared
+    critical points; faces where k jumps take the demand/supply coupling
+    min(D_left(uL), S_right(uR)).  Flux values that do not depend on u (at
+    the ends of u_range and at the critical points) are computed here, once.
+    """
     lo, hi = flux.u_range
     kL = np.concatenate([kvals[:1], kvals])
     kR = np.concatenate([kvals, kvals[-1:]])
@@ -167,17 +160,19 @@ def _generic_sweep(flux: FluxSpec, kvals, u0, lam, nsteps):
     crit_L = [tuple(flux.critical(kv)) for kv in kL]
     crit_R = [tuple(flux.critical(kv)) for kv in kR]
     max_crit = max([len(c) for c in crit_L + crit_R] + [0])
-    critL = np.full((len(kL), max_crit), np.nan)
-    critR = np.full((len(kR), max_crit), np.nan)
+    critL = np.full((max_crit, len(kL)), np.nan)
+    critR = np.full((max_crit, len(kR)), np.nan)
     for i, c in enumerate(crit_L):
-        critL[i, :len(c)] = c
+        critL[:len(c), i] = c
     for i, c in enumerate(crit_R):
-        critR[i, :len(c)] = c
+        critR[:len(c), i] = c
+    # flux at each face's critical points; faces with fewer hold lo, unused
+    fcritL = [flux.flux_at(kL, np.where(np.isnan(c), lo, c)) for c in critL]
+    fcritR = [flux.flux_at(kR, np.where(np.isnan(c), lo, c)) for c in critR]
+    f_at_lo = flux.flux_at(kL, lo)
+    f_at_hi = flux.flux_at(kR, hi)
 
-    u = np.array(u0, dtype=float)
-    out = np.empty((nsteps + 1, len(u)))
-    out[0] = u
-    for n in range(nsteps):
+    def F(u):
         uL = np.concatenate([u[:1], u])
         uR = np.concatenate([u, u[-1:]])
         flo = np.minimum(uL, uR)
@@ -186,28 +181,33 @@ def _generic_sweep(flux: FluxSpec, kvals, u0, lam, nsteps):
         fr = flux.flux_at(kL, uR)
         fmin = np.minimum(fl, fr)
         fmax = np.maximum(fl, fr)
-        for j in range(max_crit):
-            c = critL[:, j]
-            ok = ~np.isnan(c) & (c > flo) & (c < fhi)
-            if ok.any():
-                fc = flux.flux_at(kL, np.where(ok, c, uL))
-                fmin = np.where(ok, np.minimum(fmin, fc), fmin)
-                fmax = np.where(ok, np.maximum(fmax, fc), fmax)
+        for c, fc in zip(critL, fcritL):
+            ok = (c > flo) & (c < fhi)
+            fmin = np.where(ok, np.minimum(fmin, fc), fmin)
+            fmax = np.where(ok, np.maximum(fmax, fc), fmax)
         f_same = np.where(uL <= uR, fmin, fmax)
 
-        D = np.maximum(flux.flux_at(kL, uL), flux.flux_at(kL, lo))
-        for j in range(max_crit):
-            c = critL[:, j]
-            ok = ~np.isnan(c) & (c > lo) & (c < uL)
-            if ok.any():
-                D = np.where(ok, np.maximum(D, flux.flux_at(kL, np.where(ok, c, uL))), D)
-        S = np.maximum(flux.flux_at(kR, uR), flux.flux_at(kR, hi))
-        for j in range(max_crit):
-            c = critR[:, j]
-            ok = ~np.isnan(c) & (c > uR) & (c < hi)
-            if ok.any():
-                S = np.where(ok, np.maximum(S, flux.flux_at(kR, np.where(ok, c, uR))), S)
-        F = np.where(same, f_same, np.minimum(D, S))
-        u = u - lam * (F[1:] - F[:-1])
+        D = np.maximum(fl, f_at_lo)
+        for c, fc in zip(critL, fcritL):
+            D = np.where((c > lo) & (c < uL), np.maximum(D, fc), D)
+        S = np.maximum(flux.flux_at(kR, uR), f_at_hi)
+        for c, fc in zip(critR, fcritR):
+            S = np.where((c > uR) & (c < hi), np.maximum(S, fc), S)
+        return np.where(same, f_same, np.minimum(D, S))
+
+    return F
+
+
+def _sweep(F, u0, lam, nsteps):
+    """nsteps explicit steps u <- u - lam (F_{i+1/2} - F_{i-1/2}).
+
+    Returns the full trajectory, shape (nsteps + 1, ncells).
+    """
+    u = np.array(u0, dtype=float)
+    out = np.empty((nsteps + 1, len(u)))
+    out[0] = u
+    for n in range(nsteps):
+        Fu = F(u)
+        u = u - lam * (Fu[1:] - Fu[:-1])
         out[n + 1] = u
     return out

@@ -256,8 +256,12 @@ def compile_uv(src, line=None):
     def fn(k, u):
         k = np.asarray(k, dtype=float)
         u = np.asarray(u, dtype=float)
-        out = e({"k": k, "u": u})
-        return np.asarray(out, dtype=float) * np.ones_like(k * u, dtype=float)
+        out = np.asarray(e({"k": k, "u": u}), dtype=float)
+        shape = np.broadcast_shapes(k.shape, u.shape)
+        if out.shape != shape or out is k or out is u:
+            # broadcast, and never hand back the caller's array (a bare `u`)
+            out = np.broadcast_to(out, shape).copy()
+        return out if out.ndim else out[()]
 
     return fn, e
 

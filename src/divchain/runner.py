@@ -402,7 +402,7 @@ def run_conslaw(scn: Scenario, res: RunResult):
         s = ((flux.flux_at(kv, uR) - flux.flux_at(kv, uL)) / (uR - uL)) if uR != uL else 0.0
         states = np.where(traj.centers[None, :] < x0 + s * traj.times[:, None], uL, uR)
         from .conslaw.solver import Trajectory
-        traj = Trajectory(flux, grid, traj.times, states, traj.kvals, "synthetic")
+        traj = Trajectory(flux, grid, traj.times, states, traj.kvals)
     else:
         traj = fv_solve(flux, grid, T)
         if traj.interfaces():

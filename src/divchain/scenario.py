@@ -343,13 +343,8 @@ def build_flux(raw: RawScenario, domain: Domain):
     u_range = _interval(raw.require("conslaw", "u_range"), ln("u_range"))
     crit_vals = [_number(v, ln("critical")) for v in sec.get("critical", "").split(",")
                  if v.strip()]
-    quadratic = None
-    if "alpha" in sec and "beta" in sec:
-        af, _ = compile_uv(sec["alpha"] + " + 0*u", ln("alpha"))
-        bf, _ = compile_uv(sec["beta"] + " + 0*u", ln("beta"))
-        quadratic = (lambda kv: af(kv, 0.0), lambda kv: bf(kv, 0.0))
     return FluxSpec(k, ahat, dahat, u_range, critical=lambda kv: tuple(crit_vals),
-                    quadratic=quadratic, name=raw.get("scenario", "id", "flux"))
+                    name=raw.get("scenario", "id", "flux"))
 
 
 class Scenario:

@@ -24,16 +24,13 @@ def burgers_flux():
     return FluxSpec(const_k(),
                     lambda k, u: 0.5 * np.asarray(u) ** 2 * np.ones_like(np.asarray(k)),
                     lambda k, u: np.asarray(u) * np.ones_like(np.asarray(k)),
-                    u_range=(0.0, 1.0), critical=lambda kv: (0.0,),
-                    quadratic=(lambda k: 0.5 * np.ones_like(np.asarray(k)),
-                               lambda k: 0.0 * np.asarray(k)))
+                    u_range=(0.0, 1.0), critical=lambda kv: (0.0,))
 
 
 def transport_flux():
     return FluxSpec(const_k(), lambda k, u: np.asarray(k) * np.asarray(u),
                     lambda k, u: np.asarray(k) * np.ones_like(np.asarray(u, dtype=float)),
-                    u_range=(0.0, 1.0),
-                    quadratic=(lambda k: 0.0 * np.asarray(k), lambda k: np.asarray(k)))
+                    u_range=(0.0, 1.0))
 
 
 def traffic_flux(kvals=(1.0, 0.6), break_at=0.5):
@@ -47,8 +44,7 @@ def traffic_flux(kvals=(1.0, 0.6), break_at=0.5):
             grads=[ZEROS, ZEROS])
     return FluxSpec(k, lambda kk, u: np.asarray(kk) * np.asarray(u) * (1 - np.asarray(u)),
                     lambda kk, u: np.asarray(kk) * (1 - 2 * np.asarray(u)),
-                    u_range=(0.0, 1.0), critical=lambda kv: (0.5,),
-                    quadratic=(lambda kk: -np.asarray(kk), lambda kk: np.asarray(kk)))
+                    u_range=(0.0, 1.0), critical=lambda kv: (0.5,))
 
 
 S_QUAD = EntropyPair(lambda u: 0.5 * np.asarray(u, dtype=float) ** 2,
@@ -193,8 +189,7 @@ def test_entropy_residual_negative_control():
     traj = shock_traj(200)
     xs = traj.centers
     states = np.where(xs[None, :] < -0.3 + 0.5 * traj.times[:, None], 0.0, 1.0)
-    bad = Trajectory(traj.flux, GridState(DOM, states[0]), traj.times, states,
-                     traj.kvals, "synthetic")
+    bad = Trajectory(traj.flux, GridState(DOM, states[0]), traj.times, states, traj.kvals)
     er = entropy_residual(bad, S_QUAD)
     assert er["worst_residual"] > 0.01
 
@@ -229,8 +224,7 @@ def test_kinetic_negative_control_raises():
     traj = shock_traj(200)
     xs = traj.centers
     states = np.where(xs[None, :] < -0.3 + 0.5 * traj.times[:, None], 0.0, 1.0)
-    bad = Trajectory(traj.flux, GridState(DOM, states[0]), traj.times, states,
-                     traj.kvals, "synthetic")
+    bad = Trajectory(traj.flux, GridState(DOM, states[0]), traj.times, states, traj.kvals)
     with pytest.raises(KineticViolationError):
         kinetic_measure(bad, check=True)
 

@@ -1,31 +1,106 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from divchain.conslaw import HAVE_COMPILED, godunov_sweep
-from divchain.conslaw._kernels_py import godunov_fluxes
+from divchain import BVFunction, Domain
+from divchain.conslaw import FluxSpec
+from divchain.conslaw.solver import _sweep, face_fluxes
+
+from conftest import ZEROS
+
+DOM = Domain.interval(-1.0, 1.0)
+
+
+# -- reference: closed-form Godunov fluxes for f(u) = alpha u^2 + beta u ---
+
+def _f(alpha, beta, u):
+    return alpha * u * u + beta * u
+
+
+def godunov_fluxes(u, alpha, beta, u_lo, u_hi):
+    """Numerical fluxes on the n+1 faces of n cells (zero-gradient ghosts).
+
+    Same-coefficient faces use the classical Godunov min/max over the
+    Riemann interval; faces where (alpha, beta) jump use the demand/supply
+    coupling min(D_left(uL), S_right(uR)).
+    """
+    uL = np.concatenate([u[:1], u])
+    uR = np.concatenate([u, u[-1:]])
+    aL = np.concatenate([alpha[:1], alpha])
+    aR = np.concatenate([alpha, alpha[-1:]])
+    bL = np.concatenate([beta[:1], beta])
+    bR = np.concatenate([beta, beta[-1:]])
+
+    same = (aL == aR) & (bL == bR)
+
+    # classical Godunov for the shared flux
+    fl = _f(aL, bL, uL)
+    fr = _f(aL, bL, uR)
+    crit = np.where(aL != 0.0, -bL / np.where(aL == 0.0, 1.0, 2.0 * aL), np.inf)
+    lo = np.minimum(uL, uR)
+    hi = np.maximum(uL, uR)
+    has_crit = (aL != 0.0) & (crit > lo) & (crit < hi)
+    fc = _f(aL, bL, np.where(has_crit, crit, uL))
+    fmin = np.minimum(fl, fr)
+    fmin = np.where(has_crit, np.minimum(fmin, fc), fmin)
+    fmax = np.maximum(fl, fr)
+    fmax = np.where(has_crit, np.maximum(fmax, fc), fmax)
+    f_same = np.where(uL <= uR, fmin, fmax)
+
+    # demand/supply coupling across coefficient jumps
+    critL = np.where(aL != 0.0, -bL / np.where(aL == 0.0, 1.0, 2.0 * aL), np.inf)
+    critR = np.where(aR != 0.0, -bR / np.where(aR == 0.0, 1.0, 2.0 * aR), np.inf)
+    D = np.maximum(_f(aL, bL, uL), _f(aL, bL, u_lo))
+    inL = (aL != 0.0) & (critL > u_lo) & (critL < uL)
+    D = np.where(inL, np.maximum(D, _f(aL, bL, np.where(inL, critL, uL))), D)
+    S = np.maximum(_f(aR, bR, uR), _f(aR, bR, u_hi))
+    inR = (aR != 0.0) & (critR > uR) & (critR < u_hi)
+    S = np.where(inR, np.maximum(S, _f(aR, bR, np.where(inR, critR, uR))), S)
+    f_iface = np.minimum(D, S)
+
+    return np.where(same, f_same, f_iface)
+
+
+def quadratic_flux(pieces, u_range):
+    """Ahat(k, u) = alpha u^2 + beta u with (alpha, beta) = pieces[k], k = 0, 1, ..."""
+    a = np.array([p[0] for p in pieces], dtype=float)
+    b = np.array([p[1] for p in pieces], dtype=float)
+
+    def coeffs(k):
+        i = np.asarray(k, dtype=float).astype(int)
+        return a[i], b[i]
+
+    def ahat(k, u):
+        alpha, beta = coeffs(k)
+        return _f(alpha, beta, np.asarray(u, dtype=float))
+
+    def dahat_du(k, u):
+        alpha, beta = coeffs(k)
+        return 2.0 * alpha * np.asarray(u, dtype=float) + beta
+
+    def critical(kv):
+        alpha, beta = coeffs(kv)
+        return (-beta / (2.0 * alpha),) if alpha != 0.0 else ()
+
+    k = BVFunction.piecewise_1d(DOM, [], values=[ZEROS], grads=[ZEROS])
+    return FluxSpec(k, ahat, dahat_du, u_range, critical=critical), a, b
 
 
 def setup_problem(n=200):
     x = np.linspace(-1, 1, n)
     u0 = 0.4 + 0.2 * np.exp(-40 * (x + 0.4) ** 2)
-    alpha = np.where(x < 0.5, -1.0, -0.6)
-    beta = np.where(x < 0.5, 1.0, 0.6)
-    return u0, alpha, beta
-
-
-@pytest.mark.skipif(not HAVE_COMPILED, reason="compiled kernel not built")
-def test_backends_bit_identical():
-    u0, alpha, beta = setup_problem()
-    a = godunov_sweep(u0, alpha, beta, 0.45, 400, 0.0, 1.0, force_python=True)
-    b = godunov_sweep(u0, alpha, beta, 0.45, 400, 0.0, 1.0, force_python=False)
-    assert np.array_equal(a, b)
+    kvals = np.where(x < 0.5, 0.0, 1.0)
+    flux, _, _ = quadratic_flux([(-1.0, 1.0), (-0.6, 0.6)], (0.0, 1.0))
+    return u0, kvals, flux
 
 
 def test_python_kernel_conserves_interior_mass():
-    u0, alpha, beta = setup_problem()
+    u0, kvals, flux = setup_problem()
     lam, nsteps = 0.45, 50
-    out = godunov_sweep(u0, alpha, beta, lam, nsteps, 0.0, 1.0)
-    F_first = godunov_fluxes(out[0], alpha, beta, 0.0, 1.0)
+    F = face_fluxes(flux, kvals)
+    out = _sweep(F, u0, lam, nsteps)
+    F_first = F(out[0])
     # constant states near both boundaries: boundary fluxes are steady, so
     # the total mass changes exactly by the boundary in/outflow
     expected = nsteps * lam * (F_first[0] - F_first[-1])
@@ -36,22 +111,55 @@ def test_demand_supply_matches_classical_for_concave():
     # same-coefficient faces: the coupling formula must coincide with the
     # classical Godunov min/max for a concave single-max flux
     rng = np.random.default_rng(42)
-    alpha = np.full(2, -1.0)
-    beta = np.full(2, 1.0)
+    flux, _, _ = quadratic_flux([(-1.0, 1.0)], (0.0, 1.0))
+    F = face_fluxes(flux, np.zeros(2))
     f = lambda u: -u * u + u
     for _ in range(200):
         uL, uR = rng.uniform(0, 1, 2)
-        F = godunov_fluxes(np.array([uL, uR]), alpha, beta, 0.0, 1.0)[1]
+        got = F(np.array([uL, uR]))[1]
         if uL <= uR:
             ref = min(f(w) for w in [uL, uR] + ([0.5] if uL < 0.5 < uR else []))
         else:
             ref = max(f(w) for w in [uL, uR] + ([0.5] if uR < 0.5 < uL else []))
-        assert F == pytest.approx(ref, abs=1e-14)
+        assert got == pytest.approx(ref, abs=1e-14)
 
 
 def test_transonic_burgers_flux():
     # convex flux with the critical point inside: classical Godunov picks it
-    alpha = np.full(2, 0.5)
-    beta = np.zeros(2)
-    F = godunov_fluxes(np.array([-1.0, 1.0]), alpha, beta, -1.0, 1.0)[1]
-    assert F == 0.0
+    flux, _, _ = quadratic_flux([(0.5, 0.0)], (-1.0, 1.0))
+    assert face_fluxes(flux, np.zeros(2))(np.array([-1.0, 1.0]))[1] == 0.0
+
+
+# -- face fluxes against the closed form, by hypothesis --------------------
+
+# no subnormal alpha: its critical point -beta / (2 alpha) would overflow
+coef = st.one_of(st.sampled_from([0.0, -1.0, 1.0, 0.5]),
+                 st.floats(-3.0, 3.0).filter(lambda c: abs(c) >= 1e-3))
+
+
+@st.composite
+def quadratic_problem(draw):
+    lo = draw(st.floats(-2.0, 0.5))
+    hi = lo + draw(st.floats(0.25, 3.0))
+    pieces = [(draw(coef), draw(coef)) for _ in range(2)]
+    n = draw(st.integers(1, 8))
+    # one interface after cell `cut`, or none when cut == n
+    cut = draw(st.integers(1, n))
+    kvals = np.where(np.arange(n) < cut, 0.0, 1.0)
+    state = st.one_of(st.sampled_from([lo, hi]), st.floats(lo, hi))
+    u = np.array(draw(st.lists(state, min_size=n, max_size=n)))
+    return pieces, (lo, hi), kvals, u
+
+
+@settings(max_examples=300, deadline=None)
+@given(quadratic_problem())
+def test_face_fluxes_match_closed_form(problem):
+    pieces, u_range, kvals, u = problem
+    # the closed form couples faces where (alpha, beta) jump, the sweep
+    # faces where k jumps
+    assume(pieces[0] != pieces[1] or not kvals.any())
+    flux, a, b = quadratic_flux(pieces, u_range)
+    i = kvals.astype(int)
+    ref = godunov_fluxes(u, a[i], b[i], *u_range)
+    got = face_fluxes(flux, kvals)(u)
+    assert np.all(np.abs(got - ref) <= 1e-14 * np.maximum(1.0, np.abs(ref)))
