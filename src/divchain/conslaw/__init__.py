@@ -4,7 +4,7 @@ from .diagnostics import (KineticMeasure, accumulated_interface_W, cavalieri_lhs
                           div_xv_zero_residual, entropy_residual, interface_W,
                           kato_check, kinetic_identity_residual, kinetic_l1_distance,
                           kinetic_measure, l1_distance, space_time_bumps)
-from .flux import EntropyPair, FluxSpec, chi, entropy_flux, eta_div_measure
+from .flux import EntropyPair, FluxSpec, chi
 from .solver import GridState, Trajectory, fv_solve
 
 __all__ = [
@@ -12,5 +12,5 @@ __all__ = [
     "div_xv_zero_residual", "entropy_residual", "interface_W", "kato_check",
     "kinetic_identity_residual", "kinetic_l1_distance", "kinetic_measure",
     "l1_distance", "space_time_bumps", "EntropyPair", "FluxSpec", "chi",
-    "entropy_flux", "eta_div_measure", "GridState", "Trajectory", "fv_solve",
+    "GridState", "Trajectory", "fv_solve",
 ]

@@ -12,16 +12,15 @@ import numpy as np
 
 from ..errors import KineticViolationError, ScenarioValidationError
 from ..measure import TestFunction
+from ..quadrature import gauss
 from .flux import EntropyPair, FluxSpec, chi
 from .hatbasis import HatBasis, hat, hat_derivative
 from .solver import GridState, Trajectory, fv_solve
 
-_GAUSS5 = np.polynomial.legendre.leggauss(5)
-
 
 def _cell_integrals(phi_t, edges, tvals, chunk=64):
     """(ntimes, ncells) of \\int_cell phi(t, x) dx, Gauss-5 per cell."""
-    gx, gw = _GAUSS5
+    gx, gw = gauss(5)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1:] - edges[:-1])
     out = np.zeros((len(tvals), len(mid)))
@@ -38,7 +37,7 @@ def _cell_integrals(phi_t, edges, tvals, chunk=64):
 
 def _edge_time_integrals(phi_t, xs, t_edges, chunk=256):
     """(nslabs, nx) of \\int_slab phi(t, x) dt, Gauss-4 per slab."""
-    gx, gw = np.polynomial.legendre.leggauss(4)
+    gx, gw = gauss(4)
     mid = 0.5 * (t_edges[:-1] + t_edges[1:])
     half = 0.5 * (t_edges[1:] - t_edges[:-1])
     out = np.zeros((len(mid), len(xs)))

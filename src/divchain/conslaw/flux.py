@@ -98,10 +98,6 @@ class FluxSpec:
                           b_plus=b_plus, b_minus=b_minus, diva=diva,
                           t_range=(lo - pad, hi + pad))
 
-    def primitive_at(self, kv, t):
-        """B(x, t) for a cell with coefficient value kv (= Ahat by normalization)."""
-        return self.flux_at(kv, t)
-
 
 class EntropyPair:
     """Convex entropy S with flux eta_i(x, v) = \\int_0^v b_i(x, w) S'(w) dw."""
@@ -128,45 +124,3 @@ class EntropyPair:
 
         out = integrate_to_upper(g, v_arr)
         return out if not np.isscalar(v) else float(out[0])
-
-
-def entropy_flux(pair: EntropyPair, field: ParamField):
-    """eta(x, v) from an arbitrary ParamField (component-wise quadrature)."""
-
-    def eta(pts, v):
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        v_arr = np.full(len(pts), v, dtype=float) if np.isscalar(v) \
-            else np.asarray(v, dtype=float)
-        cols = []
-        for ax in range(field.domain.dim):
-            def g(w, ax=ax):
-                return field.eval(pts, w)[:, ax] * np.asarray(pair.dS(w))
-            cols.append(integrate_to_upper(g, v_arr, kinks=field.t_kinks))
-        return np.column_stack(cols)
-
-    return eta
-
-
-def eta_div_measure(pair: EntropyPair, field: ParamField, v):
-    """Div_x eta(., v): the stated a.c. + interface decomposition."""
-    from ..measure import RadonMeasure
-
-    def ac(pts):
-        n = len(pts)
-        return integrate_to_upper(
-            lambda w: field.diva(pts, w) * np.asarray(pair.dS(w)) * np.ones(n),
-            np.full(n, v, dtype=float), kinks=field.t_kinks)
-
-    jumps = None
-    if not field.singular_set.is_empty:
-        def g(pts, nus):
-            n = len(pts)
-            return integrate_to_upper(
-                lambda w: (field.beta(pts, nus, w, +1) - field.beta(pts, nus, w, -1))
-                * np.asarray(pair.dS(w)),
-                np.full(n, v, dtype=float), kinks=field.t_kinks)
-        jumps = RadonMeasure.from_jump(field.domain, field.singular_set, g).jumps
-
-    return RadonMeasure(field.domain, ac=ac if field._diva is not None else None,
-                        ac_singular=None if field.singular_set.is_empty else field.singular_set,
-                        jumps=jumps)

@@ -10,15 +10,9 @@ and a Gauss-12 approximation otherwise.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 
-
-@lru_cache(maxsize=None)
-def _gauss(order):
-    """Gauss-Legendre nodes and weights on [-1, 1]; read-only, shared."""
-    return np.polynomial.legendre.leggauss(order)
+from ..quadrature import gauss
 
 
 class PiecewiseLinearWeight:
@@ -83,7 +77,7 @@ class PiecewiseLinearWeight:
 
         g vectorized; exact for polynomial g up to degree 2*order-2.
         """
-        x, wts = _gauss(order)
+        x, wts = gauss(order)
 
         def part(a, c, p, q):
             half, mid = 0.5 * (c - a), 0.5 * (c + a)

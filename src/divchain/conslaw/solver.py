@@ -15,6 +15,7 @@ import numpy as np
 
 from ..errors import GeometryError, ScenarioValidationError
 from ..geometry import Domain
+from ..quadrature import gauss
 from .flux import FluxSpec
 
 
@@ -40,7 +41,7 @@ class GridState:
         edges = np.linspace(lo, hi, ncells + 1)
         if cell_average:
             # 4-point Gauss per cell
-            gx, gw = np.polynomial.legendre.leggauss(4)
+            gx, gw = gauss(4)
             mid = 0.5 * (edges[:-1] + edges[1:])
             half = 0.5 * (edges[1:] - edges[:-1])
             vals = np.zeros(ncells)
@@ -86,9 +87,6 @@ class Trajectory:
     def interface_traces(self, face_index):
         """(u-, u+) time series next to an interior face."""
         return self.states[:, face_index - 1], self.states[:, face_index]
-
-    def linf(self):
-        return float(np.max(np.abs(self.states)))
 
     def discrete_tv(self):
         return float(np.max(np.sum(np.abs(np.diff(self.states, axis=1)), axis=1)))
@@ -150,27 +148,23 @@ def face_fluxes(flux: FluxSpec, kvals):
     cells).  Faces inside one coefficient piece take the classical Godunov
     min/max of the flux over the Riemann interval, using the declared
     critical points; faces where k jumps take the demand/supply coupling
-    min(D_left(uL), S_right(uR)).  Flux values that do not depend on u (at
-    the ends of u_range and at the critical points) are computed here, once.
+    min(D_left(uL), S_right(uR)), evaluated on those faces only.  Flux values
+    that do not depend on u (at the ends of u_range and at the critical
+    points) are computed here, once.
     """
     lo, hi = flux.u_range
     kL = np.concatenate([kvals[:1], kvals])
     kR = np.concatenate([kvals, kvals[-1:]])
     same = np.abs(kL - kR) <= 1e-12
-    crit_L = [tuple(flux.critical(kv)) for kv in kL]
-    crit_R = [tuple(flux.critical(kv)) for kv in kR]
-    max_crit = max([len(c) for c in crit_L + crit_R] + [0])
-    critL = np.full((max_crit, len(kL)), np.nan)
-    critR = np.full((max_crit, len(kR)), np.nan)
-    for i, c in enumerate(crit_L):
-        critL[:len(c), i] = c
-    for i, c in enumerate(crit_R):
-        critR[:len(c), i] = c
-    # flux at each face's critical points; faces with fewer hold lo, unused
-    fcritL = [flux.flux_at(kL, np.where(np.isnan(c), lo, c)) for c in critL]
-    fcritR = [flux.flux_at(kR, np.where(np.isnan(c), lo, c)) for c in critR]
-    f_at_lo = flux.flux_at(kL, lo)
-    f_at_hi = flux.flux_at(kR, hi)
+    jump = np.flatnonzero(~same)
+    critL, fcritL = _critical_table(flux, kL)
+    # demand/supply data on the faces where k jumps only
+    kRj = kR[jump]
+    critLj = critL[:, jump]
+    fcritLj = [fc[jump] for fc in fcritL]
+    critRj, fcritRj = _critical_table(flux, kRj)
+    f_at_lo = flux.flux_at(kL[jump], lo)
+    f_at_hi = flux.flux_at(kRj, hi)
 
     def F(u):
         uL = np.concatenate([u[:1], u])
@@ -185,17 +179,30 @@ def face_fluxes(flux: FluxSpec, kvals):
             ok = (c > flo) & (c < fhi)
             fmin = np.where(ok, np.minimum(fmin, fc), fmin)
             fmax = np.where(ok, np.maximum(fmax, fc), fmax)
-        f_same = np.where(uL <= uR, fmin, fmax)
-
-        D = np.maximum(fl, f_at_lo)
-        for c, fc in zip(critL, fcritL):
-            D = np.where((c > lo) & (c < uL), np.maximum(D, fc), D)
-        S = np.maximum(flux.flux_at(kR, uR), f_at_hi)
-        for c, fc in zip(critR, fcritR):
-            S = np.where((c > uR) & (c < hi), np.maximum(S, fc), S)
-        return np.where(same, f_same, np.minimum(D, S))
+        out = np.where(uL <= uR, fmin, fmax)
+        if len(jump):
+            uLj, uRj = uL[jump], uR[jump]
+            D = np.maximum(fl[jump], f_at_lo)
+            for c, fc in zip(critLj, fcritLj):
+                D = np.where((c > lo) & (c < uLj), np.maximum(D, fc), D)
+            S = np.maximum(flux.flux_at(kRj, uRj), f_at_hi)
+            for c, fc in zip(critRj, fcritRj):
+                S = np.where((c > uRj) & (c < hi), np.maximum(S, fc), S)
+            out[jump] = np.minimum(D, S)
+        return out
 
     return F
+
+
+def _critical_table(flux: FluxSpec, kv):
+    """Critical points of each face's flux as rows (NaN-padded where a face
+    has fewer), and the flux at them (at lo for the padding, unused)."""
+    crit = [tuple(flux.critical(k)) for k in kv]
+    table = np.full((max([len(c) for c in crit] + [0]), len(kv)), np.nan)
+    for i, c in enumerate(crit):
+        table[:len(c), i] = c
+    lo = flux.u_range[0]
+    return table, [flux.flux_at(kv, np.where(np.isnan(c), lo, c)) for c in table]
 
 
 def _sweep(F, u0, lam, nsteps):

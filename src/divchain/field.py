@@ -182,35 +182,29 @@ class PrimitiveField:
         self.field = field
         self.domain = field.domain
 
-    def _axis_integral(self, pts, t, extractor):
+    def _integral(self, pts, t, extractor):
+        """\\int_0^t extractor(pts, w) dw, all axes in one quadrature."""
         pts = as_points(pts, self.domain.dim)
         t_arr = np.full(len(pts), t, dtype=float) if np.isscalar(t) else np.asarray(t, dtype=float)
-        cols = []
-        for ax in range(self.domain.dim):
-            def g(w, ax=ax):
-                return extractor(pts, w)[:, ax]
-            cols.append(integrate_to_upper(g, t_arr, kinks=self.field.t_kinks))
-        return np.column_stack(cols)
+        out = integrate_to_upper(lambda w: extractor(pts, w), t_arr, kinks=self.field.t_kinks)
+        # zero upper limits never call the integrand and come back as (n,)
+        return out if out.ndim == 2 else np.zeros((len(pts), self.domain.dim))
 
     def value(self, pts, t):
-        return self._axis_integral(pts, t, self.field.eval)
+        return self._integral(pts, t, self.field.eval)
 
     def plus(self, pts, t):
-        return self._axis_integral(
+        return self._integral(
             pts, t, lambda p, w: np.atleast_2d(np.asarray(self.field.b_plus(p, w), dtype=float))
             .reshape(len(p), self.domain.dim))
 
     def minus(self, pts, t):
-        return self._axis_integral(
+        return self._integral(
             pts, t, lambda p, w: np.atleast_2d(np.asarray(self.field.b_minus(p, w), dtype=float))
             .reshape(len(p), self.domain.dim))
 
     def star(self, pts, t):
         return 0.5 * (self.plus(pts, t) + self.minus(pts, t))
-
-    def tilde(self, pts, t):
-        """Off the singular set B~ = B; used on jump components of J_u only."""
-        return self.value(pts, t)
 
     def diva(self, pts, t):
         pts = as_points(pts, self.domain.dim)

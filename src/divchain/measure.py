@@ -385,13 +385,6 @@ class RadonMeasure:
             total += comp.mass_in_ball(g, center, r)
         return total
 
-    def parts_present(self):
-        return {
-            "ac": self.ac is not None,
-            "jump": bool(self.jumps),
-            "cantor": self.cantor is not None,
-        }
-
 
 def measure_apply(mu: RadonMeasure, phi: TestFunction, tol_abs=1e-10, tol_rel=1e-10):
     return mu.apply(phi, tol_abs=tol_abs, tol_rel=tol_rel)

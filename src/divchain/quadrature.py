@@ -9,6 +9,8 @@ integrands (fields with jump sets) cheap.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .errors import IntegrationError
@@ -37,6 +39,28 @@ _GAUSS_IDX = np.arange(1, 15, 2)
 
 DEFAULT_TOL = 1e-10
 
+# integrate_to_upper: Gauss orders tried in turn, and the stabilization test
+_UPPER_ORDERS = (8, 16, 32, 64, 128, 256)
+_UPPER_TOL = 1e-12
+
+
+@lru_cache(maxsize=None)
+def gauss(order):
+    """Gauss-Legendre nodes and weights of `order` on [-1, 1]; cached and
+    shared, so callers must not write to them."""
+    return np.polynomial.legendre.leggauss(order)
+
+
+def _non_finite(values, abscissae):
+    """IntegrationError naming the abscissa of the first non-finite value.
+
+    values has one row per abscissa; abscissae is (n,) or (n, dim).
+    """
+    bad = ~np.isfinite(values).reshape(len(abscissae), -1).all(axis=1)
+    at = np.atleast_1d(abscissae[int(np.argmax(bad))])
+    text = ", ".join(repr(float(a)) for a in at)
+    return IntegrationError(f"non-finite integrand at {text if len(at) == 1 else f'({text})'}")
+
 
 def _segments_from_breaks(a, b, breakpoints):
     pts = [a]
@@ -58,6 +82,8 @@ def gk_segments(f, lo, hi):
     half = 0.5 * (hi - lo)
     nodes = mid[:, None] + half[:, None] * _XGK[None, :]   # (nseg, 15)
     vals = np.asarray(f(nodes.ravel()), dtype=float).reshape(nodes.shape)
+    if not np.all(np.isfinite(vals)):
+        raise _non_finite(vals.ravel(), nodes.ravel())
     ik = half * (vals @ _WGK)
     ig = half * (vals[:, _GAUSS_IDX] @ _WG)
     # QUADPACK-style sharpened error estimate
@@ -142,6 +168,8 @@ def _cell_tensor(f, cell, rect):
     x2 = lo + ss.ravel() * width
     pts = np.column_stack([x1.ravel(), x2])
     vals = np.asarray(f(pts), dtype=float) * width
+    if not np.all(np.isfinite(vals)):
+        raise _non_finite(vals, pts)
     vals = vals.reshape(-1, 15, 15)
     jac = (uhalf * shalf)[:, None, None]
     ik = np.einsum("rij,i,j->r", vals, _WGK, _WGK) * jac[:, 0, 0]
@@ -231,18 +259,17 @@ def integrate_polar(f, center, radius, theta_breaks=(), tol_abs=1e-10, tol_rel=1
     return integrate_cells(integrand, cells, tol_abs=tol_abs, tol_rel=tol_rel)
 
 
-def gauss_legendre(n):
-    x, w = np.polynomial.legendre.leggauss(n)
-    return x, w
-
-
-def integrate_to_upper(g, upper, kinks=(), tol_rel=1e-12, n0=8, n_max=256):
+def integrate_to_upper(g, upper, kinks=()):
     """Per-point integral F_i = \\int_0^{upper_i} g(w) dw, batched.
 
     g maps an array w of shape (n,) (one abscissa per output point) to
-    values (n,).  Kinks are global abscissae where g may lose smoothness;
-    every per-point range is split there.  Gauss order doubles until the
-    result stabilizes.
+    values of shape (n,) or (n, d), and the result has the same shape; if
+    every upper limit is 0, g is never called and the result is (n,) zeros.
+    Kinks are global abscissae where g may lose smoothness; every per-point
+    range is split there.  The Gauss order doubles from 8 to at most 256, and
+    each component (column) stops at the first order where it stabilizes:
+    max|F - F_prev| <= 1e-12 max(max|F|, 1) over the points.  Raises
+    IntegrationError when a component does not stabilize or g is not finite.
     """
     upper = np.asarray(upper, dtype=float)
     sgn = np.sign(upper)
@@ -250,29 +277,53 @@ def integrate_to_upper(g, upper, kinks=(), tol_rel=1e-12, n0=8, n_max=256):
     hi = np.maximum(0.0, upper)
     cuts = sorted(set(float(k) for k in kinks))
     edges = np.array([-np.inf] + cuts + [np.inf])
+    pieces = []
+    for a, b in zip(edges[:-1], edges[1:]):
+        c0 = np.clip(a, lo, hi)
+        c1 = np.clip(b, lo, hi)
+        width = c1 - c0
+        if not np.all(width == 0):
+            pieces.append((0.5 * (c0 + c1), 0.5 * width))
 
     def compute(n):
-        x, w = gauss_legendre(n)
-        acc = np.zeros_like(upper)
-        for j in range(len(edges) - 1):
-            c0 = np.clip(edges[j], lo, hi)
-            c1 = np.clip(edges[j + 1], lo, hi)
-            width = c1 - c0
-            if np.all(width == 0):
-                continue
-            mid = 0.5 * (c0 + c1)
-            hw = 0.5 * width
+        x, w = gauss(n)
+        acc = 0.0
+        for mid, hw in pieces:
+            hwc = None
             for xi, wi in zip(x, w):
-                acc += wi * hw * g(mid + hw * xi)
-        return sgn * acc
+                val = g(mid + hw * xi)
+                if hwc is None:
+                    hwc = _per_row(hw, val)
+                acc += wi * hwc * val
+        if not np.all(np.isfinite(acc)):
+            raise _non_finite_upper(g, pieces, x)
+        return _per_row(sgn, acc) * acc
 
-    prev = compute(n0)
-    n = n0 * 2
-    while n <= n_max:
+    prev = out = compute(_UPPER_ORDERS[0])
+    settled = False
+    for n in _UPPER_ORDERS[1:]:
         cur = compute(n)
-        scale = np.maximum(np.max(np.abs(cur)), 1.0)
-        if np.max(np.abs(cur - prev)) <= tol_rel * scale:
-            return cur
+        scale = np.maximum(np.max(np.abs(cur), axis=0), 1.0)
+        stable = np.max(np.abs(cur - prev), axis=0) <= _UPPER_TOL * scale
+        out = np.where(settled, out, cur)
+        settled = settled | stable
+        if np.all(settled):
+            return out
         prev = cur
-        n *= 2
     raise IntegrationError("parameter quadrature did not stabilize")
+
+
+def _per_row(v, like):
+    """v of shape (n,), as a column when `like` is (n, d)."""
+    return v[:, None] if np.ndim(like) == 2 else v
+
+
+def _non_finite_upper(g, pieces, x):
+    """Failure path of integrate_to_upper: find the node where g is not finite."""
+    for mid, hw in pieces:
+        for xi in x:
+            w = mid + hw * xi
+            val = np.asarray(g(w), dtype=float)
+            if not np.all(np.isfinite(val)):
+                return _non_finite(val, w)
+    return IntegrationError("parameter quadrature overflowed")

@@ -10,7 +10,6 @@ is part of the data, not derived on the fly.
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import GeometryError
 from .quadrature import CurvedCell, integrate_1d
@@ -36,10 +35,6 @@ class CurvePiece:
 
     def flipped(self):
         raise NotImplementedError
-
-    @property
-    def length_param(self):
-        return self.s1 - self.s0
 
     def integrate(self, density, s_ranges=None, tol_abs=1e-11, tol_rel=1e-11):
         """\\int density(x, nu) |gamma'| ds over the piece (or sub-ranges)."""
@@ -421,16 +416,3 @@ def box_cells(bounds, curve_sets, extra_x_breaks=(), extra_y_breaks=()):
         if b - a > 1e-13:
             out.extend(strip_cells(a, b))
     return out
-
-
-def find_crossing(fn, a, b, target):
-    """First root of fn(x) - target in [a, b] (helper for level sets)."""
-    xs = np.linspace(a, b, 129)
-    vals = np.asarray(fn(xs), dtype=float) - target
-    sign = np.sign(vals)
-    for i in range(len(xs) - 1):
-        if sign[i] == 0:
-            return xs[i]
-        if sign[i] * sign[i + 1] < 0:
-            return brentq(lambda x: float(fn(np.array([x]))[0]) - target, xs[i], xs[i + 1])
-    return None

@@ -203,11 +203,6 @@ def _volpert_breakdown(field, u: BVFunction):
     dom = field.domain
     prim = primitive(field)
 
-    def bval(tvals):
-        pts = np.zeros((len(np.atleast_1d(tvals)), dom.dim))
-        pts[:, 0] = dom.grid(3)[0, 0]
-        return field.eval(pts, np.atleast_1d(tvals))
-
     term_diva = RadonMeasure.zero(dom)
     term_divc = RadonMeasure.zero(dom)
 

@@ -1,11 +1,12 @@
 import json
 import os
+import re
 
 import pytest
 
 from divchain.cli import bundled_paths, main
-from divchain.runner import (EXIT_CHECKS_FAILED, EXIT_OK, EXIT_PARSE_ERROR,
-                             EXIT_VALIDATION_ERROR)
+from divchain.runner import (EXIT_CHECKS_FAILED, EXIT_NUMERICAL_ERROR, EXIT_OK,
+                             EXIT_PARSE_ERROR, EXIT_VALIDATION_ERROR)
 
 
 def scenario_path(name):
@@ -111,3 +112,30 @@ def test_non_utf8_file_is_a_parse_error(tmp_path, capsys):
     assert main(["validate", str(binary)]) == EXIT_PARSE_ERROR
     assert main(["run", str(binary), "--out", str(tmp_path)]) == EXIT_PARSE_ERROR
     assert capsys.readouterr().out.count(f"cannot read scenario {binary}:") == 2
+
+
+def test_non_finite_field_names_the_abscissa(tmp_path, capsys):
+    scn = tmp_path / "sqrt.scn"
+    scn.write_text("""
+[scenario]
+id = sqrt-nan
+dim = 1
+domain = -1 .. 1
+experiments = chain
+
+[field]
+b = sqrt(x1-5)*t
+M = 8
+t_range = -3 .. 3
+
+[u]
+breaks = 0 : +1
+pieces = 0 | 1
+grads = 0 | 0
+sup = 1
+""".lstrip())
+    assert main(["run", str(scn), "--out", str(tmp_path / "out")]) == EXIT_NUMERICAL_ERROR
+    out = capsys.readouterr().out
+    m = re.search(r"non-finite integrand at (\S+)", out)
+    assert m, out
+    assert -1.0 <= float(m.group(1)) <= 1.0
