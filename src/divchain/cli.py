@@ -20,6 +20,8 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
+import numpy as np
+
 from .errors import (DivchainError, IntegrationError, ScenarioParseError,
                      ScenarioValidationError)
 from .runner import (EXIT_CHECKS_FAILED, EXIT_NUMERICAL_ERROR, EXIT_OK,
@@ -57,29 +59,32 @@ def _unreadable(path, exc):
 
 def _run_one(args_tuple):
     path, out_dir, tol_abs, tol_rel = args_tuple
-    try:
+    # non-finite field values surface as IntegrationError (exit 4) from the
+    # finiteness guards; numpy's floating-point warnings would only repeat it
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         try:
-            scn = load(_resolve(path))
-        except _UNREADABLE as exc:
-            return EXIT_PARSE_ERROR, _unreadable(path, exc)
-        if tol_abs is not None:
-            scn.tol_abs = tol_abs
-        if tol_rel is not None:
-            scn.tol_rel = tol_rel
-        res = run_scenario(scn, out_dir=out_dir)
-        code = EXIT_OK if res.passed else EXIT_CHECKS_FAILED
-        lines = [f"[{'PASS' if c['pass'] else 'FAIL'}] {scn.id}: {c['name']}"
-                 for c in res.checks]
-        lines.append(f"SCENARIO {scn.id}: {'PASS' if res.passed else 'FAIL'}")
-        return code, "\n".join(lines)
-    except ScenarioParseError as exc:
-        return EXIT_PARSE_ERROR, f"parse error in {path}: {exc}"
-    except ScenarioValidationError as exc:
-        return EXIT_VALIDATION_ERROR, f"validation error in {path}: {exc}"
-    except IntegrationError as exc:
-        return EXIT_NUMERICAL_ERROR, f"numerical failure in {path}: {exc}"
-    except DivchainError as exc:
-        return EXIT_NUMERICAL_ERROR, f"numerical failure in {path}: {exc}"
+            try:
+                scn = load(_resolve(path))
+            except _UNREADABLE as exc:
+                return EXIT_PARSE_ERROR, _unreadable(path, exc)
+            if tol_abs is not None:
+                scn.tol_abs = tol_abs
+            if tol_rel is not None:
+                scn.tol_rel = tol_rel
+            res = run_scenario(scn, out_dir=out_dir)
+            code = EXIT_OK if res.passed else EXIT_CHECKS_FAILED
+            lines = [f"[{'PASS' if c['pass'] else 'FAIL'}] {scn.id}: {c['name']}"
+                     for c in res.checks]
+            lines.append(f"SCENARIO {scn.id}: {'PASS' if res.passed else 'FAIL'}")
+            return code, "\n".join(lines)
+        except ScenarioParseError as exc:
+            return EXIT_PARSE_ERROR, f"parse error in {path}: {exc}"
+        except ScenarioValidationError as exc:
+            return EXIT_VALIDATION_ERROR, f"validation error in {path}: {exc}"
+        except IntegrationError as exc:
+            return EXIT_NUMERICAL_ERROR, f"numerical failure in {path}: {exc}"
+        except DivchainError as exc:
+            return EXIT_NUMERICAL_ERROR, f"numerical failure in {path}: {exc}"
 
 
 def main(argv=None):

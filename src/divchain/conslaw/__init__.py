@@ -2,15 +2,15 @@
 
 from .diagnostics import (KineticMeasure, accumulated_interface_W, cavalieri_lhs,
                           div_xv_zero_residual, entropy_residual, interface_W,
-                          kato_check, kinetic_identity_residual, kinetic_l1_distance,
-                          kinetic_measure, l1_distance, space_time_bumps)
+                          kato_check, kinetic_identity_residual, kinetic_measure,
+                          l1_distance, space_time_bumps)
 from .flux import EntropyPair, FluxSpec, chi
 from .solver import GridState, Trajectory, fv_solve
 
 __all__ = [
     "KineticMeasure", "accumulated_interface_W", "cavalieri_lhs",
     "div_xv_zero_residual", "entropy_residual", "interface_W", "kato_check",
-    "kinetic_identity_residual", "kinetic_l1_distance", "kinetic_measure",
-    "l1_distance", "space_time_bumps", "EntropyPair", "FluxSpec", "chi",
-    "GridState", "Trajectory", "fv_solve",
+    "kinetic_identity_residual", "kinetic_measure", "l1_distance",
+    "space_time_bumps", "EntropyPair", "FluxSpec", "chi", "GridState",
+    "Trajectory", "fv_solve",
 ]

@@ -18,39 +18,13 @@ from .hatbasis import HatBasis, hat, hat_derivative
 from .solver import GridState, Trajectory, fv_solve
 
 
-def _cell_integrals(phi_t, edges, tvals, chunk=64):
-    """(ntimes, ncells) of \\int_cell phi(t, x) dx, Gauss-5 per cell."""
-    gx, gw = gauss(5)
+def _segment_integrals(f, edges, order):
+    """\\int f over each [edges[j], edges[j + 1]], Gauss-`order` per segment."""
+    gx, gw = gauss(order)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1:] - edges[:-1])
-    out = np.zeros((len(tvals), len(mid)))
-    for s in range(0, len(tvals), chunk):
-        ts = tvals[s:s + chunk]
-        acc = np.zeros((len(ts), len(mid)))
-        for xi, wi in zip(gx, gw):
-            xs = mid + half * xi
-            pts = np.column_stack([np.repeat(ts, len(xs)), np.tile(xs, len(ts))])
-            acc += wi * phi_t(pts).reshape(len(ts), len(xs))
-        out[s:s + chunk] = acc * half[None, :]
-    return out
-
-
-def _edge_time_integrals(phi_t, xs, t_edges, chunk=256):
-    """(nslabs, nx) of \\int_slab phi(t, x) dt, Gauss-4 per slab."""
-    gx, gw = gauss(4)
-    mid = 0.5 * (t_edges[:-1] + t_edges[1:])
-    half = 0.5 * (t_edges[1:] - t_edges[:-1])
-    out = np.zeros((len(mid), len(xs)))
-    for s in range(0, len(mid), chunk):
-        m = mid[s:s + chunk]
-        h = half[s:s + chunk]
-        acc = np.zeros((len(m), len(xs)))
-        for xi, wi in zip(gx, gw):
-            ts = m + h * xi
-            pts = np.column_stack([np.repeat(ts, len(xs)), np.tile(xs, len(ts))])
-            acc += wi * phi_t(pts).reshape(len(ts), len(xs))
-        out[s:s + chunk] = acc * h[:, None]
-    return out
+    vals = f((mid[:, None] + half[:, None] * gx).ravel()).reshape(len(mid), order)
+    return (vals @ gw) * half
 
 
 def _eta_table(pair: EntropyPair, flux: FluxSpec, kvals, states):
@@ -64,42 +38,46 @@ def _eta_table(pair: EntropyPair, flux: FluxSpec, kvals, states):
 
 
 def space_time_bumps(traj: Trajectory, n=5):
-    """C^2 plateau bumps on (0,T) x interior, straddling each interface."""
+    """C^2 plateau bumps T(t) X(x) on (0,T) x interior, straddling each interface.
+
+    Each bump is returned as its two 1-D factors, (label, T, X): one time
+    factor shared by all, and a space factor per centre.
+    """
     from ..measure import plateau_bump
     t0, t1 = traj.times[0], traj.times[-1]
     (xlo, xhi), = traj.domain.bounds
-    fns = []
     tspan = t1 - t0
     xspan = xhi - xlo
-    tsup = (t0 + 0.08 * tspan, t1 - 0.08 * tspan)
-    tpl = (t0 + 0.25 * tspan, t1 - 0.25 * tspan)
+    T = plateau_bump([(t0 + 0.08 * tspan, t1 - 0.08 * tspan)],
+                     [(t0 + 0.25 * tspan, t1 - 0.25 * tspan)])
     centers = [xlo + f * xspan for f in (0.3, 0.5, 0.7)]
     for i in traj.interfaces():
         centers.append(traj.edges[i])
+    fns = []
     for j, c in enumerate(centers[:n]):
         w = 0.22 * xspan
         lo = max(c - w, xlo + 0.02 * xspan)
         hi = min(c + w, xhi - 0.02 * xspan)
-        fns.append(plateau_bump([tsup, (lo, hi)],
-                                [tpl, (lo + 0.3 * (hi - lo), hi - 0.3 * (hi - lo))],
-                                label=f"st{j}"))
+        X = plateau_bump([(lo, hi)], [(lo + 0.3 * (hi - lo), hi - 0.3 * (hi - lo))])
+        fns.append((f"st{j}", T, X))
     return fns
 
 
-def entropy_residual(traj: Trajectory, pair: EntropyPair, phi_family=None):
-    """Worst signed residual of the entropy inequality over the family.
+def entropy_residual(traj: Trajectory, pair: EntropyPair):
+    """Worst signed residual of the entropy inequality over space_time_bumps.
 
-    For each nonnegative space-time phi the distributional value of
+    For each nonnegative space-time phi = T(t) X(x) the distributional value of
 
         dS(u)/dt + Div eta(x, u) - [Div eta](x, v)|_{v = u_hat}
                                  + S'(u_hat) [Div B](x, v)|_{v = u_hat}
 
     is evaluated with the interface measures in their a.c.-plus-trace form;
-    entropy solutions make every value <= 0 up to O(dx).
+    entropy solutions make every value <= 0 up to O(dx).  For the
+    piecewise-constant solver output every term is a product of 1-D tables:
+    X integrated per cell (Gauss-5), T integrated per time slab (Gauss-4),
+    T at the time levels and X at the cell faces.
     """
     flux = traj.flux
-    if phi_family is None:
-        phi_family = space_time_bumps(traj)
     if not pair.check_convex(flux.u_range):
         raise ScenarioValidationError("entropy must be convex on the invariant region")
     probe = flux.k.domain.grid(33)
@@ -115,15 +93,16 @@ def entropy_residual(traj: Trajectory, pair: EntropyPair, phi_family=None):
     ifaces = traj.interfaces()
     rows = []
     flagged = False
-    for phi in phi_family:
-        cellint = _cell_integrals(phi.value, traj.edges, t_edges)
-        term_time = -float(np.sum(s_of_u[:-1] * (cellint[1:] - cellint[:-1])))
-        edgeint = _edge_time_integrals(phi.value, traj.edges, t_edges)
-        term_flux = -float(np.sum(eta * (edgeint[:, 1:] - edgeint[:, :-1])))
+    for label, T, X in space_time_bumps(traj):
+        xcell = _segment_integrals(X.value, traj.edges, 5)
+        tslab = _segment_integrals(T.value, t_edges, 4)
+        xface = X.value(traj.edges)
+        term_time = -float(np.diff(T.value(t_edges)) @ (s_of_u[:-1] @ xcell))
+        term_flux = -float(tslab @ eta @ np.diff(xface))
         term_iface = 0.0
         for i in ifaces:
             km, kp = traj.kvals[i - 1], traj.kvals[i]
-            tser = edgeint[:, i]
+            tser = tslab * xface[i]
             variants = []
             for uhat in (slabs[:, i - 1], slabs[:, i]):
                 eta_jump = (pair.eta_of_k(flux, kp, uhat) - pair.eta_of_k(flux, km, uhat))
@@ -134,7 +113,7 @@ def entropy_residual(traj: Trajectory, pair: EntropyPair, phi_family=None):
                 flagged = True
             term_iface += max(variants)
         total = term_time + term_flux + term_iface
-        rows.append({"phi": phi.label, "residual": total,
+        rows.append({"phi": label, "residual": total,
                      "terms": {"time": term_time, "flux": term_flux, "iface": term_iface}})
     worst = max(r["residual"] for r in rows)
     return {"worst_residual": worst, "rows": rows, "interface_choice_flagged": flagged}
@@ -305,18 +284,14 @@ def kinetic_identity_residual(traj: Trajectory, km: KineticMeasure, iface_uhat="
     return worst
 
 
-def interface_W(u1p, u1m, u2p, u2m, bplus_nu, bminus_nu=None, variant="plus"):
-    """Trace-coupling functional at one singular-set point.
-
-    variant="plus" uses <B+, nu> in both lines (the stated form); "minus"
-    swaps the second line to <B-, nu> -- both are reported by the harness.
-    """
-    second = bplus_nu if variant == "plus" or bminus_nu is None else bminus_nu
+def interface_W(u1p, u1m, u2p, u2m, bplus_nu):
+    """Trace-coupling functional at one singular-set point, with <B+, nu>
+    in both lines (the stated form)."""
     return (bplus_nu(u1p) * (-2.0 * chi(u1p, u2p) + 2.0 * chi(u1m, u2m))
-            + second(u2p) * (-2.0 * chi(u2p, u1p) + 2.0 * chi(u2m, u1m)))
+            + bplus_nu(u2p) * (-2.0 * chi(u2p, u1p) + 2.0 * chi(u2m, u1m)))
 
 
-def accumulated_interface_W(traj_a: Trajectory, traj_b: Trajectory, variant="plus"):
+def accumulated_interface_W(traj_a: Trajectory, traj_b: Trajectory):
     """\\int_0^T sum over interfaces of W(traces of u1, traces of u2) dt,
     plus the worst per-sample value."""
     flux = traj_a.flux
@@ -324,13 +299,12 @@ def accumulated_interface_W(traj_a: Trajectory, traj_b: Trajectory, variant="plu
     worst = -np.inf
     dt = traj_a.dt
     for i in traj_a.interfaces():
-        km_, kp_ = traj_a.kvals[i - 1], traj_a.kvals[i]
+        kp_ = traj_a.kvals[i]
         bplus = lambda t, kp_=kp_: flux.flux_at(kp_, t)
-        bminus = lambda t, km_=km_: flux.flux_at(km_, t)
         u1m, u1p = traj_a.interface_traces(i)
         u2m, u2p = traj_b.interface_traces(i)
         for n in range(len(traj_a.times) - 1):
-            w = interface_W(u1p[n], u1m[n], u2p[n], u2m[n], bplus, bminus, variant)
+            w = interface_W(u1p[n], u1m[n], u2p[n], u2m[n], bplus)
             total += w * dt
             worst = max(worst, w)
     return total, (worst if np.isfinite(worst) else 0.0)
@@ -340,23 +314,11 @@ def l1_distance(a: GridState, b: GridState):
     return float(np.sum(np.abs(a.averages - b.averages)) * a.dx)
 
 
-def kinetic_l1_distance(a: GridState, b: GridState):
-    """\\int |chi(v, u_a) - chi(v, u_b)| dv dx; the v-integral is computed
-    piece-by-piece from the definition of chi (exact for step functions)."""
-    total = 0.0
-    for ua, ub in zip(a.averages, b.averages):
-        lo, hi = min(ua, ub), max(ua, ub)
-        if hi > lo:
-            mid = 0.5 * (lo + hi)
-            total += (hi - lo) * abs(chi(mid, ua) - chi(mid, ub))
-    return total * a.dx
-
-
 def kato_check(flux: FluxSpec, u0_a, u0_b, T, dx_list, domain, cfl=0.45):
     """Contraction table over a refinement sequence.
 
-    Per dx: L1 distances at 0 and T, their deficit, the kinetic-level
-    distance, and the accumulated interface W integral (both variants).
+    Per dx: L1 distances at 0 and T, their deficit, and the accumulated
+    interface W integral with its worst sample.
     """
     rows = []
     for dx in dx_list:
@@ -368,19 +330,15 @@ def kato_check(flux: FluxSpec, u0_a, u0_b, T, dx_list, domain, cfl=0.45):
         tb = fv_solve(flux, gb, T)
         d0 = l1_distance(ga, gb)
         dT = l1_distance(ta.final(), tb.final())
-        w_plus, w_plus_worst = accumulated_interface_W(ta, tb, "plus")
-        w_minus, _ = accumulated_interface_W(ta, tb, "minus")
+        w, w_worst = accumulated_interface_W(ta, tb)
         rows.append({
             "dx": dx,
             "l1_initial": d0,
             "l1_final": dT,
             "deficit": d0 - dT,
             "contraction_holds": bool(dT <= d0 + 1e-12),
-            "kinetic_l1_initial": kinetic_l1_distance(ga, gb),
-            "kinetic_l1_final": kinetic_l1_distance(ta.final(), tb.final()),
-            "W_integral": w_plus,
-            "W_integral_minus_variant": w_minus,
-            "W_worst_sample": w_plus_worst,
+            "W_integral": w,
+            "W_worst_sample": w_worst,
         })
     return rows
 

@@ -86,34 +86,27 @@ def plateau_bump(support_box, plateau_box, label=""):
     support_box = tuple(tuple(map(float, b)) for b in support_box)
     plateau_box = tuple(tuple(map(float, b)) for b in plateau_box)
     dim = len(support_box)
+    ramps = []          # per axis: support ends and the widths of the two ramps
     for (slo, shi), (plo, phi_) in zip(support_box, plateau_box):
         if not (slo < plo < phi_ < shi):
             raise ValueError("plateau must be strictly inside the support")
-
-    def axis_parts(pts):
-        vals, ders = [], []
-        for ax, ((slo, shi), (plo, phi_)) in enumerate(zip(support_box, plateau_box)):
-            x = pts[:, ax]
-            up = _smoothstep((x - slo) / (plo - slo))
-            dn = _smoothstep((shi - x) / (shi - phi_))
-            v = up * dn
-            dv = (_smoothstep_d((x - slo) / (plo - slo)) / (plo - slo) * dn
-                  - up * _smoothstep_d((shi - x) / (shi - phi_)) / (shi - phi_))
-            vals.append(v)
-            ders.append(dv)
-        return vals, ders
+        ramps.append((slo, shi, plo - slo, shi - phi_))
 
     def value(pts):
         pts = as_points(pts, dim)
-        vals, _ = axis_parts(pts)
-        out = vals[0]
-        for v in vals[1:]:
-            out = out * v
+        out = 1.0
+        for x, (slo, shi, wup, wdn) in zip(pts.T, ramps):
+            out = out * (_smoothstep((x - slo) / wup) * _smoothstep((shi - x) / wdn))
         return out
 
     def gradient(pts):
         pts = as_points(pts, dim)
-        vals, ders = axis_parts(pts)
+        vals, ders = [], []
+        for x, (slo, shi, wup, wdn) in zip(pts.T, ramps):
+            sup, sdn = (x - slo) / wup, (shi - x) / wdn
+            up, dn = _smoothstep(sup), _smoothstep(sdn)
+            vals.append(up * dn)
+            ders.append(_smoothstep_d(sup) / wup * dn - up * _smoothstep_d(sdn) / wdn)
         cols = []
         for ax in range(dim):
             col = ders[ax]

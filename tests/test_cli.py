@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import warnings
 
 import pytest
 
@@ -114,9 +115,7 @@ def test_non_utf8_file_is_a_parse_error(tmp_path, capsys):
     assert capsys.readouterr().out.count(f"cannot read scenario {binary}:") == 2
 
 
-def test_non_finite_field_names_the_abscissa(tmp_path, capsys):
-    scn = tmp_path / "sqrt.scn"
-    scn.write_text("""
+SQRT_SCN = """
 [scenario]
 id = sqrt-nan
 dim = 1
@@ -133,9 +132,25 @@ breaks = 0 : +1
 pieces = 0 | 1
 grads = 0 | 0
 sup = 1
-""".lstrip())
+""".lstrip()
+
+
+def test_non_finite_field_names_the_abscissa(tmp_path, capsys):
+    scn = tmp_path / "sqrt.scn"
+    scn.write_text(SQRT_SCN)
     assert main(["run", str(scn), "--out", str(tmp_path / "out")]) == EXIT_NUMERICAL_ERROR
     out = capsys.readouterr().out
     m = re.search(r"non-finite integrand at (\S+)", out)
     assert m, out
     assert -1.0 <= float(m.group(1)) <= 1.0
+
+
+def test_non_finite_field_raises_no_runtime_warning(tmp_path):
+    scn = tmp_path / "sqrt.scn"
+    scn.write_text(SQRT_SCN)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["run", str(scn), "--out", str(tmp_path / "out")])
+    assert code == EXIT_NUMERICAL_ERROR
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], \
+        [str(w.message) for w in caught]
