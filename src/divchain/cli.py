@@ -22,8 +22,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from .errors import (DivchainError, IntegrationError, ScenarioParseError,
-                     ScenarioValidationError)
+from .errors import DivchainError, ScenarioParseError, ScenarioValidationError
 from .runner import (EXIT_CHECKS_FAILED, EXIT_NUMERICAL_ERROR, EXIT_OK,
                      EXIT_PARSE_ERROR, EXIT_VALIDATION_ERROR, run_scenario)
 from .scenario import load
@@ -81,8 +80,6 @@ def _run_one(args_tuple):
             return EXIT_PARSE_ERROR, f"parse error in {path}: {exc}"
         except ScenarioValidationError as exc:
             return EXIT_VALIDATION_ERROR, f"validation error in {path}: {exc}"
-        except IntegrationError as exc:
-            return EXIT_NUMERICAL_ERROR, f"numerical failure in {path}: {exc}"
         except DivchainError as exc:
             return EXIT_NUMERICAL_ERROR, f"numerical failure in {path}: {exc}"
 

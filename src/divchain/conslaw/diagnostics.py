@@ -14,7 +14,7 @@ from ..errors import KineticViolationError, ScenarioValidationError
 from ..measure import TestFunction
 from ..quadrature import gauss
 from .flux import EntropyPair, FluxSpec, chi
-from .hatbasis import HatBasis, hat, hat_derivative
+from .hatbasis import HatBasis, hat_derivative
 from .solver import GridState, Trajectory, fv_solve
 
 
@@ -27,14 +27,45 @@ def _segment_integrals(f, edges, order):
     return (vals @ gw) * half
 
 
-def _eta_table(pair: EntropyPair, flux: FluxSpec, kvals, states):
-    """eta(x_i, u_i^n) for all slab states, grouped by coefficient value."""
-    out = np.empty_like(states)
-    for kv in np.unique(kvals.round(12)):
-        cols = np.flatnonzero(np.abs(kvals - kv) <= 1e-12)
-        u = states[:, cols].ravel()
-        out[:, cols] = pair.eta_of_k(flux, kv, u).reshape(states.shape[0], len(cols))
-    return out
+def _slab_tables(traj: Trajectory, per_state):
+    """Tables over the slab states u_i^n, one per leading index of per_state.
+
+    per_state(k, u) maps a coefficient value and an array of states to an
+    array of shape (ntab, ..., len(u)).  It is called once per coefficient
+    value, on that value's distinct slab states only; the c-th table yielded
+    has shape (..., nslab, ncell) and holds per_state(k_i, u_i^n)[c].
+    """
+    slabs = traj.states[:-1]
+    inv = np.empty(slabs.shape, dtype=np.intp)
+    vals = []
+    for kv in np.unique(traj.kvals.round(12)):
+        cols = np.flatnonzero(np.abs(traj.kvals - kv) <= 1e-12)
+        u, j = np.unique(slabs[:, cols].ravel(), return_inverse=True)
+        inv[:, cols] = sum(v.shape[-1] for v in vals) + j.reshape(slabs.shape[0], len(cols))
+        vals.append(per_state(kv, u))
+    return (np.take(table, inv, axis=-1) for table in np.concatenate(vals, axis=-1))
+
+
+def _pairing(traj: Trajectory, t_basis, x_basis):
+    """pair(g0, g1, iface) -> <., T_a X_b> of slab tables, shape (n_t, n_x).
+
+    g0 pairs with -d_t of the time hats and g1 with -d_x of the space hats,
+    both in closed form for piecewise-constant-in-(t, x) tables; each
+    (series, xw) in iface subtracts a time series at a face whose space
+    hats take the values xw.
+    """
+    TI = t_basis.seg_integrals(traj.times)         # (n_t, nslab)
+    dT = np.diff(t_basis.vals(traj.times), axis=1)  # (n_t, nslab)
+    XI = x_basis.seg_integrals(traj.edges)         # (n_x, ncell)
+    dX = x_basis.point_diffs(traj.edges)           # (n_x, ncell)
+
+    def pair(g0, g1, iface=()):
+        m = -(dT @ g0 @ XI.T) - (TI @ g1 @ dX.T)
+        for series, xw in iface:
+            m -= np.outer(TI @ series, xw)
+        return m
+
+    return pair
 
 
 def space_time_bumps(traj: Trajectory, n=5):
@@ -87,7 +118,7 @@ def entropy_residual(traj: Trajectory, pair: EntropyPair):
             "entropy residual implemented for piecewise-constant coefficients")
     slabs = traj.states[:-1]
     t_edges = traj.times
-    eta = _eta_table(pair, flux, traj.kvals, slabs)
+    eta, = _slab_tables(traj, lambda kv, u: pair.eta_of_k(flux, kv, u)[None])
     s_of_u = np.asarray(pair.S(traj.states), dtype=float)
 
     ifaces = traj.interfaces()
@@ -122,12 +153,11 @@ def entropy_residual(traj: Trajectory, pair: EntropyPair):
 class KineticMeasure:
     """Cellwise masses of the kinetic defect on a coarse (t, x, v) hat grid."""
 
-    def __init__(self, masses, t_basis, x_basis, v_basis, meta):
+    def __init__(self, masses, t_basis, x_basis, v_basis):
         self.masses = masses
         self.t_basis = t_basis
         self.x_basis = x_basis
         self.v_basis = v_basis
-        self.meta = meta
 
     @property
     def total_mass(self):
@@ -144,79 +174,25 @@ class KineticMeasure:
         return True
 
 
-def _interface_states(traj: Trajectory, iface_uhat):
-    """[(i, states)] per coefficient jump i; u^ averages over the states."""
-    if iface_uhat not in ("left", "right", "mean"):
-        raise ScenarioValidationError(
-            f"iface_uhat must be one of left, right, mean; got {iface_uhat!r}")
-    slabs = traj.states[:-1]
-    out = []
-    for i in traj.interfaces():
-        um, up = slabs[:, i - 1], slabs[:, i]
-        out.append((i, {"left": (um,), "right": (up,), "mean": (um, up)}[iface_uhat]))
-    return out
+def kinetic_measure(traj: Trajectory, n_t=6, n_x=10, n_v=14):
+    """Assemble m from its three defining integrals against tensor hats.
 
-
-def _assemble_masses(traj: Trajectory, t_basis, x_basis, v_weights, iface_uhat="mean"):
-    """<m, T_a X_b W_c> for piecewise-linear weights W_c in v.
-
-    The three defining integrals of the kinetic defect, for the
-    piecewise-constant solver output (the B terms by Gauss-12 in v, see
-    kinetic_measure):
+    <m, T_a X_b W_c> for the piecewise-constant solver output is
 
       - time part: - d_t psi against \\int_0^v chi(w, u) dw = min(v, u);
       - flux part: - d_x psi against \\int_0^v b(x, w) chi(w, u) dw
         = B(x, min(v, u));
       - interface part: the Div_x B(., v) measure applied to psi chi(v, u^),
-        i.e. - sum over coefficient jumps of psi(x_j) chi(v, u^_j) [A^+ - A^-](v).
+        i.e. - sum over coefficient jumps of psi(x_j) chi(v, u^_j) [A^+ - A^-](v),
+        with chi(v, u^_j) the mean over the two states next to x_j.
 
     The last term is the measure form of the printed by-parts expression;
-    the two coincide whenever u^ is continuous across x_j.
-    """
-    flux = traj.flux
-    slabs = traj.states[:-1]
-    t_edges = traj.times
-    TI = t_basis.seg_integrals(t_edges)          # (na, nslab)
-    dT = t_basis.vals(t_edges)
-    dT = dT[:, 1:] - dT[:, :-1]                  # (na, nslab)
-    XI = x_basis.seg_integrals(traj.edges)       # (nb, ncell)
-    dX = x_basis.point_diffs(traj.edges)         # (nb, ncell)
-
-    kround = traj.kvals.round(12)
-    ifaces = _interface_states(traj, iface_uhat)
-    masses = np.empty((len(t_basis.hats), len(x_basis.hats), len(v_weights)))
-    for c, vh in enumerate(v_weights):
-        g0 = vh.min_integral(slabs.ravel()).reshape(slabs.shape)
-        g1 = np.empty_like(slabs)
-        for kv in np.unique(kround):
-            cols = np.flatnonzero(np.abs(traj.kvals - kv) <= 1e-12)
-            u = slabs[:, cols].ravel()
-            vals = vh.weighted_to_upper(lambda v, kv=kv: flux.flux_at(kv, v), u) \
-                + flux.flux_at(kv, u) * vh.upper_integral(u)
-            g1[:, cols] = vals.reshape(slabs.shape[0], len(cols))
-        m = -(dT @ g0 @ XI.T) - (TI @ g1 @ dX.T)
-        for i, uhat in ifaces:
-            km_, kp_ = traj.kvals[i - 1], traj.kvals[i]
-            xw = x_basis.vals(np.array([traj.edges[i]]))[:, 0]
-            xi = np.zeros(slabs.shape[0])
-            for uh in uhat:
-                xi += vh.weighted_to_upper(
-                    lambda v: flux.flux_at(kp_, v) - flux.flux_at(km_, v), uh) / len(uhat)
-            m -= np.outer(TI @ xi, xw)
-        masses[:, :, c] = m
-    return masses
-
-
-def kinetic_measure(traj: Trajectory, n_t=6, n_x=10, n_v=14, check=False, slack=1e-8,
-                    iface_uhat="mean"):
-    """Assemble m from its three defining integrals against tensor hats.
-
-    With piecewise-constant-in-(t, x) solver output and hat test functions
-    every (t, x) factor integrates in closed form.  In v, the min(v, u) and
-    indicator terms are closed forms too; the flux-weighted terms use
-    12-point Gauss on each hat piece, exact when Ahat is a polynomial in u
-    of degree <= 22 (all bundled fluxes are) and a Gauss-12 approximation
-    otherwise.
+    the two coincide whenever u^ is continuous across x_j.  Every (t, x)
+    factor integrates in closed form, and the v-integrals are taken once
+    per distinct (k, u) slab state.  In v, the min(v, u) and indicator
+    terms are closed forms too; the flux-weighted terms use 12-point Gauss
+    on each hat piece, exact when Ahat is a polynomial in u of degree <= 22
+    (all bundled fluxes are) and a Gauss-12 approximation otherwise.
     """
     flux = traj.flux
     if np.min(traj.states) < -1e-12:
@@ -226,62 +202,61 @@ def kinetic_measure(traj: Trajectory, n_t=6, n_x=10, n_v=14, check=False, slack=
     (xlo, xhi), = traj.domain.bounds
     x_basis = HatBasis(xlo, xhi, n_x)
     v_basis = HatBasis(-1.0, umax + 1.0, n_v)
-    masses = _assemble_masses(traj, t_basis, x_basis, v_basis.hats, iface_uhat)
-    km = KineticMeasure(masses, t_basis, x_basis, v_basis,
-                        {"dx": traj.dx, "dt": traj.dt, "umax": umax,
-                         "n_t": n_t, "n_x": n_x, "n_v": n_v})
-    if check:
-        km.check_nonnegative(slack)
-    return km
+    pair = _pairing(traj, t_basis, x_basis)
+
+    def per_state(kv, u):
+        A = lambda v: flux.flux_at(kv, v)
+        Au = A(u)
+        return np.array([(h.min_integral(u),
+                           h.weighted_to_upper(A, u) + Au * h.upper_integral(u))
+                          for h in v_basis.hats])
+
+    slabs = traj.states[:-1]
+    ifaces = traj.interfaces()
+    masses = np.empty((n_t, n_x, n_v))
+    for c, (g0, g1) in enumerate(_slab_tables(traj, per_state)):
+        vh = v_basis.hats[c]
+        iface = []
+        for i in ifaces:
+            km_, kp_ = traj.kvals[i - 1], traj.kvals[i]
+            jump = lambda v: flux.flux_at(kp_, v) - flux.flux_at(km_, v)
+            series = sum(vh.weighted_to_upper(jump, uh) / 2
+                         for uh in (slabs[:, i - 1], slabs[:, i]))
+            iface.append((series, x_basis.vals(traj.edges[i:i + 1])[:, 0]))
+        masses[:, :, c] = pair(g0, g1, iface)
+    return KineticMeasure(masses, t_basis, x_basis, v_basis)
 
 
-def kinetic_identity_residual(traj: Trajectory, km: KineticMeasure, iface_uhat="mean"):
+def kinetic_identity_residual(traj: Trajectory, km: KineticMeasure):
     """Check d/dt chi + Div_{x,v}(a chi) = d/dv m against the hat basis.
 
-    <d_v m, psi> is -<m, d_v psi>, re-assembled through the same machinery
-    with the hat derivatives as v-weights.  Returns the worst absolute
-    residual (O(dx) for solver output)."""
+    <d_v m, psi> is -<m, d_v psi>: the assembly of m with the hat
+    derivatives V' as v-weights.  Its interface part is the same sum as
+    that of <d_v(-Div_x B chi), psi> and cancels it, so per slab state
+    what remains are the by-parts defects in v,
+
+      time: cdf_V(u) + \\int V'(v) min(v, u) dv,
+      flux: \\int_{v<u} V a_k + \\int_{v<u} V' A_k + A_k(u) \\int_{v>u} V',
+
+    paired once with the (t, x) hats.  Returns the worst absolute
+    residual, at machine level for solver output."""
     flux = traj.flux
-    slabs = traj.states[:-1]
-    t_edges = traj.times
-    TI = km.t_basis.seg_integrals(t_edges)
-    dT = km.t_basis.vals(t_edges)
-    dT = dT[:, 1:] - dT[:, :-1]
-    XI = km.x_basis.seg_integrals(traj.edges)
-    dX = km.x_basis.point_diffs(traj.edges)
+    pair = _pairing(traj, km.t_basis, km.x_basis)
     nodes = km.v_basis.nodes
     dvhs = [hat_derivative(nodes[c], nodes[c + 1], nodes[c + 2])
             for c in range(len(km.v_basis.hats))]
-    m_dv = _assemble_masses(traj, km.t_basis, km.x_basis, dvhs, iface_uhat)
 
-    worst = 0.0
-    ifaces = _interface_states(traj, iface_uhat)
-    kround = traj.kvals.round(12)
-    for c, vh in enumerate(km.v_basis.hats):
-        # <d_t chi, psi> = -sum dT * XI * int V chi dv
-        chi_int = vh.cdf(slabs.ravel()).reshape(slabs.shape)
-        t1 = -(dT @ chi_int @ XI.T)
-        # <Div_x(b chi), psi> = -sum TI * dX * int V b_k(v) 1_{v<u} dv
-        bi = np.empty_like(slabs)
-        for kv in np.unique(kround):
-            cols = np.flatnonzero(np.abs(traj.kvals - kv) <= 1e-12)
-            bi[:, cols] = vh.weighted_to_upper(
-                lambda v, kv=kv: flux.speed_at(kv, v), slabs[:, cols].ravel()) \
-                .reshape(slabs.shape[0], len(cols))
-        t2 = -(TI @ bi @ dX.T)
-        # <d_v(-Div_x B chi), psi> = + int d_v psi chi(v, u^) d Div_x B
-        t3 = np.zeros_like(t1)
-        for i, pairs in ifaces:
-            km_, kp_ = traj.kvals[i - 1], traj.kvals[i]
-            xw = km.x_basis.vals(np.array([traj.edges[i]]))[:, 0]
-            jump = np.zeros(slabs.shape[0])
-            for uh in pairs:
-                jump += dvhs[c].weighted_to_upper(
-                    lambda v: flux.flux_at(kp_, v) - flux.flux_at(km_, v), uh) / len(pairs)
-            t3 += np.outer(TI @ jump, xw)
-        res = t1 + t2 + t3 + m_dv[:, :, c]
-        worst = max(worst, float(np.max(np.abs(res))))
-    return worst
+    def per_state(kv, u):
+        a = lambda v: flux.speed_at(kv, v)
+        A = lambda v: flux.flux_at(kv, v)
+        Au = A(u)
+        return np.array([(vh.cdf(u) + dvh.min_integral(u),
+                          vh.weighted_to_upper(a, u) + dvh.weighted_to_upper(A, u)
+                          + Au * dvh.upper_integral(u))
+                         for vh, dvh in zip(km.v_basis.hats, dvhs)])
+
+    return max(float(np.max(np.abs(pair(h0, h1))))
+               for h0, h1 in _slab_tables(traj, per_state))
 
 
 def interface_W(u1p, u1m, u2p, u2m, bplus_nu):
@@ -295,19 +270,17 @@ def accumulated_interface_W(traj_a: Trajectory, traj_b: Trajectory):
     """\\int_0^T sum over interfaces of W(traces of u1, traces of u2) dt,
     plus the worst per-sample value."""
     flux = traj_a.flux
-    total = 0.0
-    worst = -np.inf
-    dt = traj_a.dt
+    ws = [np.zeros(0)]
     for i in traj_a.interfaces():
-        kp_ = traj_a.kvals[i]
-        bplus = lambda t, kp_=kp_: flux.flux_at(kp_, t)
+        bplus = lambda t, kp_=traj_a.kvals[i]: flux.flux_at(kp_, t)
         u1m, u1p = traj_a.interface_traces(i)
         u2m, u2p = traj_b.interface_traces(i)
-        for n in range(len(traj_a.times) - 1):
-            w = interface_W(u1p[n], u1m[n], u2p[n], u2m[n], bplus)
-            total += w * dt
-            worst = max(worst, w)
-    return total, (worst if np.isfinite(worst) else 0.0)
+        ws.append(interface_W(u1p[:-1], u1m[:-1], u2p[:-1], u2m[:-1], bplus))
+    w = np.concatenate(ws)
+    if not w.size:
+        return 0.0, 0.0
+    # cumsum adds the samples one at a time, interface by interface
+    return float(np.cumsum(w * traj_a.dt)[-1]), float(np.max(w))
 
 
 def l1_distance(a: GridState, b: GridState):

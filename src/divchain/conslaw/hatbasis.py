@@ -1,11 +1,12 @@
 """Piecewise-linear weights and their clipped integrals.
 
 The kinetic-measure assembly needs integrals like \\int w(v) min(v, u) dv,
-\\int_{v>u} w(v) dv and \\int_{v<u} w(v) g(v) dv for thousands of distinct u
-values.  With hat (and hat-derivative) weights the first two have closed
-forms.  The flux-weighted third uses 12-point Gauss on each clipped piece: it
-is exact when g is a polynomial of degree <= 22 (as every bundled flux is)
-and a Gauss-12 approximation otherwise.
+\\int_{v>u} w(v) dv and \\int_{v<u} w(v) g(v) dv per slab state; they are
+taken once per distinct (k, u) state, which for shock runs is a small share
+of the slab states.  With hat (and hat-derivative) weights the first two
+have closed forms.  The flux-weighted third uses 12-point Gauss on each
+clipped piece: it is exact when g is a polynomial of degree <= 22 (as every
+bundled flux is) and a Gauss-12 approximation otherwise.
 """
 
 from __future__ import annotations

@@ -9,6 +9,7 @@ from divchain.conslaw import (EntropyPair, FluxSpec, GridState, Trajectory,
                               div_xv_zero_residual, entropy_residual, fv_solve,
                               interface_W, kato_check, kinetic_identity_residual,
                               kinetic_measure, l1_distance)
+from divchain.conslaw.hatbasis import PiecewiseLinearWeight, hat_derivative
 from divchain.errors import KineticViolationError, ScenarioValidationError
 from divchain.quadrature import gauss
 
@@ -34,15 +35,14 @@ def transport_flux():
                     u_range=(0.0, 1.0))
 
 
+def piecewise_k(breaks, values):
+    return BVFunction.piecewise_1d(
+        DOM, list(breaks), values=[lambda x, v=v: v * np.ones_like(x) for v in values],
+        grads=[ZEROS] * len(values))
+
+
 def traffic_flux(kvals=(1.0, 0.6), break_at=0.5):
-    if kvals[0] == kvals[1]:
-        k = const_k()
-    else:
-        k = BVFunction.piecewise_1d(
-            DOM, [break_at],
-            values=[lambda x, v=kvals[0]: v * np.ones_like(x),
-                    lambda x, v=kvals[1]: v * np.ones_like(x)],
-            grads=[ZEROS, ZEROS])
+    k = const_k() if kvals[0] == kvals[1] else piecewise_k([break_at], kvals)
     return FluxSpec(k, lambda kk, u: np.asarray(kk) * np.asarray(u) * (1 - np.asarray(u)),
                     lambda kk, u: np.asarray(kk) * (1 - 2 * np.asarray(u)),
                     u_range=(0.0, 1.0), critical=lambda kv: (0.5,))
@@ -339,7 +339,7 @@ def test_kinetic_negative_control_raises():
     states = np.where(xs[None, :] < -0.3 + 0.5 * traj.times[:, None], 0.0, 1.0)
     bad = Trajectory(traj.flux, GridState(DOM, states[0]), traj.times, states, traj.kvals)
     with pytest.raises(KineticViolationError):
-        kinetic_measure(bad, check=True)
+        kinetic_measure(bad).check_nonnegative()
 
 
 def test_kinetic_identity_machine_level():
@@ -348,15 +348,118 @@ def test_kinetic_identity_machine_level():
     assert kinetic_identity_residual(traj, km) < 1e-12
 
 
-def test_kinetic_rejects_unknown_iface_uhat():
-    g = GridState.from_function(DOM, 100, lambda x: 0.5 * np.ones_like(x))
-    traj = fv_solve(traffic_flux(), g, 0.2)
-    assert traj.interfaces()
-    with pytest.raises(ScenarioValidationError, match="left, right, mean"):
-        kinetic_measure(traj, iface_uhat="bogus")
-    km = kinetic_measure(traj, n_t=4, n_x=6, n_v=6)
-    with pytest.raises(ScenarioValidationError, match="left, right, mean"):
-        kinetic_identity_residual(traj, km, iface_uhat="bogus")
+def test_kinetic_identity_catches_broken_by_parts_term(monkeypatch):
+    # the interface parts cancel inside the identity, so the check must
+    # still fail when a per-state by-parts term is wrong
+    traj = shock_traj(100)
+    km = kinetic_measure(traj, n_t=6, n_x=8, n_v=10)
+    monkeypatch.setattr(PiecewiseLinearWeight, "upper_integral",
+                        lambda self, u: np.zeros_like(np.asarray(u, dtype=float)))
+    assert kinetic_identity_residual(traj, km) > 1e-6
+
+
+# Reference: the assembly before the per-state v-integrals were taken once
+# per distinct (k, u) state.  Every slab state is integrated per hat, and
+# the identity check re-assembles m with the hat derivatives as v-weights.
+
+def ref_assemble_masses(traj, t_basis, x_basis, v_weights):
+    flux = traj.flux
+    slabs = traj.states[:-1]
+    t_edges = traj.times
+    TI = t_basis.seg_integrals(t_edges)
+    dT = t_basis.vals(t_edges)
+    dT = dT[:, 1:] - dT[:, :-1]
+    XI = x_basis.seg_integrals(traj.edges)
+    dX = x_basis.point_diffs(traj.edges)
+    kround = traj.kvals.round(12)
+    ifaces = [(i, (slabs[:, i - 1], slabs[:, i])) for i in traj.interfaces()]
+    masses = np.empty((len(t_basis.hats), len(x_basis.hats), len(v_weights)))
+    for c, vh in enumerate(v_weights):
+        g0 = vh.min_integral(slabs.ravel()).reshape(slabs.shape)
+        g1 = np.empty_like(slabs)
+        for kv in np.unique(kround):
+            cols = np.flatnonzero(np.abs(traj.kvals - kv) <= 1e-12)
+            u = slabs[:, cols].ravel()
+            vals = vh.weighted_to_upper(lambda v, kv=kv: flux.flux_at(kv, v), u) \
+                + flux.flux_at(kv, u) * vh.upper_integral(u)
+            g1[:, cols] = vals.reshape(slabs.shape[0], len(cols))
+        m = -(dT @ g0 @ XI.T) - (TI @ g1 @ dX.T)
+        for i, uhat in ifaces:
+            km_, kp_ = traj.kvals[i - 1], traj.kvals[i]
+            xw = x_basis.vals(np.array([traj.edges[i]]))[:, 0]
+            xi = np.zeros(slabs.shape[0])
+            for uh in uhat:
+                xi += vh.weighted_to_upper(
+                    lambda v: flux.flux_at(kp_, v) - flux.flux_at(km_, v), uh) / len(uhat)
+            m -= np.outer(TI @ xi, xw)
+        masses[:, :, c] = m
+    return masses
+
+
+def ref_kinetic_identity_residual(traj, km):
+    flux = traj.flux
+    slabs = traj.states[:-1]
+    t_edges = traj.times
+    TI = km.t_basis.seg_integrals(t_edges)
+    dT = km.t_basis.vals(t_edges)
+    dT = dT[:, 1:] - dT[:, :-1]
+    XI = km.x_basis.seg_integrals(traj.edges)
+    dX = km.x_basis.point_diffs(traj.edges)
+    nodes = km.v_basis.nodes
+    dvhs = [hat_derivative(nodes[c], nodes[c + 1], nodes[c + 2])
+            for c in range(len(km.v_basis.hats))]
+    m_dv = ref_assemble_masses(traj, km.t_basis, km.x_basis, dvhs)
+    worst = 0.0
+    kround = traj.kvals.round(12)
+    for c, vh in enumerate(km.v_basis.hats):
+        chi_int = vh.cdf(slabs.ravel()).reshape(slabs.shape)
+        t1 = -(dT @ chi_int @ XI.T)
+        bi = np.empty_like(slabs)
+        for kv in np.unique(kround):
+            cols = np.flatnonzero(np.abs(traj.kvals - kv) <= 1e-12)
+            bi[:, cols] = vh.weighted_to_upper(
+                lambda v, kv=kv: flux.speed_at(kv, v), slabs[:, cols].ravel()) \
+                .reshape(slabs.shape[0], len(cols))
+        t2 = -(TI @ bi @ dX.T)
+        t3 = np.zeros_like(t1)
+        for i in traj.interfaces():
+            km_, kp_ = traj.kvals[i - 1], traj.kvals[i]
+            xw = km.x_basis.vals(np.array([traj.edges[i]]))[:, 0]
+            jump = np.zeros(slabs.shape[0])
+            for uh in (slabs[:, i - 1], slabs[:, i]):
+                jump += dvhs[c].weighted_to_upper(
+                    lambda v: flux.flux_at(kp_, v) - flux.flux_at(km_, v), uh) / 2
+            t3 += np.outer(TI @ jump, xw)
+        res = t1 + t2 + t3 + m_dv[:, :, c]
+        worst = max(worst, float(np.max(np.abs(res))))
+    return worst
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=st.integers(2, 10), ntimes=st.integers(2, 25), npool=st.integers(1, 5),
+       jump=st.booleans(), expo=st.booleans(), seed=st.integers(0, 2 ** 31 - 1))
+def test_kinetic_assembly_matches_reference(m, ntimes, npool, jump, expo, seed):
+    rng = np.random.default_rng(seed)
+    n = 4 * m
+    face = int(rng.integers(1, n))
+    flux = traffic_flux((1.0, 0.6) if jump else (1.0, 1.0), break_at=-1.0 + 2.0 * face / n)
+    if expo:
+        flux = FluxSpec(flux.k, lambda kk, u: np.asarray(kk) * (np.exp(np.asarray(u)) - 1.0),
+                        lambda kk, u: np.asarray(kk) * np.exp(np.asarray(u)), u_range=(0.0, 1.0))
+    grid = GridState(DOM, np.zeros(n))
+    times = np.concatenate([[0.0], np.cumsum(rng.uniform(0.01, 0.2, ntimes - 1))])
+    # piecewise-constant states from a small pool, so that they repeat
+    pool = np.append(rng.uniform(0, 1, npool), 0.0)
+    states = rng.choice(pool, (ntimes, n))
+    traj = Trajectory(flux, grid, times, states, flux.k.eval(grid.centers[:, None]))
+    assert traj.interfaces() == ([face] if jump else [])
+    km = kinetic_measure(traj, n_t=4, n_x=5, n_v=6)
+    assert np.array_equal(km.masses, ref_assemble_masses(traj, km.t_basis, km.x_basis,
+                                                         km.v_basis.hats))
+    got = kinetic_identity_residual(traj, km)
+    ref = ref_kinetic_identity_residual(traj, km)
+    assert got <= 1e-12 and ref <= 1e-12
+    assert abs(got - ref) <= 1e-15
 
 
 def test_div_xv_zero():
@@ -413,3 +516,45 @@ def test_interface_W_accumulation_vanishes_for_ordered_pair():
     total, worst = accumulated_interface_W(ta, tb)
     assert abs(total) <= 1e-12 and worst <= 1e-12
     assert l1_distance(ta.final(), tb.final()) <= l1_distance(ga, gb) + 1e-12
+
+
+# Reference: accumulated_interface_W as a loop over every time step, with
+# interface_W on scalar traces.
+
+def ref_accumulated_interface_W(traj_a, traj_b):
+    flux = traj_a.flux
+    total = 0.0
+    worst = -np.inf
+    dt = traj_a.dt
+    for i in traj_a.interfaces():
+        kp_ = traj_a.kvals[i]
+        bplus = lambda t, kp_=kp_: flux.flux_at(kp_, t)
+        u1m, u1p = traj_a.interface_traces(i)
+        u2m, u2p = traj_b.interface_traces(i)
+        for n in range(len(traj_a.times) - 1):
+            w = interface_W(u1p[n], u1m[n], u2p[n], u2m[n], bplus)
+            total += w * dt
+            worst = max(worst, w)
+    return total, (worst if np.isfinite(worst) else 0.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(nif=st.integers(0, 2), n=st.integers(4, 30), ntimes=st.integers(1, 40),
+       seed=st.integers(0, 2 ** 31 - 1))
+def test_accumulated_interface_W_matches_loop(nif, n, ntimes, seed):
+    rng = np.random.default_rng(seed)
+    faces = np.sort(rng.choice(np.arange(1, n), nif, replace=False))
+    traffic = traffic_flux()
+    flux = FluxSpec(piecewise_k(-1.0 + 2.0 * faces / n, rng.uniform(0.3, 1.5, nif + 1)),
+                    traffic.ahat, traffic.dahat_du, traffic.u_range, traffic.critical)
+    grid = GridState(DOM, np.zeros(n))
+    times = np.linspace(0.0, float(rng.uniform(0.1, 1.0)), ntimes)
+    kvals = flux.k.eval(grid.centers[:, None])
+    # traces from a small pool, so that equal and ordered pairs occur
+    pool = rng.uniform(0, 1, 4)
+    ta, tb = (Trajectory(flux, grid, times, rng.choice(pool, (ntimes, n)), kvals)
+              for _ in range(2))
+    assert ta.interfaces() == faces.tolist()
+    total, worst = accumulated_interface_W(ta, tb)
+    ref_total, ref_worst = ref_accumulated_interface_W(ta, tb)
+    assert total == ref_total and worst == ref_worst
