@@ -11,6 +11,8 @@ and the level regions used by the layer-cake form of the chain rule.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 from scipy.optimize import brentq
 
@@ -19,7 +21,9 @@ from .errors import DegenerateLevelError, GeometryError, NotOnJumpSetError
 from .geometry import Domain, as_points
 from .measure import RadonMeasure
 from .quadrature import integrate_1d, integrate_polar
-from .rectifiable import RectifiableSet
+from .rectifiable import GraphCurve, HorizontalSegment, RectifiableSet, VerticalSegment
+
+SCAN_POINTS = 801          # grid on which 1-D level-set scans bracket the crossings
 
 
 class Piece:
@@ -87,7 +91,6 @@ class BVFunction:
                 mask |= np.abs(pts[:, 0] - x) <= tol
             return mask
         for c in self.jump_set.curves:
-            from .rectifiable import GraphCurve, HorizontalSegment, VerticalSegment
             if isinstance(c, VerticalSegment):
                 mask |= (np.abs(pts[:, 0] - c.c) <= tol) & (pts[:, 1] >= c.s0) & (pts[:, 1] <= c.s1)
             elif isinstance(c, HorizontalSegment):
@@ -167,6 +170,13 @@ class BVFunction:
                           sup_bound=self.sup_bound, level_breaks_2d=self.level_breaks_2d)
 
     # -- level regions ---------------------------------------------------
+    @cached_property
+    def scan_table(self):
+        """(xs, u(xs)) on the 1-D scan grid, evaluated once: u never changes."""
+        (lo, hi), = self.domain.bounds
+        xs = np.linspace(lo, hi, SCAN_POINTS)
+        return xs, self.eval(xs[:, None])
+
     def level_region(self, t):
         if t == 0:
             raise DegenerateLevelError("level t = 0 is excluded")
@@ -291,11 +301,11 @@ class LevelRegion:
         self.u = u
         self.t = t
 
+    def _inside(self, vals):
+        return (vals > self.t if self.t > 0 else vals < self.t).astype(float)
+
     def chi(self, pts):
-        vals = self.u.eval(pts)
-        if self.t > 0:
-            return (vals > self.t).astype(float)
-        return (vals < self.t).astype(float)
+        return self._inside(self.u.eval(pts))
 
     def chi_star(self, pts):
         """Precise representative: trace average on J_u, indicator elsewhere."""
@@ -307,28 +317,24 @@ class LevelRegion:
         if np.any(mask):
             up = np.asarray(self.u.u_plus(pts[mask]), dtype=float)
             um = np.asarray(self.u.u_minus(pts[mask]), dtype=float)
-            if self.t > 0:
-                out[mask] = 0.5 * ((up > self.t).astype(float) + (um > self.t).astype(float))
-            else:
-                out[mask] = 0.5 * ((up < self.t).astype(float) + (um < self.t).astype(float))
+            out[mask] = 0.5 * (self._inside(up) + self._inside(um))
         return out
 
-    def breakpoints_1d(self, n_scan=801):
+    def breakpoints_1d(self):
         """Abscissae where u crosses level t (quadrature split points)."""
-        (lo, hi), = self.u.domain.bounds
-        xs = np.linspace(lo, hi, n_scan)
-        vals = self.u.eval(xs[:, None]) - self.t
+        xs, table = self.u.scan_table
+        sgn = np.sign(table - self.t)
         out = list(self.u.jump_set.points_1d)
-        sgn = np.sign(vals)
-        for i in range(n_scan - 1):
+        # grid zeros and strict sign changes, in grid order
+        for i in np.flatnonzero((sgn[:-1] == 0.0) | (sgn[:-1] * sgn[1:] < 0)):
             if sgn[i] == 0.0:
                 out.append(xs[i])
-            elif sgn[i] * sgn[i + 1] < 0:
-                try:
-                    out.append(brentq(lambda x: float(self.u.eval(np.array([[x]]))[0]) - self.t,
-                                      xs[i], xs[i + 1], xtol=1e-14))
-                except ValueError:
-                    pass
+                continue
+            try:
+                out.append(brentq(lambda x: float(self.u.eval(np.array([[x]]))[0]) - self.t,
+                                  xs[i], xs[i + 1], xtol=1e-14))
+            except ValueError:
+                pass
         if sgn[-1] == 0.0:
             out.append(xs[-1])
         return sorted(out)

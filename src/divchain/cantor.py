@@ -87,25 +87,27 @@ def integrate_ifs(phi, spec: IFSSpec, rtol=RICHARDSON_RTOL, min_depth=4):
 
 
 def _cdf_middle_thirds(x, depth=44):
-    """Ternary-digit evaluation of the Cantor function on [0, 1]."""
+    """Ternary-digit evaluation of the Cantor function on [0, 1].
+
+    A point leaves the digit loop at its first digit 1, or once its remainder
+    is 0 and every further digit is 0.
+    """
     x = np.asarray(x, dtype=float)
-    t = np.clip(x, 0.0, 1.0)
-    out = np.zeros_like(t)
-    saturated = x >= 1.0
-    out[saturated] = 1.0
+    out = np.where(x >= 1.0, 1.0, 0.0)
+    flat = out.reshape(-1)
+    pos = np.flatnonzero((x > 0.0) & (x < 1.0))
+    t = x.reshape(-1)[pos]
     scale = 0.5
-    alive = ~saturated & (x > 0.0)
     for _ in range(depth):
-        t = 3.0 * t
-        d = np.floor(t)
-        t = t - d
-        hit = alive & (d == 1.0)
-        out[hit] += scale
-        alive = alive & ~hit
-        out[alive & (d == 2.0)] += scale
-        scale *= 0.5
-        if not alive.any():
+        if not pos.size:
             break
+        t = 3.0 * t
+        d = np.floor(t)          # a digit 0, 1 or 2: 3t < 3 for t < 1
+        t -= d
+        flat[pos[d != 0.0]] += scale
+        keep = (d != 1.0) & (t != 0.0)
+        pos, t = pos[keep], t[keep]
+        scale *= 0.5
     return out
 
 
@@ -116,8 +118,6 @@ def ifs_cdf(spec: IFSSpec, x, depth=48):
     exact up to ratio**depth resolution.
     """
     x = np.asarray(x, dtype=float)
-    if spec.same_construction(MIDDLE_THIRDS) and spec.a == 0.0 and spec.b == 1.0:
-        return _cdf_middle_thirds(x)
     if spec.same_construction(IFSSpec(a=spec.a, b=spec.b)):
         return _cdf_middle_thirds((x - spec.a) / (spec.b - spec.a))
     out = np.zeros_like(x)
@@ -164,7 +164,6 @@ class CantorPart:
 
     spec: IFSSpec
     mass: float = 1.0
-    refinement_depth: int = 16
 
     def apply(self, phi, rtol=RICHARDSON_RTOL):
         return self.mass * integrate_ifs(phi, self.spec, rtol=rtol)
@@ -184,7 +183,7 @@ class CantorPart:
         return self.mass * float(f[1] - f[0])
 
     def scaled(self, c):
-        return CantorPart(self.spec, self.mass * c, self.refinement_depth)
+        return CantorPart(self.spec, self.mass * c)
 
 
 def require_same_spec(parts):

@@ -57,9 +57,6 @@ class ChainRuleBreakdown:
             return self.term_jump
         return self._jump_symmetric
 
-    def diffuse(self):
-        return self.term_diva + self.term_divc + self.term_ac_u + self.term_cantor_u
-
     def tv_bound_holds(self, sigma: RadonMeasure, M, u: BVFunction, box=None, slack=1e-9,
                        tv_rel=1e-9):
         """|Div v|(box) <= sigma(box) + M |Du|(box) + slack."""
@@ -84,17 +81,18 @@ def _component_sets(merged: RectifiableSet):
     return [(c.key(), RectifiableSet(2, curves=[c])) for c in merged.curves]
 
 
-def chain_dm(field: ParamField, u: BVFunction, prim: PrimitiveField | None = None):
-    """Full chain rule for a parameter field against a BV function."""
-    if u.domain.bounds != field.domain.bounds:
-        raise GeometryError("field and function live on different domains")
-    P = prim if prim is not None else primitive(field)
-    dom = field.domain
-    merged = _merged_singular(field, u)
-    n_keys = set(field.singular_set.component_keys())
-    j_keys = set(u.jump_set.component_keys())
-    report = {"degenerate_jump_samples": 0, "components": []}
+def _u_sides(u: BVFunction, pts, in_j):
+    """(u+, u-) on a component of J_u, the precise representative twice off it."""
+    if in_j:
+        return (np.asarray(u.u_plus(pts), dtype=float),
+                np.asarray(u.u_minus(pts), dtype=float))
+    val = u.precise_rep(pts)
+    return val, val
 
+
+def _x_and_cantor_terms(field: ParamField, u: BVFunction, P: PrimitiveField, merged):
+    """Terms 1, 2 and 4 of the chain rule, shared by chain_dm and chain_bv_scalar."""
+    dom = field.domain
     # 1. absolutely continuous x-part: Div_x^a B(x, u(x))
     term_diva = RadonMeasure(
         dom, ac=lambda pts: P.diva(pts, u.eval(pts)),
@@ -109,14 +107,6 @@ def chain_dm(field: ParamField, u: BVFunction, prim: PrimitiveField | None = Non
     else:
         term_divc = RadonMeasure.zero(dom)
 
-    # 3. <b(x, u~), grad u> dx
-    def ac_u(pts):
-        vals = field.eval(pts, u.eval(pts))
-        return np.einsum("ij,ij->i", vals, u.grad(pts))
-
-    term_ac_u = RadonMeasure(dom, ac=ac_u,
-                             ac_singular=None if merged.is_empty else merged)
-
     # 4. <b(x, u~), dD^c u>
     if u.cantor is not None and u.cantor_amplitude != 0.0:
         term_cantor_u = RadonMeasure(
@@ -125,6 +115,28 @@ def chain_dm(field: ParamField, u: BVFunction, prim: PrimitiveField | None = Non
                 np.asarray(x)[:, None], u.eval(np.asarray(x)[:, None]))[:, 0])
     else:
         term_cantor_u = RadonMeasure.zero(dom)
+    return term_diva, term_divc, term_cantor_u
+
+
+def chain_dm(field: ParamField, u: BVFunction, prim: PrimitiveField | None = None):
+    """Full chain rule for a parameter field against a BV function."""
+    if u.domain.bounds != field.domain.bounds:
+        raise GeometryError("field and function live on different domains")
+    P = prim if prim is not None else primitive(field)
+    dom = field.domain
+    merged = _merged_singular(field, u)
+    n_keys = set(field.singular_set.component_keys())
+    j_keys = set(u.jump_set.component_keys())
+    report = {"degenerate_jump_samples": 0, "components": []}
+    term_diva, term_divc, term_cantor_u = _x_and_cantor_terms(field, u, P, merged)
+
+    # 3. <b(x, u~), grad u> dx
+    def ac_u(pts):
+        vals = field.eval(pts, u.eval(pts))
+        return np.einsum("ij,ij->i", vals, u.grad(pts))
+
+    term_ac_u = RadonMeasure(dom, ac=ac_u,
+                             ac_singular=None if merged.is_empty else merged)
 
     # 5. jump part on N u J_u
     term_jump = RadonMeasure.zero(dom)
@@ -134,29 +146,22 @@ def chain_dm(field: ParamField, u: BVFunction, prim: PrimitiveField | None = Non
         in_j = key in j_keys
         report["components"].append({"key": str(key), "in_N": in_n, "in_Ju": in_j})
 
-        def u_sides(pts, in_j=in_j):
-            if in_j:
-                return (np.asarray(u.u_plus(pts), dtype=float),
-                        np.asarray(u.u_minus(pts), dtype=float))
-            val = u.precise_rep(pts)
-            return val, val
-
         def b_at(pts, tvals, side, in_n=in_n):
             if in_n:
                 return P.plus(pts, tvals) if side > 0 else P.minus(pts, tvals)
             return P.value(pts, tvals)
 
-        def density(pts, nus, u_sides=u_sides, b_at=b_at):
-            up, um = u_sides(pts)
+        def density(pts, nus, in_j=in_j, b_at=b_at):
+            up, um = _u_sides(u, pts, in_j)
             bp = b_at(pts, up, +1)
             bm = b_at(pts, um, -1)
             if dom.dim == 1:
                 return (bp[:, 0] - bm[:, 0]) * np.asarray(nus, dtype=float).reshape(len(pts))
             return np.einsum("ij,ij->i", bp - bm, np.atleast_2d(nus))
 
-        def density_symmetric(pts, nus, u_sides=u_sides, b_at=b_at):
+        def density_symmetric(pts, nus, in_j=in_j, b_at=b_at):
             # B*(u+) - B*(u-) plus half-sum of the Div_x B jump at both levels
-            up, um = u_sides(pts)
+            up, um = _u_sides(u, pts, in_j)
             bsp = 0.5 * (b_at(pts, up, +1) + b_at(pts, up, -1))
             bsm = 0.5 * (b_at(pts, um, +1) + b_at(pts, um, -1))
             jump_up = b_at(pts, up, +1) - b_at(pts, up, -1)
@@ -276,18 +281,7 @@ def chain_bv_scalar(field: ParamField, u: BVFunction, prim: PrimitiveField | Non
     merged = _merged_singular(field, u)
     n_keys = set(field.singular_set.component_keys())
     j_keys = set(u.jump_set.component_keys())
-
-    term_diva = RadonMeasure(
-        dom, ac=lambda pts: P.diva(pts, u.eval(pts)),
-        ac_singular=None if merged.is_empty else merged) \
-        if field._diva is not None else RadonMeasure.zero(dom)
-
-    if field.divc_part is not None:
-        term_divc = RadonMeasure(
-            dom, cantor=CantorPart(field.divc_part.spec, field.divc_part.mass),
-            cantor_density=lambda x: P.divc_weight(u.eval(np.asarray(x)[:, None])))
-    else:
-        term_divc = RadonMeasure.zero(dom)
+    term_diva, term_divc, term_cantor_u = _x_and_cantor_terms(field, u, P, merged)
 
     def b_star(pts, tvals, on_n):
         if on_n:
@@ -299,14 +293,6 @@ def chain_bv_scalar(field: ParamField, u: BVFunction, prim: PrimitiveField | Non
         dom, ac=lambda pts: field.eval(pts, u.eval(pts))[:, 0] * u.grad(pts)[:, 0],
         ac_singular=None if merged.is_empty else merged)
 
-    if u.cantor is not None and u.cantor_amplitude != 0.0:
-        term_cantor_u = RadonMeasure(
-            dom, cantor=CantorPart(u.cantor.spec, u.cantor_amplitude),
-            cantor_density=lambda x: field.eval(
-                np.asarray(x)[:, None], u.eval(np.asarray(x)[:, None]))[:, 0])
-    else:
-        term_cantor_u = RadonMeasure.zero(dom)
-
     term_jump = RadonMeasure.zero(dom)
     for key, comp in _component_sets(merged):
         in_n = key in n_keys
@@ -314,11 +300,7 @@ def chain_bv_scalar(field: ParamField, u: BVFunction, prim: PrimitiveField | Non
 
         def density(pts, nus, in_n=in_n, in_j=in_j):
             nus = np.asarray(nus, dtype=float).reshape(len(pts))
-            if in_j:
-                up = np.asarray(u.u_plus(pts), dtype=float)
-                um = np.asarray(u.u_minus(pts), dtype=float)
-            else:
-                up = um = u.precise_rep(pts)
+            up, um = _u_sides(u, pts, in_j)
             out = np.zeros(len(pts))
             if in_n:
                 # level-set piece: half-sum of the interface jump of Div_x B
@@ -392,11 +374,7 @@ def product_rule(field: ParamField, h: ScalarFunction, u: BVFunction):
         in_j = key in j_keys
 
         def density(pts, nus, in_n=in_n, in_j=in_j):
-            if in_j:
-                up = np.asarray(u.u_plus(pts), dtype=float)
-                um = np.asarray(u.u_minus(pts), dtype=float)
-            else:
-                up = um = u.precise_rep(pts)
+            up, um = _u_sides(u, pts, in_j)
             if in_n:
                 ap = np.atleast_2d(np.asarray(field.b_plus(pts, 0.0), dtype=float)) \
                     .reshape(len(pts), dom.dim)

@@ -8,7 +8,9 @@ Exit codes (stable contract):
   4  numerical failure (quadrature, solver)
 
 With several paths each scenario gets its own code and lines, a bad one does
-not stop the others, and the process exits with the largest code.
+not stop the others, and the process exits with the largest code.  Under
+--jobs, a scenario whose worker process died is run again alone; if that
+worker dies too, the scenario gets code 4.
 """
 
 from __future__ import annotations
@@ -18,7 +20,8 @@ import errno
 import importlib.resources
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 
@@ -84,6 +87,27 @@ def _run_one(args_tuple):
             return EXIT_NUMERICAL_ERROR, f"numerical failure in {path}: {exc}"
 
 
+def _run_pooled(tasks, jobs, retry=True):
+    # a worker's death fails every scenario still pending in its pool: each runs
+    # again in a pool of its own, and gets code 4 if that worker dies too
+    futures = []
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        for t in tasks:
+            try:
+                futures.append(pool.submit(_run_one, t))
+            except BrokenProcessPool as exc:       # broke while still submitting
+                futures.append(Future())
+                futures[-1].set_exception(exc)
+    results = []
+    for f, t in zip(futures, tasks):
+        try:
+            results.append(f.result())
+        except BrokenProcessPool:
+            results.append(_run_pooled([t], 1, retry=False)[0] if retry else
+                           (EXIT_NUMERICAL_ERROR, f"worker crashed while running {t[0]}"))
+    return results
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(prog="divchain",
                                  description="chain-rule verification harness")
@@ -126,10 +150,8 @@ def main(argv=None):
         return worst
 
     tasks = [(p, args.out, args.tol_abs, args.tol_rel) for p in args.paths]
-    results = []
     if args.jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(_run_one, tasks))
+        results = _run_pooled(tasks, args.jobs)
     else:
         results = [_run_one(t) for t in tasks]
     worst = EXIT_OK

@@ -121,7 +121,16 @@ def entropy_residual(traj: Trajectory, pair: EntropyPair):
     eta, = _slab_tables(traj, lambda kv, u: pair.eta_of_k(flux, kv, u)[None])
     s_of_u = np.asarray(pair.S(traj.states), dtype=float)
 
-    ifaces = traj.interfaces()
+    # per interface and u_hat variant: slab weights that do not depend on the bump
+    iface_weights = []
+    for i in traj.interfaces():
+        km, kp = traj.kvals[i - 1], traj.kvals[i]
+        weights = []
+        for uhat in (slabs[:, i - 1], slabs[:, i]):
+            eta_jump = (pair.eta_of_k(flux, kp, uhat) - pair.eta_of_k(flux, km, uhat))
+            b_jump = flux.flux_at(kp, uhat) - flux.flux_at(km, uhat)
+            weights.append(-eta_jump + np.asarray(pair.dS(uhat)) * b_jump)
+        iface_weights.append((i, weights))
     rows = []
     flagged = False
     for label, T, X in space_time_bumps(traj):
@@ -131,15 +140,9 @@ def entropy_residual(traj: Trajectory, pair: EntropyPair):
         term_time = -float(np.diff(T.value(t_edges)) @ (s_of_u[:-1] @ xcell))
         term_flux = -float(tslab @ eta @ np.diff(xface))
         term_iface = 0.0
-        for i in ifaces:
-            km, kp = traj.kvals[i - 1], traj.kvals[i]
+        for i, weights in iface_weights:
             tser = tslab * xface[i]
-            variants = []
-            for uhat in (slabs[:, i - 1], slabs[:, i]):
-                eta_jump = (pair.eta_of_k(flux, kp, uhat) - pair.eta_of_k(flux, km, uhat))
-                b_jump = flux.flux_at(kp, uhat) - flux.flux_at(km, uhat)
-                val = float(np.sum(tser * (-eta_jump + np.asarray(pair.dS(uhat)) * b_jump)))
-                variants.append(val)
+            variants = [float(np.sum(tser * w)) for w in weights]
             if abs(variants[0] - variants[1]) > 10 * traj.dx:
                 flagged = True
             term_iface += max(variants)

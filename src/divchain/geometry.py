@@ -61,13 +61,6 @@ class Domain:
             ok &= (pts[:, ax] >= lo - tol) & (pts[:, ax] <= hi + tol)
         return ok
 
-    @property
-    def volume(self):
-        v = 1.0
-        for lo, hi in self.bounds:
-            v *= hi - lo
-        return v
-
     def grid(self, n_per_axis):
         """Uniform sample grid (cell centers), shape (n_total, dim)."""
         axes = [np.linspace(lo, hi, n_per_axis + 1)[:-1] + (hi - lo) / (2 * n_per_axis)

@@ -208,7 +208,7 @@ class RadonMeasure:
                 require_same_spec([cantor, other.cantor])
                 m1, h1 = cantor.mass, cdens
                 m2, h2 = other.cantor.mass, other.cantor_density
-                cantor = CantorPart(cantor.spec, 1.0, cantor.refinement_depth)
+                cantor = CantorPart(cantor.spec, 1.0)
 
                 def cdens(x, m1=m1, h1=h1, m2=m2, h2=h2):
                     a = m1 * (np.ones(len(np.atleast_1d(x))) if h1 is None else np.asarray(h1(x)))

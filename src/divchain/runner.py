@@ -440,8 +440,7 @@ def run_conslaw(scn: Scenario, res: RunResult):
             res.check("conslaw:kinetic_min_cell_reported", True, min_cell=km.min_cell,
                       note="O(dx) staircase dust expected for moving waves")
         ident = kinetic_identity_residual(traj, km)
-        res.check("conslaw:kinetic_identity", ident <= max(1e-10, 2.0 * traj.dx),
-                  residual=ident)
+        res.check("conslaw:kinetic_identity", ident <= 1e-10, residual=ident)
         if "shock_left" in sec and "shock_right" in sec:
             uL = _number(sec["shock_left"], ln("shock_left"))
             uR = _number(sec["shock_right"], ln("shock_right"))

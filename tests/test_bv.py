@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 from divchain import BVFunction, Domain, Piece, RectifiableSet, VerticalSegment, plateau_bump
+from divchain.bvfunc import SCAN_POINTS
 from divchain.cantor import MIDDLE_THIRDS, CantorPart
 from divchain.errors import DegenerateLevelError, NotOnJumpSetError
 from divchain.quadrature import integrate_1d
@@ -120,3 +124,87 @@ def test_trace_oscillation_decays(dom11):
     assert rows[1][1] < rows[0][1] + 1e-12
     assert rows[1][2] < rows[0][2] + 1e-12
     assert rows[1][1] < 1e-2
+
+
+# Reference: the level-set scan before u's grid table was kept on the
+# BVFunction.  It evaluates u on the grid for every level and walks every
+# bracket in Python.
+
+def ref_breakpoints_1d(region, n_scan=801):
+    (lo, hi), = region.u.domain.bounds
+    xs = np.linspace(lo, hi, n_scan)
+    vals = region.u.eval(xs[:, None]) - region.t
+    out = list(region.u.jump_set.points_1d)
+    sgn = np.sign(vals)
+    for i in range(n_scan - 1):
+        if sgn[i] == 0.0:
+            out.append(xs[i])
+        elif sgn[i] * sgn[i + 1] < 0:
+            try:
+                out.append(brentq(lambda x: float(region.u.eval(np.array([[x]]))[0]) - region.t,
+                                  xs[i], xs[i + 1], xtol=1e-14))
+            except ValueError:
+                pass
+    if sgn[-1] == 0.0:
+        out.append(xs[-1])
+    return sorted(out)
+
+
+def _poly(c):
+    return (lambda x: np.polyval(c, x)), (lambda x: np.polyval(np.polyder(c), x))
+
+
+@st.composite
+def piecewise_poly(draw):
+    """Random piecewise-linear or -quadratic u, with 0 to 3 jumps."""
+    lo = draw(st.sampled_from([-1.0, -2.0, 0.0, -0.3]))
+    hi = lo + draw(st.sampled_from([1.0, 2.0, 3.5]))
+    breaks = sorted(set(draw(st.lists(st.floats(lo + 0.01, hi - 0.01), max_size=3))))
+    degree = draw(st.sampled_from([1, 2]))
+    coef = st.one_of(st.sampled_from([0.0, 0.5, -1.0, 2.0]), st.floats(-3, 3))
+    values, grads = zip(*(_poly(draw(st.lists(coef, min_size=degree + 1, max_size=degree + 1)))
+                          for _ in range(len(breaks) + 1)))
+    return BVFunction.piecewise_1d(Domain.interval(lo, hi), breaks, values=list(values),
+                                   grads=list(grads), sup_bound=1e3)
+
+
+def _outcome(scan):
+    # the crossings, or the type of error (brentq can fail to converge)
+    try:
+        return scan()
+    except RuntimeError as exc:
+        return type(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(piecewise_poly(), st.lists(st.one_of(st.floats(-4, 4), st.integers(0, SCAN_POINTS - 1),
+                                            st.just(SCAN_POINTS - 1)),
+                                  min_size=1, max_size=4))
+def test_breakpoints_match_reference_loop(u, levels):
+    (lo, hi), = u.domain.bounds
+    grid = u.eval(np.linspace(lo, hi, SCAN_POINTS)[:, None])
+    # an integer picks the level equal to u at that grid point
+    ts = [float(grid[v]) if isinstance(v, int) else v for v in levels]
+    assume(all(t != 0.0 for t in ts))
+    for t in ts:
+        region = u.level_region(t)
+        assert _outcome(region.breakpoints_1d) == _outcome(lambda: ref_breakpoints_1d(region))
+
+
+def test_scan_grid_is_evaluated_once_per_function(dom11):
+    u = BVFunction.piecewise_1d(dom11, [0.0], values=[lambda x: x - 0.5, lambda x: 2 * x * x],
+                                grads=[ONES, lambda x: 4 * x])
+    inner = u.eval
+    sizes = []
+
+    def counting(pts):
+        sizes.append(len(np.asarray(pts)))
+        return inner(pts)
+
+    u.eval = counting
+    levels = (-0.7, -0.2, 0.3, 1.1, 0.3, 2.0)
+    got = [u.level_region(t).breakpoints_1d() for t in levels]
+    assert sizes.count(SCAN_POINTS) == 1
+    assert set(sizes) == {1, SCAN_POINTS}          # the rest are brentq probes
+    assert got == [ref_breakpoints_1d(u.level_region(t)) for t in levels]
+    assert got[0] == pytest.approx([-0.2, 0.0]) and got[2] == pytest.approx([0.0, np.sqrt(0.15)])

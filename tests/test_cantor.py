@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from divchain.cantor import (MIDDLE_THIRDS, CantorPart, IFSSpec, cantor_function,
-                             ifs_cdf, integrate_ifs, require_same_spec, support_nodes)
+from divchain.cantor import (MIDDLE_THIRDS, CantorPart, IFSSpec, _cdf_middle_thirds,
+                             cantor_function, ifs_cdf, integrate_ifs, require_same_spec,
+                             support_nodes)
 from divchain.errors import UnsupportedStructureError
 
 
@@ -67,3 +70,65 @@ def test_invalid_spec():
         IFSSpec(weights=(0.7, 0.7))
     with pytest.raises(ValueError):
         IFSSpec(offsets=(0.0, 0.2), ratio=0.4)   # overlapping maps
+
+
+# Reference: the digit loop before only the undecided points were carried.
+# Every pass runs over the whole array until no point is alive.
+
+def ref_cdf_middle_thirds(x, depth=44):
+    x = np.asarray(x, dtype=float)
+    t = np.clip(x, 0.0, 1.0)
+    out = np.zeros_like(t)
+    saturated = x >= 1.0
+    out[saturated] = 1.0
+    scale = 0.5
+    alive = ~saturated & (x > 0.0)
+    for _ in range(depth):
+        t = 3.0 * t
+        d = np.floor(t)
+        t = t - d
+        hit = alive & (d == 1.0)
+        out[hit] += scale
+        alive = alive & ~hit
+        out[alive & (d == 2.0)] += scale
+        scale *= 0.5
+        if not alive.any():
+            break
+    return out
+
+
+def _same(x):
+    got, want = _cdf_middle_thirds(x), ref_cdf_middle_thirds(x)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.array_equal(got, want), (x, got, want)
+
+
+TRIADIC = [k / 3.0 ** j for j in range(1, 8) for k in range(3 ** j + 1)]
+EDGES = [0.0, -0.0, 1.0, -0.3, 1.7, np.nan, np.inf, -np.inf,
+         np.nextafter(0.0, 1.0), np.nextafter(0.0, -1.0),
+         np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0),
+         np.nextafter(1.0 / 3.0, 0.0), np.nextafter(1.0 / 3.0, 1.0),
+         np.nextafter(2.0 / 3.0, 0.0), np.nextafter(2.0 / 3.0, 1.0)]
+
+
+def test_cdf_digit_loop_matches_reference_on_edge_points():
+    pts = np.array(TRIADIC + EDGES)
+    _same(pts)
+    for v in pts:
+        _same(np.float64(v))                      # 0-d input, 0-d output
+    _same(np.array(TRIADIC[:40]).reshape(8, 5))  # 2-d
+    _same(np.array([]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(st.floats(-0.5, 1.5), st.sampled_from(TRIADIC + EDGES),
+                          st.floats(allow_nan=True, allow_infinity=True)),
+                min_size=1, max_size=60),
+       st.sampled_from([0, 1, 2]))
+def test_cdf_digit_loop_matches_reference(vals, ndim):
+    x = np.array(vals)
+    if ndim == 0:
+        x = x[0, ...]
+    elif ndim == 2:
+        x = x[: len(x) // 2 * 2].reshape(2, -1)
+    _same(x)

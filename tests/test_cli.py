@@ -5,6 +5,7 @@ import warnings
 
 import pytest
 
+from divchain import cli
 from divchain.cli import bundled_paths, main
 from divchain.runner import (EXIT_CHECKS_FAILED, EXIT_NUMERICAL_ERROR, EXIT_OK,
                              EXIT_PARSE_ERROR, EXIT_VALIDATION_ERROR)
@@ -83,6 +84,28 @@ def test_parallel_jobs(tmp_path):
     code = main(["run", scenario_path("volpert-heaviside"),
                  scenario_path("sign-const"), "--jobs", "2", "--out", str(tmp_path)])
     assert code == EXIT_OK
+
+
+CRASH_PATH = "crashes-its-worker.scn"
+_real_run_one = cli._run_one
+
+
+def _crash_on_one_path(task):
+    # runs in a forked worker: a hard exit breaks the process pool
+    if task[0] == CRASH_PATH:
+        os._exit(1)
+    return _real_run_one(task)
+
+
+def test_crashed_worker_does_not_stop_the_batch(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "_run_one", _crash_on_one_path)
+    code = main(["run", scenario_path("volpert-heaviside"), CRASH_PATH,
+                 scenario_path("sign-const"), "--jobs", "2", "--out", str(tmp_path)])
+    assert code == EXIT_NUMERICAL_ERROR
+    out = capsys.readouterr().out
+    assert f"worker crashed while running {CRASH_PATH}" in out
+    assert "SCENARIO volpert-heaviside: PASS" in out
+    assert "SCENARIO sign-const: PASS" in out
 
 
 def test_missing_path_is_a_parse_error(tmp_path, capsys):

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from divchain import BVFunction, Domain, plateau_bump
+from divchain.cli import bundled_dir
 from divchain.conslaw import (EntropyPair, FluxSpec, GridState, Trajectory,
                               accumulated_interface_W, cavalieri_lhs, chi,
                               div_xv_zero_residual, entropy_residual, fv_solve,
@@ -12,6 +13,8 @@ from divchain.conslaw import (EntropyPair, FluxSpec, GridState, Trajectory,
 from divchain.conslaw.hatbasis import PiecewiseLinearWeight, hat_derivative
 from divchain.errors import KineticViolationError, ScenarioValidationError
 from divchain.quadrature import gauss
+from divchain.runner import run_scenario
+from divchain.scenario import load
 
 from conftest import ONES, ZEROS
 
@@ -356,6 +359,20 @@ def test_kinetic_identity_catches_broken_by_parts_term(monkeypatch):
     monkeypatch.setattr(PiecewiseLinearWeight, "upper_integral",
                         lambda self, u: np.zeros_like(np.asarray(u, dtype=float)))
     assert kinetic_identity_residual(traj, km) > 1e-6
+
+
+def test_kinetic_identity_gate_catches_small_by_parts_error(monkeypatch, tmp_path):
+    # a 0.1% error in one by-parts term must fail; an O(dx) slack would hide it
+    def identity_check():
+        res = run_scenario(load(str(bundled_dir() / "traffic-kato.scn")), out_dir=str(tmp_path))
+        check, = [c for c in res.checks if c["name"] == "conslaw:kinetic_identity"]
+        return check["pass"]
+
+    assert identity_check()
+    upper = PiecewiseLinearWeight.upper_integral
+    monkeypatch.setattr(PiecewiseLinearWeight, "upper_integral",
+                        lambda self, u: upper(self, u) * (1 + 1e-3))
+    assert not identity_check()
 
 
 # Reference: the assembly before the per-state v-integrals were taken once
