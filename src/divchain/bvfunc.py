@@ -335,6 +335,10 @@ class LevelRegion:
                                   xs[i], xs[i + 1], xtol=1e-14))
             except ValueError:
                 pass
+            except RuntimeError as exc:
+                raise GeometryError(f"level {float(self.t)!r}: crossing search in "
+                                    f"[{float(xs[i])!r}, {float(xs[i + 1])!r}] failed: {exc}"
+                                    ) from exc
         if sgn[-1] == 0.0:
             out.append(xs[-1])
         return sorted(out)

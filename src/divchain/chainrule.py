@@ -311,8 +311,8 @@ def chain_bv_scalar(field: ParamField, u: BVFunction, prim: PrimitiveField | Non
                 # trace-interval integral of the precise representative
                 def bs(w, pts=pts, in_n=in_n):
                     return b_star(pts, w, in_n)
-                upper = integrate_to_upper(bs, up, kinks=field.t_kinks)
-                lower = integrate_to_upper(bs, um, kinks=field.t_kinks)
+                upper = integrate_to_upper(bs, up, kinks=field.t_kinks, degree=field.t_degree)
+                lower = integrate_to_upper(bs, um, kinks=field.t_kinks, degree=field.t_degree)
                 out = out + (upper - lower) * nus
             return out
 

@@ -3,10 +3,14 @@
 Supported: numbers, variables (x1, x2, t, k, u, v), + - * / ^, parentheses,
 comparisons (< <= > >=) producing 0/1 masks, and the function set
 sign, abs, H, sin, cos, exp, sqrt, min, max, Cantor.  Parsing errors carry
-line/column positions.
+line/column positions.  An expression is parsed into a small tuple tree, which
+is compiled once into closures and can be asked for its polynomial degree in a
+variable (`Expr.poly_degree`).
 """
 
 from __future__ import annotations
+
+import operator
 
 import numpy as np
 
@@ -21,10 +25,22 @@ _FUNCS = {
     "exp": np.exp,
     "sqrt": np.sqrt,
     "H": lambda x: np.where(x > 0, 1.0, np.where(x < 0, 0.0, 0.5)),
-}
-_FUNCS2 = {
     "min": np.minimum,
     "max": np.maximum,
+}
+# tree operator or function name -> the callable it compiles to
+_OPS = {
+    "neg": operator.neg,
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "/": operator.truediv,
+    "^": np.power,
+    "<": lambda a, b: np.asarray(np.less(a, b), dtype=float),
+    "<=": lambda a, b: np.asarray(np.less_equal(a, b), dtype=float),
+    ">": lambda a, b: np.asarray(np.greater(a, b), dtype=float),
+    ">=": lambda a, b: np.asarray(np.greater_equal(a, b), dtype=float),
+    **_FUNCS,
 }
 
 
@@ -77,144 +93,144 @@ def _tokenize(src, line=None):
 
 
 class Expr:
-    """Compiled expression: call with an environment dict of arrays/scalars."""
+    """Parsed expression: call with an environment dict of arrays/scalars.
 
-    def __init__(self, fn, variables, source):
-        self.fn = fn
-        self.variables = variables
+    `tree` is the parse tree: ("num", value), ("var", name), or
+    (operator or function name, *operand trees).
+    """
+
+    def __init__(self, tree, cantor, source):
+        self.tree = tree
+        self.fn = _compile(tree, cantor)
         self.source = source
 
     def __call__(self, env):
         return self.fn(env)
 
+    def poly_degree(self, var):
+        """Degree in `var` as written (an upper bound), or None when the
+        expression is not a polynomial in `var`."""
+        return _degree(self.tree, var)
+
     def __repr__(self):
         return f"Expr({self.source!r})"
+
+
+def _compile(node, cantor):
+    """Closure evaluating `node`; operands are evaluated left to right."""
+    op = node[0]
+    if op == "num":
+        return lambda env, v=node[1]: v
+    if op == "var":
+        return lambda env, n=node[1]: env[n]
+    f = (lambda x: cantor(np.asarray(x, dtype=float))) if op == "Cantor" else _OPS[op]
+    if len(node) == 2:
+        return lambda env, f=f, a=_compile(node[1], cantor): f(a(env))
+    return (lambda env, f=f, a=_compile(node[1], cantor), b=_compile(node[2], cantor):
+            f(a(env), b(env)))
+
+
+def _degree(node, var):
+    op = node[0]
+    if op == "num":
+        return 0
+    if op == "var":
+        return int(node[1] == var)
+    degs = [_degree(child, var) for child in node[1:]]
+    if None in degs:
+        return None
+    if op in ("neg", "+", "-"):
+        return max(degs)
+    if op == "*":
+        return degs[0] + degs[1]
+    if op == "/":
+        return degs[0] if degs[1] == 0 else None
+    if max(degs) == 0:
+        return 0
+    if op == "^" and degs[1] == 0 and node[2][0] == "num":
+        n = node[2][1]
+        return degs[0] * int(n) if n >= 0 and n.is_integer() else None
+    return None   # var inside a function, a comparison, or a non-literal power
 
 
 def parse_expr(src, line=None, cantor_spec=None):
     toks = _tokenize(src, line)
     pos = [0]
-    variables = set()
     cantor = cantor_function(cantor_spec or MIDDLE_THIRDS)
 
     def peek():
         return toks[pos[0]]
 
-    def take(kind=None, text=None):
+    def take(text=None):
         t = toks[pos[0]]
-        if kind is not None and t.kind != kind:
-            raise ScenarioParseError(f"expected {kind}, got {t.text!r}", line, t.col + 1)
         if text is not None and t.text != text:
             raise ScenarioParseError(f"expected {text!r}, got {t.text!r}", line, t.col + 1)
         pos[0] += 1
         return t
 
+    def at_op(texts):
+        return peek().kind == "op" and peek().text in texts
+
     def comparison():
         left = addsub()
-        t = peek()
-        if t.kind == "op" and t.text in ("<", "<=", ">", ">="):
-            take()
-            right = addsub()
-            op = t.text
-
-            def cmp(env, left=left, right=right, op=op):
-                a, b = left(env), right(env)
-                if op == "<":
-                    m = np.less(a, b)
-                elif op == "<=":
-                    m = np.less_equal(a, b)
-                elif op == ">":
-                    m = np.greater(a, b)
-                else:
-                    m = np.greater_equal(a, b)
-                return np.asarray(m, dtype=float)
-
-            return cmp
+        if at_op(("<", "<=", ">", ">=")):
+            return (take().text, left, addsub())
         return left
 
     def addsub():
         node = muldiv()
-        while peek().kind == "op" and peek().text in "+-":
-            op = take().text
-            right = muldiv()
-            if op == "+":
-                node = (lambda env, a=node, b=right: a(env) + b(env))
-            else:
-                node = (lambda env, a=node, b=right: a(env) - b(env))
+        while at_op("+-"):
+            node = (take().text, node, muldiv())
         return node
 
     def muldiv():
         node = unary()
-        while peek().kind == "op" and peek().text in "*/":
-            op = take().text
-            right = unary()
-            if op == "*":
-                node = (lambda env, a=node, b=right: a(env) * b(env))
-            else:
-                node = (lambda env, a=node, b=right: a(env) / b(env))
+        while at_op("*/"):
+            node = (take().text, node, unary())
         return node
 
     def unary():
-        t = peek()
-        if t.kind == "op" and t.text == "-":
+        if at_op("-"):
             take()
-            node = unary()
-            return lambda env, a=node: -a(env)
-        if t.kind == "op" and t.text == "+":
+            return ("neg", unary())
+        if at_op("+"):
             take()
             return unary()
-        return power()
-
-    def power():
         base = atom()
-        if peek().kind == "op" and peek().text == "^":
+        if at_op("^"):
             take()
-            expo = unary()
-            return lambda env, a=base, b=expo: np.power(a(env), b(env))
+            return ("^", base, unary())
         return base
 
     def atom():
-        t = peek()
+        t = take()
         if t.kind == "num":
-            take()
-            val = float(t.text)
-            return lambda env, v=val: v
+            return ("num", float(t.text))
         if t.kind == "name":
+            if t.text == "pi":
+                return ("num", np.pi)
+            if not at_op("("):
+                return ("var", t.text)
             take()
-            name = t.text
-            if name == "pi":
-                return lambda env: np.pi
-            if peek().kind == "op" and peek().text == "(":
-                take()
-                if name in _FUNCS2:
-                    a = comparison()
-                    take(text=",")
-                    b = comparison()
-                    take(text=")")
-                    f = _FUNCS2[name]
-                    return lambda env, a=a, b=b, f=f: f(a(env), b(env))
-                arg = comparison()
-                take(text=")")
-                if name in _FUNCS:
-                    f = _FUNCS[name]
-                    return lambda env, a=arg, f=f: f(a(env))
-                if name == "Cantor":
-                    return lambda env, a=arg: cantor(np.asarray(a(env), dtype=float))
-                raise ScenarioParseError(f"unknown function {name!r}", line, t.col + 1)
-            variables.add(name)
-            return lambda env, n=name: env[n]
+            args = [comparison()]
+            if t.text in ("min", "max"):
+                take(text=",")
+                args.append(comparison())
+            take(text=")")
+            if t.text not in _FUNCS and t.text != "Cantor":
+                raise ScenarioParseError(f"unknown function {t.text!r}", line, t.col + 1)
+            return (t.text, *args)
         if t.kind == "op" and t.text == "(":
-            take()
             node = comparison()
             take(text=")")
             return node
         raise ScenarioParseError(f"unexpected token {t.text!r}", line, t.col + 1)
 
-    node = comparison()
+    tree = comparison()
     if peek().kind != "end":
         t = peek()
         raise ScenarioParseError(f"trailing input {t.text!r}", line, t.col + 1)
-    return Expr(node, variables, src)
+    return Expr(tree, cantor, src)
 
 
 def compile_field(src, line=None, cantor_spec=None):
@@ -234,7 +250,7 @@ def compile_field(src, line=None, cantor_spec=None):
     return fn, exprs
 
 
-def compile_scalar(src, line=None, cantor_spec=None, extra=()):
+def compile_scalar(src, line=None, cantor_spec=None):
     """Single expression -> (pts, t) -> (n,)."""
     e = parse_expr(src, line, cantor_spec)
 

@@ -24,7 +24,7 @@ class ParamField:
     def __init__(self, domain: Domain, eval_fn, sup_bound, singular_set=None,
                  b_plus=None, b_minus=None, diva=None, divc_part: CantorPart | None = None,
                  divc_multiplier=None, lipschitz_div=None, t_kinks=(), t_range=(-4.0, 4.0),
-                 sigma_envelope: RadonMeasure | None = None):
+                 sigma_envelope: RadonMeasure | None = None, t_degree=None):
         self.domain = domain
         self._eval = eval_fn                       # (pts, t) -> (n, dim)
         self.M = float(sup_bound)
@@ -39,6 +39,9 @@ class ParamField:
         self.t_kinks = tuple(float(k) for k in t_kinks)
         self.t_range = (float(t_range[0]), float(t_range[1]))
         self.sigma_envelope = sigma_envelope
+        # degree in t of b, its traces, diva and the Cantor multiplier when
+        # all are polynomials in t (None: unknown); the primitive B uses it
+        self.t_degree = t_degree
         if divc_part is not None and domain.dim != 1:
             raise ValueError("Cantor divergences are 1D only")
 
@@ -114,7 +117,8 @@ class ParamField:
                           b_plus=self.b_minus, b_minus=self.b_plus, diva=self._diva,
                           divc_part=self.divc_part, divc_multiplier=self.divc_multiplier,
                           lipschitz_div=self.lipschitz_div, t_kinks=self.t_kinks,
-                          t_range=self.t_range, sigma_envelope=self.sigma_envelope)
+                          t_range=self.t_range, sigma_envelope=self.sigma_envelope,
+                          t_degree=self.t_degree)
 
     # -- validation ---------------------------------------------------------
     def validate(self, t_grid=None, n_space=21):
@@ -186,7 +190,8 @@ class PrimitiveField:
         """\\int_0^t extractor(pts, w) dw, all axes in one quadrature."""
         pts = as_points(pts, self.domain.dim)
         t_arr = np.full(len(pts), t, dtype=float) if np.isscalar(t) else np.asarray(t, dtype=float)
-        out = integrate_to_upper(lambda w: extractor(pts, w), t_arr, kinks=self.field.t_kinks)
+        out = integrate_to_upper(lambda w: extractor(pts, w), t_arr, kinks=self.field.t_kinks,
+                                 degree=self.field.t_degree)
         # zero upper limits never call the integrand and come back as (n,)
         return out if out.ndim == 2 else np.zeros((len(pts), self.domain.dim))
 
@@ -210,7 +215,7 @@ class PrimitiveField:
         pts = as_points(pts, self.domain.dim)
         t_arr = np.full(len(pts), t, dtype=float) if np.isscalar(t) else np.asarray(t, dtype=float)
         return integrate_to_upper(lambda w: self.field.diva(pts, w), t_arr,
-                                  kinks=self.field.t_kinks)
+                                  kinks=self.field.t_kinks, degree=self.field.t_degree)
 
     def divc_weight(self, t):
         """\\int_0^t multiplier(w) dw (density of Div^c_x B against the fixed
@@ -220,7 +225,7 @@ class PrimitiveField:
         m = self.field.divc_multiplier or (lambda w: np.ones_like(np.asarray(w)))
         t_arr = np.atleast_1d(np.asarray(t, dtype=float))
         return integrate_to_upper(lambda w: np.asarray(m(w)) * np.ones_like(t_arr), t_arr,
-                                  kinks=self.field.t_kinks)
+                                  kinks=self.field.t_kinks, degree=self.field.t_degree)
 
     def normal_jump(self, t):
         """<B+ - B-, nu>(x, t): surface density of Div_x B on the singular set."""

@@ -259,17 +259,22 @@ def integrate_polar(f, center, radius, theta_breaks=(), tol_abs=1e-10, tol_rel=1
     return integrate_cells(integrand, cells, tol_abs=tol_abs, tol_rel=tol_rel)
 
 
-def integrate_to_upper(g, upper, kinks=()):
+def integrate_to_upper(g, upper, kinks=(), degree=None):
     """Per-point integral F_i = \\int_0^{upper_i} g(w) dw, batched.
 
     g maps an array w of shape (n,) (one abscissa per output point) to
     values of shape (n,) or (n, d), and the result has the same shape; if
     every upper limit is 0, g is never called and the result is (n,) zeros.
     Kinks are global abscissae where g may lose smoothness; every per-point
-    range is split there.  The Gauss order doubles from 8 to at most 256, and
-    each component (column) stops at the first order where it stabilizes:
-    max|F - F_prev| <= 1e-12 max(max|F|, 1) over the points.  Raises
-    IntegrationError when a component does not stabilize or g is not finite.
+    range is split there.
+
+    When g is a polynomial in w of known `degree` d, one Gauss order,
+    max(1, ceil((d + 1) / 2)), runs on each piece; it is exact up to
+    rounding.  Otherwise (degree None, or d above 511) the order doubles from
+    8 to at most 256, and each component (column) stops at the first order
+    where it stabilizes: max|F - F_prev| <= 1e-12 max(max|F|, 1) over the
+    points.  Raises IntegrationError when a component does not stabilize or
+    g is not finite.
     """
     upper = np.asarray(upper, dtype=float)
     sgn = np.sign(upper)
@@ -299,18 +304,23 @@ def integrate_to_upper(g, upper, kinks=()):
             raise _non_finite_upper(g, pieces, x)
         return _per_row(sgn, acc) * acc
 
-    prev = out = compute(_UPPER_ORDERS[0])
-    settled = False
-    for n in _UPPER_ORDERS[1:]:
+    orders = _UPPER_ORDERS
+    if degree is not None and degree < 2 * _UPPER_ORDERS[-1]:
+        orders = ((degree + 2) // 2,)            # ceil((d + 1) / 2) nodes, exact
+    prev = out = compute(orders[0])
+    settled = len(orders) == 1
+    for n in orders[1:]:
         cur = compute(n)
         scale = np.maximum(np.max(np.abs(cur), axis=0), 1.0)
         stable = np.max(np.abs(cur - prev), axis=0) <= _UPPER_TOL * scale
         out = np.where(settled, out, cur)
         settled = settled | stable
         if np.all(settled):
-            return out
+            break
         prev = cur
-    raise IntegrationError("parameter quadrature did not stabilize")
+    if not np.all(settled):
+        raise IntegrationError("parameter quadrature did not stabilize")
+    return out
 
 
 def _per_row(v, like):

@@ -14,7 +14,7 @@ from .bvfunc import BVFunction, Piece
 from .cantor import CantorPart, IFSSpec, MIDDLE_THIRDS
 from .chainrule import ScalarFunction
 from .errors import ScenarioParseError, ScenarioValidationError
-from .exprs import compile_field, compile_of_t, compile_scalar, compile_uv, parse_expr
+from .exprs import compile_field, compile_of_t, compile_scalar, compile_uv
 from .field import ParamField
 from .geometry import Domain
 from .measure import RadonMeasure
@@ -202,33 +202,38 @@ def build_field(raw: RawScenario, domain: Domain, singular: RectifiableSet,
     M = _number(raw.require("field", "M"), ln("M"))
     t_range = _interval(sec.get("t_range", "-4 .. 4"), ln("t_range"))
     kinks = [_number(v, ln("t_kinks")) for v in sec.get("t_kinks", "").split(",") if v.strip()]
+    exprs = list(b_exprs)       # everything the primitive B integrates in t
     diva = None
     if "diva" in sec:
-        diva_fn, _ = compile_scalar(sec["diva"], ln("diva"), cantor_spec)
+        diva_fn, e = compile_scalar(sec["diva"], ln("diva"), cantor_spec)
         diva = lambda pts, t: diva_fn(pts, t)
+        exprs.append(e)
     b_plus = b_minus = None
     if not singular.is_empty:
-        bp_fn, bp_exprs = compile_field(raw.require("field", "b_plus"), ln("b_plus"), cantor_spec)
-        bm_fn, bm_exprs = compile_field(raw.require("field", "b_minus"), ln("b_minus"), cantor_spec)
-        b_plus = bp_fn
-        b_minus = bm_fn
+        b_plus, bp_exprs = compile_field(raw.require("field", "b_plus"), ln("b_plus"), cantor_spec)
+        b_minus, bm_exprs = compile_field(raw.require("field", "b_minus"), ln("b_minus"),
+                                          cantor_spec)
+        exprs += bp_exprs + bm_exprs
     divc_part = None
     divc_mult = None
     if "divc_mass" in sec:
         mass = _number(sec["divc_mass"], ln("divc_mass"))
         divc_part = CantorPart(cantor_spec, mass)
         if "divc_multiplier" in sec:
-            divc_mult, _ = compile_of_t(sec["divc_multiplier"], ln("divc_multiplier"))
+            divc_mult, e = compile_of_t(sec["divc_multiplier"], ln("divc_multiplier"))
+            exprs.append(e)
     lip = None
     if "g1" in sec:
         g1_fn, _ = compile_scalar(sec["g1"], ln("g1"), cantor_spec)
         lip = lambda pts: g1_fn(pts)
     envelope = _build_envelope(raw, domain, singular, cantor_spec)
+    degrees = [e.poly_degree("t") for e in exprs]
     return ParamField(domain, b_fn, sup_bound=M, singular_set=singular,
                       b_plus=b_plus, b_minus=b_minus, diva=diva,
                       divc_part=divc_part, divc_multiplier=divc_mult,
                       lipschitz_div=lip, t_kinks=kinks, t_range=t_range,
-                      sigma_envelope=envelope)
+                      sigma_envelope=envelope,
+                      t_degree=None if None in degrees else max(degrees))
 
 
 def _build_envelope(raw, domain, singular, cantor_spec):

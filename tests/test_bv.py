@@ -7,7 +7,7 @@ from scipy.optimize import brentq
 from divchain import BVFunction, Domain, Piece, RectifiableSet, VerticalSegment, plateau_bump
 from divchain.bvfunc import SCAN_POINTS
 from divchain.cantor import MIDDLE_THIRDS, CantorPart
-from divchain.errors import DegenerateLevelError, NotOnJumpSetError
+from divchain.errors import DegenerateLevelError, GeometryError, NotOnJumpSetError
 from divchain.quadrature import integrate_1d
 
 from conftest import ONES, ZEROS
@@ -169,10 +169,11 @@ def piecewise_poly(draw):
 
 
 def _outcome(scan):
-    # the crossings, or the type of error (brentq can fail to converge)
+    # the crossings, or the type of error: brentq can fail to converge, which
+    # breakpoints_1d reports as a GeometryError
     try:
         return scan()
-    except RuntimeError as exc:
+    except (RuntimeError, GeometryError) as exc:
         return type(exc)
 
 
@@ -188,7 +189,9 @@ def test_breakpoints_match_reference_loop(u, levels):
     assume(all(t != 0.0 for t in ts))
     for t in ts:
         region = u.level_region(t)
-        assert _outcome(region.breakpoints_1d) == _outcome(lambda: ref_breakpoints_1d(region))
+        want = _outcome(lambda: ref_breakpoints_1d(region))
+        assert _outcome(region.breakpoints_1d) == (GeometryError if want is RuntimeError
+                                                   else want)
 
 
 def test_scan_grid_is_evaluated_once_per_function(dom11):

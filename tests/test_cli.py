@@ -3,6 +3,7 @@ import os
 import re
 import warnings
 
+import numpy as np
 import pytest
 
 from divchain import cli
@@ -177,3 +178,43 @@ def test_non_finite_field_raises_no_runtime_warning(tmp_path):
     assert code == EXIT_NUMERICAL_ERROR
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], \
         [str(w.message) for w in caught]
+
+
+LINEAR_U_SCN = """
+[scenario]
+id = linear-u
+dim = 1
+domain = -1 .. 1
+experiments = w11
+
+[field]
+b = t
+M = 3
+t_range = -3 .. 3
+
+[u]
+breaks =
+pieces = x1
+grads = 1
+sup = 1
+""".lstrip()
+
+
+def test_failed_level_crossing_search_is_a_numerical_failure(tmp_path, monkeypatch, capsys):
+    from divchain import bvfunc
+    from divchain.errors import GeometryError
+
+    def no_convergence(f, a, b, **kw):
+        raise RuntimeError("Failed to converge after 100 iterations")
+
+    monkeypatch.setattr(bvfunc, "brentq", no_convergence)
+    u = bvfunc.BVFunction.piecewise_1d(bvfunc.Domain.interval(-1.0, 1.0), [],
+                                       values=[lambda x: x], grads=[np.ones_like])
+    with pytest.raises(GeometryError, match=r"^level 0\.301: crossing search in \[0\.30\d*, "
+                                            r"0\.302\d*\] failed: Failed to converge"):
+        u.level_region(0.301).breakpoints_1d()
+    scn = tmp_path / "linear.scn"
+    scn.write_text(LINEAR_U_SCN)
+    assert main(["run", str(scn), "--out", str(tmp_path / "out")]) == EXIT_NUMERICAL_ERROR
+    out = capsys.readouterr().out
+    assert "numerical failure" in out and "crossing search" in out, out

@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from divchain.cantor import MIDDLE_THIRDS, cantor_function
 from divchain.errors import ScenarioParseError
-from divchain.exprs import compile_field, compile_of_t, compile_scalar, compile_uv, parse_expr
+from divchain.exprs import (_tokenize, compile_field, compile_of_t, compile_scalar, compile_uv,
+                            parse_expr)
 
 
 def ev(src, **env):
@@ -56,3 +60,300 @@ def test_parse_errors_carry_positions():
         parse_expr("unknownfn(1)")
     with pytest.raises(ScenarioParseError):
         parse_expr("1 2")
+
+
+# -- the closure-building parser this module's tree compiler replaced -------
+# It builds each closure while parsing; the tree-compiled expressions must
+# give the same values bit for bit, with the same shape and dtype.
+
+_REF_FUNCS = {
+    "sign": np.sign,
+    "abs": np.abs,
+    "sin": np.sin,
+    "cos": np.cos,
+    "exp": np.exp,
+    "sqrt": np.sqrt,
+    "H": lambda x: np.where(x > 0, 1.0, np.where(x < 0, 0.0, 0.5)),
+}
+_REF_FUNCS2 = {
+    "min": np.minimum,
+    "max": np.maximum,
+}
+
+
+def ref_parse_expr(src, line=None, cantor_spec=None):
+    toks = _tokenize(src, line)
+    pos = [0]
+    cantor = cantor_function(cantor_spec or MIDDLE_THIRDS)
+
+    def peek():
+        return toks[pos[0]]
+
+    def take(kind=None, text=None):
+        t = toks[pos[0]]
+        if kind is not None and t.kind != kind:
+            raise ScenarioParseError(f"expected {kind}, got {t.text!r}", line, t.col + 1)
+        if text is not None and t.text != text:
+            raise ScenarioParseError(f"expected {text!r}, got {t.text!r}", line, t.col + 1)
+        pos[0] += 1
+        return t
+
+    def comparison():
+        left = addsub()
+        t = peek()
+        if t.kind == "op" and t.text in ("<", "<=", ">", ">="):
+            take()
+            right = addsub()
+            op = t.text
+
+            def cmp(env, left=left, right=right, op=op):
+                a, b = left(env), right(env)
+                if op == "<":
+                    m = np.less(a, b)
+                elif op == "<=":
+                    m = np.less_equal(a, b)
+                elif op == ">":
+                    m = np.greater(a, b)
+                else:
+                    m = np.greater_equal(a, b)
+                return np.asarray(m, dtype=float)
+
+            return cmp
+        return left
+
+    def addsub():
+        node = muldiv()
+        while peek().kind == "op" and peek().text in "+-":
+            op = take().text
+            right = muldiv()
+            if op == "+":
+                node = (lambda env, a=node, b=right: a(env) + b(env))
+            else:
+                node = (lambda env, a=node, b=right: a(env) - b(env))
+        return node
+
+    def muldiv():
+        node = unary()
+        while peek().kind == "op" and peek().text in "*/":
+            op = take().text
+            right = unary()
+            if op == "*":
+                node = (lambda env, a=node, b=right: a(env) * b(env))
+            else:
+                node = (lambda env, a=node, b=right: a(env) / b(env))
+        return node
+
+    def unary():
+        t = peek()
+        if t.kind == "op" and t.text == "-":
+            take()
+            node = unary()
+            return lambda env, a=node: -a(env)
+        if t.kind == "op" and t.text == "+":
+            take()
+            return unary()
+        return power()
+
+    def power():
+        base = atom()
+        if peek().kind == "op" and peek().text == "^":
+            take()
+            expo = unary()
+            return lambda env, a=base, b=expo: np.power(a(env), b(env))
+        return base
+
+    def atom():
+        t = peek()
+        if t.kind == "num":
+            take()
+            val = float(t.text)
+            return lambda env, v=val: v
+        if t.kind == "name":
+            take()
+            name = t.text
+            if name == "pi":
+                return lambda env: np.pi
+            if peek().kind == "op" and peek().text == "(":
+                take()
+                if name in _REF_FUNCS2:
+                    a = comparison()
+                    take(text=",")
+                    b = comparison()
+                    take(text=")")
+                    f = _REF_FUNCS2[name]
+                    return lambda env, a=a, b=b, f=f: f(a(env), b(env))
+                arg = comparison()
+                take(text=")")
+                if name in _REF_FUNCS:
+                    f = _REF_FUNCS[name]
+                    return lambda env, a=arg, f=f: f(a(env))
+                if name == "Cantor":
+                    return lambda env, a=arg: cantor(np.asarray(a(env), dtype=float))
+                raise ScenarioParseError(f"unknown function {name!r}", line, t.col + 1)
+            return lambda env, n=name: env[n]
+        if t.kind == "op" and t.text == "(":
+            take()
+            node = comparison()
+            take(text=")")
+            return node
+        raise ScenarioParseError(f"unexpected token {t.text!r}", line, t.col + 1)
+
+    node = comparison()
+    if peek().kind != "end":
+        t = peek()
+        raise ScenarioParseError(f"trailing input {t.text!r}", line, t.col + 1)
+    return node
+
+
+def _envs():
+    """Arrays for every variable name, with t also as a scalar and at 0."""
+    rng = np.random.default_rng(3)
+    arr = {n: rng.uniform(-2.5, 2.5, 40) for n in ("x1", "x2", "t", "k", "u", "v")}
+    arr["x1"][:6] = [0.0, -0.0, 1.0, 1.0 / 3.0, 2.0 / 3.0, 1.5]
+    yield arr
+    yield dict(arr, t=0.7)
+    yield dict(arr, t=0.0)
+    yield {n: np.float64(0.25) for n in arr}
+
+
+def _outcome(fn, env):
+    # the value, or the error a Python float raises (t / t at t = 0.0)
+    try:
+        return fn(env)
+    except ArithmeticError as exc:
+        return repr(exc)
+
+
+def _same(src, cantor_spec=None):
+    new = parse_expr(src, cantor_spec=cantor_spec)
+    ref = ref_parse_expr(src, cantor_spec=cantor_spec)
+    with np.errstate(all="ignore"):
+        for env in _envs():
+            a, b = _outcome(new, env), _outcome(ref, env)
+            assert type(a) is type(b), src
+            if isinstance(b, str):
+                assert a == b, src
+                continue
+            assert np.shape(a) == np.shape(b) and np.asarray(a).dtype == np.asarray(b).dtype, src
+            assert np.array_equal(a, b, equal_nan=True), src
+
+
+def _bundled_expressions(monkeypatch):
+    """(source, cantor spec) of every expression the bundled scenarios parse."""
+    from divchain import exprs
+    from divchain.cli import bundled_paths
+    from divchain.scenario import load
+
+    seen = []
+    inner = exprs.parse_expr
+
+    def recording(src, line=None, cantor_spec=None):
+        seen.append((src, cantor_spec))
+        return inner(src, line, cantor_spec)
+
+    monkeypatch.setattr(exprs, "parse_expr", recording)
+    for path in bundled_paths():
+        raw = load(path).raw
+        # the ones the runner compiles: initial data and entropies
+        conslaw = raw.sections.get("conslaw", {})
+        seen += [(conslaw[k], None) for k in ("u0", "entropy_S", "entropy_dS", "entropy_d2S")
+                 if k in conslaw]
+        seen += [(v, None) for k, v in raw.sections.get("kato", {}).items()
+                 if k.startswith("u0_")]
+    return seen
+
+
+def test_tree_compiler_matches_reference_on_bundled_corpus(monkeypatch):
+    seen = _bundled_expressions(monkeypatch)
+    assert len({s for s, _ in seen}) >= 70
+    for src, spec in seen:
+        _same(src, spec)
+
+
+_ATOMS = st.sampled_from(["x1", "x2", "t", "u", "k", "pi", "0", "1", "2", "0.5", "3",
+                          "1e-3", "2.5e1", ".25"])
+
+
+def _compound(children):
+    pair = st.tuples(children, children)
+    return st.one_of(
+        st.builds("({})".format, children),
+        st.builds("-{}".format, children),
+        st.builds("+{}".format, children),
+        st.builds(lambda op, ab: f"{ab[0]} {op} {ab[1]}",
+                  st.sampled_from(["+", "-", "*", "/", "^", "<", "<=", ">", ">="]), pair),
+        st.builds(lambda f, a: f"{f}({a})",
+                  st.sampled_from(["sign", "abs", "sin", "cos", "exp", "sqrt", "H",
+                                   "Cantor"]), children),
+        st.builds(lambda f, ab: f"{f}({ab[0]}, {ab[1]})", st.sampled_from(["min", "max"]),
+                  pair),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.recursive(_ATOMS, _compound, max_leaves=12))
+def test_tree_compiler_matches_reference_on_generated_expressions(src):
+    try:
+        ref_parse_expr(src)
+    except ScenarioParseError as exc:        # "a < b < c" is not in the grammar
+        with pytest.raises(ScenarioParseError) as got:
+            parse_expr(src)
+        assert str(got.value) == str(exc)
+        return
+    _same(src)
+
+
+@pytest.mark.parametrize("src", ["1 + $", "sin(1", "unknownfn(1)", "1 2", "neg(1)", "(",
+                                 "min(1)", "sin(1, 2)", "2 *", ")", "x1 < 1 < 2", "^2",
+                                 "pi(1)", "Cantor()"])
+def test_parse_errors_match_reference(src):
+    with pytest.raises(ScenarioParseError) as ref:
+        ref_parse_expr(src, line=3)
+    with pytest.raises(ScenarioParseError) as got:
+        parse_expr(src, line=3)
+    assert (str(got.value), got.value.col) == (str(ref.value), ref.value.col)
+
+
+POLY_DEGREES = [
+    # (expression, degree in t, degree in x1)
+    ("3", 0, 0),
+    ("pi", 0, 0),
+    ("t", 1, 0),
+    ("x1", 0, 1),
+    ("-t + 2*t", 1, 0),
+    ("t*Cantor(x1)", 1, None),
+    ("x1*(1+t)", 1, 1),
+    ("(1+t^2)*sign(x1)", 2, None),
+    ("x1^2*t^3 - t", 3, 2),
+    ("t*t*x1", 2, 1),
+    ("(1+t)*(x1-t)*x1", 2, 2),
+    ("t/2", 1, 0),
+    ("(t + x1)^3", 3, 3),
+    ("t^(2)", 2, 0),
+    ("t^0", 0, 0),
+    ("x1^0.5*t", 1, None),
+    ("x1/(1+x1)*t^2", 2, None),
+    ("sign(t)", None, 0),
+    ("sign(t-0.3)", None, 0),
+    ("H(t)", None, 0),
+    ("abs(t)", None, 0),
+    ("min(t, 1)", None, 0),
+    ("max(x1, t)", None, None),
+    ("t < 1", None, 0),
+    ("x1 >= 0", 0, None),
+    ("exp(t)", None, 0),
+    ("sqrt(t)", None, 0),
+    ("t^0.5", None, 0),
+    ("t^-1", None, 0),
+    ("1/t", None, 0),
+    ("t^2^2", None, 0),
+    ("2^t", None, 0),
+    ("t^x1", None, None),
+    ("t^1e400", None, 0),
+]
+
+
+@pytest.mark.parametrize("src,deg_t,deg_x1", POLY_DEGREES)
+def test_poly_degree_table(src, deg_t, deg_x1):
+    e = parse_expr(src)
+    assert (e.poly_degree("t"), e.poly_degree("x1")) == (deg_t, deg_x1)

@@ -9,9 +9,11 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from divchain import Domain, ParamField, PrimitiveField
+from divchain.cantor import MIDDLE_THIRDS
 from divchain.errors import IntegrationError
 from divchain.quadrature import (CurvedCell, gauss, integrate_1d, integrate_cell,
                                  integrate_cells, integrate_polar, integrate_to_upper)
+from divchain.scenario import build_domain, build_field, build_singular, parse_text
 
 
 def test_smooth_against_scipy():
@@ -219,3 +221,146 @@ def test_cell_non_finite_names_the_point():
         integrate_cell(lambda p: np.where(p[:, 0] > 0.5, np.nan, 1.0), cell)
     x1, x2 = _named_abscissa(exc)
     assert 0.5 < x1 <= 1.0 and 0.0 <= x2 <= 1.0
+
+
+# -- the primitive B with a known degree in t ----------------------------
+
+def _field_from_text(field_lines, dim=1, singular=""):
+    """A ParamField built the way a scenario file builds it."""
+    domain = "-1 .. 1" if dim == 1 else "-1 .. 1; -1 .. 1"
+    raw = parse_text(f"[scenario]\nid = gen\ndim = {dim}\ndomain = {domain}\n"
+                     f"experiments = chain\n{singular}\n[field]\nM = 1\n{field_lines}\n")
+    dom = build_domain(raw)
+    return build_field(raw, dom, build_singular(raw, dom), MIDDLE_THIRDS)
+
+
+@pytest.mark.parametrize("lines,singular,degree", [
+    ("b = t*x1\ndiva = 1 + t^3", "", 3),
+    ("b = t*x1\ndiva = exp(t)", "", None),
+    ("b = t*Cantor(x1)\ndivc_mass = 1\ndivc_multiplier = 1 + t^4", "", 4),
+    ("b = t*Cantor(x1)\ndivc_mass = 1\ndivc_multiplier = sign(t)", "", None),
+    ("b = sign(x1)*t\nb_plus = t^3\nb_minus = -t", "[singular]\npoints = 0 : +1", 3),
+    ("b = sign(x1)*t\nb_plus = t\nb_minus = -abs(t)", "[singular]\npoints = 0 : +1", None),
+    ("b = t*sign(x1)\ng1 = exp(x1)", "", 1),
+])
+def test_t_degree_covers_every_expression_the_primitive_integrates(lines, singular, degree):
+    assert _field_from_text(lines, singular=singular).t_degree == degree
+
+
+@st.composite
+def poly_in_t_fields(draw):
+    """b = sum_j c_j (t/4)^j X_j per component: degree 0 to 8 in t, with
+    x-factors sign, identity and Cantor; each term is at most 1 in size on
+    t in [-4, 4], so rounding stays far below the comparison tolerance."""
+    dim = draw(st.sampled_from([1, 2]))
+    factors = ["sign(x1)", "x1", "Cantor(x1)", "1"] + (["x2", "sign(x2)"] if dim == 2 else [])
+    degree = draw(st.integers(0, 8))
+    comps = []
+    for ax in range(dim):
+        top = degree if ax == 0 else draw(st.integers(0, degree))
+        terms = [f"{draw(st.floats(-1, 1)):.17g}*(t/4)^{j}*{draw(st.sampled_from(factors))}"
+                 for j in range(top + 1)]
+        comps.append(" + ".join(terms))
+    kinks = draw(st.lists(st.floats(-3.9, 3.9), max_size=2))
+    lines = f"b = {', '.join(comps)}"
+    if kinks:
+        lines += "\nt_kinks = " + ", ".join(f"{k:.17g}" for k in kinks)
+    n = draw(st.integers(1, 6))
+    pts = np.array(draw(st.lists(st.lists(st.floats(-1, 1), min_size=dim, max_size=dim),
+                                 min_size=n, max_size=n)))
+    upper = np.array(draw(st.lists(st.floats(-4, 4), min_size=n, max_size=n)))
+    return _field_from_text(lines, dim), degree, pts, upper
+
+
+@settings(max_examples=80, deadline=None)
+@given(poly_in_t_fields())
+def test_primitive_exact_order_matches_doubling(case):
+    field, degree, pts, upper = case
+    assert field.t_degree == degree
+    exact = PrimitiveField(field).value(pts, upper)
+    field.t_degree = None
+    ref = PrimitiveField(field).value(pts, upper)
+    assert exact.shape == ref.shape == pts.shape
+    assert np.all(np.abs(exact - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
+
+
+MIXED_SIGNS = [-3.0, 0.25, 2.0, 0.0]
+
+
+@pytest.mark.parametrize("b,kinks,upper", [
+    ("sign(t-0.3)*x1", [0.3], MIXED_SIGNS),
+    ("exp(t)*x1", [], MIXED_SIGNS),
+    ("t^0.5*x1", [], [3.0, 0.25, 0.0, 1.0]),     # NaN below 0; does not stabilize
+    ("H(t)*sign(x1)", [], MIXED_SIGNS),
+    ("min(t, 1)*x1", [1.0], MIXED_SIGNS),
+])
+def test_primitive_of_non_polynomial_field_keeps_the_doubling_rule(b, kinks, upper):
+    field = _field_from_text(f"b = {b}" + (f"\nt_kinks = {kinks[0]}" if kinks else ""))
+    assert field.t_degree is None
+    pts = np.array([[-0.7], [0.2], [0.9], [0.5]])
+    upper = np.array(upper)
+
+    def outcome(fn):
+        try:
+            return fn()
+        except IntegrationError as exc:
+            return str(exc)
+
+    got = outcome(lambda: PrimitiveField(field).value(pts, upper))
+    ref = outcome(lambda: ref_to_upper(lambda w: field.eval(pts, w)[:, 0], upper, kinks)[0])
+    ref = ref if isinstance(ref, str) else ref[:, None]
+    if isinstance(ref, str):
+        assert got == ref
+    else:
+        assert np.array_equal(got, ref)
+
+
+def _counting_eval(field):
+    calls = []
+    inner = field._eval
+
+    def counted(pts, t):
+        calls.append(1)
+        return inner(pts, t)
+
+    field._eval = counted
+    return calls
+
+
+def test_flipped_keeps_t_degree_and_the_exact_rule(dom11):
+    field = _field_from_text("b = sign(x1)*(1 + t^2)\nb_plus = 1 + t^2\nb_minus = -(1 + t^2)",
+                             singular="[singular]\npoints = 0 : +1")
+    assert field.t_degree == 2
+    calls = _counting_eval(field)
+    flipped = field.flipped()
+    assert flipped.t_degree == 2
+    pts = np.array([[-0.5], [0.5]])
+    got = PrimitiveField(flipped).value(pts, np.array([1.5, -2.0]))
+    assert len(calls) == 2                   # Gauss-2, one call per node
+    assert np.allclose(got[:, 0], [-(1.5 + 1.5 ** 3 / 3), -2.0 - 8.0 / 3.0], rtol=1e-15)
+    # the traces go through the same rule: (1 + w^2) integrated from 0 to 1
+    assert PrimitiveField(flipped).plus(pts[:1], 1.0)[0, 0] == pytest.approx(-4.0 / 3.0,
+                                                                             rel=1e-15)
+    # a field built from lambdas has no known degree and doubles from 8 to 16
+    lam = ParamField(dom11, lambda pts, t: (pts[:, 0] * t)[:, None], sup_bound=1.0)
+    assert lam.t_degree is None and lam.flipped().t_degree is None
+    calls = _counting_eval(lam)
+    PrimitiveField(lam).value(pts, 1.0)
+    assert len(calls) == 8 + 16
+
+
+def test_to_upper_degree_picks_one_exact_order():
+    calls = []
+
+    def g(w):
+        calls.append(len(w))
+        return 3 * w ** 5 - w ** 2 + 1
+
+    upper = np.array([-1.5, 0.5, 2.0])
+    got = integrate_to_upper(g, upper, degree=5)
+    assert len(calls) == 3                   # ceil(6 / 2) nodes
+    assert np.allclose(got, 0.5 * upper ** 6 - upper ** 3 / 3 + upper, rtol=1e-14, atol=0)
+    # a degree no rule up to order 256 integrates exactly takes the doubling path
+    calls.clear()
+    assert np.allclose(integrate_to_upper(g, upper, degree=10 ** 12), got, rtol=1e-14)
+    assert len(calls) == 8 + 16
