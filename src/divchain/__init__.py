@@ -11,8 +11,8 @@ from .chainrule import (ChainRuleBreakdown, ScalarFunction, anzellotti_pairing,
 from .field import (ParamField, PrimitiveField, div_decomposition,
                     mollified_normal_trace, primitive, sigma_of, singular_set_check)
 from .geometry import Domain, subboxes
-from .measure import (RadonMeasure, TestFunction, lub_measures, measure_apply,
-                      oscillatory_bump, plateau_bump, radon_nikodym, total_variation)
+from .measure import (RadonMeasure, TestFunction, lub_measures, oscillatory_bump,
+                      plateau_bump, radon_nikodym)
 from .oracle import TestSuite, build_suite, compare, mollification_study, weak_divergence
 from .rectifiable import (GraphCurve, HorizontalSegment, RectifiableSet,
                           VerticalSegment, merge_sets)
@@ -26,8 +26,7 @@ __all__ = [
     "product_rule", "ParamField", "PrimitiveField", "div_decomposition",
     "mollified_normal_trace", "primitive", "sigma_of", "singular_set_check",
     "Domain", "subboxes", "RadonMeasure", "TestFunction", "lub_measures",
-    "measure_apply", "oscillatory_bump", "plateau_bump", "radon_nikodym",
-    "total_variation", "TestSuite", "build_suite", "compare", "mollification_study",
-    "weak_divergence", "GraphCurve", "HorizontalSegment", "RectifiableSet",
-    "VerticalSegment", "merge_sets", "__version__",
+    "oscillatory_bump", "plateau_bump", "radon_nikodym", "TestSuite", "build_suite",
+    "compare", "mollification_study", "weak_divergence", "GraphCurve",
+    "HorizontalSegment", "RectifiableSet", "VerticalSegment", "merge_sets", "__version__",
 ]

@@ -38,7 +38,7 @@ class Piece:
 class BVFunction:
     def __init__(self, domain: Domain, pieces, jump_set: RectifiableSet | None = None,
                  u_plus=None, u_minus=None, cantor=None, cantor_amplitude=0.0,
-                 sup_bound=None, level_breaks_2d=None):
+                 sup_bound=None):
         self.domain = domain
         self.pieces = list(pieces)
         self.jump_set = jump_set if jump_set is not None else RectifiableSet.empty(domain.dim)
@@ -50,7 +50,6 @@ class BVFunction:
             raise GeometryError("Cantor components are 1D only")
         self._cdf = None if cantor is None else cantor_function(cantor.spec)
         self.sup_bound = float(sup_bound) if sup_bound is not None else self._estimate_sup()
-        self.level_breaks_2d = level_breaks_2d     # optional t -> extra x-breaks callable
 
     # -- evaluation ----------------------------------------------------
     def _cantor_summand(self, pts):
@@ -167,7 +166,7 @@ class BVFunction:
         return BVFunction(self.domain, self.pieces, self.jump_set.flipped(),
                           u_plus=self.u_minus, u_minus=self.u_plus,
                           cantor=self.cantor, cantor_amplitude=self.cantor_amplitude,
-                          sup_bound=self.sup_bound, level_breaks_2d=self.level_breaks_2d)
+                          sup_bound=self.sup_bound)
 
     # -- level regions ---------------------------------------------------
     @cached_property
@@ -344,8 +343,4 @@ class LevelRegion:
         return sorted(out)
 
     def extra_x_breaks(self):
-        if self.u.domain.dim == 1:
-            return self.breakpoints_1d()
-        if self.u.level_breaks_2d is not None:
-            return list(self.u.level_breaks_2d(self.t))
-        return []
+        return self.breakpoints_1d() if self.u.domain.dim == 1 else []

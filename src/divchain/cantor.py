@@ -1,10 +1,11 @@
-"""Self-similar (IFS) measures on an interval and their distribution functions.
+"""The middle-thirds Cantor measure on a base interval, and its Cantor function.
 
-A construction spec is a finite family of affine contractions of a base
-interval with one positive weight per map.  The induced measure is evaluated
-by depth-d refinement: at depth d the measure is approximated by point
-masses at the cylinder-interval midpoints, and the depth is increased until
-two consecutive depths agree (Richardson stopping).
+The measure on [a, b] is the self-similar probability measure of the two maps
+x -> a + (x - a)/3 and x -> a + 2(b - a)/3 + (x - a)/3, each of weight 1/2.
+Integrals against it are evaluated by depth-d refinement: at depth d the
+measure is approximated by point masses at the cylinder-interval midpoints,
+and the depth is increased until two consecutive depths agree (Richardson
+stopping).
 """
 
 from __future__ import annotations
@@ -17,40 +18,22 @@ from .errors import IntegrationError, UnsupportedStructureError
 
 RICHARDSON_RTOL = 1e-9
 MAX_DEPTH = 22
+RATIO = 1.0 / 3.0
 
 
 @dataclass(frozen=True)
 class IFSSpec:
-    """base interval [a, b]; maps x -> a + offsets[i]*(b-a) + ratio*(x-a)."""
+    """Middle-thirds construction on the base interval [a, b]."""
 
     a: float = 0.0
     b: float = 1.0
-    ratio: float = 1.0 / 3.0
-    offsets: tuple = (0.0, 2.0 / 3.0)
-    weights: tuple = (0.5, 0.5)
 
     def __post_init__(self):
-        if len(self.offsets) != len(self.weights):
-            raise ValueError("offsets and weights must pair up")
-        if abs(sum(self.weights) - 1.0) > 1e-12:
-            raise ValueError("weights must sum to 1")
-        if any(w <= 0 for w in self.weights):
-            raise ValueError("weights must be positive")
-        offs = np.asarray(self.offsets)
-        if np.any(offs < -1e-15) or np.any(offs + self.ratio > 1 + 1e-15):
-            raise ValueError("maps must send the base interval into itself")
-        if np.any(np.diff(offs) < self.ratio - 1e-15):
-            raise ValueError("maps must be ordered and non-overlapping")
+        if not (np.isfinite(self.a) and np.isfinite(self.b) and self.a < self.b):
+            raise ValueError(f"Cantor base ({self.a}, {self.b}) must be finite with a < b")
 
     def same_construction(self, other, tol=1e-12):
-        return (
-            len(self.offsets) == len(other.offsets)
-            and abs(self.a - other.a) <= tol
-            and abs(self.b - other.b) <= tol
-            and abs(self.ratio - other.ratio) <= tol
-            and all(abs(p - q) <= tol for p, q in zip(self.offsets, other.offsets))
-            and all(abs(p - q) <= tol for p, q in zip(self.weights, other.weights))
-        )
+        return abs(self.a - other.a) <= tol and abs(self.b - other.b) <= tol
 
 
 MIDDLE_THIRDS = IFSSpec()
@@ -58,24 +41,17 @@ MIDDLE_THIRDS = IFSSpec()
 
 def support_nodes(spec: IFSSpec, depth: int):
     """Cylinder midpoints and their probability weights at a given depth."""
-    width = spec.b - spec.a
-    xs = np.array([spec.a + width / 2.0])
-    ws = np.array([1.0])
+    a, width = spec.a, spec.b - spec.a
+    xs = np.array([a + width / 2.0])
     for _ in range(depth):
-        new_x = []
-        new_w = []
-        for off, w in zip(spec.offsets, spec.weights):
-            new_x.append(spec.a + off * width + spec.ratio * (xs - spec.a))
-            new_w.append(ws * w)
-        xs = np.concatenate(new_x)
-        ws = np.concatenate(new_w)
-    return xs, ws
+        xs = np.concatenate([a + RATIO * (xs - a), a + 2.0 / 3.0 * width + RATIO * (xs - a)])
+    return xs, np.full(xs.size, 0.5 ** depth)
 
 
-def integrate_ifs(phi, spec: IFSSpec, rtol=RICHARDSON_RTOL, min_depth=4):
-    """\\int phi d(mu) against the probability IFS measure, depth-refined."""
+def integrate_ifs(phi, spec: IFSSpec, rtol=RICHARDSON_RTOL):
+    """\\int phi d(mu) against the Cantor probability measure, depth-refined."""
     prev = None
-    depth = min_depth
+    depth = 4
     while depth <= MAX_DEPTH:
         xs, ws = support_nodes(spec, depth)
         val = float(np.dot(np.asarray(phi(xs), dtype=float), ws))
@@ -111,51 +87,10 @@ def _cdf_middle_thirds(x, depth=44):
     return out
 
 
-def ifs_cdf(spec: IFSSpec, x, depth=48):
-    """Distribution function F(x) = mu([a, x]) of the probability measure.
-
-    For the middle-thirds spec this is the Cantor function.  Vectorized and
-    exact up to ratio**depth resolution.
-    """
+def ifs_cdf(spec: IFSSpec, x):
+    """Cantor function of the base interval: F(x) = mu([a, x])."""
     x = np.asarray(x, dtype=float)
-    if spec.same_construction(IFSSpec(a=spec.a, b=spec.b)):
-        return _cdf_middle_thirds((x - spec.a) / (spec.b - spec.a))
-    out = np.zeros_like(x)
-    scale = np.ones_like(x)
-    lo = np.full_like(x, spec.a)
-    width = np.full_like(x, spec.b - spec.a)
-    active = np.ones(x.shape, dtype=bool)
-    offs = np.asarray(spec.offsets)
-    wts = np.asarray(spec.weights)
-    cum = np.concatenate([[0.0], np.cumsum(wts)])
-    for _ in range(depth):
-        if not np.any(active):
-            break
-        below = active & (x <= lo)
-        above = active & (x >= lo + width)
-        out[above] += scale[above]
-        active &= ~(below | above)
-        if not np.any(active):
-            break
-        # locate the sub-interval (or gap) containing each active point
-        rel = (x[active] - lo[active]) / width[active]
-        idx = np.searchsorted(offs, rel, side="right") - 1
-        idx = np.clip(idx, 0, len(offs) - 1)
-        inside = rel <= offs[idx] + spec.ratio + 1e-300
-        # gap points: all weight up to idx+1 accumulated, done
-        gap_mask = np.zeros_like(active)
-        gap_mask[np.flatnonzero(active)[~inside]] = True
-        out[gap_mask] += scale[gap_mask] * cum[idx[~inside] + 1]
-        act_idx = np.flatnonzero(active)[inside]
-        out[act_idx] += scale[act_idx] * cum[idx[inside]]
-        scale[act_idx] *= wts[idx[inside]]
-        lo[act_idx] = lo[act_idx] + offs[idx[inside]] * width[act_idx]
-        width[act_idx] = width[act_idx] * spec.ratio
-        new_active = np.zeros_like(active)
-        new_active[act_idx] = True
-        active = new_active
-    out[active] += scale[active] * 0.5
-    return out
+    return _cdf_middle_thirds((x - spec.a) / (spec.b - spec.a))
 
 
 @dataclass(frozen=True)

@@ -16,10 +16,12 @@ levels) is exposed as a derived view and must agree with it.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .bvfunc import BVFunction
-from .cantor import CantorPart
+from .cantor import CantorPart, support_nodes
 from .errors import GeometryError, OrientationError, WrongRegularityError
 from .field import ParamField, PrimitiveField, primitive
 from .geometry import Domain
@@ -193,17 +195,10 @@ def chain_w11(field: ParamField, u: BVFunction, prim: PrimitiveField | None = No
     return chain_dm(field, u, prim=prim)
 
 
-_IFS_NODE_CACHE = {}
-
-
-def _cached_ifs_nodes(spec, depth=20):
-    key = (spec.a, spec.b, spec.ratio, spec.offsets, spec.weights, depth)
-    if key not in _IFS_NODE_CACHE:
-        from .cantor import support_nodes
-        _IFS_NODE_CACHE[key] = support_nodes(spec, depth)
-    return _IFS_NODE_CACHE[key]
-
-
+@lru_cache(maxsize=None)
+def _cantor_nodes(spec):
+    """Depth-20 cylinder midpoints and weights, built once per spec."""
+    return support_nodes(spec, 20)
 
 
 def layer_cake_action(field: ParamField, u: BVFunction, phi: TestFunction,
@@ -221,7 +216,7 @@ def layer_cake_action(field: ParamField, u: BVFunction, phi: TestFunction,
         # Cantor x-part on cached cylinder midpoints, sorted by the value of
         # u so the level-set action becomes a prefix-sum lookup per t; the
         # node error is the weight of the boundary cylinders, O(2^-depth).
-        xs, ws = _cached_ifs_nodes(field.divc_part.spec, depth=20)
+        xs, ws = _cantor_nodes(field.divc_part.spec)
         phi_w = phi.value(xs[:, None]) * ws
         uvals = u.eval(xs[:, None])
         order = np.argsort(uvals, kind="stable")

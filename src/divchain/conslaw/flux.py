@@ -1,8 +1,8 @@
 """Discontinuous flux specifications B(x, u) = Ahat(k(x), u) and entropy pairs.
 
-The coefficient k is a piecewise BV function; the composite flux derivative
-b(x, u) = d/du Ahat(k(x), u) is exposed as a ParamField whose singular set
-is J_k, which is what the chain-rule and kinetic machinery consume.
+The coefficient k is a piecewise BV function.  The solver and the kinetic
+diagnostics evaluate Ahat and its derivative b(x, u) = d/du Ahat(k(x), u)
+at the coefficient value of each cell or slab, so the flux jumps only on J_k.
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ import numpy as np
 
 from ..bvfunc import BVFunction
 from ..errors import ScenarioValidationError
-from ..field import ParamField
 from ..quadrature import integrate_to_upper
 
 
@@ -26,7 +25,7 @@ def chi(v, u):
 
 
 class FluxSpec:
-    """Composite flux Ahat(k(x), u) with derived flux-derivative field.
+    """Composite flux Ahat(k(x), u) and its derivative in u.
 
     Ahat, dAhat_du: vectorized in (k, u).  critical(k) lists the interior
     critical points of u -> Ahat(k, u) on the invariant region; the Godunov
@@ -35,13 +34,12 @@ class FluxSpec:
     declared.
     """
 
-    def __init__(self, k: BVFunction, ahat, dahat_du, u_range, critical=None, name="flux"):
+    def __init__(self, k: BVFunction, ahat, dahat_du, u_range, critical=None):
         self.k = k
         self.ahat = ahat
         self.dahat_du = dahat_du
         self.u_range = (float(u_range[0]), float(u_range[1]))
         self.critical = critical or (lambda kv: ())
-        self.name = name
         z = self.ahat(self._k_probe(), 0.0)
         if np.max(np.abs(z)) > 1e-12:
             raise ScenarioValidationError("flux must vanish at u = 0 (normalize Ahat)")
@@ -66,47 +64,14 @@ class FluxSpec:
     def speed_at(self, kv, u):
         return np.asarray(self.dahat_du(np.asarray(kv, dtype=float), u), dtype=float)
 
-    def field(self) -> ParamField:
-        """b(x, t) = dAhat/du(k(x), t) as a ParamField with N = J_k."""
-        k = self.k
-
-        def eval_fn(pts, t):
-            return np.asarray(self.dahat_du(k.eval(pts), t), dtype=float)[:, None]
-
-        b_plus = b_minus = None
-        if not k.jump_set.is_empty:
-            def b_plus(pts, t):
-                return np.asarray(self.dahat_du(np.asarray(k.u_plus(pts), dtype=float), t),
-                                  dtype=float)[:, None]
-
-            def b_minus(pts, t):
-                return np.asarray(self.dahat_du(np.asarray(k.u_minus(pts), dtype=float), t),
-                                  dtype=float)[:, None]
-
-        def diva(pts, t):
-            # d/dx [dAhat/du(k(x), t)] on smooth pieces; zero for piecewise
-            # constant k, finite-difference in k otherwise
-            kv = k.eval(pts)
-            dk = k.grad(pts)[:, 0]
-            h = 1e-6
-            dd = (np.asarray(self.dahat_du(kv + h, t)) - np.asarray(self.dahat_du(kv - h, t))) / (2 * h)
-            return dd * dk
-
-        lo, hi = self.u_range
-        pad = 0.5 * (hi - lo) + 1.0
-        return ParamField(k.domain, eval_fn, sup_bound=self.M, singular_set=k.jump_set,
-                          b_plus=b_plus, b_minus=b_minus, diva=diva,
-                          t_range=(lo - pad, hi + pad))
-
 
 class EntropyPair:
     """Convex entropy S with flux eta_i(x, v) = \\int_0^v b_i(x, w) S'(w) dw."""
 
-    def __init__(self, S, dS, d2S=None, name="entropy"):
+    def __init__(self, S, dS, d2S=None):
         self.S = S
         self.dS = dS
         self.d2S = d2S
-        self.name = name
 
     def check_convex(self, u_range, n=101):
         us = np.linspace(*u_range, n)

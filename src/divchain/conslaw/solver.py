@@ -51,9 +51,6 @@ class GridState:
         mid = 0.5 * (edges[:-1] + edges[1:])
         return GridState(domain, np.asarray(fn(mid), dtype=float), cfl=cfl)
 
-    def mass(self):
-        return float(np.sum(self.averages) * self.dx)
-
 
 class Trajectory:
     """Immutable record of a solver run: all states, mesh and flux metadata."""

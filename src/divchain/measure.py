@@ -354,16 +354,7 @@ class RadonMeasure:
                 v, _ = integrate_1d(lambda x: self.ac(x[:, None]), lo, hi,
                                     breakpoints=breaks, tol_abs=tol)
                 total += v
-            for comp, g in self.jumps.values():
-                for x, nu in zip(comp.points_1d, comp.normals_1d):
-                    if abs(x - c) <= r:
-                        total += float(g(np.array([[x]]), np.array([nu]))[0])
-            if self.cantor is not None:
-                if self.cantor_density is not None:
-                    raise UnsupportedStructureError("ball mass with weighted Cantor part")
-                total += self.cantor.interval_mass(lo, hi)
-            return total
-        if self.ac is not None:
+        elif self.ac is not None:
             tbreaks = []
             if self.ac_singular is not None:
                 for piece in self.ac_singular.curves:
@@ -376,15 +367,11 @@ class RadonMeasure:
             total += v
         for comp, g in self.jumps.values():
             total += comp.mass_in_ball(g, center, r)
+        if self.cantor is not None:         # Cantor parts are 1-D: lo, hi are set
+            if self.cantor_density is not None:
+                raise UnsupportedStructureError("ball mass with weighted Cantor part")
+            total += self.cantor.interval_mass(lo, hi)
         return total
-
-
-def measure_apply(mu: RadonMeasure, phi: TestFunction, tol_abs=1e-10, tol_rel=1e-10):
-    return mu.apply(phi, tol_abs=tol_abs, tol_rel=tol_rel)
-
-
-def total_variation(mu: RadonMeasure, box=None):
-    return mu.total_variation(box=box)
 
 
 def lub_measures(measures):

@@ -390,8 +390,7 @@ def run_conslaw(scn: Scenario, res: RunResult):
                                    cfl=cfl)
     if "inject_expansion_shock" in sec:
         # deliberate negative control: a non-entropic weak solution
-        uL, uR, x0 = (_number(v, ln("inject_expansion_shock"))
-                      for v in sec["inject_expansion_shock"].split(","))
+        uL, uR, x0 = _three_numbers(sec, "inject_expansion_shock", ln)
         traj = fv_solve(flux, grid, T)
         kv = float(traj.kvals[len(traj.kvals) // 2])
         s = ((flux.flux_at(kv, uR) - flux.flux_at(kv, uL)) / (uR - uL)) if uR != uL else 0.0
@@ -429,9 +428,8 @@ def run_conslaw(scn: Scenario, res: RunResult):
               interface_choice_flagged=er["interface_choice_flagged"])
 
     if sec.get("run_kinetic", "false").lower() == "true":
-        nt, nx, nv = (int(_number(v, ln("kinetic_grid")))
-                      for v in sec.get("kinetic_grid", "6, 10, 14").split(","))
-        km = kinetic_measure(traj, n_t=nt, n_x=nx, n_v=nv)
+        km = kinetic_measure(traj, *(int(v) for v in
+                                     _three_numbers(sec, "kinetic_grid", ln, "6, 10, 14")))
         strict = sec.get("kinetic_strict", "false").lower() == "true"
         if strict:
             res.check("conslaw:kinetic_nonnegative", km.min_cell >= -1e-8,
@@ -449,6 +447,13 @@ def run_conslaw(scn: Scenario, res: RunResult):
             res.check("conslaw:shock_dissipation", rel <= 0.02,
                       measured=km.total_mass, expected=expected, rel_error=rel)
     return traj
+
+
+def _three_numbers(sec, key, ln, default=None):
+    vals = [_number(v, ln(key)) for v in sec.get(key, default).split(",")]
+    if len(vals) != 3:
+        raise ScenarioValidationError(f"line {ln(key)}: {key} needs three numbers")
+    return vals
 
 
 def _shock_dissipation(flux, pair, uL, uR, traj, km):

@@ -108,7 +108,10 @@ def build_domain(raw: RawScenario) -> Domain:
     if len(axes) != dim:
         raise ScenarioValidationError(f"domain needs {dim} interval(s)")
     bounds = tuple(_interval(a, ln) for a in axes)
-    return Domain(dim, bounds)
+    try:
+        return Domain(dim, bounds)
+    except ValueError as exc:
+        raise ScenarioValidationError(f"line {ln}: domain: {exc}") from exc
 
 
 def _parse_points(text, ln):
@@ -186,8 +189,11 @@ def build_cantor_spec(raw: RawScenario):
     base = raw.get("field", "cantor_base") or raw.get("u", "cantor_base")
     if base is None:
         return MIDDLE_THIRDS
-    a, b = _interval(base, raw.line("field", "cantor_base") or raw.line("u", "cantor_base"))
-    return IFSSpec(a=a, b=b)
+    ln = raw.line("field", "cantor_base") or raw.line("u", "cantor_base")
+    try:
+        return IFSSpec(*_interval(base, ln))
+    except ValueError as exc:
+        raise ScenarioValidationError(f"line {ln}: {exc}") from exc
 
 
 def build_field(raw: RawScenario, domain: Domain, singular: RectifiableSet,
@@ -217,6 +223,8 @@ def build_field(raw: RawScenario, domain: Domain, singular: RectifiableSet,
     divc_part = None
     divc_mult = None
     if "divc_mass" in sec:
+        if domain.dim != 1:
+            raise ScenarioValidationError(f"line {ln('divc_mass')}: divc_mass needs dim = 1")
         mass = _number(sec["divc_mass"], ln("divc_mass"))
         divc_part = CantorPart(cantor_spec, mass)
         if "divc_multiplier" in sec:
@@ -348,8 +356,7 @@ def build_flux(raw: RawScenario, domain: Domain):
     u_range = _interval(raw.require("conslaw", "u_range"), ln("u_range"))
     crit_vals = [_number(v, ln("critical")) for v in sec.get("critical", "").split(",")
                  if v.strip()]
-    return FluxSpec(k, ahat, dahat, u_range, critical=lambda kv: tuple(crit_vals),
-                    name=raw.get("scenario", "id", "flux"))
+    return FluxSpec(k, ahat, dahat, u_range, critical=lambda kv: tuple(crit_vals))
 
 
 class Scenario:
@@ -367,10 +374,12 @@ class Scenario:
         self.cantor_spec = build_cantor_spec(raw)
         self.is_cantor = (raw.get("field", "divc_mass") is not None
                           or raw.get("u", "cantor_amplitude") is not None)
-        default_abs = 1e-5 if self.is_cantor else 1e-7
-        default_rel = 1e-5 if self.is_cantor else 1e-6
-        self.tol_abs = float(raw.get("scenario", "tol_abs", default_abs))
-        self.tol_rel = float(raw.get("scenario", "tol_rel", default_rel))
+        default_abs = "1e-5" if self.is_cantor else "1e-7"
+        default_rel = "1e-5" if self.is_cantor else "1e-6"
+        self.tol_abs = _number(raw.get("scenario", "tol_abs", default_abs),
+                               raw.line("scenario", "tol_abs"))
+        self.tol_rel = _number(raw.get("scenario", "tol_rel", default_rel),
+                               raw.line("scenario", "tol_rel"))
 
         needs_field = any(e in exps for e in
                           ("chain", "w11", "bv-scalar", "product", "anzellotti",
@@ -403,8 +412,3 @@ class Scenario:
 
 def load(path) -> Scenario:
     return Scenario(parse_file(path))
-
-
-def validate(path):
-    """Parse + structural validation without numerics; returns the Scenario."""
-    return load(path)

@@ -67,9 +67,13 @@ def test_spec_mismatch_raises():
 
 def test_invalid_spec():
     with pytest.raises(ValueError):
-        IFSSpec(weights=(0.7, 0.7))
+        IFSSpec(a=1.0, b=0.0)                    # reversed base
     with pytest.raises(ValueError):
-        IFSSpec(offsets=(0.0, 0.2), ratio=0.4)   # overlapping maps
+        IFSSpec(a=0.5, b=0.5)                    # empty base
+    with pytest.raises(ValueError):
+        IFSSpec(a=0.0, b=np.inf)
+    with pytest.raises(ValueError):
+        IFSSpec(a=np.nan, b=1.0)
 
 
 # Reference: the digit loop before only the undecided points were carried.

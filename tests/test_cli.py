@@ -218,3 +218,69 @@ def test_failed_level_crossing_search_is_a_numerical_failure(tmp_path, monkeypat
     assert main(["run", str(scn), "--out", str(tmp_path / "out")]) == EXIT_NUMERICAL_ERROR
     out = capsys.readouterr().out
     assert "numerical failure" in out and "crossing search" in out, out
+
+
+# A malformed value in an otherwise valid bundled file: (name, bundled source,
+# replacements, key whose line the message names, exit code).
+MALFORMED = [
+    ("reversed-domain", "volpert-heaviside", [("domain = -1 .. 1", "domain = 1 .. 0")],
+     "domain", EXIT_VALIDATION_ERROR),
+    ("tol-abs-word", "volpert-heaviside", [("dim = 1\n", "dim = 1\ntol_abs = abc\n")],
+     "tol_abs", EXIT_PARSE_ERROR),
+    ("divc-mass-2d", "2d-vline-jump", [("M = 4\n", "M = 4\ndivc_mass = 1\n")],
+     "divc_mass", EXIT_VALIDATION_ERROR),
+    ("kinetic-grid-pair", "standing-shock-traffic",
+     [("kinetic_grid = 6, 10, 14", "kinetic_grid = 6, 10"), ("ncells = 800", "ncells = 40")],
+     "kinetic_grid", EXIT_VALIDATION_ERROR),
+    ("reversed-cantor-base", "cantor-u-jump", [("M = 4\n", "M = 4\ncantor_base = 1 .. 0\n")],
+     "cantor_base", EXIT_VALIDATION_ERROR),
+    ("expansion-shock-pair", "standing-shock-traffic",
+     [("kinetic_grid = 6, 10, 14", "inject_expansion_shock = 0.2, 0.8"),
+      ("ncells = 800", "ncells = 40")],
+     "inject_expansion_shock", EXIT_VALIDATION_ERROR),
+]
+# only `run` reads these keys, so `validate` passes their files
+RUN_ONLY_KEYS = ("kinetic_grid", "inject_expansion_shock")
+
+
+def _write_malformed(tmp_path, name, source, replacements, key):
+    with open(scenario_path(source), encoding="utf-8") as fh:
+        text = fh.read()
+    for old, new in replacements:
+        assert old in text
+        text = text.replace(old, new)
+    path = tmp_path / f"{name}.scn"
+    path.write_text(text)
+    line = next(i for i, ln in enumerate(text.splitlines(), 1) if ln.startswith(f"{key} ="))
+    return str(path), line
+
+
+@pytest.mark.parametrize("name, source, replacements, key, code", MALFORMED,
+                         ids=[m[0] for m in MALFORMED])
+def test_malformed_value_exits_with_its_line(tmp_path, capsys, name, source, replacements,
+                                             key, code):
+    path, line = _write_malformed(tmp_path, name, source, replacements, key)
+    assert main(["run", path, "--out", str(tmp_path / "out")]) == code
+    kind = "parse" if code == EXIT_PARSE_ERROR else "validation"
+    assert capsys.readouterr().out.startswith(f"{kind} error in {path}: line {line}: ")
+    if key in RUN_ONLY_KEYS:
+        assert main(["validate", path]) == EXIT_OK
+    else:
+        assert main(["validate", path]) == code
+        assert capsys.readouterr().out.startswith(f"{kind} error in {path}: line {line}: ")
+
+
+def test_malformed_values_do_not_stop_the_batch(tmp_path, capsys):
+    paths = [_write_malformed(tmp_path, *m[:4])[0] for m in MALFORMED]
+    code = main(["run", "volpert-heaviside", *paths, "--out", str(tmp_path / "out")])
+    assert code == EXIT_VALIDATION_ERROR
+    out = capsys.readouterr().out
+    assert "SCENARIO volpert-heaviside: PASS" in out
+    assert all(f"error in {p}: line " in out for p in paths)
+
+
+def test_every_exported_name_resolves():
+    import divchain
+    import divchain.conslaw
+    for mod in (divchain, divchain.conslaw):
+        assert [n for n in mod.__all__ if not hasattr(mod, n)] == [], mod.__name__
