@@ -318,7 +318,11 @@ def run_green(scn: Scenario, res: RunResult):
             bounds = tuple(_interval(p, ln) for p in parts)
             omegas.append(("box", bounds))
         elif words[0] == "disc":
-            cx, cy, r = (_number(w, ln) for w in words[1:4])
+            nums = [_number(w, ln) for w in words[1:]]
+            if len(nums) != 3 or not 0 < nums[2] < np.inf:
+                raise ScenarioValidationError(f"line {ln}: disc needs three numbers "
+                                              f"'cx cy r' with r > 0")
+            cx, cy, r = nums
             omegas.append(("disc", ((cx, cy), r)))
         else:
             raise ScenarioValidationError(f"unknown omega kind {words[0]!r}")
@@ -385,7 +389,10 @@ def run_conslaw(scn: Scenario, res: RunResult):
     u0_fn, _ = compile_scalar(scn.raw.require("conslaw", "u0"), ln("u0"))
     T = _number(scn.raw.require("conslaw", "T"), ln("T"))
     cfl = _number(sec.get("cfl", "0.45"), ln("cfl"))
-    ncells = int(_number(sec.get("ncells", "200"), ln("ncells")))
+    ncells = _number(sec.get("ncells", "200"), ln("ncells"))
+    if not (ncells >= 1 and ncells.is_integer()):
+        raise ScenarioValidationError(f"line {ln('ncells')}: ncells must be a positive integer")
+    ncells = int(ncells)
     grid = GridState.from_function(scn.domain, ncells, lambda x: u0_fn(x[:, None]),
                                    cfl=cfl)
     if "inject_expansion_shock" in sec:
@@ -467,8 +474,11 @@ def _shock_dissipation(flux, pair, uL, uR, traj, km):
     def eta_integrand(w):
         return np.asarray(pair.dS(w)) * np.asarray(flux.speed_at(kv, w))
 
-    etaL, _ = integrate_1d(eta_integrand, 0.0, uL, tol_abs=1e-12)
-    etaR, _ = integrate_1d(eta_integrand, 0.0, uR, tol_abs=1e-12)
+    def eta(u):                          # signed integral from 0 to u
+        val, _ = integrate_1d(eta_integrand, min(0.0, u), max(0.0, u), tol_abs=1e-12)
+        return np.sign(u) * val
+
+    etaL, etaR = eta(uL), eta(uR)
     rate = s * (np.asarray(pair.S(uL)) - np.asarray(pair.S(uR))) - (etaL - etaR)
     rate = -float(rate)
     t_window = float(sum(h.integral() for h in km.t_basis.hats))

@@ -101,7 +101,11 @@ def parse_text(text, path="<string>"):
 # -- builders -----------------------------------------------------------
 
 def build_domain(raw: RawScenario) -> Domain:
-    dim = int(_number(raw.require("scenario", "dim"), raw.line("scenario", "dim")))
+    dim_ln = raw.line("scenario", "dim")
+    dim = _number(raw.require("scenario", "dim"), dim_ln)
+    if dim not in (1, 2):
+        raise ScenarioValidationError(f"line {dim_ln}: dim must be 1 or 2")
+    dim = int(dim)
     spec = raw.require("scenario", "domain")
     ln = raw.line("scenario", "domain")
     axes = [a for a in spec.split(";") if a.strip()]
@@ -285,13 +289,16 @@ def build_u(raw: RawScenario, domain: Domain, cantor_spec) -> BVFunction:
             raise ScenarioValidationError("need len(breaks)+1 pieces and matching grads")
         values = []
         grads = []
+        degrees = []
         for ptxt, gtxt in zip(piece_txt, grad_txt):
-            pf, _ = compile_scalar(ptxt, ln("pieces"), cantor_spec)
+            pf, pe = compile_scalar(ptxt, ln("pieces"), cantor_spec)
             gf, _ = compile_scalar(gtxt, ln("grads"), cantor_spec)
             values.append(lambda x, pf=pf: pf(np.asarray(x)[:, None]))
             grads.append(lambda x, gf=gf: gf(np.asarray(x)[:, None]))
+            degrees.append(pe.poly_degree("x1"))
         return BVFunction.piecewise_1d(domain, bps, values, grads, normals=nus,
-                                       cantor=cantor, cantor_amplitude=amp, sup_bound=sup)
+                                       cantor=cantor, cantor_amplitude=amp, sup_bound=sup,
+                                       degrees=degrees)
 
     regions = [r.strip() for r in raw.require("u", "regions").split("|")]
     pieces = []

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from divchain import BVFunction, Domain, Piece, RectifiableSet, VerticalSegment, plateau_bump
+from divchain import bvfunc
 from divchain.bvfunc import SCAN_POINTS
 from divchain.cantor import MIDDLE_THIRDS, CantorPart
 from divchain.errors import DegenerateLevelError, GeometryError, NotOnJumpSetError
@@ -192,6 +195,63 @@ def test_breakpoints_match_reference_loop(u, levels):
         want = _outcome(lambda: ref_breakpoints_1d(region))
         assert _outcome(region.breakpoints_1d) == (GeometryError if want is RuntimeError
                                                    else want)
+
+
+@st.composite
+def piecewise_affine(draw):
+    """piecewise_1d arguments of a random piecewise-affine u declared with
+    degree 1, with 0 to 3 jumps."""
+    lo = draw(st.sampled_from([-1.0, -2.0, 0.0, -0.3]))
+    hi = lo + draw(st.sampled_from([1.0, 2.0, 3.5]))
+    breaks = sorted(set(draw(st.lists(st.floats(lo + 0.01, hi - 0.01), max_size=3))))
+    # Slopes are 0 or at least 1/4: the rounding of u moves a crossing by about
+    # eps |u| / |slope|, for brentq and the chord alike.
+    slope = st.one_of(st.sampled_from([0.0, 0.5, -1.0, 2.0]), st.floats(0.25, 3),
+                      st.floats(-3, -0.25))
+    intercept = st.one_of(st.sampled_from([0.0, 0.5, -1.0, 2.0]), st.floats(-3, 3))
+    values, grads = zip(*(_poly([draw(slope), draw(intercept)])
+                          for _ in range(len(breaks) + 1)))
+    return dict(domain=Domain.interval(lo, hi), breakpoints=breaks, values=list(values),
+                grads=list(grads), degrees=[1] * len(values), sup_bound=1e3)
+
+
+@settings(max_examples=100, deadline=None)
+@given(piecewise_affine(), st.lists(st.one_of(st.floats(-4, 4),
+                                              st.integers(0, SCAN_POINTS - 1),
+                                              st.just(SCAN_POINTS - 1)),
+                                    min_size=1, max_size=4))
+def test_affine_crossings_are_closed_form(args, levels):
+    u = BVFunction.piecewise_1d(**args)
+    uc = BVFunction.piecewise_1d(**args, cantor=CantorPart(MIDDLE_THIRDS, 1.0),
+                                 cantor_amplitude=0.25)
+    xs, grid, affine = u.scan_table
+    # an integer picks the level equal to u at that grid point
+    ts = [float(grid[v]) if isinstance(v, int) else v for v in levels]
+    assume(all(t != 0.0 for t in ts))
+    calls = []
+
+    def counting(f, a, b, **kw):
+        calls.append((a, b))
+        return brentq(f, a, b, **kw)
+
+    with mock.patch.object(bvfunc, "brentq", counting):
+        for t in ts:
+            got = u.level_region(t).breakpoints_1d()
+            want = ref_breakpoints_1d(u.level_region(t))
+            assert len(got) == len(want)
+            assert all(abs(g - w) <= 1e-13 * max(1.0, abs(w)) for g, w in zip(got, want))
+            # only brackets that hold a jump of u go to brentq
+            assert all(not affine[np.searchsorted(xs, a)] for a, _ in calls)
+            calls.clear()
+        # a Cantor summand sends every crossing to brentq
+        _, cgrid, caffine = uc.scan_table
+        assert not caffine.any()
+        for t in ts:
+            sgn = np.sign(cgrid - t)
+            outcome = _outcome(uc.level_region(t).breakpoints_1d)
+            if outcome is not GeometryError:
+                assert len(calls) == np.count_nonzero(sgn[:-1] * sgn[1:] < 0)
+            calls.clear()
 
 
 def test_scan_grid_is_evaluated_once_per_function(dom11):

@@ -213,8 +213,14 @@ def test_failed_level_crossing_search_is_a_numerical_failure(tmp_path, monkeypat
     with pytest.raises(GeometryError, match=r"^level 0\.301: crossing search in \[0\.30\d*, "
                                             r"0\.302\d*\] failed: Failed to converge"):
         u.level_region(0.301).breakpoints_1d()
+    # u = x1 is affine, so its crossings are found in closed form, not by brentq
     scn = tmp_path / "linear.scn"
     scn.write_text(LINEAR_U_SCN)
+    assert main(["run", str(scn), "--out", str(tmp_path / "out")]) == EXIT_OK
+    capsys.readouterr()
+    scn = tmp_path / "cubic.scn"
+    scn.write_text(LINEAR_U_SCN.replace("pieces = x1", "pieces = x1 + x1^3")
+                   .replace("grads = 1", "grads = 1 + 3*x1^2").replace("sup = 1", "sup = 2"))
     assert main(["run", str(scn), "--out", str(tmp_path / "out")]) == EXIT_NUMERICAL_ERROR
     out = capsys.readouterr().out
     assert "numerical failure" in out and "crossing search" in out, out
@@ -238,9 +244,17 @@ MALFORMED = [
      [("kinetic_grid = 6, 10, 14", "inject_expansion_shock = 0.2, 0.8"),
       ("ncells = 800", "ncells = 40")],
      "inject_expansion_shock", EXIT_VALIDATION_ERROR),
+    ("dim-inf", "volpert-heaviside", [("dim = 1\n", "dim = inf\n")], "dim",
+     EXIT_VALIDATION_ERROR),
+    ("ncells-zero", "standing-shock-traffic", [("ncells = 800", "ncells = 0")], "ncells",
+     EXIT_VALIDATION_ERROR),
+    ("disc-two-numbers", "2d-vline-jump",
+     [("experiments = chain, green", "experiments = green"),
+      ("omegas = box -0.8 .. 0.8 x -0.7 .. 0.7", "omegas = disc 0 0")],
+     "omegas", EXIT_VALIDATION_ERROR),
 ]
 # only `run` reads these keys, so `validate` passes their files
-RUN_ONLY_KEYS = ("kinetic_grid", "inject_expansion_shock")
+RUN_ONLY_KEYS = ("kinetic_grid", "inject_expansion_shock", "ncells", "omegas")
 
 
 def _write_malformed(tmp_path, name, source, replacements, key):

@@ -575,3 +575,20 @@ def test_accumulated_interface_W_matches_loop(nif, n, ntimes, seed):
     total, worst = accumulated_interface_W(ta, tb)
     ref_total, ref_worst = ref_accumulated_interface_W(ta, tb)
     assert total == ref_total and worst == ref_worst
+
+
+def test_shock_dissipation_integrates_states_below_zero():
+    from types import SimpleNamespace
+
+    from divchain.runner import _shock_dissipation
+    flux = burgers_flux()
+    # unit windows in t and x, so the result is the dissipation rate itself
+    traj = SimpleNamespace(kvals=np.ones(4), edges=np.array([-1.0, 1.0]))
+    km = SimpleNamespace(t_basis=SimpleNamespace(hats=[SimpleNamespace(integral=lambda: 1.0)]),
+                         x_basis=SimpleNamespace(vals=lambda x: np.ones(len(x))))
+    uL, uR = 0.5, -0.5
+    etaL, etaR = S_QUAD.eta_of_k(flux, 1.0, [uL, uR])
+    s = (flux.flux_at(1.0, uR) - flux.flux_at(1.0, uL)) / (uR - uL)
+    want = -(s * (S_QUAD.S(uL) - S_QUAD.S(uR)) - (etaL - etaR))
+    assert want == pytest.approx(1.0 / 12.0)          # eta(u) = u^3 / 3
+    assert _shock_dissipation(flux, S_QUAD, uL, uR, traj, km) == pytest.approx(want, rel=1e-12)
