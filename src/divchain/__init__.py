@@ -8,8 +8,8 @@ from .cantor import CantorPart, IFSSpec, MIDDLE_THIRDS, cantor_function
 from .chainrule import (ChainRuleBreakdown, ScalarFunction, anzellotti_pairing,
                         chain_bv_scalar, chain_dm, chain_w11, green_check,
                         layer_cake_action, product_rule)
-from .field import (ParamField, PrimitiveField, div_decomposition,
-                    mollified_normal_trace, primitive, sigma_of, singular_set_check)
+from .field import (ParamField, PrimitiveField, mollified_normal_trace, primitive,
+                    sigma_of, singular_set_check)
 from .geometry import Domain, subboxes
 from .measure import (RadonMeasure, TestFunction, lub_measures, oscillatory_bump,
                       plateau_bump, radon_nikodym)
@@ -23,8 +23,8 @@ __all__ = [
     "BVFunction", "LevelRegion", "Piece", "CantorPart", "IFSSpec", "MIDDLE_THIRDS",
     "cantor_function", "ChainRuleBreakdown", "ScalarFunction", "anzellotti_pairing",
     "chain_bv_scalar", "chain_dm", "chain_w11", "green_check", "layer_cake_action",
-    "product_rule", "ParamField", "PrimitiveField", "div_decomposition",
-    "mollified_normal_trace", "primitive", "sigma_of", "singular_set_check",
+    "product_rule", "ParamField", "PrimitiveField", "mollified_normal_trace",
+    "primitive", "sigma_of", "singular_set_check",
     "Domain", "subboxes", "RadonMeasure", "TestFunction", "lub_measures",
     "oscillatory_bump", "plateau_bump", "radon_nikodym", "TestSuite", "build_suite",
     "compare", "mollification_study", "weak_divergence", "GraphCurve",

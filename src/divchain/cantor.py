@@ -103,10 +103,6 @@ class CantorPart:
     def apply(self, phi, rtol=RICHARDSON_RTOL):
         return self.mass * integrate_ifs(phi, self.spec, rtol=rtol)
 
-    def apply_at_depth(self, phi, depth):
-        xs, ws = support_nodes(self.spec, depth)
-        return self.mass * float(np.dot(np.asarray(phi(xs), dtype=float), ws))
-
     def total_variation(self, weight=None, rtol=RICHARDSON_RTOL):
         """TV of the part, optionally against an extra density |weight|."""
         if weight is None:

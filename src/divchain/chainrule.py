@@ -24,7 +24,6 @@ from .bvfunc import BVFunction
 from .cantor import CantorPart, support_nodes
 from .errors import GeometryError, OrientationError, WrongRegularityError
 from .field import ParamField, PrimitiveField, primitive
-from .geometry import Domain
 from .measure import RadonMeasure, TestFunction, plateau_bump
 from .quadrature import integrate_1d, integrate_to_upper
 from .rectifiable import RectifiableSet, merge_sets
@@ -34,14 +33,13 @@ class ChainRuleBreakdown:
     """The named terms; `total` is their exact sum."""
 
     def __init__(self, term_diva, term_divc, term_ac_u, term_cantor_u, term_jump,
-                 report=None, jump_symmetric=None):
+                 jump_symmetric=None):
         self.term_diva = term_diva
         self.term_divc = term_divc
         self.term_ac_u = term_ac_u
         self.term_cantor_u = term_cantor_u
         self.term_jump = term_jump
         self.total = term_diva + term_divc + term_ac_u + term_cantor_u + term_jump
-        self.report = report or {}
         self._jump_symmetric = jump_symmetric
 
     def terms(self):
@@ -129,7 +127,6 @@ def chain_dm(field: ParamField, u: BVFunction, prim: PrimitiveField | None = Non
     merged = _merged_singular(field, u)
     n_keys = set(field.singular_set.component_keys())
     j_keys = set(u.jump_set.component_keys())
-    report = {"degenerate_jump_samples": 0, "components": []}
     term_diva, term_divc, term_cantor_u = _x_and_cantor_terms(field, u, P, merged)
 
     # 3. <b(x, u~), grad u> dx
@@ -146,7 +143,6 @@ def chain_dm(field: ParamField, u: BVFunction, prim: PrimitiveField | None = Non
     for key, comp in _component_sets(merged):
         in_n = key in n_keys
         in_j = key in j_keys
-        report["components"].append({"key": str(key), "in_N": in_n, "in_Ju": in_j})
 
         def b_at(pts, tvals, side, in_n=in_n):
             if in_n:
@@ -173,17 +169,11 @@ def chain_dm(field: ParamField, u: BVFunction, prim: PrimitiveField | None = Non
                 return tot[:, 0] * np.asarray(nus, dtype=float).reshape(len(pts))
             return np.einsum("ij,ij->i", tot, np.atleast_2d(nus))
 
-        if in_j:
-            sp, _ = comp.samples(9)
-            up = np.asarray(u.u_plus(sp), dtype=float)
-            um = np.asarray(u.u_minus(sp), dtype=float)
-            report["degenerate_jump_samples"] += int(np.sum(np.abs(up - um) < 1e-14))
-
         term_jump = term_jump + RadonMeasure.from_jump(dom, comp, density)
         symmetric_jump = symmetric_jump + RadonMeasure.from_jump(dom, comp, density_symmetric)
 
     return ChainRuleBreakdown(term_diva, term_divc, term_ac_u, term_cantor_u,
-                              term_jump, report=report, jump_symmetric=symmetric_jump)
+                              term_jump, jump_symmetric=symmetric_jump)
 
 
 def chain_w11(field: ParamField, u: BVFunction, prim: PrimitiveField | None = None):
@@ -208,30 +198,11 @@ def layer_cake_action(field: ParamField, u: BVFunction, phi: TestFunction,
         \\int sgn(t) [Div_x b(., t)](phi chi*_{Omega_{u,t}}) dt
 
     Independent re-evaluation of term_diva + term_divc + term_jump for
-    continuous u; a quadrature-consistency cross-check, not an oracle.
+    continuous u; a quadrature-consistency cross-check, not an oracle.  The
+    a.c. and jump parts run level by level; the Cantor part is the same
+    t-integral summed exactly, by Fubini, in _cantor_layer_cake.
     """
     rng = u.sup_bound + 1e-9
-    cantor_prefix = None
-    if field.divc_part is not None:
-        # Cantor x-part on cached cylinder midpoints, sorted by the value of
-        # u so the level-set action becomes a prefix-sum lookup per t; the
-        # node error is the weight of the boundary cylinders, O(2^-depth).
-        xs, ws = _cantor_nodes(field.divc_part.spec)
-        phi_w = phi.value(xs[:, None]) * ws
-        uvals = u.eval(xs[:, None])
-        order = np.argsort(uvals, kind="stable")
-        cantor_prefix = (uvals[order],
-                         np.concatenate([[0.0], np.cumsum(phi_w[order])]))
-    mult = field.divc_multiplier
-
-    def cantor_action(t):
-        us, prefix = cantor_prefix
-        if t > 0:
-            val = prefix[-1] - prefix[np.searchsorted(us, t, side="right")]
-        else:
-            val = prefix[np.searchsorted(us, t, side="left")]
-        m = float(np.atleast_1d(mult(t))[0]) if mult is not None else 1.0
-        return field.divc_part.mass * m * float(val)
 
     def integrand(ts):
         out = np.empty(len(ts))
@@ -241,24 +212,37 @@ def layer_cake_action(field: ParamField, u: BVFunction, phi: TestFunction,
                 continue
             region = u.level_region(float(t))
             mu = field.div_measure(float(t))
-            breaks = region.extra_x_breaks()
+            mu = RadonMeasure(mu.domain, ac=mu.ac, ac_singular=mu.ac_singular, jumps=mu.jumps)
 
             def weighted(pts):
                 return phi.value(pts) * region.chi_star(pts)
 
-            cantor_val = 0.0
-            if mu.cantor is not None:
-                cantor_val = cantor_action(float(t))
-                mu = RadonMeasure(mu.domain, ac=mu.ac, ac_singular=mu.ac_singular,
-                                  jumps=mu.jumps)
-            out[i] = np.sign(t) * (mu.apply_function(
+            out[i] = np.sign(t) * mu.apply_function(
                 weighted, tol_abs=quad_tol, tol_rel=max(quad_tol, 1e-9),
-                extra_breaks=breaks) + cantor_val)
+                extra_breaks=region.extra_x_breaks())
         return out
 
     val, _ = integrate_1d(integrand, -rng, rng, breakpoints=[0.0],
                           tol_abs=t_tol, tol_rel=t_tol, max_segments=8192)
+    if field.divc_part is not None:
+        val += _cantor_layer_cake(field, u, phi)
     return val
+
+
+def _cantor_layer_cake(field: ParamField, u: BVFunction, phi: TestFunction):
+    """Cantor x-part of the layer-cake action, exact in t:
+
+        mass * sum_n phi(x_n) w_n F(u(x_n)),  F(s) = \\int_0^s multiplier(t) dt,
+
+    over the cached depth-20 cylinder midpoints x_n with weights w_n (node
+    error O(2^-20)), in 16 chunks of 2^16 nodes to bound the memory of F.
+    """
+    xs, ws = _cantor_nodes(field.divc_part.spec)
+    P = primitive(field)
+    total = 0.0
+    for x, w in zip(np.split(xs[:, None], 16), np.split(ws, 16)):
+        total += float(np.dot(phi.value(x) * w, P.divc_weight(u.eval(x))))
+    return field.divc_part.mass * total
 
 
 def chain_bv_scalar(field: ParamField, u: BVFunction, prim: PrimitiveField | None = None):

@@ -60,7 +60,7 @@ def _unreadable(path, exc):
 
 
 def _run_one(args_tuple):
-    path, out_dir, tol_abs, tol_rel = args_tuple
+    path, out_dir = args_tuple
     # non-finite field values surface as IntegrationError (exit 4) from the
     # finiteness guards; numpy's floating-point warnings would only repeat it
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -69,10 +69,6 @@ def _run_one(args_tuple):
                 scn = load(_resolve(path))
             except _UNREADABLE as exc:
                 return EXIT_PARSE_ERROR, _unreadable(path, exc)
-            if tol_abs is not None:
-                scn.tol_abs = tol_abs
-            if tol_rel is not None:
-                scn.tol_rel = tol_rel
             res = run_scenario(scn, out_dir=out_dir)
             code = EXIT_OK if res.passed else EXIT_CHECKS_FAILED
             lines = [f"[{'PASS' if c['pass'] else 'FAIL'}] {scn.id}: {c['name']}"
@@ -116,8 +112,6 @@ def main(argv=None):
     runp = sub.add_parser("run", help="run scenario file(s)")
     runp.add_argument("paths", nargs="+", help="scenario files or bundled ids")
     runp.add_argument("--jobs", type=int, default=1)
-    runp.add_argument("--tol-abs", type=float, default=None)
-    runp.add_argument("--tol-rel", type=float, default=None)
     runp.add_argument("--out", default=os.environ.get(DEFAULT_OUT_ENV, "out"))
 
     valp = sub.add_parser("validate", help="parse and validate without numerics")
@@ -149,7 +143,7 @@ def main(argv=None):
                 worst = max(worst, EXIT_VALIDATION_ERROR)
         return worst
 
-    tasks = [(p, args.out, args.tol_abs, args.tol_rel) for p in args.paths]
+    tasks = [(p, args.out) for p in args.paths]
     if args.jobs > 1 and len(tasks) > 1:
         results = _run_pooled(tasks, args.jobs)
     else:

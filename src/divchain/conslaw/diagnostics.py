@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import KineticViolationError, ScenarioValidationError
+from ..errors import ScenarioValidationError
 from ..measure import TestFunction
 from ..quadrature import gauss
 from .flux import EntropyPair, FluxSpec, chi
@@ -169,12 +169,6 @@ class KineticMeasure:
     @property
     def min_cell(self):
         return float(np.min(self.masses))
-
-    def check_nonnegative(self, slack=1e-8):
-        if self.min_cell < -slack:
-            raise KineticViolationError(
-                f"kinetic cell mass {self.min_cell:.3e} below -{slack:.1e}")
-        return True
 
 
 def kinetic_measure(traj: Trajectory, n_t=6, n_x=10, n_v=14):

@@ -45,10 +45,6 @@ class BoundaryError(DivchainError):
     """A mollification or trace ball exits the computational domain."""
 
 
-class KineticViolationError(DivchainError):
-    """A kinetic defect cell is negative beyond the allowed slack."""
-
-
 class ScenarioParseError(DivchainError):
     """Scenario file could not be parsed; carries position information."""
 

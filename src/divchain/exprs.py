@@ -1,9 +1,10 @@
 """Small vectorized expression grammar for scenario files.
 
-Supported: numbers, variables (x1, x2, t, k, u, v), + - * / ^, parentheses,
-comparisons (< <= > >=) producing 0/1 masks, and the function set
-sign, abs, H, sin, cos, exp, sqrt, min, max, Cantor.  Parsing errors carry
-line/column positions.  An expression is parsed into a small tuple tree, which
+Supported: numbers, variables (x1, x2, t; k, u in flux forms), + - * / ^,
+parentheses, comparisons (< <= > >=) producing 0/1 masks, and the function
+set sign, abs, H, sin, cos, exp, sqrt, min, max, Cantor.  Parsing errors carry
+line/column positions; a variable the compiling wrapper does not allow is a
+parse error on the line.  An expression is parsed into a small tuple tree, which
 is compiled once into closures and can be asked for its polynomial degree in a
 variable (`Expr.poly_degree`).
 """
@@ -130,6 +131,14 @@ def _compile(node, cantor):
             f(a(env), b(env)))
 
 
+def _variables(node):
+    if node[0] == "var":
+        return {node[1]}
+    if node[0] == "num":
+        return set()
+    return set().union(*map(_variables, node[1:]))
+
+
 def _degree(node, var):
     op = node[0]
     if op == "num":
@@ -233,10 +242,23 @@ def parse_expr(src, line=None, cantor_spec=None):
     return Expr(tree, cantor, src)
 
 
+def _parse_in(src, names, line=None, cantor_spec=None):
+    """parse_expr, and a parse error naming the line for any variable not in names."""
+    e = parse_expr(src, line, cantor_spec)
+    unknown = sorted(_variables(e.tree) - set(names))
+    if unknown:
+        raise ScenarioParseError(f"unknown variable {unknown[0]!r} in {src!r}; "
+                                 f"this value may use {', '.join(names)}", line)
+    return e
+
+
+_X_T = ("x1", "x2", "t")
+
+
 def compile_field(src, line=None, cantor_spec=None):
     """Comma-separated component expressions -> (pts, t) -> (n, ncomp)."""
     parts = _split_top(src)
-    exprs = [parse_expr(p, line, cantor_spec) for p in parts]
+    exprs = [_parse_in(p, _X_T, line, cantor_spec) for p in parts]
 
     def fn(pts, t):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
@@ -252,14 +274,13 @@ def compile_field(src, line=None, cantor_spec=None):
 
 def compile_scalar(src, line=None, cantor_spec=None):
     """Single expression -> (pts, t) -> (n,)."""
-    e = parse_expr(src, line, cantor_spec)
+    e = _parse_in(src, _X_T, line, cantor_spec)
 
-    def fn(pts, t=0.0, **kw):
+    def fn(pts, t=0.0):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         env = {"x1": pts[:, 0], "t": t}
         if pts.shape[1] > 1:
             env["x2"] = pts[:, 1]
-        env.update(kw)
         return np.broadcast_to(np.asarray(e(env), dtype=float), (len(pts),)).copy()
 
     return fn, e
@@ -267,7 +288,7 @@ def compile_scalar(src, line=None, cantor_spec=None):
 
 def compile_uv(src, line=None):
     """Expression in (k, u) -> vectorized fn(k, u) (flux forms)."""
-    e = parse_expr(src, line)
+    e = _parse_in(src, ("k", "u"), line)
 
     def fn(k, u):
         k = np.asarray(k, dtype=float)
@@ -283,7 +304,7 @@ def compile_uv(src, line=None):
 
 
 def compile_of_t(src, line=None):
-    e = parse_expr(src, line)
+    e = _parse_in(src, ("t",), line)
 
     def fn(t):
         t = np.asarray(t, dtype=float)

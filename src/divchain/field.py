@@ -208,9 +208,6 @@ class PrimitiveField:
             pts, t, lambda p, w: np.atleast_2d(np.asarray(self.field.b_minus(p, w), dtype=float))
             .reshape(len(p), self.domain.dim))
 
-    def star(self, pts, t):
-        return 0.5 * (self.plus(pts, t) + self.minus(pts, t))
-
     def diva(self, pts, t):
         pts = as_points(pts, self.domain.dim)
         t_arr = np.full(len(pts), t, dtype=float) if np.isscalar(t) else np.asarray(t, dtype=float)
@@ -266,60 +263,6 @@ class PrimitiveField:
         zero = np.max(np.abs(self.value(pts, 0.0)))
         return ok and zero == 0.0
 
-    def oscillation(self, x, w, radii=(1e-2, 1e-3)):
-        """Half-ball (on the singular set) or full-ball (off it) mean
-        oscillation of B(., w) about the relevant representative."""
-        pts = as_points(x, self.domain.dim)
-        f = self.field
-        on = False
-        nu = None
-        if not f.singular_set.is_empty:
-            if self.domain.dim == 1:
-                for xx, nn in zip(f.singular_set.points_1d, f.singular_set.normals_1d):
-                    if abs(xx - pts[0, 0]) <= 1e-11:
-                        on, nu = True, nn
-            else:
-                sp, sn = f.singular_set.samples(65)
-                d = np.linalg.norm(sp - pts[0], axis=1)
-                if d.min() <= 1e-9:
-                    on, nu = True, sn[int(np.argmin(d))]
-        out = []
-        if on:
-            bp = self.plus(pts, w)[0]
-            bm = self.minus(pts, w)[0]
-            for r in radii:
-                if self.domain.dim == 1:
-                    c = pts[0, 0]
-                    vp, _ = integrate_1d(
-                        lambda y: np.abs(self.value(y[:, None], w)[:, 0] - bp[0]),
-                        min(c, c + nu * r), max(c, c + nu * r), tol_abs=1e-9)
-                    vm, _ = integrate_1d(
-                        lambda y: np.abs(self.value(y[:, None], w)[:, 0] - bm[0]),
-                        min(c, c - nu * r), max(c, c - nu * r), tol_abs=1e-9)
-                    out.append((r, vp / r, vm / r))
-                else:
-                    area = np.pi * r * r / 2
-                    vp, _ = integrate_polar(
-                        lambda q: np.linalg.norm(self.value(q, w) - bp, axis=1), pts[0], r,
-                        half=(nu, +1), tol_abs=1e-9)
-                    vm, _ = integrate_polar(
-                        lambda q: np.linalg.norm(self.value(q, w) - bm, axis=1), pts[0], r,
-                        half=(nu, -1), tol_abs=1e-9)
-                    out.append((r, vp / area, vm / area))
-            return out
-        ref = self.value(pts, w)[0]
-        for r in radii:
-            if self.domain.dim == 1:
-                c = pts[0, 0]
-                v, _ = integrate_1d(lambda y: np.abs(self.value(y[:, None], w)[:, 0] - ref[0]),
-                                    c - r, c + r, tol_abs=1e-9)
-                out.append((r, v / (2 * r), v / (2 * r)))
-            else:
-                v, _ = integrate_polar(lambda q: np.linalg.norm(self.value(q, w) - ref, axis=1),
-                                       pts[0], r, tol_abs=1e-9)
-                out.append((r, v / (np.pi * r * r), v / (np.pi * r * r)))
-        return out
-
 
 def sigma_of(field: ParamField, t_samples):
     return field.sigma(t_samples)
@@ -327,13 +270,6 @@ def sigma_of(field: ParamField, t_samples):
 
 def primitive(field: ParamField) -> PrimitiveField:
     return PrimitiveField(field)
-
-
-def div_decomposition(field: ParamField, t):
-    lo, hi = field.t_range
-    if not (lo - 1e-12 <= t <= hi + 1e-12):
-        raise ValueError(f"t = {t} outside declared range {field.t_range}")
-    return field.div_measure(t)
 
 
 def mollified_normal_trace(field: ParamField, t, x, eps):

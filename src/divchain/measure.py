@@ -267,20 +267,17 @@ class RadonMeasure:
         return self._apply_field(phi.value, phi.support_box, tol_abs, tol_rel,
                                  phi_1d=phi.value_1d)
 
-    def apply_function(self, fn, tol_abs=1e-10, tol_rel=1e-10, extra_breaks=(),
-                       extra_curves=None):
+    def apply_function(self, fn, tol_abs=1e-10, tol_rel=1e-10, extra_breaks=()):
         """Action on a bounded Borel field given over the whole domain."""
         fn1d = (lambda x: np.asarray(fn(np.asarray(x, dtype=float)[:, None])))
         return self._apply_field(fn, self.domain.bounds, tol_abs, tol_rel,
-                                 phi_1d=fn1d, extra_breaks=extra_breaks,
-                                 extra_curves=extra_curves)
+                                 phi_1d=fn1d, extra_breaks=extra_breaks)
 
-    def _apply_field(self, value, box, tol_abs, tol_rel, phi_1d, extra_breaks=(),
-                     extra_curves=None):
+    def _apply_field(self, value, box, tol_abs, tol_rel, phi_1d, extra_breaks=()):
         total = 0.0
         if self.ac is not None:
             f = lambda pts: np.asarray(value(pts), dtype=float) * np.asarray(self.ac(pts), dtype=float)
-            total += self._integrate_ac(f, box, tol_abs, tol_rel, extra_breaks, extra_curves)
+            total += self._integrate_ac(f, box, tol_abs, tol_rel, extra_breaks)
         for comp, g in self.jumps.values():
             v, _ = comp.integrate(
                 lambda pts, nus: np.asarray(value(pts), dtype=float) * np.asarray(g(pts, nus), dtype=float),
@@ -289,7 +286,7 @@ class RadonMeasure:
         total += self._cantor_weighted(phi_1d, rtol=max(tol_rel / 10.0, 1e-10))
         return total
 
-    def _integrate_ac(self, f, box, tol_abs, tol_rel, extra_breaks=(), extra_curves=None):
+    def _integrate_ac(self, f, box, tol_abs, tol_rel, extra_breaks=()):
         if self.domain.dim == 1:
             (lo, hi), = box
             breaks = list(extra_breaks)
@@ -299,10 +296,7 @@ class RadonMeasure:
                 return f(np.asarray(x, dtype=float)[:, None])
             v, _ = integrate_1d(f1, lo, hi, breakpoints=breaks, tol_abs=tol_abs, tol_rel=tol_rel)
             return v
-        sets = [self.ac_singular]
-        if extra_curves is not None:
-            sets.append(extra_curves)
-        cells = box_cells(box, sets, extra_x_breaks=extra_breaks)
+        cells = box_cells(box, [self.ac_singular], extra_x_breaks=extra_breaks)
         v, _ = integrate_cells(f, cells, tol_abs=tol_abs, tol_rel=tol_rel)
         return v
 

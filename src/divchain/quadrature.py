@@ -227,24 +227,12 @@ def integrate_cells(f, cells, tol_abs=1e-10, tol_rel=1e-10):
     return total, err
 
 
-def integrate_polar(f, center, radius, theta_breaks=(), tol_abs=1e-10, tol_rel=1e-10,
-                    half=None):
-    """Integral of f over a disc (or half-disc) via polar coordinates.
-
-    half: optional unit vector nu; restricts to the half-disc
-    {y : <y - center, nu> >= 0} when sign=+1 is encoded by passing (nu, +1)
-    or (nu, -1).
-    """
+def integrate_polar(f, center, radius, theta_breaks=(), tol_abs=1e-10, tol_rel=1e-10):
+    """Integral of f over a disc via polar coordinates."""
     cx, cy = center
     t0, t1 = 0.0, 2.0 * np.pi
-    breaks = list(theta_breaks)
-    if half is not None:
-        nu, sign = half
-        # half-plane <e(theta), sign*nu> >= 0 is an interval of length pi
-        phi = np.arctan2(sign * nu[1], sign * nu[0])
-        t0, t1 = phi - np.pi / 2, phi + np.pi / 2
-    # fold every angular break into [t1 - 2 pi, t1]
-    breaks = [b + 2 * np.pi * np.floor((t1 - b) / (2 * np.pi)) for b in breaks]
+    # fold every angular break into [t0, t1]
+    breaks = [b + 2 * np.pi * np.floor((t1 - b) / (2 * np.pi)) for b in theta_breaks]
 
     def integrand(pts):
         th = pts[:, 0]

@@ -23,7 +23,7 @@ from .geometry import subboxes
 from .measure import RadonMeasure, radon_nikodym
 from .oracle import build_suite, compare, mollification_study, weak_divergence
 from .rectifiable import merge_sets
-from .scenario import Scenario, _interval, _number
+from .scenario import Scenario, _interval, _number, _positive
 
 SCHEMA_VERSION = 1
 
@@ -319,7 +319,7 @@ def run_green(scn: Scenario, res: RunResult):
             omegas.append(("box", bounds))
         elif words[0] == "disc":
             nums = [_number(w, ln) for w in words[1:]]
-            if len(nums) != 3 or not 0 < nums[2] < np.inf:
+            if len(nums) != 3 or nums[2] <= 0:
                 raise ScenarioValidationError(f"line {ln}: disc needs three numbers "
                                               f"'cx cy r' with r > 0")
             cx, cy, r = nums
@@ -387,7 +387,7 @@ def run_conslaw(scn: Scenario, res: RunResult):
     ln = lambda k: scn.raw.line("conslaw", k)
     flux = scn.flux
     u0_fn, _ = compile_scalar(scn.raw.require("conslaw", "u0"), ln("u0"))
-    T = _number(scn.raw.require("conslaw", "T"), ln("T"))
+    T = _positive(scn.raw.require("conslaw", "T"), ln("T"), "T")
     cfl = _number(sec.get("cfl", "0.45"), ln("cfl"))
     ncells = _number(sec.get("ncells", "200"), ln("ncells"))
     if not (ncells >= 1 and ncells.is_integer()):
@@ -449,6 +449,9 @@ def run_conslaw(scn: Scenario, res: RunResult):
         if "shock_left" in sec and "shock_right" in sec:
             uL = _number(sec["shock_left"], ln("shock_left"))
             uR = _number(sec["shock_right"], ln("shock_right"))
+            if uL == uR:
+                raise ScenarioValidationError(f"line {ln('shock_right')}: shock_right "
+                                              f"must differ from shock_left")
             expected = _shock_dissipation(flux, pair, uL, uR, traj, km)
             rel = abs(km.total_mass - expected) / max(abs(expected), 1e-300)
             res.check("conslaw:shock_dissipation", rel <= 0.02,
@@ -492,8 +495,8 @@ def run_kato(scn: Scenario, res: RunResult):
     from .exprs import compile_scalar
     sec = scn.raw.sections.get("kato", {})
     ln = lambda k: scn.raw.line("kato", k)
-    T = _number(scn.raw.require("kato", "T"), ln("T"))
-    dx_list = [_number(v, ln("dx_list"))
+    T = _positive(scn.raw.require("kato", "T"), ln("T"), "T")
+    dx_list = [_positive(v, ln("dx_list"), "dx_list")
                for v in scn.raw.require("kato", "dx_list").split(",")]
     pairs = []
     i = 1

@@ -29,10 +29,14 @@ def _number(text, line):
     try:
         if "/" in text:
             a, b = text.split("/")
-            return float(a) / float(b)
-        return float(text)
-    except ValueError as exc:
+            value = float(a) / float(b)
+        else:
+            value = float(text)
+    except (ValueError, ZeroDivisionError) as exc:
         raise ScenarioParseError(f"not a number: {text!r}", line) from exc
+    if not np.isfinite(value):
+        raise ScenarioValidationError(f"line {line}: {text!r} is not a finite number")
+    return value
 
 
 def _interval(text, line):
@@ -40,6 +44,13 @@ def _interval(text, line):
         raise ScenarioParseError(f"expected 'a .. b', got {text!r}", line)
     a, b = text.split("..")
     return (_number(a, line), _number(b, line))
+
+
+def _positive(text, line, key):
+    value = _number(text, line)
+    if value <= 0:
+        raise ScenarioValidationError(f"line {line}: {key} must be > 0")
+    return value
 
 
 class RawScenario:
@@ -377,16 +388,19 @@ class Scenario:
         for e in exps:
             if e not in EXPERIMENTS:
                 raise ScenarioValidationError(f"unknown experiment {e!r}")
+        if "w11" in exps and self.domain.dim != 1:
+            raise ScenarioValidationError(f"line {raw.line('scenario', 'experiments')}: "
+                                          f"w11 needs dim = 1")
         self.experiments = exps
         self.cantor_spec = build_cantor_spec(raw)
         self.is_cantor = (raw.get("field", "divc_mass") is not None
                           or raw.get("u", "cantor_amplitude") is not None)
         default_abs = "1e-5" if self.is_cantor else "1e-7"
         default_rel = "1e-5" if self.is_cantor else "1e-6"
-        self.tol_abs = _number(raw.get("scenario", "tol_abs", default_abs),
-                               raw.line("scenario", "tol_abs"))
-        self.tol_rel = _number(raw.get("scenario", "tol_rel", default_rel),
-                               raw.line("scenario", "tol_rel"))
+        self.tol_abs = _positive(raw.get("scenario", "tol_abs", default_abs),
+                                 raw.line("scenario", "tol_abs"), "tol_abs")
+        self.tol_rel = _positive(raw.get("scenario", "tol_rel", default_rel),
+                                 raw.line("scenario", "tol_rel"), "tol_rel")
 
         needs_field = any(e in exps for e in
                           ("chain", "w11", "bv-scalar", "product", "anzellotti",

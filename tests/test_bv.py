@@ -118,17 +118,6 @@ def test_level_zero_rejected(heaviside):
         heaviside.level_region(0.0)
 
 
-def test_trace_oscillation_decays(dom11):
-    u = BVFunction.piecewise_1d(dom11, [0.0],
-                                values=[lambda x: x, lambda x: 1 + x],
-                                grads=[ONES, ONES])
-    rows = u.trace_oscillation([0.0], radii=(1e-2, 1e-3))
-    # mean oscillation over half-balls shrinks with the radius
-    assert rows[1][1] < rows[0][1] + 1e-12
-    assert rows[1][2] < rows[0][2] + 1e-12
-    assert rows[1][1] < 1e-2
-
-
 # Reference: the level-set scan before u's grid table was kept on the
 # BVFunction.  It evaluates u on the grid for every level and walks every
 # bracket in Python.

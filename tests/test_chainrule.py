@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from divchain import (BVFunction, Domain, ParamField, RectifiableSet, ScalarFunction,
                       anzellotti_pairing, chain_bv_scalar, chain_dm, chain_w11,
                       green_check, layer_cake_action, plateau_bump, primitive,
                       product_rule, sigma_of, weak_divergence)
+from divchain.cantor import CantorPart, IFSSpec, cantor_function, integrate_ifs, support_nodes
 from divchain.errors import GeometryError, WrongRegularityError
+from divchain.quadrature import integrate_1d
 
 from conftest import ONES, ZEROS, sign_field, sign_t_field
 
@@ -89,6 +93,89 @@ def test_layer_cake_cross_check(dom11, point_zero, sign, bump_center):
     lc = layer_cake_action(sign, u, bump_center, t_tol=1e-9)
     xpart = (br.term_diva + br.term_divc + br.term_jump).apply(bump_center)
     assert lc == pytest.approx(xpart, abs=1e-7)
+
+
+# Reference: the Cantor x-part of layer_cake_action before it was summed
+# exactly in t.  The depth-20 nodes are sorted by u, so the action of the
+# Cantor part on phi chi*_{u,t} is a prefix sum, a staircase in t with one
+# step per node, and the adaptive rule integrates that staircase to t_tol.
+# layer_cake_action evaluated it level by level; here it runs on all the
+# levels of a pass at once.
+def ref_cantor_layer_cake(field, u, phi, t_tol):
+    xs, ws = support_nodes(field.divc_part.spec, 20)
+    uvals = u.eval(xs[:, None])
+    order = np.argsort(uvals, kind="stable")
+    us = uvals[order]
+    prefix = np.concatenate([[0.0], np.cumsum((phi.value(xs[:, None]) * ws)[order])])
+
+    def integrand(ts):
+        above = prefix[-1] - prefix[np.searchsorted(us, ts, side="right")]
+        below = prefix[np.searchsorted(us, ts, side="left")]
+        return np.sign(ts) * np.where(ts > 0, above, below) * field.divc_multiplier(ts)
+
+    rng = u.sup_bound + 1e-9
+    val, _ = integrate_1d(integrand, -rng, rng, breakpoints=[0.0], tol_abs=t_tol,
+                          tol_rel=t_tol, max_segments=8192)
+    return field.divc_part.mass * val
+
+
+def cantor_x_field(spec, mass, mult, degree):
+    """b(x, t) = mult(t) Cantor(x): Div_x b(., t) is mult(t) times the Cantor part."""
+    C = cantor_function(spec)
+    return ParamField(Domain.interval(-0.5, 1.5),
+                      lambda pts, t: (mult(t) * C(pts[:, 0]))[:, None], sup_bound=50.0,
+                      divc_part=CantorPart(spec, mass), divc_multiplier=mult,
+                      t_range=(-3, 3), t_degree=degree)
+
+
+def affine_u(a, s):
+    dom = Domain.interval(-0.5, 1.5)
+    return BVFunction.piecewise_1d(dom, [], values=[lambda x: a + s * x],
+                                   grads=[lambda x: s * np.ones_like(x)],
+                                   sup_bound=max(abs(a - 0.5 * s), abs(a + 1.5 * s)),
+                                   degrees=[1])
+
+
+@settings(max_examples=10, deadline=None)
+@given(spec=st.sampled_from([IFSSpec(0.0, 1.0), IFSSpec(-0.3, 0.9)]),
+       mass=st.sampled_from([1.0, -0.5, 2.0]),
+       coef=st.one_of(st.just("exp"),
+                      st.lists(st.floats(-2, 2), min_size=1, max_size=4)),
+       a=st.floats(-0.5, 0.5),
+       s=st.floats(0.1, 1.5), s_sign=st.sampled_from([1.0, -1.0]),
+       ends=st.tuples(st.floats(0.0, 0.2), st.floats(0.25, 0.45),
+                      st.floats(0.55, 0.75), st.floats(0.8, 1.0)))
+@example(spec=IFSSpec(0.0, 1.0), mass=1.0, coef="exp", a=0.1, s=1.0, s_sign=1.0,
+         ends=(0.05, 0.3, 0.7, 0.95))
+def test_cantor_layer_cake_is_the_exact_sum(spec, mass, coef, a, s, s_sign, ends):
+    # layer_cake_action's Cantor part against mass * int phi F(u) dmu_C, with
+    # F(s) = int_0^s mult the closed-form antiderivative; exp(t) has no
+    # declared degree, so its F takes integrate_to_upper's doubling path
+    if coef == "exp":
+        mult, F, degree = np.exp, np.expm1, None
+    else:
+        c = np.asarray(coef)
+        mult, degree = (lambda t: np.polyval(c, np.asarray(t, dtype=float))), len(c) - 1
+        F = lambda v: np.polyval(np.polyint(c), v)
+    u = affine_u(a, s * s_sign)
+    field = cantor_x_field(spec, mass, mult, degree)
+    width = spec.b - spec.a
+    lo, plo, phi_, hi = (spec.a + e * width for e in ends)
+    phi = plateau_bump([(lo, hi)], [(plo, phi_)])
+    exact = mass * integrate_ifs(lambda x: phi.value_1d(x) * F(u.eval(x[:, None])), spec)
+    assert layer_cake_action(field, u, phi) == pytest.approx(exact, abs=1e-7)
+
+
+def test_cantor_layer_cake_matches_the_staircase_route():
+    # cantor-divb-w11: u = x1, Div_x b(., t) = t (Cantor part); t_tol as the
+    # runner sets it for that scenario's tol_abs = 1e-5
+    t_tol = 7e-6
+    u = affine_u(0.0, 1.0)
+    field = cantor_x_field(IFSSpec(0.0, 1.0), 1.0,
+                           lambda t: np.asarray(t, dtype=float), 1)
+    phi = plateau_bump([(-0.3, 1.3)], [(0.0, 1.0)])
+    assert layer_cake_action(field, u, phi, t_tol=t_tol) == pytest.approx(
+        ref_cantor_layer_cake(field, u, phi, t_tol), abs=t_tol)
 
 
 def test_chain_bv_scalar_examples(dom11, point_zero, bump_center):
@@ -194,8 +281,9 @@ def test_degenerate_jump_reported(dom11, point_zero):
     equal = BVFunction.piecewise_1d(dom11, [0.0],
                                     values=[lambda x: 0.3 * np.ones_like(x)] * 2,
                                     grads=[ZEROS, ZEROS])
-    br = chain_dm(b, equal)
-    assert br.report["degenerate_jump_samples"] > 0
+    # the u:structure check reports it; the breakdown is still built
+    assert dict(equal.validate())["jump_nondegenerate"] is False
+    chain_dm(b, equal)
 
 
 def test_green_examples(dom11, point_zero, sign):

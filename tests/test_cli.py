@@ -252,9 +252,38 @@ MALFORMED = [
      [("experiments = chain, green", "experiments = green"),
       ("omegas = box -0.8 .. 0.8 x -0.7 .. 0.7", "omegas = disc 0 0")],
      "omegas", EXIT_VALIDATION_ERROR),
+    ("m-over-zero", "volpert-heaviside", [("M = 8", "M = 1/0")], "M", EXIT_PARSE_ERROR),
+    ("tol-abs-nan", "volpert-heaviside", [("dim = 1\n", "dim = 1\ntol_abs = nan\n")],
+     "tol_abs", EXIT_VALIDATION_ERROR),
+    ("tol-abs-negative", "volpert-heaviside", [("dim = 1\n", "dim = 1\ntol_abs = -1\n")],
+     "tol_abs", EXIT_VALIDATION_ERROR),
+    ("t-nan", "standing-shock-traffic", [("T = 0.8", "T = nan")], "T", EXIT_VALIDATION_ERROR),
+    ("t-inf", "standing-shock-traffic", [("T = 0.8", "T = inf")], "T", EXIT_VALIDATION_ERROR),
+    ("t-zero", "standing-shock-traffic", [("T = 0.8", "T = 0")], "T", EXIT_VALIDATION_ERROR),
+    ("t-negative", "standing-shock-traffic", [("T = 0.8", "T = -1")], "T",
+     EXIT_VALIDATION_ERROR),
+    ("equal-shock-states", "standing-shock-traffic",
+     [("shock_right = 0.8", "shock_right = 0.2"), ("ncells = 800", "ncells = 40")],
+     "shock_right", EXIT_VALIDATION_ERROR),
+    ("unknown-name-in-b", "volpert-heaviside", [("b = 2*t", "b = y + 2*t")], "b",
+     EXIT_PARSE_ERROR),
+    ("unknown-name-in-pieces", "volpert-heaviside", [("pieces = 0 | 1", "pieces = 0 | z")],
+     "pieces", EXIT_PARSE_ERROR),
+    ("unknown-name-in-ahat", "standing-shock-traffic",
+     [("ahat = k*u*(1-u)", "ahat = k*u*(1-w)")], "ahat", EXIT_PARSE_ERROR),
+    ("w11-in-2d", "2d-smooth-disc", [("experiments = chain, green", "experiments = w11")],
+     "experiments", EXIT_VALIDATION_ERROR),
+    ("kato-t-negative", "traffic-kato",
+     [("experiments = conslaw, kato", "experiments = kato"), ("T = 0.25\ncfl", "cfl"),
+      ("T = 0.25\ndx_list", "T = -1\ndx_list")], "T", EXIT_VALIDATION_ERROR),
+    ("kato-dx-zero", "traffic-kato",
+     [("experiments = conslaw, kato", "experiments = kato"),
+      ("dx_list = 1/100, 1/200, 1/400", "dx_list = 1/100, 0")], "dx_list",
+     EXIT_VALIDATION_ERROR),
 ]
 # only `run` reads these keys, so `validate` passes their files
-RUN_ONLY_KEYS = ("kinetic_grid", "inject_expansion_shock", "ncells", "omegas")
+RUN_ONLY_KEYS = ("kinetic_grid", "inject_expansion_shock", "ncells", "omegas", "T",
+                 "shock_right", "dx_list")
 
 
 def _write_malformed(tmp_path, name, source, replacements, key):

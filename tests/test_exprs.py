@@ -62,6 +62,18 @@ def test_parse_errors_carry_positions():
         parse_expr("1 2")
 
 
+@pytest.mark.parametrize("compile_fn, src", [(compile_scalar, "x1 + k"),
+                                             (compile_field, "x1, y"),
+                                             (compile_uv, "k*u*(1-w)"),
+                                             (compile_of_t, "t*x1")])
+def test_unknown_variables_are_parse_errors(compile_fn, src):
+    # each value names the variables it may use; any other name is an error
+    # on the value's line, before anything is evaluated
+    with pytest.raises(ScenarioParseError, match=r"^line 4: unknown variable") as e:
+        compile_fn(src, 4)
+    assert e.value.col is None
+
+
 # -- the closure-building parser this module's tree compiler replaced -------
 # It builds each closure while parsing; the tree-compiled expressions must
 # give the same values bit for bit, with the same shape and dtype.

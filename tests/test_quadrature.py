@@ -62,9 +62,6 @@ def test_cells_sum():
 def test_polar_disc_area_and_half():
     val, _ = integrate_polar(lambda p: np.ones(len(p)), (0.3, -0.2), 0.5)
     assert abs(val - np.pi * 0.25) < 1e-10
-    val, _ = integrate_polar(lambda p: np.ones(len(p)), (0, 0), 1.0,
-                             half=(np.array([0.6, 0.8]), +1))
-    assert abs(val - np.pi / 2) < 1e-10
 
 
 def test_polar_break_normalization():
