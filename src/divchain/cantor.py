@@ -48,6 +48,16 @@ def support_nodes(spec: IFSSpec, depth: int):
     return xs, np.full(xs.size, 0.5 ** depth)
 
 
+def construction_endpoints(spec: IFSSpec, depth: int):
+    """Sorted endpoints of the 2^depth construction intervals at a given depth."""
+    a, width = spec.a, spec.b - spec.a
+    lefts = np.array([a])
+    for _ in range(depth):
+        lefts = np.concatenate([a + RATIO * (lefts - a),
+                                a + 2.0 / 3.0 * width + RATIO * (lefts - a)])
+    return np.column_stack([lefts, lefts + width * RATIO ** depth]).ravel()
+
+
 def integrate_ifs(phi, spec: IFSSpec, rtol=RICHARDSON_RTOL):
     """\\int phi d(mu) against the Cantor probability measure, depth-refined."""
     prev = None

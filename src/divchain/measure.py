@@ -34,14 +34,27 @@ def _wrap_scale(f, c):
 
 
 class TestFunction:
-    """Compactly supported C^1-or-better scalar field with analytic gradient."""
+    """Compactly supported C^1-or-better scalar field with analytic gradient.
 
-    def __init__(self, value, gradient, support_box, dim, label=""):
+    breaks holds, per axis, the abscissae inside the support where the
+    gradient loses smoothness; quadratures against the function split there.
+    """
+
+    def __init__(self, value, gradient, support_box, dim, label="", breaks=None):
         self.value = value
         self.gradient = gradient
         self.support_box = tuple(tuple(map(float, b)) for b in support_box)
         self.dim = dim
         self.label = label
+        self.breaks = tuple(() for _ in range(dim)) if breaks is None else \
+            tuple(tuple(map(float, b)) for b in breaks)
+
+    def with_breaks(self, extra):
+        """A copy that also breaks at extra[axis], where inside the support."""
+        breaks = [tuple(sorted(set(own) | {float(p) for p in more if lo < p < hi}))
+                  for own, more, (lo, hi) in zip(self.breaks, extra, self.support_box)]
+        return TestFunction(self.value, self.gradient, self.support_box, self.dim,
+                            label=self.label, breaks=breaks)
 
     def __repr__(self):
         return f"TestFunction({self.label or self.support_box})"
@@ -116,7 +129,7 @@ def plateau_bump(support_box, plateau_box, label=""):
             cols.append(col)
         return np.column_stack(cols)
 
-    return TestFunction(value, gradient, support_box, dim, label=label)
+    return TestFunction(value, gradient, support_box, dim, label=label, breaks=plateau_box)
 
 
 def oscillatory_bump(support_box, plateau_box, wave_vector, label=""):
@@ -135,7 +148,7 @@ def oscillatory_bump(support_box, plateau_box, wave_vector, label=""):
         c = np.cos(pts @ k)
         return base.gradient(pts) * s[:, None] + base.value(pts)[:, None] * c[:, None] * k[None, :]
 
-    return TestFunction(value, gradient, support_box, dim, label=label)
+    return TestFunction(value, gradient, support_box, dim, label=label, breaks=base.breaks)
 
 
 class RadonMeasure:
@@ -265,19 +278,20 @@ class RadonMeasure:
         if not self.domain.contains_box(phi.support_box):
             raise DomainMismatchError("test function support exceeds the measure's domain")
         return self._apply_field(phi.value, phi.support_box, tol_abs, tol_rel,
-                                 phi_1d=phi.value_1d)
+                                 phi_1d=phi.value_1d, breaks=phi.breaks)
 
     def apply_function(self, fn, tol_abs=1e-10, tol_rel=1e-10, extra_breaks=()):
         """Action on a bounded Borel field given over the whole domain."""
         fn1d = (lambda x: np.asarray(fn(np.asarray(x, dtype=float)[:, None])))
         return self._apply_field(fn, self.domain.bounds, tol_abs, tol_rel,
-                                 phi_1d=fn1d, extra_breaks=extra_breaks)
+                                 phi_1d=fn1d, breaks=(extra_breaks,))
 
-    def _apply_field(self, value, box, tol_abs, tol_rel, phi_1d, extra_breaks=()):
+    def _apply_field(self, value, box, tol_abs, tol_rel, phi_1d, breaks=()):
+        """breaks: per-axis abscissae where the a.c. integral is split."""
         total = 0.0
         if self.ac is not None:
             f = lambda pts: np.asarray(value(pts), dtype=float) * np.asarray(self.ac(pts), dtype=float)
-            total += self._integrate_ac(f, box, tol_abs, tol_rel, extra_breaks)
+            total += self._integrate_ac(f, box, tol_abs, tol_rel, *breaks)
         for comp, g in self.jumps.values():
             v, _ = comp.integrate(
                 lambda pts, nus: np.asarray(value(pts), dtype=float) * np.asarray(g(pts, nus), dtype=float),
@@ -286,7 +300,7 @@ class RadonMeasure:
         total += self._cantor_weighted(phi_1d, rtol=max(tol_rel / 10.0, 1e-10))
         return total
 
-    def _integrate_ac(self, f, box, tol_abs, tol_rel, extra_breaks=()):
+    def _integrate_ac(self, f, box, tol_abs, tol_rel, extra_breaks=(), extra_y_breaks=()):
         if self.domain.dim == 1:
             (lo, hi), = box
             breaks = list(extra_breaks)
@@ -296,7 +310,8 @@ class RadonMeasure:
                 return f(np.asarray(x, dtype=float)[:, None])
             v, _ = integrate_1d(f1, lo, hi, breakpoints=breaks, tol_abs=tol_abs, tol_rel=tol_rel)
             return v
-        cells = box_cells(box, [self.ac_singular], extra_x_breaks=extra_breaks)
+        cells = box_cells(box, [self.ac_singular], extra_x_breaks=extra_breaks,
+                          extra_y_breaks=extra_y_breaks)
         v, _ = integrate_cells(f, cells, tol_abs=tol_abs, tol_rel=tol_rel)
         return v
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .cantor import IFSSpec, construction_endpoints
 from .field import ParamField, mollified_normal_trace
 from .geometry import Domain
 from .measure import RadonMeasure, TestFunction, oscillatory_bump, plateau_bump
@@ -43,9 +44,38 @@ def _shrink(lo, hi, frac_lo, frac_hi):
     return lo + frac_lo * w, lo + frac_hi * w
 
 
-def build_suite(domain: Domain, singular: RectifiableSet | None = None, n_min=20):
+# Depth bounds of the Cantor construction breaks.  With the base endpoints
+# alone (depth 0) the G7-K15 error estimate misjudged the Hoelder integrands
+# and cantor-u-autonomous failed its oracle check; from depth 6 on, every
+# bundled Cantor file kept its oracle difference under 4e-8.  Past depth 10
+# the 2^(k+1) breaks cost more segments than they save (depth 12 ran those
+# files 2-4 times slower than depth 10).
+CANTOR_DEPTH_MIN = 6
+CANTOR_DEPTH_MAX = 10
+
+
+def cantor_depth(quad_tol):
+    """Smallest depth k with 2^-k <= sqrt(quad_tol), within the bounds above.
+
+    The Cantor function varies by 2^-k on a depth-k construction interval.
+    """
+    k = int(np.ceil(-0.5 * np.log2(quad_tol)))
+    return min(max(k, CANTOR_DEPTH_MIN), CANTOR_DEPTH_MAX)
+
+
+def cantor_breaks(spec: IFSSpec, quad_tol):
+    """Endpoints of the declared construction's intervals at cantor_depth."""
+    return construction_endpoints(spec, cantor_depth(quad_tol))
+
+
+def build_suite(domain: Domain, singular: RectifiableSet | None = None, n_min=20,
+                breaks_1d=()):
     """Plateau/oscillatory bumps: >= 3 straddling each singular component,
-    plus a grid of off-set bumps and sign-changing oscillatory ones."""
+    plus a grid of off-set bumps and sign-changing oscillatory ones.
+
+    In 1-D every member also breaks at the declared abscissae breaks_1d that
+    fall inside its support (the Cantor construction; see cantor_breaks).
+    """
     fns = []
     dim = domain.dim
     bounds = domain.bounds
@@ -102,6 +132,8 @@ def build_suite(domain: Domain, singular: RectifiableSet | None = None, n_min=20
         j += 1
         if j > 50:
             break
+    if dim == 1 and len(breaks_1d):
+        fns = [f.with_breaks([breaks_1d]) for f in fns]
     return TestSuite(fns, domain, singular)
 
 
@@ -118,7 +150,7 @@ def weak_divergence(v_eval, phi: TestFunction, domain: Domain,
         from .errors import DomainMismatchError
         raise DomainMismatchError("test function support exceeds the domain")
     if domain.dim == 1:
-        breaks = [] if singular is None else list(singular.points_1d)
+        breaks = list(phi.breaks[0]) + ([] if singular is None else list(singular.points_1d))
 
         def f(x):
             pts = x[:, None]
@@ -129,7 +161,8 @@ def weak_divergence(v_eval, phi: TestFunction, domain: Domain,
         (lo, hi), = phi.support_box
         return integrate_1d(f, lo, hi, breakpoints=breaks, tol_abs=tol_abs, tol_rel=tol_rel)
 
-    cells = box_cells(phi.support_box, [singular] if singular is not None else [])
+    cells = box_cells(phi.support_box, [singular] if singular is not None else [],
+                      extra_x_breaks=phi.breaks[0], extra_y_breaks=phi.breaks[1])
 
     def f(pts):
         g = phi.gradient(pts)

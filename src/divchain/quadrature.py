@@ -150,78 +150,100 @@ class CurvedCell:
         self.hi = hi if callable(hi) else (lambda x, c=float(hi): np.full_like(x, c))
 
 
-def _cell_tensor(f, cell, rect):
-    """Tensor G7-K15 on sub-rectangles of a cell's (x1, s) parameter square.
+def _cell_rect_values(f, cells, rects):
+    """Tensor G7-K15 on sub-rectangles of the cells' (x1, s) parameter squares.
 
-    rect: (nrect, 4) array of (u0, u1, s0, s1).  Returns (vals, errs).
+    rects[i] is an (nrect_i, 4) array of (u0, u1, s0, s1) in cells[i].  The
+    rectangles of every cell go through one call to f; lo/hi are evaluated
+    per cell.  Returns one (vals, errs) pair per cell.
     """
+    rect = np.vstack(rects)
     u0, u1, s0, s1 = rect.T
     umid, uhalf = 0.5 * (u0 + u1), 0.5 * (u1 - u0)
     smid, shalf = 0.5 * (s0 + s1), 0.5 * (s1 - s0)
     xu = umid[:, None] + uhalf[:, None] * _XGK[None, :]          # (nr, 15)
     xs = smid[:, None] + shalf[:, None] * _XGK[None, :]          # (nr, 15)
-    x1 = np.repeat(xu[:, :, None], 15, axis=2)                   # (nr, 15, 15)
-    ss = np.repeat(xs[:, None, :], 15, axis=1)
-    lo = cell.lo(x1.ravel())
-    hi = cell.hi(x1.ravel())
+    x1 = np.repeat(xu[:, :, None], 15, axis=2).ravel()           # nr * 225 nodes
+    ss = np.repeat(xs[:, None, :], 15, axis=1).ravel()
+    counts = [len(r) for r in rects]
+    ends = np.cumsum(counts)
+    lo = np.empty_like(x1)
+    hi = np.empty_like(x1)
+    for cell, a, b in zip(cells, 225 * (ends - counts), 225 * ends):
+        lo[a:b] = cell.lo(x1[a:b])
+        hi[a:b] = cell.hi(x1[a:b])
     width = hi - lo
-    x2 = lo + ss.ravel() * width
-    pts = np.column_stack([x1.ravel(), x2])
+    pts = np.column_stack([x1, lo + ss * width])
     vals = np.asarray(f(pts), dtype=float) * width
     if not np.all(np.isfinite(vals)):
         raise _non_finite(vals, pts)
     vals = vals.reshape(-1, 15, 15)
-    jac = (uhalf * shalf)[:, None, None]
-    ik = np.einsum("rij,i,j->r", vals, _WGK, _WGK) * jac[:, 0, 0]
+    jac = uhalf * shalf
+    ik = np.einsum("rij,i,j->r", vals, _WGK, _WGK) * jac
     g = vals[:, _GAUSS_IDX][:, :, _GAUSS_IDX]
-    ig = np.einsum("rij,i,j->r", g, _WG, _WG) * jac[:, 0, 0]
-    return ik, np.abs(ik - ig)
+    ig = np.einsum("rij,i,j->r", g, _WG, _WG) * jac
+    err = np.abs(ik - ig)
+    return list(zip(np.split(ik, ends[:-1]), np.split(err, ends[:-1])))
 
 
-def integrate_cell(f, cell, tol_abs=1e-10, tol_rel=1e-10, max_rects=16384):
-    """Adaptive tensor quadrature of vectorized f(pts) over one curved cell."""
-    rects = np.array([[cell.a1, cell.b1, 0.0, 1.0]])
-    vals, errs = _cell_tensor(f, cell, rects)
-    for _ in range(40):
-        total = float(np.sum(vals))
-        errsum = float(np.sum(errs))
-        tol = max(tol_abs, tol_rel * abs(total))
-        if errsum <= tol:
-            return total, errsum
-        if len(rects) > max_rects:
-            raise IntegrationError(
-                f"2d quadrature stalled: {len(rects)} cells, error {errsum:.3e} > {tol:.3e}")
-        area = (rects[:, 1] - rects[:, 0]) * (rects[:, 3] - rects[:, 2])
-        share = tol * area / area.sum()
-        bad = errs > np.maximum(share, 1e-300)
-        if not np.any(bad):
-            bad = errs >= 0.5 * errs.max()
-        keep = rects[~bad]
-        kv, ke = vals[~bad], errs[~bad]
-        split = []
-        for u0, u1, s0, s1 in rects[bad]:
-            if (u1 - u0) >= (s1 - s0):
-                um = 0.5 * (u0 + u1)
-                split += [[u0, um, s0, s1], [um, u1, s0, s1]]
-            else:
-                sm = 0.5 * (s0 + s1)
-                split += [[u0, u1, s0, sm], [u0, u1, sm, s1]]
-        split = np.array(split)
-        sv, se = _cell_tensor(f, cell, split)
-        rects = np.vstack([keep, split])
-        vals = np.concatenate([kv, sv])
-        errs = np.concatenate([ke, se])
-    raise IntegrationError("2d quadrature did not converge")
+def _bisect(rects):
+    """Both halves of each rectangle, split across its longer side, in order."""
+    u0, u1, s0, s1 = rects.T
+    wide = (u1 - u0) >= (s1 - s0)
+    um, sm = 0.5 * (u0 + u1), 0.5 * (s0 + s1)
+    first = np.column_stack([u0, np.where(wide, um, u1), s0, np.where(wide, s1, sm)])
+    second = np.column_stack([np.where(wide, um, u0), u1, np.where(wide, s0, sm), s1])
+    return np.stack([first, second], axis=1).reshape(-1, 4)
 
 
-def integrate_cells(f, cells, tol_abs=1e-10, tol_rel=1e-10):
-    """Sum of integrate_cell over a cell decomposition (fixed order)."""
+def integrate_cells(f, cells, tol_abs=1e-10, tol_rel=1e-10, max_rects=16384):
+    """Adaptive tensor quadrature of vectorized f(pts) over a cell decomposition.
+
+    Each cell refines on its own: it has the absolute budget tol_abs /
+    len(cells), its own stopping test and a fixed summation order, and the
+    cell values are added in the order of `cells`.  Each refinement round
+    evaluates the new rectangles of every unfinished cell in one call to f.
+    """
     if not cells:
         return 0.0, 0.0
     per = max(tol_abs / len(cells), 1e-15)
+    rects = [np.array([[c.a1, c.b1, 0.0, 1.0]]) for c in cells]
+    vals, errs = map(list, zip(*_cell_rect_values(f, cells, rects)))
+    done = [None] * len(cells)
+    active = range(len(cells))
+    for _ in range(40):
+        refine, split = [], []
+        for i in active:
+            total = float(np.sum(vals[i]))
+            errsum = float(np.sum(errs[i]))
+            tol = max(per, tol_rel * abs(total))
+            if errsum <= tol:
+                done[i] = (total, errsum)
+                continue
+            if len(rects[i]) > max_rects:
+                raise IntegrationError(
+                    f"2d quadrature stalled: {len(rects[i])} cells, error {errsum:.3e} > {tol:.3e}")
+            r = rects[i]
+            area = (r[:, 1] - r[:, 0]) * (r[:, 3] - r[:, 2])
+            share = tol * area / area.sum()
+            bad = errs[i] > np.maximum(share, 1e-300)
+            if not np.any(bad):
+                bad = errs[i] >= 0.5 * errs[i].max()
+            halves = _bisect(r[bad])
+            rects[i] = np.vstack([r[~bad], halves])
+            vals[i], errs[i] = vals[i][~bad], errs[i][~bad]
+            refine.append(i)
+            split.append(halves)
+        if not refine:
+            break
+        for i, (sv, se) in zip(refine, _cell_rect_values(f, [cells[i] for i in refine], split)):
+            vals[i] = np.concatenate([vals[i], sv])
+            errs[i] = np.concatenate([errs[i], se])
+        active = refine
+    else:
+        raise IntegrationError("2d quadrature did not converge")
     total, err = 0.0, 0.0
-    for cell in cells:
-        v, e = integrate_cell(f, cell, tol_abs=per, tol_rel=tol_rel)
+    for v, e in done:
         total += v
         err += e
     return total, err

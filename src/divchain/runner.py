@@ -21,7 +21,7 @@ from .errors import DivchainError, ScenarioParseError, ScenarioValidationError
 from .field import primitive, sigma_of, singular_set_check
 from .geometry import subboxes
 from .measure import RadonMeasure, radon_nikodym
-from .oracle import build_suite, compare, mollification_study, weak_divergence
+from .oracle import build_suite, cantor_breaks, compare, mollification_study
 from .rectifiable import merge_sets
 from .scenario import Scenario, _interval, _number, _positive
 
@@ -99,7 +99,10 @@ def run_chain(scn: Scenario, res: RunResult, mode="chain"):
     field, u = scn.field, scn.u
     prim = primitive(field)
     merged = _merged(scn)
-    suite = build_suite(scn.domain, None if merged.is_empty else merged)
+    quad_tol = max(scn.tol_abs / 3.0, 1e-10) if scn.is_cantor else max(scn.tol_abs / 30.0, 1e-10)
+    # splits from the declared construction, never from the measure under test
+    breaks = cantor_breaks(scn.cantor_spec, quad_tol) if scn.is_cantor else ()
+    suite = build_suite(scn.domain, None if merged.is_empty else merged, breaks_1d=breaks)
     if mode == "w11":
         br = chain_w11(field, u, prim=prim)
     elif mode == "bv-scalar":
@@ -110,7 +113,6 @@ def run_chain(scn: Scenario, res: RunResult, mode="chain"):
     total = br.total
     if scn.fake_scale is not None:
         total = total * scn.fake_scale
-    quad_tol = max(scn.tol_abs / 3.0, 1e-10) if scn.is_cantor else max(scn.tol_abs / 30.0, 1e-10)
     cmp = compare(total, _v_eval(prim, u), suite,
                   tol_abs=scn.tol_abs, tol_rel=scn.tol_rel, quad_tol=quad_tol)
     res.phi_rows.extend({"scenario": scn.id, "experiment": mode, **row}
@@ -393,6 +395,17 @@ def run_conslaw(scn: Scenario, res: RunResult):
     if not (ncells >= 1 and ncells.is_integer()):
         raise ScenarioValidationError(f"line {ln('ncells')}: ncells must be a positive integer")
     ncells = int(ncells)
+    # every value of the kinetic part is checked before the solve
+    kinetic = sec.get("run_kinetic", "false").lower() == "true"
+    shock = None
+    if kinetic:
+        kgrid = [int(v) for v in _three_numbers(sec, "kinetic_grid", ln, "6, 10, 14")]
+        if "shock_left" in sec and "shock_right" in sec:
+            shock = (_number(sec["shock_left"], ln("shock_left")),
+                     _number(sec["shock_right"], ln("shock_right")))
+            if shock[0] == shock[1]:
+                raise ScenarioValidationError(f"line {ln('shock_right')}: shock_right "
+                                              f"must differ from shock_left")
     grid = GridState.from_function(scn.domain, ncells, lambda x: u0_fn(x[:, None]),
                                    cfl=cfl)
     if "inject_expansion_shock" in sec:
@@ -434,9 +447,8 @@ def run_conslaw(scn: Scenario, res: RunResult):
               worst_residual=er["worst_residual"], bound=bound,
               interface_choice_flagged=er["interface_choice_flagged"])
 
-    if sec.get("run_kinetic", "false").lower() == "true":
-        km = kinetic_measure(traj, *(int(v) for v in
-                                     _three_numbers(sec, "kinetic_grid", ln, "6, 10, 14")))
+    if kinetic:
+        km = kinetic_measure(traj, *kgrid)
         strict = sec.get("kinetic_strict", "false").lower() == "true"
         if strict:
             res.check("conslaw:kinetic_nonnegative", km.min_cell >= -1e-8,
@@ -446,13 +458,8 @@ def run_conslaw(scn: Scenario, res: RunResult):
                       note="O(dx) staircase dust expected for moving waves")
         ident = kinetic_identity_residual(traj, km)
         res.check("conslaw:kinetic_identity", ident <= 1e-10, residual=ident)
-        if "shock_left" in sec and "shock_right" in sec:
-            uL = _number(sec["shock_left"], ln("shock_left"))
-            uR = _number(sec["shock_right"], ln("shock_right"))
-            if uL == uR:
-                raise ScenarioValidationError(f"line {ln('shock_right')}: shock_right "
-                                              f"must differ from shock_left")
-            expected = _shock_dissipation(flux, pair, uL, uR, traj, km)
+        if shock is not None:
+            expected = _shock_dissipation(flux, pair, *shock, traj, km)
             rel = abs(km.total_mass - expected) / max(abs(expected), 1e-300)
             res.check("conslaw:shock_dissipation", rel <= 0.02,
                       measured=km.total_mass, expected=expected, rel_error=rel)

@@ -322,6 +322,23 @@ def test_malformed_values_do_not_stop_the_batch(tmp_path, capsys):
     assert all(f"error in {p}: line " in out for p in paths)
 
 
+@pytest.mark.parametrize("replacements, key", [
+    ([("shock_right = 0.8", "shock_right = 0.2")], "shock_right"),
+    ([("kinetic_grid = 6, 10, 14", "kinetic_grid = 6, 10")], "kinetic_grid"),
+], ids=["equal-shock-states", "kinetic-grid-pair"])
+def test_kinetic_values_are_checked_before_the_solve(tmp_path, monkeypatch, capsys,
+                                                     replacements, key):
+    import divchain.conslaw
+
+    def no_solve(*args, **kw):
+        raise AssertionError("the solve ran before the validation")
+
+    monkeypatch.setattr(divchain.conslaw, "fv_solve", no_solve)
+    path, line = _write_malformed(tmp_path, key, "standing-shock-traffic", replacements, key)
+    assert main(["run", path, "--out", str(tmp_path / "out")]) == EXIT_VALIDATION_ERROR
+    assert capsys.readouterr().out.startswith(f"validation error in {path}: line {line}: ")
+
+
 def test_every_exported_name_resolves():
     import divchain
     import divchain.conslaw

@@ -1,8 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from divchain import (Domain, RadonMeasure, build_suite, compare,
-                      mollification_study, plateau_bump, weak_divergence)
+from divchain import (Domain, RadonMeasure, RectifiableSet, build_suite, compare,
+                      mollification_study, oscillatory_bump, plateau_bump, weak_divergence)
+from divchain import measure
+from divchain.cantor import IFSSpec
+from divchain.oracle import CANTOR_DEPTH_MAX, CANTOR_DEPTH_MIN, cantor_breaks, cantor_depth
 
 from conftest import sign_field
 
@@ -81,3 +86,151 @@ def test_mollification_study(dom11, point_zero):
     assert all(r["deviation"] < 1e-12 for r in rep["rows"])
     with pytest.raises(ValueError):
         mollification_study(b, 1.0, [0.0], [0.05, 0.1])
+
+
+@st.composite
+def bumps(draw, dim):
+    """A plateau or oscillatory bump with a generated support and plateau."""
+    support, plateau = [], []
+    for _ in range(dim):
+        a = draw(st.floats(-0.95, 0.6))
+        b = draw(st.floats(a + 0.2, 0.95))
+        f1 = draw(st.floats(0.05, 0.85))
+        f2 = draw(st.floats(f1 + 0.05, 0.95))
+        support.append((a, b))
+        plateau.append((a + f1 * (b - a), a + f2 * (b - a)))
+    if draw(st.booleans()):
+        return plateau_bump(support, plateau)
+    k = draw(st.lists(st.floats(-8.0, 8.0), min_size=dim, max_size=dim))
+    return oscillatory_bump(support, plateau, k)
+
+
+def _piecewise_gauss(f, box, breaks, order=40):
+    """Fixed-order Gauss-Legendre product rule on the boxes between the breaks."""
+    x, w = np.polynomial.legendre.leggauss(order)
+    axes = []
+    for (lo, hi), br in zip(box, breaks):
+        edges = np.array([lo, *br, hi])
+        mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
+        axes.append(((mid[:, None] + half[:, None] * x).ravel(), (half[:, None] * w).ravel()))
+    if len(axes) == 1:
+        (xs, ws), = axes
+        return float(f(xs[:, None]) @ ws)
+    (xs, wx), (ys, wy) = axes
+    X, Y = np.meshgrid(xs, ys, indexing="ij")
+    return float(wx @ f(np.column_stack([X.ravel(), Y.ravel()])).reshape(X.shape) @ wy)
+
+
+def _breaks_keep_the_values(phi, c, tol):
+    """weak_divergence and RadonMeasure.apply with phi's breaks against a
+    fixed-order rule on the pieces, where every integrand is smooth.
+
+    The same adaptive rule without the breaks is no reference: its error
+    estimate misjudges the plateau edges (on a generated 1-D bump it reported
+    8e-14 at tol 1e-12 and missed by 1e-7).
+    """
+    dim = phi.dim
+    dom = Domain.interval(-1.0, 1.0) if dim == 1 else Domain.box((-1.0, 1.0), (-1.0, 1.0))
+    assert all(len(b) == 2 for b in phi.breaks)
+
+    def v(p):
+        return np.column_stack([np.sin(c[0] * p[:, 0]) + c[1] * p[:, -1],
+                                np.cos(c[2] * p[:, 0] * p[:, -1])])[:, :dim]
+
+    def ac(p):
+        return np.exp(c[0] * p[:, 0]) * np.cos(c[1] * p[:, -1])
+
+    val, _ = weak_divergence(v, phi, dom, tol_abs=tol)
+    ref = _piecewise_gauss(lambda p: -np.einsum("ij,ij->i", phi.gradient(p), v(p)),
+                           phi.support_box, phi.breaks)
+    assert abs(val - ref) <= 2 * tol
+    val = RadonMeasure(dom, ac=ac).apply(phi, tol_abs=tol)
+    ref = _piecewise_gauss(lambda p: phi.value(p) * ac(p), phi.support_box, phi.breaks)
+    assert abs(val - ref) <= 2 * tol
+
+
+@settings(max_examples=60, deadline=None)
+@given(bumps(1), st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3))
+def test_breaks_keep_the_values_1d(phi, c):
+    _breaks_keep_the_values(phi, c, 1e-9)
+
+
+@settings(max_examples=40, deadline=None)
+@given(bumps(2), st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3))
+def test_breaks_keep_the_values_2d(phi, c):
+    _breaks_keep_the_values(phi, c, 1e-8)
+
+
+# -- Cantor construction breaks ------------------------------------------------
+
+def test_cantor_depth_follows_the_tolerance():
+    # run_chain's quad_tol for a Cantor scenario is tol_abs / 3
+    assert [cantor_depth(t / 3) for t in (1e-5, 5e-5, 1e-4)] == [10, 8, 8]
+    assert cantor_depth(1.0) == CANTOR_DEPTH_MIN and cantor_depth(1e-10) == CANTOR_DEPTH_MAX
+
+
+def test_suite_members_split_at_the_construction_inside_their_support():
+    dom = Domain.interval(-0.5, 1.5)
+    spec = IFSSpec(-0.3, 0.9)
+    k = cantor_depth(1e-5 / 3)
+    ends = cantor_breaks(spec, 1e-5 / 3)
+    width = (spec.b - spec.a) / 3 ** k
+    assert len(ends) == 2 ** (k + 1) and np.all(np.diff(ends) > 0)
+    assert ends[0] == spec.a and ends[-1] == pytest.approx(spec.b, abs=1e-15)
+    assert np.allclose(ends[1::2] - ends[::2], width, rtol=1e-9, atol=0)
+    assert np.all(ends[2::2] - ends[1:-1:2] >= width * (1 - 1e-9))   # gaps between them
+    suite = build_suite(dom, RectifiableSet(1, [0.5], [1.0]), breaks_1d=ends)
+    plain = build_suite(dom, RectifiableSet(1, [0.5], [1.0]))
+    for phi, ref in zip(suite, plain):
+        (lo, hi), = phi.support_box
+        inside = {float(e) for e in ends if lo < e < hi}
+        got = set(phi.breaks[0])
+        assert inside <= got
+        assert got - inside == set(ref.breaks[0])          # the plateau edges
+        assert all(lo < b < hi for b in got)
+
+
+NO_CANTOR_PART = """
+[scenario]
+id = cantor-declared-no-part
+dim = 1
+domain = -0.5 .. 1.5
+experiments = chain
+
+[field]
+b = 2*t
+M = 6
+t_range = -3 .. 3
+
+[u]
+breaks =
+pieces = 0.3*x1
+grads = 0.3
+cantor_amplitude = 0
+cantor_base = -0.25 .. 1.25
+sup = 1
+"""
+
+
+def test_cantor_breaks_come_from_the_scenario_not_the_measure(monkeypatch):
+    from divchain import runner
+    from divchain.scenario import Scenario, parse_text
+
+    seen = []
+
+    def spy(mu, v, suite, **kw):
+        seen.append((mu, suite, kw["quad_tol"]))
+        return real(mu, v, suite, **kw)
+
+    real = runner.compare
+    monkeypatch.setattr(runner, "compare", spy)
+    scn = Scenario(parse_text(NO_CANTOR_PART))
+    res = runner.RunResult(scn.id)
+    runner.run_chain(scn, res)
+    assert res.passed
+    [(mu, suite, quad_tol)] = seen
+    assert mu.cantor is None
+    ends = cantor_breaks(IFSSpec(-0.25, 1.25), quad_tol)
+    for phi in suite:
+        (lo, hi), = phi.support_box
+        assert {float(e) for e in ends if lo < e < hi} <= set(phi.breaks[0])

@@ -11,7 +11,7 @@ from scipy.integrate import quad
 from divchain import Domain, ParamField, PrimitiveField
 from divchain.cantor import MIDDLE_THIRDS
 from divchain.errors import IntegrationError
-from divchain.quadrature import (CurvedCell, gauss, integrate_1d, integrate_cell,
+from divchain.quadrature import (_GAUSS_IDX, _WG, _WGK, _XGK, CurvedCell, gauss, integrate_1d,
                                  integrate_cells, integrate_polar, integrate_to_upper)
 from divchain.scenario import build_domain, build_field, build_singular, parse_text
 
@@ -49,7 +49,7 @@ def test_curved_cell():
     cell = CurvedCell(0, 1, 0.0, lambda x: 1 + 0.5 * np.sin(np.pi * x))
     ref = quad(lambda x: x * (1 + 0.5 * np.sin(np.pi * x)) ** 2 / 2, 0, 1,
                epsabs=1e-13)[0]
-    val, _ = integrate_cell(lambda p: p[:, 0] * p[:, 1], cell, tol_abs=1e-11)
+    val, _ = integrate_cells(lambda p: p[:, 0] * p[:, 1], [cell], tol_abs=1e-11)
     assert abs(val - ref) < 1e-10
 
 
@@ -57,6 +57,113 @@ def test_cells_sum():
     cells = [CurvedCell(0, 1, 0.0, 1.0), CurvedCell(1, 2, 0.0, 1.0)]
     val, _ = integrate_cells(lambda p: np.ones(len(p)), cells)
     assert abs(val - 2.0) < 1e-12
+
+
+# -- reference: one cell at a time, each rectangle batch in its own call ----
+
+def ref_cell_tensor(f, cell, rect):
+    """Tensor G7-K15 on sub-rectangles (u0, u1, s0, s1) of one cell."""
+    u0, u1, s0, s1 = rect.T
+    umid, uhalf = 0.5 * (u0 + u1), 0.5 * (u1 - u0)
+    smid, shalf = 0.5 * (s0 + s1), 0.5 * (s1 - s0)
+    xu = umid[:, None] + uhalf[:, None] * _XGK[None, :]
+    xs = smid[:, None] + shalf[:, None] * _XGK[None, :]
+    x1 = np.repeat(xu[:, :, None], 15, axis=2)
+    ss = np.repeat(xs[:, None, :], 15, axis=1)
+    lo = cell.lo(x1.ravel())
+    hi = cell.hi(x1.ravel())
+    width = hi - lo
+    x2 = lo + ss.ravel() * width
+    vals = np.asarray(f(np.column_stack([x1.ravel(), x2])), dtype=float) * width
+    vals = vals.reshape(-1, 15, 15)
+    jac = uhalf * shalf
+    ik = np.einsum("rij,i,j->r", vals, _WGK, _WGK) * jac
+    g = vals[:, _GAUSS_IDX][:, :, _GAUSS_IDX]
+    ig = np.einsum("rij,i,j->r", g, _WG, _WG) * jac
+    return ik, np.abs(ik - ig)
+
+
+def ref_integrate_cell(f, cell, tol_abs, tol_rel, max_rects=16384):
+    rects = np.array([[cell.a1, cell.b1, 0.0, 1.0]])
+    vals, errs = ref_cell_tensor(f, cell, rects)
+    for _ in range(40):
+        total = float(np.sum(vals))
+        errsum = float(np.sum(errs))
+        tol = max(tol_abs, tol_rel * abs(total))
+        if errsum <= tol:
+            return total, errsum
+        if len(rects) > max_rects:
+            raise IntegrationError("2d quadrature stalled")
+        area = (rects[:, 1] - rects[:, 0]) * (rects[:, 3] - rects[:, 2])
+        bad = errs > np.maximum(tol * area / area.sum(), 1e-300)
+        if not np.any(bad):
+            bad = errs >= 0.5 * errs.max()
+        split = []
+        for u0, u1, s0, s1 in rects[bad]:
+            if (u1 - u0) >= (s1 - s0):
+                um = 0.5 * (u0 + u1)
+                split += [[u0, um, s0, s1], [um, u1, s0, s1]]
+            else:
+                sm = 0.5 * (s0 + s1)
+                split += [[u0, u1, s0, sm], [u0, u1, sm, s1]]
+        split = np.array(split)
+        sv, se = ref_cell_tensor(f, cell, split)
+        rects = np.vstack([rects[~bad], split])
+        vals = np.concatenate([vals[~bad], sv])
+        errs = np.concatenate([errs[~bad], se])
+    raise IntegrationError("2d quadrature did not converge")
+
+
+def ref_integrate_cells(f, cells, tol_abs, tol_rel):
+    per = max(tol_abs / len(cells), 1e-15)
+    total, err = 0.0, 0.0
+    for cell in cells:
+        v, e = ref_integrate_cell(f, cell, per, tol_rel)
+        total += v
+        err += e
+    return total, err
+
+
+@st.composite
+def cells_and_integrands(draw):
+    """Adjacent strips of constant or graph-bounded cells and a smooth f."""
+    edges = np.cumsum([-1.0] + draw(st.lists(st.floats(0.1, 1.0), min_size=1, max_size=4)))
+    cells = []
+    for a, b in zip(edges[:-1], edges[1:]):
+        if draw(st.booleans()):
+            lo, hi = sorted(draw(st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=2)))
+            cells.append(CurvedCell(a, b, lo, hi + 0.05))
+        else:
+            c, amp, w = draw(st.floats(-0.5, 0.5)), draw(st.floats(0.0, 0.4)), draw(st.floats(0.5, 4.0))
+            lo = lambda x, c=c, amp=amp, w=w: c + amp * np.sin(w * x)
+            hi = lambda x, c=c, amp=amp, w=w: c + 0.6 + amp * np.cos(w * x) ** 2
+            cells.append(CurvedCell(a, b, lo, hi))
+    k = draw(st.lists(st.floats(-3.0, 3.0), min_size=4, max_size=4))
+
+    def f(p):
+        x, y = p[:, 0], p[:, 1]
+        return k[0] + k[1] * x * y + np.exp(0.5 * k[2] * x) * np.cos(k[3] * y)
+
+    tol = draw(st.sampled_from([1e-6, 1e-9, 1e-11]))
+    return f, cells, tol
+
+
+@settings(max_examples=60, deadline=None)
+@given(cells_and_integrands())
+def test_batched_cells_match_per_cell_reference(case):
+    f, cells, tol = case
+    calls = []
+    got = integrate_cells(lambda p: calls.append(len(p)) or f(p), cells, tol_abs=tol)
+    ref = ref_integrate_cells(f, cells, tol, 1e-10)
+    assert abs(got[0] - ref[0]) <= 1e-15 * abs(ref[0])
+    assert abs(got[1] - ref[1]) <= 1e-15 * abs(ref[1])
+    # one call per refinement round: as many as the slowest cell needs alone
+    rounds = []
+    for cell in cells:
+        mine = []
+        ref_integrate_cell(lambda p: mine.append(1) or f(p), cell, tol / len(cells), 1e-10)
+        rounds.append(len(mine))
+    assert len(calls) == max(rounds)
 
 
 def test_polar_disc_area_and_half():
@@ -215,7 +322,7 @@ def test_1d_non_finite_names_the_abscissa():
 def test_cell_non_finite_names_the_point():
     cell = CurvedCell(0.0, 1.0, 0.0, 1.0)
     with pytest.raises(IntegrationError) as exc:
-        integrate_cell(lambda p: np.where(p[:, 0] > 0.5, np.nan, 1.0), cell)
+        integrate_cells(lambda p: np.where(p[:, 0] > 0.5, np.nan, 1.0), [cell])
     x1, x2 = _named_abscissa(exc)
     assert 0.5 < x1 <= 1.0 and 0.0 <= x2 <= 1.0
 
