@@ -44,28 +44,17 @@ def _shrink(lo, hi, frac_lo, frac_hi):
     return lo + frac_lo * w, lo + frac_hi * w
 
 
-# Depth bounds of the Cantor construction breaks.  With the base endpoints
-# alone (depth 0) the G7-K15 error estimate misjudged the Hoelder integrands
-# and cantor-u-autonomous failed its oracle check; from depth 6 on, every
-# bundled Cantor file kept its oracle difference under 4e-8.  Past depth 10
-# the 2^(k+1) breaks cost more segments than they save (depth 12 ran those
-# files 2-4 times slower than depth 10).
-CANTOR_DEPTH_MIN = 6
-CANTOR_DEPTH_MAX = 10
+# Depth of the Cantor construction breaks.  With the base endpoints alone
+# (depth 0) the G7-K15 error estimate misjudged the Hoelder integrands and
+# cantor-u-autonomous failed its oracle check.  Every depth from 6 to 12
+# kept each Cantor file in the repository under 4e-8, and depth 8 ran them
+# in the least total time (BENCH_12.json, depth_experiment).
+CANTOR_DEPTH = 8
 
 
-def cantor_depth(quad_tol):
-    """Smallest depth k with 2^-k <= sqrt(quad_tol), within the bounds above.
-
-    The Cantor function varies by 2^-k on a depth-k construction interval.
-    """
-    k = int(np.ceil(-0.5 * np.log2(quad_tol)))
-    return min(max(k, CANTOR_DEPTH_MIN), CANTOR_DEPTH_MAX)
-
-
-def cantor_breaks(spec: IFSSpec, quad_tol):
-    """Endpoints of the declared construction's intervals at cantor_depth."""
-    return construction_endpoints(spec, cantor_depth(quad_tol))
+def cantor_breaks(spec: IFSSpec):
+    """Endpoints of the declared construction's intervals at CANTOR_DEPTH."""
+    return construction_endpoints(spec, CANTOR_DEPTH)
 
 
 def build_suite(domain: Domain, singular: RectifiableSet | None = None, n_min=20,

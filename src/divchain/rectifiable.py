@@ -10,6 +10,7 @@ is part of the data, not derived on the fly.
 from __future__ import annotations
 
 import numpy as np
+from scipy.optimize import brentq
 
 from .errors import GeometryError
 from .quadrature import CurvedCell, integrate_1d
@@ -348,13 +349,28 @@ def merge_sets(*sets):
     return RectifiableSet(2, curves=list(seen.values()))
 
 
+def _level_crossings(g, levels, a, b, n_scan=257):
+    """Abscissae in [a, b] where graph g meets one of the constant levels."""
+    xs = np.linspace(a, b, n_scan)
+    fx = np.asarray(g.fn(xs), dtype=float)
+    out = []
+    for c in levels:
+        sgn = np.sign(fx - c)
+        out.extend(xs[1:-1][sgn[1:-1] == 0.0].tolist())
+        for i in np.flatnonzero(sgn[:-1] * sgn[1:] < 0):
+            out.append(brentq(lambda x: float(g.fn(np.array([x]))[0]) - c,
+                              xs[i], xs[i + 1], xtol=1e-14))
+    return out
+
+
 def box_cells(bounds, curve_sets, extra_x_breaks=(), extra_y_breaks=()):
     """Decompose a 2D box into curved cells whose interiors avoid all curves.
 
-    Splits the box into vertical strips at every declared x-break, then,
+    Splits the box into vertical strips at every declared x-break and at
+    every abscissa where a graph meets a constant level or a box edge, then,
     per strip, stacks the constant and graph levels in vertical order.  A
-    level crossing inside a strip gets one extra x-break (bisected once);
-    repeated crossings raise GeometryError.
+    crossing left inside a strip (two graphs, or two crossings within one
+    scan interval) is bisected toward; repeated crossings raise GeometryError.
     """
     (xlo, xhi), (ylo, yhi) = bounds
     xb = {xlo, xhi}
@@ -378,6 +394,12 @@ def box_cells(bounds, curve_sets, extra_x_breaks=(), extra_y_breaks=()):
     for v in extra_y_breaks:
         if ylo < v < yhi:
             yb.add(float(v))
+    # a graph meeting a constant level (the box edges included, where the
+    # clipping below starts) ends a strip, so no cell boundary has a kink
+    for g in graphs:
+        a, b = max(g.s0, xlo), min(g.s1, xhi)
+        if b > a:
+            xb.update(_level_crossings(g, sorted(yb), a, b))
 
     def strip_cells(a, b, depth=0):
         mid = 0.5 * (a + b)

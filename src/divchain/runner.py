@@ -99,9 +99,8 @@ def run_chain(scn: Scenario, res: RunResult, mode="chain"):
     field, u = scn.field, scn.u
     prim = primitive(field)
     merged = _merged(scn)
-    quad_tol = max(scn.tol_abs / 3.0, 1e-10) if scn.is_cantor else max(scn.tol_abs / 30.0, 1e-10)
     # splits from the declared construction, never from the measure under test
-    breaks = cantor_breaks(scn.cantor_spec, quad_tol) if scn.is_cantor else ()
+    breaks = cantor_breaks(scn.cantor_spec) if scn.is_cantor else ()
     suite = build_suite(scn.domain, None if merged.is_empty else merged, breaks_1d=breaks)
     if mode == "w11":
         br = chain_w11(field, u, prim=prim)
@@ -113,6 +112,7 @@ def run_chain(scn: Scenario, res: RunResult, mode="chain"):
     total = br.total
     if scn.fake_scale is not None:
         total = total * scn.fake_scale
+    quad_tol = max(scn.tol_abs / 3.0, 1e-10) if scn.is_cantor else max(scn.tol_abs / 30.0, 1e-10)
     cmp = compare(total, _v_eval(prim, u), suite,
                   tol_abs=scn.tol_abs, tol_rel=scn.tol_rel, quad_tol=quad_tol)
     res.phi_rows.extend({"scenario": scn.id, "experiment": mode, **row}

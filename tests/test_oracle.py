@@ -5,9 +5,10 @@ from hypothesis import strategies as st
 
 from divchain import (Domain, RadonMeasure, RectifiableSet, build_suite, compare,
                       mollification_study, oscillatory_bump, plateau_bump, weak_divergence)
-from divchain import measure
 from divchain.cantor import IFSSpec
-from divchain.oracle import CANTOR_DEPTH_MAX, CANTOR_DEPTH_MIN, cantor_breaks, cantor_depth
+from divchain.oracle import CANTOR_DEPTH, cantor_breaks
+from divchain.quadrature import integrate_cells
+from divchain.rectifiable import GraphCurve, box_cells
 
 from conftest import sign_field
 
@@ -161,19 +162,88 @@ def test_breaks_keep_the_values_2d(phi, c):
     _breaks_keep_the_values(phi, c, 1e-8)
 
 
+@st.composite
+def graph_boxes(draw):
+    """A monotone graph crossing a generated box, and that box's plateau edges."""
+    s = draw(st.floats(0.2, 3.0)) * draw(st.sampled_from([-1.0, 1.0]))
+    q = draw(st.floats(-0.45, 0.45)) * abs(s)
+    c0 = draw(st.floats(-0.3, 0.3))
+    g = GraphCurve(lambda x: c0 + s * x + q * np.sin(x), lambda x: s + q * np.cos(x),
+                   -1.0, 1.0)
+    box = []
+    for _ in range(2):
+        a = draw(st.floats(-0.95, 0.6))
+        box.append((a, draw(st.floats(a + 0.2, 0.95))))
+    edges = [sorted(draw(st.lists(st.floats(lo, hi), min_size=2, max_size=2)))
+             for lo, hi in box]
+    return g, box, edges
+
+
+@settings(max_examples=80, deadline=None)
+@given(graph_boxes())
+def test_graph_meeting_a_level_ends_a_strip(gb):
+    # a graph crossing a plateau edge or leaving the box is the boundary of
+    # no cell across that abscissa: every cell boundary is a constant or the
+    # unclipped graph over its whole strip, and the cells tile the box
+    g, box, (xe, ye) = gb
+    cells = box_cells(box, [RectifiableSet(2, curves=[g])], extra_x_breaks=xe,
+                      extra_y_breaks=ye)
+    for cell in cells:
+        xs = np.linspace(cell.a1, cell.b1, 33)
+        for edge in (cell.lo(xs), cell.hi(xs)):
+            assert np.ptp(edge) <= 1e-13 or np.allclose(edge, g.fn(xs), rtol=0, atol=1e-13)
+        assert np.all(cell.hi(xs) - cell.lo(xs) >= -1e-13)
+    area, _ = integrate_cells(lambda p: np.ones(len(p)), cells, tol_abs=1e-13)
+    (x0, x1), (y0, y1) = box
+    assert area == pytest.approx((x1 - x0) * (y1 - y0), rel=1e-12)
+
+
+GRAPH_SCN = """
+[scenario]
+id = graph-{name}
+dim = 2
+domain = -1 .. 1 ; -1 .. 1
+experiments = chain
+
+[singular]
+curves = graph {g} d {dg} from -1 to 1 side +1
+
+[field]
+b = 0, (1+t^2)*H(x2-({g}))
+M = 6
+t_range = -2 .. 2
+b_plus = 0, 1+t^2
+b_minus = 0, 0
+
+[u]
+regions = (x1 < 2): 0.4 + 0.2*x1 grad 0.2, 0
+sup = 0.6
+"""
+
+
+@pytest.mark.parametrize("name, g, dg", [("steep", "0.8*x1", "0.8"),
+                                         ("curved", "0.4*sin(3*x1)", "1.2*cos(3*x1)")])
+def test_graph_crossing_plateau_edges_passes_the_oracle(name, g, dg):
+    # the plateau edges of the straddling bumps meet these graphs inside
+    # the bumps' supports; the strips must end there, not bisect toward them
+    from divchain import runner
+    from divchain.scenario import Scenario, parse_text
+
+    scn = Scenario(parse_text(GRAPH_SCN.format(name=name, g=g, dg=dg)))
+    res = runner.RunResult(scn.id)
+    runner.run_chain(scn, res)
+    assert res.passed
+    [oracle] = [c for c in res.checks if c["name"] == "chain:oracle_equivalence"]
+    assert oracle["data"]["max_difference"] <= 1e-9
+
+
 # -- Cantor construction breaks ------------------------------------------------
-
-def test_cantor_depth_follows_the_tolerance():
-    # run_chain's quad_tol for a Cantor scenario is tol_abs / 3
-    assert [cantor_depth(t / 3) for t in (1e-5, 5e-5, 1e-4)] == [10, 8, 8]
-    assert cantor_depth(1.0) == CANTOR_DEPTH_MIN and cantor_depth(1e-10) == CANTOR_DEPTH_MAX
-
 
 def test_suite_members_split_at_the_construction_inside_their_support():
     dom = Domain.interval(-0.5, 1.5)
     spec = IFSSpec(-0.3, 0.9)
-    k = cantor_depth(1e-5 / 3)
-    ends = cantor_breaks(spec, 1e-5 / 3)
+    k = CANTOR_DEPTH
+    ends = cantor_breaks(spec)
     width = (spec.b - spec.a) / 3 ** k
     assert len(ends) == 2 ** (k + 1) and np.all(np.diff(ends) > 0)
     assert ends[0] == spec.a and ends[-1] == pytest.approx(spec.b, abs=1e-15)
@@ -230,7 +300,7 @@ def test_cantor_breaks_come_from_the_scenario_not_the_measure(monkeypatch):
     assert res.passed
     [(mu, suite, quad_tol)] = seen
     assert mu.cantor is None
-    ends = cantor_breaks(IFSSpec(-0.25, 1.25), quad_tol)
+    ends = cantor_breaks(IFSSpec(-0.25, 1.25))
     for phi in suite:
         (lo, hi), = phi.support_box
         assert {float(e) for e in ends if lo < e < hi} <= set(phi.breaks[0])
