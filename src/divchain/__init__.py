@@ -14,7 +14,7 @@ from .geometry import Domain, subboxes
 from .measure import (RadonMeasure, TestFunction, lub_measures, oscillatory_bump,
                       plateau_bump, radon_nikodym)
 from .oracle import TestSuite, build_suite, compare, mollification_study, weak_divergence
-from .rectifiable import (GraphCurve, HorizontalSegment, RectifiableSet,
+from .rectifiable import (GraphCurve, HorizontalSegment, JumpPoint, RectifiableSet,
                           VerticalSegment, merge_sets)
 
 __version__ = "0.1.0"
@@ -28,5 +28,6 @@ __all__ = [
     "Domain", "subboxes", "RadonMeasure", "TestFunction", "lub_measures",
     "oscillatory_bump", "plateau_bump", "radon_nikodym", "TestSuite", "build_suite",
     "compare", "mollification_study", "weak_divergence", "GraphCurve",
-    "HorizontalSegment", "RectifiableSet", "VerticalSegment", "merge_sets", "__version__",
+    "HorizontalSegment", "JumpPoint", "RectifiableSet", "VerticalSegment", "merge_sets",
+    "__version__",
 ]

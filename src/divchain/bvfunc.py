@@ -21,7 +21,7 @@ from .errors import DegenerateLevelError, GeometryError, NotOnJumpSetError
 from .geometry import Domain, as_points
 from .measure import RadonMeasure
 from .quadrature import integrate_1d  # noqa: F401  (an alias the benchmark tracer counts)
-from .rectifiable import GraphCurve, HorizontalSegment, RectifiableSet, VerticalSegment
+from .rectifiable import RectifiableSet
 
 SCAN_POINTS = 801          # grid on which 1-D level-set scans bracket the crossings
 
@@ -89,22 +89,8 @@ class BVFunction:
     def on_jump(self, pts, tol=1e-11):
         pts = as_points(pts, self.domain.dim)
         mask = np.zeros(len(pts), dtype=bool)
-        if self.jump_set.is_empty:
-            return mask
-        if self.domain.dim == 1:
-            for x in self.jump_set.points_1d:
-                mask |= np.abs(pts[:, 0] - x) <= tol
-            return mask
-        for c in self.jump_set.curves:
-            if isinstance(c, VerticalSegment):
-                mask |= (np.abs(pts[:, 0] - c.c) <= tol) & (pts[:, 1] >= c.s0) & (pts[:, 1] <= c.s1)
-            elif isinstance(c, HorizontalSegment):
-                mask |= (np.abs(pts[:, 1] - c.c) <= tol) & (pts[:, 0] >= c.s0) & (pts[:, 0] <= c.s1)
-            else:
-                assert isinstance(c, GraphCurve)
-                inside = (pts[:, 0] >= c.s0) & (pts[:, 0] <= c.s1)
-                vals = np.asarray(c.fn(pts[:, 0]), dtype=float)
-                mask |= inside & (np.abs(pts[:, 1] - vals) <= tol)
+        for piece in self.jump_set.pieces:
+            mask |= piece.contains(pts, tol)
         return mask
 
     def precise_rep(self, pts):
@@ -135,11 +121,9 @@ class BVFunction:
             jumps = None
             if not self.jump_set.is_empty:
                 def g(pts, nus, ax=ax):
-                    nus = np.atleast_2d(nus) if self.domain.dim == 2 else np.asarray(nus)
                     jump = (np.asarray(self.u_plus(pts), dtype=float)
                             - np.asarray(self.u_minus(pts), dtype=float))
-                    nu_i = nus[:, ax] if self.domain.dim == 2 else nus
-                    return jump * nu_i
+                    return jump * nus[:, ax]
                 jumps = RadonMeasure.from_jump(self.domain, self.jump_set, g).jumps
             cantor = None
             if self.cantor is not None and ax == 0 and self.cantor_amplitude != 0.0:
@@ -214,12 +198,7 @@ class BVFunction:
             sp, sn = self.jump_set.samples()
             up = np.asarray(self.u_plus(sp), dtype=float)
             um = np.asarray(self.u_minus(sp), dtype=float)
-            d1, d2 = 1e-6, 2e-6
-            if self.domain.dim == 1:
-                shift1 = (sn * d1)[:, None]
-                shift2 = (sn * d2)[:, None]
-            else:
-                shift1, shift2 = sn * d1, sn * d2
+            shift1, shift2 = sn * 1e-6, sn * 2e-6
             lim_p = 2 * self.eval(sp + shift1) - self.eval(sp + shift2)
             lim_m = 2 * self.eval(sp - shift1) - self.eval(sp - shift2)
             rows.append(("trace_plus", bool(np.max(np.abs(lim_p - up)) <= trace_tol)))

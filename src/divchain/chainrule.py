@@ -26,7 +26,7 @@ from .errors import GeometryError, OrientationError, WrongRegularityError
 from .field import ParamField, PrimitiveField, primitive
 from .measure import RadonMeasure, TestFunction, plateau_bump
 from .quadrature import integrate_1d, integrate_to_upper
-from .rectifiable import RectifiableSet, merge_sets
+from .rectifiable import merge_sets
 
 
 class ChainRuleBreakdown:
@@ -72,13 +72,6 @@ def _merged_singular(field: ParamField, u: BVFunction):
         return merge_sets(field.singular_set, u.jump_set)
     except GeometryError as exc:
         raise OrientationError(str(exc)) from exc
-
-
-def _component_sets(merged: RectifiableSet):
-    if merged.dim == 1:
-        return [(("p", round(float(x), 12)), RectifiableSet(1, [x], [nu]))
-                for x, nu in zip(merged.points_1d, merged.normals_1d)]
-    return [(c.key(), RectifiableSet(2, curves=[c])) for c in merged.curves]
 
 
 def _u_sides(u: BVFunction, pts, in_j):
@@ -140,7 +133,7 @@ def chain_dm(field: ParamField, u: BVFunction, prim: PrimitiveField | None = Non
     # 5. jump part on N u J_u
     term_jump = RadonMeasure.zero(dom)
     symmetric_jump = RadonMeasure.zero(dom)
-    for key, comp in _component_sets(merged):
+    for key, comp in merged.components():
         in_n = key in n_keys
         in_j = key in j_keys
 
@@ -151,11 +144,7 @@ def chain_dm(field: ParamField, u: BVFunction, prim: PrimitiveField | None = Non
 
         def density(pts, nus, in_j=in_j, b_at=b_at):
             up, um = _u_sides(u, pts, in_j)
-            bp = b_at(pts, up, +1)
-            bm = b_at(pts, um, -1)
-            if dom.dim == 1:
-                return (bp[:, 0] - bm[:, 0]) * np.asarray(nus, dtype=float).reshape(len(pts))
-            return np.einsum("ij,ij->i", bp - bm, np.atleast_2d(nus))
+            return np.einsum("ij,ij->i", b_at(pts, up, +1) - b_at(pts, um, -1), nus)
 
         def density_symmetric(pts, nus, in_j=in_j, b_at=b_at):
             # B*(u+) - B*(u-) plus half-sum of the Div_x B jump at both levels
@@ -164,10 +153,7 @@ def chain_dm(field: ParamField, u: BVFunction, prim: PrimitiveField | None = Non
             bsm = 0.5 * (b_at(pts, um, +1) + b_at(pts, um, -1))
             jump_up = b_at(pts, up, +1) - b_at(pts, up, -1)
             jump_um = b_at(pts, um, +1) - b_at(pts, um, -1)
-            tot = (bsp - bsm) + 0.5 * (jump_up + jump_um)
-            if dom.dim == 1:
-                return tot[:, 0] * np.asarray(nus, dtype=float).reshape(len(pts))
-            return np.einsum("ij,ij->i", tot, np.atleast_2d(nus))
+            return np.einsum("ij,ij->i", (bsp - bsm) + 0.5 * (jump_up + jump_um), nus)
 
         term_jump = term_jump + RadonMeasure.from_jump(dom, comp, density)
         symmetric_jump = symmetric_jump + RadonMeasure.from_jump(dom, comp, density_symmetric)
@@ -264,8 +250,7 @@ def chain_bv_scalar(field: ParamField, u: BVFunction, prim: PrimitiveField | Non
 
     def b_star(pts, tvals, on_n):
         if on_n:
-            return 0.5 * (np.asarray(field.b_plus(pts, tvals), dtype=float).reshape(len(pts))
-                          + np.asarray(field.b_minus(pts, tvals), dtype=float).reshape(len(pts)))
+            return 0.5 * (field.trace(pts, tvals, +1) + field.trace(pts, tvals, -1))[:, 0]
         return field.eval(pts, tvals)[:, 0]
 
     term_ac_u = RadonMeasure(
@@ -273,12 +258,12 @@ def chain_bv_scalar(field: ParamField, u: BVFunction, prim: PrimitiveField | Non
         ac_singular=None if merged.is_empty else merged)
 
     term_jump = RadonMeasure.zero(dom)
-    for key, comp in _component_sets(merged):
+    for key, comp in merged.components():
         in_n = key in n_keys
         in_j = key in j_keys
 
         def density(pts, nus, in_n=in_n, in_j=in_j):
-            nus = np.asarray(nus, dtype=float).reshape(len(pts))
+            nus = nus[:, 0]
             up, um = _u_sides(u, pts, in_j)
             out = np.zeros(len(pts))
             if in_n:
@@ -307,6 +292,10 @@ class ScalarFunction:
         self.h = h
         self.dh = dh
         self.sup_dh = float(sup_dh)
+
+
+IDENTITY = ScalarFunction(lambda t: np.asarray(t, dtype=float),
+                          lambda t: np.ones_like(np.asarray(t, dtype=float)), 1.0)
 
 
 def product_rule(field: ParamField, h: ScalarFunction, u: BVFunction):
@@ -348,25 +337,18 @@ def product_rule(field: ParamField, h: ScalarFunction, u: BVFunction):
         term_cantor_u = RadonMeasure.zero(dom)
 
     term_jump = RadonMeasure.zero(dom)
-    for key, comp in _component_sets(merged):
+    for key, comp in merged.components():
         in_n = key in n_keys
         in_j = key in j_keys
 
         def density(pts, nus, in_n=in_n, in_j=in_j):
             up, um = _u_sides(u, pts, in_j)
             if in_n:
-                ap = np.atleast_2d(np.asarray(field.b_plus(pts, 0.0), dtype=float)) \
-                    .reshape(len(pts), dom.dim)
-                am = np.atleast_2d(np.asarray(field.b_minus(pts, 0.0), dtype=float)) \
-                    .reshape(len(pts), dom.dim)
+                ap, am = field.trace(pts, 0.0, +1), field.trace(pts, 0.0, -1)
             else:
                 ap = am = A(pts)
             hp = np.asarray(h.h(up), dtype=float)
             hm = np.asarray(h.h(um), dtype=float)
-            if dom.dim == 1:
-                nus = np.asarray(nus, dtype=float).reshape(len(pts))
-                return hp * ap[:, 0] * nus - hm * am[:, 0] * nus
-            nus = np.atleast_2d(nus)
             return (hp * np.einsum("ij,ij->i", ap, nus)
                     - hm * np.einsum("ij,ij->i", am, nus))
 
@@ -400,9 +382,7 @@ def u_star_div(field: ParamField, u: BVFunction):
 
 def anzellotti_pairing(field: ParamField, u: BVFunction):
     """(A, Du) := Div(u A) - u* Div A, assembled from the product rule."""
-    identity = ScalarFunction(lambda t: t, lambda t: np.ones_like(np.asarray(t, dtype=float)),
-                              1.0)
-    div_uA = product_rule(field, identity, u).total
+    div_uA = product_rule(field, IDENTITY, u).total
     return div_uA - u_star_div(field, u)
 
 
@@ -414,7 +394,7 @@ def _transversal(field: ParamField, bounds, kind):
             if abs(x - lo) < 1e-9 or abs(x - hi) < 1e-9:
                 raise GeometryError("boundary point sits on the singular set")
         return
-    for piece in field.singular_set.curves:
+    for piece in field.singular_set.pieces:
         s = np.linspace(piece.s0, piece.s1, 257)
         p = piece.points(s)
         if kind == "box":
@@ -510,7 +490,7 @@ def green_check(field: ParamField, omega, w0=0.04, quad_tol=None):
     else:
         center, radius = bounds
         tb = []
-        for piece in field.singular_set.curves:
+        for piece in field.singular_set.pieces:
             for sa, sb in piece.ranges_in_ball(center, radius * (1 + 1e-9)):
                 for s in (sa, sb):
                     p = piece.points(np.array([s]))[0]

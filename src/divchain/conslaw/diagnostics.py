@@ -324,7 +324,7 @@ def div_xv_zero_residual(flux: FluxSpec, psi: TestFunction, quad_tol=1e-10):
 
     jumps = list(flux.k.jump_set.points_1d)
     (xa, xb), (va, vb) = psi.support_box
-    curves = RectifiableSet(2, curves=[VerticalSegment(c, va, vb, +1)
+    curves = RectifiableSet(2, pieces=[VerticalSegment(c, va, vb, +1)
                                        for c in jumps if xa < c < xb])
     cells = box_cells(psi.support_box, [curves])
 

@@ -48,26 +48,21 @@ class ParamField:
     # -- pointwise data -------------------------------------------------
     def eval(self, pts, t):
         pts = as_points(pts, self.domain.dim)
-        out = np.atleast_2d(np.asarray(self._eval(pts, t), dtype=float))
-        if out.shape != (len(pts), self.domain.dim):
-            out = out.reshape(len(pts), self.domain.dim)
-        return out
+        return np.asarray(self._eval(pts, t), dtype=float).reshape(len(pts), self.domain.dim)
 
     def diva(self, pts, t):
         if self._diva is None:
             return np.zeros(len(as_points(pts, self.domain.dim)))
         return np.asarray(self._diva(as_points(pts, self.domain.dim), t), dtype=float)
 
-    def beta(self, pts, nus, t, side):
+    def trace(self, pts, t, side):
+        """One-sided trace b+ (side > 0) or b- on the singular set, (n, dim)."""
         tr = self.b_plus if side > 0 else self.b_minus
-        vals = np.atleast_2d(np.asarray(tr(pts, t), dtype=float))
-        if self.domain.dim == 1:
-            vals = vals.reshape(len(pts), 1)
-            nu = np.asarray(nus, dtype=float).reshape(len(pts))
-            return vals[:, 0] * nu
-        vals = vals.reshape(len(pts), 2)
-        nus = np.atleast_2d(nus)
-        return np.einsum("ij,ij->i", vals, nus)
+        return np.asarray(tr(pts, t), dtype=float).reshape(len(pts), self.domain.dim)
+
+    def beta(self, pts, nus, t, side):
+        """Normal trace <b+-, nu> for unit normals nus (n, dim)."""
+        return np.einsum("ij,ij->i", self.trace(pts, t, side), nus)
 
     def jump_density(self, t):
         """(beta+ - beta-)(x, t) as a surface density on the singular set."""
@@ -169,11 +164,6 @@ class ParamField:
     def _near_singular(self, pts, dist=1e-9):
         if self.singular_set.is_empty:
             return np.zeros(len(pts), dtype=bool)
-        mask = np.zeros(len(pts), dtype=bool)
-        if self.domain.dim == 1:
-            for x in self.singular_set.points_1d:
-                mask |= np.abs(pts[:, 0] - x) <= dist
-            return mask
         sp, _ = self.singular_set.samples(65)
         d = np.min(np.linalg.norm(pts[:, None, :] - sp[None, :, :], axis=2), axis=1)
         return d <= dist
@@ -199,14 +189,10 @@ class PrimitiveField:
         return self._integral(pts, t, self.field.eval)
 
     def plus(self, pts, t):
-        return self._integral(
-            pts, t, lambda p, w: np.atleast_2d(np.asarray(self.field.b_plus(p, w), dtype=float))
-            .reshape(len(p), self.domain.dim))
+        return self._integral(pts, t, lambda p, w: self.field.trace(p, w, +1))
 
     def minus(self, pts, t):
-        return self._integral(
-            pts, t, lambda p, w: np.atleast_2d(np.asarray(self.field.b_minus(p, w), dtype=float))
-            .reshape(len(p), self.domain.dim))
+        return self._integral(pts, t, lambda p, w: self.field.trace(p, w, -1))
 
     def diva(self, pts, t):
         pts = as_points(pts, self.domain.dim)
@@ -228,11 +214,7 @@ class PrimitiveField:
         """<B+ - B-, nu>(x, t): surface density of Div_x B on the singular set."""
 
         def g(pts, nus):
-            bp = self.plus(pts, t)
-            bm = self.minus(pts, t)
-            if self.domain.dim == 1:
-                return (bp[:, 0] - bm[:, 0]) * np.asarray(nus, dtype=float).reshape(len(pts))
-            return np.einsum("ij,ij->i", bp - bm, np.atleast_2d(nus))
+            return np.einsum("ij,ij->i", self.plus(pts, t) - self.minus(pts, t), nus)
 
         return g
 
@@ -291,12 +273,12 @@ def mollified_normal_trace(field: ParamField, t, x, eps):
             return vals * rho
 
         v, _ = integrate_1d(f, -eps, eps, breakpoints=breaks, tol_abs=1e-12)
-        return float(v * nu)
+        return float(v * nu[0])
     for ax, (lo, hi) in enumerate(field.domain.bounds):
         if pts[0, ax] - eps < lo or pts[0, ax] + eps > hi:
             raise BoundaryError("mollification ball exits the domain")
     tbreaks = []
-    for piece in field.singular_set.curves:
+    for piece in field.singular_set.pieces:
         for sa, sb in piece.ranges_in_ball(pts[0], eps):
             for s in np.linspace(sa, sb, 5):
                 p = piece.points(np.array([s]))[0]
@@ -313,14 +295,11 @@ def mollified_normal_trace(field: ParamField, t, x, eps):
 
 
 def _normal_at(singular_set: RectifiableSet, pts):
-    if singular_set.dim == 1:
-        for xx, nn in zip(singular_set.points_1d, singular_set.normals_1d):
-            if abs(xx - pts[0, 0]) <= 1e-11:
-                return float(nn)
-        raise NotOnJumpSetError(f"{pts[0]} is not a sample of the singular set")
+    """Unit normal (dim,) at the sample nearest pts[0]: a jump point within
+    1e-11 in 1-D, one of 129 samples per curve within 1e-9 in 2-D."""
     sp, sn = singular_set.samples(129)
     d = np.linalg.norm(sp - pts[0], axis=1)
-    if d.min() > 1e-9:
+    if not len(d) or d.min() > (1e-11 if singular_set.dim == 1 else 1e-9):
         raise NotOnJumpSetError(f"{pts[0]} is not a sample of the singular set")
     return sn[int(np.argmin(d))]
 
@@ -342,14 +321,14 @@ def singular_set_check(field: ParamField, sigma: RadonMeasure, radii=(1e-1, 1e-2
     if not field.singular_set.is_empty:
         sp, _ = field.singular_set.samples(5)
         for p in sp:
-            rs = ratios(p if dim == 2 else p[:1])
+            rs = ratios(p)
             verdict = rs[-1] > threshold and rs[-1] >= 0.3 * rs[0]
             rows.append({"point": [float(v) for v in np.atleast_1d(p)],
                          "on_declared_set": True, "ratios": rs, "positive_density": verdict})
     probes = field.domain.grid(5)
     keep = ~field._near_singular(probes, dist=0.05)
     for p in probes[keep][:6]:
-        rs = ratios(p if dim == 2 else p[:1])
+        rs = ratios(p)
         verdict = rs[-1] > threshold and rs[-1] >= 0.3 * rs[0]
         rows.append({"point": [float(v) for v in p], "on_declared_set": False,
                      "ratios": rs, "positive_density": verdict})

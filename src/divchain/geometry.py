@@ -1,7 +1,9 @@
 """Rectangular domains in dimension 1 or 2.
 
 Points are always handled as float arrays of shape (n, dim); scalar fields
-map (n, dim) -> (n,), vector fields map (n, dim) -> (n, dim).
+map (n, dim) -> (n,), vector fields map (n, dim) -> (n, dim).  Unit normals
+of a singular set are (n, dim) like points, in 1-D too, so a surface density
+g(pts, nus) maps two (n, dim) arrays to (n,).
 """
 
 from __future__ import annotations

@@ -178,16 +178,9 @@ class RadonMeasure:
 
     @staticmethod
     def from_jump(domain, rect_set: RectifiableSet, g):
-        jumps = {}
-        if rect_set.dim == 1:
-            for x, nu in zip(rect_set.points_1d, rect_set.normals_1d):
-                comp = RectifiableSet(1, [x], [nu])
-                jumps[comp.component_keys()[0]] = (comp, g)
-        else:
-            for c in rect_set.curves:
-                comp = RectifiableSet(2, curves=[c])
-                jumps[c.key()] = (comp, g)
-        return RadonMeasure(domain, jumps=jumps)
+        """g H^{N-1} on rect_set, one jump component per piece; the density
+        g maps pts (n, dim) and unit normals nus (n, dim) to (n,)."""
+        return RadonMeasure(domain, jumps={k: (comp, g) for k, comp in rect_set.components()})
 
     @staticmethod
     def point_mass(domain, x, mass, nu=1.0):
@@ -241,9 +234,7 @@ class RadonMeasure:
 
     @staticmethod
     def _normals_conflict(c0, c1):
-        if c0.dim == 1:
-            return not np.allclose(c0.normals_1d, c1.normals_1d)
-        return any(a.side != b.side for a, b in zip(c0.curves, c1.curves))
+        return any(a.side != b.side for a, b in zip(c0.pieces, c1.pieces))
 
     def __mul__(self, c):
         c = float(c)
@@ -324,15 +315,9 @@ class RadonMeasure:
             total += self._integrate_ac(lambda pts: np.abs(self.ac(pts)), box,
                                         tol_abs, tol_rel)
         for comp, g in self.jumps.values():
-            if comp.dim == 1:
-                (lo, hi), = box
-                for x, nu in zip(comp.points_1d, comp.normals_1d):
-                    if lo - 1e-13 <= x <= hi + 1e-13:
-                        total += abs(float(g(np.array([[x]]), np.array([nu]))[0]))
-            else:
-                v, _ = comp.integrate(lambda pts, nus: np.abs(g(pts, nus)), box=box,
-                                      tol_abs=tol_abs, tol_rel=tol_rel)
-                total += v
+            v, _ = comp.integrate(lambda pts, nus: np.abs(g(pts, nus)), box=box,
+                                  tol_abs=tol_abs, tol_rel=tol_rel)
+            total += v
         if self.cantor is not None:
             (lo, hi), = box
             a, b = self.cantor.spec.a, self.cantor.spec.b
@@ -366,7 +351,7 @@ class RadonMeasure:
         elif self.ac is not None:
             tbreaks = []
             if self.ac_singular is not None:
-                for piece in self.ac_singular.curves:
+                for piece in self.ac_singular.pieces:
                     for sa, sb in piece.ranges_in_ball(center, r):
                         for s in (sa, sb, 0.5 * (sa + sb)):
                             p = piece.points(np.array([s]))[0]

@@ -196,12 +196,7 @@ def mollification_study(field: ParamField, t, x, eps_list):
         pts = pts.reshape(1, -1)[:, :1]
     from .field import _normal_at
     nu = _normal_at(field.singular_set, pts)
-    bp = np.atleast_2d(np.asarray(field.b_plus(pts, t), dtype=float)).reshape(1, -1)
-    bm = np.atleast_2d(np.asarray(field.b_minus(pts, t), dtype=float)).reshape(1, -1)
-    if field.domain.dim == 1:
-        target = 0.5 * (bp[0, 0] + bm[0, 0]) * nu
-    else:
-        target = float(0.5 * (bp[0] + bm[0]) @ nu)
+    target = float(0.5 * (field.trace(pts, t, +1) + field.trace(pts, t, -1))[0] @ nu)
     rows = []
     for eps in eps_list:
         val = mollified_normal_trace(field, t, x, eps)

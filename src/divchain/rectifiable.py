@@ -1,10 +1,13 @@
-"""Rectifiable singular sets: finite point sets (1D) and C1 curves (2D).
+"""Rectifiable singular sets: one list of oriented pieces in 1-D and 2-D.
 
-Curves are restricted to three parametrizable forms -- vertical segments,
-horizontal segments, and graphs x2 = f(x1) -- which is enough to carry the
-singular sets of every bundled scenario while keeping splitting of area
-integrals exact.  Every piece carries a fixed orientation: the unit normal
-is part of the data, not derived on the fly.
+A piece is a jump point (1-D) or a C1 curve (2-D).  Curves are restricted to
+three parametrizable forms -- vertical segments, horizontal segments, and
+graphs x2 = f(x1) -- which is enough to carry the singular sets of every
+bundled scenario while keeping splitting of area integrals exact.  Every
+piece carries a fixed orientation: the unit normal is part of the data, not
+derived on the fly.  All pieces share one interface (key, flipped, points,
+normals, integrate, param_samples, ranges_in_box, ranges_in_ball, contains,
+breaks), and points and normals are (n, dim) arrays in every dimension.
 """
 
 from __future__ import annotations
@@ -14,6 +17,54 @@ from scipy.optimize import brentq
 
 from .errors import GeometryError
 from .quadrature import CurvedCell, integrate_1d
+
+
+class JumpPoint:
+    """{x} on the line, normal = side * e1; the 1-D counterpart of a curve."""
+
+    def __init__(self, x, side=+1):
+        if abs(abs(side) - 1.0) > 1e-12:
+            raise GeometryError("1d normals must be +-1")
+        self.x = float(x)
+        self.side = 1 if side > 0 else -1
+
+    # the parameter s of a curve has no counterpart: a point is one sample
+    def points(self, s=None):
+        return np.array([[self.x]])
+
+    def normals(self, s=None):
+        return np.array([[float(self.side)]])
+
+    def key(self):
+        return ("p", round(self.x, 12))
+
+    def flipped(self):
+        return JumpPoint(self.x, -self.side)
+
+    def integrate(self, density, s_ranges=None, tol_abs=None, tol_rel=None):
+        """density(x, nu) at the point, exactly (H^0 counts points); an empty
+        s_ranges (the point lies outside the box or ball) gives 0."""
+        if s_ranges is not None and not s_ranges:
+            return 0.0, 0.0
+        return float(density(self.points(), self.normals())[0]), 0.0
+
+    def param_samples(self, n=33):
+        return np.array([self.x]), self.points(), self.normals()
+
+    def ranges_in_box(self, bounds):
+        (lo, hi), = bounds
+        return [(self.x, self.x)] if lo - 1e-13 <= self.x <= hi + 1e-13 else []
+
+    def ranges_in_ball(self, center, r):
+        c = float(np.atleast_1d(center)[0])
+        return [(self.x, self.x)] if abs(self.x - c) <= r else []
+
+    def contains(self, pts, tol):
+        return np.abs(pts[:, 0] - self.x) <= tol
+
+    def breaks(self):
+        """(x-breaks, y-breaks) as for a curve; the line has no y-axis."""
+        return (self.x,), ()
 
 
 class CurvePiece:
@@ -35,6 +86,14 @@ class CurvePiece:
         raise NotImplementedError
 
     def flipped(self):
+        raise NotImplementedError
+
+    def contains(self, pts, tol):
+        """Mask of the (n, 2) points within tol of the piece."""
+        raise NotImplementedError
+
+    def breaks(self):
+        """(x-breaks, y-breaks) the piece induces on area integrals."""
         raise NotImplementedError
 
     def integrate(self, density, s_ranges=None, tol_abs=1e-11, tol_rel=1e-11):
@@ -136,6 +195,12 @@ class VerticalSegment(CurvePiece):
     def flipped(self):
         return VerticalSegment(self.c, self.s0, self.s1, -self.side)
 
+    def contains(self, pts, tol):
+        return (np.abs(pts[:, 0] - self.c) <= tol) & (pts[:, 1] >= self.s0) & (pts[:, 1] <= self.s1)
+
+    def breaks(self):
+        return (self.c,), (self.s0, self.s1)
+
 
 class HorizontalSegment(CurvePiece):
     """{x2 = c, x1 in [x0, x1]}, normal = side * e2."""
@@ -166,6 +231,12 @@ class HorizontalSegment(CurvePiece):
 
     def flipped(self):
         return HorizontalSegment(self.c, self.s0, self.s1, -self.side)
+
+    def contains(self, pts, tol):
+        return (np.abs(pts[:, 1] - self.c) <= tol) & (pts[:, 0] >= self.s0) & (pts[:, 0] <= self.s1)
+
+    def breaks(self):
+        return (self.s0, self.s1), (self.c,)
 
 
 class GraphCurve(CurvePiece):
@@ -201,28 +272,31 @@ class GraphCurve(CurvePiece):
     def flipped(self):
         return GraphCurve(self.fn, self.dfn, self.s0, self.s1, -self.side, self.label)
 
+    def contains(self, pts, tol):
+        inside = (pts[:, 0] >= self.s0) & (pts[:, 0] <= self.s1)
+        return inside & (np.abs(pts[:, 1] - np.asarray(self.fn(pts[:, 0]), dtype=float)) <= tol)
+
+    def breaks(self):
+        return (self.s0, self.s1), ()
+
 
 class RectifiableSet:
-    """Oriented singular set: points+normals in 1D, curve pieces in 2D."""
+    """Oriented singular set: a list of pieces, jump points in 1-D and curve
+    pieces in 2-D.  RectifiableSet(1, points, normals) builds the 1-D set
+    from abscissae and +-1 normals; 1-D pieces are kept in increasing order.
+    """
 
-    def __init__(self, dim, points=None, normals=None, curves=None):
+    def __init__(self, dim, points=None, normals=None, pieces=None):
         self.dim = int(dim)
-        if dim == 1:
-            self.points_1d = np.asarray([] if points is None else points, dtype=float)
-            self.normals_1d = np.asarray(
-                [1.0] * len(self.points_1d) if normals is None else normals, dtype=float)
-            if len(self.normals_1d) != len(self.points_1d):
+        if points is not None:
+            points = np.atleast_1d(np.asarray(points, dtype=float))
+            normals = np.ones(len(points)) if normals is None else np.atleast_1d(normals)
+            if len(normals) != len(points):
                 raise GeometryError("one normal per point required")
-            if np.any(np.abs(np.abs(self.normals_1d) - 1.0) > 1e-12):
-                raise GeometryError("1d normals must be +-1")
-            order = np.argsort(self.points_1d)
-            self.points_1d = self.points_1d[order]
-            self.normals_1d = self.normals_1d[order]
-            self.curves = []
-        else:
-            self.points_1d = np.array([])
-            self.normals_1d = np.array([])
-            self.curves = list(curves or [])
+            pieces = [JumpPoint(x, nu) for x, nu in zip(points, normals)]
+        self.pieces = list(pieces or [])
+        if self.dim == 1:
+            self.pieces.sort(key=lambda p: p.x)
 
     @staticmethod
     def empty(dim):
@@ -230,89 +304,59 @@ class RectifiableSet:
 
     @property
     def is_empty(self):
-        return len(self.points_1d) == 0 and len(self.curves) == 0
+        return not self.pieces
+
+    @property
+    def points_1d(self):
+        """Abscissae of a 1-D set's jump points, increasing (read-only copy)."""
+        return np.array([p.x for p in self.pieces], dtype=float)
 
     def component_keys(self):
-        if self.dim == 1:
-            return [("p", round(x, 12)) for x in self.points_1d]
-        return [c.key() for c in self.curves]
+        return [p.key() for p in self.pieces]
+
+    def components(self):
+        """(key, one-piece set) for every piece."""
+        return [(p.key(), RectifiableSet(self.dim, pieces=[p])) for p in self.pieces]
 
     def flipped(self):
-        if self.dim == 1:
-            return RectifiableSet(1, self.points_1d.copy(), -self.normals_1d)
-        return RectifiableSet(2, curves=[c.flipped() for c in self.curves])
+        return RectifiableSet(self.dim, pieces=[p.flipped() for p in self.pieces])
 
     def integrate(self, density, tol_abs=1e-11, tol_rel=1e-11, box=None):
-        """\\int density(x, nu) dH^{N-1}; box restricts the integral."""
-        if self.dim == 1:
-            total = 0.0
-            for x, nu in zip(self.points_1d, self.normals_1d):
-                if box is not None:
-                    (lo, hi), = box
-                    if not (lo <= x <= hi):
-                        continue
-                total += float(density(np.array([[x]]), np.array([nu]))[0])
-            return total, 0.0
+        """\\int density(x, nu) dH^{N-1}; box restricts the integral.
+
+        density maps pts (n, dim) and unit normals nus (n, dim) to (n,).
+        """
         total, err = 0.0, 0.0
-        for c in self.curves:
-            ranges = None if box is None else c.ranges_in_box(box)
-            v, e = c.integrate(density, s_ranges=ranges, tol_abs=tol_abs, tol_rel=tol_rel)
+        for p in self.pieces:
+            ranges = None if box is None else p.ranges_in_box(box)
+            v, e = p.integrate(density, s_ranges=ranges, tol_abs=tol_abs, tol_rel=tol_rel)
             total += v
             err += e
         return total, err
 
     def mass_in_ball(self, density, center, r):
         """\\int_{B_r(center)} density dH^{N-1} (used by density-ratio checks)."""
-        if self.dim == 1:
-            c = float(np.atleast_1d(center)[0])
-            total = 0.0
-            for x, nu in zip(self.points_1d, self.normals_1d):
-                if abs(x - c) <= r:
-                    total += float(density(np.array([[x]]), np.array([nu]))[0])
-            return total
         total = 0.0
-        for piece in self.curves:
-            ranges = piece.ranges_in_ball(center, r)
+        for p in self.pieces:
+            ranges = p.ranges_in_ball(center, r)
             if ranges:
-                v, _ = piece.integrate(density, s_ranges=ranges)
+                v, _ = p.integrate(density, s_ranges=ranges)
                 total += v
         return total
 
     def samples(self, n_per_piece=17):
-        """Representative points and normals on every component."""
-        if self.dim == 1:
-            return self.points_1d[:, None].copy(), self.normals_1d.copy()
-        pts, nus = [], []
-        for c in self.curves:
-            _, p, n = c.param_samples(n_per_piece)
-            pts.append(p)
-            nus.append(n)
-        if not pts:
-            return np.zeros((0, 2)), np.zeros((0, 2))
+        """Representative points and normals on every component, (n, dim) each."""
+        if not self.pieces:
+            return np.zeros((0, self.dim)), np.zeros((0, self.dim))
+        pts, nus = zip(*(p.param_samples(n_per_piece)[1:] for p in self.pieces))
         return np.vstack(pts), np.vstack(nus)
 
     def x_breaks(self):
         """Axis-0 splitting abscissae the set induces on area integrals."""
-        if self.dim == 1:
-            return list(self.points_1d)
-        out = []
-        for c in self.curves:
-            if isinstance(c, VerticalSegment):
-                out.append(c.c)
-            else:
-                out.extend([c.s0, c.s1])
-        return out
+        return [v for p in self.pieces for v in p.breaks()[0]]
 
     def y_breaks(self):
-        if self.dim == 1:
-            return []
-        out = []
-        for c in self.curves:
-            if isinstance(c, VerticalSegment):
-                out.extend([c.s0, c.s1])
-            elif isinstance(c, HorizontalSegment):
-                out.append(c.c)
-        return out
+        return [v for p in self.pieces for v in p.breaks()[1]]
 
 
 def merge_sets(*sets):
@@ -324,29 +368,16 @@ def merge_sets(*sets):
     dims = {s.dim for s in sets if s is not None}
     if len(dims) != 1:
         raise GeometryError("cannot merge sets of different dimensions")
-    dim = dims.pop()
-    if dim == 1:
-        seen = {}
-        for s in sets:
-            if s is None:
-                continue
-            for x, nu in zip(s.points_1d, s.normals_1d):
-                k = round(float(x), 12)
-                if k in seen and seen[k] != nu:
-                    raise GeometryError(f"conflicting orientation at shared point {x}")
-                seen[k] = nu
-        xs = sorted(seen)
-        return RectifiableSet(1, np.array(xs), np.array([seen[k] for k in xs]))
     seen = {}
     for s in sets:
         if s is None:
             continue
-        for c in s.curves:
-            k = c.key()
-            if k in seen and seen[k].side != c.side:
-                raise GeometryError(f"conflicting orientation on shared curve {k}")
-            seen[k] = c
-    return RectifiableSet(2, curves=list(seen.values()))
+        for p in s.pieces:
+            k = p.key()
+            if k in seen and seen[k].side != p.side:
+                raise GeometryError(f"conflicting orientation on shared component {k}")
+            seen[k] = p
+    return RectifiableSet(dims.pop(), pieces=list(seen.values()))
 
 
 def _level_crossings(g, levels, a, b, n_scan=257):
@@ -385,7 +416,7 @@ def box_cells(bounds, curve_sets, extra_x_breaks=(), extra_y_breaks=()):
         for v in s.y_breaks():
             if ylo < v < yhi:
                 yb.add(float(v))
-        for c in s.curves:
+        for c in s.pieces:
             if isinstance(c, GraphCurve):
                 graphs.append(c)
     for v in extra_x_breaks:

@@ -14,10 +14,9 @@ import os
 import numpy as np
 
 from .bvfunc import BVFunction
-from .chainrule import (ChainRuleBreakdown, ScalarFunction, anzellotti_pairing,
-                        chain_bv_scalar, chain_dm, chain_w11, green_check,
-                        layer_cake_action, product_rule)
-from .errors import DivchainError, ScenarioParseError, ScenarioValidationError
+from .chainrule import (IDENTITY, ChainRuleBreakdown, anzellotti_pairing, chain_bv_scalar,
+                        chain_dm, chain_w11, green_check, layer_cake_action, product_rule)
+from .errors import DivchainError, ScenarioValidationError
 from .field import primitive, sigma_of, singular_set_check
 from .geometry import subboxes
 from .measure import RadonMeasure, radon_nikodym
@@ -78,12 +77,13 @@ def _v_eval(prim, u):
     return lambda pts: prim.value(pts, u.eval(pts))
 
 
-def _merged(scn: Scenario):
+def _suite(scn: Scenario, breaks_1d=()):
+    """Test functions straddling the merged singular set N u J_u."""
     if scn.u is not None and scn.field is not None:
-        return merge_sets(scn.field.singular_set, scn.u.jump_set)
-    if scn.field is not None:
-        return scn.field.singular_set
-    return scn.u.jump_set
+        merged = merge_sets(scn.field.singular_set, scn.u.jump_set)
+    else:
+        merged = scn.field.singular_set if scn.field is not None else scn.u.jump_set
+    return build_suite(scn.domain, None if merged.is_empty else merged, breaks_1d=breaks_1d)
 
 
 def _actions_close(m1: RadonMeasure, m2: RadonMeasure, suite, tol, quad_tol=None):
@@ -98,10 +98,8 @@ def _actions_close(m1: RadonMeasure, m2: RadonMeasure, suite, tol, quad_tol=None
 def run_chain(scn: Scenario, res: RunResult, mode="chain"):
     field, u = scn.field, scn.u
     prim = primitive(field)
-    merged = _merged(scn)
     # splits from the declared construction, never from the measure under test
-    breaks = cantor_breaks(scn.cantor_spec) if scn.is_cantor else ()
-    suite = build_suite(scn.domain, None if merged.is_empty else merged, breaks_1d=breaks)
+    suite = _suite(scn, cantor_breaks(scn.cantor_spec) if scn.is_cantor else ())
     if mode == "w11":
         br = chain_w11(field, u, prim=prim)
     elif mode == "bv-scalar":
@@ -112,7 +110,11 @@ def run_chain(scn: Scenario, res: RunResult, mode="chain"):
     total = br.total
     if scn.fake_scale is not None:
         total = total * scn.fake_scale
-    quad_tol = max(scn.tol_abs / 3.0, 1e-10) if scn.is_cantor else max(scn.tol_abs / 30.0, 1e-10)
+    # Cantor scenarios run every quadrature at tol_abs / 3 (the general tol_abs / 30
+    # stalls cantor-u-autonomous) and every total variation at 3e-7
+    q = max(scn.tol_abs / 3.0, 1e-10) if scn.is_cantor else None
+    tv_tol = 3e-7 if scn.is_cantor else 1e-9
+    quad_tol = q if q is not None else max(scn.tol_abs / 30.0, 1e-10)
     cmp = compare(total, _v_eval(prim, u), suite,
                   tol_abs=scn.tol_abs, tol_rel=scn.tol_rel, quad_tol=quad_tol)
     res.phi_rows.extend({"scenario": scn.id, "experiment": mode, **row}
@@ -120,19 +122,17 @@ def run_chain(scn: Scenario, res: RunResult, mode="chain"):
     res.check(f"{mode}:oracle_equivalence", cmp["pass"],
               max_difference=cmp["max_difference"], n_phi=len(cmp["rows"]))
 
-    tv_tol = 3e-7 if scn.is_cantor else 1e-9
     for name, mu in br.terms().items():
         res.term_rows.append({"scenario": scn.id, "experiment": mode, "term": name,
                               "total_variation": mu.total_variation(tol_abs=tv_tol,
                                                                     tol_rel=1e-8)})
 
-    q = max(scn.tol_abs / 3.0, 1e-10) if scn.is_cantor else None
     ok, worst = _actions_close(br.term_jump, br.jump_symmetric_view(), suite, 1e-9,
                                quad_tol=q)
     res.check(f"{mode}:jump_regrouping", ok, max_difference=worst)
-    _tv_bound_check(scn, res, br, mode)
-    _reduction_checks(scn, res, br, prim, suite, mode)
-    _orientation_check(scn, res, br, suite, mode)
+    _tv_bound_check(scn, res, br, mode, tv_tol)
+    _reduction_checks(scn, res, br, suite, mode, q)
+    _orientation_check(scn, res, br, suite, mode, q)
     if mode == "w11":
         worst = 0.0
         xpart = br.term_diva + br.term_divc + br.term_jump
@@ -156,10 +156,9 @@ def run_chain(scn: Scenario, res: RunResult, mode="chain"):
     return br
 
 
-def _tv_bound_check(scn, res, br: ChainRuleBreakdown, mode="chain"):
+def _tv_bound_check(scn, res, br: ChainRuleBreakdown, mode, tv_rel):
     field, u = scn.field, scn.u
     sigma = field.sigma(scn.sigma_samples())
-    tv_rel = 3e-7 if scn.is_cantor else 1e-9
     worst_gap = -np.inf
     ok = True
     for box in subboxes(scn.domain, 4):
@@ -182,9 +181,8 @@ def _is_t_independent(scn):
     return max(float(np.max(np.abs(v - vals[0]))) for v in vals) == 0.0
 
 
-def _reduction_checks(scn, res, br, prim, suite, mode="chain"):
+def _reduction_checks(scn, res, br, suite, mode, q):
     field, u = scn.field, scn.u
-    q = max(scn.tol_abs / 3.0, 1e-10) if scn.is_cantor else None
     if _is_autonomous(scn):
         volp = _volpert_breakdown(field, u)
         worst = 0.0
@@ -193,9 +191,7 @@ def _reduction_checks(scn, res, br, prim, suite, mode="chain"):
             worst = max(worst, w)
         res.check(f"{mode}:volpert_reduction", worst <= 1e-9, max_difference=worst)
     if _is_t_independent(scn):
-        ident = ScalarFunction(lambda t: np.asarray(t, dtype=float),
-                               lambda t: np.ones_like(np.asarray(t, dtype=float)), 1.0)
-        pr = product_rule(field, ident, u)
+        pr = product_rule(field, IDENTITY, u)
         ok, worst = _actions_close(br.total, pr.total, suite, 1e-9, quad_tol=q)
         res.check(f"{mode}:anzellotti_reduction", ok, max_difference=worst)
 
@@ -226,18 +222,14 @@ def _volpert_breakdown(field, u: BVFunction):
         def g(pts, nus):
             up = np.asarray(u.u_plus(pts), dtype=float)
             um = np.asarray(u.u_minus(pts), dtype=float)
-            diff = prim.value(pts, up) - prim.value(pts, um)
-            if dom.dim == 1:
-                return diff[:, 0] * np.asarray(nus, dtype=float).reshape(len(pts))
-            return np.einsum("ij,ij->i", diff, np.atleast_2d(nus))
+            return np.einsum("ij,ij->i", prim.value(pts, up) - prim.value(pts, um), nus)
         term_j = RadonMeasure.from_jump(dom, u.jump_set, g)
     else:
         term_j = RadonMeasure.zero(dom)
     return [term_diva, term_divc, term_ac, term_cu, term_j]
 
 
-def _orientation_check(scn, res, br, suite, mode="chain"):
-    q = max(scn.tol_abs / 3.0, 1e-10) if scn.is_cantor else None
+def _orientation_check(scn, res, br, suite, mode, q):
     flipped = chain_dm(scn.field.flipped(), scn.u.flipped())
     ok, worst = _actions_close(br.total, flipped.total, suite, 1e-9, quad_tol=q)
     res.check(f"{mode}:orientation_invariance", ok, max_difference=worst)
@@ -249,8 +241,7 @@ def run_product(scn: Scenario, res: RunResult):
     if h is None:
         raise ScenarioValidationError("[product] section missing")
     br = product_rule(field, h, u)
-    merged = _merged(scn)
-    suite = build_suite(scn.domain, None if merged.is_empty else merged)
+    suite = _suite(scn)
 
     def v(pts):
         hval = np.asarray(h.h(u.eval(pts)), dtype=float)
@@ -267,8 +258,7 @@ def run_product(scn: Scenario, res: RunResult):
 def run_anzellotti(scn: Scenario, res: RunResult):
     field, u = scn.field, scn.u
     pairing = anzellotti_pairing(field, u)
-    merged = _merged(scn)
-    suite = build_suite(scn.domain, None if merged.is_empty else merged)
+    suite = _suite(scn)
 
     # support inclusion: pairing is dominated by M |Du| at samples
     du = u.variation_measure()
@@ -281,9 +271,7 @@ def run_anzellotti(scn: Scenario, res: RunResult):
         ok_ac = bool(np.all(lhs <= rhs))
     res.check("anzellotti:dominated_by_Du", ok_ac)
 
-    ident = ScalarFunction(lambda t: np.asarray(t, dtype=float),
-                           lambda t: np.ones_like(np.asarray(t, dtype=float)), 1.0)
-    div_ua = product_rule(field, ident, u).total
+    div_ua = product_rule(field, IDENTITY, u).total
 
     def v(pts):
         return field.eval(pts, 0.0) * u.eval(pts)[:, None]
@@ -570,8 +558,8 @@ def _emit_density_plot(scn, res, br):
         up = scn.u.u_plus(sp)
         um = scn.u.u_minus(sp)
         res.plots[f"{scn.id}_traces"] = [
-            {"x": float(p[0]), "nu": float(n), "u_plus": float(a), "u_minus": float(b)}
-            for p, n, a, b in zip(sp, np.atleast_1d(sn), up, um)]
+            {"x": float(p[0]), "nu": float(n[0]), "u_plus": float(a), "u_minus": float(b)}
+            for p, n, a, b in zip(sp, sn, up, um)]
     if scn.u is not None:
         du = scn.u.derivative()[0]
         if du.ac is not None:

@@ -197,7 +197,7 @@ def build_singular(raw: RawScenario, domain: Domain, cantor_spec=None):
         s = np.linspace(c.s0, c.s1, 9)
         if not np.all(domain.contains_points(c.points(s))):
             raise ScenarioValidationError("singular curve exits the domain")
-    return RectifiableSet(2, curves=curves)
+    return RectifiableSet(2, pieces=curves)
 
 
 def build_cantor_spec(raw: RawScenario):
@@ -333,7 +333,7 @@ def build_u(raw: RawScenario, domain: Domain, cantor_spec) -> BVFunction:
     jump = RectifiableSet.empty(2)
     u_plus = u_minus = None
     if "jump_curves" in sec:
-        jump = RectifiableSet(2, curves=_parse_curves(sec["jump_curves"],
+        jump = RectifiableSet(2, pieces=_parse_curves(sec["jump_curves"],
                                                       ln("jump_curves"), cantor_spec))
         up, _ = compile_scalar(raw.require("u", "u_plus"), ln("u_plus"), cantor_spec)
         um, _ = compile_scalar(raw.require("u", "u_minus"), ln("u_minus"), cantor_spec)

@@ -22,7 +22,7 @@ def test_traces_heaviside(heaviside):
 
 def test_traces_2d_vertical():
     dom = Domain.box((-1, 1), (-1, 1))
-    J = RectifiableSet(2, curves=[VerticalSegment(0.0, -1, 1, +1)])
+    J = RectifiableSet(2, pieces=[VerticalSegment(0.0, -1, 1, +1)])
     u = BVFunction(
         dom,
         [Piece(lambda p: p[:, 0] < 0, lambda p: np.zeros(len(p)),

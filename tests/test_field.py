@@ -54,7 +54,7 @@ def test_singular_set_check(dom11, point_zero):
 def test_singular_set_check_2d():
     from divchain import VerticalSegment
     dom = Domain.box((-1, 1), (-1, 1))
-    N = RectifiableSet(2, curves=[VerticalSegment(0.0, -1, 1, +1)])
+    N = RectifiableSet(2, pieces=[VerticalSegment(0.0, -1, 1, +1)])
     b = ParamField(dom, lambda pts, t: np.column_stack([np.sign(pts[:, 0]),
                                                         np.zeros(len(pts))]),
                    sup_bound=1.0, singular_set=N,
@@ -128,7 +128,7 @@ def test_jump_density_is_trace_difference(dom11, point_zero):
     b = sign_t_field(dom11, point_zero)
     for t in (0.5, 1.5):
         g = b.jump_density(t)
-        val = g(np.array([[0.0]]), np.array([1.0]))[0]
+        val = g(np.array([[0.0]]), np.array([[1.0]]))[0]
         assert val == pytest.approx(2 * t)
 
 

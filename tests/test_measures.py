@@ -108,7 +108,7 @@ def test_part_orthogonality(dom):
 
 def test_orientation_flip_flips_surface_sign():
     d = Domain.box((-1, 1), (-1, 1))
-    rect = RectifiableSet(2, curves=[VerticalSegment(0.0, -1, 1, +1)])
+    rect = RectifiableSet(2, pieces=[VerticalSegment(0.0, -1, 1, +1)])
     g = lambda pts, nus: nus[:, 0] * 2.0
     mu = RadonMeasure.from_jump(d, rect, g)
     mu_f = RadonMeasure.from_jump(d, rect.flipped(), g)
@@ -150,7 +150,7 @@ def test_ball_mass(dom):
     assert mu.ball_mass([0.0], 0.25) == pytest.approx(2.5)
     d2 = Domain.box((-1, 1), (-1, 1))
     line = RadonMeasure.from_jump(
-        d2, RectifiableSet(2, curves=[VerticalSegment(0.0, -1, 1, +1)]),
+        d2, RectifiableSet(2, pieces=[VerticalSegment(0.0, -1, 1, +1)]),
         lambda pts, nus: np.full(len(pts), 2.0))
     assert line.ball_mass((0.0, 0.0), 0.25) == pytest.approx(1.0, abs=1e-9)
 

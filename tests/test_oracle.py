@@ -186,7 +186,7 @@ def test_graph_meeting_a_level_ends_a_strip(gb):
     # no cell across that abscissa: every cell boundary is a constant or the
     # unclipped graph over its whole strip, and the cells tile the box
     g, box, (xe, ye) = gb
-    cells = box_cells(box, [RectifiableSet(2, curves=[g])], extra_x_breaks=xe,
+    cells = box_cells(box, [RectifiableSet(2, pieces=[g])], extra_x_breaks=xe,
                       extra_y_breaks=ye)
     for cell in cells:
         xs = np.linspace(cell.a1, cell.b1, 33)

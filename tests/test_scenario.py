@@ -115,7 +115,7 @@ sup = 0.5
 
 def test_hline_curve_div_measure_matches_closed_form():
     scn = Scenario(parse_text(HLINE))
-    seg, = scn.singular.curves
+    seg, = scn.singular.pieces
     assert isinstance(seg, HorizontalSegment)
     s = np.array([-0.5, 0.25])
     assert np.array_equal(seg.points(s), [[-0.5, 0.0], [0.25, 0.0]])
@@ -123,8 +123,8 @@ def test_hline_curve_div_measure_matches_closed_form():
     assert seg.key() == ("h", 0.0, -1.0, 1.0)
     assert scn.singular.y_breaks() == [0.0]
     flipped = scn.field.flipped()
-    assert flipped.singular_set.curves[0].side == -1
-    assert flipped.singular_set.curves[0].key() == seg.key()
+    assert flipped.singular_set.pieces[0].side == -1
+    assert flipped.singular_set.pieces[0].key() == seg.key()
     sx, px, sy, py = (-0.6, 0.6), (-0.2, 0.2), (-0.5, 0.5), (-0.1, 0.1)
     phi = plateau_bump((sx, sy), (px, py))
     ix, iy = _ramp_integral(sx, px), _ramp_integral(sy, py)
