@@ -87,11 +87,7 @@ class BVFunction:
         return out
 
     def on_jump(self, pts, tol=1e-11):
-        pts = as_points(pts, self.domain.dim)
-        mask = np.zeros(len(pts), dtype=bool)
-        for piece in self.jump_set.pieces:
-            mask |= piece.contains(pts, tol)
-        return mask
+        return self.jump_set.contains(as_points(pts, self.domain.dim), tol)
 
     def precise_rep(self, pts):
         """Approximate limit off J_u; mean of traces on it."""

@@ -15,7 +15,7 @@ from ..measure import TestFunction
 from ..quadrature import gauss
 from .flux import EntropyPair, FluxSpec, chi
 from .hatbasis import HatBasis, hat_derivative
-from .solver import GridState, Trajectory, fv_solve
+from .solver import GridState, Trajectory, _solve
 
 
 def _segment_integrals(f, edges, order):
@@ -187,9 +187,10 @@ def kinetic_measure(traj: Trajectory, n_t=6, n_x=10, n_v=14):
     the two coincide whenever u^ is continuous across x_j.  Every (t, x)
     factor integrates in closed form, and the v-integrals are taken once
     per distinct (k, u) slab state.  In v, the min(v, u) and indicator
-    terms are closed forms too; the flux-weighted terms use 12-point Gauss
-    on each hat piece, exact when Ahat is a polynomial in u of degree <= 22
-    (all bundled fluxes are) and a Gauss-12 approximation otherwise.
+    terms are closed forms too; the flux-weighted terms run Gauss on each
+    hat piece at the order flux.ahat_degree makes exact (two points for the
+    bundled quadratic fluxes), and 12 points when Ahat is not a declared
+    polynomial in u.
     """
     flux = traj.flux
     if np.min(traj.states) < -1e-12:
@@ -205,7 +206,8 @@ def kinetic_measure(traj: Trajectory, n_t=6, n_x=10, n_v=14):
         A = lambda v: flux.flux_at(kv, v)
         Au = A(u)
         return np.array([(h.min_integral(u),
-                           h.weighted_to_upper(A, u) + Au * h.upper_integral(u))
+                           h.weighted_to_upper(A, u, flux.ahat_degree)
+                           + Au * h.upper_integral(u))
                           for h in v_basis.hats])
 
     slabs = traj.states[:-1]
@@ -217,7 +219,7 @@ def kinetic_measure(traj: Trajectory, n_t=6, n_x=10, n_v=14):
         for i in ifaces:
             km_, kp_ = traj.kvals[i - 1], traj.kvals[i]
             jump = lambda v: flux.flux_at(kp_, v) - flux.flux_at(km_, v)
-            series = sum(vh.weighted_to_upper(jump, uh) / 2
+            series = sum(vh.weighted_to_upper(jump, uh, flux.ahat_degree) / 2
                          for uh in (slabs[:, i - 1], slabs[:, i]))
             iface.append((series, x_basis.vals(traj.edges[i:i + 1])[:, 0]))
         masses[:, :, c] = pair(g0, g1, iface)
@@ -248,7 +250,8 @@ def kinetic_identity_residual(traj: Trajectory, km: KineticMeasure):
         A = lambda v: flux.flux_at(kv, v)
         Au = A(u)
         return np.array([(vh.cdf(u) + dvh.min_integral(u),
-                          vh.weighted_to_upper(a, u) + dvh.weighted_to_upper(A, u)
+                          vh.weighted_to_upper(a, u, flux.speed_degree)
+                          + dvh.weighted_to_upper(A, u, flux.ahat_degree)
                           + Au * dvh.upper_integral(u))
                          for vh, dvh in zip(km.v_basis.hats, dvhs)])
 
@@ -290,27 +293,29 @@ def kato_check(flux: FluxSpec, u0_a, u0_b, T, dx_list, domain, cfl=0.45):
     Per dx: L1 distances at 0 and T, their deficit, and the accumulated
     interface W integral with its worst sample.
     """
-    rows = []
-    for dx in dx_list:
-        (xlo, xhi), = domain.bounds
-        n = int(round((xhi - xlo) / dx))
-        ga = GridState.from_function(domain, n, u0_a, cfl=cfl)
-        gb = GridState.from_function(domain, n, u0_b, cfl=cfl)
-        ta = fv_solve(flux, ga, T)
-        tb = fv_solve(flux, gb, T)
-        d0 = l1_distance(ga, gb)
-        dT = l1_distance(ta.final(), tb.final())
-        w, w_worst = accumulated_interface_W(ta, tb)
-        rows.append({
-            "dx": dx,
-            "l1_initial": d0,
-            "l1_final": dT,
-            "deficit": d0 - dT,
-            "contraction_holds": bool(dT <= d0 + 1e-12),
-            "W_integral": w,
-            "W_worst_sample": w_worst,
-        })
-    return rows
+    return [_kato_row(flux, u0_a, u0_b, T, dx, domain, cfl) for dx in dx_list]
+
+
+def _kato_row(flux: FluxSpec, u0_a, u0_b, T, dx, domain, cfl):
+    """One kato_check row: both data march in one sweep on the dx mesh, and
+    their trajectories are freed before the next mesh is built."""
+    (xlo, xhi), = domain.bounds
+    n = int(round((xhi - xlo) / dx))
+    ga = GridState.from_function(domain, n, u0_a, cfl=cfl)
+    gb = GridState.from_function(domain, n, u0_b, cfl=cfl)
+    ta, tb = _solve(flux, [ga, gb], T)
+    d0 = l1_distance(ga, gb)
+    dT = l1_distance(ta.final(), tb.final())
+    w, w_worst = accumulated_interface_W(ta, tb)
+    return {
+        "dx": dx,
+        "l1_initial": d0,
+        "l1_final": dT,
+        "deficit": d0 - dT,
+        "contraction_holds": bool(dT <= d0 + 1e-12),
+        "W_integral": w,
+        "W_worst_sample": w_worst,
+    }
 
 
 def div_xv_zero_residual(flux: FluxSpec, psi: TestFunction, quad_tol=1e-10):

@@ -31,13 +31,18 @@ class FluxSpec:
     critical points of u -> Ahat(k, u) on the invariant region; the Godunov
     flux takes its extrema over the Riemann interval from these and the
     interval's ends, so any flux works as long as its critical points are
-    declared.
+    declared.  ahat_degree and speed_degree are the polynomial degrees in u
+    of Ahat and dAhat_du, or None when either is not a polynomial in u;
+    the quadratures in u take their Gauss order from them.
     """
 
-    def __init__(self, k: BVFunction, ahat, dahat_du, u_range, critical=None):
+    def __init__(self, k: BVFunction, ahat, dahat_du, u_range, critical=None,
+                 ahat_degree=None, speed_degree=None):
         self.k = k
         self.ahat = ahat
         self.dahat_du = dahat_du
+        self.ahat_degree = ahat_degree
+        self.speed_degree = speed_degree
         self.u_range = (float(u_range[0]), float(u_range[1]))
         self.critical = critical or (lambda kv: ())
         z = self.ahat(self._k_probe(), 0.0)
@@ -66,12 +71,17 @@ class FluxSpec:
 
 
 class EntropyPair:
-    """Convex entropy S with flux eta_i(x, v) = \\int_0^v b_i(x, w) S'(w) dw."""
+    """Convex entropy S with flux eta_i(x, v) = \\int_0^v b_i(x, w) S'(w) dw.
 
-    def __init__(self, S, dS, d2S=None):
+    dS_degree: the polynomial degree of S', or None when it is not a
+    polynomial.
+    """
+
+    def __init__(self, S, dS, d2S=None, dS_degree=None):
         self.S = S
         self.dS = dS
         self.d2S = d2S
+        self.dS_degree = dS_degree
 
     def check_convex(self, u_range, n=101):
         us = np.linspace(*u_range, n)
@@ -81,11 +91,15 @@ class EntropyPair:
         return bool(np.all(d2 >= -1e-12))
 
     def eta_of_k(self, flux: FluxSpec, kv, v):
-        """eta(x, v) for constant coefficient kv, vectorized over v."""
+        """eta(x, v) for constant coefficient kv, vectorized over v.
+
+        Exact when dAhat_du and S' are polynomials of declared degree: one
+        Gauss order runs for the degree of their product."""
         v_arr = np.atleast_1d(np.asarray(v, dtype=float))
 
         def g(w):
             return np.asarray(flux.dahat_du(kv, w), dtype=float) * np.asarray(self.dS(w))
 
-        out = integrate_to_upper(g, v_arr)
+        degs = (flux.speed_degree, self.dS_degree)
+        out = integrate_to_upper(g, v_arr, degree=None if None in degs else sum(degs))
         return out if not np.isscalar(v) else float(out[0])

@@ -4,9 +4,10 @@ The kinetic-measure assembly needs integrals like \\int w(v) min(v, u) dv,
 \\int_{v>u} w(v) dv and \\int_{v<u} w(v) g(v) dv per slab state; they are
 taken once per distinct (k, u) state, which for shock runs is a small share
 of the slab states.  With hat (and hat-derivative) weights the first two
-have closed forms.  The flux-weighted third uses 12-point Gauss on each
-clipped piece: it is exact when g is a polynomial of degree <= 22 (as every
-bundled flux is) and a Gauss-12 approximation otherwise.
+have closed forms.  The flux-weighted third runs Gauss on each clipped
+piece: ceil((d + 2) / 2) points when g is a polynomial of known degree d,
+which is exact (two points for the bundled quadratic fluxes), and 12 points
+otherwise.
 """
 
 from __future__ import annotations
@@ -73,12 +74,14 @@ class PiecewiseLinearWeight:
         """\\int_{v > u} w(v) dv."""
         return self.integral() - self.cdf(np.asarray(u, dtype=float))
 
-    def weighted_to_upper(self, g, u, order=12):
-        """\\int_{-inf}^{u} w(v) g(v) dv, Gauss-`order` on each clipped piece.
+    def weighted_to_upper(self, g, u, degree=None):
+        """\\int_{-inf}^{u} w(v) g(v) dv by Gauss on each clipped piece.
 
-        g vectorized; exact for polynomial g up to degree 2*order-2.
+        g vectorized.  When g is a polynomial of `degree` d, w g has degree
+        d + 1 and ceil((d + 2) / 2) points integrate it exactly; with degree
+        None, 12 points.
         """
-        x, wts = gauss(order)
+        x, wts = gauss(12 if degree is None else (degree + 3) // 2)
 
         def part(a, c, p, q):
             half, mid = 0.5 * (c - a), 0.5 * (c + a)

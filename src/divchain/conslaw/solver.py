@@ -5,6 +5,8 @@ cells.  Coefficient jumps must sit on cell faces; those faces couple the
 two one-sided fluxes through the demand/supply form of the Godunov flux,
 which selects the admissible interface state.  One vectorized numpy sweep
 serves every flux: it needs only Ahat and its declared critical points.
+The sweep marches several initial data on one mesh at once, one row each,
+and evaluates Ahat once per cell and step.
 """
 
 from __future__ import annotations
@@ -75,11 +77,7 @@ class Trajectory:
 
     def interfaces(self):
         """Indices of faces where the coefficient jumps (1..n-1)."""
-        out = []
-        for i in range(1, len(self.kvals)):
-            if abs(self.kvals[i] - self.kvals[i - 1]) > 1e-12:
-                out.append(i)
-        return out
+        return (np.flatnonzero(np.abs(np.diff(self.kvals)) > 1e-12) + 1).tolist()
 
     def interface_traces(self, face_index):
         """(u-, u+) time series next to an interior face."""
@@ -118,74 +116,94 @@ def _validate_interface_fluxes(flux: FluxSpec, kvals, n_checks=101):
 
 def fv_solve(flux: FluxSpec, u0: GridState, T, cfl=None) -> Trajectory:
     """March to time T with Godunov fluxes; dt = cfl dx / max |speed|."""
-    cfl = float(cfl if cfl is not None else u0.cfl)
+    return _solve(flux, [u0], T, cfl)[0]
+
+
+def _solve(flux: FluxSpec, grids, T, cfl=None):
+    """March several initial data on one mesh to time T in one sweep.
+
+    The grids share the first one's mesh, start time and (when cfl is
+    None) CFL number; returns one Trajectory per grid.
+    """
+    g0 = grids[0]
+    cfl = float(cfl if cfl is not None else g0.cfl)
     if not (0.0 < cfl < 1.0):
         raise ScenarioValidationError("cfl must be in (0, 1)")
     lo, hi = flux.u_range
-    if np.min(u0.averages) < lo - 1e-12 or np.max(u0.averages) > hi + 1e-12:
+    u0 = np.stack([g.averages for g in grids])
+    if np.min(u0) < lo - 1e-12 or np.max(u0) > hi + 1e-12:
         raise ScenarioValidationError("initial data outside the invariant region")
-    kvals = _coefficients(flux, u0)
+    kvals = _coefficients(flux, g0)
     if len(np.unique(kvals.round(12))) > 1:
         _validate_interface_fluxes(flux, kvals)
     speed = max(flux.M, 1e-12)
-    nsteps = max(1, math.ceil(float(T) * speed / (cfl * u0.dx)))
+    nsteps = max(1, math.ceil(float(T) * speed / (cfl * g0.dx)))
     dt = float(T) / nsteps
 
-    states = _sweep(face_fluxes(flux, kvals), u0.averages, dt / u0.dx, nsteps)
+    states = _sweep(face_fluxes(flux, kvals), u0, dt / g0.dx, nsteps)
     if not np.all(np.isfinite(states)):
         raise ScenarioValidationError("solver produced non-finite values")
-    times = u0.time + dt * np.arange(nsteps + 1)
-    return Trajectory(flux, u0, times, states, kvals)
+    times = g0.time + dt * np.arange(nsteps + 1)
+    return [Trajectory(flux, g, times, s, kvals) for g, s in zip(grids, states)]
 
 
 def face_fluxes(flux: FluxSpec, kvals):
     """Godunov fluxes on the n+1 faces of n cells with coefficients kvals.
 
-    Returns F(u), the face fluxes for cell averages u (zero-gradient ghost
-    cells).  Faces inside one coefficient piece take the classical Godunov
-    min/max of the flux over the Riemann interval, using the declared
-    critical points; faces where k jumps take the demand/supply coupling
-    min(D_left(uL), S_right(uR)), evaluated on those faces only.  Flux values
-    that do not depend on u (at the ends of u_range and at the critical
-    points) are computed here, once.
+    Returns F(u), the face fluxes for cell averages u of shape (..., n)
+    (zero-gradient ghost cells), one row per initial datum.  Ahat is
+    evaluated once per cell, at (k_i, u_i); a face takes its one-sided
+    values from its two cells, and only faces whose coefficients differ in
+    the last bits without jumping evaluate Ahat(k_left, u_right) anew.
+    Faces inside one coefficient piece take the classical Godunov min/max
+    of the flux over the Riemann interval, using the declared critical
+    points; faces where k jumps take the demand/supply coupling
+    min(D_left(uL), S_right(uR)), evaluated on those faces only.  Flux
+    values that do not depend on u (at the ends of u_range and at the
+    critical points) are computed here, once.
     """
     lo, hi = flux.u_range
     kL = np.concatenate([kvals[:1], kvals])
     kR = np.concatenate([kvals, kvals[-1:]])
     same = np.abs(kL - kR) <= 1e-12
     jump = np.flatnonzero(~same)
+    near = np.flatnonzero(same & (kL != kR))
     critL, fcritL = _critical_table(flux, kL)
     # demand/supply data on the faces where k jumps only
-    kRj = kR[jump]
     critLj = critL[:, jump]
     fcritLj = [fc[jump] for fc in fcritL]
-    critRj, fcritRj = _critical_table(flux, kRj)
+    critRj, fcritRj = _critical_table(flux, kR[jump])
     f_at_lo = flux.flux_at(kL[jump], lo)
-    f_at_hi = flux.flux_at(kRj, hi)
+    f_at_hi = flux.flux_at(kR[jump], hi)
 
     def F(u):
-        uL = np.concatenate([u[:1], u])
-        uR = np.concatenate([u, u[-1:]])
+        fc = flux.flux_at(kvals, u)
+        uL = np.concatenate([u[..., :1], u], axis=-1)
+        uR = np.concatenate([u, u[..., -1:]], axis=-1)
+        fl = np.concatenate([fc[..., :1], fc], axis=-1)
+        fr = np.concatenate([fc, fc[..., -1:]], axis=-1)
+        if len(near):
+            fr[..., near] = flux.flux_at(kL[near], uR[..., near])
         flo = np.minimum(uL, uR)
         fhi = np.maximum(uL, uR)
-        fl = flux.flux_at(kL, uL)
-        fr = flux.flux_at(kL, uR)
         fmin = np.minimum(fl, fr)
         fmax = np.maximum(fl, fr)
-        for c, fc in zip(critL, fcritL):
+        for c, fcr in zip(critL, fcritL):
             ok = (c > flo) & (c < fhi)
-            fmin = np.where(ok, np.minimum(fmin, fc), fmin)
-            fmax = np.where(ok, np.maximum(fmax, fc), fmax)
+            fmin = np.where(ok, np.minimum(fmin, fcr), fmin)
+            fmax = np.where(ok, np.maximum(fmax, fcr), fmax)
         out = np.where(uL <= uR, fmin, fmax)
         if len(jump):
-            uLj, uRj = uL[jump], uR[jump]
-            D = np.maximum(fl[jump], f_at_lo)
-            for c, fc in zip(critLj, fcritLj):
-                D = np.where((c > lo) & (c < uLj), np.maximum(D, fc), D)
-            S = np.maximum(flux.flux_at(kRj, uRj), f_at_hi)
-            for c, fc in zip(critRj, fcritRj):
-                S = np.where((c > uRj) & (c < hi), np.maximum(S, fc), S)
-            out[jump] = np.minimum(D, S)
+            uLj = uL[..., jump]
+            D = np.maximum(fl[..., jump], f_at_lo)
+            for c, fcr in zip(critLj, fcritLj):
+                D = np.where((c > lo) & (c < uLj), np.maximum(D, fcr), D)
+            # Ahat(k_R, u_R) at a jump face is its right cell's value
+            uRj = uR[..., jump]
+            S = np.maximum(fc[..., jump], f_at_hi)
+            for c, fcr in zip(critRj, fcritRj):
+                S = np.where((c > uRj) & (c < hi), np.maximum(S, fcr), S)
+            out[..., jump] = np.minimum(D, S)
         return out
 
     return F
@@ -193,11 +211,14 @@ def face_fluxes(flux: FluxSpec, kvals):
 
 def _critical_table(flux: FluxSpec, kv):
     """Critical points of each face's flux as rows (NaN-padded where a face
-    has fewer), and the flux at them (at lo for the padding, unused)."""
-    crit = [tuple(flux.critical(k)) for k in kv]
-    table = np.full((max([len(c) for c in crit] + [0]), len(kv)), np.nan)
+    has fewer), and the flux at them (at lo for the padding, unused).
+    flux.critical runs once per distinct coefficient value."""
+    ks, inv = np.unique(kv, return_inverse=True)
+    crit = [tuple(flux.critical(k)) for k in ks]
+    table = np.full((max([len(c) for c in crit] + [0]), len(ks)), np.nan)
     for i, c in enumerate(crit):
         table[:len(c), i] = c
+    table = table[:, inv]
     lo = flux.u_range[0]
     return table, [flux.flux_at(kv, np.where(np.isnan(c), lo, c)) for c in table]
 
@@ -205,13 +226,15 @@ def _critical_table(flux: FluxSpec, kv):
 def _sweep(F, u0, lam, nsteps):
     """nsteps explicit steps u <- u - lam (F_{i+1/2} - F_{i-1/2}).
 
-    Returns the full trajectory, shape (nsteps + 1, ncells).
+    u0 has shape (..., ncells), one row per initial datum.  Returns the
+    trajectories, shape (..., nsteps + 1, ncells): each row's states are
+    one C-contiguous block.
     """
     u = np.array(u0, dtype=float)
-    out = np.empty((nsteps + 1, len(u)))
-    out[0] = u
+    out = np.empty(u.shape[:-1] + (nsteps + 1, u.shape[-1]))
+    out[..., 0, :] = u
     for n in range(nsteps):
         Fu = F(u)
-        u = u - lam * (Fu[1:] - Fu[:-1])
-        out[n + 1] = u
+        u = u - lam * (Fu[..., 1:] - Fu[..., :-1])
+        out[..., n + 1, :] = u
     return out

@@ -121,7 +121,7 @@ class ParamField:
         rows = []
         ts = t_grid if t_grid is not None else np.linspace(*self.t_range, 9)
         pts = self.domain.grid(n_space)
-        off = ~self._near_singular(pts)
+        off = ~self.singular_set.contains(pts, 1e-9)
         sup = max(np.max(np.abs(self.eval(pts[off], t))) for t in ts)
         rows.append(("bounded_by_M", bool(sup <= self.M + 1e-9), sup))
         # (i) continuity in t, uniformly in x
@@ -161,7 +161,7 @@ class ParamField:
         rows.append(("diffuse_t_modulus_ratio", True, ratio))
         return rows
 
-    def _near_singular(self, pts, dist=1e-9):
+    def _near_singular(self, pts, dist):
         if self.singular_set.is_empty:
             return np.zeros(len(pts), dtype=bool)
         sp, _ = self.singular_set.samples(65)

@@ -321,6 +321,13 @@ class RectifiableSet:
     def flipped(self):
         return RectifiableSet(self.dim, pieces=[p.flipped() for p in self.pieces])
 
+    def contains(self, pts, tol):
+        """Mask of the (n, dim) points within tol of some piece."""
+        mask = np.zeros(len(pts), dtype=bool)
+        for p in self.pieces:
+            mask |= p.contains(pts, tol)
+        return mask
+
     def integrate(self, density, tol_abs=1e-11, tol_rel=1e-11, box=None):
         """\\int density(x, nu) dH^{N-1}; box restricts the integral.
 

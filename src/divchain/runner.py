@@ -424,9 +424,9 @@ def run_conslaw(scn: Scenario, res: RunResult):
     res.plots[f"{scn.id}_trajectory"] = _trajectory_rows(traj)
 
     S_fn, _ = compile_of_t(sec.get("entropy_S", "t^2/2"), ln("entropy_S"))
-    dS_fn, _ = compile_of_t(sec.get("entropy_dS", "t"), ln("entropy_dS"))
+    dS_fn, dS_e = compile_of_t(sec.get("entropy_dS", "t"), ln("entropy_dS"))
     d2S_fn, _ = compile_of_t(sec.get("entropy_d2S", "1"), ln("entropy_d2S"))
-    pair = EntropyPair(S_fn, dS_fn, d2S_fn)
+    pair = EntropyPair(S_fn, dS_fn, d2S_fn, dS_degree=dS_e.poly_degree("t"))
     er = entropy_residual(traj, pair)
     slack = _number(sec.get("resid_slack", "1e-7"), ln("resid_slack"))
     c_resid = _number(sec.get("resid_constant", "2.0"), ln("resid_constant"))

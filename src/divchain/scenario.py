@@ -369,12 +369,14 @@ def build_flux(raw: RawScenario, domain: Domain):
         values.append(lambda x, pf=pf: pf(np.asarray(x)[:, None]))
     grads = [lambda x: np.zeros_like(np.asarray(x, dtype=float)) for _ in values]
     k = BVFunction.piecewise_1d(domain, bps, values, grads, normals=nus)
-    ahat, _ = compile_uv(raw.require("conslaw", "ahat"), ln("ahat"))
-    dahat, _ = compile_uv(raw.require("conslaw", "dahat_du"), ln("dahat_du"))
+    ahat, ahat_e = compile_uv(raw.require("conslaw", "ahat"), ln("ahat"))
+    dahat, dahat_e = compile_uv(raw.require("conslaw", "dahat_du"), ln("dahat_du"))
     u_range = _interval(raw.require("conslaw", "u_range"), ln("u_range"))
     crit_vals = [_number(v, ln("critical")) for v in sec.get("critical", "").split(",")
                  if v.strip()]
-    return FluxSpec(k, ahat, dahat, u_range, critical=lambda kv: tuple(crit_vals))
+    return FluxSpec(k, ahat, dahat, u_range, critical=lambda kv: tuple(crit_vals),
+                    ahat_degree=ahat_e.poly_degree("u"),
+                    speed_degree=dahat_e.poly_degree("u"))
 
 
 class Scenario:

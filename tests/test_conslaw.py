@@ -98,6 +98,30 @@ def test_entropy_flux_closed_forms(dom11):
     assert np.allclose(got2, v ** 2 / 2, atol=1e-12)  # eta = B for S' = 1
 
 
+def test_entropy_flux_at_the_declared_degree():
+    # (1 - 2w) w has degree 2: one two-point Gauss rule, exact
+    calls = []
+    base = traffic_flux((1.0, 1.0))
+
+    def speed(kk, u):
+        calls.append(1)
+        return base.dahat_du(kk, u)
+
+    flux = FluxSpec(base.k, base.ahat, speed, base.u_range, base.critical,
+                    ahat_degree=2, speed_degree=1)
+    pair = EntropyPair(S_QUAD.S, S_QUAD.dS, S_QUAD.d2S, dS_degree=1)
+    v = np.array([-0.4, 0.0, 0.3, 0.7, 1.0])
+    calls.clear()       # FluxSpec probes the speed when it is built
+    got = pair.eta_of_k(flux, 1.0, v)
+    assert len(calls) == 2
+    assert np.all(np.abs(got - (v ** 2 / 2 - 2 * v ** 3 / 3)) <= 1e-15)
+
+
+def test_bundled_flux_declares_its_degrees():
+    scn = load(str(bundled_dir() / "traffic-kato.scn"))
+    assert (scn.flux.ahat_degree, scn.flux.speed_degree) == (2, 1)
+
+
 def test_entropy_flux_kruzkov_regularized():
     # smoothed |w - c| entropy against the traffic flux: compare quadrature
     # with the closed form of int (1 - 2w) dS'(w)
@@ -519,6 +543,25 @@ def test_kato_traffic_contraction_and_halving():
         assert r["W_integral"] <= 1e-6 + 10 * r["dx"]
     ratio = rows[2]["deficit"] / rows[1]["deficit"]
     assert 0.35 <= ratio <= 0.65
+
+
+def test_kato_rows_match_two_solves_per_mesh():
+    # kato_check marches both data in one sweep; every row must equal that
+    # of two separate one-datum solves on the same mesh
+    flux = traffic_flux()
+    ua, ub = kato_bump(-0.55), kato_bump(-0.35)
+    dxs = [1 / 100, 1 / 160]
+    rows = kato_check(flux, ua, ub, 0.25, dxs, DOM)
+    for dx, row in zip(dxs, rows):
+        ga, gb = (GridState.from_function(DOM, round(2 / dx), u0, cfl=0.45) for u0 in (ua, ub))
+        ta, tb = fv_solve(flux, ga, 0.25), fv_solve(flux, gb, 0.25)
+        d0 = l1_distance(ga, gb)
+        dT = l1_distance(ta.final(), tb.final())
+        w, w_worst = accumulated_interface_W(ta, tb)
+        assert row == {"dx": dx, "l1_initial": d0, "l1_final": dT, "deficit": d0 - dT,
+                       "contraction_holds": bool(dT <= d0 + 1e-12),
+                       "W_integral": w, "W_worst_sample": w_worst}
+        assert ta.interfaces() and row["deficit"] > 0.0
 
 
 def test_interface_W_accumulation_vanishes_for_ordered_pair():

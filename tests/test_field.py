@@ -4,6 +4,7 @@ import pytest
 from divchain import (Domain, ParamField, RectifiableSet, mollified_normal_trace,
                       plateau_bump, primitive, sigma_of, singular_set_check)
 from divchain.cantor import MIDDLE_THIRDS, CantorPart, cantor_function
+from divchain.cli import bundled_dir
 from divchain.errors import BoundaryError
 from divchain.quadrature import integrate_1d
 
@@ -171,3 +172,21 @@ def test_bound_validation(dom11, point_zero):
     b = sign_field(dom11, point_zero)
     rows = {name: ok for name, ok, *_ in b.validate()}
     assert rows["bounded_by_M"]
+
+
+def test_validate_skips_every_grid_point_on_the_singular_set():
+    from divchain.rectifiable import VerticalSegment
+    from divchain.scenario import load
+    scn = load(str(bundled_dir() / "2d-vline-jump.scn"))
+    pts = scn.field.domain.grid(21)
+    on_line = np.abs(pts[:, 0]) <= 1e-12
+    assert on_line.sum() == 21
+    assert np.array_equal(scn.field.singular_set.contains(pts, 1e-9), on_line)
+    # a value on the jump line beyond M is no bound violation
+    dom = Domain.box((-1.0, 1.0), (-1.0, 1.0))
+    line = RectifiableSet(2, pieces=[VerticalSegment(0.0, -1.0, 1.0, +1)])
+    b = ParamField(dom, lambda p, t: np.where(np.abs(p[:, :1]) <= 1e-12, 100.0, np.sign(p[:, :1]))
+                   * np.array([1.0, 0.0]), sup_bound=1.0, singular_set=line)
+    rows = {name: (ok, value) for name, ok, value in b.validate(n_space=21)}
+    assert rows["bounded_by_M"] == (True, 1.0)
+    assert rows["t_continuity_osc"] == (True, 0.0)

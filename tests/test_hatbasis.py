@@ -77,6 +77,10 @@ def test_clipped_integrals_match_reference(wy, k):
     poly = lambda v: k * v * (1 - v)
     for g in (poly, np.exp):
         _close(w.weighted_to_upper(g, y), ref_weighted_to_upper(w, g, y))
+    # a declared degree d takes ceil((d + 2) / 2) points, exact for w g
+    cubic = lambda v: v ** 3 - k * v
+    for g, d in ((poly, 2), (cubic, 3), (lambda v: k * v, 1), (lambda v: k + 0 * v, 0)):
+        _close(w.weighted_to_upper(g, y, degree=d), ref_weighted_to_upper(w, g, y))
 
 
 def test_scalar_state_keeps_shape():

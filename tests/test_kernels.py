@@ -163,3 +163,124 @@ def test_face_fluxes_match_closed_form(problem):
     ref = godunov_fluxes(u, a[i], b[i], *u_range)
     got = face_fluxes(flux, kvals)(u)
     assert np.all(np.abs(got - ref) <= 1e-14 * np.maximum(1.0, np.abs(ref)))
+
+
+# -- the multi-row sweep against the one-row, face-by-face reference ---------
+
+def reference_face_fluxes(flux, kvals):
+    """Face fluxes of one row with Ahat evaluated on the faces: at
+    (k_left, u_left) and (k_left, u_right) on every face and at
+    (k_right, u_right) on the jump faces, critical points looked up face by
+    face."""
+    lo, hi = flux.u_range
+    kL = np.concatenate([kvals[:1], kvals])
+    kR = np.concatenate([kvals, kvals[-1:]])
+    jump = np.flatnonzero(np.abs(kL - kR) > 1e-12)
+
+    def table(kv):
+        crit = [tuple(flux.critical(k)) for k in kv]
+        t = np.full((max([len(c) for c in crit] + [0]), len(kv)), np.nan)
+        for i, c in enumerate(crit):
+            t[:len(c), i] = c
+        return t, [flux.flux_at(kv, np.where(np.isnan(c), lo, c)) for c in t]
+
+    critL, fcritL = table(kL)
+    critRj, fcritRj = table(kR[jump])
+
+    def F(u):
+        uL = np.concatenate([u[:1], u])
+        uR = np.concatenate([u, u[-1:]])
+        flo, fhi = np.minimum(uL, uR), np.maximum(uL, uR)
+        fl = flux.flux_at(kL, uL)
+        fr = flux.flux_at(kL, uR)
+        fmin, fmax = np.minimum(fl, fr), np.maximum(fl, fr)
+        for c, fc in zip(critL, fcritL):
+            ok = (c > flo) & (c < fhi)
+            fmin = np.where(ok, np.minimum(fmin, fc), fmin)
+            fmax = np.where(ok, np.maximum(fmax, fc), fmax)
+        out = np.where(uL <= uR, fmin, fmax)
+        if len(jump):
+            uLj, uRj = uL[jump], uR[jump]
+            D = np.maximum(fl[jump], flux.flux_at(kL[jump], lo))
+            for c, fc in zip(critL[:, jump], [fc[jump] for fc in fcritL]):
+                D = np.where((c > lo) & (c < uLj), np.maximum(D, fc), D)
+            S = np.maximum(flux.flux_at(kR[jump], uRj), flux.flux_at(kR[jump], hi))
+            for c, fc in zip(critRj, fcritRj):
+                S = np.where((c > uRj) & (c < hi), np.maximum(S, fc), S)
+            out[jump] = np.minimum(D, S)
+        return out
+
+    return F
+
+
+def reference_sweep(F, u0, lam, nsteps):
+    """One row, one step at a time: shape (nsteps + 1, ncells)."""
+    u = np.array(u0, dtype=float)
+    out = np.empty((nsteps + 1, len(u)))
+    out[0] = u
+    for n in range(nsteps):
+        Fu = F(u)
+        u = u - lam * (Fu[1:] - Fu[:-1])
+        out[n + 1] = u
+    return out
+
+
+def shifted_flux():
+    """Ahat(k, u) = u (k - u): concave, with its maximum at u = k/2."""
+    k = BVFunction.piecewise_1d(DOM, [], values=[lambda x: np.ones_like(x)], grads=[ZEROS])
+    return FluxSpec(k, lambda kk, u: np.asarray(u) * (np.asarray(kk) - np.asarray(u)),
+                    lambda kk, u: np.asarray(kk) - 2.0 * np.asarray(u),
+                    u_range=(0.0, 1.0), critical=lambda kv: (0.5 * float(kv),))
+
+
+# how the coefficient changes from one piece to the next: a jump, a change
+# within 1e-12 in its last bits, or none
+NEAR = [1e-12, -1e-12, 3e-13, -4e-14, "up", "down"]
+
+
+@st.composite
+def piecewise_k_rows(draw):
+    n = draw(st.integers(1, 12))
+    cuts = sorted(draw(st.sets(st.integers(1, n - 1), max_size=3))) if n > 1 else []
+    k = [draw(st.floats(1.0, 2.0))]
+    for _ in cuts:
+        kind = draw(st.sampled_from(["jump", "near", "same"]))
+        if kind == "jump":
+            k.append(draw(st.floats(1.0, 2.0)))
+        elif kind == "near":
+            d = draw(st.sampled_from(NEAR))
+            k.append(np.nextafter(k[-1], 3.0 if d == "up" else 0.0) if isinstance(d, str)
+                     else k[-1] + d)
+        else:
+            k.append(k[-1])
+    kvals = np.repeat(k, np.diff([0] + cuts + [n]))
+    rows = draw(st.integers(1, 3))
+    state = st.one_of(st.sampled_from([0.0, 0.5, 1.0, 0.5 * k[0], 0.5 * k[-1]]),
+                      st.floats(0.0, 1.0))
+    u0 = np.array(draw(st.lists(st.lists(state, min_size=n, max_size=n),
+                                min_size=rows, max_size=rows)))
+    return kvals, u0, draw(st.integers(1, 25))
+
+
+@settings(max_examples=300, deadline=None)
+@given(piecewise_k_rows())
+def test_multi_row_sweep_matches_one_row_reference(problem):
+    kvals, u0, nsteps = problem
+    flux = shifted_flux()
+    lam = 0.45 / 2.0
+    got = _sweep(face_fluxes(flux, kvals), u0, lam, nsteps)
+    ref_F = reference_face_fluxes(flux, kvals)
+    for row, states in zip(u0, got):
+        assert np.all(states == reference_sweep(ref_F, row, lam, nsteps))
+        assert states.flags["C_CONTIGUOUS"]
+
+
+def test_near_equal_coefficients_keep_their_own_flux():
+    # a face whose coefficients differ only in the last bits is no jump, yet
+    # its right state meets the left cell's flux, as on a face-by-face sweep
+    flux = shifted_flux()
+    kvals = np.array([1.5, np.nextafter(1.5, 2.0)])
+    u = np.array([0.8, 1.0])    # decreasing side: the face flux is f(kL, uR)
+    assert np.abs(kvals[1] - kvals[0]) <= 1e-12
+    assert flux.flux_at(kvals[0], u[1]) != flux.flux_at(kvals[1], u[1])
+    assert np.all(face_fluxes(flux, kvals)(u) == reference_face_fluxes(flux, kvals)(u))
