@@ -10,7 +10,9 @@ Exit codes (stable contract):
 With several paths each scenario gets its own code and lines, a bad one does
 not stop the others, and the process exits with the largest code.  Under
 --jobs, a scenario whose worker process died is run again alone; if that
-worker dies too, the scenario gets code 4.
+worker dies too, the scenario gets code 4.  A scenario that raises anything
+but a DivchainError is an internal error: code 4, with the traceback on
+stderr.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import errno
 import importlib.resources
 import os
 import sys
+import traceback
 from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 
@@ -51,12 +54,17 @@ def _resolve(path):
     raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
 
 
-# a missing, unopenable or non-UTF-8 scenario file
-_UNREADABLE = (OSError, UnicodeDecodeError)
-
-
-def _unreadable(path, exc):
-    return f"cannot read scenario {path}: {getattr(exc, 'strerror', None) or exc}"
+def _load(path):
+    """(scenario, None), or (None, (exit code, message)) when the file is rejected."""
+    try:
+        return load(_resolve(path)), None
+    except (OSError, UnicodeDecodeError) as exc:    # missing, unopenable or not UTF-8
+        reason = getattr(exc, "strerror", None) or exc
+        return None, (EXIT_PARSE_ERROR, f"cannot read scenario {path}: {reason}")
+    except ScenarioParseError as exc:
+        return None, (EXIT_PARSE_ERROR, f"parse error in {path}: {exc}")
+    except DivchainError as exc:
+        return None, (EXIT_VALIDATION_ERROR, f"validation error in {path}: {exc}")
 
 
 def _run_one(args_tuple):
@@ -65,22 +73,21 @@ def _run_one(args_tuple):
     # finiteness guards; numpy's floating-point warnings would only repeat it
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         try:
-            try:
-                scn = load(_resolve(path))
-            except _UNREADABLE as exc:
-                return EXIT_PARSE_ERROR, _unreadable(path, exc)
+            scn, failure = _load(path)
+            if failure:
+                return failure
             res = run_scenario(scn, out_dir=out_dir)
-            code = EXIT_OK if res.passed else EXIT_CHECKS_FAILED
-            lines = [f"[{'PASS' if c['pass'] else 'FAIL'}] {scn.id}: {c['name']}"
-                     for c in res.checks]
-            lines.append(f"SCENARIO {scn.id}: {'PASS' if res.passed else 'FAIL'}")
-            return code, "\n".join(lines)
-        except ScenarioParseError as exc:
-            return EXIT_PARSE_ERROR, f"parse error in {path}: {exc}"
         except ScenarioValidationError as exc:
             return EXIT_VALIDATION_ERROR, f"validation error in {path}: {exc}"
         except DivchainError as exc:
             return EXIT_NUMERICAL_ERROR, f"numerical failure in {path}: {exc}"
+        except Exception as exc:                # a defect: report it, go on with the batch
+            traceback.print_exc()
+            return (EXIT_NUMERICAL_ERROR,
+                    f"internal error in {path}: {type(exc).__name__}: {exc}")
+    lines = [f"[{'PASS' if c['pass'] else 'FAIL'}] {scn.id}: {c['name']}" for c in res.checks]
+    lines.append(f"SCENARIO {scn.id}: {'PASS' if res.passed else 'FAIL'}")
+    return EXIT_OK if res.passed else EXIT_CHECKS_FAILED, "\n".join(lines)
 
 
 def _run_pooled(tasks, jobs, retry=True):
@@ -129,18 +136,10 @@ def main(argv=None):
     if args.cmd == "validate":
         worst = EXIT_OK
         for path in args.paths:
-            try:
-                scn = load(_resolve(path))
-                print(f"ok: {scn.id} ({', '.join(scn.experiments)})")
-            except _UNREADABLE as exc:
-                print(_unreadable(path, exc))
-                worst = max(worst, EXIT_PARSE_ERROR)
-            except ScenarioParseError as exc:
-                print(f"parse error in {path}: {exc}")
-                worst = max(worst, EXIT_PARSE_ERROR)
-            except (ScenarioValidationError, DivchainError) as exc:
-                print(f"validation error in {path}: {exc}")
-                worst = max(worst, EXIT_VALIDATION_ERROR)
+            scn, failure = _load(path)
+            code, text = failure or (EXIT_OK, f"ok: {scn.id} ({', '.join(scn.experiments)})")
+            print(text)
+            worst = max(worst, code)
         return worst
 
     tasks = [(p, args.out) for p in args.paths]

@@ -16,7 +16,7 @@ import operator
 import numpy as np
 
 from .cantor import MIDDLE_THIRDS, cantor_function
-from .errors import ScenarioParseError
+from .errors import ScenarioParseError, ScenarioValidationError
 
 _FUNCS = {
     "sign": np.sign,
@@ -252,13 +252,14 @@ def _parse_in(src, names, line=None, cantor_spec=None):
     return e
 
 
-_X_T = ("x1", "x2", "t")
+_COORDS = ("x1", "x2")
 
 
-def compile_field(src, line=None, cantor_spec=None):
-    """Comma-separated component expressions -> (pts, t) -> (n, ncomp)."""
-    parts = _split_top(src)
-    exprs = [_parse_in(p, _X_T, line, cantor_spec) for p in parts]
+def compile_field(src, line=None, cantor_spec=None, dim=2):
+    """Comma-separated component expressions, one per axis -> (pts, t) -> (n, dim)."""
+    exprs = [_parse_in(p, _COORDS[:dim] + ("t",), line, cantor_spec) for p in _split_top(src)]
+    if len(exprs) != dim:
+        raise ScenarioValidationError(f"line {line}: {src!r} needs {dim} component(s)")
 
     def fn(pts, t):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
@@ -272,9 +273,9 @@ def compile_field(src, line=None, cantor_spec=None):
     return fn, exprs
 
 
-def compile_scalar(src, line=None, cantor_spec=None):
+def compile_scalar(src, line=None, cantor_spec=None, dim=2):
     """Single expression -> (pts, t) -> (n,)."""
-    e = _parse_in(src, _X_T, line, cantor_spec)
+    e = _parse_in(src, _COORDS[:dim] + ("t",), line, cantor_spec)
 
     def fn(pts, t=0.0):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))

@@ -192,8 +192,6 @@ def mollification_study(field: ParamField, t, x, eps_list):
     if any(e2 >= e1 for e1, e2 in zip(eps_list[:-1], eps_list[1:])):
         raise ValueError("eps_list must be decreasing")
     pts = np.atleast_2d(np.asarray(x, dtype=float))
-    if field.domain.dim == 1 and pts.shape[1] != 1:
-        pts = pts.reshape(1, -1)[:, :1]
     from .field import _normal_at
     nu = _normal_at(field.singular_set, pts)
     target = float(0.5 * (field.trace(pts, t, +1) + field.trace(pts, t, -1))[0] @ nu)

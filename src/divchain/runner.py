@@ -1,8 +1,10 @@
 """Scenario execution: run the selected experiments, emit reports and tables.
 
-One scenario -> one output directory with report.json (deterministic),
-phi_rows.csv, terms.csv, and plot-data series.  A check row is (name,
-pass, data); the run passes iff every check passes.
+The runner only executes the values that scenario.py built and checked at
+load; it never reads the scenario format itself.  One scenario -> one output
+directory with report.json (deterministic), phi_rows.csv, terms.csv, and
+plot-data series.  A check row is (name, pass, data); the run passes iff
+every check passes.
 """
 
 from __future__ import annotations
@@ -16,13 +18,13 @@ import numpy as np
 from .bvfunc import BVFunction
 from .chainrule import (IDENTITY, ChainRuleBreakdown, anzellotti_pairing, chain_bv_scalar,
                         chain_dm, chain_w11, green_check, layer_cake_action, product_rule)
-from .errors import DivchainError, ScenarioValidationError
+from .errors import DivchainError
 from .field import primitive, sigma_of, singular_set_check
 from .geometry import subboxes
 from .measure import RadonMeasure, radon_nikodym
 from .oracle import build_suite, cantor_breaks, compare, mollification_study
 from .rectifiable import merge_sets
-from .scenario import Scenario, _interval, _number, _positive
+from .scenario import Scenario
 
 SCHEMA_VERSION = 1
 
@@ -158,7 +160,7 @@ def run_chain(scn: Scenario, res: RunResult, mode="chain"):
 
 def _tv_bound_check(scn, res, br: ChainRuleBreakdown, mode, tv_rel):
     field, u = scn.field, scn.u
-    sigma = field.sigma(scn.sigma_samples())
+    sigma = field.sigma(scn.sigma_samples)
     worst_gap = -np.inf
     ok = True
     for box in subboxes(scn.domain, 4):
@@ -236,10 +238,7 @@ def _orientation_check(scn, res, br, suite, mode, q):
 
 
 def run_product(scn: Scenario, res: RunResult):
-    field, u = scn.field, scn.u
-    h = scn.h
-    if h is None:
-        raise ScenarioValidationError("[product] section missing")
+    field, u, h = scn.field, scn.u, scn.h
     br = product_rule(field, h, u)
     suite = _suite(scn)
 
@@ -294,33 +293,9 @@ def run_anzellotti(scn: Scenario, res: RunResult):
 
 
 def run_green(scn: Scenario, res: RunResult):
-    sec = scn.raw.sections.get("green", {})
-    ln = scn.raw.line("green", "omegas")
-    omegas = []
-    for item in sec.get("omegas", "").split(";"):
-        item = item.strip()
-        if not item:
-            continue
-        words = item.split()
-        if words[0] == "box":
-            rest = " ".join(words[1:])
-            parts = [p for p in rest.split("x") if p.strip()]
-            bounds = tuple(_interval(p, ln) for p in parts)
-            omegas.append(("box", bounds))
-        elif words[0] == "disc":
-            nums = [_number(w, ln) for w in words[1:]]
-            if len(nums) != 3 or nums[2] <= 0:
-                raise ScenarioValidationError(f"line {ln}: disc needs three numbers "
-                                              f"'cx cy r' with r > 0")
-            cx, cy, r = nums
-            omegas.append(("disc", ((cx, cy), r)))
-        else:
-            raise ScenarioValidationError(f"unknown omega kind {words[0]!r}")
-    if not omegas:
-        raise ScenarioValidationError("[green] omegas required for green experiment")
     all_ok = True
     rows = []
-    for i, omega in enumerate(omegas):
+    for omega in scn.omegas:
         lhs, rhs = green_check(scn.field, omega)
         rel = abs(lhs - rhs) / max(1.0, abs(rhs))
         ok = rel <= 1e-6
@@ -330,18 +305,11 @@ def run_green(scn: Scenario, res: RunResult):
 
 
 def run_moll(scn: Scenario, res: RunResult):
-    sec = scn.raw.sections.get("moll", {})
-    ln = scn.raw.line("moll", "points")
-    pts_txt = sec.get("points", "0")
-    t = _number(sec.get("t", "1"), scn.raw.line("moll", "t"))
-    eps = [_number(v, scn.raw.line("moll", "eps"))
-           for v in sec.get("eps", "0.1, 0.05, 0.025").split(",")]
+    moll = scn.moll
     all_ok = True
     rows = []
-    for item in pts_txt.split(";"):
-        coords = [_number(v, ln) for v in item.split(",")]
-        x = coords if scn.domain.dim == 2 else coords[:1]
-        study = mollification_study(scn.field, t, x, eps)
+    for coords in moll.points:
+        study = mollification_study(scn.field, moll.t, coords, moll.eps)
         all_ok &= study["nonincreasing_tail"]
         rows.append({"point": coords, "target": study["target"],
                      "deviations": [r["deviation"] for r in study["rows"]]})
@@ -350,7 +318,7 @@ def run_moll(scn: Scenario, res: RunResult):
 
 def run_sigma(scn: Scenario, res: RunResult):
     field = scn.field
-    samples = scn.sigma_samples()
+    samples = scn.sigma_samples
     sigma = sigma_of(field, samples)
     rep = singular_set_check(field, sigma)
     res.check("sigma:singular_set_density", rep["consistent"], points=rep["points"])
@@ -370,43 +338,20 @@ def run_sigma(scn: Scenario, res: RunResult):
 
 
 def run_conslaw(scn: Scenario, res: RunResult):
-    from .conslaw import (EntropyPair, GridState, entropy_residual, fv_solve,
-                          kinetic_identity_residual, kinetic_measure)
-    from .exprs import compile_of_t, compile_scalar
-    sec = scn.raw.sections["conslaw"]
-    ln = lambda k: scn.raw.line("conslaw", k)
-    flux = scn.flux
-    u0_fn, _ = compile_scalar(scn.raw.require("conslaw", "u0"), ln("u0"))
-    T = _positive(scn.raw.require("conslaw", "T"), ln("T"), "T")
-    cfl = _number(sec.get("cfl", "0.45"), ln("cfl"))
-    ncells = _number(sec.get("ncells", "200"), ln("ncells"))
-    if not (ncells >= 1 and ncells.is_integer()):
-        raise ScenarioValidationError(f"line {ln('ncells')}: ncells must be a positive integer")
-    ncells = int(ncells)
-    # every value of the kinetic part is checked before the solve
-    kinetic = sec.get("run_kinetic", "false").lower() == "true"
-    shock = None
-    if kinetic:
-        kgrid = [int(v) for v in _three_numbers(sec, "kinetic_grid", ln, "6, 10, 14")]
-        if "shock_left" in sec and "shock_right" in sec:
-            shock = (_number(sec["shock_left"], ln("shock_left")),
-                     _number(sec["shock_right"], ln("shock_right")))
-            if shock[0] == shock[1]:
-                raise ScenarioValidationError(f"line {ln('shock_right')}: shock_right "
-                                              f"must differ from shock_left")
-    grid = GridState.from_function(scn.domain, ncells, lambda x: u0_fn(x[:, None]),
-                                   cfl=cfl)
-    if "inject_expansion_shock" in sec:
+    from .conslaw import (GridState, entropy_residual, fv_solve, kinetic_identity_residual,
+                          kinetic_measure)
+    run, flux = scn.conslaw, scn.flux
+    grid = GridState.from_function(scn.domain, run.ncells, run.u0, cfl=run.cfl)
+    traj = fv_solve(flux, grid, run.T)
+    if run.expansion_shock is not None:
         # deliberate negative control: a non-entropic weak solution
-        uL, uR, x0 = _three_numbers(sec, "inject_expansion_shock", ln)
-        traj = fv_solve(flux, grid, T)
+        uL, uR, x0 = run.expansion_shock
         kv = float(traj.kvals[len(traj.kvals) // 2])
         s = ((flux.flux_at(kv, uR) - flux.flux_at(kv, uL)) / (uR - uL)) if uR != uL else 0.0
         states = np.where(traj.centers[None, :] < x0 + s * traj.times[:, None], uL, uR)
         from .conslaw.solver import Trajectory
         traj = Trajectory(flux, grid, traj.times, states, traj.kvals)
     else:
-        traj = fv_solve(flux, grid, T)
         if traj.interfaces():
             # coefficient jumps inject interface states; the invariant region
             # is the declared u-range, not the data range
@@ -423,22 +368,15 @@ def run_conslaw(scn: Scenario, res: RunResult):
                   tv=traj.discrete_tv(), cap=tv_cap)
     res.plots[f"{scn.id}_trajectory"] = _trajectory_rows(traj)
 
-    S_fn, _ = compile_of_t(sec.get("entropy_S", "t^2/2"), ln("entropy_S"))
-    dS_fn, dS_e = compile_of_t(sec.get("entropy_dS", "t"), ln("entropy_dS"))
-    d2S_fn, _ = compile_of_t(sec.get("entropy_d2S", "1"), ln("entropy_d2S"))
-    pair = EntropyPair(S_fn, dS_fn, d2S_fn, dS_degree=dS_e.poly_degree("t"))
-    er = entropy_residual(traj, pair)
-    slack = _number(sec.get("resid_slack", "1e-7"), ln("resid_slack"))
-    c_resid = _number(sec.get("resid_constant", "2.0"), ln("resid_constant"))
-    bound = c_resid * traj.dx + slack
+    er = entropy_residual(traj, run.entropy)
+    bound = run.resid_constant * traj.dx + run.resid_slack
     res.check("conslaw:entropy_residual", er["worst_residual"] <= bound,
               worst_residual=er["worst_residual"], bound=bound,
               interface_choice_flagged=er["interface_choice_flagged"])
 
-    if kinetic:
-        km = kinetic_measure(traj, *kgrid)
-        strict = sec.get("kinetic_strict", "false").lower() == "true"
-        if strict:
+    if run.kinetic:
+        km = kinetic_measure(traj, *run.kinetic_grid)
+        if run.kinetic_strict:
             res.check("conslaw:kinetic_nonnegative", km.min_cell >= -1e-8,
                       min_cell=km.min_cell)
         else:
@@ -446,19 +384,12 @@ def run_conslaw(scn: Scenario, res: RunResult):
                       note="O(dx) staircase dust expected for moving waves")
         ident = kinetic_identity_residual(traj, km)
         res.check("conslaw:kinetic_identity", ident <= 1e-10, residual=ident)
-        if shock is not None:
-            expected = _shock_dissipation(flux, pair, *shock, traj, km)
+        if run.shock is not None:
+            expected = _shock_dissipation(flux, run.entropy, *run.shock, traj, km)
             rel = abs(km.total_mass - expected) / max(abs(expected), 1e-300)
             res.check("conslaw:shock_dissipation", rel <= 0.02,
                       measured=km.total_mass, expected=expected, rel_error=rel)
     return traj
-
-
-def _three_numbers(sec, key, ln, default=None):
-    vals = [_number(v, ln(key)) for v in sec.get(key, default).split(",")]
-    if len(vals) != 3:
-        raise ScenarioValidationError(f"line {ln(key)}: {key} needs three numbers")
-    return vals
 
 
 def _shock_dissipation(flux, pair, uL, uR, traj, km):
@@ -487,30 +418,11 @@ def _shock_dissipation(flux, pair, uL, uR, traj, km):
 
 def run_kato(scn: Scenario, res: RunResult):
     from .conslaw import kato_check
-    from .exprs import compile_scalar
-    sec = scn.raw.sections.get("kato", {})
-    ln = lambda k: scn.raw.line("kato", k)
-    T = _positive(scn.raw.require("kato", "T"), ln("T"), "T")
-    dx_list = [_positive(v, ln("dx_list"), "dx_list")
-               for v in scn.raw.require("kato", "dx_list").split(",")]
-    pairs = []
-    i = 1
-    while True:
-        suf = "" if i == 1 else str(i)
-        ka, kb = f"u0_a{suf}", f"u0_b{suf}"
-        if ka not in sec:
-            break
-        fa, _ = compile_scalar(sec[ka], ln(ka))
-        fb, _ = compile_scalar(sec[kb], ln(kb))
-        pairs.append((fa, fb))
-        i += 1
-    if not pairs:
-        raise ScenarioValidationError("[kato] needs at least one data pair")
+    kato = scn.kato
     all_rows = []
     ok = True
-    for j, (fa, fb) in enumerate(pairs):
-        rows = kato_check(scn.flux, lambda x: fa(x[:, None]), lambda x: fb(x[:, None]),
-                          T, dx_list, scn.domain)
+    for j, (u0_a, u0_b) in enumerate(kato.pairs):
+        rows = kato_check(scn.flux, u0_a, u0_b, kato.T, kato.dx_list, scn.domain)
         for r in rows:
             r["pair"] = j
         all_rows.extend(rows)
@@ -578,23 +490,13 @@ def run_scenario(scn: Scenario, out_dir=None):
         urows = scn.u.validate()
         res.check("u:structure", all(r[1] for r in urows),
                   rows=[{"name": n, "ok": okv} for n, okv in urows])
+    others = {"product": run_product, "anzellotti": run_anzellotti, "green": run_green,
+              "moll": run_moll, "sigma": run_sigma, "conslaw": run_conslaw, "kato": run_kato}
     for exp in scn.experiments:
         if exp in ("chain", "w11", "bv-scalar"):
             run_chain(scn, res, mode=exp)
-        elif exp == "product":
-            run_product(scn, res)
-        elif exp == "anzellotti":
-            run_anzellotti(scn, res)
-        elif exp == "green":
-            run_green(scn, res)
-        elif exp == "moll":
-            run_moll(scn, res)
-        elif exp == "sigma":
-            run_sigma(scn, res)
-        elif exp == "conslaw":
-            run_conslaw(scn, res)
-        elif exp == "kato":
-            run_kato(scn, res)
+        else:
+            others[exp](scn, res)
     if out_dir is not None:
         write_outputs(res, out_dir)
     return res

@@ -1,18 +1,24 @@
-"""Declarative scenario files: parsing and object construction.
+"""Declarative scenario files: the one reader of the format.
 
 Format: '#' comments, [section] headers, key = value lines.  Values are
 expressions in the grammar of exprs.py, lists separated by ',' or '|' or
-';' depending on the key (documented in docs/scenario-format.md).  Parse
-errors carry line numbers; validation never runs numerics.
+';' depending on the key (documented in docs/scenario-format.md).  Every
+key an experiment reads is parsed and checked when the Scenario is built,
+so loading a file (`divchain validate`) rejects exactly what running it
+would; the runner only executes the values built here.  Errors name the
+line of the offending key; loading never runs numerics.
 """
 
 from __future__ import annotations
+
+from types import SimpleNamespace
 
 import numpy as np
 
 from .bvfunc import BVFunction, Piece
 from .cantor import CantorPart, IFSSpec, MIDDLE_THIRDS
 from .chainrule import ScalarFunction
+from .conslaw import EntropyPair, FluxSpec
 from .errors import ScenarioParseError, ScenarioValidationError
 from .exprs import compile_field, compile_of_t, compile_scalar, compile_uv
 from .field import ParamField
@@ -40,10 +46,10 @@ def _number(text, line):
 
 
 def _interval(text, line):
-    if ".." not in text:
+    ends = text.split("..")
+    if len(ends) != 2:
         raise ScenarioParseError(f"expected 'a .. b', got {text!r}", line)
-    a, b = text.split("..")
-    return (_number(a, line), _number(b, line))
+    return (_number(ends[0], line), _number(ends[1], line))
 
 
 def _positive(text, line, key):
@@ -53,11 +59,46 @@ def _positive(text, line, key):
     return value
 
 
+def _numbers(text, line, key=None, n=None):
+    """Comma-separated numbers; with n given, exactly n of them."""
+    values = [_number(v, line) for v in text.split(",") if v.strip()]
+    if n is not None and len(values) != n:
+        raise ScenarioValidationError(f"line {line}: {key} needs {n} number(s)")
+    return values
+
+
+def _count(value, line, key):
+    if not (value >= 1 and value.is_integer()):
+        raise ScenarioValidationError(f"line {line}: {key} needs integers >= 1, got {value:g}")
+    return int(value)
+
+
+def _flag(sec, key, line):
+    text = sec.get(key, "false").lower()
+    if text not in ("true", "false"):
+        raise ScenarioParseError(f"{key} must be true or false, got {text!r}", line)
+    return text == "true"
+
+
+def _of_x1(text, line, cantor_spec=None):
+    """(fn, expr) for an expression in x1 alone, fn taking an array of abscissae."""
+    f, e = compile_scalar(text, line, cantor_spec, dim=1)
+    return (lambda x: f(np.asarray(x)[:, None])), e
+
+
+def _pieces_1d(raw, section, key, n, cantor_spec=None):
+    """(fns, exprs) of the n '|'-separated pieces in x1 of a 1-D piecewise function."""
+    texts, ln = raw.require(section, key).split("|"), raw.line(section, key)
+    if len(texts) != n:
+        raise ScenarioValidationError(f"line {ln}: {key} needs {n} '|'-separated entries")
+    fns, exprs = zip(*(_of_x1(t.strip(), ln, cantor_spec) for t in texts))
+    return list(fns), exprs
+
+
 class RawScenario:
-    def __init__(self, sections, lines, path="<string>"):
+    def __init__(self, sections, lines):
         self.sections = sections
-        self.lines = lines      # key -> line number, for late errors
-        self.path = path
+        self.lines = lines      # (section, key) -> line number, for error messages
 
     def get(self, section, key, default=None):
         return self.sections.get(section, {}).get(key, default)
@@ -74,10 +115,10 @@ class RawScenario:
 
 def parse_file(path):
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_text(fh.read(), path=path)
+        return parse_text(fh.read())
 
 
-def parse_text(text, path="<string>"):
+def parse_text(text):
     sections = {}
     lines = {}
     current = None
@@ -106,7 +147,7 @@ def parse_text(text, path="<string>"):
         lines[(current, key)] = ln
     if "scenario" not in sections:
         raise ScenarioParseError("missing [scenario] section", 1)
-    return RawScenario(sections, lines, path)
+    return RawScenario(sections, lines)
 
 
 # -- builders -----------------------------------------------------------
@@ -121,7 +162,7 @@ def build_domain(raw: RawScenario) -> Domain:
     ln = raw.line("scenario", "domain")
     axes = [a for a in spec.split(";") if a.strip()]
     if len(axes) != dim:
-        raise ScenarioValidationError(f"domain needs {dim} interval(s)")
+        raise ScenarioValidationError(f"line {ln}: domain needs {dim} interval(s)")
     bounds = tuple(_interval(a, ln) for a in axes)
     try:
         return Domain(dim, bounds)
@@ -135,11 +176,11 @@ def _parse_points(text, ln):
         item = item.strip()
         if not item:
             continue
-        if ":" not in item:
+        fields = item.split(":")
+        if len(fields) != 2:
             raise ScenarioParseError(f"expected 'x : nu', got {item!r}", ln)
-        x, nu = item.split(":")
-        pts.append(_number(x, ln))
-        nus.append(_number(nu, ln))
+        pts.append(_number(fields[0], ln))
+        nus.append(_number(fields[1], ln))
     return pts, nus
 
 
@@ -151,30 +192,22 @@ def _parse_curves(text, ln, cantor_spec=None):
             continue
         words = item.split()
         kind = words[0]
+        if kind not in ("vline", "hline", "graph"):
+            raise ScenarioParseError(f"unknown curve kind {kind!r}", ln)
         try:
-            if kind in ("vline", "hline"):
-                c = _number(words[1], ln)
-                i_from = words.index("from")
-                a = _number(words[i_from + 1], ln)
-                b = _number(words[i_from + 3], ln)
-                side = _number(words[words.index("side") + 1], ln)
-                cls = VerticalSegment if kind == "vline" else HorizontalSegment
-                curves.append(cls(c, a, b, int(side)))
-            elif kind == "graph":
+            i_from = words.index("from")
+            a = _number(words[i_from + 1], ln)
+            b = _number(words[i_from + 3], ln)
+            side = int(_number(words[words.index("side") + 1], ln))
+            if kind == "graph":
                 i_d = words.index("d")
                 expr_txt = " ".join(words[1:i_d])
-                i_from = words.index("from")
-                dexpr_txt = " ".join(words[i_d + 1:i_from])
-                a = _number(words[i_from + 1], ln)
-                b = _number(words[i_from + 3], ln)
-                side = _number(words[words.index("side") + 1], ln)
-                f, _ = compile_scalar(expr_txt, ln, cantor_spec)
-                df, _ = compile_scalar(dexpr_txt, ln, cantor_spec)
-                curves.append(GraphCurve(lambda s, f=f: f(np.asarray(s)[:, None]),
-                                         lambda s, df=df: df(np.asarray(s)[:, None]),
-                                         a, b, int(side), label=expr_txt))
+                f, _ = _of_x1(expr_txt, ln, cantor_spec)
+                df, _ = _of_x1(" ".join(words[i_d + 1:i_from]), ln, cantor_spec)
+                curves.append(GraphCurve(f, df, a, b, side, label=expr_txt))
             else:
-                raise ScenarioParseError(f"unknown curve kind {kind!r}", ln)
+                cls = VerticalSegment if kind == "vline" else HorizontalSegment
+                curves.append(cls(_number(words[1], ln), a, b, side))
         except (ValueError, IndexError) as exc:
             raise ScenarioParseError(f"malformed curve spec {item!r}", ln) from exc
     return curves
@@ -185,12 +218,11 @@ def build_singular(raw: RawScenario, domain: Domain, cantor_spec=None):
     if not sec:
         return RectifiableSet.empty(domain.dim)
     if domain.dim == 1:
-        text = sec.get("points", "")
-        pts, nus = _parse_points(text, raw.line("singular", "points"))
-        for p in pts:
-            lo, hi = domain.bounds[0]
-            if not (lo < p < hi):
-                raise ScenarioValidationError(f"singular point {p} outside the domain")
+        ln = raw.line("singular", "points")
+        pts, nus = _parse_points(sec.get("points", ""), ln)
+        lo, hi = domain.bounds[0]
+        if not all(lo < p < hi for p in pts):
+            raise ScenarioValidationError(f"line {ln}: a singular point lies outside the domain")
         return RectifiableSet(1, pts, nus)
     curves = _parse_curves(sec.get("curves", ""), raw.line("singular", "curves"), cantor_spec)
     for c in curves:
@@ -217,23 +249,22 @@ def build_field(raw: RawScenario, domain: Domain, singular: RectifiableSet,
     if not sec:
         raise ScenarioValidationError("[field] section is required for this experiment")
     ln = lambda k: raw.line("field", k)
-    b_fn, b_exprs = compile_field(raw.require("field", "b"), ln("b"), cantor_spec)
-    if len(b_exprs) != domain.dim:
-        raise ScenarioValidationError("field b needs one component per axis")
+    dim = domain.dim
+    b_fn, b_exprs = compile_field(raw.require("field", "b"), ln("b"), cantor_spec, dim)
     M = _number(raw.require("field", "M"), ln("M"))
     t_range = _interval(sec.get("t_range", "-4 .. 4"), ln("t_range"))
-    kinks = [_number(v, ln("t_kinks")) for v in sec.get("t_kinks", "").split(",") if v.strip()]
+    kinks = _numbers(sec.get("t_kinks", ""), ln("t_kinks"))
     exprs = list(b_exprs)       # everything the primitive B integrates in t
     diva = None
     if "diva" in sec:
-        diva_fn, e = compile_scalar(sec["diva"], ln("diva"), cantor_spec)
-        diva = lambda pts, t: diva_fn(pts, t)
+        diva, e = compile_scalar(sec["diva"], ln("diva"), cantor_spec, dim)
         exprs.append(e)
     b_plus = b_minus = None
     if not singular.is_empty:
-        b_plus, bp_exprs = compile_field(raw.require("field", "b_plus"), ln("b_plus"), cantor_spec)
+        b_plus, bp_exprs = compile_field(raw.require("field", "b_plus"), ln("b_plus"),
+                                         cantor_spec, dim)
         b_minus, bm_exprs = compile_field(raw.require("field", "b_minus"), ln("b_minus"),
-                                          cantor_spec)
+                                          cantor_spec, dim)
         exprs += bp_exprs + bm_exprs
     divc_part = None
     divc_mult = None
@@ -245,10 +276,7 @@ def build_field(raw: RawScenario, domain: Domain, singular: RectifiableSet,
         if "divc_multiplier" in sec:
             divc_mult, e = compile_of_t(sec["divc_multiplier"], ln("divc_multiplier"))
             exprs.append(e)
-    lip = None
-    if "g1" in sec:
-        g1_fn, _ = compile_scalar(sec["g1"], ln("g1"), cantor_spec)
-        lip = lambda pts: g1_fn(pts)
+    lip = compile_scalar(sec["g1"], ln("g1"), cantor_spec, dim)[0] if "g1" in sec else None
     envelope = _build_envelope(raw, domain, singular, cantor_spec)
     degrees = [e.poly_degree("t") for e in exprs]
     return ParamField(domain, b_fn, sup_bound=M, singular_set=singular,
@@ -265,11 +293,11 @@ def _build_envelope(raw, domain, singular, cantor_spec):
     jumps = None
     cantor = None
     if "envelope_ac" in sec:
-        f, _ = compile_scalar(sec["envelope_ac"], raw.line("field", "envelope_ac"), cantor_spec)
-        ac = lambda pts: f(pts)
+        ac, _ = compile_scalar(sec["envelope_ac"], raw.line("field", "envelope_ac"),
+                               cantor_spec, domain.dim)
     if "envelope_jump" in sec and not singular.is_empty:
         g, _ = compile_scalar(sec["envelope_jump"], raw.line("field", "envelope_jump"),
-                              cantor_spec)
+                              cantor_spec, domain.dim)
         jumps = RadonMeasure.from_jump(domain, singular, lambda pts, nus: g(pts)).jumps
     if "envelope_cantor_mass" in sec:
         cantor = CantorPart(cantor_spec, _number(sec["envelope_cantor_mass"],
@@ -294,89 +322,162 @@ def build_u(raw: RawScenario, domain: Domain, cantor_spec) -> BVFunction:
 
     if domain.dim == 1:
         bps, nus = _parse_points(sec.get("breaks", ""), ln("breaks"))
-        piece_txt = [p.strip() for p in raw.require("u", "pieces").split("|")]
-        grad_txt = [p.strip() for p in raw.require("u", "grads").split("|")]
-        if len(piece_txt) != len(bps) + 1 or len(grad_txt) != len(piece_txt):
-            raise ScenarioValidationError("need len(breaks)+1 pieces and matching grads")
-        values = []
-        grads = []
-        degrees = []
-        for ptxt, gtxt in zip(piece_txt, grad_txt):
-            pf, pe = compile_scalar(ptxt, ln("pieces"), cantor_spec)
-            gf, _ = compile_scalar(gtxt, ln("grads"), cantor_spec)
-            values.append(lambda x, pf=pf: pf(np.asarray(x)[:, None]))
-            grads.append(lambda x, gf=gf: gf(np.asarray(x)[:, None]))
-            degrees.append(pe.poly_degree("x1"))
+        values, exprs = _pieces_1d(raw, "u", "pieces", len(bps) + 1, cantor_spec)
+        grads, _ = _pieces_1d(raw, "u", "grads", len(bps) + 1, cantor_spec)
         return BVFunction.piecewise_1d(domain, bps, values, grads, normals=nus,
                                        cantor=cantor, cantor_amplitude=amp, sup_bound=sup,
-                                       degrees=degrees)
+                                       degrees=[e.poly_degree("x1") for e in exprs])
 
-    regions = [r.strip() for r in raw.require("u", "regions").split("|")]
     pieces = []
-    for rtxt in regions:
-        if "):" not in rtxt or "grad" not in rtxt:
-            raise ScenarioValidationError(f"malformed region: {rtxt!r}")
-        cond_txt, rest = rtxt.split("):", 1)
-        cond_txt = cond_txt.strip().lstrip("(")
-        val_txt, grad_txt = rest.split("grad", 1)
-        cond, _ = compile_scalar(cond_txt, ln("regions"), cantor_spec)
+    for rtxt in raw.require("u", "regions").split("|"):
+        cond_txt, _, rest = rtxt.partition("):")
+        val_txt, found, grad_txt = rest.partition("grad")
+        if not found:
+            raise ScenarioValidationError(f"line {ln('regions')}: malformed region: "
+                                          f"{rtxt.strip()!r}")
+        cond, _ = compile_scalar(cond_txt.strip().lstrip("("), ln("regions"), cantor_spec)
         val, _ = compile_scalar(val_txt.strip(), ln("regions"), cantor_spec)
-        gparts = [g.strip() for g in grad_txt.split(",")]
-        if len(gparts) != 2:
-            raise ScenarioValidationError("2D regions need 'grad g1, g2'")
-        g1, _ = compile_scalar(gparts[0], ln("regions"), cantor_spec)
-        g2, _ = compile_scalar(gparts[1], ln("regions"), cantor_spec)
-        pieces.append(Piece(
-            lambda pts, cond=cond: cond(pts) > 0.5,
-            lambda pts, val=val: val(pts),
-            lambda pts, g1=g1, g2=g2: np.column_stack([g1(pts), g2(pts)])))
+        grad, _ = compile_field(grad_txt, ln("regions"), cantor_spec)
+        pieces.append(Piece(lambda pts, cond=cond: cond(pts) > 0.5, val,
+                            lambda pts, grad=grad: grad(pts, 0.0)))
     jump = RectifiableSet.empty(2)
     u_plus = u_minus = None
     if "jump_curves" in sec:
         jump = RectifiableSet(2, pieces=_parse_curves(sec["jump_curves"],
                                                       ln("jump_curves"), cantor_spec))
-        up, _ = compile_scalar(raw.require("u", "u_plus"), ln("u_plus"), cantor_spec)
-        um, _ = compile_scalar(raw.require("u", "u_minus"), ln("u_minus"), cantor_spec)
-        u_plus = lambda pts: up(pts)
-        u_minus = lambda pts: um(pts)
+        u_plus, _ = compile_scalar(raw.require("u", "u_plus"), ln("u_plus"), cantor_spec)
+        u_minus, _ = compile_scalar(raw.require("u", "u_minus"), ln("u_minus"), cantor_spec)
     return BVFunction(domain, pieces, jump, u_plus=u_plus, u_minus=u_minus,
                       sup_bound=sup)
 
 
 def build_product_fn(raw: RawScenario) -> ScalarFunction:
-    sec = raw.sections.get("product")
-    if not sec:
-        raise ScenarioValidationError("[product] section required for product experiment")
+    if "product" not in raw.sections:
+        raise ScenarioValidationError(f"line {raw.line('scenario', 'experiments')}: the "
+                                      f"product experiment needs a [product] section")
     h, _ = compile_of_t(raw.require("product", "h"), raw.line("product", "h"))
     dh, _ = compile_of_t(raw.require("product", "dh"), raw.line("product", "dh"))
     sup_dh = _number(raw.require("product", "sup_dh"), raw.line("product", "sup_dh"))
     return ScalarFunction(h, dh, sup_dh)
 
 
-def build_flux(raw: RawScenario, domain: Domain):
-    from .conslaw import FluxSpec
+def build_flux(raw: RawScenario, domain: Domain) -> FluxSpec:
     sec = raw.sections.get("conslaw")
     if not sec:
         raise ScenarioValidationError("[conslaw] section required")
     ln = lambda k: raw.line("conslaw", k)
     bps, nus = _parse_points(sec.get("k_breaks", ""), ln("k_breaks"))
-    piece_txt = [p.strip() for p in raw.require("conslaw", "k_pieces").split("|")]
-    if len(piece_txt) != len(bps) + 1:
-        raise ScenarioValidationError("need len(k_breaks)+1 k_pieces")
-    values = []
-    for ptxt in piece_txt:
-        pf, _ = compile_scalar(ptxt, ln("k_pieces"))
-        values.append(lambda x, pf=pf: pf(np.asarray(x)[:, None]))
+    values, _ = _pieces_1d(raw, "conslaw", "k_pieces", len(bps) + 1)
     grads = [lambda x: np.zeros_like(np.asarray(x, dtype=float)) for _ in values]
     k = BVFunction.piecewise_1d(domain, bps, values, grads, normals=nus)
     ahat, ahat_e = compile_uv(raw.require("conslaw", "ahat"), ln("ahat"))
     dahat, dahat_e = compile_uv(raw.require("conslaw", "dahat_du"), ln("dahat_du"))
     u_range = _interval(raw.require("conslaw", "u_range"), ln("u_range"))
-    crit_vals = [_number(v, ln("critical")) for v in sec.get("critical", "").split(",")
-                 if v.strip()]
+    crit_vals = _numbers(sec.get("critical", ""), ln("critical"))
     return FluxSpec(k, ahat, dahat, u_range, critical=lambda kv: tuple(crit_vals),
                     ahat_degree=ahat_e.poly_degree("u"),
                     speed_degree=dahat_e.poly_degree("u"))
+
+
+def build_conslaw_run(raw: RawScenario):
+    sec = raw.sections["conslaw"]           # build_flux has required the section
+    ln = lambda k: raw.line("conslaw", k)
+    num = lambda k, default=None: _number(sec.get(k, default), ln(k))
+    cfl = num("cfl", "0.45")
+    if not 0.0 < cfl < 1.0:
+        raise ScenarioValidationError(f"line {ln('cfl')}: cfl must be in (0, 1)")
+    shock = (num("shock_left"), num("shock_right")) \
+        if "shock_left" in sec and "shock_right" in sec else None
+    if shock and shock[0] == shock[1]:
+        raise ScenarioValidationError(f"line {ln('shock_right')}: shock_right "
+                                      f"must differ from shock_left")
+    key = "inject_expansion_shock"      # uL, uR, x0 of a deliberate non-entropic solution
+    expansion = _numbers(sec[key], ln(key), key, 3) if key in sec else None
+    S, _ = compile_of_t(sec.get("entropy_S", "t^2/2"), ln("entropy_S"))
+    dS, dS_e = compile_of_t(sec.get("entropy_dS", "t"), ln("entropy_dS"))
+    d2S, _ = compile_of_t(sec.get("entropy_d2S", "1"), ln("entropy_d2S"))
+    kgrid = _numbers(sec.get("kinetic_grid", "6, 10, 14"), ln("kinetic_grid"),
+                     "kinetic_grid", 3)
+    return SimpleNamespace(
+        u0=_of_x1(raw.require("conslaw", "u0"), ln("u0"))[0],
+        T=_positive(raw.require("conslaw", "T"), ln("T"), "T"), cfl=cfl,
+        ncells=_count(num("ncells", "200"), ln("ncells"), "ncells"),
+        kinetic=_flag(sec, "run_kinetic", ln("run_kinetic")),
+        kinetic_grid=[_count(v, ln("kinetic_grid"), "kinetic_grid") for v in kgrid],
+        kinetic_strict=_flag(sec, "kinetic_strict", ln("kinetic_strict")),
+        shock=shock, expansion_shock=expansion,
+        entropy=EntropyPair(S, dS, d2S, dS_degree=dS_e.poly_degree("t")),
+        resid_slack=num("resid_slack", "1e-7"), resid_constant=num("resid_constant", "2.0"))
+
+
+def build_kato(raw: RawScenario, domain: Domain):
+    sec = raw.sections.get("kato", {})
+    ln = lambda k: raw.line("kato", k)
+    T = _positive(raw.require("kato", "T"), ln("T"), "T")
+    dx_list = [_positive(v, ln("dx_list"), "dx_list")
+               for v in raw.require("kato", "dx_list").split(",")]
+    if max(dx_list) > domain.bounds[0][1] - domain.bounds[0][0]:
+        raise ScenarioValidationError(f"line {ln('dx_list')}: a dx exceeds the domain length")
+    pairs = []
+    for i in range(1, len(sec)):
+        ka, kb = (f"u0_a{i}", f"u0_b{i}") if i > 1 else ("u0_a", "u0_b")
+        if ka not in sec:
+            break
+        if kb not in sec:
+            raise ScenarioValidationError(f"line {ln(ka)}: {ka} needs {kb}")
+        pairs.append((_of_x1(sec[ka], ln(ka))[0], _of_x1(sec[kb], ln(kb))[0]))
+    if not pairs:
+        raise ScenarioValidationError("[kato] needs at least one data pair")
+    return SimpleNamespace(T=T, dx_list=dx_list, pairs=pairs)
+
+
+def build_omegas(raw: RawScenario, domain: Domain):
+    """[green] omegas: ("box", ((lo, hi), ...)) and, in 2-D, ("disc", ((cx, cy), r))."""
+    ln = raw.line("green", "omegas")
+    omegas = []
+    for item in raw.get("green", "omegas", "").split(";"):
+        words = item.split()
+        if not words:
+            continue
+        if words[0] == "box":
+            parts = [p for p in " ".join(words[1:]).split("x") if p.strip()]
+            bounds = tuple(_interval(p, ln) for p in parts)
+            if len(bounds) != domain.dim:
+                raise ScenarioValidationError(f"line {ln}: box needs {domain.dim} interval(s)")
+            omegas.append(("box", bounds))
+        elif words[0] == "disc":
+            nums = [_number(w, ln) for w in words[1:]]
+            if domain.dim != 2 or len(nums) != 3 or nums[2] <= 0:
+                raise ScenarioValidationError(f"line {ln}: disc needs dim = 2 and three "
+                                              f"numbers 'cx cy r' with r > 0")
+            omegas.append(("disc", (tuple(nums[:2]), nums[2])))
+        else:
+            raise ScenarioValidationError(f"line {ln}: unknown omega kind {words[0]!r}")
+    if not omegas:
+        raise ScenarioValidationError("[green] omegas required for green experiment")
+    return omegas
+
+
+def build_moll(raw: RawScenario, domain: Domain):
+    sec = raw.sections.get("moll", {})
+    ln = lambda k: raw.line("moll", k)
+    points = [_numbers(item, ln("points"), "points", domain.dim)
+              for item in sec.get("points", ", ".join("0" * domain.dim)).split(";")]
+    eps = _numbers(sec.get("eps", "0.1, 0.05, 0.025"), ln("eps"))
+    if not eps or min(eps) <= 0 or any(e2 >= e1 for e1, e2 in zip(eps, eps[1:])):
+        raise ScenarioValidationError(f"line {ln('eps')}: eps must be > 0 and strictly "
+                                      f"decreasing")
+    return SimpleNamespace(points=points, t=_number(sec.get("t", "1"), ln("t")), eps=eps)
+
+
+def build_sigma_samples(raw: RawScenario, field: ParamField):
+    ln = raw.line("field", "sigma_t_samples")
+    lo, hi = field.t_range
+    samples = _numbers(raw.get("field", "sigma_t_samples", ""), ln)
+    if not all(lo <= t <= hi for t in samples):
+        raise ScenarioValidationError(f"line {ln}: sigma_t_samples must lie in t_range "
+                                      f"{lo:g} .. {hi:g}")
+    return samples or list(np.linspace(lo, hi, 5))
 
 
 class Scenario:
@@ -387,12 +488,13 @@ class Scenario:
         self.id = raw.require("scenario", "id")
         self.domain = build_domain(raw)
         exps = [e.strip() for e in raw.require("scenario", "experiments").split(",")]
+        ln = raw.line("scenario", "experiments")
         for e in exps:
             if e not in EXPERIMENTS:
-                raise ScenarioValidationError(f"unknown experiment {e!r}")
-        if "w11" in exps and self.domain.dim != 1:
-            raise ScenarioValidationError(f"line {raw.line('scenario', 'experiments')}: "
-                                          f"w11 needs dim = 1")
+                raise ScenarioValidationError(f"line {ln}: unknown experiment {e!r}")
+            # w11 scans the level sets of a 1-D u; the conservation-law harness is 1-D
+            if e in ("w11", "conslaw", "kato") and self.domain.dim != 1:
+                raise ScenarioValidationError(f"line {ln}: {e} needs dim = 1")
         self.experiments = exps
         self.cantor_spec = build_cantor_spec(raw)
         self.is_cantor = (raw.get("field", "divc_mass") is not None
@@ -414,23 +516,18 @@ class Scenario:
         needs_u = any(e in exps for e in ("chain", "w11", "bv-scalar", "product",
                                           "anzellotti"))
         self.u = build_u(raw, self.domain, self.cantor_spec) if needs_u else None
-        self.h = build_product_fn(raw) if ("product" in exps or "anzellotti" in exps) \
-            and "product" in raw.sections else None
+        self.sigma_samples = build_sigma_samples(raw, self.field) if needs_field else None
+        self.h = build_product_fn(raw) if "product" in exps else None
+        self.omegas = build_omegas(raw, self.domain) if "green" in exps else None
+        self.moll = build_moll(raw, self.domain) if "moll" in exps else None
         self.flux = build_flux(raw, self.domain) if ("conslaw" in exps or "kato" in exps) \
             else None
+        self.conslaw = build_conslaw_run(raw) if "conslaw" in exps else None
+        self.kato = build_kato(raw, self.domain) if "kato" in exps else None
         self.fake_scale = None
         if "negative" in raw.sections:
             self.fake_scale = _number(raw.require("negative", "fake_scale"),
                                       raw.line("negative", "fake_scale"))
-
-    def sigma_samples(self):
-        txt = self.raw.get("field", "sigma_t_samples", "")
-        ln = self.raw.line("field", "sigma_t_samples")
-        vals = [_number(v, ln) for v in txt.split(",") if v.strip()]
-        if not vals:
-            lo, hi = self.field.t_range if self.field else (-1, 1)
-            vals = list(np.linspace(lo, hi, 5))
-        return vals
 
 
 def load(path) -> Scenario:

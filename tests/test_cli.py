@@ -280,13 +280,63 @@ MALFORMED = [
      [("experiments = conslaw, kato", "experiments = kato"),
       ("dx_list = 1/100, 1/200, 1/400", "dx_list = 1/100, 0")], "dx_list",
      EXIT_VALIDATION_ERROR),
+    ("kato-dx-wider-than-domain", "traffic-kato",
+     [("dx_list = 1/100, 1/200, 1/400", "dx_list = 1/100, 4")], "dx_list",
+     EXIT_VALIDATION_ERROR),
+    ("moll-eps-increasing", "sign-const",
+     [("eps = 0.1, 0.05, 0.025", "eps = 0.025, 0.05")], "eps", EXIT_VALIDATION_ERROR),
+    ("moll-eps-zero", "sign-const", [("eps = 0.1, 0.05, 0.025", "eps = 0.1, 0")], "eps",
+     EXIT_VALIDATION_ERROR),
+    ("moll-point-two-coords-1d", "sign-const", [("points = 0\n", "points = 0, 5\n")],
+     "[moll] points", EXIT_VALIDATION_ERROR),
+    ("box-one-interval-2d", "2d-vline-jump",
+     [("experiments = chain, green", "experiments = green"),
+      ("omegas = box -0.8 .. 0.8 x -0.7 .. 0.7", "omegas = box -0.8 .. 0.8")],
+     "omegas", EXIT_VALIDATION_ERROR),
+    ("disc-in-1d", "sign-const",
+     [("omegas = box -0.9 .. 0.9 ; box -0.5 .. 0.7", "omegas = disc 0 0 0.5")], "omegas",
+     EXIT_VALIDATION_ERROR),
+    ("kato-a2-without-b2", "traffic-kato",
+     [("experiments = conslaw, kato", "experiments = kato"),
+      ("u0_b2 = 0.4 + 0.15*(1-min(1,abs((x1+0.25)/0.2))^2)^2\n", "")], "u0_a2",
+     EXIT_VALIDATION_ERROR),
+    ("kinetic-grid-zero", "standing-shock-traffic",
+     [("kinetic_grid = 6, 10, 14", "kinetic_grid = 0, 10, 14")], "kinetic_grid",
+     EXIT_VALIDATION_ERROR),
+    ("kinetic-grid-fraction", "standing-shock-traffic",
+     [("kinetic_grid = 6, 10, 14", "kinetic_grid = 6, 2.5, 14")], "kinetic_grid",
+     EXIT_VALIDATION_ERROR),
+    ("run-kinetic-yes", "standing-shock-traffic", [("run_kinetic = true", "run_kinetic = yes")],
+     "run_kinetic", EXIT_PARSE_ERROR),
+    ("kinetic-strict-yes", "standing-shock-traffic",
+     [("kinetic_strict = true", "kinetic_strict = yes")], "kinetic_strict", EXIT_PARSE_ERROR),
+    ("sigma-sample-outside-t-range", "sign-const",
+     [("sigma_t_samples = 0, 1, 2", "sigma_t_samples = 0, 1, 5")], "sigma_t_samples",
+     EXIT_VALIDATION_ERROR),
+    ("cfl-above-one", "standing-shock-traffic", [("cfl = 0.45", "cfl = 1.5")], "cfl",
+     EXIT_VALIDATION_ERROR),
+    ("product-without-section", "product-sin-heaviside",
+     [("[product]\nh = sin(t)\ndh = cos(t)\nsup_dh = 1\n", "")], "experiments",
+     EXIT_VALIDATION_ERROR),
+    ("conslaw-in-2d", "standing-shock-traffic",
+     [("dim = 1", "dim = 2"), ("domain = -1 .. 1", "domain = -1 .. 1 ; -1 .. 1")],
+     "experiments", EXIT_VALIDATION_ERROR),
+    ("b-plus-two-components-1d", "sign-const", [("b_plus = 1\n", "b_plus = 1, 2\n")],
+     "b_plus", EXIT_VALIDATION_ERROR),
+    ("b-minus-one-component-2d", "2d-vline-jump", [("b_minus = -(1+t), 0", "b_minus = 0")],
+     "b_minus", EXIT_VALIDATION_ERROR),
+    ("x2-in-1d-b", "volpert-heaviside", [("b = 2*t", "b = 2*t + x2")], "b", EXIT_PARSE_ERROR),
+    ("x2-in-1d-pieces", "volpert-heaviside", [("pieces = 0 | 1", "pieces = 0 | x2")],
+     "pieces", EXIT_PARSE_ERROR),
+    ("x2-in-1d-u0", "standing-shock-traffic",
+     [("u0 = 0.2 + 0.6*H(x1)", "u0 = 0.2 + 0.6*H(x2)")], "u0", EXIT_PARSE_ERROR),
 ]
-# only `run` reads these keys, so `validate` passes their files
-RUN_ONLY_KEYS = ("kinetic_grid", "inject_expansion_shock", "ncells", "omegas", "T",
-                 "shock_right", "dx_list")
 
 
 def _write_malformed(tmp_path, name, source, replacements, key):
+    """Write the malformed copy; (path, line of the first `key =` after key's section).
+
+    key is a bare name, or '[section] name' when the name is used in several sections."""
     with open(scenario_path(source), encoding="utf-8") as fh:
         text = fh.read()
     for old, new in replacements:
@@ -294,7 +344,10 @@ def _write_malformed(tmp_path, name, source, replacements, key):
         text = text.replace(old, new)
     path = tmp_path / f"{name}.scn"
     path.write_text(text)
-    line = next(i for i, ln in enumerate(text.splitlines(), 1) if ln.startswith(f"{key} ="))
+    section, _, name = key.rpartition(" ")
+    lines = text.splitlines()
+    start = lines.index(section) if section else 0
+    line = next(i for i, ln in enumerate(lines, 1) if i > start and ln.startswith(f"{name} ="))
     return str(path), line
 
 
@@ -306,20 +359,46 @@ def test_malformed_value_exits_with_its_line(tmp_path, capsys, name, source, rep
     assert main(["run", path, "--out", str(tmp_path / "out")]) == code
     kind = "parse" if code == EXIT_PARSE_ERROR else "validation"
     assert capsys.readouterr().out.startswith(f"{kind} error in {path}: line {line}: ")
-    if key in RUN_ONLY_KEYS:
-        assert main(["validate", path]) == EXIT_OK
-    else:
-        assert main(["validate", path]) == code
-        assert capsys.readouterr().out.startswith(f"{kind} error in {path}: line {line}: ")
+    assert main(["validate", path]) == code
+    assert capsys.readouterr().out.startswith(f"{kind} error in {path}: line {line}: ")
 
 
 def test_malformed_values_do_not_stop_the_batch(tmp_path, capsys):
+    # among them every file that once crashed `run` with a traceback (moll eps,
+    # omegas, u0_a2 without u0_b2, kinetic_grid, sigma_t_samples, x2 in 1-D)
     paths = [_write_malformed(tmp_path, *m[:4])[0] for m in MALFORMED]
-    code = main(["run", "volpert-heaviside", *paths, "--out", str(tmp_path / "out")])
+    code = main(["run", "volpert-heaviside", *paths, "sign-const",
+                 "--out", str(tmp_path / "out")])
     assert code == EXIT_VALIDATION_ERROR
     out = capsys.readouterr().out
     assert "SCENARIO volpert-heaviside: PASS" in out
+    assert "SCENARIO sign-const: PASS" in out
     assert all(f"error in {p}: line " in out for p in paths)
+    assert "Traceback" not in out
+
+
+_real_run_scenario = cli.run_scenario
+
+
+def _defect_in_sign_const(scn, out_dir=None):
+    if scn.id == "sign-const":
+        raise RuntimeError("injected defect")
+    return _real_run_scenario(scn, out_dir=out_dir)
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_internal_error_does_not_stop_the_batch(tmp_path, monkeypatch, capsys, jobs):
+    monkeypatch.setattr(cli, "run_scenario", _defect_in_sign_const)
+    bad = scenario_path("sign-const")
+    code = main(["run", "volpert-heaviside", bad, "sign-2t-heaviside", "--jobs", jobs,
+                 "--out", str(tmp_path)])
+    assert code == EXIT_NUMERICAL_ERROR
+    captured = capsys.readouterr()
+    assert f"internal error in {bad}: RuntimeError: injected defect" in captured.out
+    assert "SCENARIO volpert-heaviside: PASS" in captured.out
+    assert "SCENARIO sign-2t-heaviside: PASS" in captured.out
+    if jobs == "1":         # a worker's stderr does not reach capsys
+        assert "Traceback" in captured.err and "injected defect" in captured.err
 
 
 @pytest.mark.parametrize("replacements, key", [

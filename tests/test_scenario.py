@@ -142,10 +142,10 @@ def test_envelope_joins_sigma():
                           "sigma_t_samples = 0, 0.5, 1\n")
     bare = Scenario(parse_text(txt))
     # lub over t in {0, 0.5, 1}: |t| <= 1 per unit length, 2(1+t) <= 4 at the jump
-    assert bare.field.sigma(bare.sigma_samples()).total_variation() == pytest.approx(6.0)
+    assert bare.field.sigma(bare.sigma_samples).total_variation() == pytest.approx(6.0)
     scn = Scenario(parse_text(txt.replace("diva = t\n",
                                           "diva = t\nenvelope_ac = 5\nenvelope_jump = 10\n")))
-    sigma = scn.field.sigma(scn.sigma_samples())
+    sigma = scn.field.sigma(scn.sigma_samples)
     assert sigma.total_variation() == pytest.approx(5.0 * 2.0 + 10.0)
     support, plateau = (-0.8, 0.4), (-0.3, 0.1)
     phi = plateau_bump((support,), (plateau,))
