@@ -14,31 +14,24 @@ from __future__ import annotations
 from functools import cached_property
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .cantor import CantorPart, cantor_function
 from .errors import DegenerateLevelError, GeometryError, NotOnJumpSetError
 from .geometry import Domain, as_points
 from .measure import RadonMeasure
 from .quadrature import integrate_1d  # noqa: F401  (an alias the benchmark tracer counts)
-from .rectifiable import RectifiableSet
+from .rectifiable import RectifiableSet, bracketed_roots
 
 SCAN_POINTS = 801          # grid on which 1-D level-set scans bracket the crossings
 
 
 class Piece:
-    """One smooth piece: indicator of its open region, value, gradient.
+    """One smooth piece: indicator of its open region, value, gradient."""
 
-    degree: the value's polynomial degree in x1 as written, or None when
-    unknown.  A level crossing inside a 1-D piece of degree <= 1 is found in
-    closed form; any other crossing is found by brentq.
-    """
-
-    def __init__(self, indicator, value, grad, degree=None):
+    def __init__(self, indicator, value, grad):
         self.indicator = indicator
         self.value = value
         self.grad = grad
-        self.degree = degree
 
 
 class BVFunction:
@@ -157,20 +150,10 @@ class BVFunction:
     # -- level regions ---------------------------------------------------
     @cached_property
     def scan_table(self):
-        """(xs, u(xs), affine) on the 1-D scan grid, evaluated once: u never
-        changes.  affine[i] marks [xs[i], xs[i+1]] as lying in one piece of
-        degree <= 1 with no Cantor summand, so u is the chord there."""
+        """(xs, u(xs)) on the 1-D scan grid, evaluated once: u never changes."""
         (lo, hi), = self.domain.bounds
         xs = np.linspace(lo, hi, SCAN_POINTS)
-        pts = xs[:, None]
-        affine = np.zeros(SCAN_POINTS - 1, dtype=bool)
-        free = np.ones(SCAN_POINTS, dtype=bool)
-        for p in self.pieces:            # first match wins, as in eval
-            mine = free & np.asarray(p.indicator(pts), dtype=bool)
-            free &= ~mine
-            if self.cantor is None and p.degree is not None and p.degree <= 1:
-                affine |= mine[:-1] & mine[1:]
-        return xs, self.eval(pts), affine
+        return xs, self.eval(xs[:, None])
 
     def level_region(self, t):
         if t == 0:
@@ -205,27 +188,23 @@ class BVFunction:
     # -- 1D constructor --------------------------------------------------
     @staticmethod
     def piecewise_1d(domain: Domain, breakpoints, values, grads, normals=None,
-                     cantor=None, cantor_amplitude=0.0, sup_bound=None, degrees=None):
+                     cantor=None, cantor_amplitude=0.0, sup_bound=None):
         """Pieces between sorted breakpoints; traces derived from the pieces.
 
         values/grads: one vectorized callable per interval (len(breakpoints)+1).
-        degrees: each value's polynomial degree in x1 (see Piece), or None
-        for unknown; the default leaves every degree unknown.
         """
         bps = sorted(float(b) for b in breakpoints)
         lo, hi = domain.bounds[0]
         edges = [lo - 1e30] + bps + [hi + 1e30]
-        if degrees is None:
-            degrees = [None] * len(values)
         pieces = []
-        for i, (v, g, d) in enumerate(zip(values, grads, degrees)):
+        for i, (v, g) in enumerate(zip(values, grads)):
             a, b = edges[i], edges[i + 1]
 
             def ind(pts, a=a, b=b):
                 return (pts[:, 0] >= a) & (pts[:, 0] < b)
 
             pieces.append(Piece(ind, lambda pts, v=v: v(pts[:, 0]),
-                                lambda pts, g=g: np.asarray(g(pts[:, 0]))[:, None], d))
+                                lambda pts, g=g: np.asarray(g(pts[:, 0]))[:, None]))
         if normals is None:
             normals = [1.0] * len(bps)
         jump = RectifiableSet(1, bps, normals) if bps else RectifiableSet.empty(1)
@@ -281,25 +260,13 @@ class LevelRegion:
 
     def breakpoints_1d(self):
         """Abscissae where u crosses level t (quadrature split points)."""
-        xs, table, affine = self.u.scan_table
+        xs, table = self.u.scan_table
         sgn = np.sign(table - self.t)
         out = list(self.u.jump_set.points_1d)
         out.extend(xs[sgn == 0.0].tolist())
-        # strict sign changes: the chord on affine brackets, brentq elsewhere
-        cross = np.flatnonzero(sgn[:-1] * sgn[1:] < 0)
-        lin = cross[affine[cross]]
-        out.extend((xs[lin] + (self.t - table[lin]) * (xs[lin + 1] - xs[lin])
-                    / (table[lin + 1] - table[lin])).tolist())
-        for i in cross[~affine[cross]]:
-            try:
-                out.append(brentq(lambda x: float(self.u.eval(np.array([[x]]))[0]) - self.t,
-                                  xs[i], xs[i + 1], xtol=1e-14))
-            except ValueError:
-                pass
-            except RuntimeError as exc:
-                raise GeometryError(f"level {float(self.t)!r}: crossing search in "
-                                    f"[{float(xs[i])!r}, {float(xs[i + 1])!r}] failed: {exc}"
-                                    ) from exc
+        i = np.flatnonzero(sgn[:-1] * sgn[1:] < 0)           # strict sign changes
+        out.extend(bracketed_roots(lambda x: self.u.eval(x[:, None]) - self.t, xs[i], xs[i + 1],
+                                   table[i] - self.t, table[i + 1] - self.t).tolist())
         return sorted(out)
 
     def extra_x_breaks(self):

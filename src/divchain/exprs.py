@@ -195,7 +195,11 @@ def parse_expr(src, line=None, cantor_spec=None):
     def muldiv():
         node = unary()
         while at_op("*/"):
-            node = (take().text, node, unary())
+            op, col = take().text, peek().col
+            rhs = unary()
+            if op == "/" and rhs == ("num", 0.0):
+                raise ScenarioParseError("division by a literal zero", line, col + 1)
+            node = (op, node, rhs)
         return node
 
     def unary():

@@ -161,13 +161,6 @@ class ParamField:
         rows.append(("diffuse_t_modulus_ratio", True, ratio))
         return rows
 
-    def _near_singular(self, pts, dist):
-        if self.singular_set.is_empty:
-            return np.zeros(len(pts), dtype=bool)
-        sp, _ = self.singular_set.samples(65)
-        d = np.min(np.linalg.norm(pts[:, None, :] - sp[None, :, :], axis=2), axis=1)
-        return d <= dist
-
 
 class PrimitiveField:
     """B(x, t) = \\int_0^t b(x, w) dw with traces integrated the same way."""
@@ -326,7 +319,7 @@ def singular_set_check(field: ParamField, sigma: RadonMeasure, radii=(1e-1, 1e-2
             rows.append({"point": [float(v) for v in np.atleast_1d(p)],
                          "on_declared_set": True, "ratios": rs, "positive_density": verdict})
     probes = field.domain.grid(5)
-    keep = ~field._near_singular(probes, dist=0.05)
+    keep = ~field.singular_set.contains(probes, 0.05)
     for p in probes[keep][:6]:
         rs = ratios(p)
         verdict = rs[-1] > threshold and rs[-1] >= 0.3 * rs[0]

@@ -81,18 +81,17 @@ def _flag(sec, key, line):
 
 
 def _of_x1(text, line, cantor_spec=None):
-    """(fn, expr) for an expression in x1 alone, fn taking an array of abscissae."""
-    f, e = compile_scalar(text, line, cantor_spec, dim=1)
-    return (lambda x: f(np.asarray(x)[:, None])), e
+    """An expression in x1 alone, as a function of an array of abscissae."""
+    f, _ = compile_scalar(text, line, cantor_spec, dim=1)
+    return lambda x: f(np.asarray(x)[:, None])
 
 
 def _pieces_1d(raw, section, key, n, cantor_spec=None):
-    """(fns, exprs) of the n '|'-separated pieces in x1 of a 1-D piecewise function."""
+    """The n '|'-separated pieces in x1 of a 1-D piecewise function."""
     texts, ln = raw.require(section, key).split("|"), raw.line(section, key)
     if len(texts) != n:
         raise ScenarioValidationError(f"line {ln}: {key} needs {n} '|'-separated entries")
-    fns, exprs = zip(*(_of_x1(t.strip(), ln, cantor_spec) for t in texts))
-    return list(fns), exprs
+    return [_of_x1(t.strip(), ln, cantor_spec) for t in texts]
 
 
 class RawScenario:
@@ -202,8 +201,8 @@ def _parse_curves(text, ln, cantor_spec=None):
             if kind == "graph":
                 i_d = words.index("d")
                 expr_txt = " ".join(words[1:i_d])
-                f, _ = _of_x1(expr_txt, ln, cantor_spec)
-                df, _ = _of_x1(" ".join(words[i_d + 1:i_from]), ln, cantor_spec)
+                f = _of_x1(expr_txt, ln, cantor_spec)
+                df = _of_x1(" ".join(words[i_d + 1:i_from]), ln, cantor_spec)
                 curves.append(GraphCurve(f, df, a, b, side, label=expr_txt))
             else:
                 cls = VerticalSegment if kind == "vline" else HorizontalSegment
@@ -322,11 +321,10 @@ def build_u(raw: RawScenario, domain: Domain, cantor_spec) -> BVFunction:
 
     if domain.dim == 1:
         bps, nus = _parse_points(sec.get("breaks", ""), ln("breaks"))
-        values, exprs = _pieces_1d(raw, "u", "pieces", len(bps) + 1, cantor_spec)
-        grads, _ = _pieces_1d(raw, "u", "grads", len(bps) + 1, cantor_spec)
+        values = _pieces_1d(raw, "u", "pieces", len(bps) + 1, cantor_spec)
+        grads = _pieces_1d(raw, "u", "grads", len(bps) + 1, cantor_spec)
         return BVFunction.piecewise_1d(domain, bps, values, grads, normals=nus,
-                                       cantor=cantor, cantor_amplitude=amp, sup_bound=sup,
-                                       degrees=[e.poly_degree("x1") for e in exprs])
+                                       cantor=cantor, cantor_amplitude=amp, sup_bound=sup)
 
     pieces = []
     for rtxt in raw.require("u", "regions").split("|"):
@@ -367,7 +365,7 @@ def build_flux(raw: RawScenario, domain: Domain) -> FluxSpec:
         raise ScenarioValidationError("[conslaw] section required")
     ln = lambda k: raw.line("conslaw", k)
     bps, nus = _parse_points(sec.get("k_breaks", ""), ln("k_breaks"))
-    values, _ = _pieces_1d(raw, "conslaw", "k_pieces", len(bps) + 1)
+    values = _pieces_1d(raw, "conslaw", "k_pieces", len(bps) + 1)
     grads = [lambda x: np.zeros_like(np.asarray(x, dtype=float)) for _ in values]
     k = BVFunction.piecewise_1d(domain, bps, values, grads, normals=nus)
     ahat, ahat_e = compile_uv(raw.require("conslaw", "ahat"), ln("ahat"))
@@ -399,7 +397,7 @@ def build_conslaw_run(raw: RawScenario):
     kgrid = _numbers(sec.get("kinetic_grid", "6, 10, 14"), ln("kinetic_grid"),
                      "kinetic_grid", 3)
     return SimpleNamespace(
-        u0=_of_x1(raw.require("conslaw", "u0"), ln("u0"))[0],
+        u0=_of_x1(raw.require("conslaw", "u0"), ln("u0")),
         T=_positive(raw.require("conslaw", "T"), ln("T"), "T"), cfl=cfl,
         ncells=_count(num("ncells", "200"), ln("ncells"), "ncells"),
         kinetic=_flag(sec, "run_kinetic", ln("run_kinetic")),
@@ -425,7 +423,7 @@ def build_kato(raw: RawScenario, domain: Domain):
             break
         if kb not in sec:
             raise ScenarioValidationError(f"line {ln(ka)}: {ka} needs {kb}")
-        pairs.append((_of_x1(sec[ka], ln(ka))[0], _of_x1(sec[kb], ln(kb))[0]))
+        pairs.append((_of_x1(sec[ka], ln(ka)), _of_x1(sec[kb], ln(kb))))
     if not pairs:
         raise ScenarioValidationError("[kato] needs at least one data pair")
     return SimpleNamespace(T=T, dx_list=dx_list, pairs=pairs)

@@ -132,8 +132,7 @@ def affine_u(a, s):
     dom = Domain.interval(-0.5, 1.5)
     return BVFunction.piecewise_1d(dom, [], values=[lambda x: a + s * x],
                                    grads=[lambda x: s * np.ones_like(x)],
-                                   sup_bound=max(abs(a - 0.5 * s), abs(a + 1.5 * s)),
-                                   degrees=[1])
+                                   sup_bound=max(abs(a - 0.5 * s), abs(a + 1.5 * s)))
 
 
 @settings(max_examples=10, deadline=None)

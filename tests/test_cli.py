@@ -1,6 +1,8 @@
 import json
 import os
 import re
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -204,26 +206,34 @@ def test_failed_level_crossing_search_is_a_numerical_failure(tmp_path, monkeypat
     from divchain import bvfunc
     from divchain.errors import GeometryError
 
-    def no_convergence(f, a, b, **kw):
-        raise RuntimeError("Failed to converge after 100 iterations")
-
-    monkeypatch.setattr(bvfunc, "brentq", no_convergence)
-    u = bvfunc.BVFunction.piecewise_1d(bvfunc.Domain.interval(-1.0, 1.0), [],
-                                       values=[lambda x: x], grads=[np.ones_like])
-    with pytest.raises(GeometryError, match=r"^level 0\.301: crossing search in \[0\.30\d*, "
-                                            r"0\.302\d*\] failed: Failed to converge"):
+    # u = x1, but infinite on (0.3001, 0.3024), strictly inside the scan
+    # interval [0.3, 0.3025] that brackets the level 0.301
+    u = bvfunc.BVFunction.piecewise_1d(
+        bvfunc.Domain.interval(-1.0, 1.0), [], grads=[np.ones_like], sup_bound=1.0,
+        values=[lambda x: np.where((x > 0.3001) & (x < 0.3024), np.inf, x)])
+    with pytest.raises(GeometryError, match=r"^root search in \[0\.30\d*, 0\.302\d*\]: "
+                                            r"non-finite value at 0\.301"):
         u.level_region(0.301).breakpoints_1d()
-    # u = x1 is affine, so its crossings are found in closed form, not by brentq
-    scn = tmp_path / "linear.scn"
-    scn.write_text(LINEAR_U_SCN)
-    assert main(["run", str(scn), "--out", str(tmp_path / "out")]) == EXIT_OK
-    capsys.readouterr()
+    # the same failure inside a run: every solver step sees a non-finite value
+    real = bvfunc.bracketed_roots
+    monkeypatch.setattr(bvfunc, "bracketed_roots",
+                        lambda f, *ends: real(lambda x: f(x) * np.inf, *ends))
     scn = tmp_path / "cubic.scn"
     scn.write_text(LINEAR_U_SCN.replace("pieces = x1", "pieces = x1 + x1^3")
                    .replace("grads = 1", "grads = 1 + 3*x1^2").replace("sup = 1", "sup = 2"))
     assert main(["run", str(scn), "--out", str(tmp_path / "out")]) == EXIT_NUMERICAL_ERROR
     out = capsys.readouterr().out
-    assert "numerical failure" in out and "crossing search" in out, out
+    assert "numerical failure" in out and "root search" in out, out
+
+
+def test_cli_import_loads_no_scipy():
+    code = "import sys, divchain.cli; print(sorted(m for m in sys.modules if 'scipy' in m))"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.join(os.path.dirname(__file__), os.pardir, "src"),
+         os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
 
 
 # A malformed value in an otherwise valid bundled file: (name, bundled source,
@@ -330,6 +340,8 @@ MALFORMED = [
      "pieces", EXIT_PARSE_ERROR),
     ("x2-in-1d-u0", "standing-shock-traffic",
      [("u0 = 0.2 + 0.6*H(x1)", "u0 = 0.2 + 0.6*H(x2)")], "u0", EXIT_PARSE_ERROR),
+    ("ahat-over-literal-zero", "burgers-shock", [("ahat = k*u^2/2", "ahat = 1/0")], "ahat",
+     EXIT_PARSE_ERROR),
 ]
 
 
@@ -358,9 +370,11 @@ def test_malformed_value_exits_with_its_line(tmp_path, capsys, name, source, rep
     path, line = _write_malformed(tmp_path, name, source, replacements, key)
     assert main(["run", path, "--out", str(tmp_path / "out")]) == code
     kind = "parse" if code == EXIT_PARSE_ERROR else "validation"
-    assert capsys.readouterr().out.startswith(f"{kind} error in {path}: line {line}: ")
+    # an expression's parse error names its column too
+    head = re.compile(rf"{kind} error in {re.escape(path)}: line {line}(, col \d+)?: ")
+    assert head.match(capsys.readouterr().out)
     assert main(["validate", path]) == code
-    assert capsys.readouterr().out.startswith(f"{kind} error in {path}: line {line}: ")
+    assert head.match(capsys.readouterr().out)
 
 
 def test_malformed_values_do_not_stop_the_batch(tmp_path, capsys):

@@ -148,7 +148,12 @@ def ref_parse_expr(src, line=None, cantor_spec=None):
         node = unary()
         while peek().kind == "op" and peek().text in "*/":
             op = take().text
+            start = pos[0]
             right = unary()
+            # a divisor that is the number 0 up to parentheses and unary pluses
+            rest = [t for t in toks[start:pos[0]] if t.text not in ("(", ")", "+")]
+            if op == "/" and len(rest) == 1 and rest[0].kind == "num" and float(rest[0].text) == 0:
+                raise ScenarioParseError("division by a literal zero", line, toks[start].col + 1)
             if op == "*":
                 node = (lambda env, a=node, b=right: a(env) * b(env))
             else:
@@ -311,7 +316,7 @@ def test_tree_compiler_matches_reference_on_generated_expressions(src):
 
 @pytest.mark.parametrize("src", ["1 + $", "sin(1", "unknownfn(1)", "1 2", "neg(1)", "(",
                                  "min(1)", "sin(1, 2)", "2 *", ")", "x1 < 1 < 2", "^2",
-                                 "pi(1)", "Cantor()"])
+                                 "pi(1)", "Cantor()", "x1 / 0", "1/(+0.0)", "2 * t / ((0))"])
 def test_parse_errors_match_reference(src):
     with pytest.raises(ScenarioParseError) as ref:
         ref_parse_expr(src, line=3)

@@ -1,5 +1,6 @@
 """The piece list of a singular set against the parallel-array 1-D code it
-replaced, the GeometryError cases, and the (n, dim) normal contract."""
+replaced, the GeometryError cases, the (n, dim) normal contract, and the
+bracketed root solver against roots known in closed form (no scipy)."""
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from divchain import (Domain, RadonMeasure, RectifiableSet, VerticalSegment, merge_sets,
                       plateau_bump)
 from divchain.errors import GeometryError
+from divchain.rectifiable import bracketed_roots
 
 
 class RefSet1D:
@@ -176,3 +178,54 @@ def test_jump_density_sees_n_by_dim_normals(dim, apply, tv, ball):
     assert mu.total_variation() == pytest.approx(tv, abs=1e-9)
     assert mu.ball_mass(np.zeros(dim), 0.5) == pytest.approx(ball, abs=1e-9)
     assert calls
+
+
+@st.composite
+def separated_roots(draw):
+    """Sorted roots at least 1e-3 apart in [-3, 3], each inside its own bracket."""
+    cells = draw(st.lists(st.integers(-2999, 2999), min_size=1, max_size=6, unique=True))
+    roots = np.sort([c * 1e-3 + draw(st.floats(-2e-4, 2e-4)) for c in cells])
+    lo = roots - np.array([draw(st.floats(1e-6, 4e-4)) for _ in roots])
+    hi = roots + np.array([draw(st.floats(1e-6, 4e-4)) for _ in roots])
+    return roots, lo, hi
+
+
+@settings(max_examples=150, deadline=None)
+@given(separated_roots(), st.sampled_from([1.0, -2.5, 1e-3]), st.integers(0, 2))
+def test_bracketed_roots_find_chosen_polynomial_roots(data, scale, extra):
+    """p(x) = scale (x^2 + 1)^extra prod (x - r): every bracket holds one simple root."""
+    roots, lo, hi = data
+    calls = []
+
+    def p(x):
+        calls.append(len(x))
+        return scale * (x * x + 1) ** extra * np.prod(x[:, None] - roots[None, :], axis=1)
+
+    got = bracketed_roots(p, lo, hi, p(lo), p(hi))
+    assert np.all(np.abs(got - roots) <= 2e-14)
+    # one call of f per step for every unsolved bracket, and at most the
+    # bisection count for the widest bracket plus the spare steps
+    assert max(calls[2:], default=0) <= len(roots)
+    assert len(calls) - 2 <= np.ceil(np.log2(np.max(hi - lo) / 1e-14)) + 3
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.floats(-2, 2), st.floats(1e-6, 1.0), st.floats(1e-6, 1.0),
+       st.sampled_from([1.0, -1.0]))
+def test_bracketed_roots_land_on_a_jump(jump, below, above, sign):
+    def step(x):
+        return sign * np.where(x < jump, -1.0, 2.0)
+
+    a, b = np.array([jump - below]), np.array([jump + above])
+    got = bracketed_roots(step, a, b, step(a), step(b))
+    assert abs(got[0] - jump) <= 2e-14
+
+
+def test_bracketed_roots_reject_a_non_finite_value():
+    def f(x):           # -1 at x = 1, but not a number on (0.5, 1)
+        return np.where(x > 0.5, np.nan, x + 0.5)
+
+    with pytest.raises(GeometryError, match=r"^root search in \[0\.25, 1\.0\]: non-finite "
+                                            r"value at 0\.57"):
+        bracketed_roots(f, np.array([-1.0, 0.25]), np.array([0.0, 1.0]),
+                        np.array([-0.5, 0.75]), np.array([0.5, -1.0]))
