@@ -11,6 +11,7 @@ stopping).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -72,28 +73,47 @@ def integrate_ifs(phi, spec: IFSSpec, rtol=RICHARDSON_RTOL):
     raise IntegrationError("IFS integral did not stabilize (non-Lipschitz test function?)")
 
 
-def _cdf_middle_thirds(x, depth=44):
-    """Ternary-digit evaluation of the Cantor function on [0, 1].
+BLOCK_DIGITS = 11
+BLOCK = 3 ** BLOCK_DIGITS
 
-    A point leaves the digit loop at its first digit 1, or once its remainder
-    is 0 and every further digit is 0.
+
+@lru_cache(maxsize=None)
+def _block_table():
+    """For each block of BLOCK_DIGITS ternary digits, most significant first: its
+    Cantor-function increment in units of the block, and whether it holds a 1."""
+    idx = np.arange(BLOCK)
+    inc = np.zeros(BLOCK)
+    alive = np.ones(BLOCK, dtype=bool)
+    for i in range(BLOCK_DIGITS):
+        d = idx // 3 ** (BLOCK_DIGITS - 1 - i) % 3
+        inc[alive & (d != 0)] += 0.5 ** (i + 1)
+        alive &= d != 1
+    return inc, ~alive
+
+
+def _cdf_middle_thirds(x):
+    """Cantor function on [0, 1] from 44 ternary digits, BLOCK_DIGITS per lookup.
+
+    A point leaves the loop at the block holding its first digit 1, or once its
+    remainder is 0 and every further digit is 0.
     """
+    inc, has_one = _block_table()
     x = np.asarray(x, dtype=float)
     out = np.where(x >= 1.0, 1.0, 0.0)
     flat = out.reshape(-1)
     pos = np.flatnonzero((x > 0.0) & (x < 1.0))
     t = x.reshape(-1)[pos]
-    scale = 0.5
-    for _ in range(depth):
+    scale = 1.0
+    for _ in range(4):
         if not pos.size:
             break
-        t = 3.0 * t
-        d = np.floor(t)          # a digit 0, 1 or 2: 3t < 3 for t < 1
+        t = BLOCK * t
+        d = t.astype(np.intp)    # below BLOCK: 3^11 t rounds below 3^11 for every t < 1
         t -= d
-        flat[pos[d != 0.0]] += scale
-        keep = (d != 1.0) & (t != 0.0)
+        flat[pos] += scale * inc[d]
+        keep = ~has_one[d] & (t != 0.0)
         pos, t = pos[keep], t[keep]
-        scale *= 0.5
+        scale *= 0.5 ** BLOCK_DIGITS
     return out
 
 

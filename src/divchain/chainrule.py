@@ -221,13 +221,19 @@ def _cantor_layer_cake(field: ParamField, u: BVFunction, phi: TestFunction):
         mass * sum_n phi(x_n) w_n F(u(x_n)),  F(s) = \\int_0^s multiplier(t) dt,
 
     over the cached depth-20 cylinder midpoints x_n with weights w_n (node
-    error O(2^-20)), in 16 chunks of 2^16 nodes to bound the memory of F.
+    error O(2^-20)).  The nodes are sorted, so only the run of them inside
+    phi's support is summed, in chunks of at most 2^16 nodes to bound the
+    memory of F.
     """
     xs, ws = _cantor_nodes(field.divc_part.spec)
+    (lo, hi), = phi.support_box
+    start, stop = np.searchsorted(xs, lo, "left"), np.searchsorted(xs, hi, "right")
     P = primitive(field)
     total = 0.0
-    for x, w in zip(np.split(xs[:, None], 16), np.split(ws, 16)):
-        total += float(np.dot(phi.value(x) * w, P.divc_weight(u.eval(x))))
+    for i in range(start, stop, 2 ** 16):
+        j = min(i + 2 ** 16, stop)
+        x = xs[i:j, None]
+        total += float(np.dot(phi.value(x) * ws[i:j], P.divc_weight(u.eval(x))))
     return field.divc_part.mass * total
 
 

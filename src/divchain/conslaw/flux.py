@@ -37,7 +37,7 @@ class FluxSpec:
     """
 
     def __init__(self, k: BVFunction, ahat, dahat_du, u_range, critical=None,
-                 ahat_degree=None, speed_degree=None):
+                 ahat_degree=None, speed_degree=None, lines=(None, None)):
         self.k = k
         self.ahat = ahat
         self.dahat_du = dahat_du
@@ -45,23 +45,32 @@ class FluxSpec:
         self.speed_degree = speed_degree
         self.u_range = (float(u_range[0]), float(u_range[1]))
         self.critical = critical or (lambda kv: ())
-        z = self.ahat(self._k_probe(), 0.0)
-        if np.max(np.abs(z)) > 1e-12:
-            raise ScenarioValidationError("flux must vanish at u = 0 (normalize Ahat)")
-        self.M = self._sup_speed()
+        self.M = self._probe(lines)
 
-    def _k_probe(self):
+    def _probe(self, lines):
+        """Check Ahat and dAhat_du on the probe grid and return sup |dAhat_du|.
+
+        The grid is the coefficient values at 33 points off J_k times 101
+        points of u_range; `lines` are the scenario lines of ahat and dahat_du,
+        named in the errors.
+        """
         pts = self.k.domain.grid(33)
-        off = ~self.k.on_jump(pts, tol=1e-9)
-        return self.k.eval(pts[off])
-
-    def _sup_speed(self):
-        ks = self._k_probe()
+        ks = self.k.eval(pts[~self.k.on_jump(pts, tol=1e-9)])[:, None]
         us = np.linspace(*self.u_range, 101)
-        worst = 0.0
-        for u in us:
-            worst = max(worst, float(np.max(np.abs(self.dahat_du(ks, u)))))
-        return worst
+        with np.errstate(all="ignore"):
+            z = np.asarray(self.ahat(ks, 0.0), dtype=float)
+            grids = [np.broadcast_to(np.asarray(f(ks, us), dtype=float), (len(ks), us.size))
+                     for f in (self.ahat, self.dahat_du)]
+        where = [f"line {ln}: " if ln is not None else "" for ln in lines]
+        for name, at, vals in zip(("ahat", "dahat_du"), where, grids):
+            if not np.all(np.isfinite(vals)):
+                i, j = np.argwhere(~np.isfinite(vals))[0]
+                raise ScenarioValidationError(f"{at}{name} is not finite at "
+                                              f"k = {ks[i, 0]:g}, u = {us[j]:g}")
+        if not np.all(np.abs(z) <= 1e-12):
+            raise ScenarioValidationError(f"{where[0]}flux must vanish at u = 0 "
+                                          f"(normalize Ahat)")
+        return float(np.max(np.abs(grids[1])))
 
     def flux_at(self, kv, u):
         return np.asarray(self.ahat(np.asarray(kv, dtype=float), u), dtype=float)

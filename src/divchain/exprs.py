@@ -139,6 +139,12 @@ def _variables(node):
     return set().union(*map(_variables, node[1:]))
 
 
+def _constant(node, cantor):
+    """Value of a tree without variables."""
+    with np.errstate(all="ignore"):
+        return _compile(node, cantor)({})
+
+
 def _degree(node, var):
     op = node[0]
     if op == "num":
@@ -197,8 +203,8 @@ def parse_expr(src, line=None, cantor_spec=None):
         while at_op("*/"):
             op, col = take().text, peek().col
             rhs = unary()
-            if op == "/" and rhs == ("num", 0.0):
-                raise ScenarioParseError("division by a literal zero", line, col + 1)
+            if op == "/" and not _variables(rhs) and _constant(rhs, cantor) == 0:
+                raise ScenarioParseError("division by a constant zero", line, col + 1)
             node = (op, node, rhs)
         return node
 

@@ -374,7 +374,8 @@ def build_flux(raw: RawScenario, domain: Domain) -> FluxSpec:
     crit_vals = _numbers(sec.get("critical", ""), ln("critical"))
     return FluxSpec(k, ahat, dahat, u_range, critical=lambda kv: tuple(crit_vals),
                     ahat_degree=ahat_e.poly_degree("u"),
-                    speed_degree=dahat_e.poly_degree("u"))
+                    speed_degree=dahat_e.poly_degree("u"),
+                    lines=(ln("ahat"), ln("dahat_du")))
 
 
 def build_conslaw_run(raw: RawScenario):

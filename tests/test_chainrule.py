@@ -8,6 +8,7 @@ from divchain import (BVFunction, Domain, ParamField, RectifiableSet, ScalarFunc
                       green_check, layer_cake_action, plateau_bump, primitive,
                       product_rule, sigma_of, weak_divergence)
 from divchain.cantor import CantorPart, IFSSpec, cantor_function, integrate_ifs, support_nodes
+from divchain.chainrule import _cantor_layer_cake
 from divchain.errors import GeometryError, WrongRegularityError
 from divchain.quadrature import integrate_1d
 
@@ -175,6 +176,35 @@ def test_cantor_layer_cake_matches_the_staircase_route():
     phi = plateau_bump([(-0.3, 1.3)], [(0.0, 1.0)])
     assert layer_cake_action(field, u, phi, t_tol=t_tol) == pytest.approx(
         ref_cantor_layer_cake(field, u, phi, t_tol), abs=t_tol)
+
+
+# Reference: the Cantor sum over all the depth-20 nodes, before it was
+# restricted to the nodes inside phi's support.
+def ref_full_cantor_layer_cake(field, u, phi):
+    xs, ws = support_nodes(field.divc_part.spec, 20)
+    P = primitive(field)
+    total = 0.0
+    for x, w in zip(np.split(xs[:, None], 16), np.split(ws, 16)):
+        total += float(np.dot(phi.value(x) * w, P.divc_weight(u.eval(x))))
+    return field.divc_part.mass * total
+
+
+@pytest.mark.parametrize("support, plateau, empty", [
+    ((0.0, 0.5), (0.1, 0.3), False),          # inside the base (-0.3, 0.9)
+    ((-0.45, 0.1), (-0.3, -0.1), False),      # straddling its left end
+    ((-0.4, 1.2), (-0.2, 1.0), False),        # covering it
+    ((0.15, 0.45), (0.2, 0.4), True),         # inside its middle gap: no node
+    ((-0.49, -0.31), (-0.4, -0.35), True),    # left of it: no node
+], ids=["inside", "straddling", "covering", "gap", "outside"])
+def test_cantor_layer_cake_sums_only_the_support(support, plateau, empty):
+    field = cantor_x_field(IFSSpec(-0.3, 0.9), -1.5,
+                           lambda t: 1 + np.asarray(t, dtype=float) - t ** 2, 2)
+    u = affine_u(0.2, 0.8)
+    phi = plateau_bump([support], [plateau])
+    got = _cantor_layer_cake(field, u, phi)
+    want = ref_full_cantor_layer_cake(field, u, phi)
+    assert (got == 0.0) == empty
+    assert abs(got - want) <= 1e-15 * max(1.0, abs(want))
 
 
 def test_chain_bv_scalar_examples(dom11, point_zero, bump_center):

@@ -342,6 +342,14 @@ MALFORMED = [
      [("u0 = 0.2 + 0.6*H(x1)", "u0 = 0.2 + 0.6*H(x2)")], "u0", EXIT_PARSE_ERROR),
     ("ahat-over-literal-zero", "burgers-shock", [("ahat = k*u^2/2", "ahat = 1/0")], "ahat",
      EXIT_PARSE_ERROR),
+    ("ahat-over-constant-zero", "burgers-shock", [("ahat = k*u^2/2", "ahat = 1/(1-1)")],
+     "ahat", EXIT_PARSE_ERROR),
+    ("ahat-nan", "burgers-shock", [("ahat = k*u^2/2", "ahat = sqrt(-1)")], "ahat",
+     EXIT_VALIDATION_ERROR),
+    ("ahat-nan-on-u-range", "burgers-shock",
+     [("ahat = k*u^2/2", "ahat = k*u*(1-u)*sqrt(u-2)")], "ahat", EXIT_VALIDATION_ERROR),
+    ("dahat-nan-inside-u-range", "burgers-shock",
+     [("dahat_du = k*u\n", "dahat_du = k*sqrt(u-0.5)\n")], "dahat_du", EXIT_VALIDATION_ERROR),
 ]
 
 

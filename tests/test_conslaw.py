@@ -12,6 +12,7 @@ from divchain.conslaw import (EntropyPair, FluxSpec, GridState, Trajectory,
                               kinetic_measure, l1_distance)
 from divchain.conslaw.hatbasis import PiecewiseLinearWeight, hat_derivative
 from divchain.errors import ScenarioValidationError
+from divchain.exprs import compile_uv
 from divchain.quadrature import gauss
 from divchain.runner import run_scenario
 from divchain.scenario import load
@@ -135,6 +136,39 @@ def test_entropy_flux_kruzkov_regularized():
     ref = quad(lambda w: (1 - 2 * w) * (w - c) / np.sqrt((w - c) ** 2 + eps ** 2),
                0, 0.9, points=[c], epsabs=1e-13)[0]
     assert got == pytest.approx(ref, abs=1e-9)
+
+
+# Reference: sup |dAhat_du| as FluxSpec took it before, one call per u of the
+# 101-point grid of u_range.
+def ref_sup_speed(flux):
+    pts = flux.k.domain.grid(33)
+    ks = flux.k.eval(pts[~flux.k.on_jump(pts, tol=1e-9)])
+    worst = 0.0
+    for u in np.linspace(*flux.u_range, 101):
+        worst = max(worst, float(np.max(np.abs(flux.dahat_du(ks, u)))))
+    return worst
+
+
+@pytest.mark.parametrize("ahat, dahat", [
+    ("k*u*(1-u)", "k*(1-2*u)"),
+    ("k*(exp(u) - 1)", "k*exp(u)"),
+    ("sin(3*u)*k^2", "3*cos(3*u)*k^2"),
+    ("k*u*sqrt(u + 0.1)", "k*sqrt(u + 0.1) + k*u/(2*sqrt(u + 0.1))"),
+])
+def test_sup_speed_matches_the_per_u_loop(ahat, dahat):
+    k = piecewise_k([-0.2, 0.45], [1.3, 0.7, 2.1])
+    flux = FluxSpec(k, compile_uv(ahat)[0], compile_uv(dahat)[0], u_range=(-0.05, 1.2))
+    assert flux.M == ref_sup_speed(flux)
+
+
+def test_non_finite_flux_is_a_validation_error():
+    k = piecewise_k([0.0], [1.0, 0.5])
+    with pytest.raises(ScenarioValidationError, match=r"^line 7: ahat is not finite"):
+        FluxSpec(k, lambda kk, u: kk * np.sqrt(u - 0.5), lambda kk, u: kk + 0 * u,
+                 u_range=(0.0, 1.0), lines=(7, 8))
+    with pytest.raises(ScenarioValidationError, match=r"^dahat_du is not finite"):
+        FluxSpec(k, lambda kk, u: kk * u, lambda kk, u: kk / (u - 0.5) ** 0.5,
+                 u_range=(0.0, 1.0))
 
 
 # -- solver ------------------------------------------------------------

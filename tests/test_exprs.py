@@ -62,6 +62,12 @@ def test_parse_errors_carry_positions():
         parse_expr("1 2")
 
 
+def test_only_a_constant_zero_divisor_is_a_parse_error():
+    assert parse_expr("1/(2-1)")({}) == 1.0
+    with np.errstate(all="ignore"):     # a divisor with variables is left to the values
+        assert np.isnan(parse_expr("x1/(t-t)")({"x1": np.zeros(3), "t": np.zeros(3)})).all()
+
+
 @pytest.mark.parametrize("compile_fn, src", [(compile_scalar, "x1 + k"),
                                              (compile_field, "x1, y"),
                                              (compile_uv, "k*u*(1-w)"),
@@ -150,10 +156,16 @@ def ref_parse_expr(src, line=None, cantor_spec=None):
             op = take().text
             start = pos[0]
             right = unary()
-            # a divisor that is the number 0 up to parentheses and unary pluses
-            rest = [t for t in toks[start:pos[0]] if t.text not in ("(", ")", "+")]
-            if op == "/" and len(rest) == 1 and rest[0].kind == "num" and float(rest[0].text) == 0:
-                raise ScenarioParseError("division by a literal zero", line, toks[start].col + 1)
+            # a divisor without variables (a variable is a KeyError here) that is 0
+            if op == "/":
+                try:
+                    with np.errstate(all="ignore"):
+                        zero = right({}) == 0
+                except KeyError:
+                    zero = False
+                if zero:
+                    raise ScenarioParseError("division by a constant zero", line,
+                                             toks[start].col + 1)
             if op == "*":
                 node = (lambda env, a=node, b=right: a(env) * b(env))
             else:
@@ -316,7 +328,9 @@ def test_tree_compiler_matches_reference_on_generated_expressions(src):
 
 @pytest.mark.parametrize("src", ["1 + $", "sin(1", "unknownfn(1)", "1 2", "neg(1)", "(",
                                  "min(1)", "sin(1, 2)", "2 *", ")", "x1 < 1 < 2", "^2",
-                                 "pi(1)", "Cantor()", "x1 / 0", "1/(+0.0)", "2 * t / ((0))"])
+                                 "pi(1)", "Cantor()", "x1 / 0", "1/(+0.0)", "2 * t / ((0))",
+                                 "1/(1-1)", "x1/(2*0)", "t/sin(0)", "u/(1 < 0)",
+                                 "k/Cantor(0)", "1/(-0)", "(1/(pi-pi))*t"])
 def test_parse_errors_match_reference(src):
     with pytest.raises(ScenarioParseError) as ref:
         ref_parse_expr(src, line=3)
