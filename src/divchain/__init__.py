@@ -8,11 +8,10 @@ from .cantor import CantorPart, IFSSpec, MIDDLE_THIRDS, cantor_function
 from .chainrule import (ChainRuleBreakdown, ScalarFunction, anzellotti_pairing,
                         chain_bv_scalar, chain_dm, chain_w11, green_check,
                         layer_cake_action, product_rule)
-from .field import (ParamField, PrimitiveField, mollified_normal_trace, primitive,
-                    sigma_of, singular_set_check)
+from .field import ParamField, PrimitiveField, mollified_normal_trace, singular_set_check
 from .geometry import Domain, subboxes
-from .measure import (RadonMeasure, TestFunction, lub_measures, oscillatory_bump,
-                      plateau_bump, radon_nikodym)
+from .measure import (RadonMeasure, TestFunction, check_dominated, lub_measures,
+                      oscillatory_bump, plateau_bump)
 from .oracle import TestSuite, build_suite, compare, mollification_study, weak_divergence
 from .rectifiable import (GraphCurve, HorizontalSegment, JumpPoint, RectifiableSet,
                           VerticalSegment, merge_sets)
@@ -24,10 +23,9 @@ __all__ = [
     "cantor_function", "ChainRuleBreakdown", "ScalarFunction", "anzellotti_pairing",
     "chain_bv_scalar", "chain_dm", "chain_w11", "green_check", "layer_cake_action",
     "product_rule", "ParamField", "PrimitiveField", "mollified_normal_trace",
-    "primitive", "sigma_of", "singular_set_check",
-    "Domain", "subboxes", "RadonMeasure", "TestFunction", "lub_measures",
-    "oscillatory_bump", "plateau_bump", "radon_nikodym", "TestSuite", "build_suite",
-    "compare", "mollification_study", "weak_divergence", "GraphCurve",
+    "singular_set_check", "Domain", "subboxes", "RadonMeasure", "TestFunction",
+    "check_dominated", "lub_measures", "oscillatory_bump", "plateau_bump", "TestSuite",
+    "build_suite", "compare", "mollification_study", "weak_divergence", "GraphCurve",
     "HorizontalSegment", "JumpPoint", "RectifiableSet", "VerticalSegment", "merge_sets",
     "__version__",
 ]

@@ -16,7 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from .cantor import CantorPart, cantor_function
-from .errors import DegenerateLevelError, GeometryError, NotOnJumpSetError
+from .errors import DegenerateLevelError, GeometryError
 from .geometry import Domain, as_points
 from .measure import RadonMeasure
 from .quadrature import integrate_1d  # noqa: F401  (an alias the benchmark tracer counts)
@@ -94,13 +94,6 @@ class BVFunction:
             um = np.asarray(self.u_minus(pts[mask]), dtype=float)
             out[mask] = 0.5 * (up + um)
         return out
-
-    def traces_at(self, x):
-        """(u+, u-) at a jump-set sample; errors off the jump set."""
-        pts = as_points(x, self.domain.dim)
-        if self.jump_set.is_empty or not bool(self.on_jump(pts)[0]):
-            raise NotOnJumpSetError(f"{x} is not on the jump set")
-        return (float(self.u_plus(pts)[0]), float(self.u_minus(pts)[0]))
 
     # -- derivative ----------------------------------------------------
     def derivative(self):

@@ -23,7 +23,7 @@ import numpy as np
 from .bvfunc import BVFunction
 from .cantor import CantorPart, support_nodes
 from .errors import GeometryError, OrientationError, WrongRegularityError
-from .field import ParamField, PrimitiveField, primitive
+from .field import ParamField, PrimitiveField
 from .measure import RadonMeasure, TestFunction, plateau_bump
 from .quadrature import integrate_1d, integrate_to_upper
 from .rectifiable import merge_sets
@@ -40,7 +40,8 @@ class ChainRuleBreakdown:
         self.term_cantor_u = term_cantor_u
         self.term_jump = term_jump
         self.total = term_diva + term_divc + term_ac_u + term_cantor_u + term_jump
-        self._jump_symmetric = jump_symmetric
+        # the jump measure regrouped per the symmetric-mean convention (chain_dm only)
+        self.jump_symmetric = jump_symmetric
 
     def terms(self):
         return {
@@ -50,12 +51,6 @@ class ChainRuleBreakdown:
             "cantor_u": self.term_cantor_u,
             "jump": self.term_jump,
         }
-
-    def jump_symmetric_view(self):
-        """Jump measure regrouped per the symmetric-mean convention."""
-        if self._jump_symmetric is None:
-            return self.term_jump
-        return self._jump_symmetric
 
     def tv_bound_holds(self, sigma: RadonMeasure, M, u: BVFunction, box=None, slack=1e-9,
                        tv_rel=1e-9):
@@ -115,7 +110,7 @@ def chain_dm(field: ParamField, u: BVFunction, prim: PrimitiveField | None = Non
     """Full chain rule for a parameter field against a BV function."""
     if u.domain.bounds != field.domain.bounds:
         raise GeometryError("field and function live on different domains")
-    P = prim if prim is not None else primitive(field)
+    P = prim if prim is not None else PrimitiveField(field)
     dom = field.domain
     merged = _merged_singular(field, u)
     n_keys = set(field.singular_set.component_keys())
@@ -228,7 +223,7 @@ def _cantor_layer_cake(field: ParamField, u: BVFunction, phi: TestFunction):
     xs, ws = _cantor_nodes(field.divc_part.spec)
     (lo, hi), = phi.support_box
     start, stop = np.searchsorted(xs, lo, "left"), np.searchsorted(xs, hi, "right")
-    P = primitive(field)
+    P = PrimitiveField(field)
     total = 0.0
     for i in range(start, stop, 2 ** 16):
         j = min(i + 2 ** 16, stop)
@@ -247,7 +242,7 @@ def chain_bv_scalar(field: ParamField, u: BVFunction, prim: PrimitiveField | Non
     """
     if field.domain.dim != 1:
         raise WrongRegularityError("scalar-b formula is stated for N = 1")
-    P = prim if prim is not None else primitive(field)
+    P = prim if prim is not None else PrimitiveField(field)
     dom = field.domain
     merged = _merged_singular(field, u)
     n_keys = set(field.singular_set.component_keys())

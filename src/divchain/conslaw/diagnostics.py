@@ -11,7 +11,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ScenarioValidationError
-from ..measure import TestFunction
 from ..quadrature import gauss
 from .flux import EntropyPair, FluxSpec, chi
 from .hatbasis import HatBasis, hat_derivative
@@ -316,64 +315,3 @@ def _kato_row(flux: FluxSpec, u0_a, u0_b, T, dx, domain, cfl):
         "W_integral": w,
         "W_worst_sample": w_worst,
     }
-
-
-def div_xv_zero_residual(flux: FluxSpec, psi: TestFunction, quad_tol=1e-10):
-    """Weak divergence of a(x, v) = (b(x, v), -Div_x B(x, v)) in (x, v).
-
-    <a, grad psi> should vanish for every compactly supported psi; returns
-    the computed value (target 0).
-    """
-    from ..quadrature import integrate_1d, integrate_cells
-    from ..rectifiable import RectifiableSet, VerticalSegment, box_cells
-
-    jumps = list(flux.k.jump_set.points_1d)
-    (xa, xb), (va, vb) = psi.support_box
-    curves = RectifiableSet(2, pieces=[VerticalSegment(c, va, vb, +1)
-                                       for c in jumps if xa < c < xb])
-    cells = box_cells(psi.support_box, [curves])
-
-    def f(pts):
-        g = psi.gradient(pts)
-        kv = flux.k.eval(pts[:, :1])
-        b = flux.speed_at(kv, pts[:, 1])
-        return g[:, 0] * b
-
-    first, _ = integrate_cells(f, cells, tol_abs=quad_tol)
-
-    second = 0.0
-    for c in jumps:
-        if not (xa < c < xb):
-            continue
-        kp = float(flux.k.u_plus(np.array([[c]]))[0])
-        km_ = float(flux.k.u_minus(np.array([[c]]))[0])
-
-        def g(v, kp=kp, km_=km_):
-            pts = np.column_stack([np.full_like(v, c), v])
-            dpsi_dv = psi.gradient(pts)[:, 1]
-            return dpsi_dv * (flux.flux_at(kp, v) - flux.flux_at(km_, v))
-
-        val, _ = integrate_1d(g, va, vb, tol_abs=quad_tol)
-        second -= val
-    # a.c. part of -Div_x B for smooth k
-    kgrad = flux.k.grad(np.array([[0.5 * (xa + xb)]]))[0, 0]
-    if abs(kgrad) > 1e-12:
-        def h(pts):
-            kv = flux.k.eval(pts[:, :1])
-            dk = flux.k.grad(pts[:, :1])[:, 0]
-            hh = 1e-6
-            dak = (np.asarray(flux.ahat(kv + hh, pts[:, 1]))
-                   - np.asarray(flux.ahat(kv - hh, pts[:, 1]))) / (2 * hh)
-            return -psi.gradient(pts)[:, 1] * dak * dk
-        val, _ = integrate_cells(h, cells, tol_abs=quad_tol)
-        second += val
-    return first + second
-
-
-def cavalieri_lhs(u1, u2):
-    """\\int |chi(v, u1) - chi(v, u2)| dv evaluated from the definition."""
-    lo, hi = min(u1, u2), max(u1, u2)
-    if hi == lo:
-        return 0.0
-    mid = 0.5 * (lo + hi)
-    return (hi - lo) * abs(chi(mid, u1) - chi(mid, u2))

@@ -228,24 +228,6 @@ class PrimitiveField:
                             ac_singular=None if f.singular_set.is_empty else f.singular_set,
                             jumps=jumps, cantor=cantor)
 
-    def check_derivative(self, n=7, h=1e-5, tol=1e-6):
-        """dB/dt = b by central differences on a sample grid."""
-        pts = self.domain.grid(n)
-        ok = True
-        for t in np.linspace(*self.field.t_range, 5):
-            fd = (self.value(pts, t + h) - self.value(pts, t - h)) / (2 * h)
-            ok &= bool(np.max(np.abs(fd - self.field.eval(pts, t))) <= tol * max(1.0, self.field.M))
-        zero = np.max(np.abs(self.value(pts, 0.0)))
-        return ok and zero == 0.0
-
-
-def sigma_of(field: ParamField, t_samples):
-    return field.sigma(t_samples)
-
-
-def primitive(field: ParamField) -> PrimitiveField:
-    return PrimitiveField(field)
-
 
 def mollified_normal_trace(field: ParamField, t, x, eps):
     """<(rho_eps * b(., t))(x), nu(x)> with the C^1 bump (1 - |z/eps|^2)^2."""

@@ -6,7 +6,9 @@ expressions in the grammar of exprs.py, lists separated by ',' or '|' or
 key an experiment reads is parsed and checked when the Scenario is built,
 so loading a file (`divchain validate`) rejects exactly what running it
 would; the runner only executes the values built here.  Errors name the
-line of the offending key; loading never runs numerics.
+line of the offending key.  Loading runs no quadrature and no solve: it
+evaluates the flux, the entropy and the initial data on probe grids only,
+so that a value that is not finite there is an error naming its line.
 """
 
 from __future__ import annotations
@@ -84,6 +86,22 @@ def _of_x1(text, line, cantor_spec=None):
     """An expression in x1 alone, as a function of an array of abscissae."""
     f, _ = compile_scalar(text, line, cantor_spec, dim=1)
     return lambda x: f(np.asarray(x)[:, None])
+
+
+def _finite_on(fn, probe, line, key, var):
+    """fn, once its values at the probe points are all finite."""
+    with np.errstate(all="ignore"):
+        vals = np.broadcast_to(np.asarray(fn(probe), dtype=float), probe.shape)
+    bad = np.flatnonzero(~np.isfinite(vals))
+    if bad.size:
+        raise ScenarioValidationError(f"line {line}: {key} is not finite at "
+                                      f"{var} = {probe[bad[0]]:g}")
+    return fn
+
+
+def _initial_datum(text, line, key, domain):
+    """u0 in x1, checked on the 33 cell centres of the domain's probe grid."""
+    return _finite_on(_of_x1(text, line), domain.grid(33)[:, 0], line, key, "x1")
 
 
 def _pieces_1d(raw, section, key, n, cantor_spec=None):
@@ -378,7 +396,7 @@ def build_flux(raw: RawScenario, domain: Domain) -> FluxSpec:
                     lines=(ln("ahat"), ln("dahat_du")))
 
 
-def build_conslaw_run(raw: RawScenario):
+def build_conslaw_run(raw: RawScenario, domain: Domain, flux: FluxSpec):
     sec = raw.sections["conslaw"]           # build_flux has required the section
     ln = lambda k: raw.line("conslaw", k)
     num = lambda k, default=None: _number(sec.get(k, default), ln(k))
@@ -395,10 +413,13 @@ def build_conslaw_run(raw: RawScenario):
     S, _ = compile_of_t(sec.get("entropy_S", "t^2/2"), ln("entropy_S"))
     dS, dS_e = compile_of_t(sec.get("entropy_dS", "t"), ln("entropy_dS"))
     d2S, _ = compile_of_t(sec.get("entropy_d2S", "1"), ln("entropy_d2S"))
+    us = np.linspace(*flux.u_range, 101)        # the u grid where FluxSpec probes the flux
+    for key, fn in (("entropy_S", S), ("entropy_dS", dS), ("entropy_d2S", d2S)):
+        _finite_on(fn, us, ln(key), key, "t")
     kgrid = _numbers(sec.get("kinetic_grid", "6, 10, 14"), ln("kinetic_grid"),
                      "kinetic_grid", 3)
     return SimpleNamespace(
-        u0=_of_x1(raw.require("conslaw", "u0"), ln("u0")),
+        u0=_initial_datum(raw.require("conslaw", "u0"), ln("u0"), "u0", domain),
         T=_positive(raw.require("conslaw", "T"), ln("T"), "T"), cfl=cfl,
         ncells=_count(num("ncells", "200"), ln("ncells"), "ncells"),
         kinetic=_flag(sec, "run_kinetic", ln("run_kinetic")),
@@ -424,7 +445,7 @@ def build_kato(raw: RawScenario, domain: Domain):
             break
         if kb not in sec:
             raise ScenarioValidationError(f"line {ln(ka)}: {ka} needs {kb}")
-        pairs.append((_of_x1(sec[ka], ln(ka)), _of_x1(sec[kb], ln(kb))))
+        pairs.append(tuple(_initial_datum(sec[key], ln(key), key, domain) for key in (ka, kb)))
     if not pairs:
         raise ScenarioValidationError("[kato] needs at least one data pair")
     return SimpleNamespace(T=T, dx_list=dx_list, pairs=pairs)
@@ -521,7 +542,8 @@ class Scenario:
         self.moll = build_moll(raw, self.domain) if "moll" in exps else None
         self.flux = build_flux(raw, self.domain) if ("conslaw" in exps or "kato" in exps) \
             else None
-        self.conslaw = build_conslaw_run(raw) if "conslaw" in exps else None
+        self.conslaw = build_conslaw_run(raw, self.domain, self.flux) \
+            if "conslaw" in exps else None
         self.kato = build_kato(raw, self.domain) if "kato" in exps else None
         self.fake_scale = None
         if "negative" in raw.sections:

@@ -1,0 +1,103 @@
+"""Checks and constructors that only the tests use: finite-difference checks
+of declared derivatives, trace lookups, a Cantor measure, and two identities
+of the conservation-law harness evaluated from their definitions."""
+
+import numpy as np
+
+from divchain.conslaw import FluxSpec, chi
+from divchain.errors import NotOnJumpSetError
+from divchain.geometry import as_points
+from divchain.measure import RadonMeasure, TestFunction
+from divchain.quadrature import integrate_1d, integrate_cells
+from divchain.rectifiable import RectifiableSet, VerticalSegment, box_cells
+
+
+def check_gradient(phi: TestFunction, n=9, tol=1e-6, h=1e-5):
+    """Verify phi's declared gradient against central differences on a sample grid."""
+    axes = [np.linspace(lo, hi, n + 2)[1:-1] for lo, hi in phi.support_box]
+    if phi.dim == 1:
+        pts = axes[0][:, None]
+    else:
+        xx, yy = np.meshgrid(*axes, indexing="ij")
+        pts = np.column_stack([xx.ravel(), yy.ravel()])
+    grad = np.atleast_2d(phi.gradient(pts))
+    scale = max(np.max(np.abs(phi.value(pts))), 1.0)
+    for ax in range(phi.dim):
+        shift = np.zeros(phi.dim)
+        shift[ax] = h
+        fd = (phi.value(pts + shift) - phi.value(pts - shift)) / (2 * h)
+        if np.max(np.abs(fd - grad[:, ax])) > tol * scale:
+            return False
+    return True
+
+
+def check_derivative(P, n=7, h=1e-5, tol=1e-6):
+    """dB/dt = b for a PrimitiveField P, by central differences on a sample grid."""
+    field = P.field
+    pts = P.domain.grid(n)
+    ok = True
+    for t in np.linspace(*field.t_range, 5):
+        fd = (P.value(pts, t + h) - P.value(pts, t - h)) / (2 * h)
+        ok &= bool(np.max(np.abs(fd - field.eval(pts, t))) <= tol * max(1.0, field.M))
+    zero = np.max(np.abs(P.value(pts, 0.0)))
+    return ok and zero == 0.0
+
+
+def traces_at(u, x):
+    """(u+, u-) of a BVFunction at a jump-set sample; errors off the jump set."""
+    pts = as_points(x, u.domain.dim)
+    if u.jump_set.is_empty or not bool(u.on_jump(pts)[0]):
+        raise NotOnJumpSetError(f"{x} is not on the jump set")
+    return (float(u.u_plus(pts)[0]), float(u.u_minus(pts)[0]))
+
+
+def cantor_measure(domain, part, density=None):
+    """The measure with only a Cantor part, optionally weighted by density(x)."""
+    return RadonMeasure(domain, cantor=part, cantor_density=density)
+
+
+def cavalieri_lhs(u1, u2):
+    """\\int |chi(v, u1) - chi(v, u2)| dv evaluated from the definition."""
+    lo, hi = min(u1, u2), max(u1, u2)
+    if hi == lo:
+        return 0.0
+    mid = 0.5 * (lo + hi)
+    return (hi - lo) * abs(chi(mid, u1) - chi(mid, u2))
+
+
+def div_xv_zero_residual(flux: FluxSpec, psi: TestFunction, quad_tol=1e-10):
+    """Weak divergence of a(x, v) = (b(x, v), -Div_x B(x, v)) in (x, v).
+
+    <a, grad psi> should vanish for every compactly supported psi; returns
+    the computed value (target 0).  The coefficient k must be piecewise
+    constant, so that Div_x B lives on the jumps of k alone.
+    """
+    jumps = list(flux.k.jump_set.points_1d)
+    (xa, xb), (va, vb) = psi.support_box
+    curves = RectifiableSet(2, pieces=[VerticalSegment(c, va, vb, +1)
+                                       for c in jumps if xa < c < xb])
+    cells = box_cells(psi.support_box, [curves])
+
+    def f(pts):
+        g = psi.gradient(pts)
+        kv = flux.k.eval(pts[:, :1])
+        b = flux.speed_at(kv, pts[:, 1])
+        return g[:, 0] * b
+
+    first, _ = integrate_cells(f, cells, tol_abs=quad_tol)
+
+    second = 0.0
+    for c in jumps:
+        if not (xa < c < xb):
+            continue
+        kp = float(flux.k.u_plus(np.array([[c]]))[0])
+        km_ = float(flux.k.u_minus(np.array([[c]]))[0])
+
+        def g(v, kp=kp, km_=km_):
+            pts = np.column_stack([np.full_like(v, c), v])
+            dpsi_dv = psi.gradient(pts)[:, 1]
+            return dpsi_dv * (flux.flux_at(kp, v) - flux.flux_at(km_, v))
+
+        val, _ = integrate_1d(g, va, vb, tol_abs=quad_tol)
+        second -= val
+    return first + second

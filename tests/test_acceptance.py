@@ -9,11 +9,12 @@ import numpy as np
 import pytest
 
 from divchain.cli import bundled_paths, main
-from divchain.conslaw import cavalieri_lhs, chi, div_xv_zero_residual
 from divchain.measure import plateau_bump
 from divchain.oracle import mollification_study
 from divchain.runner import run_scenario
 from divchain.scenario import load
+
+from helpers import cavalieri_lhs, div_xv_zero_residual
 
 NEGATIVE = {"negative-control", "negative-entropy"}
 

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
@@ -11,10 +11,11 @@ from divchain.errors import DegenerateLevelError, GeometryError, NotOnJumpSetErr
 from divchain.quadrature import integrate_1d
 
 from conftest import ONES, ZEROS
+from helpers import traces_at
 
 
 def test_traces_heaviside(heaviside):
-    assert heaviside.traces_at([0.0]) == (1.0, 0.0)
+    assert traces_at(heaviside, [0.0]) == (1.0, 0.0)
 
 
 def test_traces_2d_vertical():
@@ -27,14 +28,14 @@ def test_traces_2d_vertical():
          Piece(lambda p: p[:, 0] >= 0, lambda p: np.ones(len(p)),
                lambda p: np.zeros((len(p), 2)))],
         J, u_plus=lambda p: np.ones(len(p)), u_minus=lambda p: np.zeros(len(p)))
-    assert u.traces_at([0.0, 0.3]) == (1.0, 0.0)
+    assert traces_at(u, [0.0, 0.3]) == (1.0, 0.0)
     assert all(ok for _, ok in u.validate())
 
 
 def test_continuous_function_has_no_traces(dom11):
     absx = BVFunction.piecewise_1d(dom11, [], values=[np.abs], grads=[np.sign])
     with pytest.raises(NotOnJumpSetError):
-        absx.traces_at([0.0])
+        traces_at(absx, [0.0])
 
 
 def test_precise_representative(heaviside):
@@ -143,6 +144,16 @@ def _poly(c):
     return (lambda x: np.polyval(c, x)), (lambda x: np.polyval(np.polyder(c), x))
 
 
+def piecewise(lo, hi, breaks, coefs, amplitude):
+    """u on [lo, hi]: one polynomial (np.polyval coefficients) between each two
+    breaks, plus amplitude times the Cantor function when amplitude is not 0."""
+    values, grads = zip(*(_poly(c) for c in coefs))
+    cantor = CantorPart(MIDDLE_THIRDS, 1.0) if amplitude else None
+    return BVFunction.piecewise_1d(Domain.interval(lo, hi), breaks, values=list(values),
+                                   grads=list(grads), cantor=cantor,
+                                   cantor_amplitude=amplitude, sup_bound=1e3)
+
+
 @st.composite
 def piecewise_poly(draw):
     """Random piecewise-linear or -quadratic u, with 0 to 3 jumps and, one
@@ -152,22 +163,33 @@ def piecewise_poly(draw):
     breaks = sorted(set(draw(st.lists(st.floats(lo + 0.01, hi - 0.01), max_size=3))))
     degree = draw(st.sampled_from([1, 2]))
     coef = st.one_of(st.sampled_from([0.0, 0.5, -1.0, 2.0]), st.floats(-3, 3))
-    values, grads = zip(*(_poly(draw(st.lists(coef, min_size=degree + 1, max_size=degree + 1)))
-                          for _ in range(len(breaks) + 1)))
+    coefs = [draw(st.lists(coef, min_size=degree + 1, max_size=degree + 1))
+             for _ in range(len(breaks) + 1)]
     amplitude = draw(st.sampled_from([0.0, 0.0, 0.25, 0.0, 0.0, -1.0]))
-    cantor = CantorPart(MIDDLE_THIRDS, 1.0) if amplitude else None
-    return BVFunction.piecewise_1d(Domain.interval(lo, hi), breaks, values=list(values),
-                                   grads=list(grads), cantor=cantor,
-                                   cantor_amplitude=amplitude, sup_bound=1e3)
+    return piecewise(lo, hi, breaks, coefs, amplitude)
+
+
+def crosses(u, t, x, tol):
+    """u - t takes both signs, or 0, on 201 points within tol of x."""
+    vals = u.eval((x + tol * np.linspace(-1.0, 1.0, 201))[:, None]) - t
+    return vals.min() <= 0.0 <= vals.max()
 
 
 @settings(max_examples=150, deadline=None)
 @given(piecewise_poly(), st.lists(st.one_of(st.floats(-4, 4), st.integers(0, SCAN_POINTS - 1),
                                             st.just(SCAN_POINTS - 1)),
                                   min_size=1, max_size=4))
+# two scan intervals where the two solvers stop at different crossings of u - t:
+# rounding noise near the double root of 0.5 (x - 1)^2 at the level u(0), and
+# a Cantor staircase crossing the level 2^-5 several times near x = 0.988
+@example(piecewise(0.0, 1.0, [0.5, 0.75],
+                   [[0.0, 0.0, 7.718876329819288e-94], [0.0, 0.0, 0.0], [0.5, -1.0, 0.5]], 0.0),
+         [0])
+@example(piecewise(-1.0, 1.0, [0.0], [[0.0, 0.0], [2.0, -1.0]], -1.0), [0.03125])
 def test_breakpoints_match_reference_loop(u, levels):
     (lo, hi), = u.domain.bounds
-    grid = u.eval(np.linspace(lo, hi, SCAN_POINTS)[:, None])
+    xs = np.linspace(lo, hi, SCAN_POINTS)
+    grid = u.eval(xs[:, None])
     # an integer picks the level equal to u at that grid point
     ts = [float(grid[v]) if isinstance(v, int) else v for v in levels]
     assume(all(t != 0.0 for t in ts))
@@ -179,7 +201,14 @@ def test_breakpoints_match_reference_loop(u, levels):
             continue
         got = region.breakpoints_1d()
         assert len(got) == len(want)
-        assert all(abs(g - w) <= 2e-14 * max(1.0, abs(w)) for g, w in zip(got, want))
+        for g, w in zip(got, want):
+            tol = 2e-14 * max(1.0, abs(w))
+            # where a scan interval holds several crossings, or rounding noise
+            # near a multiple root, either solver may stop at any of them: a
+            # different root must lie in the reference root's scan interval
+            # and cross the level within the same tolerance
+            assert abs(g - w) <= tol or (
+                np.searchsorted(xs, g) == np.searchsorted(xs, w) and crosses(u, t, g, tol))
 
 
 def test_scan_grid_is_evaluated_once_per_function(dom11):

@@ -3,10 +3,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from divchain import (BVFunction, Domain, ParamField, RectifiableSet, ScalarFunction,
-                      anzellotti_pairing, chain_bv_scalar, chain_dm, chain_w11,
-                      green_check, layer_cake_action, plateau_bump, primitive,
-                      product_rule, sigma_of, weak_divergence)
+from divchain import (BVFunction, Domain, ParamField, PrimitiveField, RectifiableSet,
+                      ScalarFunction, anzellotti_pairing, chain_bv_scalar, chain_dm,
+                      chain_w11, green_check, layer_cake_action, plateau_bump,
+                      product_rule, weak_divergence)
 from divchain.cantor import CantorPart, IFSSpec, cantor_function, integrate_ifs, support_nodes
 from divchain.chainrule import _cantor_layer_cake
 from divchain.errors import GeometryError, WrongRegularityError
@@ -16,7 +16,7 @@ from conftest import ONES, ZEROS, sign_field, sign_t_field
 
 
 def oracle(field, u, phi, dom, singular):
-    P = primitive(field)
+    P = PrimitiveField(field)
     v = lambda pts: P.value(pts, u.eval(pts))
     val, _ = weak_divergence(v, phi, dom, singular, tol_abs=1e-11)
     return val
@@ -53,7 +53,7 @@ def test_chain_dm_joint_jump_oracle(dom11, point_zero, heaviside, bump_center):
 def test_symmetric_regrouping_matches(dom11, point_zero, heaviside, bump_center):
     b = sign_t_field(dom11, point_zero, factor=2.0)
     br = chain_dm(b, heaviside)
-    assert br.jump_symmetric_view().apply(bump_center) == pytest.approx(
+    assert br.jump_symmetric.apply(bump_center) == pytest.approx(
         br.term_jump.apply(bump_center), abs=1e-12)
 
 
@@ -182,7 +182,7 @@ def test_cantor_layer_cake_matches_the_staircase_route():
 # restricted to the nodes inside phi's support.
 def ref_full_cantor_layer_cake(field, u, phi):
     xs, ws = support_nodes(field.divc_part.spec, 20)
-    P = primitive(field)
+    P = PrimitiveField(field)
     total = 0.0
     for x, w in zip(np.split(xs[:, None], 16), np.split(ws, 16)):
         total += float(np.dot(phi.value(x) * w, P.divc_weight(u.eval(x))))
@@ -300,7 +300,7 @@ def test_anzellotti_examples(dom11, point_zero, sign, heaviside, bump_center):
 def test_tv_bound(dom11, point_zero, heaviside):
     b = sign_t_field(dom11, point_zero, factor=2.0)
     br = chain_dm(b, heaviside)
-    sigma = sigma_of(b, [0.0, 1.0, 2.0])
+    sigma = b.sigma([0.0, 1.0, 2.0])
     ok, lhs, rhs = br.tv_bound_holds(sigma, b.M, heaviside)
     assert ok and lhs <= rhs + 1e-9
 

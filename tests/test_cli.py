@@ -350,6 +350,20 @@ MALFORMED = [
      [("ahat = k*u^2/2", "ahat = k*u*(1-u)*sqrt(u-2)")], "ahat", EXIT_VALIDATION_ERROR),
     ("dahat-nan-inside-u-range", "burgers-shock",
      [("dahat_du = k*u\n", "dahat_du = k*sqrt(u-0.5)\n")], "dahat_du", EXIT_VALIDATION_ERROR),
+    ("u0-nan", "burgers-shock", [("u0 = H(-0.3-x1)", "u0 = sqrt(-1)")], "u0",
+     EXIT_VALIDATION_ERROR),
+    ("u0-nan-left-of-zero", "burgers-shock", [("u0 = H(-0.3-x1)", "u0 = sqrt(x1)")], "u0",
+     EXIT_VALIDATION_ERROR),
+    ("kato-u0-b-nan", "traffic-kato",
+     [("u0_b = 0.4 + 0.2*(1-min(1,abs((x1+0.35)/0.25))^2)^2", "u0_b = 0.4*sqrt(x1-0.9)")],
+     "u0_b", EXIT_VALIDATION_ERROR),
+    ("entropy-ds-nan", "burgers-shock", [("T = 0.8\n", "T = 0.8\nentropy_dS = sqrt(t-2)\n")],
+     "entropy_dS", EXIT_VALIDATION_ERROR),
+    ("entropy-s-over-t", "burgers-shock", [("T = 0.8\n", "T = 0.8\nentropy_S = 1/t\n")],
+     "entropy_S", EXIT_VALIDATION_ERROR),
+    ("entropy-d2s-nan-above-half", "burgers-shock",
+     [("T = 0.8\n", "T = 0.8\nentropy_d2S = sqrt(0.5-t)\n")], "entropy_d2S",
+     EXIT_VALIDATION_ERROR),
 ]
 
 

@@ -6,8 +6,7 @@ from hypothesis import strategies as st
 from divchain import BVFunction, Domain, plateau_bump
 from divchain.cli import bundled_dir
 from divchain.conslaw import (EntropyPair, FluxSpec, GridState, Trajectory,
-                              accumulated_interface_W, cavalieri_lhs, chi,
-                              div_xv_zero_residual, entropy_residual, fv_solve,
+                              accumulated_interface_W, chi, entropy_residual, fv_solve,
                               interface_W, kato_check, kinetic_identity_residual,
                               kinetic_measure, l1_distance)
 from divchain.conslaw.hatbasis import PiecewiseLinearWeight, hat_derivative
@@ -18,6 +17,7 @@ from divchain.runner import run_scenario
 from divchain.scenario import load
 
 from conftest import ONES, ZEROS
+from helpers import cavalieri_lhs, div_xv_zero_residual
 
 DOM = Domain.interval(-1.0, 1.0)
 

@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
 
-from divchain import (Domain, ParamField, RectifiableSet, mollified_normal_trace,
-                      plateau_bump, primitive, sigma_of, singular_set_check)
+from divchain import (Domain, ParamField, PrimitiveField, RectifiableSet,
+                      mollified_normal_trace, plateau_bump, singular_set_check)
 from divchain.cantor import MIDDLE_THIRDS, CantorPart, cantor_function
 from divchain.cli import bundled_dir
 from divchain.errors import BoundaryError
 from divchain.quadrature import integrate_1d
 
 from conftest import sign_field, sign_t_field
+from helpers import check_derivative
 
 
 @pytest.fixture
@@ -32,21 +33,21 @@ def test_sigma_of_t_scaled_sign(dom11, point_zero, bump):
     per_t = []
     for t in samples:
         per_t.append(abs(weak_action(b.eval, bump, t)))
-    sigma = sigma_of(b, samples)
+    sigma = b.sigma(samples)
     assert sigma.apply(bump) == pytest.approx(max(per_t), abs=1e-9)
     assert sigma.apply(bump) == pytest.approx(4.0, abs=1e-9)
 
 
 def test_sigma_trivial_cases(dom11, point_zero, bump):
     const = ParamField(dom11, lambda pts, t: np.ones((len(pts), 1)), sup_bound=1.0)
-    assert sigma_of(const, [0.0, 1.0]).apply(bump) == pytest.approx(0.0)
+    assert const.sigma([0.0, 1.0]).apply(bump) == pytest.approx(0.0)
     b = sign_field(dom11, point_zero)
-    assert sigma_of(b, [0.5]).apply(bump) == pytest.approx(2.0)
+    assert b.sigma([0.5]).apply(bump) == pytest.approx(2.0)
 
 
 def test_singular_set_check(dom11, point_zero):
     b = sign_field(dom11, point_zero)
-    rep = singular_set_check(b, sigma_of(b, [1.0]))
+    rep = singular_set_check(b, b.sigma([1.0]))
     assert rep["consistent"]
     on = [r for r in rep["points"] if r["on_declared_set"]]
     assert on and all(r["positive_density"] for r in on)
@@ -63,22 +64,22 @@ def test_singular_set_check_2d():
                                                           np.zeros(len(pts))]),
                    b_minus=lambda pts, t: np.column_stack([-np.ones(len(pts)),
                                                            np.zeros(len(pts))]))
-    rep = singular_set_check(b, sigma_of(b, [1.0]), radii=(1e-1, 1e-2))
+    rep = singular_set_check(b, b.sigma([1.0]), radii=(1e-1, 1e-2))
     assert rep["consistent"]
 
 
 def test_primitive_autonomous(dom11):
     b = ParamField(dom11, lambda pts, t: (2 * t * np.ones(len(pts)))[:, None],
                    sup_bound=6.0, t_range=(-3, 3))
-    P = primitive(b)
+    P = PrimitiveField(b)
     pts = dom11.grid(5)
     assert np.allclose(P.value(pts, 1.5)[:, 0], 2.25, atol=1e-12)
-    assert P.check_derivative()
+    assert check_derivative(P)
 
 
 def test_primitive_traces(dom11, point_zero):
     b = sign_t_field(dom11, point_zero, factor=2.0)
-    P = primitive(b)
+    P = PrimitiveField(b)
     z = np.array([[0.0]])
     assert P.plus(z, 2.0)[0, 0] == pytest.approx(4.0)     # int_0^2 2w dw
     assert P.minus(z, 2.0)[0, 0] == pytest.approx(-4.0)
@@ -87,7 +88,7 @@ def test_primitive_traces(dom11, point_zero):
 def test_primitive_divergence_matches_weak_oracle(dom11, point_zero, bump):
     # Div_x B(., t) = [int_0^t dDiv_x b / dsigma] sigma for b = sign e1
     b = sign_field(dom11, point_zero)
-    P = primitive(b)
+    P = PrimitiveField(b)
     for t in (0.5, 1.0, 2.0):
         mu = P.div_measure(t)
         ref = weak_action(P.value, bump, t)

@@ -3,11 +3,12 @@ import pytest
 from scipy.integrate import quad
 
 from divchain import (Domain, RadonMeasure, RectifiableSet, VerticalSegment,
-                      lub_measures, plateau_bump, radon_nikodym)
+                      check_dominated, lub_measures, plateau_bump)
 from divchain.cantor import MIDDLE_THIRDS, CantorPart
 from divchain.errors import (AbsoluteContinuityError, DomainMismatchError,
                              UnsupportedStructureError)
-from divchain.measure import apply_density_against
+
+from helpers import cantor_measure
 
 
 @pytest.fixture
@@ -35,7 +36,7 @@ def test_dirac_action(dom):
 
 def test_cantor_action_on_identity():
     d = Domain.interval(-0.5, 1.5)
-    mu = RadonMeasure.from_cantor(d, CantorPart(MIDDLE_THIRDS, 1.0))
+    mu = cantor_measure(d, CantorPart(MIDDLE_THIRDS, 1.0))
     assert abs(mu.apply_function(lambda p: p[:, 0]) - 0.5) < 1e-9
 
 
@@ -51,7 +52,7 @@ def test_total_variation_examples(dom):
                               singular=RectifiableSet(1, [0.0], [1.0]))
     assert m.total_variation() == pytest.approx(2.0, abs=1e-9)
     d = Domain.interval(-0.5, 1.5)
-    c = RadonMeasure.from_cantor(d, CantorPart(MIDDLE_THIRDS, -3.0))
+    c = cantor_measure(d, CantorPart(MIDDLE_THIRDS, -3.0))
     assert c.total_variation() == pytest.approx(3.0)
 
 
@@ -116,33 +117,35 @@ def test_orientation_flip_flips_surface_sign():
     assert mu.apply(phi) == pytest.approx(-mu_f.apply(phi), abs=1e-12)
 
 
-def test_radon_nikodym_examples(dom):
-    phi = plateau_bump([(-0.5, 0.5)], [(-0.2, 0.2)])
+def test_check_dominated_examples(dom):
+    # a point mass under a point mass, x dx under dx, half the Cantor measure
+    # under the whole
     three = RadonMeasure.point_mass(dom, 0.0, 3.0)
     one = RadonMeasure.point_mass(dom, 0.0, 1.0)
-    dens = radon_nikodym(three, one)
-    assert apply_density_against(one, dens, phi) == pytest.approx(3.0)
+    assert check_dominated(three, one) is None
 
     d01 = Domain.interval(0.0, 1.0)
-    xdx = RadonMeasure.lebesgue(d01, lambda p: p[:, 0])
-    leb = RadonMeasure.lebesgue(d01)
-    phi2 = plateau_bump([(0.1, 0.9)], [(0.3, 0.7)])
-    dens2 = radon_nikodym(xdx, leb)
-    assert apply_density_against(leb, dens2, phi2) == pytest.approx(
-        xdx.apply(phi2), abs=1e-10)
+    check_dominated(RadonMeasure.lebesgue(d01, lambda p: p[:, 0]), RadonMeasure.lebesgue(d01))
 
     dd = Domain.interval(-0.5, 1.5)
-    half = RadonMeasure.from_cantor(dd, CantorPart(MIDDLE_THIRDS, 0.5))
-    full = RadonMeasure.from_cantor(dd, CantorPart(MIDDLE_THIRDS, 1.0))
-    dens3 = radon_nikodym(half, full)
-    assert dens3.cantor_ratio(np.array([0.1]))[0] == pytest.approx(0.5)
+    check_dominated(cantor_measure(dd, CantorPart(MIDDLE_THIRDS, 0.5)),
+                    cantor_measure(dd, CantorPart(MIDDLE_THIRDS, 1.0)))
 
 
-def test_radon_nikodym_violation(dom):
+def test_check_dominated_violation(dom):
     mu = RadonMeasure.lebesgue(dom)
     sigma = RadonMeasure.point_mass(dom, 0.0, 1.0)
     with pytest.raises(AbsoluteContinuityError):
-        radon_nikodym(mu, sigma)
+        check_dominated(mu, sigma)
+    # sigma carries the part, but its density vanishes where mu's does not
+    with pytest.raises(AbsoluteContinuityError, match="jump density"):
+        check_dominated(RadonMeasure.point_mass(dom, 0.0, 1.0),
+                        RadonMeasure.point_mass(dom, 0.0, 0.0))
+    dd = Domain.interval(-0.5, 1.5)
+    with pytest.raises(AbsoluteContinuityError, match="Cantor density"):
+        check_dominated(cantor_measure(dd, CantorPart(MIDDLE_THIRDS, 1.0)),
+                        cantor_measure(dd, CantorPart(MIDDLE_THIRDS, 1.0),
+                                       density=lambda x: (x < 0.5).astype(float)))
 
 
 def test_ball_mass(dom):
