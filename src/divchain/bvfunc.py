@@ -56,28 +56,37 @@ class BVFunction:
             return 0.0
         return self.cantor_amplitude * self._cdf(pts[:, 0])
 
-    def eval(self, pts):
-        """Pointwise values off the jump set (piece selection)."""
-        pts = as_points(pts, self.domain.dim)
-        out = np.full(len(pts), np.nan)
-        for p in self.pieces:
-            mask = np.asarray(p.indicator(pts), dtype=bool) & np.isnan(out)
-            if mask.any():
-                out[mask] = np.asarray(p.value(pts[mask]), dtype=float)
-        if np.any(np.isnan(out)):
-            raise GeometryError("pieces do not cover the evaluation points")
-        return out + self._cantor_summand(pts)
+    def _select(self, pts, part, shape):
+        """part ("value" or "grad") of the first piece covering each point.
 
-    def grad(self, pts):
-        pts = as_points(pts, self.domain.dim)
-        out = np.full((len(pts), self.domain.dim), np.nan)
+        A point where a piece's value is NaN falls to the next piece; a point
+        left NaN is a GeometryError.  When the first piece covers every point
+        with no NaN, its values are the answer as they stand, with no masks.
+        """
+        first = self.pieces[0]
+        if len(pts) and np.asarray(first.indicator(pts), dtype=bool).all():
+            vals = np.asarray(getattr(first, part)(pts), dtype=float)
+            if vals.shape == shape and not np.isnan(vals).any():
+                return vals
+        out = np.full(shape, np.nan)
+        lead = out if out.ndim == 1 else out[:, 0]
         for p in self.pieces:
-            mask = np.asarray(p.indicator(pts), dtype=bool) & np.isnan(out[:, 0])
+            mask = np.asarray(p.indicator(pts), dtype=bool) & np.isnan(lead)
             if mask.any():
-                out[mask] = np.atleast_2d(np.asarray(p.grad(pts[mask]), dtype=float))
+                vals = np.asarray(getattr(p, part)(pts[mask]), dtype=float)
+                out[mask] = vals if out.ndim == 1 else np.atleast_2d(vals)
         if np.any(np.isnan(out)):
             raise GeometryError("pieces do not cover the evaluation points")
         return out
+
+    def eval(self, pts):
+        """Pointwise values off the jump set (piece selection)."""
+        pts = as_points(pts, self.domain.dim)
+        return self._select(pts, "value", (len(pts),)) + self._cantor_summand(pts)
+
+    def grad(self, pts):
+        pts = as_points(pts, self.domain.dim)
+        return self._select(pts, "grad", (len(pts), self.domain.dim))
 
     def on_jump(self, pts, tol=1e-11):
         return self.jump_set.contains(as_points(pts, self.domain.dim), tol)

@@ -33,13 +33,19 @@ class ChainRuleBreakdown:
     """The named terms; `total` is their exact sum."""
 
     def __init__(self, term_diva, term_divc, term_ac_u, term_cantor_u, term_jump,
-                 jump_symmetric=None):
+                 jump_symmetric=None, ac=None):
         self.term_diva = term_diva
         self.term_divc = term_divc
         self.term_ac_u = term_ac_u
         self.term_cantor_u = term_cantor_u
         self.term_jump = term_jump
-        self.total = term_diva + term_divc + term_ac_u + term_cantor_u + term_jump
+        total = term_diva + term_divc + term_ac_u + term_cantor_u + term_jump
+        if ac is not None:
+            # the same a.c. density as the sum's, computed in one pass per point
+            total = RadonMeasure(total.domain, ac=ac, ac_singular=total.ac_singular,
+                                 jumps=total.jumps, cantor=total.cantor,
+                                 cantor_density=total.cantor_density)
+        self.total = total
         # the jump measure regrouped per the symmetric-mean convention (chain_dm only)
         self.jump_symmetric = jump_symmetric
 
@@ -78,13 +84,28 @@ def _u_sides(u: BVFunction, pts, in_j):
     return val, val
 
 
-def _x_and_cantor_terms(field: ParamField, u: BVFunction, P: PrimitiveField, merged):
-    """Terms 1, 2 and 4 of the chain rule, shared by chain_dm and chain_bv_scalar."""
+def _at_u(u: BVFunction, *densities):
+    """pts -> the sum of density(pts, u(pts)) over densities, left to right,
+    with u evaluated once per call."""
+    def ac(pts):
+        uv = u.eval(pts)
+        out = densities[0](pts, uv)
+        for f in densities[1:]:
+            out = np.asarray(out, dtype=float) + np.asarray(f(pts, uv), dtype=float)
+        return out
+    return ac
+
+
+def _terms_off_jump(field: ParamField, u: BVFunction, P: PrimitiveField, singular,
+                    b_grad_u):
+    """Terms 1-4 of the chain rule and the a.c. density of their sum, shared by
+    chain_dm, chain_w11 and chain_bv_scalar.  b_grad_u(pts, uv) is term 3's
+    density given u's values uv at pts; the a.c. part of the total evaluates
+    u, grad u and b(x, u) once per point."""
     dom = field.domain
+    sing = None if singular.is_empty else singular
     # 1. absolutely continuous x-part: Div_x^a B(x, u(x))
-    term_diva = RadonMeasure(
-        dom, ac=lambda pts: P.diva(pts, u.eval(pts)),
-        ac_singular=None if merged.is_empty else merged) \
+    term_diva = RadonMeasure(dom, ac=_at_u(u, P.diva), ac_singular=sing) \
         if field._diva is not None else RadonMeasure.zero(dom)
 
     # 2. Cantor-in-x part against the field's fixed Cantor component
@@ -95,6 +116,9 @@ def _x_and_cantor_terms(field: ParamField, u: BVFunction, P: PrimitiveField, mer
     else:
         term_divc = RadonMeasure.zero(dom)
 
+    # 3. <b(x, u~), grad u> dx
+    term_ac_u = RadonMeasure(dom, ac=_at_u(u, b_grad_u), ac_singular=sing)
+
     # 4. <b(x, u~), dD^c u>
     if u.cantor is not None and u.cantor_amplitude != 0.0:
         term_cantor_u = RadonMeasure(
@@ -103,7 +127,8 @@ def _x_and_cantor_terms(field: ParamField, u: BVFunction, P: PrimitiveField, mer
                 np.asarray(x)[:, None], u.eval(np.asarray(x)[:, None]))[:, 0])
     else:
         term_cantor_u = RadonMeasure.zero(dom)
-    return term_diva, term_divc, term_cantor_u
+    ac = _at_u(u, P.diva, b_grad_u) if field._diva is not None else term_ac_u.ac
+    return term_diva, term_divc, term_ac_u, term_cantor_u, ac
 
 
 def chain_dm(field: ParamField, u: BVFunction, prim: PrimitiveField | None = None):
@@ -115,15 +140,8 @@ def chain_dm(field: ParamField, u: BVFunction, prim: PrimitiveField | None = Non
     merged = _merged_singular(field, u)
     n_keys = set(field.singular_set.component_keys())
     j_keys = set(u.jump_set.component_keys())
-    term_diva, term_divc, term_cantor_u = _x_and_cantor_terms(field, u, P, merged)
-
-    # 3. <b(x, u~), grad u> dx
-    def ac_u(pts):
-        vals = field.eval(pts, u.eval(pts))
-        return np.einsum("ij,ij->i", vals, u.grad(pts))
-
-    term_ac_u = RadonMeasure(dom, ac=ac_u,
-                             ac_singular=None if merged.is_empty else merged)
+    term_diva, term_divc, term_ac_u, term_cantor_u, ac = _terms_off_jump(
+        field, u, P, merged, _b_dot_grad(field, u))
 
     # 5. jump part on N u J_u
     term_jump = RadonMeasure.zero(dom)
@@ -154,16 +172,39 @@ def chain_dm(field: ParamField, u: BVFunction, prim: PrimitiveField | None = Non
         symmetric_jump = symmetric_jump + RadonMeasure.from_jump(dom, comp, density_symmetric)
 
     return ChainRuleBreakdown(term_diva, term_divc, term_ac_u, term_cantor_u,
-                              term_jump, jump_symmetric=symmetric_jump)
+                              term_jump, jump_symmetric=symmetric_jump, ac=ac)
+
+
+def _b_dot_grad(field: ParamField, u: BVFunction):
+    """(pts, uv) -> <b(x, uv), grad u(x)>, the density of term 3."""
+    return lambda pts, uv: np.einsum("ij,ij->i", field.eval(pts, uv), u.grad(pts))
 
 
 def chain_w11(field: ParamField, u: BVFunction, prim: PrimitiveField | None = None):
-    """Chain rule for continuous (W^{1,1}) u: jump term lives on N only."""
+    """Chain rule for continuous (W^{1,1}) u: jump term lives on N only,
+
+        <B^+(x, u(x)) - B^-(x, u(x)), nu> H^{N-1} |_N,
+
+    with u evaluated as it stands (continuous u has no J_u to merge and
+    needs no precise representative)."""
     if not u.jump_set.is_empty:
         raise WrongRegularityError("u has a declared jump set; use chain_dm")
     if u.cantor is not None and u.cantor_amplitude != 0.0:
         raise WrongRegularityError("u has a Cantor component; use chain_dm")
-    return chain_dm(field, u, prim=prim)
+    if u.domain.bounds != field.domain.bounds:
+        raise GeometryError("field and function live on different domains")
+    P = prim if prim is not None else PrimitiveField(field)
+    N = field.singular_set
+    term_diva, term_divc, term_ac_u, term_cantor_u, ac = _terms_off_jump(
+        field, u, P, N, _b_dot_grad(field, u))
+
+    def density(pts, nus):
+        uv = u.eval(pts)
+        return np.einsum("ij,ij->i", P.plus(pts, uv) - P.minus(pts, uv), nus)
+
+    term_jump = RadonMeasure.from_jump(field.domain, N, density)
+    return ChainRuleBreakdown(term_diva, term_divc, term_ac_u, term_cantor_u, term_jump,
+                              ac=ac)
 
 
 @lru_cache(maxsize=None)
@@ -247,16 +288,14 @@ def chain_bv_scalar(field: ParamField, u: BVFunction, prim: PrimitiveField | Non
     merged = _merged_singular(field, u)
     n_keys = set(field.singular_set.component_keys())
     j_keys = set(u.jump_set.component_keys())
-    term_diva, term_divc, term_cantor_u = _x_and_cantor_terms(field, u, P, merged)
+    term_diva, term_divc, term_ac_u, term_cantor_u, ac = _terms_off_jump(
+        field, u, P, merged,
+        lambda pts, uv: field.eval(pts, uv)[:, 0] * u.grad(pts)[:, 0])
 
     def b_star(pts, tvals, on_n):
         if on_n:
             return 0.5 * (field.trace(pts, tvals, +1) + field.trace(pts, tvals, -1))[:, 0]
         return field.eval(pts, tvals)[:, 0]
-
-    term_ac_u = RadonMeasure(
-        dom, ac=lambda pts: field.eval(pts, u.eval(pts))[:, 0] * u.grad(pts)[:, 0],
-        ac_singular=None if merged.is_empty else merged)
 
     term_jump = RadonMeasure.zero(dom)
     for key, comp in merged.components():
@@ -283,7 +322,8 @@ def chain_bv_scalar(field: ParamField, u: BVFunction, prim: PrimitiveField | Non
 
         term_jump = term_jump + RadonMeasure.from_jump(dom, comp, density)
 
-    return ChainRuleBreakdown(term_diva, term_divc, term_ac_u, term_cantor_u, term_jump)
+    return ChainRuleBreakdown(term_diva, term_divc, term_ac_u, term_cantor_u, term_jump,
+                              ac=ac)
 
 
 class ScalarFunction:

@@ -175,33 +175,41 @@ def face_fluxes(flux: FluxSpec, kvals):
     critRj, fcritRj = _critical_table(flux, kR[jump])
     f_at_lo = flux.flux_at(kL[jump], lo)
     f_at_hi = flux.flux_at(kR[jump], hi)
+    tiles = {}      # leading shape of u -> the face data repeated to that shape
 
     def F(u):
-        fc = flux.flux_at(kvals, u)
+        rows = u.shape[:-1]
+        if rows not in tiles:
+            # numpy runs an operation on (2, n) rows slower when an operand broadcasts
+            t = lambda arrays: [np.broadcast_to(a, rows + a.shape).copy() for a in arrays]
+            tiles[rows] = (t([kvals, kL[near], f_at_lo, f_at_hi]), t(critL), t(fcritL),
+                           t(critLj), t(fcritLj), t(critRj), t(fcritRj))
+        (kv, k_near, f_lo, f_hi), cL, fcL, cLj, fcLj, cRj, fcRj = tiles[rows]
+        fc = flux.flux_at(kv, u)
         uL = np.concatenate([u[..., :1], u], axis=-1)
         uR = np.concatenate([u, u[..., -1:]], axis=-1)
         fl = np.concatenate([fc[..., :1], fc], axis=-1)
         fr = np.concatenate([fc, fc[..., -1:]], axis=-1)
         if len(near):
-            fr[..., near] = flux.flux_at(kL[near], uR[..., near])
+            fr[..., near] = flux.flux_at(k_near, uR[..., near])
         flo = np.minimum(uL, uR)
         fhi = np.maximum(uL, uR)
         fmin = np.minimum(fl, fr)
         fmax = np.maximum(fl, fr)
-        for c, fcr in zip(critL, fcritL):
+        for c, fcr in zip(cL, fcL):
             ok = (c > flo) & (c < fhi)
             fmin = np.where(ok, np.minimum(fmin, fcr), fmin)
             fmax = np.where(ok, np.maximum(fmax, fcr), fmax)
         out = np.where(uL <= uR, fmin, fmax)
         if len(jump):
             uLj = uL[..., jump]
-            D = np.maximum(fl[..., jump], f_at_lo)
-            for c, fcr in zip(critLj, fcritLj):
+            D = np.maximum(fl[..., jump], f_lo)
+            for c, fcr in zip(cLj, fcLj):
                 D = np.where((c > lo) & (c < uLj), np.maximum(D, fcr), D)
             # Ahat(k_R, u_R) at a jump face is its right cell's value
             uRj = uR[..., jump]
-            S = np.maximum(fc[..., jump], f_at_hi)
-            for c, fcr in zip(critRj, fcritRj):
+            S = np.maximum(fc[..., jump], f_hi)
+            for c, fcr in zip(cRj, fcRj):
                 S = np.where((c > uRj) & (c < hi), np.maximum(S, fcr), S)
             out[..., jump] = np.minimum(D, S)
         return out

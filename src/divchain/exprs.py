@@ -276,9 +276,12 @@ def compile_field(src, line=None, cantor_spec=None, dim=2):
         env = {"x1": pts[:, 0], "t": t}
         if pts.shape[1] > 1:
             env["x2"] = pts[:, 1]
-        cols = [np.broadcast_to(np.asarray(e(env), dtype=float), (len(pts),)).copy()
-                for e in exprs]
-        return np.column_stack(cols)
+        # every column before out: out must not sit beside their temporaries
+        cols = [e(env) for e in exprs]
+        out = np.empty((len(pts), dim))
+        for j, col in enumerate(cols):
+            out[:, j] = col                 # a constant component broadcasts
+        return out
 
     return fn, exprs
 

@@ -109,7 +109,7 @@ def run_chain(scn: Scenario, res: RunResult, mode="chain"):
     else:
         br = chain_dm(field, u, prim=prim)
     # the chain_dm breakdown, which carries the symmetric-mean jump regrouping
-    br_dm = chain_dm(field, u, prim=prim) if mode == "bv-scalar" else br
+    br_dm = br if mode == "chain" else chain_dm(field, u, prim=prim)
 
     total = br.total
     if scn.fake_scale is not None:
@@ -147,7 +147,6 @@ def run_chain(scn: Scenario, res: RunResult, mode="chain"):
                                                     tol_rel=quad_tol)))
         res.check("w11:layer_cake_consistency",
                   worst <= max(2 * scn.tol_abs, 1e-7), max_difference=worst)
-        br_dm = chain_dm(field, u, prim=prim)
         ok, worst = _actions_close(br.total, br_dm.total, suite, 1e-9,
                                    quad_tol=quad_tol)
         res.check("w11:matches_chain_dm", ok, max_difference=worst)

@@ -1,11 +1,12 @@
 """Checks and constructors that only the tests use: finite-difference checks
-of declared derivatives, trace lookups, a Cantor measure, and two identities
-of the conservation-law harness evaluated from their definitions."""
+of declared derivatives, trace lookups, a Cantor measure, two identities
+of the conservation-law harness evaluated from their definitions, and the
+masked piece-selection loops that BVFunction.eval and grad are held to."""
 
 import numpy as np
 
 from divchain.conslaw import FluxSpec, chi
-from divchain.errors import NotOnJumpSetError
+from divchain.errors import GeometryError, NotOnJumpSetError
 from divchain.geometry import as_points
 from divchain.measure import RadonMeasure, TestFunction
 from divchain.quadrature import integrate_1d, integrate_cells
@@ -49,6 +50,33 @@ def traces_at(u, x):
     if u.jump_set.is_empty or not bool(u.on_jump(pts)[0]):
         raise NotOnJumpSetError(f"{x} is not on the jump set")
     return (float(u.u_plus(pts)[0]), float(u.u_minus(pts)[0]))
+
+
+def eval_reference(u, pts):
+    """BVFunction.eval as a masked loop: each point takes the first piece
+    that covers it with a value that is not NaN."""
+    pts = as_points(pts, u.domain.dim)
+    out = np.full(len(pts), np.nan)
+    for p in u.pieces:
+        mask = np.asarray(p.indicator(pts), dtype=bool) & np.isnan(out)
+        if mask.any():
+            out[mask] = np.asarray(p.value(pts[mask]), dtype=float)
+    if np.any(np.isnan(out)):
+        raise GeometryError("pieces do not cover the evaluation points")
+    return out + u._cantor_summand(pts)
+
+
+def grad_reference(u, pts):
+    """BVFunction.grad as the same masked loop, keyed on the first column."""
+    pts = as_points(pts, u.domain.dim)
+    out = np.full((len(pts), u.domain.dim), np.nan)
+    for p in u.pieces:
+        mask = np.asarray(p.indicator(pts), dtype=bool) & np.isnan(out[:, 0])
+        if mask.any():
+            out[mask] = np.atleast_2d(np.asarray(p.grad(pts[mask]), dtype=float))
+    if np.any(np.isnan(out)):
+        raise GeometryError("pieces do not cover the evaluation points")
+    return out
 
 
 def cantor_measure(domain, part, density=None):

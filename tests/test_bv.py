@@ -11,7 +11,7 @@ from divchain.errors import DegenerateLevelError, GeometryError, NotOnJumpSetErr
 from divchain.quadrature import integrate_1d
 
 from conftest import ONES, ZEROS
-from helpers import traces_at
+from helpers import eval_reference, grad_reference, traces_at
 
 
 def test_traces_heaviside(heaviside):
@@ -232,3 +232,66 @@ def test_scan_grid_is_evaluated_once_per_function(dom11):
         assert len(g) == len(want)
         assert all(abs(x - w) <= 2e-14 * max(1.0, abs(w)) for x, w in zip(g, want))
     assert got[0] == pytest.approx([-0.2, 0.0]) and got[2] == pytest.approx([0.0, np.sqrt(0.15)])
+
+
+# Differential test of the piece selection behind eval and grad: it takes
+# the first piece's values as they stand when that piece covers every point
+# with no NaN, and otherwise runs the masked loop kept in tests/helpers.py.
+
+COEF = st.floats(-2, 2, allow_nan=False)
+CUT = st.floats(-1.2, 1.2, allow_nan=False)
+
+
+@st.composite
+def piecewise_functions(draw):
+    """A 1-D or 2-D function of 1-3 quadratic pieces and the points to evaluate.
+
+    A piece covers everything or a half-space {x_axis < cut}; its value and
+    one column of its gradient may be NaN where x_1 > a cut of their own."""
+    dim = draw(st.integers(1, 2))
+    pieces = []
+    for _ in range(draw(st.integers(1, 3))):
+        c0, cxx = draw(COEF), draw(COEF)
+        cx = np.array([draw(COEF) for _ in range(dim)])
+        whole, axis, cut = draw(st.booleans()), draw(st.integers(0, dim - 1)), draw(CUT)
+        vcut, gcut = draw(st.none() | CUT), draw(st.none() | CUT)
+        gcol = draw(st.integers(0, dim - 1))
+
+        def indicator(p, whole=whole, axis=axis, cut=cut):
+            return np.ones(len(p), dtype=bool) if whole else p[:, axis] < cut
+
+        def value(p, c0=c0, cx=cx, cxx=cxx, vcut=vcut):
+            out = c0 + p @ cx + cxx * np.sum(p * p, axis=1)
+            return out if vcut is None else np.where(p[:, 0] > vcut, np.nan, out)
+
+        def grad(p, cx=cx, cxx=cxx, gcut=gcut, gcol=gcol):
+            out = cx + 2 * cxx * p
+            if gcut is not None:
+                out[p[:, 0] > gcut, gcol] = np.nan
+            return out
+
+        pieces.append(Piece(indicator, value, grad))
+    dom = Domain.interval(-1, 1) if dim == 1 else Domain.box((-1, 1), (-1, 1))
+    n = draw(st.integers(0, 12))
+    pts = np.array(draw(st.lists(st.floats(-1, 1), min_size=n * dim, max_size=n * dim)),
+                   dtype=float).reshape(n, dim)
+    return BVFunction(dom, pieces, sup_bound=1.0), pts
+
+
+def _outcome(fn, u, pts):
+    try:
+        return fn(u, pts)
+    except GeometryError as exc:
+        return str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(piecewise_functions())
+def test_piece_selection_matches_masked_loop(case):
+    u, pts = case
+    for fast, ref in ((BVFunction.eval, eval_reference), (BVFunction.grad, grad_reference)):
+        got, want = _outcome(fast, u, pts), _outcome(ref, u, pts)
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()

@@ -1,3 +1,6 @@
+import os
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -7,10 +10,14 @@ from divchain import (BVFunction, Domain, ParamField, PrimitiveField, Rectifiabl
                       ScalarFunction, anzellotti_pairing, chain_bv_scalar, chain_dm,
                       chain_w11, green_check, layer_cake_action, plateau_bump,
                       product_rule, weak_divergence)
+from divchain import chainrule, runner
 from divchain.cantor import CantorPart, IFSSpec, cantor_function, integrate_ifs, support_nodes
-from divchain.chainrule import _cantor_layer_cake
+from divchain.chainrule import ChainRuleBreakdown, _cantor_layer_cake
+from divchain.cli import bundled_paths
 from divchain.errors import GeometryError, WrongRegularityError
 from divchain.quadrature import integrate_1d
+from divchain.runner import RunResult, run_chain
+from divchain.scenario import load
 
 from conftest import ONES, ZEROS, sign_field, sign_t_field
 
@@ -346,3 +353,74 @@ def test_orientation_invariance(dom11, point_zero, heaviside, bump_center):
     br_f = chain_dm(b.flipped(), heaviside.flipped())
     assert br.total.apply(bump_center) == pytest.approx(
         br_f.total.apply(bump_center), abs=1e-12)
+
+
+def _bundled(name):
+    return next(p for p in bundled_paths() if os.path.basename(p) == f"{name}.scn")
+
+
+def _w11_offset(tmp_path):
+    """w11-growing-x with u = x1 + 0.5: its jump term at 0 is 2 (0.5 + 0.5^3/3).
+    Every bundled w11 file has u = 0 at its jump point, so a jump term of 0."""
+    text = open(_bundled("w11-growing-x"), encoding="utf-8").read()
+    edited = text.replace("pieces = x1\n", "pieces = x1 + 0.5\n").replace("sup = 1\n",
+                                                                         "sup = 1.5\n")
+    assert "pieces = x1 + 0.5\n" in edited and "sup = 1.5\n" in edited
+    path = tmp_path / "w11-offset.scn"
+    path.write_text(edited, encoding="utf-8")
+    return load(str(path))
+
+
+def test_w11_jump_term_lives_on_n_at_u(tmp_path, bump_center):
+    scn = _w11_offset(tmp_path)
+    br = chain_w11(scn.field, scn.u)
+    assert br.term_jump.apply(bump_center) == pytest.approx(2 * (0.5 + 0.5 ** 3 / 3),
+                                                            abs=1e-12)
+    assert br.total.apply(bump_center) == pytest.approx(
+        chain_dm(scn.field, scn.u).total.apply(bump_center), abs=1e-12)
+
+
+def test_w11_matches_chain_dm_sees_a_scaled_jump_density(tmp_path, monkeypatch):
+    # chain_dm with its jump density scaled by 1 + 1e-6, wherever it is looked up
+    real = chainrule.chain_dm
+
+    def scaled(*args, **kw):
+        br = real(*args, **kw)
+        return ChainRuleBreakdown(br.term_diva, br.term_divc, br.term_ac_u, br.term_cantor_u,
+                                  br.term_jump * (1 + 1e-6),
+                                  jump_symmetric=br.jump_symmetric * (1 + 1e-6))
+
+    monkeypatch.setattr(chainrule, "chain_dm", scaled)
+    monkeypatch.setattr(runner, "chain_dm", scaled)
+    scn = _w11_offset(tmp_path)
+    res = RunResult(scn.id)
+    run_chain(scn, res, mode="w11")
+    check = next(c for c in res.checks if c["name"] == "w11:matches_chain_dm")
+    assert not check["pass"] and check["data"]["max_difference"] > 1e-7
+
+
+@pytest.mark.parametrize("build, name", [(chain_dm, "2d-smooth-disc"),
+                                         (chain_w11, "moll-sign-lin"),
+                                         (chain_bv_scalar, "moll-sign-lin")])
+def test_total_density_evaluates_u_once_per_point(build, name):
+    scn = load(_bundled(name))
+    calls = Counter()
+
+    def counting(fn, key):
+        def wrapped(pts):
+            calls[key] += 1
+            return fn(pts)
+        return wrapped
+
+    for i, piece in enumerate(scn.u.pieces):
+        piece.value = counting(piece.value, ("value", i))
+        piece.grad = counting(piece.grad, ("grad", i))
+    br = build(scn.field, scn.u)
+    pts = scn.domain.grid(15)
+    got = br.total.ac(pts)
+    assert ("value", 0) in calls and set(calls.values()) == {1}
+    # the fused density is the sum of the two terms', bit for bit
+    want = br.term_ac_u.ac(pts)
+    if br.term_diva.ac is not None:
+        want = br.term_diva.ac(pts) + want
+    assert got.tobytes() == want.tobytes()

@@ -50,6 +50,19 @@ def test_vectorized_compilation():
     assert np.allclose(ft(np.array([0.0, 2.0])), [1.0, 5.0])
 
 
+@pytest.mark.parametrize("src, dim", [("1, x1*t", 2), ("x2 - t, 0", 2), ("-x1*t^2", 1)])
+def test_compile_field_matches_column_stack(src, dim):
+    fn, exprs = compile_field(src, dim=dim)
+    pts = np.random.default_rng(3).uniform(-1, 1, (9, dim))
+    for t in (0.0, -1.5, np.linspace(-2, 2, 9)):
+        env = {"x1": pts[:, 0], "t": t, **({"x2": pts[:, 1]} if dim == 2 else {})}
+        want = np.column_stack([np.broadcast_to(np.asarray(e(env), dtype=float),
+                                                (len(pts),)).copy() for e in exprs])
+        got = fn(pts, t)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+
 def test_parse_errors_carry_positions():
     with pytest.raises(ScenarioParseError) as e:
         parse_expr("1 + $", line=7)
