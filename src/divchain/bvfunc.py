@@ -20,7 +20,7 @@ from .errors import DegenerateLevelError, GeometryError
 from .geometry import Domain, as_points
 from .measure import RadonMeasure
 from .quadrature import integrate_1d  # noqa: F401  (an alias the benchmark tracer counts)
-from .rectifiable import RectifiableSet, bracketed_roots
+from .rectifiable import RectifiableSet, sign_crossings
 
 SCAN_POINTS = 801          # grid on which 1-D level-set scans bracket the crossings
 
@@ -263,13 +263,8 @@ class LevelRegion:
     def breakpoints_1d(self):
         """Abscissae where u crosses level t (quadrature split points)."""
         xs, table = self.u.scan_table
-        sgn = np.sign(table - self.t)
-        out = list(self.u.jump_set.points_1d)
-        out.extend(xs[sgn == 0.0].tolist())
-        i = np.flatnonzero(sgn[:-1] * sgn[1:] < 0)           # strict sign changes
-        out.extend(bracketed_roots(lambda x: self.u.eval(x[:, None]) - self.t, xs[i], xs[i + 1],
-                                   table[i] - self.t, table[i + 1] - self.t).tolist())
-        return sorted(out)
+        roots = sign_crossings(lambda x: self.u.eval(x[:, None]) - self.t, xs, table - self.t)
+        return sorted(list(self.u.jump_set.points_1d) + roots.tolist())
 
     def extra_x_breaks(self):
         return self.breakpoints_1d() if self.u.domain.dim == 1 else []

@@ -295,7 +295,11 @@ def compile_scalar(src, line=None, cantor_spec=None, dim=2):
         env = {"x1": pts[:, 0], "t": t}
         if pts.shape[1] > 1:
             env["x2"] = pts[:, 1]
-        return np.broadcast_to(np.asarray(e(env), dtype=float), (len(pts),)).copy()
+        out = np.asarray(e(env), dtype=float)
+        if out.shape != (len(pts),) or any(out is v for v in env.values()):
+            # broadcast, and never hand back the caller's array (a bare `x1` or `t`)
+            out = np.broadcast_to(out, (len(pts),)).copy()
+        return out
 
     return fn, e
 

@@ -1,7 +1,8 @@
 """Checks and constructors that only the tests use: finite-difference checks
 of declared derivatives, trace lookups, a Cantor measure, two identities
-of the conservation-law harness evaluated from their definitions, and the
-masked piece-selection loops that BVFunction.eval and grad are held to."""
+of the conservation-law harness evaluated from their definitions, the
+masked piece-selection loops that BVFunction.eval and grad are held to, and
+the indicator bisection that a curve's box and disc ranges are held to."""
 
 import numpy as np
 
@@ -77,6 +78,31 @@ def grad_reference(u, pts):
     if np.any(np.isnan(out)):
         raise GeometryError("pieces do not cover the evaluation points")
     return out
+
+
+def scan_ranges_reference(piece, inside, n_scan=257):
+    """Parameter sub-ranges of a curve piece where the boolean inside(s)
+    holds: each change of inside on an n_scan grid is bisected 60 times on
+    the indicator, and a piece between the cuts is kept if its midpoint is
+    inside."""
+    s = np.linspace(piece.s0, piece.s1, n_scan)
+    mask = inside(s)
+    if not mask.any():
+        return []
+    edges = []
+    for i in range(n_scan - 1):
+        if mask[i] != mask[i + 1]:
+            a, b = s[i], s[i + 1]
+            for _ in range(60):
+                m = 0.5 * (a + b)
+                if inside(np.array([m]))[0] == mask[i]:
+                    a = m
+                else:
+                    b = m
+            edges.append(0.5 * (a + b))
+    cuts = [piece.s0] + edges + [piece.s1]
+    return [(a, b) for a, b in zip(cuts[:-1], cuts[1:])
+            if b > a and inside(np.array([0.5 * (a + b)]))[0]]
 
 
 def cantor_measure(domain, part, density=None):

@@ -203,7 +203,7 @@ sup = 1
 
 
 def test_failed_level_crossing_search_is_a_numerical_failure(tmp_path, monkeypatch, capsys):
-    from divchain import bvfunc
+    from divchain import bvfunc, rectifiable
     from divchain.errors import GeometryError
 
     # u = x1, but infinite on (0.3001, 0.3024), strictly inside the scan
@@ -215,8 +215,8 @@ def test_failed_level_crossing_search_is_a_numerical_failure(tmp_path, monkeypat
                                             r"non-finite value at 0\.301"):
         u.level_region(0.301).breakpoints_1d()
     # the same failure inside a run: every solver step sees a non-finite value
-    real = bvfunc.bracketed_roots
-    monkeypatch.setattr(bvfunc, "bracketed_roots",
+    real = rectifiable.bracketed_roots
+    monkeypatch.setattr(rectifiable, "bracketed_roots",
                         lambda f, *ends: real(lambda x: f(x) * np.inf, *ends))
     scn = tmp_path / "cubic.scn"
     scn.write_text(LINEAR_U_SCN.replace("pieces = x1", "pieces = x1 + x1^3")

@@ -50,6 +50,19 @@ def test_vectorized_compilation():
     assert np.allclose(ft(np.array([0.0, 2.0])), [1.0, 5.0])
 
 
+@pytest.mark.parametrize("src", ["x1", "x2", "t", "-0.5", "x1 < 0.5", "x2 * t"])
+def test_compile_scalar_returns_a_fresh_n_array(src):
+    # a bare variable or a constant is copied; a computed result is its own array
+    pts, t = np.array([[0.25, 1.0], [0.75, 2.0]]), np.array([3.0, 4.0])
+    want = {"x1": [0.25, 0.75], "x2": [1.0, 2.0], "t": [3.0, 4.0], "-0.5": [-0.5, -0.5],
+            "x1 < 0.5": [1.0, 0.0], "x2 * t": [3.0, 8.0]}[src]
+    out = compile_scalar(src)[0](pts, t)
+    assert out.shape == (2,) and out.flags.writeable
+    out += 10.0
+    assert np.array_equal(pts, [[0.25, 1.0], [0.75, 2.0]]) and np.array_equal(t, [3.0, 4.0])
+    assert np.array_equal(out - 10.0, want)
+
+
 @pytest.mark.parametrize("src, dim", [("1, x1*t", 2), ("x2 - t, 0", 2), ("-x1*t^2", 1)])
 def test_compile_field_matches_column_stack(src, dim):
     fn, exprs = compile_field(src, dim=dim)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 from divchain import (Domain, RadonMeasure, RectifiableSet, build_suite, compare,
                       mollification_study, oscillatory_bump, plateau_bump, weak_divergence)
 from divchain.cantor import IFSSpec
+from divchain.errors import GeometryError
 from divchain.oracle import CANTOR_DEPTH, cantor_breaks
 from divchain.quadrature import integrate_cells
 from divchain.rectifiable import GraphCurve, box_cells
@@ -163,6 +166,19 @@ def test_breaks_keep_the_values_2d(phi, c):
     _breaks_keep_the_values(phi, c, 1e-8)
 
 
+def _cells_follow(g, box, cells):
+    """Every cell boundary is a constant or the unclipped graph over its whole
+    strip, and the cells tile the box."""
+    for cell in cells:
+        xs = np.linspace(cell.a1, cell.b1, 33)
+        for edge in (cell.lo(xs), cell.hi(xs)):
+            assert np.ptp(edge) <= 1e-13 or np.allclose(edge, g.fn(xs), rtol=0, atol=1e-13)
+        assert np.all(cell.hi(xs) - cell.lo(xs) >= -1e-13)
+    area, _ = integrate_cells(lambda p: np.ones(len(p)), cells, tol_abs=1e-13)
+    (x0, x1), (y0, y1) = box
+    assert area == pytest.approx((x1 - x0) * (y1 - y0), rel=1e-12)
+
+
 @st.composite
 def graph_boxes(draw):
     """A monotone graph crossing a generated box, and that box's plateau edges."""
@@ -189,14 +205,30 @@ def test_graph_meeting_a_level_ends_a_strip(gb):
     g, box, (xe, ye) = gb
     cells = box_cells(box, [RectifiableSet(2, pieces=[g])], extra_x_breaks=xe,
                       extra_y_breaks=ye)
-    for cell in cells:
-        xs = np.linspace(cell.a1, cell.b1, 33)
-        for edge in (cell.lo(xs), cell.hi(xs)):
-            assert np.ptp(edge) <= 1e-13 or np.allclose(edge, g.fn(xs), rtol=0, atol=1e-13)
-        assert np.all(cell.hi(xs) - cell.lo(xs) >= -1e-13)
-    area, _ = integrate_cells(lambda p: np.ones(len(p)), cells, tol_abs=1e-13)
-    (x0, x1), (y0, y1) = box
-    assert area == pytest.approx((x1 - x0) * (y1 - y0), rel=1e-12)
+    _cells_follow(g, box, cells)
+
+
+@pytest.mark.parametrize("s0, s1, slope", [(-1.0, 1.0, 1.0),      # at scan-grid points inside
+                                           (-0.25, 0.25, 2.0)])   # at the ends of the scan
+def test_graph_meeting_a_box_edge_at_a_grid_point_ends_a_strip(s0, s1, slope):
+    # x2 = slope x1 meets the edges x2 = -+0.5 at x1 = -+0.5 / slope, where the
+    # graph minus the edge is 0 on the grid itself
+    g = GraphCurve(lambda x: slope * x, lambda x: np.full_like(x, slope), s0, s1)
+    box = [(-1.0, 1.0), (-0.5, 0.5)]
+    cells = box_cells(box, [RectifiableSet(2, pieces=[g])])
+    assert {-0.5 / slope, 0.5 / slope} <= {c.a1 for c in cells} | {c.b1 for c in cells}
+    _cells_follow(g, box, cells)
+
+
+def test_crossing_graphs_raise_naming_a_strip_that_holds_the_crossing():
+    # 0.3 x1 = 0.05 - 0.2 x1 at x1 = 0.1; the strip is not bisected toward it
+    up = GraphCurve(lambda x: 0.3 * x, lambda x: np.full_like(x, 0.3), -1.0, 1.0, label="up")
+    down = GraphCurve(lambda x: 0.05 - 0.2 * x, lambda x: np.full_like(x, -0.2), -1.0, 1.0,
+                      label="down")
+    with pytest.raises(GeometryError, match="curves cross inside strip") as err:
+        box_cells([(-1.0, 1.0), (-1.0, 1.0)], [RectifiableSet(2, pieces=[up, down])])
+    a, b = map(float, re.search(r"strip \(([^,]+), ([^)]+)\)", str(err.value)).groups())
+    assert a < 0.1 < b
 
 
 GRAPH_SCN = """

@@ -1,16 +1,19 @@
 """The piece list of a singular set against the parallel-array 1-D code it
-replaced, the GeometryError cases, the (n, dim) normal contract, and the
-bracketed root solver against roots known in closed form (no scipy)."""
+replaced, the GeometryError cases, the (n, dim) normal contract, the
+bracketed root solver against roots known in closed form (no scipy), and a
+curve's box and disc ranges against the indicator bisection they replaced."""
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from divchain import (Domain, RadonMeasure, RectifiableSet, VerticalSegment, merge_sets,
                       plateau_bump)
 from divchain.errors import GeometryError
-from divchain.rectifiable import bracketed_roots
+from divchain.rectifiable import GraphCurve, HorizontalSegment, bracketed_roots
+
+from helpers import scan_ranges_reference
 
 
 class RefSet1D:
@@ -229,3 +232,84 @@ def test_bracketed_roots_reject_a_non_finite_value():
                                             r"value at 0\.57"):
         bracketed_roots(f, np.array([-1.0, 0.25]), np.array([0.0, 1.0]),
                         np.array([-0.5, 0.75]), np.array([0.5, -1.0]))
+
+
+def curve(kind, s0, s1, *c):
+    """A cubic graph c0 + c1 x + c2 x^2 + c3 x^3, or a vertical or horizontal
+    segment at c0, over [s0, s1]."""
+    if kind == "graph":
+        return GraphCurve(lambda x: c[0] + x * (c[1] + x * (c[2] + x * c[3])),
+                          lambda x: c[1] + x * (2 * c[2] + 3 * x * c[3]), s0, s1)
+    return (VerticalSegment if kind == "v" else HorizontalSegment)(c[0], s0, s1)
+
+
+@st.composite
+def curve_data(draw):
+    """The arguments of curve()."""
+    s0 = draw(st.floats(-1.5, 1.0))
+    kind = draw(st.sampled_from(["graph", "v", "h"]))
+    c = [draw(st.floats(-2.0, 2.0)) for _ in range(4 if kind == "graph" else 1)]
+    return (kind, s0, s0 + draw(st.floats(0.05, 2.0)), *c)
+
+
+@st.composite
+def regions(draw):
+    """("box", ((xlo, xhi), (ylo, yhi))) or ("disc", (center, r))."""
+    if draw(st.booleans()):
+        lo = [draw(st.floats(-2.0, 1.5)) for _ in range(2)]
+        return "box", tuple((a, a + draw(st.floats(0.01, 2.5))) for a in lo)
+    return "disc", ((draw(st.floats(-2.0, 2.0)), draw(st.floats(-2.0, 2.0))),
+                    draw(st.floats(0.01, 2.0)))
+
+
+def _reference_inside(piece, kind, data):
+    """The indicators the curve ranges were bisected on, margins included,
+    and the signed excess over the region's boundary (<= 0 inside)."""
+    if kind == "box":
+        (xlo, xhi), (ylo, yhi) = data
+
+        def inside(s):
+            p = piece.points(s)
+            return ((p[:, 0] >= xlo - 1e-13) & (p[:, 0] <= xhi + 1e-13)
+                    & (p[:, 1] >= ylo - 1e-13) & (p[:, 1] <= yhi + 1e-13))
+
+        def excess(s):
+            p = piece.points(s)
+            return np.max([xlo - 1e-13 - p[:, 0], p[:, 0] - xhi - 1e-13,
+                           ylo - 1e-13 - p[:, 1], p[:, 1] - yhi - 1e-13], axis=0)
+        return inside, excess
+    (cx, cy), r = data
+
+    def inside(s):
+        p = piece.points(s)
+        return (p[:, 0] - cx) ** 2 + (p[:, 1] - cy) ** 2 <= r * r
+    return inside, lambda s: np.hypot(piece.points(s)[:, 0] - cx, piece.points(s)[:, 1] - cy) - r
+
+
+@settings(max_examples=300, deadline=None)
+@given(curve_data(), regions())
+@example(("h", -1.0, 1.0, 0.25), ("box", ((-0.5, 0.5), (-0.75, 0.25))))        # on an edge
+@example(("h", -1.0, 1.0, 0.25 + 1e-13), ("box", ((-0.5, 0.5), (-0.75, 0.25))))  # on the margin
+@example(("v", -1.0, 1.0, 0.0), ("disc", ((1.0, 0.0), 0.5)))                   # a miss
+@example(("v", 0.0, 1.0, 0.0), ("disc", ((0.0, 2.0), 1.0)))                    # a touch
+def test_curve_ranges_match_indicator_bisection(data, region):
+    """The same number of ranges, ends within 1e-13 max(1, |s|).  The one
+    exception is a sliver, at most 1e-5 long, along which the curve runs
+    within 1e-14 of the region's boundary: at a tangent touch the bisection
+    may see a range of rounding where sign_crossings sees a grid zero."""
+    piece = curve(*data)
+    kind, data = region
+    got = piece.ranges_in_box(data) if kind == "box" else piece.ranges_in_ball(*data)
+    inside, excess = _reference_inside(piece, kind, data)
+    want = scan_ranges_reference(piece, inside)
+
+    def sliver(a, b):
+        return b - a <= 1e-5 and np.max(np.abs(excess(np.linspace(a, b, 33)))) <= 1e-14
+
+    got, want = ([r for r in rs if not sliver(*r)] for rs in (got, want))
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        for x, y in zip(g, w):
+            assert abs(x - y) <= 1e-13 * max(1.0, abs(y)) or sliver(min(x, y), max(x, y))
+    assert all(b < a for (_, b), (a, _) in zip(got, got[1:]))      # runs are merged
+
