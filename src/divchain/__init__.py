@@ -13,8 +13,7 @@ from .geometry import Domain, subboxes
 from .measure import (RadonMeasure, TestFunction, check_dominated, lub_measures,
                       oscillatory_bump, plateau_bump)
 from .oracle import TestSuite, build_suite, compare, mollification_study, weak_divergence
-from .rectifiable import (GraphCurve, HorizontalSegment, JumpPoint, RectifiableSet,
-                          VerticalSegment, merge_sets)
+from .rectifiable import GraphCurve, JumpPoint, RectifiableSet, Segment, merge_sets
 
 __version__ = "0.1.0"
 
@@ -26,6 +25,5 @@ __all__ = [
     "singular_set_check", "Domain", "subboxes", "RadonMeasure", "TestFunction",
     "check_dominated", "lub_measures", "oscillatory_bump", "plateau_bump", "TestSuite",
     "build_suite", "compare", "mollification_study", "weak_divergence", "GraphCurve",
-    "HorizontalSegment", "JumpPoint", "RectifiableSet", "VerticalSegment", "merge_sets",
-    "__version__",
+    "JumpPoint", "RectifiableSet", "Segment", "merge_sets", "__version__",
 ]

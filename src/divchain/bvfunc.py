@@ -168,7 +168,7 @@ class BVFunction:
         off = ~self.on_jump(pts, tol=1e-9)
         return float(np.max(np.abs(self.eval(pts[off]))))
 
-    def validate(self, trace_tol=1e-8):
+    def validate(self):
         """Trace consistency + bound check on samples; returns report rows."""
         rows = []
         pts = self.domain.grid(41)
@@ -182,8 +182,8 @@ class BVFunction:
             shift1, shift2 = sn * 1e-6, sn * 2e-6
             lim_p = 2 * self.eval(sp + shift1) - self.eval(sp + shift2)
             lim_m = 2 * self.eval(sp - shift1) - self.eval(sp - shift2)
-            rows.append(("trace_plus", bool(np.max(np.abs(lim_p - up)) <= trace_tol)))
-            rows.append(("trace_minus", bool(np.max(np.abs(lim_m - um)) <= trace_tol)))
+            rows.append(("trace_plus", bool(np.max(np.abs(lim_p - up)) <= 1e-8)))
+            rows.append(("trace_minus", bool(np.max(np.abs(lim_m - um)) <= 1e-8)))
             rows.append(("jump_nondegenerate", bool(np.min(np.abs(up - um)) > 0)))
         return rows
 

@@ -33,8 +33,8 @@ class IFSSpec:
         if not (np.isfinite(self.a) and np.isfinite(self.b) and self.a < self.b):
             raise ValueError(f"Cantor base ({self.a}, {self.b}) must be finite with a < b")
 
-    def same_construction(self, other, tol=1e-12):
-        return abs(self.a - other.a) <= tol and abs(self.b - other.b) <= tol
+    def same_construction(self, other):
+        return abs(self.a - other.a) <= 1e-12 and abs(self.b - other.b) <= 1e-12
 
 
 MIDDLE_THIRDS = IFSSpec()
@@ -133,11 +133,11 @@ class CantorPart:
     def apply(self, phi, rtol=RICHARDSON_RTOL):
         return self.mass * integrate_ifs(phi, self.spec, rtol=rtol)
 
-    def total_variation(self, weight=None, rtol=RICHARDSON_RTOL):
+    def total_variation(self, weight=None):
         """TV of the part, optionally against an extra density |weight|."""
         if weight is None:
             return abs(self.mass)
-        return abs(self.mass) * integrate_ifs(lambda x: np.abs(weight(x)), self.spec, rtol=rtol)
+        return abs(self.mass) * integrate_ifs(lambda x: np.abs(weight(x)), self.spec)
 
     def interval_mass(self, lo, hi):
         f = ifs_cdf(self.spec, np.array([lo, hi]))

@@ -45,30 +45,24 @@ def _slab_tables(traj: Trajectory, per_state):
     return (np.take(table, inv, axis=-1) for table in np.concatenate(vals, axis=-1))
 
 
-def _pairing(traj: Trajectory, t_basis, x_basis):
-    """pair(g0, g1, iface) -> <., T_a X_b> of slab tables, shape (n_t, n_x).
+def _hat_pairings(traj: Trajectory, t_basis, x_basis, per_state):
+    """<g0, -d_t T_a X_b> + <g1, -T_a d_x X_b> for each pair of slab tables
+    (g0, g1) of per_state (see _slab_tables): an array (ntab, n_t, n_x).
 
-    g0 pairs with -d_t of the time hats and g1 with -d_x of the space hats,
-    both in closed form for piecewise-constant-in-(t, x) tables; each
-    (series, xw) in iface subtracts a time series at a face whose space
-    hats take the values xw.
+    Both pairings are in closed form for piecewise-constant-in-(t, x)
+    tables, and the tables are built one at a time.
     """
     TI = t_basis.seg_integrals(traj.times)         # (n_t, nslab)
     dT = np.diff(t_basis.vals(traj.times), axis=1)  # (n_t, nslab)
     XI = x_basis.seg_integrals(traj.edges)         # (n_x, ncell)
     dX = x_basis.point_diffs(traj.edges)           # (n_x, ncell)
-
-    def pair(g0, g1, iface=()):
-        m = -(dT @ g0 @ XI.T) - (TI @ g1 @ dX.T)
-        for series, xw in iface:
-            m -= np.outer(TI @ series, xw)
-        return m
-
-    return pair
+    return np.array([-(dT @ g0 @ XI.T) - (TI @ g1 @ dX.T)
+                     for g0, g1 in _slab_tables(traj, per_state)])
 
 
-def space_time_bumps(traj: Trajectory, n=5):
-    """C^2 plateau bumps T(t) X(x) on (0,T) x interior, straddling each interface.
+def space_time_bumps(traj: Trajectory):
+    """Five C^2 plateau bumps T(t) X(x) on (0,T) x interior, centred at 0.3,
+    0.5 and 0.7 of the domain and then on the interfaces.
 
     Each bump is returned as its two 1-D factors, (label, T, X): one time
     factor shared by all, and a space factor per centre.
@@ -84,7 +78,7 @@ def space_time_bumps(traj: Trajectory, n=5):
     for i in traj.interfaces():
         centers.append(traj.edges[i])
     fns = []
-    for j, c in enumerate(centers[:n]):
+    for j, c in enumerate(centers[:5]):
         w = 0.22 * xspan
         lo = max(c - w, xlo + 0.02 * xspan)
         hi = min(c + w, xhi - 0.02 * xspan)
@@ -199,7 +193,6 @@ def kinetic_measure(traj: Trajectory, n_t=6, n_x=10, n_v=14):
     (xlo, xhi), = traj.domain.bounds
     x_basis = HatBasis(xlo, xhi, n_x)
     v_basis = HatBasis(-1.0, umax + 1.0, n_v)
-    pair = _pairing(traj, t_basis, x_basis)
 
     def per_state(kv, u):
         A = lambda v: flux.flux_at(kv, v)
@@ -209,20 +202,21 @@ def kinetic_measure(traj: Trajectory, n_t=6, n_x=10, n_v=14):
                            + Au * h.upper_integral(u))
                           for h in v_basis.hats])
 
+    masses = _hat_pairings(traj, t_basis, x_basis, per_state)
+    # the interface part: minus a time series at each coefficient jump,
+    # times the space hats at its face
     slabs = traj.states[:-1]
+    TI = t_basis.seg_integrals(traj.times)
     ifaces = traj.interfaces()
-    masses = np.empty((n_t, n_x, n_v))
-    for c, (g0, g1) in enumerate(_slab_tables(traj, per_state)):
-        vh = v_basis.hats[c]
-        iface = []
+    for m, vh in zip(masses, v_basis.hats):
         for i in ifaces:
             km_, kp_ = traj.kvals[i - 1], traj.kvals[i]
             jump = lambda v: flux.flux_at(kp_, v) - flux.flux_at(km_, v)
             series = sum(vh.weighted_to_upper(jump, uh, flux.ahat_degree) / 2
                          for uh in (slabs[:, i - 1], slabs[:, i]))
-            iface.append((series, x_basis.vals(traj.edges[i:i + 1])[:, 0]))
-        masses[:, :, c] = pair(g0, g1, iface)
-    return KineticMeasure(masses, t_basis, x_basis, v_basis)
+            m -= np.outer(TI @ series, x_basis.vals(traj.edges[i:i + 1])[:, 0])
+    return KineticMeasure(np.ascontiguousarray(masses.transpose(1, 2, 0)),
+                          t_basis, x_basis, v_basis)
 
 
 def kinetic_identity_residual(traj: Trajectory, km: KineticMeasure):
@@ -239,7 +233,6 @@ def kinetic_identity_residual(traj: Trajectory, km: KineticMeasure):
     paired once with the (t, x) hats.  Returns the worst absolute
     residual, at machine level for solver output."""
     flux = traj.flux
-    pair = _pairing(traj, km.t_basis, km.x_basis)
     nodes = km.v_basis.nodes
     dvhs = [hat_derivative(nodes[c], nodes[c + 1], nodes[c + 2])
             for c in range(len(km.v_basis.hats))]
@@ -254,8 +247,7 @@ def kinetic_identity_residual(traj: Trajectory, km: KineticMeasure):
                           + Au * dvh.upper_integral(u))
                          for vh, dvh in zip(km.v_basis.hats, dvhs)])
 
-    return max(float(np.max(np.abs(pair(h0, h1))))
-               for h0, h1 in _slab_tables(traj, per_state))
+    return float(np.max(np.abs(_hat_pairings(traj, km.t_basis, km.x_basis, per_state))))
 
 
 def interface_W(u1p, u1m, u2p, u2m, bplus_nu):
@@ -286,22 +278,22 @@ def l1_distance(a: GridState, b: GridState):
     return float(np.sum(np.abs(a.averages - b.averages)) * a.dx)
 
 
-def kato_check(flux: FluxSpec, u0_a, u0_b, T, dx_list, domain, cfl=0.45):
-    """Contraction table over a refinement sequence.
+def kato_check(flux: FluxSpec, u0_a, u0_b, T, dx_list, domain):
+    """Contraction table over a refinement sequence, at GridState's cfl 0.45.
 
     Per dx: L1 distances at 0 and T, their deficit, and the accumulated
     interface W integral with its worst sample.
     """
-    return [_kato_row(flux, u0_a, u0_b, T, dx, domain, cfl) for dx in dx_list]
+    return [_kato_row(flux, u0_a, u0_b, T, dx, domain) for dx in dx_list]
 
 
-def _kato_row(flux: FluxSpec, u0_a, u0_b, T, dx, domain, cfl):
+def _kato_row(flux: FluxSpec, u0_a, u0_b, T, dx, domain):
     """One kato_check row: both data march in one sweep on the dx mesh, and
     their trajectories are freed before the next mesh is built."""
     (xlo, xhi), = domain.bounds
     n = int(round((xhi - xlo) / dx))
-    ga = GridState.from_function(domain, n, u0_a, cfl=cfl)
-    gb = GridState.from_function(domain, n, u0_b, cfl=cfl)
+    ga = GridState.from_function(domain, n, u0_a)
+    gb = GridState.from_function(domain, n, u0_b)
     ta, tb = _solve(flux, [ga, gb], T)
     d0 = l1_distance(ga, gb)
     dT = l1_distance(ta.final(), tb.final())

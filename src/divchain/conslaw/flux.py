@@ -92,8 +92,8 @@ class EntropyPair:
         self.d2S = d2S
         self.dS_degree = dS_degree
 
-    def check_convex(self, u_range, n=101):
-        us = np.linspace(*u_range, n)
+    def check_convex(self, u_range):
+        us = np.linspace(*u_range, 101)
         if self.d2S is not None:
             return bool(np.all(np.asarray(self.d2S(us)) >= -1e-12))
         d2 = np.diff(np.asarray(self.dS(us)))

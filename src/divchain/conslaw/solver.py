@@ -38,20 +38,17 @@ class GridState:
         self.cfl = float(cfl)
 
     @staticmethod
-    def from_function(domain, ncells, fn, cfl=0.45, cell_average=True):
+    def from_function(domain, ncells, fn, cfl=0.45):
+        """The cell averages of fn, by 4-point Gauss per cell."""
         lo, hi = domain.bounds[0]
         edges = np.linspace(lo, hi, ncells + 1)
-        if cell_average:
-            # 4-point Gauss per cell
-            gx, gw = gauss(4)
-            mid = 0.5 * (edges[:-1] + edges[1:])
-            half = 0.5 * (edges[1:] - edges[:-1])
-            vals = np.zeros(ncells)
-            for x, w in zip(gx, gw):
-                vals += 0.5 * w * np.asarray(fn(mid + half * x), dtype=float)
-            return GridState(domain, vals, cfl=cfl)
+        gx, gw = gauss(4)
         mid = 0.5 * (edges[:-1] + edges[1:])
-        return GridState(domain, np.asarray(fn(mid), dtype=float), cfl=cfl)
+        half = 0.5 * (edges[1:] - edges[:-1])
+        vals = np.zeros(ncells)
+        for x, w in zip(gx, gw):
+            vals += 0.5 * w * np.asarray(fn(mid + half * x), dtype=float)
+        return GridState(domain, vals, cfl=cfl)
 
 
 class Trajectory:
@@ -98,10 +95,10 @@ def _coefficients(flux: FluxSpec, grid: GridState):
     return kvals
 
 
-def _validate_interface_fluxes(flux: FluxSpec, kvals, n_checks=101):
+def _validate_interface_fluxes(flux: FluxSpec, kvals):
     """Interface coupling assumes concave-unimodal or monotone fluxes."""
     lo, hi = flux.u_range
-    us = np.linspace(lo, hi, n_checks)
+    us = np.linspace(lo, hi, 101)
     for kv in np.unique(kvals.round(12)):
         f = flux.flux_at(kv, us)
         d = np.diff(f)
@@ -114,20 +111,19 @@ def _validate_interface_fluxes(flux: FluxSpec, kvals, n_checks=101):
                 "interface coupling requires concave (single-max) fluxes")
 
 
-def fv_solve(flux: FluxSpec, u0: GridState, T, cfl=None) -> Trajectory:
+def fv_solve(flux: FluxSpec, u0: GridState, T) -> Trajectory:
     """March to time T with Godunov fluxes; dt = cfl dx / max |speed|."""
-    return _solve(flux, [u0], T, cfl)[0]
+    return _solve(flux, [u0], T)[0]
 
 
-def _solve(flux: FluxSpec, grids, T, cfl=None):
+def _solve(flux: FluxSpec, grids, T):
     """March several initial data on one mesh to time T in one sweep.
 
-    The grids share the first one's mesh, start time and (when cfl is
-    None) CFL number; returns one Trajectory per grid.
+    The grids share the first one's mesh, start time and CFL number;
+    returns one Trajectory per grid.
     """
     g0 = grids[0]
-    cfl = float(cfl if cfl is not None else g0.cfl)
-    if not (0.0 < cfl < 1.0):
+    if not (0.0 < g0.cfl < 1.0):
         raise ScenarioValidationError("cfl must be in (0, 1)")
     lo, hi = flux.u_range
     u0 = np.stack([g.averages for g in grids])
@@ -137,7 +133,7 @@ def _solve(flux: FluxSpec, grids, T, cfl=None):
     if len(np.unique(kvals.round(12))) > 1:
         _validate_interface_fluxes(flux, kvals)
     speed = max(flux.M, 1e-12)
-    nsteps = max(1, math.ceil(float(T) * speed / (cfl * g0.dx)))
+    nsteps = max(1, math.ceil(float(T) * speed / (g0.cfl * g0.dx)))
     dt = float(T) / nsteps
 
     states = _sweep(face_fluxes(flux, kvals), u0, dt / g0.dx, nsteps)

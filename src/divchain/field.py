@@ -116,11 +116,11 @@ class ParamField:
                           t_degree=self.t_degree)
 
     # -- validation ---------------------------------------------------------
-    def validate(self, t_grid=None, n_space=21):
+    def validate(self):
         """Sampled checks of the structural assumptions; returns report rows."""
         rows = []
-        ts = t_grid if t_grid is not None else np.linspace(*self.t_range, 9)
-        pts = self.domain.grid(n_space)
+        ts = np.linspace(*self.t_range, 9)
+        pts = self.domain.grid(21)
         off = ~self.singular_set.contains(pts, 1e-9)
         sup = max(np.max(np.abs(self.eval(pts[off], t))) for t in ts)
         rows.append(("bounded_by_M", bool(sup <= self.M + 1e-9), sup))
@@ -279,8 +279,7 @@ def _normal_at(singular_set: RectifiableSet, pts):
     return sn[int(np.argmin(d))]
 
 
-def singular_set_check(field: ParamField, sigma: RadonMeasure, radii=(1e-1, 1e-2, 1e-3),
-                       threshold=1e-2):
+def singular_set_check(field: ParamField, sigma: RadonMeasure, radii=(1e-1, 1e-2, 1e-3)):
     """Report whether sigma has positive (N-1)-density exactly on the
     declared singular set (sampled; report-only)."""
     rows = []
@@ -297,14 +296,14 @@ def singular_set_check(field: ParamField, sigma: RadonMeasure, radii=(1e-1, 1e-2
         sp, _ = field.singular_set.samples(5)
         for p in sp:
             rs = ratios(p)
-            verdict = rs[-1] > threshold and rs[-1] >= 0.3 * rs[0]
+            verdict = rs[-1] > 1e-2 and rs[-1] >= 0.3 * rs[0]
             rows.append({"point": [float(v) for v in np.atleast_1d(p)],
                          "on_declared_set": True, "ratios": rs, "positive_density": verdict})
     probes = field.domain.grid(5)
     keep = ~field.singular_set.contains(probes, 0.05)
     for p in probes[keep][:6]:
         rs = ratios(p)
-        verdict = rs[-1] > threshold and rs[-1] >= 0.3 * rs[0]
+        verdict = rs[-1] > 1e-2 and rs[-1] >= 0.3 * rs[0]
         rows.append({"point": [float(v) for v in p], "on_declared_set": False,
                      "ratios": rs, "positive_density": verdict})
     ok = all(r["positive_density"] == r["on_declared_set"] for r in rows)

@@ -49,18 +49,18 @@ class Domain:
     def box(x_bounds, y_bounds):
         return Domain(2, (tuple(map(float, x_bounds)), tuple(map(float, y_bounds))))
 
-    def contains_box(self, sub_bounds, tol=1e-12):
-        """Whether another per-axis bounds tuple sits inside this domain."""
+    def contains_box(self, sub_bounds):
+        """Whether another per-axis bounds tuple sits inside this domain, to 1e-12."""
         for (lo, hi), (slo, shi) in zip(self.bounds, sub_bounds):
-            if slo < lo - tol or shi > hi + tol:
+            if slo < lo - 1e-12 or shi > hi + 1e-12:
                 return False
         return True
 
-    def contains_points(self, pts, tol=1e-12):
+    def contains_points(self, pts):
         pts = as_points(pts, self.dim)
         ok = np.ones(len(pts), dtype=bool)
         for ax, (lo, hi) in enumerate(self.bounds):
-            ok &= (pts[:, ax] >= lo - tol) & (pts[:, ax] <= hi + tol)
+            ok &= (pts[:, ax] >= lo - 1e-12) & (pts[:, ax] <= hi + 1e-12)
         return ok
 
     def grid(self, n_per_axis):

@@ -59,10 +59,6 @@ class TestFunction:
     def __repr__(self):
         return f"TestFunction({self.label or self.support_box})"
 
-    def value_1d(self, x):
-        """Evaluate on bare 1D abscissae (used by Cantor refinement)."""
-        return self.value(np.asarray(x, dtype=float)[:, None])
-
 
 def _smoothstep(s):
     # C^2 quintic step on [0, 1]
@@ -154,20 +150,10 @@ class RadonMeasure:
         return RadonMeasure(domain)
 
     @staticmethod
-    def lebesgue(domain, density=None, singular=None):
-        f = density if density is not None else (lambda pts: np.ones(len(pts)))
-        return RadonMeasure(domain, ac=f, ac_singular=singular)
-
-    @staticmethod
     def from_jump(domain, rect_set: RectifiableSet, g):
         """g H^{N-1} on rect_set, one jump component per piece; the density
         g maps pts (n, dim) and unit normals nus (n, dim) to (n,)."""
         return RadonMeasure(domain, jumps={k: (comp, g) for k, comp in rect_set.components()})
-
-    @staticmethod
-    def point_mass(domain, x, mass, nu=1.0):
-        rect = RectifiableSet(1, [x], [nu])
-        return RadonMeasure.from_jump(domain, rect, lambda pts, nus: np.full(len(pts), mass))
 
     # -- algebra ------------------------------------------------------
     def __add__(self, other):
@@ -230,32 +216,19 @@ class RadonMeasure:
         return self + (other * -1.0)
 
     # -- evaluation ---------------------------------------------------
-    def _cantor_weighted(self, phi_1d, rtol=1e-9):
-        if self.cantor is None:
-            return 0.0
-        rtol = max(rtol, 1e-12)
-        h = self.cantor_density
-        if h is None:
-            return self.cantor.apply(phi_1d, rtol=rtol)
-        return self.cantor.apply(lambda x: np.asarray(phi_1d(x)) * np.asarray(h(x)),
-                                 rtol=rtol)
-
     def apply(self, phi: TestFunction, tol_abs=1e-10, tol_rel=1e-10):
         """Action <mu, phi> for a compactly supported test function."""
         if phi.dim != self.domain.dim:
             raise DomainMismatchError("test function dimension mismatch")
         if not self.domain.contains_box(phi.support_box):
             raise DomainMismatchError("test function support exceeds the measure's domain")
-        return self._apply_field(phi.value, phi.support_box, tol_abs, tol_rel,
-                                 phi_1d=phi.value_1d, breaks=phi.breaks)
+        return self._apply_field(phi.value, phi.support_box, tol_abs, tol_rel, phi.breaks)
 
     def apply_function(self, fn, tol_abs=1e-10, tol_rel=1e-10, extra_breaks=()):
         """Action on a bounded Borel field given over the whole domain."""
-        fn1d = (lambda x: np.asarray(fn(np.asarray(x, dtype=float)[:, None])))
-        return self._apply_field(fn, self.domain.bounds, tol_abs, tol_rel,
-                                 phi_1d=fn1d, breaks=(extra_breaks,))
+        return self._apply_field(fn, self.domain.bounds, tol_abs, tol_rel, (extra_breaks,))
 
-    def _apply_field(self, value, box, tol_abs, tol_rel, phi_1d, breaks=()):
+    def _apply_field(self, value, box, tol_abs, tol_rel, breaks):
         """breaks: per-axis abscissae where the a.c. integral is split."""
         total = 0.0
         if self.ac is not None:
@@ -266,7 +239,11 @@ class RadonMeasure:
                 lambda pts, nus: np.asarray(value(pts), dtype=float) * np.asarray(g(pts, nus), dtype=float),
                 tol_abs=tol_abs, tol_rel=tol_rel, box=box)
             total += v
-        total += self._cantor_weighted(phi_1d, rtol=max(tol_rel / 10.0, 1e-10))
+        if self.cantor is not None:
+            h = self.cantor_density
+            phi_1d = lambda x: np.asarray(value(np.asarray(x, dtype=float)[:, None]))
+            f = phi_1d if h is None else lambda x: phi_1d(x) * np.asarray(h(x))
+            total += self.cantor.apply(f, rtol=max(tol_rel / 10.0, 1e-10))
         return total
 
     def _integrate_ac(self, f, box, tol_abs, tol_rel, extra_breaks=(), extra_y_breaks=()):
@@ -314,7 +291,7 @@ class RadonMeasure:
                                                                rtol=1e-7)
         return total
 
-    def ball_mass(self, center, r, tol=1e-10):
+    def ball_mass(self, center, r):
         """mu(B_r(center)), used by singular-set density diagnostics."""
         center = np.atleast_1d(np.asarray(center, dtype=float))
         total = 0.0
@@ -324,7 +301,7 @@ class RadonMeasure:
             if self.ac is not None and hi > lo:
                 breaks = [] if self.ac_singular is None else list(self.ac_singular.points_1d)
                 v, _ = integrate_1d(lambda x: self.ac(x[:, None]), lo, hi,
-                                    breakpoints=breaks, tol_abs=tol)
+                                    breakpoints=breaks, tol_abs=1e-10)
                 total += v
         elif self.ac is not None:
             tbreaks = []
@@ -335,7 +312,7 @@ class RadonMeasure:
                             p = piece.points(np.array([s]))[0]
                             tbreaks.append(np.arctan2(p[1] - center[1], p[0] - center[0]))
             v, _ = integrate_polar(lambda pts: self.ac(pts), center, r,
-                                   theta_breaks=tbreaks, tol_abs=tol)
+                                   theta_breaks=tbreaks, tol_abs=1e-10)
             total += v
         for comp, g in self.jumps.values():
             total += comp.mass_in_ball(g, center, r)

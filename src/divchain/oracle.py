@@ -57,10 +57,10 @@ def cantor_breaks(spec: IFSSpec):
     return construction_endpoints(spec, CANTOR_DEPTH)
 
 
-def build_suite(domain: Domain, singular: RectifiableSet | None = None, n_min=20,
-                breaks_1d=()):
+def build_suite(domain: Domain, singular: RectifiableSet | None = None, breaks_1d=()):
     """Plateau/oscillatory bumps: >= 3 straddling each singular component,
-    plus a grid of off-set bumps and sign-changing oscillatory ones.
+    plus a grid of off-set bumps and sign-changing oscillatory ones, widened
+    to at least 20 members.
 
     In 1-D every member also breaks at the declared abscissae breaks_1d that
     fall inside its support (the Cantor construction; see cantor_breaks).
@@ -111,7 +111,7 @@ def build_suite(domain: Domain, singular: RectifiableSet | None = None, n_min=20
 
     # widen with larger plateau bumps until the floor is met
     j = 0
-    while len(fns) < n_min:
+    while len(fns) < 20:
         lo, hi = bounds[0]
         frac = 0.08 + 0.8 * (j % 7) / 7.0
         support = [_shrink(l, h, 0.02 + 0.02 * (j % 5), 0.98 - 0.02 * (j % 3))

@@ -196,7 +196,7 @@ def _bisect(rects):
     return np.stack([first, second], axis=1).reshape(-1, 4)
 
 
-def integrate_cells(f, cells, tol_abs=1e-10, tol_rel=1e-10, max_rects=16384):
+def integrate_cells(f, cells, tol_abs=1e-10, tol_rel=1e-10):
     """Adaptive tensor quadrature of vectorized f(pts) over a cell decomposition.
 
     Each cell refines on its own: it has the absolute budget tol_abs /
@@ -220,7 +220,7 @@ def integrate_cells(f, cells, tol_abs=1e-10, tol_rel=1e-10, max_rects=16384):
             if errsum <= tol:
                 done[i] = (total, errsum)
                 continue
-            if len(rects[i]) > max_rects:
+            if len(rects[i]) > 16384:
                 raise IntegrationError(
                     f"2d quadrature stalled: {len(rects[i])} cells, error {errsum:.3e} > {tol:.3e}")
             r = rects[i]
@@ -249,7 +249,7 @@ def integrate_cells(f, cells, tol_abs=1e-10, tol_rel=1e-10, max_rects=16384):
     return total, err
 
 
-def integrate_polar(f, center, radius, theta_breaks=(), tol_abs=1e-10, tol_rel=1e-10):
+def integrate_polar(f, center, radius, theta_breaks=(), tol_abs=1e-10):
     """Integral of f over a disc via polar coordinates."""
     cx, cy = center
     t0, t1 = 0.0, 2.0 * np.pi
@@ -266,7 +266,7 @@ def integrate_polar(f, center, radius, theta_breaks=(), tol_abs=1e-10, tol_rel=1
     bks = sorted(b for b in breaks if t0 < b < t1)
     edges = [t0] + bks + [t1]
     cells = [CurvedCell(pa, pb, 0.0, float(radius)) for pa, pb in zip(edges[:-1], edges[1:])]
-    return integrate_cells(integrand, cells, tol_abs=tol_abs, tol_rel=tol_rel)
+    return integrate_cells(integrand, cells, tol_abs=tol_abs)
 
 
 def integrate_to_upper(g, upper, kinks=(), degree=None):

@@ -1,8 +1,8 @@
 """Rectifiable singular sets: one list of oriented pieces in 1-D and 2-D.
 
 A piece is a jump point (1-D) or a C1 curve (2-D).  Curves are restricted to
-three parametrizable forms -- vertical segments, horizontal segments, and
-graphs x2 = f(x1) -- which is enough to carry the singular sets of every
+two parametrizable forms -- vertical or horizontal segments, and graphs
+x2 = f(x1) -- which is enough to carry the singular sets of every
 bundled scenario while keeping splitting of area integrals exact.  Every
 piece carries a fixed orientation: the unit normal is part of the data, not
 derived on the fly.  All pieces share one interface (key, flipped, points,
@@ -148,24 +148,27 @@ def _ranges(piece, dist):
     return list(zip(a[run[:-1] == 1].tolist(), b[run[1:] == -1].tolist()))
 
 
-class VerticalSegment(CurvePiece):
-    """{x1 = c, x2 in [y0, y1]}, normal = side * e1."""
+class Segment(CurvePiece):
+    """{x_axis = c, the other coordinate s in [s0, s1]}, normal = side * e_axis:
+    a vertical segment (axis 0, key "v") or a horizontal one (axis 1, "h")."""
 
-    def __init__(self, c, y0, y1, side=+1):
-        if y1 <= y0:
-            raise GeometryError("empty vertical segment")
+    def __init__(self, axis, c, s0, s1, side=+1):
+        if s1 <= s0:
+            raise GeometryError("empty segment")
+        self.axis = int(axis)
         self.c = float(c)
-        self.s0, self.s1 = float(y0), float(y1)
+        self.s0, self.s1 = float(s0), float(s1)
         self.side = int(side)
 
     def points(self, s):
         s = np.atleast_1d(np.asarray(s, dtype=float))
-        return np.column_stack([np.full_like(s, self.c), s])
+        cols = [np.full_like(s, self.c), s]
+        return np.column_stack(cols if self.axis == 0 else cols[::-1])
 
     def normals(self, s):
         s = np.atleast_1d(np.asarray(s, dtype=float))
         n = np.zeros((len(s), 2))
-        n[:, 0] = self.side
+        n[:, self.axis] = self.side
         return n
 
     def jacobian(self, s):
@@ -173,53 +176,18 @@ class VerticalSegment(CurvePiece):
         return np.ones_like(s)
 
     def key(self):
-        return ("v", round(self.c, 12), round(self.s0, 12), round(self.s1, 12))
+        return ("vh"[self.axis], round(self.c, 12), round(self.s0, 12), round(self.s1, 12))
 
     def flipped(self):
-        return VerticalSegment(self.c, self.s0, self.s1, -self.side)
+        return Segment(self.axis, self.c, self.s0, self.s1, -self.side)
 
     def contains(self, pts, tol):
-        return (np.abs(pts[:, 0] - self.c) <= tol) & (pts[:, 1] >= self.s0) & (pts[:, 1] <= self.s1)
+        along = pts[:, 1 - self.axis]
+        return (np.abs(pts[:, self.axis] - self.c) <= tol) & (along >= self.s0) & (along <= self.s1)
 
     def breaks(self):
-        return (self.c,), (self.s0, self.s1)
-
-
-class HorizontalSegment(CurvePiece):
-    """{x2 = c, x1 in [x0, x1]}, normal = side * e2."""
-
-    def __init__(self, c, x0, x1, side=+1):
-        if x1 <= x0:
-            raise GeometryError("empty horizontal segment")
-        self.c = float(c)
-        self.s0, self.s1 = float(x0), float(x1)
-        self.side = int(side)
-
-    def points(self, s):
-        s = np.atleast_1d(np.asarray(s, dtype=float))
-        return np.column_stack([s, np.full_like(s, self.c)])
-
-    def normals(self, s):
-        s = np.atleast_1d(np.asarray(s, dtype=float))
-        n = np.zeros((len(s), 2))
-        n[:, 1] = self.side
-        return n
-
-    def jacobian(self, s):
-        s = np.atleast_1d(np.asarray(s, dtype=float))
-        return np.ones_like(s)
-
-    def key(self):
-        return ("h", round(self.c, 12), round(self.s0, 12), round(self.s1, 12))
-
-    def flipped(self):
-        return HorizontalSegment(self.c, self.s0, self.s1, -self.side)
-
-    def contains(self, pts, tol):
-        return (np.abs(pts[:, 1] - self.c) <= tol) & (pts[:, 0] >= self.s0) & (pts[:, 0] <= self.s1)
-
-    def breaks(self):
-        return (self.s0, self.s1), (self.c,)
+        own = ((self.c,), (self.s0, self.s1))
+        return own if self.axis == 0 else own[::-1]
 
 
 class GraphCurve(CurvePiece):

@@ -26,7 +26,7 @@ from .exprs import compile_field, compile_of_t, compile_scalar, compile_uv
 from .field import ParamField
 from .geometry import Domain
 from .measure import RadonMeasure
-from .rectifiable import GraphCurve, HorizontalSegment, RectifiableSet, VerticalSegment
+from .rectifiable import GraphCurve, RectifiableSet, Segment
 
 EXPERIMENTS = ("chain", "w11", "bv-scalar", "product", "anzellotti", "green",
                "moll", "sigma", "conslaw", "kato")
@@ -223,8 +223,8 @@ def _parse_curves(text, ln, cantor_spec=None):
                 df = _of_x1(" ".join(words[i_d + 1:i_from]), ln, cantor_spec)
                 curves.append(GraphCurve(f, df, a, b, side, label=expr_txt))
             else:
-                cls = VerticalSegment if kind == "vline" else HorizontalSegment
-                curves.append(cls(_number(words[1], ln), a, b, side))
+                curves.append(Segment(("vline", "hline").index(kind), _number(words[1], ln),
+                                      a, b, side))
         except (ValueError, IndexError) as exc:
             raise ScenarioParseError(f"malformed curve spec {item!r}", ln) from exc
     return curves

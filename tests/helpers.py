@@ -1,17 +1,18 @@
 """Checks and constructors that only the tests use: finite-difference checks
-of declared derivatives, trace lookups, a Cantor measure, two identities
-of the conservation-law harness evaluated from their definitions, the
-masked piece-selection loops that BVFunction.eval and grad are held to, and
-the indicator bisection that a curve's box and disc ranges are held to."""
+of declared derivatives, trace lookups, Lebesgue, point-mass and Cantor
+measures, a point-sampled grid, two identities of the conservation-law
+harness evaluated from their definitions, the masked piece-selection loops
+that BVFunction.eval and grad are held to, and the indicator bisection that
+a curve's box and disc ranges are held to."""
 
 import numpy as np
 
-from divchain.conslaw import FluxSpec, chi
+from divchain.conslaw import FluxSpec, GridState, chi
 from divchain.errors import GeometryError, NotOnJumpSetError
 from divchain.geometry import as_points
 from divchain.measure import RadonMeasure, TestFunction
 from divchain.quadrature import integrate_1d, integrate_cells
-from divchain.rectifiable import RectifiableSet, VerticalSegment, box_cells
+from divchain.rectifiable import RectifiableSet, Segment, box_cells
 
 
 def check_gradient(phi: TestFunction, n=9, tol=1e-6, h=1e-5):
@@ -105,9 +106,28 @@ def scan_ranges_reference(piece, inside, n_scan=257):
             if b > a and inside(np.array([0.5 * (a + b)]))[0]]
 
 
+def lebesgue(domain, density=None, singular=None):
+    """density(x) dx (1 when None), its integrals split at the set singular."""
+    f = density if density is not None else (lambda pts: np.ones(len(pts)))
+    return RadonMeasure(domain, ac=f, ac_singular=singular)
+
+
+def point_mass(domain, x, mass, nu=1.0):
+    """mass at the 1-D point x, oriented by the normal nu."""
+    rect = RectifiableSet(1, [x], [nu])
+    return RadonMeasure.from_jump(domain, rect, lambda pts, nus: np.full(len(pts), mass))
+
+
 def cantor_measure(domain, part, density=None):
     """The measure with only a Cantor part, optionally weighted by density(x)."""
     return RadonMeasure(domain, cantor=part, cantor_density=density)
+
+
+def point_sampled(domain, ncells, fn):
+    """The grid of fn's values at the ncells cell centres, not its averages."""
+    lo, hi = domain.bounds[0]
+    edges = np.linspace(lo, hi, ncells + 1)
+    return GridState(domain, np.asarray(fn(0.5 * (edges[:-1] + edges[1:])), dtype=float))
 
 
 def cavalieri_lhs(u1, u2):
@@ -128,7 +148,7 @@ def div_xv_zero_residual(flux: FluxSpec, psi: TestFunction, quad_tol=1e-10):
     """
     jumps = list(flux.k.jump_set.points_1d)
     (xa, xb), (va, vb) = psi.support_box
-    curves = RectifiableSet(2, pieces=[VerticalSegment(c, va, vb, +1)
+    curves = RectifiableSet(2, pieces=[Segment(0, c, va, vb, +1)
                                        for c in jumps if xa < c < xb])
     cells = box_cells(psi.support_box, [curves])
 

@@ -4,7 +4,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from divchain import BVFunction, Domain, Piece, RectifiableSet, VerticalSegment, plateau_bump
+from divchain import BVFunction, Domain, Piece, RectifiableSet, Segment, plateau_bump
 from divchain.bvfunc import SCAN_POINTS
 from divchain.cantor import MIDDLE_THIRDS, CantorPart
 from divchain.errors import DegenerateLevelError, GeometryError, NotOnJumpSetError
@@ -20,7 +20,7 @@ def test_traces_heaviside(heaviside):
 
 def test_traces_2d_vertical():
     dom = Domain.box((-1, 1), (-1, 1))
-    J = RectifiableSet(2, pieces=[VerticalSegment(0.0, -1, 1, +1)])
+    J = RectifiableSet(2, pieces=[Segment(0, 0.0, -1, 1, +1)])
     u = BVFunction(
         dom,
         [Piece(lambda p: p[:, 0] < 0, lambda p: np.zeros(len(p)),

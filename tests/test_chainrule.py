@@ -169,7 +169,7 @@ def test_cantor_layer_cake_is_the_exact_sum(spec, mass, coef, a, s, s_sign, ends
     width = spec.b - spec.a
     lo, plo, phi_, hi = (spec.a + e * width for e in ends)
     phi = plateau_bump([(lo, hi)], [(plo, phi_)])
-    exact = mass * integrate_ifs(lambda x: phi.value_1d(x) * F(u.eval(x[:, None])), spec)
+    exact = mass * integrate_ifs(lambda x: phi.value(x[:, None]) * F(u.eval(x[:, None])), spec)
     assert layer_cake_action(field, u, phi) == pytest.approx(exact, abs=1e-7)
 
 

@@ -17,7 +17,7 @@ from divchain.runner import run_scenario
 from divchain.scenario import load
 
 from conftest import ONES, ZEROS
-from helpers import cavalieri_lhs, div_xv_zero_residual
+from helpers import cavalieri_lhs, div_xv_zero_residual, point_sampled
 
 DOM = Domain.interval(-1.0, 1.0)
 
@@ -199,7 +199,7 @@ def test_interface_steady_profile():
     # supply-limited right state on k=0.5: solve 0.5 w(1-w) = 0.09, w > 0.5
     wR = 0.5 * (1 + np.sqrt(1 - 4 * phi_flux / 0.5))
     u0 = lambda x: np.where(x < 0, uL, wR)
-    g = GridState.from_function(DOM, 200, u0, cell_average=False)
+    g = point_sampled(DOM, 200, u0)
     traj = fv_solve(flux, g, 0.5)
     assert np.max(np.abs(traj.states[-1] - traj.states[0])) < 1e-12
     fl = flux.flux_at(1.0, traj.states[-1][50])
@@ -215,14 +215,14 @@ def test_max_principle_and_cfl_guard():
     assert traj.states.min() >= 0.0 - 1e-14
     assert traj.states.max() <= float(np.max(g.averages)) + 1e-14
     with pytest.raises(ScenarioValidationError):
-        fv_solve(burgers_flux(), g, 0.5, cfl=1.5)
+        fv_solve(burgers_flux(), GridState.from_function(DOM, 100, bump, cfl=1.5), 0.5)
 
 
 # -- entropy residual ---------------------------------------------------
 
 def shock_traj(n, T=0.8):
     rq = lambda x: np.where(x < -0.3, 1.0, 0.0)
-    g = GridState.from_function(DOM, n, rq, cell_average=False)
+    g = point_sampled(DOM, n, rq)
     return fv_solve(burgers_flux(), g, T)
 
 
@@ -384,7 +384,7 @@ def test_kinetic_standing_shock_mass_and_positivity():
     # s[S] - [eta] with s = 0, compared on the hat-windowed region
     flux = traffic_flux((1.0, 1.0))
     u0 = lambda x: np.where(x < 0.0, 0.2, 0.8)
-    g = GridState.from_function(DOM, 800, u0, cell_average=False)
+    g = point_sampled(DOM, 800, u0)
     traj = fv_solve(flux, g, 0.8)
     km = kinetic_measure(traj, n_t=6, n_x=10, n_v=14)
     assert km.min_cell >= -1e-8

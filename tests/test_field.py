@@ -54,9 +54,9 @@ def test_singular_set_check(dom11, point_zero):
 
 
 def test_singular_set_check_2d():
-    from divchain import VerticalSegment
+    from divchain import Segment
     dom = Domain.box((-1, 1), (-1, 1))
-    N = RectifiableSet(2, pieces=[VerticalSegment(0.0, -1, 1, +1)])
+    N = RectifiableSet(2, pieces=[Segment(0, 0.0, -1, 1, +1)])
     b = ParamField(dom, lambda pts, t: np.column_stack([np.sign(pts[:, 0]),
                                                         np.zeros(len(pts))]),
                    sup_bound=1.0, singular_set=N,
@@ -176,7 +176,7 @@ def test_bound_validation(dom11, point_zero):
 
 
 def test_validate_skips_every_grid_point_on_the_singular_set():
-    from divchain.rectifiable import VerticalSegment
+    from divchain.rectifiable import Segment
     from divchain.scenario import load
     scn = load(str(bundled_dir() / "2d-vline-jump.scn"))
     pts = scn.field.domain.grid(21)
@@ -185,9 +185,9 @@ def test_validate_skips_every_grid_point_on_the_singular_set():
     assert np.array_equal(scn.field.singular_set.contains(pts, 1e-9), on_line)
     # a value on the jump line beyond M is no bound violation
     dom = Domain.box((-1.0, 1.0), (-1.0, 1.0))
-    line = RectifiableSet(2, pieces=[VerticalSegment(0.0, -1.0, 1.0, +1)])
+    line = RectifiableSet(2, pieces=[Segment(0, 0.0, -1.0, 1.0, +1)])
     b = ParamField(dom, lambda p, t: np.where(np.abs(p[:, :1]) <= 1e-12, 100.0, np.sign(p[:, :1]))
                    * np.array([1.0, 0.0]), sup_bound=1.0, singular_set=line)
-    rows = {name: (ok, value) for name, ok, value in b.validate(n_space=21)}
+    rows = {name: (ok, value) for name, ok, value in b.validate()}
     assert rows["bounded_by_M"] == (True, 1.0)
     assert rows["t_continuity_osc"] == (True, 0.0)

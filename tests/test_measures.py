@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from divchain import (Domain, RadonMeasure, RectifiableSet, VerticalSegment,
+from divchain import (Domain, RadonMeasure, RectifiableSet, Segment,
                       check_dominated, lub_measures, plateau_bump)
 from divchain.cantor import MIDDLE_THIRDS, CantorPart
 from divchain.errors import (AbsoluteContinuityError, DomainMismatchError,
                              UnsupportedStructureError)
 
-from helpers import cantor_measure
+from helpers import cantor_measure, lebesgue, point_mass
 
 
 @pytest.fixture
@@ -23,7 +23,7 @@ def test_plateau_bump_action_against_reference(dom):
     phi = plateau_bump([(0.2, 0.8)], [(0.3, 0.7)])
     ref = quad(lambda x: float(phi.value(np.array([[x]]))[0]), 0.2, 0.8,
                epsabs=1e-11)[0]
-    val = RadonMeasure.lebesgue(d01).apply(phi)
+    val = lebesgue(d01).apply(phi)
     assert abs(val - ref) < 1e-10
     # the quintic step is symmetric, so the value is exactly 0.5
     assert abs(val - 0.5) < 1e-10
@@ -31,7 +31,7 @@ def test_plateau_bump_action_against_reference(dom):
 
 def test_dirac_action(dom):
     phi = plateau_bump([(-0.5, 0.5)], [(-0.2, 0.2)])
-    assert RadonMeasure.point_mass(dom, 0.0, 1.0).apply(phi) == pytest.approx(1.0)
+    assert point_mass(dom, 0.0, 1.0).apply(phi) == pytest.approx(1.0)
 
 
 def test_cantor_action_on_identity():
@@ -43,12 +43,12 @@ def test_cantor_action_on_identity():
 def test_support_outside_domain_raises(dom):
     phi = plateau_bump([(0.5, 1.5)], [(0.8, 1.2)])
     with pytest.raises(DomainMismatchError):
-        RadonMeasure.lebesgue(dom).apply(phi)
+        lebesgue(dom).apply(phi)
 
 
 def test_total_variation_examples(dom):
-    assert RadonMeasure.point_mass(dom, 0.0, -2.0).total_variation() == pytest.approx(2.0)
-    m = RadonMeasure.lebesgue(dom, lambda p: np.sign(p[:, 0]),
+    assert point_mass(dom, 0.0, -2.0).total_variation() == pytest.approx(2.0)
+    m = lebesgue(dom, lambda p: np.sign(p[:, 0]),
                               singular=RectifiableSet(1, [0.0], [1.0]))
     assert m.total_variation() == pytest.approx(2.0, abs=1e-9)
     d = Domain.interval(-0.5, 1.5)
@@ -59,27 +59,27 @@ def test_total_variation_examples(dom):
 def test_lub_examples(dom):
     d01 = Domain.interval(0.0, 1.0)
     phi = plateau_bump([(0.1, 0.9)], [(0.3, 0.7)])
-    two = lub_measures([RadonMeasure.lebesgue(d01),
-                        RadonMeasure.lebesgue(d01, lambda p: 2 * np.ones(len(p)))])
-    ref = RadonMeasure.lebesgue(d01, lambda p: 2 * np.ones(len(p))).apply(phi)
+    two = lub_measures([lebesgue(d01),
+                        lebesgue(d01, lambda p: 2 * np.ones(len(p)))])
+    ref = lebesgue(d01, lambda p: 2 * np.ones(len(p))).apply(phi)
     assert two.apply(phi) == pytest.approx(ref, abs=1e-10)
 
-    deltas = lub_measures([RadonMeasure.point_mass(dom, 0.0, 1.0),
-                           RadonMeasure.point_mass(dom, 0.0, 3.0)])
+    deltas = lub_measures([point_mass(dom, 0.0, 1.0),
+                           point_mass(dom, 0.0, 3.0)])
     phic = plateau_bump([(-0.5, 0.5)], [(-0.2, 0.2)])
     assert deltas.apply(phic) == pytest.approx(3.0)
 
     # |sign| = 1 dominates 1 - |x|
-    sgn = RadonMeasure.lebesgue(dom, lambda p: np.sign(p[:, 0]),
+    sgn = lebesgue(dom, lambda p: np.sign(p[:, 0]),
                                 singular=RectifiableSet(1, [0.0], [1.0]))
-    hat = RadonMeasure.lebesgue(dom, lambda p: 1 - np.abs(p[:, 0]))
+    hat = lebesgue(dom, lambda p: 1 - np.abs(p[:, 0]))
     assert lub_measures([sgn, hat]).total_variation() == pytest.approx(2.0, abs=1e-9)
 
 
 def test_lub_restricted_tv_dominates(dom):
-    sgn = RadonMeasure.lebesgue(dom, lambda p: np.sign(p[:, 0]),
+    sgn = lebesgue(dom, lambda p: np.sign(p[:, 0]),
                                 singular=RectifiableSet(1, [0.0], [1.0]))
-    hat = RadonMeasure.lebesgue(dom, lambda p: 1 - np.abs(p[:, 0]))
+    hat = lebesgue(dom, lambda p: 1 - np.abs(p[:, 0]))
     sup = lub_measures([sgn, hat])
     for box in (((-1.0, 0.0),), ((-0.5, 0.5),), ((0.25, 1.0),)):
         tv = sup.total_variation(box=box)
@@ -89,8 +89,8 @@ def test_lub_restricted_tv_dominates(dom):
 
 def test_linearity(dom):
     phi = plateau_bump([(-0.6, 0.6)], [(-0.3, 0.3)])
-    m1 = RadonMeasure.lebesgue(dom, lambda p: p[:, 0] ** 2)
-    m2 = RadonMeasure.point_mass(dom, 0.0, 1.0)
+    m1 = lebesgue(dom, lambda p: p[:, 0] ** 2)
+    m2 = point_mass(dom, 0.0, 1.0)
     a, b = 2.5, -1.25
     lhs = (a * m1 + b * m2).apply(phi)
     rhs = a * m1.apply(phi) + b * m2.apply(phi)
@@ -101,15 +101,15 @@ def test_part_orthogonality(dom):
     # a test function supported away from the singular parts sees only the
     # absolutely continuous integral
     d = Domain.interval(-2.0, 2.0)
-    mu = RadonMeasure.lebesgue(d) + RadonMeasure.point_mass(d, 0.0, 5.0)
+    mu = lebesgue(d) + point_mass(d, 0.0, 5.0)
     phi = plateau_bump([(1.0, 1.8)], [(1.2, 1.6)])
-    ref = RadonMeasure.lebesgue(d).apply(phi)
+    ref = lebesgue(d).apply(phi)
     assert mu.apply(phi) == pytest.approx(ref, abs=1e-10)
 
 
 def test_orientation_flip_flips_surface_sign():
     d = Domain.box((-1, 1), (-1, 1))
-    rect = RectifiableSet(2, pieces=[VerticalSegment(0.0, -1, 1, +1)])
+    rect = RectifiableSet(2, pieces=[Segment(0, 0.0, -1, 1, +1)])
     g = lambda pts, nus: nus[:, 0] * 2.0
     mu = RadonMeasure.from_jump(d, rect, g)
     mu_f = RadonMeasure.from_jump(d, rect.flipped(), g)
@@ -120,12 +120,12 @@ def test_orientation_flip_flips_surface_sign():
 def test_check_dominated_examples(dom):
     # a point mass under a point mass, x dx under dx, half the Cantor measure
     # under the whole
-    three = RadonMeasure.point_mass(dom, 0.0, 3.0)
-    one = RadonMeasure.point_mass(dom, 0.0, 1.0)
+    three = point_mass(dom, 0.0, 3.0)
+    one = point_mass(dom, 0.0, 1.0)
     assert check_dominated(three, one) is None
 
     d01 = Domain.interval(0.0, 1.0)
-    check_dominated(RadonMeasure.lebesgue(d01, lambda p: p[:, 0]), RadonMeasure.lebesgue(d01))
+    check_dominated(lebesgue(d01, lambda p: p[:, 0]), lebesgue(d01))
 
     dd = Domain.interval(-0.5, 1.5)
     check_dominated(cantor_measure(dd, CantorPart(MIDDLE_THIRDS, 0.5)),
@@ -133,14 +133,14 @@ def test_check_dominated_examples(dom):
 
 
 def test_check_dominated_violation(dom):
-    mu = RadonMeasure.lebesgue(dom)
-    sigma = RadonMeasure.point_mass(dom, 0.0, 1.0)
+    mu = lebesgue(dom)
+    sigma = point_mass(dom, 0.0, 1.0)
     with pytest.raises(AbsoluteContinuityError):
         check_dominated(mu, sigma)
     # sigma carries the part, but its density vanishes where mu's does not
     with pytest.raises(AbsoluteContinuityError, match="jump density"):
-        check_dominated(RadonMeasure.point_mass(dom, 0.0, 1.0),
-                        RadonMeasure.point_mass(dom, 0.0, 0.0))
+        check_dominated(point_mass(dom, 0.0, 1.0),
+                        point_mass(dom, 0.0, 0.0))
     dd = Domain.interval(-0.5, 1.5)
     with pytest.raises(AbsoluteContinuityError, match="Cantor density"):
         check_dominated(cantor_measure(dd, CantorPart(MIDDLE_THIRDS, 1.0)),
@@ -149,16 +149,16 @@ def test_check_dominated_violation(dom):
 
 
 def test_ball_mass(dom):
-    mu = RadonMeasure.point_mass(dom, 0.0, 2.0) + RadonMeasure.lebesgue(dom)
+    mu = point_mass(dom, 0.0, 2.0) + lebesgue(dom)
     assert mu.ball_mass([0.0], 0.25) == pytest.approx(2.5)
     d2 = Domain.box((-1, 1), (-1, 1))
     line = RadonMeasure.from_jump(
-        d2, RectifiableSet(2, pieces=[VerticalSegment(0.0, -1, 1, +1)]),
+        d2, RectifiableSet(2, pieces=[Segment(0, 0.0, -1, 1, +1)]),
         lambda pts, nus: np.full(len(pts), 2.0))
     assert line.ball_mass((0.0, 0.0), 0.25) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_lub_mismatched_supports_raise(dom):
     with pytest.raises(UnsupportedStructureError):
-        lub_measures([RadonMeasure.point_mass(dom, 0.0, 1.0),
-                      RadonMeasure.point_mass(dom, 0.5, 1.0)])
+        lub_measures([point_mass(dom, 0.0, 1.0),
+                      point_mass(dom, 0.5, 1.0)])

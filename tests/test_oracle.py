@@ -14,14 +14,14 @@ from divchain.quadrature import integrate_cells
 from divchain.rectifiable import GraphCurve, box_cells
 
 from conftest import sign_field
-from helpers import check_gradient
+from helpers import check_gradient, lebesgue, point_mass
 
 
 def test_weak_divergence_of_x(dom11, bump_center):
     # Div(x) = dx, so -int phi' x = int phi
     val, _ = weak_divergence(lambda pts: pts[:, 0][:, None], bump_center, dom11,
                              tol_abs=1e-11, tol_rel=1e-11)
-    ref = RadonMeasure.lebesgue(dom11).apply(bump_center)
+    ref = lebesgue(dom11).apply(bump_center)
     assert val == pytest.approx(ref, abs=1e-9)
 
 
@@ -62,7 +62,7 @@ def test_suite_invariants(dom11, point_zero):
 
 def test_compare_passes_on_consistent_pair(dom11, point_zero, bump_center):
     suite = build_suite(dom11, point_zero)
-    mu = RadonMeasure.point_mass(dom11, 0.0, 1.0)
+    mu = point_mass(dom11, 0.0, 1.0)
     v = lambda pts: (pts[:, 0] > 0).astype(float)[:, None]
     rep = compare(mu, v, suite)
     assert rep["pass"] and rep["max_difference"] < 1e-9
@@ -78,7 +78,7 @@ def test_compare_zero_measure_constant_field(dom11):
 def test_compare_negative_control(dom11, point_zero):
     # mu = delta_0 against v = 0 must fail with difference phi(0)
     suite = build_suite(dom11, point_zero)
-    mu = RadonMeasure.point_mass(dom11, 0.0, 1.0)
+    mu = point_mass(dom11, 0.0, 1.0)
     rep = compare(mu, lambda pts: np.zeros((len(pts), 1)), suite)
     assert not rep["pass"]
     assert rep["max_difference"] > 0.5

@@ -8,10 +8,10 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from divchain import (Domain, RadonMeasure, RectifiableSet, VerticalSegment, merge_sets,
+from divchain import (Domain, RadonMeasure, RectifiableSet, Segment, merge_sets,
                       plateau_bump)
 from divchain.errors import GeometryError
-from divchain.rectifiable import GraphCurve, HorizontalSegment, bracketed_roots
+from divchain.rectifiable import GraphCurve, bracketed_roots
 
 from helpers import scan_ranges_reference
 
@@ -153,7 +153,7 @@ def test_merge_rejects_conflicting_orientation_1d():
 
 
 def test_merge_rejects_conflicting_orientation_2d():
-    seg = VerticalSegment(0.0, -1, 1, +1)
+    seg = Segment(0, 0.0, -1, 1, +1)
     with pytest.raises(GeometryError, match="conflicting orientation"):
         merge_sets(RectifiableSet(2, pieces=[seg]), RectifiableSet(2, pieces=[seg.flipped()]))
 
@@ -167,7 +167,7 @@ def test_jump_density_sees_n_by_dim_normals(dim, apply, tv, ball):
         phi = plateau_bump([(-0.6, 0.6)], [(-0.4, 0.4)])
     else:
         dom = Domain.box((-1, 1), (-1, 1))
-        rect = RectifiableSet(2, pieces=[VerticalSegment(0.0, -1, 1, -1)])
+        rect = RectifiableSet(2, pieces=[Segment(0, 0.0, -1, 1, -1)])
         phi = plateau_bump([(-0.6, 0.6), (-0.6, 0.6)], [(-0.4, 0.4), (-0.4, 0.4)])
     calls = []
 
@@ -240,7 +240,7 @@ def curve(kind, s0, s1, *c):
     if kind == "graph":
         return GraphCurve(lambda x: c[0] + x * (c[1] + x * (c[2] + x * c[3])),
                           lambda x: c[1] + x * (2 * c[2] + 3 * x * c[3]), s0, s1)
-    return (VerticalSegment if kind == "v" else HorizontalSegment)(c[0], s0, s1)
+    return Segment("vh".index(kind), c[0], s0, s1)
 
 
 @st.composite

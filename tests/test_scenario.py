@@ -5,7 +5,7 @@ from divchain.cantor import IFSSpec
 from divchain.cli import bundled_paths
 from divchain.errors import ScenarioParseError, ScenarioValidationError
 from divchain.measure import plateau_bump
-from divchain.rectifiable import HorizontalSegment
+from divchain.rectifiable import Segment
 from divchain.scenario import Scenario, load, parse_text
 
 MINIMAL = """
@@ -116,7 +116,7 @@ sup = 0.5
 def test_hline_curve_div_measure_matches_closed_form():
     scn = Scenario(parse_text(HLINE))
     seg, = scn.singular.pieces
-    assert isinstance(seg, HorizontalSegment)
+    assert isinstance(seg, Segment) and seg.axis == 1
     s = np.array([-0.5, 0.25])
     assert np.array_equal(seg.points(s), [[-0.5, 0.0], [0.25, 0.0]])
     assert np.array_equal(seg.normals(s), [[0.0, 1.0], [0.0, 1.0]])
