@@ -421,9 +421,28 @@ def u_star_div(field: ParamField, u: BVFunction):
 
 
 def anzellotti_pairing(field: ParamField, u: BVFunction):
-    """(A, Du) := Div(u A) - u* Div A, assembled from the product rule."""
-    div_uA = product_rule(field, IDENTITY, u).total
-    return div_uA - u_star_div(field, u)
+    """(A, Du) for A = b(., 0), from its own parts rather than from Div(u A):
+
+        A.grad u dx + A.D^c u + ((A+ + A-).nu / 2)(u+ - u-) H^{N-1} |_{J_u},
+
+    with A+ = A- = A on a component of J_u off the singular set of A."""
+    n_keys = set(field.singular_set.component_keys())
+    merged = _merged_singular(field, u)
+    A = lambda pts: field.eval(pts, 0.0)
+    cantor = cdens = None
+    if u.cantor is not None and u.cantor_amplitude != 0.0:
+        cantor = CantorPart(u.cantor.spec, u.cantor_amplitude)
+        cdens = lambda x: A(np.asarray(x)[:, None])[:, 0]
+    jumps = {}
+    for key, comp in u.jump_set.components():
+        def g(pts, nus, in_n=key in n_keys):
+            a2 = field.trace(pts, 0.0, +1) + field.trace(pts, 0.0, -1) if in_n else 2 * A(pts)
+            jump = np.asarray(u.u_plus(pts), dtype=float) - np.asarray(u.u_minus(pts), dtype=float)
+            return 0.5 * np.einsum("ij,ij->i", a2, nus) * jump
+        jumps[key] = (comp, g)
+    return RadonMeasure(field.domain, ac=lambda pts: np.einsum("ij,ij->i", A(pts), u.grad(pts)),
+                        ac_singular=None if merged.is_empty else merged,
+                        jumps=jumps, cantor=cantor, cantor_density=cdens)
 
 
 def _transversal(field: ParamField, bounds, kind):

@@ -278,8 +278,13 @@ def l1_distance(a: GridState, b: GridState):
     return float(np.sum(np.abs(a.averages - b.averages)) * a.dx)
 
 
+def kato_cells(domain, dx):
+    """The number of cells of kato_check's dx mesh on the domain."""
+    return int(round((domain.bounds[0][1] - domain.bounds[0][0]) / dx))
+
+
 def kato_check(flux: FluxSpec, u0_a, u0_b, T, dx_list, domain):
-    """Contraction table over a refinement sequence, at GridState's cfl 0.45.
+    """Contraction table over a refinement sequence, at cfl DEFAULT_CFL.
 
     Per dx: L1 distances at 0 and T, their deficit, and the accumulated
     interface W integral with its worst sample.
@@ -290,10 +295,8 @@ def kato_check(flux: FluxSpec, u0_a, u0_b, T, dx_list, domain):
 def _kato_row(flux: FluxSpec, u0_a, u0_b, T, dx, domain):
     """One kato_check row: both data march in one sweep on the dx mesh, and
     their trajectories are freed before the next mesh is built."""
-    (xlo, xhi), = domain.bounds
-    n = int(round((xhi - xlo) / dx))
-    ga = GridState.from_function(domain, n, u0_a)
-    gb = GridState.from_function(domain, n, u0_b)
+    ga, gb = (GridState.from_function(domain, kato_cells(domain, dx), u0)
+              for u0 in (u0_a, u0_b))
     ta, tb = _solve(flux, [ga, gb], T)
     d0 = l1_distance(ga, gb)
     dT = l1_distance(ta.final(), tb.final())

@@ -11,8 +11,6 @@ and evaluates Ahat once per cell and step.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from ..errors import GeometryError, ScenarioValidationError
@@ -20,11 +18,18 @@ from ..geometry import Domain
 from ..quadrature import gauss
 from .flux import FluxSpec
 
+DEFAULT_CFL = 0.45      # of every [kato] run, and of a [conslaw] run without cfl
+
+# The most floats a march may allocate for its (rows, nsteps + 1, ncells)
+# trajectory.  The largest benchmark run, refine at dx = 1/1600, holds
+# 2 x 890 x 3200 = 5.7e6 floats; this bound is 44 times that (2 GB of floats).
+MAX_TRAJECTORY_FLOATS = 2.5e8
+
 
 class GridState:
     """Cell averages on a uniform mesh with time/CFL metadata."""
 
-    def __init__(self, domain: Domain, averages, time=0.0, cfl=0.45):
+    def __init__(self, domain: Domain, averages, time=0.0, cfl=DEFAULT_CFL):
         if domain.dim != 1:
             raise GeometryError("the conservation-law harness is 1D")
         self.domain = domain
@@ -38,7 +43,7 @@ class GridState:
         self.cfl = float(cfl)
 
     @staticmethod
-    def from_function(domain, ncells, fn, cfl=0.45):
+    def from_function(domain, ncells, fn, cfl=DEFAULT_CFL):
         """The cell averages of fn, by 4-point Gauss per cell."""
         lo, hi = domain.bounds[0]
         edges = np.linspace(lo, hi, ncells + 1)
@@ -111,6 +116,19 @@ def _validate_interface_fluxes(flux: FluxSpec, kvals):
                 "interface coupling requires concave (single-max) fluxes")
 
 
+def step_count(flux: FluxSpec, T, dx, cfl):
+    """The steps of a march to time T on a dx mesh, ceil(T max(M, 1e-12) /
+    (cfl dx)) and at least 1: a float, inf where the quotient overflows."""
+    with np.errstate(over="ignore", divide="ignore"):
+        return max(1.0, float(np.ceil(float(T) * max(flux.M, 1e-12) / np.float64(cfl * dx))))
+
+
+def in_invariant_region(flux: FluxSpec, averages):
+    """Whether every cell average is a number within flux.u_range, to 1e-12."""
+    lo, hi = flux.u_range
+    return bool(np.min(averages) >= lo - 1e-12 and np.max(averages) <= hi + 1e-12)
+
+
 def fv_solve(flux: FluxSpec, u0: GridState, T) -> Trajectory:
     """March to time T with Godunov fluxes; dt = cfl dx / max |speed|."""
     return _solve(flux, [u0], T)[0]
@@ -125,15 +143,13 @@ def _solve(flux: FluxSpec, grids, T):
     g0 = grids[0]
     if not (0.0 < g0.cfl < 1.0):
         raise ScenarioValidationError("cfl must be in (0, 1)")
-    lo, hi = flux.u_range
     u0 = np.stack([g.averages for g in grids])
-    if np.min(u0) < lo - 1e-12 or np.max(u0) > hi + 1e-12:
+    if not in_invariant_region(flux, u0):
         raise ScenarioValidationError("initial data outside the invariant region")
     kvals = _coefficients(flux, g0)
     if len(np.unique(kvals.round(12))) > 1:
         _validate_interface_fluxes(flux, kvals)
-    speed = max(flux.M, 1e-12)
-    nsteps = max(1, math.ceil(float(T) * speed / (g0.cfl * g0.dx)))
+    nsteps = int(step_count(flux, T, g0.dx, g0.cfl))
     dt = float(T) / nsteps
 
     states = _sweep(face_fluxes(flux, kvals), u0, dt / g0.dx, nsteps)

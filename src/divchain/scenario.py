@@ -6,9 +6,12 @@ expressions in the grammar of exprs.py, lists separated by ',' or '|' or
 key an experiment reads is parsed and checked when the Scenario is built,
 so loading a file (`divchain validate`) rejects exactly what running it
 would; the runner only executes the values built here.  Errors name the
-line of the offending key.  Loading runs no quadrature and no solve: it
-evaluates the flux, the entropy and the initial data on probe grids only,
-so that a value that is not finite there is an error naming its line.
+line of the offending key.  Loading runs no solve and no adaptive
+quadrature: it evaluates the flux, the entropy and the initial data on
+probe grids, so that a value that is not finite there is an error naming
+its line.  It also makes the solver's checks on each march: that its
+trajectory fits the solver's bound, before anything is allocated, and that
+the cell averages of its initial data lie in the invariant region.
 """
 
 from __future__ import annotations
@@ -20,7 +23,9 @@ import numpy as np
 from .bvfunc import BVFunction, Piece
 from .cantor import CantorPart, IFSSpec, MIDDLE_THIRDS
 from .chainrule import ScalarFunction
-from .conslaw import EntropyPair, FluxSpec
+from .conslaw import EntropyPair, FluxSpec, GridState
+from .conslaw.diagnostics import kato_cells
+from .conslaw.solver import DEFAULT_CFL, MAX_TRAJECTORY_FLOATS, in_invariant_region, step_count
 from .errors import ScenarioParseError, ScenarioValidationError
 from .exprs import compile_field, compile_of_t, compile_scalar, compile_uv
 from .field import ParamField
@@ -102,6 +107,25 @@ def _finite_on(fn, probe, line, key, var):
 def _initial_datum(text, line, key, domain):
     """u0 in x1, checked on the 33 cell centres of the domain's probe grid."""
     return _finite_on(_of_x1(text, line), domain.grid(33)[:, 0], line, key, "x1")
+
+
+def _check_march(flux, domain, T, ncells, cfl, rows, line, data):
+    """At load, the checks of the solver on a march of `rows` data at a time to
+    time T on ncells cells: its trajectory fits MAX_TRAJECTORY_FLOATS (the
+    error names `line`), and each (key, line, fn) of data has cell averages
+    in the invariant region u_range."""
+    (lo, hi), = domain.bounds
+    steps = step_count(flux, T, (hi - lo) / ncells, cfl)
+    if rows * (steps + 1) * ncells > MAX_TRAJECTORY_FLOATS:
+        raise ScenarioValidationError(
+            f"line {line}: the march to T = {T:g} (cfl {cfl:g}, max |dahat_du| {flux.M:.3g}) "
+            f"holds {rows} x {steps + 1:.3g} x {ncells:.3g} floats (data x time levels x "
+            f"cells), more than {MAX_TRAJECTORY_FLOATS:.3g}")
+    for key, ln, fn in data:
+        if not in_invariant_region(flux, GridState.from_function(domain, ncells, fn).averages):
+            raise ScenarioValidationError(
+                f"line {ln}: {key} has cell averages outside the invariant region "
+                f"u_range = {flux.u_range[0]:g} .. {flux.u_range[1]:g}")
 
 
 def _pieces_1d(raw, section, key, n, cantor_spec=None):
@@ -400,7 +424,7 @@ def build_conslaw_run(raw: RawScenario, domain: Domain, flux: FluxSpec):
     sec = raw.sections["conslaw"]           # build_flux has required the section
     ln = lambda k: raw.line("conslaw", k)
     num = lambda k, default=None: _number(sec.get(k, default), ln(k))
-    cfl = num("cfl", "0.45")
+    cfl = num("cfl", str(DEFAULT_CFL))
     if not 0.0 < cfl < 1.0:
         raise ScenarioValidationError(f"line {ln('cfl')}: cfl must be in (0, 1)")
     shock = (num("shock_left"), num("shock_right")) \
@@ -418,10 +442,12 @@ def build_conslaw_run(raw: RawScenario, domain: Domain, flux: FluxSpec):
         _finite_on(fn, us, ln(key), key, "t")
     kgrid = _numbers(sec.get("kinetic_grid", "6, 10, 14"), ln("kinetic_grid"),
                      "kinetic_grid", 3)
+    u0 = _initial_datum(raw.require("conslaw", "u0"), ln("u0"), "u0", domain)
+    T = _positive(raw.require("conslaw", "T"), ln("T"), "T")
+    ncells = _count(num("ncells", "200"), ln("ncells"), "ncells")
+    _check_march(flux, domain, T, ncells, cfl, 1, ln("T"), [("u0", ln("u0"), u0)])
     return SimpleNamespace(
-        u0=_initial_datum(raw.require("conslaw", "u0"), ln("u0"), "u0", domain),
-        T=_positive(raw.require("conslaw", "T"), ln("T"), "T"), cfl=cfl,
-        ncells=_count(num("ncells", "200"), ln("ncells"), "ncells"),
+        u0=u0, T=T, cfl=cfl, ncells=ncells,
         kinetic=_flag(sec, "run_kinetic", ln("run_kinetic")),
         kinetic_grid=[_count(v, ln("kinetic_grid"), "kinetic_grid") for v in kgrid],
         kinetic_strict=_flag(sec, "kinetic_strict", ln("kinetic_strict")),
@@ -430,7 +456,7 @@ def build_conslaw_run(raw: RawScenario, domain: Domain, flux: FluxSpec):
         resid_slack=num("resid_slack", "1e-7"), resid_constant=num("resid_constant", "2.0"))
 
 
-def build_kato(raw: RawScenario, domain: Domain):
+def build_kato(raw: RawScenario, domain: Domain, flux: FluxSpec):
     sec = raw.sections.get("kato", {})
     ln = lambda k: raw.line("kato", k)
     T = _positive(raw.require("kato", "T"), ln("T"), "T")
@@ -438,7 +464,7 @@ def build_kato(raw: RawScenario, domain: Domain):
                for v in raw.require("kato", "dx_list").split(",")]
     if max(dx_list) > domain.bounds[0][1] - domain.bounds[0][0]:
         raise ScenarioValidationError(f"line {ln('dx_list')}: a dx exceeds the domain length")
-    pairs = []
+    pairs, data = [], []
     for i in range(1, len(sec)):
         ka, kb = (f"u0_a{i}", f"u0_b{i}") if i > 1 else ("u0_a", "u0_b")
         if ka not in sec:
@@ -446,8 +472,12 @@ def build_kato(raw: RawScenario, domain: Domain):
         if kb not in sec:
             raise ScenarioValidationError(f"line {ln(ka)}: {ka} needs {kb}")
         pairs.append(tuple(_initial_datum(sec[key], ln(key), key, domain) for key in (ka, kb)))
+        data += [(key, ln(key), fn) for key, fn in zip((ka, kb), pairs[-1])]
     if not pairs:
         raise ScenarioValidationError("[kato] needs at least one data pair")
+    for dx in dx_list:          # kato_check marches each pair in one sweep per dx
+        _check_march(flux, domain, T, kato_cells(domain, dx), DEFAULT_CFL, 2, ln("dx_list"),
+                     data)
     return SimpleNamespace(T=T, dx_list=dx_list, pairs=pairs)
 
 
@@ -544,7 +574,7 @@ class Scenario:
             else None
         self.conslaw = build_conslaw_run(raw, self.domain, self.flux) \
             if "conslaw" in exps else None
-        self.kato = build_kato(raw, self.domain) if "kato" in exps else None
+        self.kato = build_kato(raw, self.domain, self.flux) if "kato" in exps else None
         self.fake_scale = None
         if "negative" in raw.sections:
             self.fake_scale = _number(raw.require("negative", "fake_scale"),

@@ -399,6 +399,20 @@ def test_w11_matches_chain_dm_sees_a_scaled_jump_density(tmp_path, monkeypatch):
     assert not check["pass"] and check["data"]["max_difference"] > 1e-7
 
 
+def test_anzellotti_identity_sees_a_scaled_u_star_div(monkeypatch):
+    # Div(u A) = u* Div A + (A, Du) compares two constructions: with u* Div A
+    # scaled by 1.5 it must fail on the one bundled file that runs it
+    scn = load(_bundled("product-sin-heaviside"))
+    for scale, passes in ((1.0, True), (1.5, False)):
+        real = chainrule.u_star_div
+        monkeypatch.setattr(chainrule, "u_star_div", lambda *a, real=real: real(*a) * scale)
+        res = RunResult(scn.id)
+        runner.run_anzellotti(scn, res)
+        check = next(c for c in res.checks if c["name"] == "anzellotti:identity")
+        assert check["pass"] is passes, check
+        monkeypatch.undo()
+
+
 @pytest.mark.parametrize("build, name", [(chain_dm, "2d-smooth-disc"),
                                          (chain_w11, "moll-sign-lin"),
                                          (chain_bv_scalar, "moll-sign-lin")])

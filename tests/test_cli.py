@@ -364,6 +364,22 @@ MALFORMED = [
     ("entropy-d2s-nan-above-half", "burgers-shock",
      [("T = 0.8\n", "T = 0.8\nentropy_d2S = sqrt(0.5-t)\n")], "entropy_d2S",
      EXIT_VALIDATION_ERROR),
+    # initial data whose cell averages leave u_range, which the solver refuses
+    ("u0-below-u-range", "negative-entropy", [("u0 = H(x1+0.3)", "u0 = -1")], "u0",
+     EXIT_VALIDATION_ERROR),
+    ("kato-u0-a-below-u-range", "traffic-kato",
+     [("u0_a = 0.4 + 0.2*(1-min(1,abs((x1+0.55)/0.25))^2)^2", "u0_a = -1")], "u0_a",
+     EXIT_VALIDATION_ERROR),
+    # trajectories beyond the solver's bound: the message names T, or the dx_list
+    ("ncells-1e300", "burgers-shock", [("ncells = 400", "ncells = 1e300")], "T",
+     EXIT_VALIDATION_ERROR),
+    ("cfl-1e-300", "burgers-shock", [("cfl = 0.45", "cfl = 1e-300")], "T",
+     EXIT_VALIDATION_ERROR),
+    ("dahat-du-1e300", "burgers-shock", [("dahat_du = k*u\n", "dahat_du = 1e300\n")], "T",
+     EXIT_VALIDATION_ERROR),
+    ("kato-dx-1e-300", "traffic-kato",
+     [("dx_list = 1/100, 1/200, 1/400", "dx_list = 1e-300")], "dx_list",
+     EXIT_VALIDATION_ERROR),
 ]
 
 
