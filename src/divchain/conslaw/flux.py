@@ -24,6 +24,9 @@ def chi(v, u):
     return out
 
 
+SPEED_TOL = 1e-2      # dahat_du against the difference quotients of ahat, relative
+
+
 class FluxSpec:
     """Composite flux Ahat(k(x), u) and its derivative in u.
 
@@ -52,7 +55,9 @@ class FluxSpec:
 
         The grid is the coefficient values at 33 points off J_k times 101
         points of u_range; `lines` are the scenario lines of ahat and dahat_du,
-        named in the errors.
+        named in the errors.  A dAhat_du that is not the u-derivative of Ahat
+        is not raised here but kept in speed_mismatch, for the loader to raise
+        after its checks of the march.
         """
         pts = self.k.domain.grid(33)
         ks = self.k.eval(pts[~self.k.on_jump(pts, tol=1e-9)])[:, None]
@@ -70,7 +75,22 @@ class FluxSpec:
         if not np.all(np.abs(z) <= 1e-12):
             raise ScenarioValidationError(f"{where[0]}flux must vanish at u = 0 "
                                           f"(normalize Ahat)")
-        return float(np.max(np.abs(grids[1])))
+        # each difference quotient of Ahat between neighbouring probe u lies
+        # between the speeds at its ends, to SPEED_TOL of the largest of them all
+        a, d = grids
+        with np.errstate(all="ignore"):
+            dq = np.diff(a, axis=1) / np.diff(us)
+        lo, hi = np.minimum(d[:, :-1], d[:, 1:]), np.maximum(d[:, :-1], d[:, 1:])
+        bad = np.argwhere(np.maximum(lo - dq, dq - hi)
+                          > SPEED_TOL * max(np.max(np.abs(d)), np.max(np.abs(dq))))
+        self.speed_mismatch = None
+        if len(bad):
+            i, j = bad[0]
+            self.speed_mismatch = (
+                f"{where[1]}dahat_du is not the u-derivative of ahat: at k = {ks[i, 0]:g}, "
+                f"ahat rises by {dq[i, j]:g} per unit u from u = {us[j]:g} to {us[j + 1]:g}, "
+                f"where dahat_du is {d[i, j]:g} and {d[i, j + 1]:g}")
+        return float(np.max(np.abs(d)))
 
     def flux_at(self, kv, u):
         return np.asarray(self.ahat(np.asarray(kv, dtype=float), u), dtype=float)

@@ -41,14 +41,6 @@ class Domain:
             if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
                 raise ValueError(f"invalid interval ({lo}, {hi})")
 
-    @staticmethod
-    def interval(lo, hi):
-        return Domain(1, ((float(lo), float(hi)),))
-
-    @staticmethod
-    def box(x_bounds, y_bounds):
-        return Domain(2, (tuple(map(float, x_bounds)), tuple(map(float, y_bounds))))
-
     def contains_box(self, sub_bounds):
         """Whether another per-axis bounds tuple sits inside this domain, to 1e-12."""
         for (lo, hi), (slo, shi) in zip(self.bounds, sub_bounds):

@@ -155,7 +155,9 @@ def _cell_rect_values(f, cells, rects):
 
     rects[i] is an (nrect_i, 4) array of (u0, u1, s0, s1) in cells[i].  The
     rectangles of every cell go through one call to f; lo/hi are evaluated
-    per cell.  Returns one (vals, errs) pair per cell.
+    per cell, once per x1 node, since they depend on x1 alone.  Node (r, i, j)
+    is (x1_ri, lo_ri + s_rj width_ri), in that order.  Returns one (vals,
+    errs) pair per cell.
     """
     rect = np.vstack(rects)
     u0, u1, s0, s1 = rect.T
@@ -163,21 +165,23 @@ def _cell_rect_values(f, cells, rects):
     smid, shalf = 0.5 * (s0 + s1), 0.5 * (s1 - s0)
     xu = umid[:, None] + uhalf[:, None] * _XGK[None, :]          # (nr, 15)
     xs = smid[:, None] + shalf[:, None] * _XGK[None, :]          # (nr, 15)
-    x1 = np.repeat(xu[:, :, None], 15, axis=2).ravel()           # nr * 225 nodes
-    ss = np.repeat(xs[:, None, :], 15, axis=1).ravel()
     counts = [len(r) for r in rects]
     ends = np.cumsum(counts)
+    x1 = xu.ravel()
     lo = np.empty_like(x1)
     hi = np.empty_like(x1)
-    for cell, a, b in zip(cells, 225 * (ends - counts), 225 * ends):
+    for cell, a, b in zip(cells, 15 * (ends - counts), 15 * ends):
         lo[a:b] = cell.lo(x1[a:b])
         hi[a:b] = cell.hi(x1[a:b])
-    width = hi - lo
-    pts = np.column_stack([x1, lo + ss * width])
-    vals = np.asarray(f(pts), dtype=float) * width
+    lo = lo.reshape(-1, 15, 1)
+    width = hi.reshape(-1, 15, 1) - lo
+    nodes = np.empty((len(rect), 15, 15, 2))
+    nodes[..., 0] = xu[:, :, None]
+    nodes[..., 1] = lo + xs[:, None, :] * width
+    pts = nodes.reshape(-1, 2)
+    vals = np.asarray(f(pts), dtype=float).reshape(-1, 15, 15) * width
     if not np.all(np.isfinite(vals)):
-        raise _non_finite(vals, pts)
-    vals = vals.reshape(-1, 15, 15)
+        raise _non_finite(vals.ravel(), pts)
     jac = uhalf * shalf
     ik = np.einsum("rij,i,j->r", vals, _WGK, _WGK) * jac
     g = vals[:, _GAUSS_IDX][:, :, _GAUSS_IDX]
@@ -294,8 +298,8 @@ def integrate_to_upper(g, upper, kinks=(), degree=None):
     edges = np.array([-np.inf] + cuts + [np.inf])
     pieces = []
     for a, b in zip(edges[:-1], edges[1:]):
-        c0 = np.clip(a, lo, hi)
-        c1 = np.clip(b, lo, hi)
+        c0 = lo if a == -np.inf else np.clip(a, lo, hi)     # clip(-inf, lo, hi) is lo
+        c1 = hi if b == np.inf else np.clip(b, lo, hi)
         width = c1 - c0
         if not np.all(width == 0):
             pieces.append((0.5 * (c0 + c1), 0.5 * width))

@@ -575,6 +575,8 @@ class Scenario:
         self.conslaw = build_conslaw_run(raw, self.domain, self.flux) \
             if "conslaw" in exps else None
         self.kato = build_kato(raw, self.domain, self.flux) if "kato" in exps else None
+        if self.flux and self.flux.speed_mismatch:  # after the checks of the march
+            raise ScenarioValidationError(self.flux.speed_mismatch)
         self.fake_scale = None
         if "negative" in raw.sections:
             self.fake_scale = _number(raw.require("negative", "fake_scale"),

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from divchain import (BVFunction, Domain, ParamField, RectifiableSet, plateau_bump)
+from divchain import BVFunction, ParamField, RectifiableSet, plateau_bump
+
+from helpers import interval_domain
 
 ZEROS = lambda x: np.zeros_like(x)
 ONES = lambda x: np.ones_like(x)
@@ -9,7 +11,7 @@ ONES = lambda x: np.ones_like(x)
 
 @pytest.fixture
 def dom11():
-    return Domain.interval(-1.0, 1.0)
+    return interval_domain(-1.0, 1.0)
 
 
 @pytest.fixture

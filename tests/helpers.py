@@ -1,18 +1,28 @@
-"""Checks and constructors that only the tests use: finite-difference checks
-of declared derivatives, trace lookups, Lebesgue, point-mass and Cantor
-measures, a point-sampled grid, two identities of the conservation-law
-harness evaluated from their definitions, the masked piece-selection loops
-that BVFunction.eval and grad are held to, and the indicator bisection that
-a curve's box and disc ranges are held to."""
+"""Checks and constructors that only the tests use: interval and box
+domains, finite-difference checks of declared derivatives, trace lookups,
+Lebesgue, point-mass and Cantor measures, a point-sampled grid, two
+identities of the conservation-law harness evaluated from their definitions,
+the masked piece-selection loops that BVFunction.eval and grad are held to,
+and the indicator bisection that a curve's box and disc ranges are held to."""
 
 import numpy as np
 
 from divchain.conslaw import FluxSpec, GridState, chi
 from divchain.errors import GeometryError, NotOnJumpSetError
-from divchain.geometry import as_points
+from divchain.geometry import Domain, as_points
 from divchain.measure import RadonMeasure, TestFunction
 from divchain.quadrature import integrate_1d, integrate_cells
 from divchain.rectifiable import RectifiableSet, Segment, box_cells
+
+
+def interval_domain(lo, hi):
+    """The 1-D domain [lo, hi]."""
+    return Domain(1, ((float(lo), float(hi)),))
+
+
+def box_domain(x_bounds, y_bounds):
+    """The 2-D domain x_bounds x y_bounds."""
+    return Domain(2, (tuple(map(float, x_bounds)), tuple(map(float, y_bounds))))
 
 
 def check_gradient(phi: TestFunction, n=9, tol=1e-6, h=1e-5):

@@ -4,14 +4,14 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from divchain import BVFunction, Domain, Piece, RectifiableSet, Segment, plateau_bump
+from divchain import BVFunction, Piece, RectifiableSet, Segment, plateau_bump
 from divchain.bvfunc import SCAN_POINTS
 from divchain.cantor import MIDDLE_THIRDS, CantorPart
 from divchain.errors import DegenerateLevelError, GeometryError, NotOnJumpSetError
 from divchain.quadrature import integrate_1d
 
 from conftest import ONES, ZEROS
-from helpers import eval_reference, grad_reference, traces_at
+from helpers import box_domain, eval_reference, grad_reference, interval_domain, traces_at
 
 
 def test_traces_heaviside(heaviside):
@@ -19,7 +19,7 @@ def test_traces_heaviside(heaviside):
 
 
 def test_traces_2d_vertical():
-    dom = Domain.box((-1, 1), (-1, 1))
+    dom = box_domain((-1, 1), (-1, 1))
     J = RectifiableSet(2, pieces=[Segment(0, 0.0, -1, 1, +1)])
     u = BVFunction(
         dom,
@@ -41,7 +41,7 @@ def test_continuous_function_has_no_traces(dom11):
 def test_precise_representative(heaviside):
     assert heaviside.precise_rep([[0.0]])[0] == pytest.approx(0.5)
     assert heaviside.precise_rep([[0.3]])[0] == pytest.approx(1.0)
-    smooth = BVFunction.piecewise_1d(Domain.interval(-1, 1), [],
+    smooth = BVFunction.piecewise_1d(interval_domain(-1, 1), [],
                                      values=[lambda x: x ** 2], grads=[lambda x: 2 * x])
     assert smooth.precise_rep([[0.4]])[0] == pytest.approx(0.16)
 
@@ -52,7 +52,7 @@ def test_derivative_heaviside_is_dirac(heaviside, bump_center):
 
 
 def test_derivative_cantor_function():
-    dom = Domain.interval(-0.5, 1.5)
+    dom = interval_domain(-0.5, 1.5)
     u = BVFunction.piecewise_1d(dom, [], values=[ZEROS], grads=[ZEROS],
                                 cantor=CantorPart(MIDDLE_THIRDS, 1.0),
                                 cantor_amplitude=1.0)
@@ -104,7 +104,7 @@ def test_level_region(heaviside):
     lr = heaviside.level_region(0.5)
     assert lr.chi_star([[0.0]])[0] == pytest.approx(0.5)
     assert lr.chi([[0.3]])[0] == 1.0 and lr.chi([[-0.3]])[0] == 0.0
-    const2 = BVFunction.piecewise_1d(Domain.interval(-1, 1), [],
+    const2 = BVFunction.piecewise_1d(interval_domain(-1, 1), [],
                                      values=[lambda x: 2 * np.ones_like(x)],
                                      grads=[ZEROS])
     assert np.all(const2.level_region(1.0).chi_star(const2.domain.grid(11)) == 1.0)
@@ -149,7 +149,7 @@ def piecewise(lo, hi, breaks, coefs, amplitude):
     breaks, plus amplitude times the Cantor function when amplitude is not 0."""
     values, grads = zip(*(_poly(c) for c in coefs))
     cantor = CantorPart(MIDDLE_THIRDS, 1.0) if amplitude else None
-    return BVFunction.piecewise_1d(Domain.interval(lo, hi), breaks, values=list(values),
+    return BVFunction.piecewise_1d(interval_domain(lo, hi), breaks, values=list(values),
                                    grads=list(grads), cantor=cantor,
                                    cantor_amplitude=amplitude, sup_bound=1e3)
 
@@ -271,7 +271,7 @@ def piecewise_functions(draw):
             return out
 
         pieces.append(Piece(indicator, value, grad))
-    dom = Domain.interval(-1, 1) if dim == 1 else Domain.box((-1, 1), (-1, 1))
+    dom = interval_domain(-1, 1) if dim == 1 else box_domain((-1, 1), (-1, 1))
     n = draw(st.integers(0, 12))
     pts = np.array(draw(st.lists(st.floats(-1, 1), min_size=n * dim, max_size=n * dim)),
                    dtype=float).reshape(n, dim)

@@ -6,20 +6,22 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from divchain import (BVFunction, Domain, ParamField, PrimitiveField, RectifiableSet,
+from divchain import (BVFunction, ParamField, PrimitiveField, RectifiableSet,
                       ScalarFunction, anzellotti_pairing, chain_bv_scalar, chain_dm,
                       chain_w11, green_check, layer_cake_action, plateau_bump,
                       product_rule, weak_divergence)
 from divchain import chainrule, runner
 from divchain.cantor import CantorPart, IFSSpec, cantor_function, integrate_ifs, support_nodes
-from divchain.chainrule import ChainRuleBreakdown, _cantor_layer_cake
+from divchain.chainrule import ChainRuleBreakdown, _cantor_layer_cake, _mollified_indicator
 from divchain.cli import bundled_paths
 from divchain.errors import GeometryError, WrongRegularityError
+from divchain.measure import _smoothstep
 from divchain.quadrature import integrate_1d
 from divchain.runner import RunResult, run_chain
 from divchain.scenario import load
 
 from conftest import ONES, ZEROS, sign_field, sign_t_field
+from helpers import box_domain, interval_domain
 
 
 def oracle(field, u, phi, dom, singular):
@@ -130,14 +132,14 @@ def ref_cantor_layer_cake(field, u, phi, t_tol):
 def cantor_x_field(spec, mass, mult, degree):
     """b(x, t) = mult(t) Cantor(x): Div_x b(., t) is mult(t) times the Cantor part."""
     C = cantor_function(spec)
-    return ParamField(Domain.interval(-0.5, 1.5),
+    return ParamField(interval_domain(-0.5, 1.5),
                       lambda pts, t: (mult(t) * C(pts[:, 0]))[:, None], sup_bound=50.0,
                       divc_part=CantorPart(spec, mass), divc_multiplier=mult,
                       t_range=(-3, 3), t_degree=degree)
 
 
 def affine_u(a, s):
-    dom = Domain.interval(-0.5, 1.5)
+    dom = interval_domain(-0.5, 1.5)
     return BVFunction.piecewise_1d(dom, [], values=[lambda x: a + s * x],
                                    grads=[lambda x: s * np.ones_like(x)],
                                    sup_bound=max(abs(a - 0.5 * s), abs(a + 1.5 * s)))
@@ -331,7 +333,7 @@ def test_green_examples(dom11, point_zero, sign):
     lhs, rhs = green_check(sign, ("box", ((-0.9, 0.9),)), w0=0.02)
     assert rhs == pytest.approx(2.0) and lhs == pytest.approx(rhs, abs=1e-8)
 
-    dom2 = Domain.box((-1, 1), (-1, 1))
+    dom2 = box_domain((-1, 1), (-1, 1))
     radial = ParamField(dom2, lambda pts, t: pts.copy(), sup_bound=2.0,
                         diva=lambda pts, t: 2 * np.ones(len(pts)), t_range=(-3, 3))
     lhs, rhs = green_check(radial, ("box", ((-0.5, 0.5), (-0.5, 0.5))), w0=0.03)
@@ -340,6 +342,18 @@ def test_green_examples(dom11, point_zero, sign):
     lhs, rhs = green_check(radial, ("disc", ((0.1, -0.1), 0.5)), w0=0.03)
     assert rhs == pytest.approx(2 * np.pi * 0.25, abs=1e-8)
     assert lhs == pytest.approx(rhs, rel=1e-6)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(center=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+       radius=st.floats(0.05, 1.0), w=st.floats(1e-3, 0.1),
+       pts=st.lists(st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
+                    min_size=1, max_size=20))
+def test_disc_indicator_is_bit_equal_to_the_norm_form(center, radius, w, pts):
+    pts = np.array(pts + [center])          # the centre itself too, at distance 0
+    got = _mollified_indicator((center, radius), "disc", w, 2).value(pts)
+    d = np.linalg.norm(pts - np.asarray(center), axis=1)
+    assert np.array_equal(got, _smoothstep((radius + w - d) / (2 * w)))
 
 
 def test_green_tangency_rejected(dom11, point_zero, sign):

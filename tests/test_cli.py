@@ -13,6 +13,8 @@ from divchain.cli import bundled_paths, main
 from divchain.runner import (EXIT_CHECKS_FAILED, EXIT_NUMERICAL_ERROR, EXIT_OK,
                              EXIT_PARSE_ERROR, EXIT_VALIDATION_ERROR)
 
+from helpers import interval_domain
+
 
 def scenario_path(name):
     for p in bundled_paths():
@@ -209,7 +211,7 @@ def test_failed_level_crossing_search_is_a_numerical_failure(tmp_path, monkeypat
     # u = x1, but infinite on (0.3001, 0.3024), strictly inside the scan
     # interval [0.3, 0.3025] that brackets the level 0.301
     u = bvfunc.BVFunction.piecewise_1d(
-        bvfunc.Domain.interval(-1.0, 1.0), [], grads=[np.ones_like], sup_bound=1.0,
+        interval_domain(-1.0, 1.0), [], grads=[np.ones_like], sup_bound=1.0,
         values=[lambda x: np.where((x > 0.3001) & (x < 0.3024), np.inf, x)])
     with pytest.raises(GeometryError, match=r"^root search in \[0\.30\d*, 0\.302\d*\]: "
                                             r"non-finite value at 0\.301"):
@@ -380,6 +382,11 @@ MALFORMED = [
     ("kato-dx-1e-300", "traffic-kato",
      [("dx_list = 1/100, 1/200, 1/400", "dx_list = 1e-300")], "dx_list",
      EXIT_VALIDATION_ERROR),
+    # a speed that is not the u-derivative of ahat: the march would break its CFL bound
+    ("dahat-du-zero", "transport-smooth", [("dahat_du = k\n", "dahat_du = 0\n")], "dahat_du",
+     EXIT_VALIDATION_ERROR),
+    ("dahat-du-1e-300", "transport-smooth", [("dahat_du = k\n", "dahat_du = 1e-300\n")],
+     "dahat_du", EXIT_VALIDATION_ERROR),
 ]
 
 

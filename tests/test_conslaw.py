@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from divchain import BVFunction, Domain, plateau_bump
+from divchain import BVFunction, plateau_bump
 from divchain.cli import bundled_dir
 from divchain.conslaw import (EntropyPair, FluxSpec, GridState, Trajectory,
                               accumulated_interface_W, chi, entropy_residual, fv_solve,
@@ -17,9 +17,9 @@ from divchain.runner import run_scenario
 from divchain.scenario import load
 
 from conftest import ONES, ZEROS
-from helpers import cavalieri_lhs, div_xv_zero_residual, point_sampled
+from helpers import cavalieri_lhs, div_xv_zero_residual, interval_domain, point_sampled
 
-DOM = Domain.interval(-1.0, 1.0)
+DOM = interval_domain(-1.0, 1.0)
 
 
 def const_k(dom=DOM):
@@ -169,6 +169,18 @@ def test_non_finite_flux_is_a_validation_error():
     with pytest.raises(ScenarioValidationError, match=r"^dahat_du is not finite"):
         FluxSpec(k, lambda kk, u: kk * u, lambda kk, u: kk / (u - 0.5) ** 0.5,
                  u_range=(0.0, 1.0))
+
+
+def test_a_speed_that_is_not_the_derivative_is_kept_for_the_loader():
+    k = piecewise_k([0.0], [1.0, 0.5])
+    # kinks of ahat at a probe u (0.5) and between two (1/3) match the one-sided speeds
+    for c in (0.5, 1.0 / 3.0):
+        kinked = FluxSpec(k, lambda kk, u, c=c: kk * np.minimum(u, 2 * c - u),
+                          lambda kk, u, c=c: kk * np.sign(c - u), u_range=(0.0, 1.0))
+        assert kinked.speed_mismatch is None
+    half = FluxSpec(k, lambda kk, u: kk * u * u, lambda kk, u: kk * u, u_range=(0.0, 1.0),
+                    lines=(7, 8))
+    assert half.speed_mismatch.startswith("line 8: dahat_du is not the u-derivative of ahat")
 
 
 # -- solver ------------------------------------------------------------

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from divchain import (Domain, ParamField, PrimitiveField, RectifiableSet,
+from divchain import (ParamField, PrimitiveField, RectifiableSet,
                       mollified_normal_trace, plateau_bump, singular_set_check)
 from divchain.cantor import MIDDLE_THIRDS, CantorPart, cantor_function
 from divchain.cli import bundled_dir
@@ -9,7 +9,7 @@ from divchain.errors import BoundaryError
 from divchain.quadrature import integrate_1d
 
 from conftest import sign_field, sign_t_field
-from helpers import check_derivative
+from helpers import box_domain, check_derivative, interval_domain
 
 
 @pytest.fixture
@@ -55,7 +55,7 @@ def test_singular_set_check(dom11, point_zero):
 
 def test_singular_set_check_2d():
     from divchain import Segment
-    dom = Domain.box((-1, 1), (-1, 1))
+    dom = box_domain((-1, 1), (-1, 1))
     N = RectifiableSet(2, pieces=[Segment(0, 0.0, -1, 1, +1)])
     b = ParamField(dom, lambda pts, t: np.column_stack([np.sign(pts[:, 0]),
                                                         np.zeros(len(pts))]),
@@ -110,7 +110,7 @@ def test_div_decomposition_examples(dom11, point_zero, bump):
 def test_div_decomposition_cantor_oracle():
     # b(x, t) = t C(x): Div_x b(., t) = t (Cantor measure); weak oracle at
     # a fixed refinement depth
-    dom = Domain.interval(-0.5, 1.5)
+    dom = interval_domain(-0.5, 1.5)
     C = cantor_function()
     b = ParamField(dom, lambda pts, t: (C(pts[:, 0]) * t)[:, None], sup_bound=3.0,
                    divc_part=CantorPart(MIDDLE_THIRDS, 1.0),
@@ -184,7 +184,7 @@ def test_validate_skips_every_grid_point_on_the_singular_set():
     assert on_line.sum() == 21
     assert np.array_equal(scn.field.singular_set.contains(pts, 1e-9), on_line)
     # a value on the jump line beyond M is no bound violation
-    dom = Domain.box((-1.0, 1.0), (-1.0, 1.0))
+    dom = box_domain((-1.0, 1.0), (-1.0, 1.0))
     line = RectifiableSet(2, pieces=[Segment(0, 0.0, -1.0, 1.0, +1)])
     b = ParamField(dom, lambda p, t: np.where(np.abs(p[:, :1]) <= 1e-12, 100.0, np.sign(p[:, :1]))
                    * np.array([1.0, 0.0]), sup_bound=1.0, singular_set=line)

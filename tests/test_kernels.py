@@ -3,13 +3,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from divchain import BVFunction, Domain
+from divchain import BVFunction
 from divchain.conslaw import FluxSpec
 from divchain.conslaw.solver import _sweep, face_fluxes
 
 from conftest import ZEROS
+from helpers import interval_domain
 
-DOM = Domain.interval(-1.0, 1.0)
+DOM = interval_domain(-1.0, 1.0)
 
 
 # -- reference: closed-form Godunov fluxes for f(u) = alpha u^2 + beta u ---

@@ -2,24 +2,24 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from divchain import (Domain, RadonMeasure, RectifiableSet, Segment,
+from divchain import (RadonMeasure, RectifiableSet, Segment,
                       check_dominated, lub_measures, plateau_bump)
 from divchain.cantor import MIDDLE_THIRDS, CantorPart
 from divchain.errors import (AbsoluteContinuityError, DomainMismatchError,
                              UnsupportedStructureError)
 
-from helpers import cantor_measure, lebesgue, point_mass
+from helpers import box_domain, cantor_measure, interval_domain, lebesgue, point_mass
 
 
 @pytest.fixture
 def dom():
-    return Domain.interval(-1.0, 1.0)
+    return interval_domain(-1.0, 1.0)
 
 
 def test_plateau_bump_action_against_reference(dom):
     # mu = Lebesgue on [0,1]; plateau bump supported on [0.2, 0.8] with
     # plateau [0.3, 0.7].  Reference = adaptive quadrature of the bump.
-    d01 = Domain.interval(0.0, 1.0)
+    d01 = interval_domain(0.0, 1.0)
     phi = plateau_bump([(0.2, 0.8)], [(0.3, 0.7)])
     ref = quad(lambda x: float(phi.value(np.array([[x]]))[0]), 0.2, 0.8,
                epsabs=1e-11)[0]
@@ -35,7 +35,7 @@ def test_dirac_action(dom):
 
 
 def test_cantor_action_on_identity():
-    d = Domain.interval(-0.5, 1.5)
+    d = interval_domain(-0.5, 1.5)
     mu = cantor_measure(d, CantorPart(MIDDLE_THIRDS, 1.0))
     assert abs(mu.apply_function(lambda p: p[:, 0]) - 0.5) < 1e-9
 
@@ -51,13 +51,13 @@ def test_total_variation_examples(dom):
     m = lebesgue(dom, lambda p: np.sign(p[:, 0]),
                               singular=RectifiableSet(1, [0.0], [1.0]))
     assert m.total_variation() == pytest.approx(2.0, abs=1e-9)
-    d = Domain.interval(-0.5, 1.5)
+    d = interval_domain(-0.5, 1.5)
     c = cantor_measure(d, CantorPart(MIDDLE_THIRDS, -3.0))
     assert c.total_variation() == pytest.approx(3.0)
 
 
 def test_lub_examples(dom):
-    d01 = Domain.interval(0.0, 1.0)
+    d01 = interval_domain(0.0, 1.0)
     phi = plateau_bump([(0.1, 0.9)], [(0.3, 0.7)])
     two = lub_measures([lebesgue(d01),
                         lebesgue(d01, lambda p: 2 * np.ones(len(p)))])
@@ -100,7 +100,7 @@ def test_linearity(dom):
 def test_part_orthogonality(dom):
     # a test function supported away from the singular parts sees only the
     # absolutely continuous integral
-    d = Domain.interval(-2.0, 2.0)
+    d = interval_domain(-2.0, 2.0)
     mu = lebesgue(d) + point_mass(d, 0.0, 5.0)
     phi = plateau_bump([(1.0, 1.8)], [(1.2, 1.6)])
     ref = lebesgue(d).apply(phi)
@@ -108,7 +108,7 @@ def test_part_orthogonality(dom):
 
 
 def test_orientation_flip_flips_surface_sign():
-    d = Domain.box((-1, 1), (-1, 1))
+    d = box_domain((-1, 1), (-1, 1))
     rect = RectifiableSet(2, pieces=[Segment(0, 0.0, -1, 1, +1)])
     g = lambda pts, nus: nus[:, 0] * 2.0
     mu = RadonMeasure.from_jump(d, rect, g)
@@ -124,10 +124,10 @@ def test_check_dominated_examples(dom):
     one = point_mass(dom, 0.0, 1.0)
     assert check_dominated(three, one) is None
 
-    d01 = Domain.interval(0.0, 1.0)
+    d01 = interval_domain(0.0, 1.0)
     check_dominated(lebesgue(d01, lambda p: p[:, 0]), lebesgue(d01))
 
-    dd = Domain.interval(-0.5, 1.5)
+    dd = interval_domain(-0.5, 1.5)
     check_dominated(cantor_measure(dd, CantorPart(MIDDLE_THIRDS, 0.5)),
                     cantor_measure(dd, CantorPart(MIDDLE_THIRDS, 1.0)))
 
@@ -141,7 +141,7 @@ def test_check_dominated_violation(dom):
     with pytest.raises(AbsoluteContinuityError, match="jump density"):
         check_dominated(point_mass(dom, 0.0, 1.0),
                         point_mass(dom, 0.0, 0.0))
-    dd = Domain.interval(-0.5, 1.5)
+    dd = interval_domain(-0.5, 1.5)
     with pytest.raises(AbsoluteContinuityError, match="Cantor density"):
         check_dominated(cantor_measure(dd, CantorPart(MIDDLE_THIRDS, 1.0)),
                         cantor_measure(dd, CantorPart(MIDDLE_THIRDS, 1.0),
@@ -151,7 +151,7 @@ def test_check_dominated_violation(dom):
 def test_ball_mass(dom):
     mu = point_mass(dom, 0.0, 2.0) + lebesgue(dom)
     assert mu.ball_mass([0.0], 0.25) == pytest.approx(2.5)
-    d2 = Domain.box((-1, 1), (-1, 1))
+    d2 = box_domain((-1, 1), (-1, 1))
     line = RadonMeasure.from_jump(
         d2, RectifiableSet(2, pieces=[Segment(0, 0.0, -1, 1, +1)]),
         lambda pts, nus: np.full(len(pts), 2.0))

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from divchain import (Domain, RadonMeasure, RectifiableSet, build_suite, compare,
+from divchain import (RadonMeasure, RectifiableSet, build_suite, compare,
                       mollification_study, oscillatory_bump, plateau_bump, weak_divergence)
 from divchain.cantor import IFSSpec
 from divchain.errors import GeometryError
@@ -14,7 +14,7 @@ from divchain.quadrature import integrate_cells
 from divchain.rectifiable import GraphCurve, box_cells
 
 from conftest import sign_field
-from helpers import check_gradient, lebesgue, point_mass
+from helpers import box_domain, check_gradient, interval_domain, lebesgue, point_mass
 
 
 def test_weak_divergence_of_x(dom11, bump_center):
@@ -135,7 +135,7 @@ def _breaks_keep_the_values(phi, c, tol):
     8e-14 at tol 1e-12 and missed by 1e-7).
     """
     dim = phi.dim
-    dom = Domain.interval(-1.0, 1.0) if dim == 1 else Domain.box((-1.0, 1.0), (-1.0, 1.0))
+    dom = interval_domain(-1.0, 1.0) if dim == 1 else box_domain((-1.0, 1.0), (-1.0, 1.0))
     assert all(len(b) == 2 for b in phi.breaks)
 
     def v(p):
@@ -273,7 +273,7 @@ def test_graph_crossing_plateau_edges_passes_the_oracle(name, g, dg):
 # -- Cantor construction breaks ------------------------------------------------
 
 def test_suite_members_split_at_the_construction_inside_their_support():
-    dom = Domain.interval(-0.5, 1.5)
+    dom = interval_domain(-0.5, 1.5)
     spec = IFSSpec(-0.3, 0.9)
     k = CANTOR_DEPTH
     ends = cantor_breaks(spec)

@@ -8,12 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from divchain import Domain, ParamField, PrimitiveField
+from divchain import ParamField, PrimitiveField
 from divchain.cantor import MIDDLE_THIRDS
 from divchain.errors import IntegrationError
-from divchain.quadrature import (_GAUSS_IDX, _WG, _WGK, _XGK, CurvedCell, gauss, integrate_1d,
-                                 integrate_cells, integrate_polar, integrate_to_upper)
+from divchain.quadrature import (_GAUSS_IDX, _WG, _WGK, _XGK, CurvedCell, _cell_rect_values,
+                                 gauss, integrate_1d, integrate_cells, integrate_polar,
+                                 integrate_to_upper)
 from divchain.scenario import build_domain, build_field, build_singular, parse_text
+
+from helpers import box_domain
 
 
 def test_smooth_against_scipy():
@@ -155,8 +158,7 @@ def test_batched_cells_match_per_cell_reference(case):
     calls = []
     got = integrate_cells(lambda p: calls.append(len(p)) or f(p), cells, tol_abs=tol)
     ref = ref_integrate_cells(f, cells, tol, 1e-10)
-    assert abs(got[0] - ref[0]) <= 1e-15 * abs(ref[0])
-    assert abs(got[1] - ref[1]) <= 1e-15 * abs(ref[1])
+    assert got == ref
     # one call per refinement round: as many as the slowest cell needs alone
     rounds = []
     for cell in cells:
@@ -164,6 +166,36 @@ def test_batched_cells_match_per_cell_reference(case):
         ref_integrate_cell(lambda p: mine.append(1) or f(p), cell, tol / len(cells), 1e-10)
         rounds.append(len(mine))
     assert len(calls) == max(rounds)
+
+
+@st.composite
+def cell_batches(draw):
+    """Cells, each with its own number of random sub-rectangles of its (x1, s)
+    square, and a smooth f."""
+    f, cells, _ = draw(cells_and_integrands())
+    rects = []
+    for cell in cells:
+        n = draw(st.integers(1, 7))
+        u = np.sort(np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=2 * n,
+                                           max_size=2 * n))).reshape(n, 2), axis=1)
+        s = np.sort(np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=2 * n,
+                                           max_size=2 * n))).reshape(n, 2), axis=1)
+        u = cell.a1 + (cell.b1 - cell.a1) * u
+        rects.append(np.column_stack([u[:, 0], u[:, 1], s[:, 0], s[:, 1]]))
+    return f, cells, rects
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(cell_batches())
+def test_cell_kernel_is_bit_equal_to_the_per_cell_reference(case):
+    # the kernel evaluates lo/hi once per x1 node and builds its nodes in
+    # place; the reference repeats x1 over every node, one cell at a time
+    f, cells, rects = case
+    got = _cell_rect_values(f, cells, rects)
+    assert len(got) == len(cells)
+    for (ik, err), cell, rect in zip(got, cells, rects):
+        ref_ik, ref_err = ref_cell_tensor(f, cell, rect)
+        assert np.array_equal(ik, ref_ik) and np.array_equal(err, ref_err)
 
 
 def test_polar_disc_area_and_half():
@@ -203,29 +235,31 @@ def test_gauss_is_leggauss():
 
 # -- reference: one column at a time, each with its own doubling -----------
 
-def ref_to_upper(g, upper, kinks=()):
-    """Scalar-valued g only; returns (F, the Gauss order where it stopped)."""
+def ref_to_upper_order(g, upper, kinks, n):
+    """The Gauss-n sum of every per-point range, each piece clipped from the
+    kinks to [min(0, upper), max(0, upper)]; scalar-valued g only."""
     upper = np.asarray(upper, dtype=float)
-    sgn = np.sign(upper)
     lo = np.minimum(0.0, upper)
     hi = np.maximum(0.0, upper)
     edges = np.array([-np.inf] + sorted(set(float(k) for k in kinks)) + [np.inf])
+    x, w = np.polynomial.legendre.leggauss(n)
+    acc = np.zeros_like(upper)
+    for j in range(len(edges) - 1):
+        c0 = np.clip(edges[j], lo, hi)
+        c1 = np.clip(edges[j + 1], lo, hi)
+        width = c1 - c0
+        if np.all(width == 0):
+            continue
+        mid = 0.5 * (c0 + c1)
+        hw = 0.5 * width
+        for xi, wi in zip(x, w):
+            acc += wi * hw * g(mid + hw * xi)
+    return np.sign(upper) * acc
 
-    def compute(n):
-        x, w = np.polynomial.legendre.leggauss(n)
-        acc = np.zeros_like(upper)
-        for j in range(len(edges) - 1):
-            c0 = np.clip(edges[j], lo, hi)
-            c1 = np.clip(edges[j + 1], lo, hi)
-            width = c1 - c0
-            if np.all(width == 0):
-                continue
-            mid = 0.5 * (c0 + c1)
-            hw = 0.5 * width
-            for xi, wi in zip(x, w):
-                acc += wi * hw * g(mid + hw * xi)
-        return sgn * acc
 
+def ref_to_upper(g, upper, kinks=()):
+    """Scalar-valued g only; returns (F, the Gauss order where it stopped)."""
+    compute = lambda n: ref_to_upper_order(g, upper, kinks, n)
     prev = compute(8)
     n = 16
     while n <= 256:
@@ -272,13 +306,25 @@ def test_to_upper_vector_matches_per_axis_reference(case):
     assert np.array_equal(one, cols[1][0])
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(upper=st.lists(st.one_of(st.just(0.0), st.floats(-3.0, 3.0)), min_size=1, max_size=9),
+       kinks=st.lists(st.floats(-4.0, 4.0), max_size=3), n=st.sampled_from([1, 3, 8]),
+       freq=st.floats(0.5, 4.0))
+def test_to_upper_pieces_are_bit_equal_to_clipping_every_edge(upper, kinks, n, freq):
+    # the open end pieces take [min(0, u), max(0, u)] as they stand instead of
+    # clipping -inf and inf; the declared degree 2n - 1 runs the one order n
+    g = lambda w: np.cos(freq * w) + sum(np.abs(w - k) for k in kinks)
+    got = integrate_to_upper(g, np.array(upper), kinks=kinks, degree=2 * n - 1)
+    assert np.array_equal(got, ref_to_upper_order(g, upper, kinks, n))
+
+
 def test_to_upper_zero_limits_never_call_the_integrand():
     def g(w):
         raise AssertionError("integrand called")
 
     got = integrate_to_upper(g, np.zeros(3), kinks=[0.5])
     assert got.shape == (3,) and np.all(got == 0)
-    dom = Domain.box((-1.0, 1.0), (-1.0, 1.0))
+    dom = box_domain((-1.0, 1.0), (-1.0, 1.0))
     field = ParamField(dom, lambda pts, t: np.column_stack([pts[:, 0] * t, pts[:, 1] + t]),
                        sup_bound=4.0)
     pts = np.array([[0.2, -0.3], [0.5, 0.1], [-0.7, 0.9]])

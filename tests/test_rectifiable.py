@@ -8,12 +8,12 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from divchain import (Domain, RadonMeasure, RectifiableSet, Segment, merge_sets,
+from divchain import (RadonMeasure, RectifiableSet, Segment, merge_sets,
                       plateau_bump)
 from divchain.errors import GeometryError
 from divchain.rectifiable import GraphCurve, bracketed_roots
 
-from helpers import scan_ranges_reference
+from helpers import box_domain, interval_domain, scan_ranges_reference
 
 
 class RefSet1D:
@@ -115,7 +115,7 @@ def test_1d_piece_list_matches_parallel_arrays(a, b, lo, width, r):
     assert np.array_equal(flip.points_1d, rflip.points_1d)
     assert np.array_equal(flip.samples()[1][:, 0], rflip.normals_1d)
 
-    keys = list(RadonMeasure.from_jump(Domain.interval(-2, 2), new, density).jumps)
+    keys = list(RadonMeasure.from_jump(interval_domain(-2, 2), new, density).jumps)
     assert keys == list(dict.fromkeys(ref.component_keys()))
 
     merged = _outcome(lambda: merge_sets(new, RectifiableSet(1, *b)))
@@ -162,11 +162,11 @@ def test_merge_rejects_conflicting_orientation_2d():
                                                     (2, -1.0, 2.0, -1.0)])
 def test_jump_density_sees_n_by_dim_normals(dim, apply, tv, ball):
     if dim == 1:
-        dom = Domain.interval(-1, 1)
+        dom = interval_domain(-1, 1)
         rect = RectifiableSet(1, [-0.3, 0.2], [1.0, -1.0])
         phi = plateau_bump([(-0.6, 0.6)], [(-0.4, 0.4)])
     else:
-        dom = Domain.box((-1, 1), (-1, 1))
+        dom = box_domain((-1, 1), (-1, 1))
         rect = RectifiableSet(2, pieces=[Segment(0, 0.0, -1, 1, -1)])
         phi = plateau_bump([(-0.6, 0.6), (-0.6, 0.6)], [(-0.4, 0.4), (-0.4, 0.4)])
     calls = []
