@@ -14,7 +14,7 @@ from ..errors import ScenarioValidationError
 from ..quadrature import gauss
 from .flux import EntropyPair, FluxSpec, chi
 from .hatbasis import HatBasis, hat_derivative
-from .solver import GridState, Trajectory, _solve
+from .solver import GridState, Trajectory, _solve, interface_faces
 
 
 def _segment_integrals(f, edges, order):
@@ -257,21 +257,20 @@ def interface_W(u1p, u1m, u2p, u2m, bplus_nu):
             + bplus_nu(u2p) * (-2.0 * chi(u2p, u1p) + 2.0 * chi(u2m, u1m)))
 
 
-def accumulated_interface_W(traj_a: Trajectory, traj_b: Trajectory):
-    """\\int_0^T sum over interfaces of W(traces of u1, traces of u2) dt,
-    plus the worst per-sample value."""
-    flux = traj_a.flux
+def accumulated_interface_W(flux: FluxSpec, kplus, traces, dt):
+    """\\int_0^T sum over interfaces of W(traces of u1, traces of u2) dt, plus
+    the worst per-sample value.  traces[d, n, 2 j + (0, 1)] hold datum d's
+    states at level n in the cells i-1, i beside interface j, kplus[j] = k_i."""
     ws = [np.zeros(0)]
-    for i in traj_a.interfaces():
-        bplus = lambda t, kp_=traj_a.kvals[i]: flux.flux_at(kp_, t)
-        u1m, u1p = traj_a.interface_traces(i)
-        u2m, u2p = traj_b.interface_traces(i)
-        ws.append(interface_W(u1p[:-1], u1m[:-1], u2p[:-1], u2m[:-1], bplus))
+    for j, kp in enumerate(kplus):
+        bplus = lambda t, kp_=kp: flux.flux_at(kp_, t)
+        (u1m, u1p), (u2m, u2p) = np.moveaxis(traces[:, :-1, 2 * j:2 * j + 2], 2, 1)
+        ws.append(interface_W(u1p, u1m, u2p, u2m, bplus))
     w = np.concatenate(ws)
     if not w.size:
         return 0.0, 0.0
     # cumsum adds the samples one at a time, interface by interface
-    return float(np.cumsum(w * traj_a.dt)[-1]), float(np.max(w))
+    return float(np.cumsum(w * dt)[-1]), float(np.max(w))
 
 
 def l1_distance(a: GridState, b: GridState):
@@ -293,14 +292,16 @@ def kato_check(flux: FluxSpec, u0_a, u0_b, T, dx_list, domain):
 
 
 def _kato_row(flux: FluxSpec, u0_a, u0_b, T, dx, domain):
-    """One kato_check row: both data march in one sweep on the dx mesh, and
-    their trajectories are freed before the next mesh is built."""
+    """One kato_check row: both data march in one sweep on the dx mesh, which
+    keeps the final states and the cells i-1, i beside each interface face i."""
     ga, gb = (GridState.from_function(domain, kato_cells(domain, dx), u0)
               for u0 in (u0_a, u0_b))
-    ta, tb = _solve(flux, [ga, gb], T)
+    cells = lambda kv: np.ravel([[i - 1, i] for i in interface_faces(kv)]).astype(int)
+    kvals, times, traces, final = _solve(flux, [ga, gb], T, cells)
+    faces = interface_faces(kvals)
     d0 = l1_distance(ga, gb)
-    dT = l1_distance(ta.final(), tb.final())
-    w, w_worst = accumulated_interface_W(ta, tb)
+    dT = l1_distance(*(GridState(domain, u) for u in final))
+    w, w_worst = accumulated_interface_W(flux, kvals[faces], traces, times[1] - times[0])
     return {
         "dx": dx,
         "l1_initial": d0,

@@ -5,8 +5,9 @@ cells.  Coefficient jumps must sit on cell faces; those faces couple the
 two one-sided fluxes through the demand/supply form of the Godunov flux,
 which selects the admissible interface state.  One vectorized numpy sweep
 serves every flux: it needs only Ahat and its declared critical points.
-The sweep marches several initial data on one mesh at once, one row each,
-and evaluates Ahat once per cell and step.
+The sweep marches several initial data on one mesh at once, one row each
+of a buffer padded with the ghost cells and updated in place; it evaluates
+Ahat once per cell and step, and keeps the states of the cells it is given.
 """
 
 from __future__ import annotations
@@ -20,16 +21,16 @@ from .flux import FluxSpec
 
 DEFAULT_CFL = 0.45      # of every [kato] run, and of a [conslaw] run without cfl
 
-# The most floats a march may allocate for its (rows, nsteps + 1, ncells)
-# trajectory.  The largest benchmark run, refine at dx = 1/1600, holds
-# 2 x 890 x 3200 = 5.7e6 floats; this bound is 44 times that (2 GB of floats).
+# The most cell states, rows x (nsteps + 1) x ncells, a march may compute (and
+# fv_solve keep: 2 GB).  The largest benchmark march, refine's pair at dx =
+# 1/1600, computes 2 x 890 x 3200 = 5.7e6 and keeps its interface cells only.
 MAX_TRAJECTORY_FLOATS = 2.5e8
 
 
 class GridState:
-    """Cell averages on a uniform mesh with time/CFL metadata."""
+    """Cell averages on a uniform mesh with CFL metadata."""
 
-    def __init__(self, domain: Domain, averages, time=0.0, cfl=DEFAULT_CFL):
+    def __init__(self, domain: Domain, averages, cfl=DEFAULT_CFL):
         if domain.dim != 1:
             raise GeometryError("the conservation-law harness is 1D")
         self.domain = domain
@@ -39,7 +40,6 @@ class GridState:
         self.dx = (hi - lo) / self.n
         self.edges = np.linspace(lo, hi, self.n + 1)
         self.centers = 0.5 * (self.edges[:-1] + self.edges[1:])
-        self.time = float(time)
         self.cfl = float(cfl)
 
     @staticmethod
@@ -70,20 +70,9 @@ class Trajectory:
         self.states = states
         self.kvals = kvals
 
-    @property
-    def dt(self):
-        return self.times[1] - self.times[0] if len(self.times) > 1 else 0.0
-
-    def final(self):
-        return GridState(self.domain, self.states[-1], time=self.times[-1], cfl=self.cfl)
-
     def interfaces(self):
         """Indices of faces where the coefficient jumps (1..n-1)."""
-        return (np.flatnonzero(np.abs(np.diff(self.kvals)) > 1e-12) + 1).tolist()
-
-    def interface_traces(self, face_index):
-        """(u-, u+) time series next to an interior face."""
-        return self.states[:, face_index - 1], self.states[:, face_index]
+        return interface_faces(self.kvals)
 
     def discrete_tv(self):
         return float(np.max(np.sum(np.abs(np.diff(self.states, axis=1)), axis=1)))
@@ -131,14 +120,21 @@ def in_invariant_region(flux: FluxSpec, averages):
 
 def fv_solve(flux: FluxSpec, u0: GridState, T) -> Trajectory:
     """March to time T with Godunov fluxes; dt = cfl dx / max |speed|."""
-    return _solve(flux, [u0], T)[0]
+    kvals, times, states, _ = _solve(flux, [u0], T, lambda kvals: slice(None))
+    return Trajectory(flux, u0, times, states[0], kvals)
 
 
-def _solve(flux: FluxSpec, grids, T):
-    """March several initial data on one mesh to time T in one sweep.
+def interface_faces(kvals):
+    """Indices of faces where the coefficient jumps (1..n-1)."""
+    return (np.flatnonzero(np.abs(np.diff(kvals)) > 1e-12) + 1).tolist()
 
-    The grids share the first one's mesh, start time and CFL number;
-    returns one Trajectory per grid.
+
+def _solve(flux: FluxSpec, grids, T, record):
+    """March several initial data on one mesh from time 0 to T in one sweep.
+
+    The grids share the first one's mesh and CFL number; record(kvals) gives
+    the cells (an index or slice) whose states are kept at every level.
+    Returns kvals, the time levels, those states and the final states.
     """
     g0 = grids[0]
     if not (0.0 < g0.cfl < 1.0):
@@ -152,31 +148,32 @@ def _solve(flux: FluxSpec, grids, T):
     nsteps = int(step_count(flux, T, g0.dx, g0.cfl))
     dt = float(T) / nsteps
 
-    states = _sweep(face_fluxes(flux, kvals), u0, dt / g0.dx, nsteps)
-    if not np.all(np.isfinite(states)):
+    states, final = _sweep(face_fluxes(flux, kvals), u0, dt / g0.dx, nsteps, record(kvals))
+    # a cell that turns non-finite stays so, and so reaches the final states
+    if not (np.all(np.isfinite(states)) and np.all(np.isfinite(final))):
         raise ScenarioValidationError("solver produced non-finite values")
-    times = g0.time + dt * np.arange(nsteps + 1)
-    return [Trajectory(flux, g, times, s, kvals) for g, s in zip(grids, states)]
+    times = dt * np.arange(nsteps + 1)
+    return kvals, times, states, final
 
 
 def face_fluxes(flux: FluxSpec, kvals):
     """Godunov fluxes on the n+1 faces of n cells with coefficients kvals.
 
-    Returns F(u), the face fluxes for cell averages u of shape (..., n)
-    (zero-gradient ghost cells), one row per initial datum.  Ahat is
-    evaluated once per cell, at (k_i, u_i); a face takes its one-sided
-    values from its two cells, and only faces whose coefficients differ in
-    the last bits without jumping evaluate Ahat(k_left, u_right) anew.
-    Faces inside one coefficient piece take the classical Godunov min/max
-    of the flux over the Riemann interval, using the declared critical
-    points; faces where k jumps take the demand/supply coupling
-    min(D_left(uL), S_right(uR)), evaluated on those faces only.  Flux
-    values that do not depend on u (at the ends of u_range and at the
-    critical points) are computed here, once.
+    Returns F(u), the face fluxes for padded cell averages u of shape
+    (..., n + 2), one row per initial datum, whose first and last columns
+    are the ghost cells.  Ahat is evaluated once per padded cell, at
+    (k_i, u_i); a face takes its one-sided values from its two cells, and
+    only faces whose coefficients differ in the last bits without jumping
+    evaluate Ahat(k_left, u_right) anew.  Faces inside one coefficient
+    piece take the classical Godunov min/max of the flux over the Riemann
+    interval, using the declared critical points; faces where k jumps take
+    the demand/supply coupling min(D_left(uL), S_right(uR)), evaluated on
+    those faces only.  Flux values that do not depend on u (at the ends of
+    u_range and at the critical points) are computed here, once.
     """
     lo, hi = flux.u_range
-    kL = np.concatenate([kvals[:1], kvals])
-    kR = np.concatenate([kvals, kvals[-1:]])
+    kpad = np.concatenate([kvals[:1], kvals, kvals[-1:]])
+    kL, kR = kpad[:-1], kpad[1:]
     same = np.abs(kL - kR) <= 1e-12
     jump = np.flatnonzero(~same)
     near = np.flatnonzero(same & (kL != kR))
@@ -194,15 +191,14 @@ def face_fluxes(flux: FluxSpec, kvals):
         if rows not in tiles:
             # numpy runs an operation on (2, n) rows slower when an operand broadcasts
             t = lambda arrays: [np.broadcast_to(a, rows + a.shape).copy() for a in arrays]
-            tiles[rows] = (t([kvals, kL[near], f_at_lo, f_at_hi]), t(critL), t(fcritL),
+            tiles[rows] = (t([kpad, kL[near], f_at_lo, f_at_hi]), t(critL), t(fcritL),
                            t(critLj), t(fcritLj), t(critRj), t(fcritRj))
         (kv, k_near, f_lo, f_hi), cL, fcL, cLj, fcLj, cRj, fcRj = tiles[rows]
         fc = flux.flux_at(kv, u)
-        uL = np.concatenate([u[..., :1], u], axis=-1)
-        uR = np.concatenate([u, u[..., -1:]], axis=-1)
-        fl = np.concatenate([fc[..., :1], fc], axis=-1)
-        fr = np.concatenate([fc, fc[..., -1:]], axis=-1)
+        uL, uR = u[..., :-1], u[..., 1:]
+        fl, fr = fc[..., :-1], fc[..., 1:]
         if len(near):
+            fr = fr.copy()
             fr[..., near] = flux.flux_at(k_near, uR[..., near])
         flo = np.minimum(uL, uR)
         fhi = np.maximum(uL, uR)
@@ -210,9 +206,10 @@ def face_fluxes(flux: FluxSpec, kvals):
         fmax = np.maximum(fl, fr)
         for c, fcr in zip(cL, fcL):
             ok = (c > flo) & (c < fhi)
-            fmin = np.where(ok, np.minimum(fmin, fcr), fmin)
-            fmax = np.where(ok, np.maximum(fmax, fcr), fmax)
-        out = np.where(uL <= uR, fmin, fmax)
+            np.minimum(fmin, fcr, out=fmin, where=ok)
+            np.maximum(fmax, fcr, out=fmax, where=ok)
+        np.copyto(fmax, fmin, where=uL <= uR)
+        out = fmax
         if len(jump):
             uLj = uL[..., jump]
             D = np.maximum(fl[..., jump], f_lo)
@@ -220,7 +217,7 @@ def face_fluxes(flux: FluxSpec, kvals):
                 D = np.where((c > lo) & (c < uLj), np.maximum(D, fcr), D)
             # Ahat(k_R, u_R) at a jump face is its right cell's value
             uRj = uR[..., jump]
-            S = np.maximum(fc[..., jump], f_hi)
+            S = np.maximum(fr[..., jump], f_hi)
             for c, fcr in zip(cRj, fcRj):
                 S = np.where((c > uRj) & (c < hi), np.maximum(S, fcr), S)
             out[..., jump] = np.minimum(D, S)
@@ -243,18 +240,28 @@ def _critical_table(flux: FluxSpec, kv):
     return table, [flux.flux_at(kv, np.where(np.isnan(c), lo, c)) for c in table]
 
 
-def _sweep(F, u0, lam, nsteps):
+def _sweep(F, u0, lam, nsteps, cells):
     """nsteps explicit steps u <- u - lam (F_{i+1/2} - F_{i-1/2}).
 
-    u0 has shape (..., ncells), one row per initial datum.  Returns the
-    trajectories, shape (..., nsteps + 1, ncells): each row's states are
-    one C-contiguous block.
+    u0 has shape (..., ncells), one row per initial datum, updated in place
+    in one buffer with a zero-gradient ghost cell at each end.  Returns the
+    states of the given cells (an index or slice) at every level, shape
+    (..., nsteps + 1, cells kept), each row's one C-contiguous block, and
+    the final states.
     """
-    u = np.array(u0, dtype=float)
-    out = np.empty(u.shape[:-1] + (nsteps + 1, u.shape[-1]))
-    out[..., 0, :] = u
+    padded = np.empty(u0.shape[:-1] + (u0.shape[-1] + 2,))
+    u = padded[..., 1:-1]
+    u[...] = u0
+    first = u[..., cells]
+    out = np.empty(first.shape[:-1] + (nsteps + 1, first.shape[-1]))
+    out[..., 0, :] = first
+    diff = np.empty_like(u)
     for n in range(nsteps):
-        Fu = F(u)
-        u = u - lam * (Fu[..., 1:] - Fu[..., :-1])
-        out[..., n + 1, :] = u
-    return out
+        padded[..., 0] = padded[..., 1]
+        padded[..., -1] = padded[..., -2]
+        Fu = F(padded)
+        np.subtract(Fu[..., 1:], Fu[..., :-1], out=diff)
+        diff *= lam
+        u -= diff
+        out[..., n + 1, :] = u[..., cells]
+    return out, u

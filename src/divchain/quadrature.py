@@ -63,12 +63,12 @@ def _non_finite(values, abscissae):
 
 
 def _segments_from_breaks(a, b, breakpoints):
-    pts = [a]
-    for p in sorted(set(float(q) for q in breakpoints)):
-        if a + 1e-14 * max(1, abs(a)) < p < b - 1e-14 * max(1, abs(b)):
-            pts.append(p)
-    pts.append(b)
-    return np.array(pts[:-1]), np.array(pts[1:])
+    # np.sort, not np.unique, which raised the chain workload's peak RSS by 5 MB (numpy 2.4)
+    p = np.sort(np.asarray(breakpoints, dtype=float))
+    keep = (a + 1e-14 * max(1, abs(a)) < p) & (p < b - 1e-14 * max(1, abs(b)))
+    keep[1:] &= p[1:] != p[:-1]     # one break of each run of equal ones
+    pts = np.concatenate([[a], p[keep], [b]])
+    return pts[:-1], pts[1:]
 
 
 def gk_segments(f, lo, hi):

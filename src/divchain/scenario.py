@@ -9,9 +9,9 @@ would; the runner only executes the values built here.  Errors name the
 line of the offending key.  Loading runs no solve and no adaptive
 quadrature: it evaluates the flux, the entropy and the initial data on
 probe grids, so that a value that is not finite there is an error naming
-its line.  It also makes the solver's checks on each march: that its
-trajectory fits the solver's bound, before anything is allocated, and that
-the cell averages of its initial data lie in the invariant region.
+its line.  It also makes the solver's checks on each march: that its work
+fits the solver's bound, before anything is allocated, and that the cell
+averages of its initial data lie in the invariant region.
 """
 
 from __future__ import annotations
@@ -111,9 +111,10 @@ def _initial_datum(text, line, key, domain):
 
 def _check_march(flux, domain, T, ncells, cfl, rows, line, data):
     """At load, the checks of the solver on a march of `rows` data at a time to
-    time T on ncells cells: its trajectory fits MAX_TRAJECTORY_FLOATS (the
-    error names `line`), and each (key, line, fn) of data has cell averages
-    in the invariant region u_range."""
+    time T on ncells cells: its work, rows x (nsteps + 1) x ncells cell
+    states, fits MAX_TRAJECTORY_FLOATS (the error names `line`), and each
+    (key, line, fn) of data has cell averages in the invariant region
+    u_range."""
     (lo, hi), = domain.bounds
     steps = step_count(flux, T, (hi - lo) / ncells, cfl)
     if rows * (steps + 1) * ncells > MAX_TRAJECTORY_FLOATS:
@@ -475,7 +476,7 @@ def build_kato(raw: RawScenario, domain: Domain, flux: FluxSpec):
         data += [(key, ln(key), fn) for key, fn in zip((ka, kb), pairs[-1])]
     if not pairs:
         raise ScenarioValidationError("[kato] needs at least one data pair")
-    for dx in dx_list:          # kato_check marches each pair in one sweep per dx
+    for dx in dx_list:          # kato_check marches each pair, 2 rows, in one sweep per dx
         _check_march(flux, domain, T, kato_cells(domain, dx), DEFAULT_CFL, 2, ln("dx_list"),
                      data)
     return SimpleNamespace(T=T, dx_list=dx_list, pairs=pairs)

@@ -2,12 +2,13 @@
 domains, finite-difference checks of declared derivatives, trace lookups,
 Lebesgue, point-mass and Cantor measures, a point-sampled grid, two
 identities of the conservation-law harness evaluated from their definitions,
-the masked piece-selection loops that BVFunction.eval and grad are held to,
+a trajectory's final state, its interface traces and their W integral, the
+masked piece-selection loops that BVFunction.eval and grad are held to,
 and the indicator bisection that a curve's box and disc ranges are held to."""
 
 import numpy as np
 
-from divchain.conslaw import FluxSpec, GridState, chi
+from divchain.conslaw import FluxSpec, GridState, accumulated_interface_W, chi
 from divchain.errors import GeometryError, NotOnJumpSetError
 from divchain.geometry import Domain, as_points
 from divchain.measure import RadonMeasure, TestFunction
@@ -185,3 +186,22 @@ def div_xv_zero_residual(flux: FluxSpec, psi: TestFunction, quad_tol=1e-10):
         val, _ = integrate_1d(g, va, vb, tol_abs=quad_tol)
         second -= val
     return first + second
+
+
+def final_state(traj):
+    """The last state of a full trajectory, as a GridState."""
+    return GridState(traj.domain, traj.states[-1], cfl=traj.cfl)
+
+
+def interface_traces(traj, face):
+    """(u-, u+) time series next to an interior face of a full trajectory."""
+    return traj.states[:, face - 1], traj.states[:, face]
+
+
+def trajectory_W(traj_a, traj_b):
+    """accumulated_interface_W on the traces of two full trajectories."""
+    faces = traj_a.interfaces()
+    traces = np.stack([t.states[:, [c for i in faces for c in (i - 1, i)]]
+                       for t in (traj_a, traj_b)])
+    dt = traj_a.times[1] - traj_a.times[0] if len(traj_a.times) > 1 else 0.0
+    return accumulated_interface_W(traj_a.flux, traj_a.kvals[faces], traces, dt)

@@ -1,14 +1,13 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from divchain import BVFunction, plateau_bump
 from divchain.cli import bundled_dir
-from divchain.conslaw import (EntropyPair, FluxSpec, GridState, Trajectory,
-                              accumulated_interface_W, chi, entropy_residual, fv_solve,
-                              interface_W, kato_check, kinetic_identity_residual,
-                              kinetic_measure, l1_distance)
+from divchain.conslaw import (EntropyPair, FluxSpec, GridState, Trajectory, chi,
+                              entropy_residual, fv_solve, interface_W, kato_check,
+                              kinetic_identity_residual, kinetic_measure, l1_distance)
 from divchain.conslaw.hatbasis import PiecewiseLinearWeight, hat_derivative
 from divchain.errors import ScenarioValidationError
 from divchain.exprs import compile_uv
@@ -17,7 +16,8 @@ from divchain.runner import run_scenario
 from divchain.scenario import load
 
 from conftest import ONES, ZEROS
-from helpers import cavalieri_lhs, div_xv_zero_residual, interval_domain, point_sampled
+from helpers import (cavalieri_lhs, div_xv_zero_residual, final_state, interface_traces,
+                     interval_domain, point_sampled, trajectory_W)
 
 DOM = interval_domain(-1.0, 1.0)
 
@@ -591,6 +591,19 @@ def test_kato_traffic_contraction_and_halving():
     assert 0.35 <= ratio <= 0.65
 
 
+def two_solve_row(flux, ua, ub, T, dx):
+    """The kato_check row of one dx, built from two full one-datum
+    trajectories; and the first of them."""
+    ga, gb = (GridState.from_function(DOM, round(2 / dx), u0, cfl=0.45) for u0 in (ua, ub))
+    ta, tb = fv_solve(flux, ga, T), fv_solve(flux, gb, T)
+    d0 = l1_distance(ga, gb)
+    dT = l1_distance(final_state(ta), final_state(tb))
+    w, w_worst = trajectory_W(ta, tb)
+    return {"dx": dx, "l1_initial": d0, "l1_final": dT, "deficit": d0 - dT,
+            "contraction_holds": bool(dT <= d0 + 1e-12),
+            "W_integral": w, "W_worst_sample": w_worst}, ta
+
+
 def test_kato_rows_match_two_solves_per_mesh():
     # kato_check marches both data in one sweep; every row must equal that
     # of two separate one-datum solves on the same mesh
@@ -599,15 +612,75 @@ def test_kato_rows_match_two_solves_per_mesh():
     dxs = [1 / 100, 1 / 160]
     rows = kato_check(flux, ua, ub, 0.25, dxs, DOM)
     for dx, row in zip(dxs, rows):
-        ga, gb = (GridState.from_function(DOM, round(2 / dx), u0, cfl=0.45) for u0 in (ua, ub))
-        ta, tb = fv_solve(flux, ga, 0.25), fv_solve(flux, gb, 0.25)
-        d0 = l1_distance(ga, gb)
-        dT = l1_distance(ta.final(), tb.final())
-        w, w_worst = accumulated_interface_W(ta, tb)
-        assert row == {"dx": dx, "l1_initial": d0, "l1_final": dT, "deficit": d0 - dT,
-                       "contraction_holds": bool(dT <= d0 + 1e-12),
-                       "W_integral": w, "W_worst_sample": w_worst}
+        want, ta = two_solve_row(flux, ua, ub, 0.25, dx)
+        assert row == want
         assert ta.interfaces() and row["deficit"] > 0.0
+
+
+def wave(c, a, w, p):
+    return lambda x: c + a * np.sin(w * np.asarray(x, dtype=float).reshape(-1) + p)
+
+
+@st.composite
+def kato_problems(draw):
+    """A traffic flux k u (1 - u) whose k jumps 0, 1 or 3 times on faces of
+    an n-cell mesh of DOM, 1-3 data pairs and a final time."""
+    n = draw(st.sampled_from([8, 12, 20]))
+    njump = draw(st.sampled_from([0, 1, 3]))
+    faces = sorted(draw(st.sets(st.integers(1, n - 1), min_size=njump, max_size=njump)))
+    kv = draw(st.lists(st.floats(0.3, 1.5), min_size=njump + 1, max_size=njump + 1))
+    assume(all(abs(a - b) > 1e-3 for a, b in zip(kv, kv[1:])))
+    datum = st.builds(wave, st.floats(0.2, 0.8), st.sampled_from([0.0, 0.05, 0.2]),
+                      st.floats(0.5, 8.0), st.floats(0.0, 6.3))
+    pairs = draw(st.lists(st.tuples(datum, datum), min_size=1, max_size=3))
+    return n, [-1.0 + 2.0 * f / n for f in faces], kv, pairs, draw(st.floats(0.05, 0.4))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(kato_problems())
+def test_recorded_kato_rows_equal_rows_of_full_trajectories(problem):
+    # the Kato march keeps only the cells beside each interface and the
+    # final states; its rows must equal those from two full trajectories
+    n, breaks, kv, pairs, T = problem
+    traffic = traffic_flux()
+    flux = FluxSpec(piecewise_k(breaks, kv), traffic.ahat, traffic.dahat_du,
+                    traffic.u_range, traffic.critical)
+    dxs = [2.0 / n, 1.0 / n]
+    for ua, ub in pairs:
+        for dx, row in zip(dxs, kato_check(flux, ua, ub, T, dxs, DOM)):
+            want, ta = two_solve_row(flux, ua, ub, T, dx)
+            assert row == want
+            assert len(ta.interfaces()) == len(breaks)
+
+
+def test_a_non_finite_cell_that_is_not_recorded_still_raises(monkeypatch):
+    # NaN fluxes at one interior cell far from the interface, at the last
+    # step only: the NaN reaches the final states and no recorded cell of
+    # the Kato march, and both solves must still reject the run
+    from divchain.conslaw.solver import DEFAULT_CFL, step_count
+    flux = traffic_flux()
+    n, T, cell = 100, 0.25, 20
+    nsteps = int(step_count(flux, T, 2.0 / n, DEFAULT_CFL))
+    ahat, calls = flux.ahat, []
+
+    def nan_at_cell(kk, u):
+        out = np.array(ahat(kk, u), dtype=float)
+        if np.ndim(u) and np.shape(u)[-1] == n + 2:     # the padded rows of a step
+            calls.append(1)
+            if len(calls) == nsteps:
+                out[..., cell + 1] = np.nan
+        return out
+
+    monkeypatch.setattr(flux, "ahat", nan_at_cell)
+    ua, ub = kato_bump(-0.55), kato_bump(-0.35)
+    assert nsteps > 1 and 0.5 == -1.0 + 2.0 * 75 / n     # the interface face is 75
+    with pytest.raises(ScenarioValidationError, match="solver produced non-finite values"):
+        fv_solve(flux, GridState.from_function(DOM, n, ua), T)
+    assert len(calls) == nsteps
+    calls.clear()
+    with pytest.raises(ScenarioValidationError, match="solver produced non-finite values"):
+        kato_check(flux, ua, ub, T, [2.0 / n], DOM)
+    assert len(calls) == nsteps
 
 
 def test_interface_W_accumulation_vanishes_for_ordered_pair():
@@ -618,9 +691,9 @@ def test_interface_W_accumulation_vanishes_for_ordered_pair():
     gb = GridState.from_function(DOM, 200, upper)
     ta = fv_solve(flux, ga, 0.4)
     tb = fv_solve(flux, gb, 0.4)
-    total, worst = accumulated_interface_W(ta, tb)
+    total, worst = trajectory_W(ta, tb)
     assert abs(total) <= 1e-12 and worst <= 1e-12
-    assert l1_distance(ta.final(), tb.final()) <= l1_distance(ga, gb) + 1e-12
+    assert l1_distance(final_state(ta), final_state(tb)) <= l1_distance(ga, gb) + 1e-12
 
 
 # Reference: accumulated_interface_W as a loop over every time step, with
@@ -630,12 +703,12 @@ def ref_accumulated_interface_W(traj_a, traj_b):
     flux = traj_a.flux
     total = 0.0
     worst = -np.inf
-    dt = traj_a.dt
+    dt = traj_a.times[1] - traj_a.times[0] if len(traj_a.times) > 1 else 0.0
     for i in traj_a.interfaces():
         kp_ = traj_a.kvals[i]
         bplus = lambda t, kp_=kp_: flux.flux_at(kp_, t)
-        u1m, u1p = traj_a.interface_traces(i)
-        u2m, u2p = traj_b.interface_traces(i)
+        u1m, u1p = interface_traces(traj_a, i)
+        u2m, u2p = interface_traces(traj_b, i)
         for n in range(len(traj_a.times) - 1):
             w = interface_W(u1p[n], u1m[n], u2p[n], u2m[n], bplus)
             total += w * dt
@@ -660,7 +733,7 @@ def test_accumulated_interface_W_matches_loop(nif, n, ntimes, seed):
     ta, tb = (Trajectory(flux, grid, times, rng.choice(pool, (ntimes, n)), kvals)
               for _ in range(2))
     assert ta.interfaces() == faces.tolist()
-    total, worst = accumulated_interface_W(ta, tb)
+    total, worst = trajectory_W(ta, tb)
     ref_total, ref_worst = ref_accumulated_interface_W(ta, tb)
     assert total == ref_total and worst == ref_worst
 

@@ -13,6 +13,12 @@ from helpers import interval_domain
 DOM = interval_domain(-1.0, 1.0)
 
 
+def pad(u):
+    """u with a zero-gradient ghost cell at each end of its last axis, as
+    face_fluxes takes it."""
+    return np.pad(u, [(0, 0)] * (u.ndim - 1) + [(1, 1)], mode="edge")
+
+
 # -- reference: closed-form Godunov fluxes for f(u) = alpha u^2 + beta u ---
 
 def _f(alpha, beta, u):
@@ -100,8 +106,9 @@ def test_python_kernel_conserves_interior_mass():
     u0, kvals, flux = setup_problem()
     lam, nsteps = 0.45, 50
     F = face_fluxes(flux, kvals)
-    out = _sweep(F, u0, lam, nsteps)
-    F_first = F(out[0])
+    out, final = _sweep(F, u0, lam, nsteps, slice(None))
+    assert np.all(final == out[-1])
+    F_first = F(pad(out[0]))
     # constant states near both boundaries: boundary fluxes are steady, so
     # the total mass changes exactly by the boundary in/outflow
     expected = nsteps * lam * (F_first[0] - F_first[-1])
@@ -117,7 +124,7 @@ def test_demand_supply_matches_classical_for_concave():
     f = lambda u: -u * u + u
     for _ in range(200):
         uL, uR = rng.uniform(0, 1, 2)
-        got = F(np.array([uL, uR]))[1]
+        got = F(pad(np.array([uL, uR])))[1]
         if uL <= uR:
             ref = min(f(w) for w in [uL, uR] + ([0.5] if uL < 0.5 < uR else []))
         else:
@@ -128,7 +135,7 @@ def test_demand_supply_matches_classical_for_concave():
 def test_transonic_burgers_flux():
     # convex flux with the critical point inside: classical Godunov picks it
     flux, _, _ = quadratic_flux([(0.5, 0.0)], (-1.0, 1.0))
-    assert face_fluxes(flux, np.zeros(2))(np.array([-1.0, 1.0]))[1] == 0.0
+    assert face_fluxes(flux, np.zeros(2))(pad(np.array([-1.0, 1.0])))[1] == 0.0
 
 
 # -- face fluxes against the closed form, by hypothesis --------------------
@@ -162,7 +169,7 @@ def test_face_fluxes_match_closed_form(problem):
     flux, a, b = quadratic_flux(pieces, u_range)
     i = kvals.astype(int)
     ref = godunov_fluxes(u, a[i], b[i], *u_range)
-    got = face_fluxes(flux, kvals)(u)
+    got = face_fluxes(flux, kvals)(pad(u))
     assert np.all(np.abs(got - ref) <= 1e-14 * np.maximum(1.0, np.abs(ref)))
 
 
@@ -269,11 +276,12 @@ def test_multi_row_sweep_matches_one_row_reference(problem):
     kvals, u0, nsteps = problem
     flux = shifted_flux()
     lam = 0.45 / 2.0
-    got = _sweep(face_fluxes(flux, kvals), u0, lam, nsteps)
+    got, final = _sweep(face_fluxes(flux, kvals), u0, lam, nsteps, slice(None))
     ref_F = reference_face_fluxes(flux, kvals)
-    for row, states in zip(u0, got):
+    for row, states, last in zip(u0, got, final):
         assert np.all(states == reference_sweep(ref_F, row, lam, nsteps))
         assert states.flags["C_CONTIGUOUS"]
+        assert np.all(last == states[-1])
 
 
 def test_near_equal_coefficients_keep_their_own_flux():
@@ -284,4 +292,4 @@ def test_near_equal_coefficients_keep_their_own_flux():
     u = np.array([0.8, 1.0])    # decreasing side: the face flux is f(kL, uR)
     assert np.abs(kvals[1] - kvals[0]) <= 1e-12
     assert flux.flux_at(kvals[0], u[1]) != flux.flux_at(kvals[1], u[1])
-    assert np.all(face_fluxes(flux, kvals)(u) == reference_face_fluxes(flux, kvals)(u))
+    assert np.all(face_fluxes(flux, kvals)(pad(u)) == reference_face_fluxes(flux, kvals)(u))

@@ -12,6 +12,7 @@ from divchain import ParamField, PrimitiveField
 from divchain.cantor import MIDDLE_THIRDS
 from divchain.errors import IntegrationError
 from divchain.quadrature import (_GAUSS_IDX, _WG, _WGK, _XGK, CurvedCell, _cell_rect_values,
+                                 _segments_from_breaks,
                                  gauss, integrate_1d, integrate_cells, integrate_polar,
                                  integrate_to_upper)
 from divchain.scenario import build_domain, build_field, build_singular, parse_text
@@ -46,6 +47,39 @@ def test_stall_raises():
     f = lambda x: np.sign(np.sin(50.0 / (np.abs(x) + 1e-3)))
     with pytest.raises(IntegrationError):
         integrate_1d(f, -1, 1, tol_abs=1e-14, max_segments=64)
+
+
+def ref_segments_from_breaks(a, b, breakpoints):
+    """The loop that _segments_from_breaks replaced, one break at a time."""
+    pts = [a]
+    for p in sorted(set(float(q) for q in breakpoints)):
+        if a + 1e-14 * max(1, abs(a)) < p < b - 1e-14 * max(1, abs(b)):
+            pts.append(p)
+    pts.append(b)
+    return np.array(pts[:-1]), np.array(pts[1:])
+
+
+@st.composite
+def interval_and_breaks(draw):
+    """[a, b] and an unsorted list of breaks with duplicates, signed zeros,
+    and breaks at, within and just past 1e-14 of either end."""
+    a = draw(st.one_of(st.sampled_from([0.0, -0.0, -1.0, 1e-15, 3.0]), st.floats(-5.0, 5.0)))
+    b = a + draw(st.one_of(st.just(1.0), st.floats(1e-6, 4.0)))
+    near = [e + s * m * 1e-14 * max(1, abs(e)) for e in (a, b) for s in (-1, 1)
+            for m in (0.5, 1.0, 2.0)]
+    near += [np.nextafter(e, d) for e in (a, b) for d in (-np.inf, np.inf)]
+    pool = st.one_of(st.sampled_from([a, b, 0.0, -0.0, 0.5 * (a + b)] + near),
+                     st.floats(a - 1.0, b + 1.0))
+    return a, b, draw(st.lists(pool, max_size=12))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(interval_and_breaks())
+def test_segments_from_breaks_match_the_loop(case):
+    a, b, breaks = case
+    assert _segments_from_breaks(a, b, [])[0].tolist() == [a]
+    got, ref = _segments_from_breaks(a, b, breaks), ref_segments_from_breaks(a, b, breaks)
+    assert all(np.array_equal(g, r) for g, r in zip(got, ref))
 
 
 def test_curved_cell():
