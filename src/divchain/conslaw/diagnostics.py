@@ -13,7 +13,7 @@ import numpy as np
 from ..errors import ScenarioValidationError
 from ..quadrature import gauss
 from .flux import EntropyPair, FluxSpec, chi
-from .hatbasis import HatBasis, hat_derivative
+from .hatbasis import HatBasis
 from .solver import GridState, Trajectory, _solve, interface_faces
 
 
@@ -52,10 +52,10 @@ def _hat_pairings(traj: Trajectory, t_basis, x_basis, per_state):
     Both pairings are in closed form for piecewise-constant-in-(t, x)
     tables, and the tables are built one at a time.
     """
-    TI = t_basis.seg_integrals(traj.times)         # (n_t, nslab)
-    dT = np.diff(t_basis.vals(traj.times), axis=1)  # (n_t, nslab)
-    XI = x_basis.seg_integrals(traj.edges)         # (n_x, ncell)
-    dX = x_basis.point_diffs(traj.edges)           # (n_x, ncell)
+    TI = t_basis.seg_integrals(traj.times)   # (n_t, nslab)
+    dT = t_basis.point_diffs(traj.times)     # (n_t, nslab)
+    XI = x_basis.seg_integrals(traj.edges)   # (n_x, ncell)
+    dX = x_basis.point_diffs(traj.edges)     # (n_x, ncell)
     return np.array([-(dT @ g0 @ XI.T) - (TI @ g1 @ dX.T)
                      for g0, g1 in _slab_tables(traj, per_state)])
 
@@ -193,28 +193,26 @@ def kinetic_measure(traj: Trajectory, n_t=6, n_x=10, n_v=14):
     (xlo, xhi), = traj.domain.bounds
     x_basis = HatBasis(xlo, xhi, n_x)
     v_basis = HatBasis(-1.0, umax + 1.0, n_v)
+    hats = v_basis.hats
 
     def per_state(kv, u):
         A = lambda v: flux.flux_at(kv, v)
-        Au = A(u)
-        return np.array([(h.min_integral(u),
-                           h.weighted_to_upper(A, u, flux.ahat_degree)
-                           + Au * h.upper_integral(u))
-                          for h in v_basis.hats])
+        return np.stack([hats.min_integral(u),
+                         hats.weighted_to_upper(A, u, flux.ahat_degree)
+                         + A(u) * hats.upper_integral(u)], axis=1)
 
     masses = _hat_pairings(traj, t_basis, x_basis, per_state)
-    # the interface part: minus a time series at each coefficient jump,
-    # times the space hats at its face
+    # the interface part: minus a time series per v-hat at each coefficient
+    # jump, times the space hats at its face
     slabs = traj.states[:-1]
     TI = t_basis.seg_integrals(traj.times)
-    ifaces = traj.interfaces()
-    for m, vh in zip(masses, v_basis.hats):
-        for i in ifaces:
-            km_, kp_ = traj.kvals[i - 1], traj.kvals[i]
-            jump = lambda v: flux.flux_at(kp_, v) - flux.flux_at(km_, v)
-            series = sum(vh.weighted_to_upper(jump, uh, flux.ahat_degree) / 2
-                         for uh in (slabs[:, i - 1], slabs[:, i]))
-            m -= np.outer(TI @ series, x_basis.vals(traj.edges[i:i + 1])[:, 0])
+    for i in traj.interfaces():
+        km_, kp_ = traj.kvals[i - 1], traj.kvals[i]
+        jump = lambda v: flux.flux_at(kp_, v) - flux.flux_at(km_, v)
+        series = sum(hats.weighted_to_upper(jump, uh, flux.ahat_degree) / 2
+                     for uh in (slabs[:, i - 1], slabs[:, i]))
+        # one matrix-vector product per v-hat: a gemm would round differently
+        masses -= (TI @ series[..., None]) * x_basis.hats.val(traj.edges[i])
     return KineticMeasure(np.ascontiguousarray(masses.transpose(1, 2, 0)),
                           t_basis, x_basis, v_basis)
 
@@ -233,19 +231,15 @@ def kinetic_identity_residual(traj: Trajectory, km: KineticMeasure):
     paired once with the (t, x) hats.  Returns the worst absolute
     residual, at machine level for solver output."""
     flux = traj.flux
-    nodes = km.v_basis.nodes
-    dvhs = [hat_derivative(nodes[c], nodes[c + 1], nodes[c + 2])
-            for c in range(len(km.v_basis.hats))]
+    hats, dhats = km.v_basis.hats, km.v_basis.derivatives
 
     def per_state(kv, u):
         a = lambda v: flux.speed_at(kv, v)
         A = lambda v: flux.flux_at(kv, v)
-        Au = A(u)
-        return np.array([(vh.cdf(u) + dvh.min_integral(u),
-                          vh.weighted_to_upper(a, u, flux.speed_degree)
-                          + dvh.weighted_to_upper(A, u, flux.ahat_degree)
-                          + Au * dvh.upper_integral(u))
-                         for vh, dvh in zip(km.v_basis.hats, dvhs)])
+        return np.stack([hats.cdf(u) + dhats.min_integral(u),
+                         hats.weighted_to_upper(a, u, flux.speed_degree)
+                         + dhats.weighted_to_upper(A, u, flux.ahat_degree)
+                         + A(u) * dhats.upper_integral(u)], axis=1)
 
     return float(np.max(np.abs(_hat_pairings(traj, km.t_basis, km.x_basis, per_state))))
 

@@ -1,13 +1,11 @@
-"""Piecewise-linear weights and their clipped integrals.
+"""Families of piecewise-linear weights and their clipped integrals.
 
-The kinetic-measure assembly needs integrals like \\int w(v) min(v, u) dv,
-\\int_{v>u} w(v) dv and \\int_{v<u} w(v) g(v) dv per slab state; they are
-taken once per distinct (k, u) state, which for shock runs is a small share
-of the slab states.  With hat (and hat-derivative) weights the first two
-have closed forms.  The flux-weighted third runs Gauss on each clipped
-piece: ceil((d + 2) / 2) points when g is a polynomial of known degree d,
-which is exact (two points for the bundled quadratic fluxes), and 12 points
-otherwise.
+The kinetic-measure assembly needs \\int w(v) min(v, u) dv, \\int_{v>u} w(v) dv
+and \\int_{v<u} w(v) g(v) dv for every hat w of a basis and every distinct
+(k, u) slab state; a family holds the hats as rows, so each is one call.  The
+first two have closed forms.  The third runs Gauss on each clipped piece:
+ceil((d + 2) / 2) points when g is a polynomial of known degree d, which is
+exact (two for the bundled quadratic fluxes), and 12 points otherwise.
 """
 
 from __future__ import annotations
@@ -17,62 +15,78 @@ import numpy as np
 from ..quadrature import gauss
 
 
-class PiecewiseLinearWeight:
-    """w(v) = p_j + q_j v on [a_j, b_j] (disjoint, sorted), zero elsewhere."""
+def _cube(v):
+    """v ** 3 by Python's float pow, as a weight-by-weight evaluation takes the
+    piece ends' cubes: numpy's vectorized pow can differ in the last bit."""
+    return (v.astype(object) ** 3).astype(float)
 
-    def __init__(self, pieces):
-        self.pieces = [(float(a), float(b), float(p), float(q)) for a, b, p, q in pieces]
+
+def _piece_integral(a, c, p, q):
+    """\\int_a^c (p + q v) dv."""
+    return p * (c - a) + 0.5 * q * (c * c - a * a)
+
+
+class PiecewiseLinearWeight:
+    """Weights w_i(v) = p_ij + q_ij v on [a_ij, b_ij] (disjoint, sorted in j),
+    zero elsewhere, from arrays of shape (n_weights, n_pieces).  Every method
+    returns one row per weight: shape (n_weights,) + its argument's shape."""
+
+    def __init__(self, a, b, p, q):
+        self.a, self.b, self.p, self.q = a, b, p, q
 
     def val(self, x):
         x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
-        for a, b, p, q in self.pieces:
-            m = (x >= a) & (x <= b)
-            out = np.where(m, p + q * x, out)
+        out = np.zeros(self.a.shape[:1] + x.shape)
+        shape = (-1,) + (1,) * x.ndim
+        for j in range(self.a.shape[1]):
+            a, b, p, q = (v[:, j].reshape(shape) for v in (self.a, self.b, self.p, self.q))
+            out = np.where((x >= a) & (x <= b), p + q * x, out)
         return out
 
+    def _clipped(self, f):
+        """_below's (whole, part) for the piece integral f(a, c, p, q) over [a, c]."""
+        a, p, q = self.a, self.p, self.q
+        return f(a, self.b, p, q), lambda r, j, c: f(a[r, j], c, p[r, j], q[r, j])
+
     def integral(self):
-        tot = 0.0
-        for a, b, p, q in self.pieces:
-            tot += p * (b - a) + 0.5 * q * (b * b - a * a)
-        return tot
+        return sum(_piece_integral(self.a, self.b, self.p, self.q).T)
 
-    def _below(self, y, part):
-        """\\int_{-inf}^{y} of the piece integrals part(a, c, p, q) over [a, c].
-
-        A piece wholly below y adds one scalar, part(a, b, p, q); a piece
-        wholly above adds nothing; only the states strictly inside (a, b)
-        get a per-state part(a, y, p, q).
-        """
+    def _below(self, y, whole, part):
+        """Per row, \\int_{-inf}^{y} as a sum over pieces: a piece wholly below y
+        adds whole[:, j], one wholly above nothing, and only the (row, state)
+        pairs with y inside (a, b) get part(rows, j, y), over [a, y]."""
         y = np.asarray(y, dtype=float)
         flat = y.ravel()
-        out = np.zeros_like(flat)
-        for a, b, p, q in self.pieces:
-            full = flat >= b
-            if full.any():
-                out[full] += part(a, b, p, q)
-            inside = np.flatnonzero((flat > a) & (flat < b))
-            if inside.size:
-                out[inside] += part(a, flat[inside], p, q)
-        return out.reshape(y.shape)
+        out = np.zeros((len(self.a), flat.size))
+        for j in range(self.a.shape[1]):
+            a, b = self.a[:, j, None], self.b[:, j, None]
+            np.add(out, whole[:, j, None], out=out, where=flat >= b)
+            rows, at = np.nonzero((flat > a) & (flat < b))
+            if rows.size:
+                out[rows, at] += part(rows, j, flat[at])
+        return out.reshape(out.shape[:1] + y.shape)
 
     def cdf(self, y):
         """\\int_{-inf}^{y} w."""
-        return self._below(y, lambda a, c, p, q: p * (c - a) + 0.5 * q * (c * c - a * a))
+        return self._below(y, *self._clipped(_piece_integral))
 
     def moment_cdf(self, y):
         """\\int_{-inf}^{y} w(v) v dv."""
-        return self._below(
-            y, lambda a, c, p, q: 0.5 * p * (c * c - a * a) + q * (c ** 3 - a ** 3) / 3.0)
+        f = lambda a, c, a3, c3, p, q: 0.5 * p * (c * c - a * a) + q * (c3 - a3) / 3.0
+        a, b, p, q = self.a, self.b, self.p, self.q
+        a3 = _cube(a)
+        return self._below(y, f(a, b, a3, _cube(b), p, q),
+                           lambda r, j, c: f(a[r, j], c, a3[r, j], c ** 3, p[r, j], q[r, j]))
 
     def min_integral(self, u):
         """\\int w(v) min(v, u) dv (exact)."""
         u = np.asarray(u, dtype=float)
-        return self.moment_cdf(u) + u * (self.integral() - self.cdf(u))
+        return self.moment_cdf(u) + u * self.upper_integral(u)
 
     def upper_integral(self, u):
         """\\int_{v > u} w(v) dv."""
-        return self.integral() - self.cdf(np.asarray(u, dtype=float))
+        u = np.asarray(u, dtype=float)
+        return self.integral().reshape((-1,) + (1,) * u.ndim) - self.cdf(u)
 
     def weighted_to_upper(self, g, u, degree=None):
         """\\int_{-inf}^{u} w(v) g(v) dv by Gauss on each clipped piece.
@@ -83,54 +97,34 @@ class PiecewiseLinearWeight:
         """
         x, wts = gauss(12 if degree is None else (degree + 3) // 2)
 
-        def part(a, c, p, q):
+        def f(a, c, p, q):
             half, mid = 0.5 * (c - a), 0.5 * (c + a)
             vs = [mid + half * xi for xi in x]
             return half * sum(wi * (p + q * v) * np.asarray(g(v), dtype=float)
                               for v, wi in zip(vs, wts))
 
-        return self._below(u, part)
-
-
-def hat(l, m, r):
-    pieces = []
-    if m > l:
-        pieces.append((l, m, -l / (m - l), 1.0 / (m - l)))
-    if r > m:
-        pieces.append((m, r, r / (r - m), -1.0 / (r - m)))
-    return PiecewiseLinearWeight(pieces)
-
-
-def hat_derivative(l, m, r):
-    pieces = []
-    if m > l:
-        pieces.append((l, m, 1.0 / (m - l), 0.0))
-    if r > m:
-        pieces.append((m, r, -1.0 / (r - m), 0.0))
-    return PiecewiseLinearWeight(pieces)
+        return self._below(u, *self._clipped(f))
 
 
 class HatBasis:
-    """Interior hats on a uniform node set (boundary nodes excluded)."""
+    """Interior hats on a uniform node set (boundary nodes excluded), and
+    their derivatives: two weight families with one row per hat."""
 
     def __init__(self, lo, hi, n_hats):
         self.nodes = np.linspace(lo, hi, n_hats + 2)
-        self.hats = [hat(self.nodes[j - 1], self.nodes[j], self.nodes[j + 1])
-                     for j in range(1, n_hats + 1)]
-        self.centers = self.nodes[1:-1]
-
-    def __len__(self):
-        return len(self.hats)
-
-    def vals(self, x):
-        return np.stack([h.val(x) for h in self.hats])
+        l, m, r = self.nodes[:-2], self.nodes[1:-1], self.nodes[2:]
+        a, b = np.stack([l, m], axis=1), np.stack([m, r], axis=1)
+        slopes = np.stack([1.0 / (m - l), -1.0 / (r - m)], axis=1)
+        self.hats = PiecewiseLinearWeight(
+            a, b, np.stack([-l / (m - l), r / (r - m)], axis=1), slopes)
+        self.derivatives = PiecewiseLinearWeight(a, b, slopes, np.zeros_like(a))
 
     def seg_integrals(self, edges):
         """(nhat, nseg) exact integrals over consecutive [edges_k, edges_{k+1}]."""
-        cdfs = np.stack([h.cdf(edges) for h in self.hats])
+        cdfs = self.hats.cdf(edges)
         return cdfs[:, 1:] - cdfs[:, :-1]
 
     def point_diffs(self, edges):
         """(nhat, nseg) hat(e_{k+1}) - hat(e_k)."""
-        v = self.vals(edges)
+        v = self.hats.val(edges)
         return v[:, 1:] - v[:, :-1]

@@ -312,7 +312,7 @@ def compile_uv(src, line=None):
         k = np.asarray(k, dtype=float)
         u = np.asarray(u, dtype=float)
         out = np.asarray(e({"k": k, "u": u}), dtype=float)
-        shape = np.broadcast_shapes(k.shape, u.shape)
+        shape = u.shape if k.shape in ((), u.shape) else np.broadcast_shapes(k.shape, u.shape)
         if out.shape != shape or out is k or out is u:
             # broadcast, and never hand back the caller's array (a bare `u`)
             out = np.broadcast_to(out, shape).copy()

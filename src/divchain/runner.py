@@ -410,9 +410,9 @@ def _shock_dissipation(flux, pair, uL, uR, traj, km):
     etaL, etaR = eta(uL), eta(uR)
     rate = s * (np.asarray(pair.S(uL)) - np.asarray(pair.S(uR))) - (etaL - etaR)
     rate = -float(rate)
-    t_window = float(sum(h.integral() for h in km.t_basis.hats))
+    t_window = float(sum(km.t_basis.hats.integral()))
     x_shock = 0.5 * (traj.edges[0] + traj.edges[-1])
-    xw = float(np.sum(km.x_basis.vals(np.array([x_shock]))))
+    xw = float(np.sum(km.x_basis.hats.val(x_shock)))
     return rate * t_window * xw
 
 

@@ -8,7 +8,7 @@ from divchain.cli import bundled_dir
 from divchain.conslaw import (EntropyPair, FluxSpec, GridState, Trajectory, chi,
                               entropy_residual, fv_solve, interface_W, kato_check,
                               kinetic_identity_residual, kinetic_measure, l1_distance)
-from divchain.conslaw.hatbasis import PiecewiseLinearWeight, hat_derivative
+from divchain.conslaw.hatbasis import PiecewiseLinearWeight
 from divchain.errors import ScenarioValidationError
 from divchain.exprs import compile_uv
 from divchain.quadrature import gauss
@@ -18,6 +18,7 @@ from divchain.scenario import load
 from conftest import ONES, ZEROS
 from helpers import (cavalieri_lhs, div_xv_zero_residual, final_state, interface_traces,
                      interval_domain, point_sampled, trajectory_W)
+from test_hatbasis import hat_derivative, per_hat
 
 DOM = interval_domain(-1.0, 1.0)
 
@@ -402,7 +403,7 @@ def test_kinetic_standing_shock_mass_and_positivity():
     assert km.min_cell >= -1e-8
     eta = lambda u: u ** 2 / 2 - 2 * u ** 3 / 3
     rate = eta(0.2) - eta(0.8)
-    window = sum(h.integral() for h in km.t_basis.hats)
+    window = sum(km.t_basis.hats.integral())
     assert km.total_mass == pytest.approx(rate * window, rel=0.02)
 
 
@@ -445,21 +446,27 @@ def test_kinetic_identity_gate_catches_small_by_parts_error(monkeypatch, tmp_pat
 
 
 # Reference: the assembly before the per-state v-integrals were taken once
-# per distinct (k, u) state.  Every slab state is integrated per hat, and
-# the identity check re-assembles m with the hat derivatives as v-weights.
+# per distinct (k, u) state, on one weight object per hat (test_hatbasis.py),
+# so that it shares no code with the weight families.  Every slab state is
+# integrated per hat, and the identity check re-assembles m with the hat
+# derivatives as v-weights.
 
-def ref_assemble_masses(traj, t_basis, x_basis, v_weights):
+def ref_tables(hats, edges):
+    """Per hat, its integrals over [e_k, e_{k+1}] and its differences
+    hat(e_{k+1}) - hat(e_k)."""
+    cdfs = np.stack([h.cdf(edges) for h in hats])
+    vals = np.stack([h.val(edges) for h in hats])
+    return cdfs[:, 1:] - cdfs[:, :-1], vals[:, 1:] - vals[:, :-1]
+
+
+def ref_assemble_masses(traj, t_hats, x_hats, v_weights):
     flux = traj.flux
     slabs = traj.states[:-1]
-    t_edges = traj.times
-    TI = t_basis.seg_integrals(t_edges)
-    dT = t_basis.vals(t_edges)
-    dT = dT[:, 1:] - dT[:, :-1]
-    XI = x_basis.seg_integrals(traj.edges)
-    dX = x_basis.point_diffs(traj.edges)
+    TI, dT = ref_tables(t_hats, traj.times)
+    XI, dX = ref_tables(x_hats, traj.edges)
     kround = traj.kvals.round(12)
     ifaces = [(i, (slabs[:, i - 1], slabs[:, i])) for i in traj.interfaces()]
-    masses = np.empty((len(t_basis.hats), len(x_basis.hats), len(v_weights)))
+    masses = np.empty((len(t_hats), len(x_hats), len(v_weights)))
     for c, vh in enumerate(v_weights):
         g0 = vh.min_integral(slabs.ravel()).reshape(slabs.shape)
         g1 = np.empty_like(slabs)
@@ -472,7 +479,7 @@ def ref_assemble_masses(traj, t_basis, x_basis, v_weights):
         m = -(dT @ g0 @ XI.T) - (TI @ g1 @ dX.T)
         for i, uhat in ifaces:
             km_, kp_ = traj.kvals[i - 1], traj.kvals[i]
-            xw = x_basis.vals(np.array([traj.edges[i]]))[:, 0]
+            xw = np.array([h.val(traj.edges[i]) for h in x_hats])
             xi = np.zeros(slabs.shape[0])
             for uh in uhat:
                 xi += vh.weighted_to_upper(
@@ -482,22 +489,22 @@ def ref_assemble_masses(traj, t_basis, x_basis, v_weights):
     return masses
 
 
+def ref_bases(km):
+    """The per-hat t, x and v hats on the nodes of km's bases."""
+    return tuple(per_hat(b.nodes) for b in (km.t_basis, km.x_basis, km.v_basis))
+
+
 def ref_kinetic_identity_residual(traj, km):
     flux = traj.flux
     slabs = traj.states[:-1]
-    t_edges = traj.times
-    TI = km.t_basis.seg_integrals(t_edges)
-    dT = km.t_basis.vals(t_edges)
-    dT = dT[:, 1:] - dT[:, :-1]
-    XI = km.x_basis.seg_integrals(traj.edges)
-    dX = km.x_basis.point_diffs(traj.edges)
-    nodes = km.v_basis.nodes
-    dvhs = [hat_derivative(nodes[c], nodes[c + 1], nodes[c + 2])
-            for c in range(len(km.v_basis.hats))]
-    m_dv = ref_assemble_masses(traj, km.t_basis, km.x_basis, dvhs)
+    t_hats, x_hats, v_hats = ref_bases(km)
+    TI, dT = ref_tables(t_hats, traj.times)
+    XI, dX = ref_tables(x_hats, traj.edges)
+    dvhs = per_hat(km.v_basis.nodes, hat_derivative)
+    m_dv = ref_assemble_masses(traj, t_hats, x_hats, dvhs)
     worst = 0.0
     kround = traj.kvals.round(12)
-    for c, vh in enumerate(km.v_basis.hats):
+    for c, vh in enumerate(v_hats):
         chi_int = vh.cdf(slabs.ravel()).reshape(slabs.shape)
         t1 = -(dT @ chi_int @ XI.T)
         bi = np.empty_like(slabs)
@@ -510,7 +517,7 @@ def ref_kinetic_identity_residual(traj, km):
         t3 = np.zeros_like(t1)
         for i in traj.interfaces():
             km_, kp_ = traj.kvals[i - 1], traj.kvals[i]
-            xw = km.x_basis.vals(np.array([traj.edges[i]]))[:, 0]
+            xw = np.array([h.val(traj.edges[i]) for h in x_hats])
             jump = np.zeros(slabs.shape[0])
             for uh in (slabs[:, i - 1], slabs[:, i]):
                 jump += dvhs[c].weighted_to_upper(
@@ -540,8 +547,7 @@ def test_kinetic_assembly_matches_reference(m, ntimes, npool, jump, expo, seed):
     traj = Trajectory(flux, grid, times, states, flux.k.eval(grid.centers[:, None]))
     assert traj.interfaces() == ([face] if jump else [])
     km = kinetic_measure(traj, n_t=4, n_x=5, n_v=6)
-    assert np.array_equal(km.masses, ref_assemble_masses(traj, km.t_basis, km.x_basis,
-                                                         km.v_basis.hats))
+    assert np.array_equal(km.masses, ref_assemble_masses(traj, *ref_bases(km)))
     got = kinetic_identity_residual(traj, km)
     ref = ref_kinetic_identity_residual(traj, km)
     assert got <= 1e-12 and ref <= 1e-12
@@ -745,8 +751,8 @@ def test_shock_dissipation_integrates_states_below_zero():
     flux = burgers_flux()
     # unit windows in t and x, so the result is the dissipation rate itself
     traj = SimpleNamespace(kvals=np.ones(4), edges=np.array([-1.0, 1.0]))
-    km = SimpleNamespace(t_basis=SimpleNamespace(hats=[SimpleNamespace(integral=lambda: 1.0)]),
-                         x_basis=SimpleNamespace(vals=lambda x: np.ones(len(x))))
+    km = SimpleNamespace(t_basis=SimpleNamespace(hats=SimpleNamespace(integral=lambda: [1.0])),
+                         x_basis=SimpleNamespace(hats=SimpleNamespace(val=lambda x: [1.0])))
     uL, uR = 0.5, -0.5
     etaL, etaR = S_QUAD.eta_of_k(flux, 1.0, [uL, uR])
     s = (flux.flux_at(1.0, uR) - flux.flux_at(1.0, uL)) / (uR - uL)

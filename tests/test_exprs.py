@@ -50,6 +50,37 @@ def test_vectorized_compilation():
     assert np.allclose(ft(np.array([0.0, 2.0])), [1.0, 5.0])
 
 
+def broadcasting_uv(e):
+    """compile_uv's fn as it was: np.broadcast_shapes on every call."""
+    def fn(k, u):
+        k = np.asarray(k, dtype=float)
+        u = np.asarray(u, dtype=float)
+        out = np.asarray(e({"k": k, "u": u}), dtype=float)
+        shape = np.broadcast_shapes(k.shape, u.shape)
+        if out.shape != shape or out is k or out is u:
+            out = np.broadcast_to(out, shape).copy()
+        return out if out.ndim else out[()]
+    return fn
+
+
+@pytest.mark.parametrize("src", ["k*u*(1-u)", "k*u^2/2", "u", "k", "0.25", "1 + 2"])
+@pytest.mark.parametrize("k, u", [
+    (1.5, [0.1, 0.7, 1.0]),                                   # a scalar k
+    (1.5, 0.3),                                               # both scalars
+    ([[1.0, 0.5, 2.0], [2.0, 2.0, 1.0]], [[0.1, 0.2, 0.3], [0.4, 0.5, 0.6]]),  # equal shapes
+    ([[1.0], [0.5]], [0.1, 0.9, 0.4]),                        # (n, 1) against (m,)
+    ([1.0, 0.5, 2.0], 0.6),                                   # a scalar u
+])
+def test_compile_uv_matches_the_broadcasting_form(src, k, u):
+    fn, e = compile_uv(src)
+    k, u = np.asarray(k, dtype=float), np.asarray(u, dtype=float)
+    got, want = fn(k, u), broadcasting_uv(e)(k, u)
+    assert type(got) is type(want) and np.shape(got) == np.shape(want)
+    assert np.all(got == want)
+    # never the caller's array, not even for a bare `u` or `k`
+    assert got is not u and got is not k
+
+
 @pytest.mark.parametrize("src", ["x1", "x2", "t", "-0.5", "x1 < 0.5", "x2 * t"])
 def test_compile_scalar_returns_a_fresh_n_array(src):
     # a bare variable or a constant is copied; a computed result is its own array

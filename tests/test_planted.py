@@ -1,0 +1,156 @@
+"""Planted faults: each conslaw and kato check must read FAIL under a fault in
+the code it guards.
+
+A row names a check, a scenario (a lighter copy of a bundled file, written
+here), and a fault: a monkeypatch of the src function the check guards.  The
+same scenario without the fault must pass the check, so that the row shows
+the check failing for the fault and for nothing else."""
+
+import functools
+
+import numpy as np
+import pytest
+
+from divchain.conslaw import solver
+from divchain.conslaw.hatbasis import PiecewiseLinearWeight
+from divchain.runner import run_scenario
+from divchain.scenario import Scenario, parse_text
+
+HEAD = """[scenario]
+id = {id}
+dim = 1
+domain = -1 .. 1
+experiments = {experiments}
+"""
+
+TRAFFIC = """k_pieces = 1
+ahat = k*u*(1-u)
+dahat_du = k*(1-2*u)
+critical = 0.5
+u_range = 0 .. 1
+"""
+
+# standing-shock-traffic on 100 cells and a 4 x 5 x 6 kinetic grid
+SHOCK = HEAD.format(id="planted-shock", experiments="conslaw") + """[conslaw]
+k_breaks =
+""" + TRAFFIC + """u0 = 0.2 + 0.6*H(x1)
+T = 0.8
+cfl = 0.45
+ncells = 100
+run_kinetic = true
+kinetic_grid = 4, 5, 6
+kinetic_strict = true
+shock_left = 0.2
+shock_right = 0.8
+"""
+
+# its mirror image: a transonic rarefaction, whose face flux needs the
+# critical point u = 0.5
+FAN = HEAD.format(id="planted-fan", experiments="conslaw") + """[conslaw]
+k_breaks =
+""" + TRAFFIC + """u0 = 0.9 - 0.7*H(x1)
+T = 0.8
+cfl = 0.45
+ncells = 400
+run_kinetic = true
+kinetic_grid = 4, 5, 6
+"""
+
+# its first steps only: an unstable scheme overflows before T = 0.8
+FAN_START = FAN.replace("T = 0.8", "T = 0.05")
+
+# traffic-kato's coefficient jump, with one pair whose waves cross it
+KATO = HEAD.format(id="planted-kato", experiments="kato") + """[conslaw]
+k_breaks = 0.5 : +1
+k_pieces = 1 | 0.6
+ahat = k*u*(1-u)
+dahat_du = k*(1-2*u)
+critical = 0.5
+u_range = 0 .. 1
+[kato]
+T = 0.25
+dx_list = 1/50
+u0_a = 0.4
+u0_b = 0.4 + 0.25*(1-min(1,abs((x1-0.4)/0.35))^2)^2
+"""
+
+
+def scaled(cls, name, factor):
+    """cls.name with its result scaled by factor."""
+    orig = getattr(cls, name)
+    return lambda *args, **kw: orig(*args, **kw) * factor
+
+
+def fault_one_gauss_point_short(mp):
+    # the flux-weighted v-integrals lose their exactness: 2 points become 1
+    orig = PiecewiseLinearWeight.weighted_to_upper
+    mp.setattr(PiecewiseLinearWeight, "weighted_to_upper",
+               lambda self, g, u, degree=None: orig(self, g, u, 0 if degree else degree))
+
+
+def fault_wrong_sign_flux_part(mp):
+    # every flux-weighted v-integral enters with the wrong sign
+    mp.setattr(PiecewiseLinearWeight, "weighted_to_upper",
+               scaled(PiecewiseLinearWeight, "weighted_to_upper", -1.0))
+
+
+def fault_moment_off_by_1e6(mp):
+    # \int w v to a relative 1e-6.  It enters only the time part, which pairs
+    # to zero on a standing shock, so this row runs on the moving fan
+    mp.setattr(PiecewiseLinearWeight, "moment_cdf",
+               scaled(PiecewiseLinearWeight, "moment_cdf", 1 + 1e-6))
+
+
+def fault_central_flux(mp):
+    # the face flux averages its two one-sided fluxes: no upwinding
+    def face_fluxes(flux, kvals):
+        kpad = np.concatenate([kvals[:1], kvals, kvals[-1:]])
+
+        def F(u):
+            fc = flux.flux_at(kpad, u)
+            return 0.5 * (fc[..., :-1] + fc[..., 1:])
+        return F
+    mp.setattr(solver, "face_fluxes", face_fluxes)
+
+
+def fault_critical_points_dropped(mp):
+    # the face flux takes the min/max of Ahat over the Riemann fan at its ends only
+    mp.setattr(solver, "_critical_table",
+               lambda flux, kv: (np.empty((0, len(kv))), []))
+
+
+PLANTED = [
+    ("conslaw:kinetic_nonnegative", SHOCK, fault_wrong_sign_flux_part),
+    ("conslaw:kinetic_identity", FAN, fault_moment_off_by_1e6),
+    ("conslaw:shock_dissipation", SHOCK, fault_one_gauss_point_short),
+    ("conslaw:max_principle", FAN_START, fault_central_flux),
+    ("conslaw:bv_bounded", FAN_START, fault_central_flux),
+    ("conslaw:entropy_residual", FAN, fault_critical_points_dropped),
+    ("kato:pair0", KATO, fault_critical_points_dropped),
+]
+
+# checks that pass by construction, and why
+EXEMPT = {
+    "conslaw:kinetic_min_cell_reported": "a report row: it records min_cell and always passes",
+}
+
+def verdicts(text):
+    """Each check's pass flag on the scenario text."""
+    return {c["name"]: c["pass"] for c in run_scenario(Scenario(parse_text(text))).checks}
+
+
+@functools.lru_cache
+def unfaulted(text):
+    return verdicts(text)
+
+
+@pytest.mark.parametrize("check, text, fault", PLANTED, ids=[r[0] for r in PLANTED])
+def test_planted_fault_fails_the_check(check, text, fault, monkeypatch):
+    assert unfaulted(text)[check] is True
+    fault(monkeypatch)
+    assert verdicts(text)[check] is False
+
+
+def test_every_conslaw_and_kato_check_has_a_row():
+    names = set().union(*(unfaulted(text) for _, text, _ in PLANTED))
+    assert names == {check for check, _, _ in PLANTED} | set(EXEMPT)
