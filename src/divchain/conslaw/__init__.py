@@ -2,13 +2,13 @@
 
 from .diagnostics import (KineticMeasure, accumulated_interface_W, entropy_residual,
                           interface_W, kato_check, kinetic_identity_residual,
-                          kinetic_measure, l1_distance, space_time_bumps)
+                          kinetic_measure, space_time_bumps)
 from .flux import EntropyPair, FluxSpec, chi
 from .solver import GridState, Trajectory, fv_solve
 
 __all__ = [
     "KineticMeasure", "accumulated_interface_W", "entropy_residual", "interface_W",
-    "kato_check", "kinetic_identity_residual", "kinetic_measure", "l1_distance",
+    "kato_check", "kinetic_identity_residual", "kinetic_measure",
     "space_time_bumps", "EntropyPair", "FluxSpec", "chi", "GridState", "Trajectory",
     "fv_solve",
 ]

@@ -14,7 +14,7 @@ from ..errors import ScenarioValidationError
 from ..quadrature import gauss
 from .flux import EntropyPair, FluxSpec, chi
 from .hatbasis import HatBasis
-from .solver import GridState, Trajectory, _solve, interface_faces
+from .solver import GridState, Trajectory, _solve, cell_averages, interface_faces
 
 
 def _segment_integrals(f, edges, order):
@@ -31,18 +31,13 @@ def _slab_tables(traj: Trajectory, per_state):
 
     per_state(k, u) maps a coefficient value and an array of states to an
     array of shape (ntab, ..., len(u)).  It is called once per coefficient
-    value, on that value's distinct slab states only; the c-th table yielded
-    has shape (..., nslab, ncell) and holds per_state(k_i, u_i^n)[c].
+    value, on that value's distinct slab states only (traj.slab_states); the
+    c-th table yielded has shape (..., nslab, ncell) and holds
+    per_state(k_i, u_i^n)[c].
     """
-    slabs = traj.states[:-1]
-    inv = np.empty(slabs.shape, dtype=np.intp)
-    vals = []
-    for kv in np.unique(traj.kvals.round(12)):
-        cols = np.flatnonzero(np.abs(traj.kvals - kv) <= 1e-12)
-        u, j = np.unique(slabs[:, cols].ravel(), return_inverse=True)
-        inv[:, cols] = sum(v.shape[-1] for v in vals) + j.reshape(slabs.shape[0], len(cols))
-        vals.append(per_state(kv, u))
-    return (np.take(table, inv, axis=-1) for table in np.concatenate(vals, axis=-1))
+    inv, per_k = traj.slab_states
+    vals = np.concatenate([per_state(kv, u) for kv, u in per_k], axis=-1)
+    return (np.take(table, inv, axis=-1) for table in vals)
 
 
 def _hat_pairings(traj: Trajectory, t_basis, x_basis, per_state):
@@ -267,41 +262,47 @@ def accumulated_interface_W(flux: FluxSpec, kplus, traces, dt):
     return float(np.cumsum(w * dt)[-1]), float(np.max(w))
 
 
-def l1_distance(a: GridState, b: GridState):
-    return float(np.sum(np.abs(a.averages - b.averages)) * a.dx)
-
-
 def kato_cells(domain, dx):
     """The number of cells of kato_check's dx mesh on the domain."""
     return int(round((domain.bounds[0][1] - domain.bounds[0][0]) / dx))
 
 
-def kato_check(flux: FluxSpec, u0_a, u0_b, T, dx_list, domain):
-    """Contraction table over a refinement sequence, at cfl DEFAULT_CFL.
+def kato_check(flux: FluxSpec, pairs, T, dx_list, domain):
+    """Contraction tables over a refinement sequence, at cfl DEFAULT_CFL: one
+    list of rows, one row per dx, for each data pair (u0_a, u0_b) of pairs.
 
-    Per dx: L1 distances at 0 and T, their deficit, and the accumulated
-    interface W integral with its worst sample.
+    Per dx, one sweep marches every datum of every pair, and each row holds
+    its pair's L1 distances at 0 and T, their deficit, and the accumulated
+    interface W integral with its worst sample.  The sweep treats each datum
+    on its own, so a pair's rows equal those of a march of that pair alone.
     """
-    return [_kato_row(flux, u0_a, u0_b, T, dx, domain) for dx in dx_list]
+    per_dx = [_kato_rows(flux, pairs, T, dx, domain) for dx in dx_list]
+    return [list(rows) for rows in zip(*per_dx)]
 
 
-def _kato_row(flux: FluxSpec, u0_a, u0_b, T, dx, domain):
-    """One kato_check row: both data march in one sweep on the dx mesh, which
-    keeps the final states and the cells i-1, i beside each interface face i."""
-    ga, gb = (GridState.from_function(domain, kato_cells(domain, dx), u0)
-              for u0 in (u0_a, u0_b))
+def _kato_rows(flux: FluxSpec, pairs, T, dx, domain):
+    """The kato_check rows of one dx, one per pair: all data march in one
+    sweep on the dx mesh, which keeps the final states and the cells i-1, i
+    beside each interface face i."""
+    ncells = kato_cells(domain, dx)
+    data = [cell_averages(domain, ncells, u0) for pair in pairs for u0 in pair]
+    mesh = GridState(domain, data[0])
+    l1 = lambda a, b: float(np.sum(np.abs(a - b)) * mesh.dx)
     cells = lambda kv: np.ravel([[i - 1, i] for i in interface_faces(kv)]).astype(int)
-    kvals, times, traces, final = _solve(flux, [ga, gb], T, cells)
+    kvals, times, traces, final = _solve(flux, mesh, data, T, cells)
     faces = interface_faces(kvals)
-    d0 = l1_distance(ga, gb)
-    dT = l1_distance(*(GridState(domain, u) for u in final))
-    w, w_worst = accumulated_interface_W(flux, kvals[faces], traces, times[1] - times[0])
-    return {
-        "dx": dx,
-        "l1_initial": d0,
-        "l1_final": dT,
-        "deficit": d0 - dT,
-        "contraction_holds": bool(dT <= d0 + 1e-12),
-        "W_integral": w,
-        "W_worst_sample": w_worst,
-    }
+    rows = []
+    for a in range(0, len(data), 2):
+        d0, dT = l1(data[a], data[a + 1]), l1(final[a], final[a + 1])
+        w, w_worst = accumulated_interface_W(flux, kvals[faces], traces[a:a + 2],
+                                             times[1] - times[0])
+        rows.append({
+            "dx": dx,
+            "l1_initial": d0,
+            "l1_final": dT,
+            "deficit": d0 - dT,
+            "contraction_holds": bool(dT <= d0 + 1e-12),
+            "W_integral": w,
+            "W_worst_sample": w_worst,
+        })
+    return rows

@@ -5,12 +5,17 @@ cells.  Coefficient jumps must sit on cell faces; those faces couple the
 two one-sided fluxes through the demand/supply form of the Godunov flux,
 which selects the admissible interface state.  One vectorized numpy sweep
 serves every flux: it needs only Ahat and its declared critical points.
-The sweep marches several initial data on one mesh at once, one row each
-of a buffer padded with the ghost cells and updated in place; it evaluates
-Ahat once per cell and step, and keeps the states of the cells it is given.
+The sweep marches any number of initial data on one mesh at once (fv_solve
+one, the Kato experiment every datum of every pair), one row each of a
+buffer padded with the ghost cells and updated in place.  Every operation
+acts on each row on its own, so a row's states do not depend on the others.
+It evaluates Ahat once per cell and step, and keeps the states of the cells
+it is given.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 import numpy as np
 
@@ -21,9 +26,11 @@ from .flux import FluxSpec
 
 DEFAULT_CFL = 0.45      # of every [kato] run, and of a [conslaw] run without cfl
 
-# The most cell states, rows x (nsteps + 1) x ncells, a march may compute (and
-# fv_solve keep: 2 GB).  The largest benchmark march, refine's pair at dx =
-# 1/1600, computes 2 x 890 x 3200 = 5.7e6 and keeps its interface cells only.
+# The most cell states, rows x (nsteps + 1) x ncells, one march may compute per
+# datum or data pair (rows 1 or 2), and fv_solve keep: 2 GB.  The Kato sweep
+# marches 2 x pairs rows of ncells + 2 floats at once and keeps the interface
+# cells only, so the cap bounds its work per pair, not its memory: refine's
+# largest mesh, dx = 1/1600, computes 2 x 890 x 3200 = 5.7e6 states per pair.
 MAX_TRAJECTORY_FLOATS = 2.5e8
 
 
@@ -45,15 +52,21 @@ class GridState:
     @staticmethod
     def from_function(domain, ncells, fn, cfl=DEFAULT_CFL):
         """The cell averages of fn, by 4-point Gauss per cell."""
-        lo, hi = domain.bounds[0]
-        edges = np.linspace(lo, hi, ncells + 1)
-        gx, gw = gauss(4)
-        mid = 0.5 * (edges[:-1] + edges[1:])
-        half = 0.5 * (edges[1:] - edges[:-1])
-        vals = np.zeros(ncells)
-        for x, w in zip(gx, gw):
-            vals += 0.5 * w * np.asarray(fn(mid + half * x), dtype=float)
-        return GridState(domain, vals, cfl=cfl)
+        return GridState(domain, cell_averages(domain, ncells, fn), cfl=cfl)
+
+
+def cell_averages(domain: Domain, ncells, fn):
+    """The averages of fn over the ncells cells of the domain, by 4-point
+    Gauss per cell."""
+    lo, hi = domain.bounds[0]
+    edges = np.linspace(lo, hi, ncells + 1)
+    gx, gw = gauss(4)
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    half = 0.5 * (edges[1:] - edges[:-1])
+    vals = np.zeros(ncells)
+    for x, w in zip(gx, gw):
+        vals += 0.5 * w * np.asarray(fn(mid + half * x), dtype=float)
+    return vals
 
 
 class Trajectory:
@@ -76,6 +89,23 @@ class Trajectory:
 
     def discrete_tv(self):
         return float(np.max(np.sum(np.abs(np.diff(self.states, axis=1)), axis=1)))
+
+    @cached_property
+    def slab_states(self):
+        """The distinct slab states u_i^n (n < nsteps) per coefficient value:
+        (inv, [(k, sorted states of the cells with coefficient k)]), where
+        inv[n, i] indexes u_i^n in the concatenation of those state arrays."""
+        slabs = self.states[:-1]
+        inv = np.empty(slabs.shape, dtype=np.intp)
+        per_k = []
+        start = 0
+        for kv in np.unique(self.kvals.round(12)):
+            cols = np.flatnonzero(np.abs(self.kvals - kv) <= 1e-12)
+            u, j = np.unique(slabs[:, cols].ravel(), return_inverse=True)
+            inv[:, cols] = start + j.reshape(slabs.shape[0], len(cols))
+            per_k.append((kv, u))
+            start += len(u)
+        return inv, per_k
 
 
 def _coefficients(flux: FluxSpec, grid: GridState):
@@ -120,7 +150,7 @@ def in_invariant_region(flux: FluxSpec, averages):
 
 def fv_solve(flux: FluxSpec, u0: GridState, T) -> Trajectory:
     """March to time T with Godunov fluxes; dt = cfl dx / max |speed|."""
-    kvals, times, states, _ = _solve(flux, [u0], T, lambda kvals: slice(None))
+    kvals, times, states, _ = _solve(flux, u0, [u0.averages], T, lambda kvals: slice(None))
     return Trajectory(flux, u0, times, states[0], kvals)
 
 
@@ -129,26 +159,25 @@ def interface_faces(kvals):
     return (np.flatnonzero(np.abs(np.diff(kvals)) > 1e-12) + 1).tolist()
 
 
-def _solve(flux: FluxSpec, grids, T, record):
+def _solve(flux: FluxSpec, mesh: GridState, data, T, record):
     """March several initial data on one mesh from time 0 to T in one sweep.
 
-    The grids share the first one's mesh and CFL number; record(kvals) gives
-    the cells (an index or slice) whose states are kept at every level.
-    Returns kvals, the time levels, those states and the final states.
+    data holds the cell averages of each datum on mesh's cells; the march
+    runs at mesh's CFL number, and record(kvals) gives the cells (an index or
+    slice) whose states are kept at every level.  Returns kvals, the time
+    levels, those states (one row per datum) and the final states.
     """
-    g0 = grids[0]
-    if not (0.0 < g0.cfl < 1.0):
+    if not (0.0 < mesh.cfl < 1.0):
         raise ScenarioValidationError("cfl must be in (0, 1)")
-    u0 = np.stack([g.averages for g in grids])
-    if not in_invariant_region(flux, u0):
+    if not all(in_invariant_region(flux, u) for u in data):
         raise ScenarioValidationError("initial data outside the invariant region")
-    kvals = _coefficients(flux, g0)
+    kvals = _coefficients(flux, mesh)
     if len(np.unique(kvals.round(12))) > 1:
         _validate_interface_fluxes(flux, kvals)
-    nsteps = int(step_count(flux, T, g0.dx, g0.cfl))
+    nsteps = int(step_count(flux, T, mesh.dx, mesh.cfl))
     dt = float(T) / nsteps
 
-    states, final = _sweep(face_fluxes(flux, kvals), u0, dt / g0.dx, nsteps, record(kvals))
+    states, final = _sweep(face_fluxes(flux, kvals), data, dt / mesh.dx, nsteps, record(kvals))
     # a cell that turns non-finite stays so, and so reaches the final states
     if not (np.all(np.isfinite(states)) and np.all(np.isfinite(final))):
         raise ScenarioValidationError("solver produced non-finite values")
@@ -184,13 +213,12 @@ def face_fluxes(flux: FluxSpec, kvals):
     critRj, fcritRj = _critical_table(flux, kR[jump])
     f_at_lo = flux.flux_at(kL[jump], lo)
     f_at_hi = flux.flux_at(kR[jump], hi)
-    tiles = {}      # leading shape of u -> the face data repeated to that shape
+    tiles = {}      # leading shape of u -> the face data as views of that shape
 
     def F(u):
         rows = u.shape[:-1]
         if rows not in tiles:
-            # numpy runs an operation on (2, n) rows slower when an operand broadcasts
-            t = lambda arrays: [np.broadcast_to(a, rows + a.shape).copy() for a in arrays]
+            t = lambda arrays: [np.broadcast_to(a, rows + a.shape) for a in arrays]
             tiles[rows] = (t([kpad, kL[near], f_at_lo, f_at_hi]), t(critL), t(fcritL),
                            t(critLj), t(fcritLj), t(critRj), t(fcritRj))
         (kv, k_near, f_lo, f_hi), cL, fcL, cLj, fcLj, cRj, fcRj = tiles[rows]
@@ -200,12 +228,11 @@ def face_fluxes(flux: FluxSpec, kvals):
         if len(near):
             fr = fr.copy()
             fr[..., near] = flux.flux_at(k_near, uR[..., near])
-        flo = np.minimum(uL, uR)
-        fhi = np.maximum(uL, uR)
         fmin = np.minimum(fl, fr)
         fmax = np.maximum(fl, fr)
         for c, fcr in zip(cL, fcL):
-            ok = (c > flo) & (c < fhi)
+            # c strictly between uL and uR: False at NaN padding and equal ends
+            ok = ((uL < c) & (c < uR)) | ((uR < c) & (c < uL))
             np.minimum(fmin, fcr, out=fmin, where=ok)
             np.maximum(fmax, fcr, out=fmax, where=ok)
         np.copyto(fmax, fmin, where=uL <= uR)
@@ -240,18 +267,18 @@ def _critical_table(flux: FluxSpec, kv):
     return table, [flux.flux_at(kv, np.where(np.isnan(c), lo, c)) for c in table]
 
 
-def _sweep(F, u0, lam, nsteps, cells):
+def _sweep(F, data, lam, nsteps, cells):
     """nsteps explicit steps u <- u - lam (F_{i+1/2} - F_{i-1/2}).
 
-    u0 has shape (..., ncells), one row per initial datum, updated in place
-    in one buffer with a zero-gradient ghost cell at each end.  Returns the
-    states of the given cells (an index or slice) at every level, shape
-    (..., nsteps + 1, cells kept), each row's one C-contiguous block, and
-    the final states.
+    data holds the initial cell averages, one array per datum, copied into
+    the rows of one buffer with a zero-gradient ghost cell at each end and
+    updated in place.  Returns the states of the given cells (an index or
+    slice) at every level, shape (rows, nsteps + 1, cells kept), each row's
+    one C-contiguous block, and the final states.
     """
-    padded = np.empty(u0.shape[:-1] + (u0.shape[-1] + 2,))
-    u = padded[..., 1:-1]
-    u[...] = u0
+    padded = np.empty((len(data), len(data[0]) + 2))
+    u = padded[:, 1:-1]
+    u[...] = data
     first = u[..., cells]
     out = np.empty(first.shape[:-1] + (nsteps + 1, first.shape[-1]))
     out[..., 0, :] = first

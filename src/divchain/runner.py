@@ -421,8 +421,8 @@ def run_kato(scn: Scenario, res: RunResult):
     kato = scn.kato
     all_rows = []
     ok = True
-    for j, (u0_a, u0_b) in enumerate(kato.pairs):
-        rows = kato_check(scn.flux, u0_a, u0_b, kato.T, kato.dx_list, scn.domain)
+    per_pair = kato_check(scn.flux, kato.pairs, kato.T, kato.dx_list, scn.domain)
+    for j, rows in enumerate(per_pair):
         for r in rows:
             r["pair"] = j
         all_rows.extend(rows)

@@ -110,11 +110,13 @@ def _initial_datum(text, line, key, domain):
 
 
 def _check_march(flux, domain, T, ncells, cfl, rows, line, data):
-    """At load, the checks of the solver on a march of `rows` data at a time to
-    time T on ncells cells: its work, rows x (nsteps + 1) x ncells cell
-    states, fits MAX_TRAJECTORY_FLOATS (the error names `line`), and each
-    (key, line, fn) of data has cell averages in the invariant region
-    u_range."""
+    """At load, the checks of the solver on a march of `rows` data to time T
+    on ncells cells: its work, rows x (nsteps + 1) x ncells cell states, fits
+    MAX_TRAJECTORY_FLOATS (the error names `line`), and each (key, line, fn)
+    of data has cell averages in the invariant region u_range.  rows is 1 for
+    a [conslaw] datum and 2 for a [kato] data pair: the Kato sweep marches all
+    pairs at once, 2 x pairs rows of ncells + 2 floats, keeping only the
+    interface cells, and the bound is on its work per pair."""
     (lo, hi), = domain.bounds
     steps = step_count(flux, T, (hi - lo) / ncells, cfl)
     if rows * (steps + 1) * ncells > MAX_TRAJECTORY_FLOATS:
@@ -476,7 +478,7 @@ def build_kato(raw: RawScenario, domain: Domain, flux: FluxSpec):
         data += [(key, ln(key), fn) for key, fn in zip((ka, kb), pairs[-1])]
     if not pairs:
         raise ScenarioValidationError("[kato] needs at least one data pair")
-    for dx in dx_list:          # kato_check marches each pair, 2 rows, in one sweep per dx
+    for dx in dx_list:          # the work per pair, 2 rows, of kato_check's sweep per dx
         _check_march(flux, domain, T, kato_cells(domain, dx), DEFAULT_CFL, 2, ln("dx_list"),
                      data)
     return SimpleNamespace(T=T, dx_list=dx_list, pairs=pairs)

@@ -422,6 +422,33 @@ def test_malformed_value_exits_with_its_line(tmp_path, capsys, name, source, rep
     assert head.match(capsys.readouterr().out)
 
 
+@pytest.mark.parametrize("levels, code", [(9765, EXIT_OK), (9766, EXIT_VALIDATION_ERROR)],
+                         ids=["just-under", "just-over"])
+def test_kato_bound_counts_the_work_per_pair(tmp_path, capsys, levels, code):
+    # traffic-kato's three pairs on 12800 cells (dx = 1/6400): a pair's march
+    # of `levels` time levels computes 2 x levels x 12800 cell states, and
+    # 9765 levels fit MAX_TRAJECTORY_FLOATS while 9766 do not.  The sweep
+    # holds all six rows at once, but the bound is on the work per pair
+    from divchain.conslaw.solver import DEFAULT_CFL, MAX_TRAJECTORY_FLOATS, step_count
+    from divchain.scenario import load
+    flux = load(scenario_path("traffic-kato")).flux
+    dx = 2.0 / 12800
+    T = (levels - 1.5) * DEFAULT_CFL * dx / flux.M
+    assert step_count(flux, T, dx, DEFAULT_CFL) + 1 == levels
+    assert (2 * levels * 12800 <= MAX_TRAJECTORY_FLOATS) == (code == EXIT_OK)
+    path, line = _write_malformed(
+        tmp_path, f"kato-{levels}-levels", "traffic-kato",
+        [("T = 0.25\ndx_list = 1/100, 1/200, 1/400", f"T = {T!r}\ndx_list = 1/6400")],
+        "dx_list")
+    assert main(["validate", path]) == code
+    out = capsys.readouterr().out
+    if code == EXIT_OK:
+        assert out == "ok: traffic-kato (conslaw, kato)\n"
+    else:
+        assert out.startswith(f"validation error in {path}: line {line}: the march to T = ")
+        assert f"holds 2 x {levels:.3g} x 1.28e+04 floats" in out
+
+
 def test_malformed_values_do_not_stop_the_batch(tmp_path, capsys):
     # among them every file that once crashed `run` with a traceback (moll eps,
     # omegas, u0_a2 without u0_b2, kinetic_grid, sigma_t_samples, x2 in 1-D)

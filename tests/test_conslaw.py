@@ -7,7 +7,7 @@ from divchain import BVFunction, plateau_bump
 from divchain.cli import bundled_dir
 from divchain.conslaw import (EntropyPair, FluxSpec, GridState, Trajectory, chi,
                               entropy_residual, fv_solve, interface_W, kato_check,
-                              kinetic_identity_residual, kinetic_measure, l1_distance)
+                              kinetic_identity_residual, kinetic_measure)
 from divchain.conslaw.hatbasis import PiecewiseLinearWeight
 from divchain.errors import ScenarioValidationError
 from divchain.exprs import compile_uv
@@ -17,7 +17,7 @@ from divchain.scenario import load
 
 from conftest import ONES, ZEROS
 from helpers import (cavalieri_lhs, div_xv_zero_residual, final_state, interface_traces,
-                     interval_domain, point_sampled, trajectory_W)
+                     interval_domain, l1_distance, point_sampled, trajectory_W)
 from test_hatbasis import hat_derivative, per_hat
 
 DOM = interval_domain(-1.0, 1.0)
@@ -407,6 +407,26 @@ def test_kinetic_standing_shock_mass_and_positivity():
     assert km.total_mass == pytest.approx(rate * window, rel=0.02)
 
 
+def test_slab_states_are_decomposed_once_per_trajectory(monkeypatch):
+    # entropy_residual, kinetic_measure and kinetic_identity_residual share
+    # one np.unique over the slab states per coefficient value
+    flux = traffic_flux()
+    traj = fv_solve(flux, GridState.from_function(DOM, 40, kato_bump(0.2)), 0.3)
+    assert len(traj.interfaces()) == 1
+    unique, decompositions = np.unique, []
+
+    def counted(*args, **kw):
+        if kw.get("return_inverse"):
+            decompositions.append(np.size(args[0]))
+        return unique(*args, **kw)
+
+    monkeypatch.setattr(np, "unique", counted)
+    entropy_residual(traj, S_QUAD)
+    kinetic_identity_residual(traj, kinetic_measure(traj, n_t=3, n_x=4, n_v=5))
+    assert sum(decompositions) == (len(traj.times) - 1) * len(traj.centers)
+    assert len(decompositions) == 2
+
+
 def test_kinetic_negative_control_raises():
     traj = shock_traj(200)
     xs = traj.centers
@@ -571,15 +591,15 @@ def kato_bump(c, w=0.25, a=0.2):
 
 def test_kato_identical_data():
     flux = traffic_flux()
-    rows = kato_check(flux, lambda x: 0.4 * np.ones(len(x)),
-                      lambda x: 0.4 * np.ones(len(x)), 0.2, [1 / 100], DOM)
+    rows, = kato_check(flux, [(lambda x: 0.4 * np.ones(len(x)),
+                               lambda x: 0.4 * np.ones(len(x)))], 0.2, [1 / 100], DOM)
     assert rows[0]["l1_initial"] == 0.0 and rows[0]["l1_final"] == 0.0
 
 
 def test_kato_transport_isometry():
     flux = transport_flux()
-    rows = kato_check(flux, kato_bump(-0.5), kato_bump(-0.3),
-                      0.25, [1 / 100, 1 / 200], DOM)
+    rows, = kato_check(flux, [(kato_bump(-0.5), kato_bump(-0.3))],
+                       0.25, [1 / 100, 1 / 200], DOM)
     for r in rows:
         assert r["contraction_holds"]
         assert 0 <= r["deficit"] <= 3.0 * r["dx"]
@@ -587,8 +607,8 @@ def test_kato_transport_isometry():
 
 def test_kato_traffic_contraction_and_halving():
     flux = traffic_flux()
-    rows = kato_check(flux, kato_bump(-0.55), kato_bump(-0.35),
-                      0.25, [1 / 100, 1 / 200, 1 / 400], DOM)
+    rows, = kato_check(flux, [(kato_bump(-0.55), kato_bump(-0.35))],
+                       0.25, [1 / 100, 1 / 200, 1 / 400], DOM)
     for r in rows:
         assert r["contraction_holds"]
         assert r["W_worst_sample"] <= 1e-8
@@ -616,7 +636,7 @@ def test_kato_rows_match_two_solves_per_mesh():
     flux = traffic_flux()
     ua, ub = kato_bump(-0.55), kato_bump(-0.35)
     dxs = [1 / 100, 1 / 160]
-    rows = kato_check(flux, ua, ub, 0.25, dxs, DOM)
+    rows, = kato_check(flux, [(ua, ub)], 0.25, dxs, DOM)
     for dx, row in zip(dxs, rows):
         want, ta = two_solve_row(flux, ua, ub, 0.25, dx)
         assert row == want
@@ -646,23 +666,50 @@ def kato_problems(draw):
 @given(kato_problems())
 def test_recorded_kato_rows_equal_rows_of_full_trajectories(problem):
     # the Kato march keeps only the cells beside each interface and the
-    # final states; its rows must equal those from two full trajectories
+    # final states, and marches every pair in one sweep per mesh; each pair's
+    # rows must equal those from two full trajectories, and those of a
+    # kato_check of that pair alone
     n, breaks, kv, pairs, T = problem
     traffic = traffic_flux()
     flux = FluxSpec(piecewise_k(breaks, kv), traffic.ahat, traffic.dahat_du,
                     traffic.u_range, traffic.critical)
     dxs = [2.0 / n, 1.0 / n]
-    for ua, ub in pairs:
-        for dx, row in zip(dxs, kato_check(flux, ua, ub, T, dxs, DOM)):
+    per_pair = kato_check(flux, pairs, T, dxs, DOM)
+    assert len(per_pair) == len(pairs)
+    for (ua, ub), rows in zip(pairs, per_pair):
+        assert rows == kato_check(flux, [(ua, ub)], T, dxs, DOM)[0]
+        for dx, row in zip(dxs, rows, strict=True):
             want, ta = two_solve_row(flux, ua, ub, T, dx)
             assert row == want
             assert len(ta.interfaces()) == len(breaks)
 
 
+def test_kato_check_sweeps_each_mesh_once_for_all_pairs(monkeypatch):
+    from divchain.conslaw import diagnostics
+    rows_per_sweep = []
+
+    def counted(flux, mesh, data, T, record):
+        rows_per_sweep.append(len(data))
+        return solve(flux, mesh, data, T, record)
+
+    solve = diagnostics._solve
+    monkeypatch.setattr(diagnostics, "_solve", counted)
+    flux = traffic_flux()
+    dxs = [1 / 20, 1 / 30, 1 / 40]
+    pairs = [(kato_bump(c), kato_bump(c + 0.2)) for c in (-0.6, -0.3, 0.0, 0.3)]
+    for npairs in (1, 2, 4):
+        rows_per_sweep.clear()
+        per_pair = kato_check(flux, pairs[:npairs], 0.1, dxs, DOM)
+        assert rows_per_sweep == [2 * npairs] * len(dxs)
+        assert [[r["dx"] for r in rows] for rows in per_pair] == [dxs] * npairs
+
+
 def test_a_non_finite_cell_that_is_not_recorded_still_raises(monkeypatch):
     # NaN fluxes at one interior cell far from the interface, at the last
-    # step only: the NaN reaches the final states and no recorded cell of
-    # the Kato march, and both solves must still reject the run
+    # step only and in the last row only (fv_solve's one datum, the Kato
+    # march's last pair's second datum): the NaN reaches the final states and
+    # no recorded cell of the Kato march, and both solves must still reject
+    # the run
     from divchain.conslaw.solver import DEFAULT_CFL, step_count
     flux = traffic_flux()
     n, T, cell = 100, 0.25, 20
@@ -674,7 +721,7 @@ def test_a_non_finite_cell_that_is_not_recorded_still_raises(monkeypatch):
         if np.ndim(u) and np.shape(u)[-1] == n + 2:     # the padded rows of a step
             calls.append(1)
             if len(calls) == nsteps:
-                out[..., cell + 1] = np.nan
+                out[-1, cell + 1] = np.nan
         return out
 
     monkeypatch.setattr(flux, "ahat", nan_at_cell)
@@ -684,8 +731,9 @@ def test_a_non_finite_cell_that_is_not_recorded_still_raises(monkeypatch):
         fv_solve(flux, GridState.from_function(DOM, n, ua), T)
     assert len(calls) == nsteps
     calls.clear()
+    pairs = [(ua, ub), (ub, ua), (ua, kato_bump(0.0))]
     with pytest.raises(ScenarioValidationError, match="solver produced non-finite values"):
-        kato_check(flux, ua, ub, T, [2.0 / n], DOM)
+        kato_check(flux, pairs, T, [2.0 / n], DOM)
     assert len(calls) == nsteps
 
 

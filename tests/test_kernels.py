@@ -106,7 +106,7 @@ def test_python_kernel_conserves_interior_mass():
     u0, kvals, flux = setup_problem()
     lam, nsteps = 0.45, 50
     F = face_fluxes(flux, kvals)
-    out, final = _sweep(F, u0, lam, nsteps, slice(None))
+    (out,), (final,) = _sweep(F, [u0], lam, nsteps, slice(None))
     assert np.all(final == out[-1])
     F_first = F(pad(out[0]))
     # constant states near both boundaries: boundary fluxes are steady, so

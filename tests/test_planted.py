@@ -4,14 +4,16 @@ the code it guards.
 A row names a check, a scenario (a lighter copy of a bundled file, written
 here), and a fault: a monkeypatch of the src function the check guards.  The
 same scenario without the fault must pass the check, so that the row shows
-the check failing for the fault and for nothing else."""
+the check failing for the fault and for nothing else.  A row may also name
+checks that its fault must leave passing (UNTOUCHED): a fault in one Kato
+pair's rows of the shared sweep must not reach the other pairs' checks."""
 
 import functools
 
 import numpy as np
 import pytest
 
-from divchain.conslaw import solver
+from divchain.conslaw import diagnostics, solver
 from divchain.conslaw.hatbasis import PiecewiseLinearWeight
 from divchain.runner import run_scenario
 from divchain.scenario import Scenario, parse_text
@@ -74,6 +76,15 @@ u0_a = 0.4
 u0_b = 0.4 + 0.25*(1-min(1,abs((x1-0.4)/0.35))^2)^2
 """
 
+# that pair and two of traffic-kato's, in one sweep per mesh
+KATO3 = KATO.replace("planted-kato", "planted-kato3").replace(
+    "dx_list = 1/50", "dx_list = 1/40, 1/80") + """\
+u0_a2 = 0.4 + 0.2*(1-min(1,abs((x1+0.55)/0.25))^2)^2
+u0_b2 = 0.4 + 0.2*(1-min(1,abs((x1+0.35)/0.25))^2)^2
+u0_a3 = 0.4 + 0.15*(1-min(1,abs((x1+0.5)/0.2))^2)^2
+u0_b3 = 0.4 + 0.15*(1-min(1,abs((x1+0.25)/0.2))^2)^2
+"""
+
 
 def scaled(cls, name, factor):
     """cls.name with its result scaled by factor."""
@@ -119,6 +130,18 @@ def fault_critical_points_dropped(mp):
                lambda flux, kv: (np.empty((0, len(kv))), []))
 
 
+def fault_pair1_final_doubled(mp):
+    # the sweep that _kato_rows reads hands back pair 1's final states (rows
+    # 2 and 3) doubled; the rows of pairs 0 and 2 are untouched
+    orig = diagnostics._solve
+
+    def solve(*args):
+        kvals, times, traces, final = orig(*args)
+        final[2:4] *= 2.0
+        return kvals, times, traces, final
+    mp.setattr(diagnostics, "_solve", solve)
+
+
 PLANTED = [
     ("conslaw:kinetic_nonnegative", SHOCK, fault_wrong_sign_flux_part),
     ("conslaw:kinetic_identity", FAN, fault_moment_off_by_1e6),
@@ -127,7 +150,11 @@ PLANTED = [
     ("conslaw:bv_bounded", FAN_START, fault_central_flux),
     ("conslaw:entropy_residual", FAN, fault_critical_points_dropped),
     ("kato:pair0", KATO, fault_critical_points_dropped),
+    ("kato:pair1", KATO3, fault_pair1_final_doubled),
 ]
+
+# checks that a row's fault must leave passing: the pairs next to pair 1
+UNTOUCHED = {"kato:pair1": ("kato:pair0", "kato:pair2")}
 
 # checks that pass by construction, and why
 EXEMPT = {
@@ -148,9 +175,13 @@ def unfaulted(text):
 def test_planted_fault_fails_the_check(check, text, fault, monkeypatch):
     assert unfaulted(text)[check] is True
     fault(monkeypatch)
-    assert verdicts(text)[check] is False
+    faulted = verdicts(text)
+    assert faulted[check] is False
+    for other in UNTOUCHED.get(check, ()):
+        assert unfaulted(text)[other] is True and faulted[other] is True
 
 
 def test_every_conslaw_and_kato_check_has_a_row():
     names = set().union(*(unfaulted(text) for _, text, _ in PLANTED))
-    assert names == {check for check, _, _ in PLANTED} | set(EXEMPT)
+    assert names == ({check for check, _, _ in PLANTED} | set(EXEMPT)
+                     | set().union(*UNTOUCHED.values()))
