@@ -59,12 +59,19 @@ def construction_endpoints(spec: IFSSpec, depth: int):
     return np.column_stack([lefts, lefts + width * RATIO ** depth]).ravel()
 
 
-def integrate_ifs(phi, spec: IFSSpec, rtol=RICHARDSON_RTOL):
-    """\\int phi d(mu) against the Cantor probability measure, depth-refined."""
+def integrate_ifs(phi, spec: IFSSpec, rtol=RICHARDSON_RTOL, lo=-np.inf, hi=np.inf):
+    """\\int_[lo, hi] phi d(mu) against the Cantor probability measure, depth-refined;
+    a cylinder that lo or hi cuts weighs its mass inside [lo, hi], from ifs_cdf
+    (good to about 1e-10 at a float, too coarse for every cylinder's weight)."""
     prev = None
     depth = 4
     while depth <= MAX_DEPTH:
         xs, ws = support_nodes(spec, depth)
+        if not (lo <= spec.a and spec.b <= hi):
+            left, right = construction_endpoints(spec, depth).reshape(-1, 2).T
+            cut = ((left < lo) & (lo < right)) | ((left < hi) & (hi < right))
+            ws = np.where((lo <= left) & (right <= hi), ws, 0.0)
+            ws[cut] = np.diff(ifs_cdf(spec, np.clip([left[cut], right[cut]], lo, hi)), axis=0)[0]
         val = float(np.dot(np.asarray(phi(xs), dtype=float), ws))
         if prev is not None and abs(val - prev) <= rtol * max(abs(val), 1.0):
             return val
@@ -133,11 +140,12 @@ class CantorPart:
     def apply(self, phi, rtol=RICHARDSON_RTOL):
         return self.mass * integrate_ifs(phi, self.spec, rtol=rtol)
 
-    def total_variation(self, weight=None):
-        """TV of the part, optionally against an extra density |weight|."""
+    def total_variation(self, weight=None, lo=-np.inf, hi=np.inf):
+        """TV of the part on [lo, hi], optionally against an extra density |weight|."""
         if weight is None:
-            return abs(self.mass)
-        return abs(self.mass) * integrate_ifs(lambda x: np.abs(weight(x)), self.spec)
+            return abs(self.interval_mass(lo, hi))
+        return abs(self.mass) * integrate_ifs(lambda x: np.abs(weight(x)), self.spec,
+                                              lo=lo, hi=hi)
 
     def interval_mass(self, lo, hi):
         f = ifs_cdf(self.spec, np.array([lo, hi]))

@@ -58,12 +58,12 @@ class ChainRuleBreakdown:
             "jump": self.term_jump,
         }
 
-    def tv_bound_holds(self, sigma: RadonMeasure, M, u: BVFunction, box=None, tv_rel=1e-9):
-        """|Div v|(box) <= sigma(box) + M |Du|(box) + 1e-9."""
-        lhs = self.total.total_variation(box=box, tol_abs=tv_rel, tol_rel=tv_rel)
-        rhs = sigma.total_variation(box=box, tol_abs=tv_rel, tol_rel=tv_rel) \
-            + M * u.variation_measure().total_variation(box=box, tol_abs=tv_rel,
-                                                        tol_rel=tv_rel)
+    def tv_bound_holds(self, sigma: RadonMeasure, M, u: BVFunction, box=None, tv_rel=1e-9,
+                       breaks=()):
+        """|Div v|(box) <= sigma(box) + M |Du|(box) + 1e-9; breaks as in total_variation."""
+        tvs = [mu.total_variation(box=box, tol_abs=tv_rel, tol_rel=tv_rel, breaks=breaks)
+               for mu in (self.total, sigma, u.variation_measure())]
+        lhs, rhs = tvs[0], tvs[1] + M * tvs[2]
         return lhs <= rhs + 1e-9, lhs, rhs
 
 

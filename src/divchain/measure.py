@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .cantor import CantorPart, integrate_ifs, require_same_spec, support_nodes
+from .cantor import CantorPart, require_same_spec, support_nodes
 from .errors import AbsoluteContinuityError, DomainMismatchError, UnsupportedStructureError
 from .geometry import Domain, as_points
-from .quadrature import integrate_1d, integrate_cells, integrate_polar
+from .quadrature import integrate_1d, integrate_abs, integrate_cells, integrate_polar
 from .rectifiable import RectifiableSet, box_cells
 
 
@@ -262,33 +262,29 @@ class RadonMeasure:
         return v
 
     # -- summaries ----------------------------------------------------
-    def total_variation(self, box=None, tol_abs=1e-10, tol_rel=1e-9):
-        """TV = \\int |ac| + \\int |g| dH^{N-1} + Cantor part variation."""
+    def total_variation(self, box=None, tol_abs=1e-10, tol_rel=1e-9, breaks=()):
+        """TV = \\int |ac| + \\int |g| dH^{N-1} + Cantor part variation, on box.
+
+        breaks: abscissae where the a.c. density may lose smoothness beyond its
+        declared singular set (a Cantor construction's endpoints)."""
         box = box if box is not None else self.domain.bounds
         total = 0.0
         if self.ac is not None:
-            total += self._integrate_ac(lambda pts: np.abs(self.ac(pts)), box,
-                                        tol_abs, tol_rel)
+            if self.domain.dim == 1:
+                (lo, hi), = box
+                cuts = [] if self.ac_singular is None else self.ac_singular.points_1d
+                edges = [lo, *sorted(p for p in cuts if lo < p < hi), hi]
+                cells = list(zip(edges[:-1], edges[1:]))
+            else:
+                cells = box_cells(box, [self.ac_singular], extra_x_breaks=breaks)
+            total += integrate_abs(self.ac, cells, tol_abs, tol_rel, breaks)
         for comp, g in self.jumps.values():
             v, _ = comp.integrate(lambda pts, nus: np.abs(g(pts, nus)), box=box,
                                   tol_abs=tol_abs, tol_rel=tol_rel)
             total += v
         if self.cantor is not None:
             (lo, hi), = box
-            a, b = self.cantor.spec.a, self.cantor.spec.b
-            if lo <= a and b <= hi:
-                total += self.cantor.total_variation(weight=self.cantor_density)
-            else:
-                # clip: integrate the indicator times |density|
-                h = self.cantor_density
-
-                def clipped(x):
-                    inside = (x >= lo) & (x <= hi)
-                    w = np.ones_like(x) if h is None else np.abs(np.asarray(h(x)))
-                    return np.where(inside, w, 0.0)
-
-                total += abs(self.cantor.mass) * integrate_ifs(clipped, self.cantor.spec,
-                                                               rtol=1e-7)
+            total += self.cantor.total_variation(self.cantor_density, lo, hi)
         return total
 
     def ball_mass(self, center, r):

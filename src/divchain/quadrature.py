@@ -4,7 +4,8 @@ All integrands are vectorized: they accept an array of abscissae and return
 an array of values, so adaptive refinement evaluates every active segment in
 a single call.  Declared breakpoints split the range into smooth pieces
 before any subdivision happens, which is what keeps piecewise-smooth
-integrands (fields with jump sets) cheap.
+integrands (fields with jump sets) cheap; integrate_abs finds the breaks of
+|f| itself, with the bracketed root finder that the crossing scans share.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import IntegrationError
+from .errors import GeometryError, IntegrationError
 
 # G7-K15 rule on [-1, 1]; Gauss nodes are the odd-index Kronrod nodes.
 _XGK = np.array([
@@ -140,6 +141,46 @@ def integrate_1d(f, a, b, breakpoints=(), tol_abs=DEFAULT_TOL, tol_rel=DEFAULT_T
     raise IntegrationError("1d quadrature did not converge")
 
 
+# A bracket is solved once it is no wider than ROOT_XTOL + 4 eps |a|.
+ROOT_XTOL = 1e-14
+
+
+def bracketed_roots(f, a, b, fa, fb):
+    """One root of f in each bracket [a[i], b[i]] whose end values fa, fb have
+    strictly opposite signs: the midpoints of the brackets once solved.  Each
+    step calls the vectorized f(x, live) once, with x[j] in the open bracket
+    live[j], at its Illinois point (regula falsi that halves the value of an
+    end kept twice in a row) drawn toward the midpoint as in the ITP method,
+    so that no bracket takes more than 3 steps beyond bisection.  A
+    non-finite f raises GeometryError."""
+    a0, b0 = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    a, b, fa, fb = a0.copy(), b0.copy(), np.array(fa, dtype=float), np.array(fb, dtype=float)
+    steps = np.ceil(np.log2(np.maximum((b - a) / ROOT_XTOL, 1.0))) + 3     # steps left
+    moved = np.zeros(len(a))              # +1: the last step moved a, -1: it moved b
+    live = np.flatnonzero(b - a > ROOT_XTOL + 4 * np.finfo(float).eps * np.abs(a))
+    while live.size:
+        al, bl, fal, fbl, ml = a[live], b[live], fa[live], fb[live], moved[live]
+        steps[live] -= 1
+        # within r of the midpoint, the bracket is at most ROOT_XTOL 2^steps wide after
+        r = ROOT_XTOL * 2.0 ** steps[live] - 0.5 * (bl - al)
+        mid = 0.5 * (al + bl)
+        x = np.clip(al + (bl - al) * fal / (fal - fbl), mid - r, mid + r)
+        fx = np.asarray(f(x, live), dtype=float)
+        if not np.isfinite(fx).all():
+            j = np.argmin(np.isfinite(fx))
+            raise GeometryError(f"root search in [{float(a0[live[j]])!r}, "
+                                f"{float(b0[live[j]])!r}]: non-finite value at {float(x[j])!r}")
+        left = np.sign(fx) == np.sign(fal)       # the root is in [x, b]
+        right = np.sign(fx) == np.sign(fbl)      # the root is in [a, x]
+        a[live] = np.where(right, al, x)         # f(x) == 0 moves both ends to x
+        b[live] = np.where(left, bl, x)
+        fa[live] = np.where(left, fx, np.where(right & (ml < 0), 0.5 * fal, fal))
+        fb[live] = np.where(right, fx, np.where(left & (ml > 0), 0.5 * fbl, fbl))
+        moved[live] = left.astype(float) - right
+        live = live[b[live] - a[live] > ROOT_XTOL + 4 * np.finfo(float).eps * np.abs(a[live])]
+    return 0.5 * (a + b)
+
+
 class CurvedCell:
     """Region a1 <= x1 <= b1, lo(x1) <= x2 <= hi(x1), lo/hi vectorized."""
 
@@ -251,6 +292,106 @@ def integrate_cells(f, cells, tol_abs=1e-10, tol_rel=1e-10):
         total += v
         err += e
     return total, err
+
+
+# integrate_abs: scan points per range, and the share of an outer node's
+# tolerance that its inner integrals get
+ABS_SCAN_POINTS = 65
+ABS_INNER_SHARE = 0.1
+
+
+def _one_sign_ends(f, lo, hi):
+    """(row, abscissa), sorted, of the ends of the pieces of each [lo[r], hi[r]]
+    on which f(y, rows) keeps one sign: lo, hi, and a root (bracketed_roots)
+    between each two neighbours of opposite signs on a scan that reaches the
+    ends, zeros skipped.  At a local minimum of |f| on the scan, the vertex of
+    the parabola through its three points joins the scan, so that two roots
+    in one scan interval show.  Where f only touches 0, |f| has no kink."""
+    n, m = len(lo), ABS_SCAN_POINTS
+    t = np.linspace(0.0, 1.0, m)
+    t[[0, -1]] = 1e-9, 1 - 1e-9            # the ends, seen from inside the range
+    ys = lo[:, None] + (hi - lo)[:, None] * t
+    fy = np.asarray(f(ys.ravel(), np.repeat(np.arange(n), m)), dtype=float).reshape(n, m)
+    a = np.abs(fy)
+    r, j = np.nonzero((fy[:, :-2] * fy[:, 1:-1] > 0) & (fy[:, 1:-1] * fy[:, 2:] > 0)
+                      & (a[:, 1:-1] < a[:, :-2]) & (a[:, 1:-1] <= a[:, 2:]))
+    f0, f1, f2 = fy[r, j], fy[r, j + 1], fy[r, j + 2]
+    v = ys[r, j + 1] + 0.25 * (ys[r, j + 2] - ys[r, j]) * (f0 - f2) / (f0 - 2 * f1 + f2)
+    y = np.concatenate([ys.ravel(), v])
+    fv = np.concatenate([fy.ravel(), np.asarray(f(v, r), dtype=float) if r.size else v])
+    row = np.concatenate([np.repeat(np.arange(n), m), r])
+    order = np.lexsort((y, row))
+    keep = order[np.isfinite(fv[order]) & (fv[order] != 0)]
+    y, fv, row = y[keep], fv[keep], row[keep]
+    flip = np.flatnonzero((row[1:] == row[:-1]) & ((fv[1:] > 0) != (fv[:-1] > 0)))
+    r = row[flip]
+    roots = bracketed_roots(lambda x, live: f(x, r[live]), y[flip], y[flip + 1],
+                            fv[flip], fv[flip + 1])
+    row = np.concatenate([np.arange(n), np.arange(n), r])
+    at = np.concatenate([lo, hi, roots])
+    order = np.lexsort((at, row))
+    return row[order], at[order]
+
+
+def _gk_rows(g, lo, hi, row, tol_abs, tol_rel):
+    """Adaptive G7-K15 of len(tol_abs) integrals at once: segment [lo[i],
+    hi[i]] belongs to integral row[i], and each round calls g(x, rows) once
+    on every node of every new segment.  A row splits its segments of above
+    average error until its error sum is within max(tol_abs[row], tol_rel
+    |value|); returns the values."""
+    n = len(tol_abs)
+    kept = [np.zeros(0), np.zeros(0), np.zeros(0, dtype=int), np.zeros(0), np.zeros(0)]
+    for _ in range(64):
+        new = (lo, hi, row, *gk_segments(lambda x: g(x, np.repeat(row, 15)), lo, hi))
+        lo, hi, row, vals, errs = (np.concatenate(p) for p in zip(kept, new))
+        total, errsum = np.bincount(row, vals, n), np.bincount(row, errs, n)
+        split = errsum > np.maximum(tol_abs, tol_rel * np.abs(total))
+        if not split.any():
+            return total
+        if len(lo) > 1 << 18:
+            raise IntegrationError(f"|f| quadrature stalled: {len(lo)} segments")
+        bad = split[row] & (errs * np.bincount(row, None, n)[row] >= errsum[row])
+        kept = [x[~bad] for x in (lo, hi, row, vals, errs)]
+        mid = 0.5 * (lo[bad] + hi[bad])
+        lo, hi, row = np.concatenate([lo[bad], mid]), np.concatenate([mid, hi[bad]]), \
+            np.tile(row[bad], 2)
+    raise IntegrationError("|f| quadrature did not converge")
+
+
+def integrate_abs(f, cells, tol_abs, tol_rel, breaks=()):
+    """\\int |f| over cells on which f is smooth, cut where f changes sign
+    (_one_sign_ends), so that no rule straddles a kink of |f| that the scan
+    finds.  1-D: the cells are (a, b) intervals that tile a range, f maps
+    (n, 1) points, and the piece ends and the breaks split one integrate_1d.
+    2-D: the cells are CurvedCells, f maps (n, 2) points, and the outer rule
+    in x1 runs on every cell at once, with the per-cell budget and stopping
+    test of integrate_cells; at each node x1 the inner rule integrates
+    |f(x1, .)| over the pieces of [lo(x1), hi(x1)] to ABS_INNER_SHARE of the
+    node's share of that budget."""
+    if not cells:
+        return 0.0
+    if not isinstance(cells[0], CurvedCell):
+        a, b = np.array(cells, dtype=float).T
+        _, ends = _one_sign_ends(lambda y, rows: f(y[:, None]), a, b)
+        return integrate_1d(lambda x: np.abs(f(x[:, None])), a[0], b[-1],
+                            np.concatenate([ends, breaks]), tol_abs, tol_rel)[0]
+    per = max(tol_abs / len(cells), 1e-15)
+    width = np.array([c.b1 - c.a1 for c in cells])
+
+    def across(x, cell):
+        lo, hi = np.empty_like(x), np.empty_like(x)
+        for i, c in enumerate(cells):
+            lo[cell == i], hi[cell == i] = c.lo(x[cell == i]), c.hi(x[cell == i])
+        g = lambda y, rows: f(np.column_stack([x[rows], y]))
+        row, at = _one_sign_ends(g, lo, hi)
+        cut = (row[1:] == row[:-1]) & (at[1:] > at[:-1])
+        return _gk_rows(lambda y, rows: np.abs(g(y, rows)), at[:-1][cut], at[1:][cut],
+                        row[:-1][cut], ABS_INNER_SHARE * per / width[cell],
+                        ABS_INNER_SHARE * tol_rel)
+
+    return float(sum(_gk_rows(across, np.array([c.a1 for c in cells]),
+                              np.array([c.b1 for c in cells]), np.arange(len(cells)),
+                              np.full(len(cells), per), tol_rel)))
 
 
 def integrate_polar(f, center, radius, theta_breaks=(), tol_abs=1e-10):

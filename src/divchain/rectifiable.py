@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import GeometryError
-from .quadrature import CurvedCell, integrate_1d
+from .quadrature import CurvedCell, bracketed_roots, integrate_1d
 
 CURVE_SCAN_POINTS = 257    # grid on which curve ranges and level crossings are bracketed
 
@@ -338,45 +338,6 @@ def merge_sets(*sets):
     return RectifiableSet(dims.pop(), pieces=list(seen.values()))
 
 
-# A bracket is solved once it is no wider than ROOT_XTOL + 4 eps |a|.
-ROOT_XTOL = 1e-14
-
-
-def bracketed_roots(f, a, b, fa, fb):
-    """One root of f in each bracket [a[i], b[i]] whose end values fa, fb have
-    strictly opposite signs: the midpoints of the brackets once solved.  Each
-    step calls the vectorized f once on every open bracket, at its Illinois
-    point (regula falsi that halves the value of an end kept twice in a row)
-    drawn toward the midpoint as in the ITP method, so that no bracket takes
-    more than 3 steps beyond bisection.  A non-finite f raises GeometryError."""
-    a0, b0 = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    a, b, fa, fb = a0.copy(), b0.copy(), np.array(fa, dtype=float), np.array(fb, dtype=float)
-    steps = np.ceil(np.log2(np.maximum((b - a) / ROOT_XTOL, 1.0))) + 3     # steps left
-    moved = np.zeros(len(a))              # +1: the last step moved a, -1: it moved b
-    live = np.flatnonzero(b - a > ROOT_XTOL + 4 * np.finfo(float).eps * np.abs(a))
-    while live.size:
-        al, bl, fal, fbl, ml = a[live], b[live], fa[live], fb[live], moved[live]
-        steps[live] -= 1
-        # within r of the midpoint, the bracket is at most ROOT_XTOL 2^steps wide after
-        r = ROOT_XTOL * 2.0 ** steps[live] - 0.5 * (bl - al)
-        mid = 0.5 * (al + bl)
-        x = np.clip(al + (bl - al) * fal / (fal - fbl), mid - r, mid + r)
-        fx = np.asarray(f(x), dtype=float)
-        if not np.isfinite(fx).all():
-            j = np.argmin(np.isfinite(fx))
-            raise GeometryError(f"root search in [{float(a0[live[j]])!r}, "
-                                f"{float(b0[live[j]])!r}]: non-finite value at {float(x[j])!r}")
-        left = np.sign(fx) == np.sign(fal)       # the root is in [x, b]
-        right = np.sign(fx) == np.sign(fbl)      # the root is in [a, x]
-        a[live] = np.where(right, al, x)         # f(x) == 0 moves both ends to x
-        b[live] = np.where(left, bl, x)
-        fa[live] = np.where(left, fx, np.where(right & (ml < 0), 0.5 * fal, fal))
-        fb[live] = np.where(right, fx, np.where(left & (ml > 0), 0.5 * fbl, fbl))
-        moved[live] = left.astype(float) - right
-        live = live[b[live] - a[live] > ROOT_XTOL + 4 * np.finfo(float).eps * np.abs(a[live])]
-    return 0.5 * (a + b)
-
-
 def sign_crossings(f, xs, fx):
     """The grid points xs where fx = f(xs) is 0, and one root of f (by
     bracketed_roots) in each scan interval where fx changes sign strictly.
@@ -385,7 +346,8 @@ def sign_crossings(f, xs, fx):
     is only as fine as its grid."""
     sgn = np.sign(fx)
     i = np.flatnonzero(sgn[:-1] * sgn[1:] < 0)
-    return np.concatenate([xs[sgn == 0.0], bracketed_roots(f, xs[i], xs[i + 1], fx[i], fx[i + 1])])
+    roots = bracketed_roots(lambda x, live: f(x), xs[i], xs[i + 1], fx[i], fx[i + 1])
+    return np.concatenate([xs[sgn == 0.0], roots])
 
 
 def box_cells(bounds, curve_sets, extra_x_breaks=(), extra_y_breaks=()):

@@ -101,7 +101,8 @@ def run_chain(scn: Scenario, res: RunResult, mode="chain"):
     field, u = scn.field, scn.u
     prim = PrimitiveField(field)
     # splits from the declared construction, never from the measure under test
-    suite = _suite(scn, cantor_breaks(scn.cantor_spec) if scn.is_cantor else ())
+    breaks = cantor_breaks(scn.cantor_spec) if scn.is_cantor else ()
+    suite = _suite(scn, breaks)
     if mode == "w11":
         br = chain_w11(field, u, prim=prim)
     elif mode == "bv-scalar":
@@ -128,13 +129,13 @@ def run_chain(scn: Scenario, res: RunResult, mode="chain"):
 
     for name, mu in br.terms().items():
         res.term_rows.append({"scenario": scn.id, "experiment": mode, "term": name,
-                              "total_variation": mu.total_variation(tol_abs=tv_tol,
-                                                                    tol_rel=1e-8)})
+                              "total_variation": mu.total_variation(
+                                  tol_abs=tv_tol, tol_rel=1e-8, breaks=breaks)})
 
     ok, worst = _actions_close(br_dm.term_jump, br_dm.jump_symmetric, suite, 1e-9,
                                quad_tol=q)
     res.check(f"{mode}:jump_regrouping", ok, max_difference=worst)
-    _tv_bound_check(scn, res, br, mode, tv_tol)
+    _tv_bound_check(scn, res, br, mode, tv_tol, breaks)
     _reduction_checks(scn, res, br, suite, mode, q)
     _orientation_check(scn, res, br, suite, mode, q)
     if mode == "w11":
@@ -158,13 +159,14 @@ def run_chain(scn: Scenario, res: RunResult, mode="chain"):
     return br
 
 
-def _tv_bound_check(scn, res, br: ChainRuleBreakdown, mode, tv_rel):
+def _tv_bound_check(scn, res, br: ChainRuleBreakdown, mode, tv_rel, breaks):
     field, u = scn.field, scn.u
     sigma = field.sigma(scn.sigma_samples)
     worst_gap = -np.inf
     ok = True
     for box in subboxes(scn.domain, 4):
-        holds, lhs, rhs = br.tv_bound_holds(sigma, field.M, u, box=box, tv_rel=tv_rel)
+        holds, lhs, rhs = br.tv_bound_holds(sigma, field.M, u, box=box, tv_rel=tv_rel,
+                                            breaks=breaks)
         gap = lhs - rhs
         worst_gap = max(worst_gap, gap)
         ok &= holds

@@ -4,7 +4,8 @@ Lebesgue, point-mass and Cantor measures, a point-sampled grid, two
 identities of the conservation-law harness evaluated from their definitions,
 a trajectory's final state, its interface traces and their W integral, the
 masked piece-selection loops that BVFunction.eval and grad are held to,
-and the indicator bisection that a curve's box and disc ranges are held to."""
+the indicator bisection that a curve's box and disc ranges are held to, and
+the np.abs route that the split |f| quadrature is held to."""
 
 import numpy as np
 
@@ -12,7 +13,7 @@ from divchain.conslaw import FluxSpec, GridState, accumulated_interface_W, chi
 from divchain.errors import GeometryError, NotOnJumpSetError
 from divchain.geometry import Domain, as_points
 from divchain.measure import RadonMeasure, TestFunction
-from divchain.quadrature import integrate_1d, integrate_cells
+from divchain.quadrature import CurvedCell, integrate_1d, integrate_cells
 from divchain.rectifiable import RectifiableSet, Segment, box_cells
 
 
@@ -115,6 +116,27 @@ def scan_ranges_reference(piece, inside, n_scan=257):
     cuts = [piece.s0] + edges + [piece.s1]
     return [(a, b) for a, b in zip(cuts[:-1], cuts[1:])
             if b > a and inside(np.array([0.5 * (a + b)]))[0]]
+
+
+def abs_integral_reference(f, cells, tol_abs, tol_rel, breaks=()):
+    """quadrature.integrate_abs by the route it replaced: one adaptive rule on
+    np.abs(f) that splits only at the cells' edges and the breaks (1-D: (a, b)
+    cells, one integrate_1d) or runs over the CurvedCells (2-D: integrate_cells),
+    and so bisects toward every sign change of f.  Returns (value, points of
+    f evaluated)."""
+    count = [0]
+
+    def g(pts):
+        count[0] += len(pts)
+        return np.abs(np.asarray(f(pts), dtype=float))
+
+    if isinstance(cells[0], CurvedCell):
+        v, _ = integrate_cells(g, cells, tol_abs=tol_abs, tol_rel=tol_rel)
+    else:
+        edges = [a for a, _ in cells] + [cells[-1][1]]
+        v, _ = integrate_1d(lambda x: g(x[:, None]), edges[0], edges[-1],
+                            breakpoints=[*edges, *breaks], tol_abs=tol_abs, tol_rel=tol_rel)
+    return v, count[0]
 
 
 def lebesgue(domain, density=None, singular=None):

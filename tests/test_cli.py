@@ -70,6 +70,17 @@ def test_run_pass_and_artifacts(tmp_path, capsys):
     assert (out / "volpert-heaviside" / "terms.csv").exists()
 
 
+def test_cantor_file_with_a_box_edge_in_the_cantor_set_runs(tmp_path, capsys):
+    # on -0.5 .. 0.5 the tv_bound sub-box edges 0 and 0.25 lie in the Cantor
+    # set of [0, 1]; the indicator-clipped Cantor sum never stabilized there
+    with open(scenario_path("cantor-divb-bv"), encoding="utf-8") as fh:
+        text = fh.read()
+    scn = tmp_path / "cantor-divb-bv.scn"
+    scn.write_text(text.replace("domain = -0.5 .. 1.5", "domain = -0.5 .. 0.5"))
+    assert main(["run", str(scn), "--out", str(tmp_path / "out")]) == EXIT_OK
+    assert "SCENARIO cantor-divb-bv: PASS" in capsys.readouterr().out.splitlines()
+
+
 def test_negative_control_exits_nonzero(tmp_path):
     code = main(["run", scenario_path("negative-control"), "--out", str(tmp_path)])
     assert code == EXIT_CHECKS_FAILED
@@ -219,7 +230,7 @@ def test_failed_level_crossing_search_is_a_numerical_failure(tmp_path, monkeypat
     # the same failure inside a run: every solver step sees a non-finite value
     real = rectifiable.bracketed_roots
     monkeypatch.setattr(rectifiable, "bracketed_roots",
-                        lambda f, *ends: real(lambda x: f(x) * np.inf, *ends))
+                        lambda f, *ends: real(lambda x, live: f(x, live) * np.inf, *ends))
     scn = tmp_path / "cubic.scn"
     scn.write_text(LINEAR_U_SCN.replace("pieces = x1", "pieces = x1 + x1^3")
                    .replace("grads = 1", "grads = 1 + 3*x1^2").replace("sup = 1", "sup = 2"))

@@ -1,10 +1,10 @@
-"""Planted faults: each conslaw and kato check must read FAIL under a fault in
-the code it guards.
+"""Planted faults: each conslaw and kato check, and the tv_bound check where
+the bound is tight, must read FAIL under a fault in the code it guards.
 
-A row names a check, a scenario (a lighter copy of a bundled file, written
-here), and a fault: a monkeypatch of the src function the check guards.  The
-same scenario without the fault must pass the check, so that the row shows
-the check failing for the fault and for nothing else.  A row may also name
+A row names a check, a scenario (a bundled file, or a lighter copy of one
+written here), and a fault: a monkeypatch of the src function the check
+guards.  The same scenario without the fault must pass the check, so that
+the row shows the check failing for the fault and for nothing else.  A row may also name
 checks that its fault must leave passing (UNTOUCHED): a fault in one Kato
 pair's rows of the shared sweep must not reach the other pairs' checks."""
 
@@ -13,6 +13,8 @@ import functools
 import numpy as np
 import pytest
 
+from divchain import chainrule
+from divchain.cli import bundled_dir
 from divchain.conslaw import diagnostics, solver
 from divchain.conslaw.hatbasis import PiecewiseLinearWeight
 from divchain.runner import run_scenario
@@ -85,6 +87,11 @@ u0_a3 = 0.4 + 0.15*(1-min(1,abs((x1+0.5)/0.2))^2)^2
 u0_b3 = 0.4 + 0.15*(1-min(1,abs((x1+0.25)/0.2))^2)^2
 """
 
+# |Div v| = 1.5 delta_0 against sigma = 2 delta_0: the bound has slack 0.5
+SIGN_CONST = (bundled_dir() / "sign-const.scn").read_text(encoding="utf-8")
+# |Div v| = 2|x1| dx = M |Du| on the sub-boxes away from 0: no slack at all
+W11_SIGN_XSQ = (bundled_dir() / "w11-sign-xsq.scn").read_text(encoding="utf-8")
+
 
 def scaled(cls, name, factor):
     """cls.name with its result scaled by factor."""
@@ -142,6 +149,21 @@ def fault_pair1_final_doubled(mp):
     mp.setattr(diagnostics, "_solve", solve)
 
 
+def fault_jump_term_counted_twice(mp):
+    # the breakdown adds the jump term twice: 3 delta_0 on sign-const
+    orig = chainrule.ChainRuleBreakdown.__init__
+    mp.setattr(chainrule.ChainRuleBreakdown, "__init__",
+               lambda self, diva, divc, ac_u, cantor_u, jump, **kw:
+               orig(self, diva, divc, ac_u, cantor_u, jump * 2.0, **kw))
+
+
+def fault_term3_off_by_1e6(mp):
+    # <b(x, u), grad u> to a relative 1e-6
+    orig = chainrule._b_dot_grad
+    mp.setattr(chainrule, "_b_dot_grad",
+               lambda field, u: lambda pts, uv: (1 + 1e-6) * orig(field, u)(pts, uv))
+
+
 PLANTED = [
     ("conslaw:kinetic_nonnegative", SHOCK, fault_wrong_sign_flux_part),
     ("conslaw:kinetic_identity", FAN, fault_moment_off_by_1e6),
@@ -151,6 +173,8 @@ PLANTED = [
     ("conslaw:entropy_residual", FAN, fault_critical_points_dropped),
     ("kato:pair0", KATO, fault_critical_points_dropped),
     ("kato:pair1", KATO3, fault_pair1_final_doubled),
+    ("chain:tv_bound", SIGN_CONST, fault_jump_term_counted_twice),
+    ("w11:tv_bound", W11_SIGN_XSQ, fault_term3_off_by_1e6),
 ]
 
 # checks that a row's fault must leave passing: the pairs next to pair 1
@@ -182,6 +206,7 @@ def test_planted_fault_fails_the_check(check, text, fault, monkeypatch):
 
 
 def test_every_conslaw_and_kato_check_has_a_row():
-    names = set().union(*(unfaulted(text) for _, text, _ in PLANTED))
-    assert names == ({check for check, _, _ in PLANTED} | set(EXEMPT)
-                     | set().union(*UNTOUCHED.values()))
+    names = {name for _, text, _ in PLANTED for name in unfaulted(text)
+             if name.startswith(("conslaw:", "kato:"))}
+    assert names == ({check for check, _, _ in PLANTED if check.startswith(("conslaw:", "kato:"))}
+                     | set(EXEMPT) | set().union(*UNTOUCHED.values()))

@@ -204,7 +204,11 @@ def test_bracketed_roots_find_chosen_polynomial_roots(data, scale, extra):
         calls.append(len(x))
         return scale * (x * x + 1) ** extra * np.prod(x[:, None] - roots[None, :], axis=1)
 
-    got = bracketed_roots(p, lo, hi, p(lo), p(hi))
+    def p_live(x, live):      # x[j] lies in the bracket live[j]
+        assert np.all((lo[live] <= x) & (x <= hi[live]))
+        return p(x)
+
+    got = bracketed_roots(p_live, lo, hi, p(lo), p(hi))
     assert np.all(np.abs(got - roots) <= 2e-14)
     # one call of f per step for every unsolved bracket, and at most the
     # bisection count for the widest bracket plus the spare steps
@@ -220,7 +224,7 @@ def test_bracketed_roots_land_on_a_jump(jump, below, above, sign):
         return sign * np.where(x < jump, -1.0, 2.0)
 
     a, b = np.array([jump - below]), np.array([jump + above])
-    got = bracketed_roots(step, a, b, step(a), step(b))
+    got = bracketed_roots(lambda x, live: step(x), a, b, step(a), step(b))
     assert abs(got[0] - jump) <= 2e-14
 
 
@@ -230,7 +234,7 @@ def test_bracketed_roots_reject_a_non_finite_value():
 
     with pytest.raises(GeometryError, match=r"^root search in \[0\.25, 1\.0\]: non-finite "
                                             r"value at 0\.57"):
-        bracketed_roots(f, np.array([-1.0, 0.25]), np.array([0.0, 1.0]),
+        bracketed_roots(lambda x, live: f(x), np.array([-1.0, 0.25]), np.array([0.0, 1.0]),
                         np.array([-0.5, 0.75]), np.array([0.5, -1.0]))
 
 
