@@ -88,7 +88,6 @@ def gk_segments(f, lo, hi):
     ik = half * (vals @ _WGK)
     ig = half * (vals[:, _GAUSS_IDX] @ _WG)
     # QUADPACK-style sharpened error estimate
-    resabs = half * (np.abs(vals) @ _WGK)
     mean = ik / np.where(hi - lo == 0, 1, hi - lo)
     resasc = half * (np.abs(vals - mean[:, None]) @ _WGK)
     raw = np.abs(ik - ig)
@@ -102,43 +101,74 @@ def gk_segments(f, lo, hi):
     return ik, err
 
 
+# _refine: refinement rounds, and the parts that all rows of one call may hold
+_ROUNDS = 64
+_MAX_PARTS = 1 << 18
+
+
+def _refine(rule, parts, row, tol_abs, tol_rel, max_parts=16384):
+    """Globally adaptive refinement (QUADPACK) of len(tol_abs) integrals, or
+    rows, at once (batched as in DCUHRE); returns their (totals, error sums),
+    each added up in part order.
+
+    parts[i] is an interval (lo, hi) or a rectangle (u0, u1, s0, s1) of row
+    row[i], and rule(parts, row) returns each part's value and error
+    estimate; it runs once per round, on the new parts of every unfinished
+    row.  A row is done once its error sum is within max(tol_abs[row],
+    tol_rel |total|).  Until then it halves, across the longest side, each
+    part whose error is above its size share of that budget or, when none
+    is, each part with at least half the row's largest error.  A row of more
+    than max_parts parts, or all rows of more than _MAX_PARTS, stalls."""
+    n, dim = len(tol_abs), parts.shape[1] // 2
+    vals, errs = rule(parts, row)
+    for _ in range(_ROUNDS):
+        total, errsum = np.bincount(row, vals, n), np.bincount(row, errs, n)
+        tol = np.maximum(tol_abs, tol_rel * np.abs(total))
+        live = errsum > tol
+        if not live.any():
+            return total, errsum
+        if len(parts) > max_parts:
+            count = np.where(live, np.bincount(row, None, n), 0)
+            worst = int(np.argmax(count))
+            if count[worst] > max_parts or len(parts) > _MAX_PARTS:
+                raise IntegrationError(f"{dim}d quadrature stalled: {count[worst]} parts, "
+                                       f"error {errsum[worst]:.3e} > {tol[worst]:.3e}")
+        side = parts[:, 1::2] - parts[:, ::2]
+        size = side.prod(axis=1)
+        share = tol[row] * size / np.bincount(row, size, n)[row]
+        bad = live[row] & (errs > np.maximum(share, 1e-300))
+        flat = live & (np.bincount(row, bad, n) == 0)
+        if flat.any():
+            top = np.zeros(n)
+            np.maximum.at(top, row, errs)
+            bad |= flat[row] & (errs >= 0.5 * top[row])
+        # both halves of each bad part, across its longer side (the first on a
+        # tie), first halves first
+        first, k = parts[bad], 2 * (side[:, -1] > side[:, 0])[bad]
+        second, i = first.copy(), np.arange(len(first))
+        first[i, k + 1] = second[i, k] = 0.5 * (first[i, k] + first[i, k + 1])
+        new, keep = (np.concatenate([first, second]), np.tile(row[bad], 2)), ~bad
+        parts, row, vals, errs = (np.concatenate([old[keep], add]) for old, add in
+                                  zip((parts, row, vals, errs), (*new, *rule(*new))))
+    raise IntegrationError(f"{dim}d quadrature did not converge")
+
+
 def integrate_1d(f, a, b, breakpoints=(), tol_abs=DEFAULT_TOL, tol_rel=DEFAULT_TOL,
                  max_segments=16384):
-    """Adaptive integral of vectorized f over [a, b].
+    """Adaptive integral of vectorized f over [a, b]: one _refine row over the
+    pieces between the breakpoints.
 
     Returns (value, error_estimate).  Raises IntegrationError when the
     segment budget is exhausted before the tolerance is met.
     """
-    a = float(a)
-    b = float(b)
+    a, b = float(a), float(b)
     if b <= a:
         return 0.0, 0.0
-    lo, hi = _segments_from_breaks(a, b, breakpoints)
-    vals, errs = gk_segments(f, lo, hi)
-    for _ in range(64):
-        total = float(np.sum(vals))
-        errsum = float(np.sum(errs))
-        tol = max(tol_abs, tol_rel * abs(total))
-        if errsum <= tol:
-            return total, errsum
-        if len(lo) > max_segments:
-            raise IntegrationError(
-                f"1d quadrature stalled: {len(lo)} segments, error {errsum:.3e} > {tol:.3e}")
-        # split every segment holding more than its length-share of the budget
-        share = tol * (hi - lo) / (b - a)
-        bad = errs > np.maximum(share, 1e-300)
-        if not np.any(bad):
-            bad = errs >= 0.5 * errs.max()
-        mid = 0.5 * (lo[bad] + hi[bad])
-        new_lo = np.concatenate([lo[~bad], lo[bad], mid])
-        new_hi = np.concatenate([hi[~bad], mid, hi[bad]])
-        keep_vals, keep_errs = vals[~bad], errs[~bad]
-        ref_vals, ref_errs = gk_segments(f, np.concatenate([lo[bad], mid]),
-                                         np.concatenate([mid, hi[bad]]))
-        lo, hi = new_lo, new_hi
-        vals = np.concatenate([keep_vals, ref_vals])
-        errs = np.concatenate([keep_errs, ref_errs])
-    raise IntegrationError("1d quadrature did not converge")
+    parts = np.column_stack(_segments_from_breaks(a, b, breakpoints))
+    total, err = _refine(lambda p, r: gk_segments(f, p[:, 0], p[:, 1]), parts,
+                         np.zeros(len(parts), dtype=int), np.array([tol_abs]), tol_rel,
+                         max_segments)
+    return float(total[0]), float(err[0])
 
 
 # A bracket is solved once it is no wider than ROOT_XTOL + 4 eps |a|.
@@ -191,32 +221,29 @@ class CurvedCell:
         self.hi = hi if callable(hi) else (lambda x, c=float(hi): np.full_like(x, c))
 
 
-def _cell_rect_values(f, cells, rects):
-    """Tensor G7-K15 on sub-rectangles of the cells' (x1, s) parameter squares.
+def _cell_rect_values(f, cells, rects, row):
+    """Tensor G7-K15 on rectangles (u0, u1, s0, s1) of the cells' (x1, s)
+    parameter squares, rects[i] in cells[row[i]]: returns (vals, errs).
 
-    rects[i] is an (nrect_i, 4) array of (u0, u1, s0, s1) in cells[i].  The
-    rectangles of every cell go through one call to f; lo/hi are evaluated
-    per cell, once per x1 node, since they depend on x1 alone.  Node (r, i, j)
-    is (x1_ri, lo_ri + s_rj width_ri), in that order.  Returns one (vals,
-    errs) pair per cell.
+    Every rectangle goes through one call to f; lo/hi are evaluated per cell,
+    once per x1 node, since they depend on x1 alone.  Node (r, i, j) is
+    (x1_ri, lo_ri + s_rj width_ri), in that order.
     """
-    rect = np.vstack(rects)
-    u0, u1, s0, s1 = rect.T
+    u0, u1, s0, s1 = rects.T
     umid, uhalf = 0.5 * (u0 + u1), 0.5 * (u1 - u0)
     smid, shalf = 0.5 * (s0 + s1), 0.5 * (s1 - s0)
     xu = umid[:, None] + uhalf[:, None] * _XGK[None, :]          # (nr, 15)
     xs = smid[:, None] + shalf[:, None] * _XGK[None, :]          # (nr, 15)
-    counts = [len(r) for r in rects]
-    ends = np.cumsum(counts)
-    x1 = xu.ravel()
-    lo = np.empty_like(x1)
-    hi = np.empty_like(x1)
-    for cell, a, b in zip(cells, 15 * (ends - counts), 15 * ends):
-        lo[a:b] = cell.lo(x1[a:b])
-        hi[a:b] = cell.hi(x1[a:b])
-    lo = lo.reshape(-1, 15, 1)
-    width = hi.reshape(-1, 15, 1) - lo
-    nodes = np.empty((len(rect), 15, 15, 2))
+    lo, hi = np.empty_like(xu), np.empty_like(xu)
+    order = np.argsort(row, kind="stable")
+    ids, starts = np.unique(row[order], return_index=True)
+    for i, at in zip(ids, np.split(order, starts[1:])):
+        x1 = xu[at].ravel()
+        lo[at] = cells[i].lo(x1).reshape(-1, 15)
+        hi[at] = cells[i].hi(x1).reshape(-1, 15)
+    lo = lo[:, :, None]
+    width = hi[:, :, None] - lo
+    nodes = np.empty((len(rects), 15, 15, 2))
     nodes[..., 0] = xu[:, :, None]
     nodes[..., 1] = lo + xs[:, None, :] * width
     pts = nodes.reshape(-1, 2)
@@ -227,71 +254,24 @@ def _cell_rect_values(f, cells, rects):
     ik = np.einsum("rij,i,j->r", vals, _WGK, _WGK) * jac
     g = vals[:, _GAUSS_IDX][:, :, _GAUSS_IDX]
     ig = np.einsum("rij,i,j->r", g, _WG, _WG) * jac
-    err = np.abs(ik - ig)
-    return list(zip(np.split(ik, ends[:-1]), np.split(err, ends[:-1])))
-
-
-def _bisect(rects):
-    """Both halves of each rectangle, split across its longer side, in order."""
-    u0, u1, s0, s1 = rects.T
-    wide = (u1 - u0) >= (s1 - s0)
-    um, sm = 0.5 * (u0 + u1), 0.5 * (s0 + s1)
-    first = np.column_stack([u0, np.where(wide, um, u1), s0, np.where(wide, s1, sm)])
-    second = np.column_stack([np.where(wide, um, u0), u1, np.where(wide, s0, sm), s1])
-    return np.stack([first, second], axis=1).reshape(-1, 4)
+    return ik, np.abs(ik - ig)
 
 
 def integrate_cells(f, cells, tol_abs=1e-10, tol_rel=1e-10):
     """Adaptive tensor quadrature of vectorized f(pts) over a cell decomposition.
 
-    Each cell refines on its own: it has the absolute budget tol_abs /
-    len(cells), its own stopping test and a fixed summation order, and the
-    cell values are added in the order of `cells`.  Each refinement round
-    evaluates the new rectangles of every unfinished cell in one call to f.
+    Each cell is a _refine row of its (x1, s) square with the absolute budget
+    tol_abs / len(cells), and the cell values are added in the order of
+    `cells`.  Each refinement round evaluates the new rectangles of every
+    unfinished cell in one call to f.
     """
     if not cells:
         return 0.0, 0.0
-    per = max(tol_abs / len(cells), 1e-15)
-    rects = [np.array([[c.a1, c.b1, 0.0, 1.0]]) for c in cells]
-    vals, errs = map(list, zip(*_cell_rect_values(f, cells, rects)))
-    done = [None] * len(cells)
-    active = range(len(cells))
-    for _ in range(40):
-        refine, split = [], []
-        for i in active:
-            total = float(np.sum(vals[i]))
-            errsum = float(np.sum(errs[i]))
-            tol = max(per, tol_rel * abs(total))
-            if errsum <= tol:
-                done[i] = (total, errsum)
-                continue
-            if len(rects[i]) > 16384:
-                raise IntegrationError(
-                    f"2d quadrature stalled: {len(rects[i])} cells, error {errsum:.3e} > {tol:.3e}")
-            r = rects[i]
-            area = (r[:, 1] - r[:, 0]) * (r[:, 3] - r[:, 2])
-            share = tol * area / area.sum()
-            bad = errs[i] > np.maximum(share, 1e-300)
-            if not np.any(bad):
-                bad = errs[i] >= 0.5 * errs[i].max()
-            halves = _bisect(r[bad])
-            rects[i] = np.vstack([r[~bad], halves])
-            vals[i], errs[i] = vals[i][~bad], errs[i][~bad]
-            refine.append(i)
-            split.append(halves)
-        if not refine:
-            break
-        for i, (sv, se) in zip(refine, _cell_rect_values(f, [cells[i] for i in refine], split)):
-            vals[i] = np.concatenate([vals[i], sv])
-            errs[i] = np.concatenate([errs[i], se])
-        active = refine
-    else:
-        raise IntegrationError("2d quadrature did not converge")
-    total, err = 0.0, 0.0
-    for v, e in done:
-        total += v
-        err += e
-    return total, err
+    n = len(cells)
+    total, err = _refine(lambda p, r: _cell_rect_values(f, cells, p, r),
+                         np.array([[c.a1, c.b1, 0.0, 1.0] for c in cells]), np.arange(n),
+                         np.full(n, max(tol_abs / n, 1e-15)), tol_rel)
+    return float(sum(total)), float(sum(err))
 
 
 # integrate_abs: scan points per range, and the share of an outer node's
@@ -333,29 +313,10 @@ def _one_sign_ends(f, lo, hi):
     return row[order], at[order]
 
 
-def _gk_rows(g, lo, hi, row, tol_abs, tol_rel):
-    """Adaptive G7-K15 of len(tol_abs) integrals at once: segment [lo[i],
-    hi[i]] belongs to integral row[i], and each round calls g(x, rows) once
-    on every node of every new segment.  A row splits its segments of above
-    average error until its error sum is within max(tol_abs[row], tol_rel
-    |value|); returns the values."""
-    n = len(tol_abs)
-    kept = [np.zeros(0), np.zeros(0), np.zeros(0, dtype=int), np.zeros(0), np.zeros(0)]
-    for _ in range(64):
-        new = (lo, hi, row, *gk_segments(lambda x: g(x, np.repeat(row, 15)), lo, hi))
-        lo, hi, row, vals, errs = (np.concatenate(p) for p in zip(kept, new))
-        total, errsum = np.bincount(row, vals, n), np.bincount(row, errs, n)
-        split = errsum > np.maximum(tol_abs, tol_rel * np.abs(total))
-        if not split.any():
-            return total
-        if len(lo) > 1 << 18:
-            raise IntegrationError(f"|f| quadrature stalled: {len(lo)} segments")
-        bad = split[row] & (errs * np.bincount(row, None, n)[row] >= errsum[row])
-        kept = [x[~bad] for x in (lo, hi, row, vals, errs)]
-        mid = 0.5 * (lo[bad] + hi[bad])
-        lo, hi, row = np.concatenate([lo[bad], mid]), np.concatenate([mid, hi[bad]]), \
-            np.tile(row[bad], 2)
-    raise IntegrationError("|f| quadrature did not converge")
+def _node_rule(g):
+    """The interval rule of _refine for g(x, rows): G7-K15, each node named
+    with its part's row."""
+    return lambda p, r: gk_segments(lambda x: g(x, np.repeat(r, 15)), p[:, 0], p[:, 1])
 
 
 def integrate_abs(f, cells, tol_abs, tol_rel, breaks=()):
@@ -364,10 +325,10 @@ def integrate_abs(f, cells, tol_abs, tol_rel, breaks=()):
     finds.  1-D: the cells are (a, b) intervals that tile a range, f maps
     (n, 1) points, and the piece ends and the breaks split one integrate_1d.
     2-D: the cells are CurvedCells, f maps (n, 2) points, and the outer rule
-    in x1 runs on every cell at once, with the per-cell budget and stopping
-    test of integrate_cells; at each node x1 the inner rule integrates
-    |f(x1, .)| over the pieces of [lo(x1), hi(x1)] to ABS_INNER_SHARE of the
-    node's share of that budget."""
+    in x1 is one _refine row per cell, with the per-cell budget of
+    integrate_cells; at each node x1 the inner rule integrates |f(x1, .)|
+    over the pieces of [lo(x1), hi(x1)], one _refine row per node, to
+    ABS_INNER_SHARE of the node's share of that budget."""
     if not cells:
         return 0.0
     if not isinstance(cells[0], CurvedCell):
@@ -385,13 +346,12 @@ def integrate_abs(f, cells, tol_abs, tol_rel, breaks=()):
         g = lambda y, rows: f(np.column_stack([x[rows], y]))
         row, at = _one_sign_ends(g, lo, hi)
         cut = (row[1:] == row[:-1]) & (at[1:] > at[:-1])
-        return _gk_rows(lambda y, rows: np.abs(g(y, rows)), at[:-1][cut], at[1:][cut],
-                        row[:-1][cut], ABS_INNER_SHARE * per / width[cell],
-                        ABS_INNER_SHARE * tol_rel)
+        return _refine(_node_rule(lambda y, rows: np.abs(g(y, rows))),
+                       np.column_stack([at[:-1][cut], at[1:][cut]]), row[:-1][cut],
+                       ABS_INNER_SHARE * per / width[cell], ABS_INNER_SHARE * tol_rel)[0]
 
-    return float(sum(_gk_rows(across, np.array([c.a1 for c in cells]),
-                              np.array([c.b1 for c in cells]), np.arange(len(cells)),
-                              np.full(len(cells), per), tol_rel)))
+    return float(sum(_refine(_node_rule(across), np.array([[c.a1, c.b1] for c in cells]),
+                             np.arange(len(cells)), np.full(len(cells), per), tol_rel)[0]))
 
 
 def integrate_polar(f, center, radius, theta_breaks=(), tol_abs=1e-10):

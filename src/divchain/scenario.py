@@ -16,6 +16,7 @@ averages of its initial data lie in the invariant region.
 
 from __future__ import annotations
 
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -539,6 +540,10 @@ class Scenario:
     def __init__(self, raw: RawScenario):
         self.raw = raw
         self.id = raw.require("scenario", "id")
+        if not re.fullmatch(r"[A-Za-z0-9][A-Za-z0-9._-]*", self.id):     # it names a directory
+            raise ScenarioValidationError(
+                f"line {raw.line('scenario', 'id')}: id {self.id!r} is not a letter or digit "
+                f"followed by letters, digits, '.', '_' and '-'")
         self.domain = build_domain(raw)
         exps = [e.strip() for e in raw.require("scenario", "experiments").split(",")]
         ln = raw.line("scenario", "experiments")

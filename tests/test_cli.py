@@ -7,9 +7,11 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from divchain import cli
-from divchain.cli import bundled_paths, main
+from divchain.cli import bundled_dir, bundled_paths, main
 from divchain.runner import (EXIT_CHECKS_FAILED, EXIT_NUMERICAL_ERROR, EXIT_OK,
                              EXIT_PARSE_ERROR, EXIT_VALIDATION_ERROR)
 
@@ -252,6 +254,9 @@ def test_cli_import_loads_no_scipy():
 # A malformed value in an otherwise valid bundled file: (name, bundled source,
 # replacements, key whose line the message names, exit code).
 MALFORMED = [
+    # the id names the output directory: a slash once crashed write_outputs
+    ("id-with-a-slash", "sign-const", [("id = sign-const\n", "id = 1/x1\n")], "id",
+     EXIT_VALIDATION_ERROR),
     ("reversed-domain", "volpert-heaviside", [("domain = -1 .. 1", "domain = 1 .. 0")],
      "domain", EXIT_VALIDATION_ERROR),
     ("tol-abs-word", "volpert-heaviside", [("dim = 1\n", "dim = 1\ntol_abs = abc\n")],
@@ -520,3 +525,60 @@ def test_every_exported_name_resolves():
     import divchain.conslaw
     for mod in (divchain, divchain.conslaw):
         assert [n for n in mod.__all__ if not hasattr(mod, n)] == [], mod.__name__
+
+
+# -- exit-code fuzzer over mutations of the cheap files ---------------------
+
+FUZZ_FILES = ["sign-const", "volpert-heaviside", "sign-2t-heaviside", "moll-sign-exp",
+              "bv-scalar-signt-2h", "product-sin-heaviside", "w11-sign-xsq",
+              "cantor-u-autonomous", "cantor-u-jump", "negative-entropy"]
+FUZZ_VALUES = ["nan", "0", "-1", "1e300", "1e-300", "sqrt(x1)", "1/x1", "x1", "t", ""]
+FUZZ_ENDS = ["-2", "-1", "-0.75", "-0.5", "0", "0.25", "0.5", "1", "1.25", "1.5", "2"]
+KEY_LINE = re.compile(r"(\w+) = (.*)")
+
+
+@st.composite
+def mutated_files(draw):
+    """(name, text) of a cheap bundled file with one mutation: a `key = value`
+    line set to a hostile value, new domain ends, a break or point moved, or
+    a new cantor_base."""
+    name = draw(st.sampled_from(FUZZ_FILES))
+    lines = (bundled_dir() / f"{name}.scn").read_text(encoding="utf-8").splitlines()
+    keyed = [i for i, ln in enumerate(lines) if KEY_LINE.fullmatch(ln)]
+    placed = [i for i in keyed if re.match(r"(breaks|points|k_breaks) = -?[\d.]", lines[i])]
+    kind = draw(st.sampled_from(["value", "domain", "cantor_base"] + ["break"] * bool(placed)))
+    if kind == "value":
+        i = draw(st.sampled_from(keyed))
+        lines[i] = f"{KEY_LINE.fullmatch(lines[i])[1]} = {draw(st.sampled_from(FUZZ_VALUES))}"
+    elif kind == "domain":
+        i = lines.index(next(ln for ln in lines if ln.startswith("domain = ")))
+        lines[i] = f"domain = {draw(st.sampled_from(FUZZ_ENDS))} .. " \
+                   f"{draw(st.sampled_from(FUZZ_ENDS))}"
+    elif kind == "break":
+        i = draw(st.sampled_from(placed))
+        at = draw(st.sampled_from(FUZZ_ENDS + ["1/3", "0.999"]))
+        lines[i] = re.sub(r"= -?[\d.]+", f"= {at}", lines[i], count=1)
+    else:
+        section = "[field]" if "[field]" in lines else "[scenario]"
+        lines.insert(lines.index(section) + 1, f"cantor_base = {draw(st.sampled_from(FUZZ_ENDS))}"
+                     f" .. {draw(st.sampled_from(FUZZ_ENDS))}")
+    return name, "\n".join(lines) + "\n"
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(mutated_files())
+def test_exit_codes_hold_for_mutated_files(tmp_path_factory, case):
+    # validate and run agree on every file that validate rejects, and a file
+    # that validate accepts never fails to parse or validate in run
+    name, text = case
+    path = tmp_path_factory.mktemp("fuzz") / f"{name}.scn"
+    path.write_text(text, encoding="utf-8")
+    _, failure = cli._load(str(path))
+    code, out = cli._run_one((str(path), str(path.parent / "out")))
+    assert code in (EXIT_OK, EXIT_CHECKS_FAILED, EXIT_PARSE_ERROR, EXIT_VALIDATION_ERROR,
+                    EXIT_NUMERICAL_ERROR)
+    assert "internal error" not in out
+    if failure:
+        assert code == failure[0]
+    else:
+        assert code not in (EXIT_PARSE_ERROR, EXIT_VALIDATION_ERROR)

@@ -1,5 +1,6 @@
-"""Planted faults: each conslaw and kato check, and the tv_bound check where
-the bound is tight, must read FAIL under a fault in the code it guards.
+"""Planted faults: each conslaw and kato check, the tv_bound check where the
+bound is tight, and the oracle and Gauss-Green checks, which rest on the
+adaptive quadrature, must read FAIL under a fault in the code it guards.
 
 A row names a check, a scenario (a bundled file, or a lighter copy of one
 written here), and a fault: a monkeypatch of the src function the check
@@ -13,7 +14,7 @@ import functools
 import numpy as np
 import pytest
 
-from divchain import chainrule
+from divchain import chainrule, runner
 from divchain.cli import bundled_dir
 from divchain.conslaw import diagnostics, solver
 from divchain.conslaw.hatbasis import PiecewiseLinearWeight
@@ -87,6 +88,8 @@ u0_a3 = 0.4 + 0.15*(1-min(1,abs((x1+0.5)/0.2))^2)^2
 u0_b3 = 0.4 + 0.15*(1-min(1,abs((x1+0.25)/0.2))^2)^2
 """
 
+# Div v = 2 delta_0: the whole divergence is the jump term
+VOLPERT = (bundled_dir() / "volpert-heaviside.scn").read_text(encoding="utf-8")
 # |Div v| = 1.5 delta_0 against sigma = 2 delta_0: the bound has slack 0.5
 SIGN_CONST = (bundled_dir() / "sign-const.scn").read_text(encoding="utf-8")
 # |Div v| = 2|x1| dx = M |Du| on the sub-boxes away from 0: no slack at all
@@ -164,6 +167,24 @@ def fault_term3_off_by_1e6(mp):
                lambda field, u: lambda pts, uv: (1 + 1e-6) * orig(field, u)(pts, uv))
 
 
+def fault_jump_term_off_by_1e3(mp):
+    # chain_dm hands the runner a jump term 1e-3 too large, and a total that sums it
+    def chain_dm(*args, **kw):
+        br = chainrule.chain_dm(*args, **kw)
+        return chainrule.ChainRuleBreakdown(br.term_diva, br.term_divc, br.term_ac_u,
+                                            br.term_cantor_u, br.term_jump * (1 + 1e-3),
+                                            jump_symmetric=br.jump_symmetric)
+    mp.setattr(runner, "chain_dm", chain_dm)
+
+
+def fault_green_lhs_off_by_1e5(mp):
+    # green_check's extrapolated Div A of the region, to a relative 1e-5
+    def green_check(field, omega):
+        lhs, rhs = chainrule.green_check(field, omega)
+        return lhs * (1 + 1e-5), rhs
+    mp.setattr(runner, "green_check", green_check)
+
+
 PLANTED = [
     ("conslaw:kinetic_nonnegative", SHOCK, fault_wrong_sign_flux_part),
     ("conslaw:kinetic_identity", FAN, fault_moment_off_by_1e6),
@@ -175,6 +196,8 @@ PLANTED = [
     ("kato:pair1", KATO3, fault_pair1_final_doubled),
     ("chain:tv_bound", SIGN_CONST, fault_jump_term_counted_twice),
     ("w11:tv_bound", W11_SIGN_XSQ, fault_term3_off_by_1e6),
+    ("chain:oracle_equivalence", VOLPERT, fault_jump_term_off_by_1e3),
+    ("green:closure", SIGN_CONST, fault_green_lhs_off_by_1e5),
 ]
 
 # checks that a row's fault must leave passing: the pairs next to pair 1

@@ -12,8 +12,8 @@ from divchain import ParamField, PrimitiveField
 from divchain.cantor import MIDDLE_THIRDS, construction_endpoints, ifs_cdf
 from divchain.errors import IntegrationError
 from divchain.quadrature import (_GAUSS_IDX, _WG, _WGK, _XGK, ABS_SCAN_POINTS, CurvedCell,
-                                 _cell_rect_values, _segments_from_breaks,
-                                 gauss, integrate_1d, integrate_abs, integrate_cells,
+                                 _cell_rect_values, _refine, _segments_from_breaks, gauss,
+                                 gk_segments, integrate_1d, integrate_abs, integrate_cells,
                                  integrate_polar, integrate_to_upper)
 from divchain.rectifiable import GraphCurve, RectifiableSet, box_cells
 from divchain.scenario import build_domain, build_field, build_singular, parse_text
@@ -81,6 +81,50 @@ def test_segments_from_breaks_match_the_loop(case):
     assert _segments_from_breaks(a, b, [])[0].tolist() == [a]
     got, ref = _segments_from_breaks(a, b, breaks), ref_segments_from_breaks(a, b, breaks)
     assert all(np.array_equal(g, r) for g, r in zip(got, ref))
+
+
+@st.composite
+def one_d_rows(draw):
+    """1-D integrals, each over its own range and breaks, of sin(w x) + |x - k|
+    with its own w, undeclared kink k and tolerance."""
+    rows = []
+    for _ in range(draw(st.integers(1, 5))):
+        a = draw(st.floats(-2.0, 1.0))
+        b = a + draw(st.floats(0.1, 3.0))
+        breaks = draw(st.lists(st.floats(a, b), max_size=3))
+        rows.append((a, b, breaks, draw(st.floats(0.5, 30.0)), draw(st.floats(a, b)),
+                     draw(st.sampled_from([1e-6, 1e-9, 1e-12]))))
+    return rows
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(one_d_rows())
+def test_batched_rows_are_bit_equal_to_each_row_alone(rows):
+    # the rule runs G7-K15 on one segment at a time, because BLAS rounds a
+    # matrix-vector product by the number of rows as well as by their values
+    w, k = (np.array([r[i] for r in rows]) for i in (3, 4))
+    g = lambda x, r: np.sin(w[r] * x) + np.abs(x - k[r])
+    calls = []
+
+    def rule(p, r):
+        calls.append(1)
+        return np.array([gk_segments(lambda x: g(x, np.full(15, i)), p[j:j + 1, 0], p[j:j + 1, 1])
+                         for j, i in enumerate(r)]).reshape(-1, 2).T
+
+    pieces = [np.column_stack(_segments_from_breaks(*r[:3])) for r in rows]
+    tol = np.array([r[5] for r in rows])
+    total, err = _refine(rule, np.vstack(pieces),
+                         np.repeat(np.arange(len(rows)), [len(p) for p in pieces]), tol, 1e-10)
+    batch_rounds = len(calls)
+    rounds = []
+    for i, piece in enumerate(pieces):
+        calls.clear()
+        alone = _refine(lambda p, r: rule(p, r + i), piece, np.zeros(len(piece), dtype=int),
+                        tol[i:i + 1], 1e-10)
+        assert (total[i], err[i]) == (alone[0][0], alone[1][0])
+        rounds.append(len(calls))
+    # one rule call per round: as many as the slowest row needs alone
+    assert max(rounds) == batch_rounds
 
 
 def test_curved_cell():
@@ -192,15 +236,20 @@ def test_batched_cells_match_per_cell_reference(case):
     f, cells, tol = case
     calls = []
     got = integrate_cells(lambda p: calls.append(len(p)) or f(p), cells, tol_abs=tol)
-    ref = ref_integrate_cells(f, cells, tol, 1e-10)
-    assert got == ref
-    # one call per refinement round: as many as the slowest cell needs alone
-    rounds = []
+    # the same driver one cell at a time, each with its share of the budget
+    alone, rounds = [], []
     for cell in cells:
         mine = []
-        ref_integrate_cell(lambda p: mine.append(1) or f(p), cell, tol / len(cells), 1e-10)
+        alone.append(integrate_cells(lambda p: mine.append(1) or f(p), [cell],
+                                     tol_abs=tol / len(cells)))
         rounds.append(len(mine))
+    assert got == (float(sum(v for v, _ in alone)), float(sum(e for _, e in alone)))
+    # one call per refinement round: as many as the slowest cell needs alone
     assert len(calls) == max(rounds)
+    # the per-cell loop that the driver replaced adds each cell's rectangles in
+    # another order, so it agrees only within its own error estimate
+    ref, ref_err = ref_integrate_cells(f, cells, tol, 1e-10)
+    assert abs(got[0] - ref) <= ref_err
 
 
 @st.composite
@@ -221,16 +270,21 @@ def cell_batches(draw):
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
-@given(cell_batches())
-def test_cell_kernel_is_bit_equal_to_the_per_cell_reference(case):
+@given(cell_batches(), st.randoms(use_true_random=False))
+def test_cell_kernel_is_bit_equal_to_the_per_cell_reference(case, rnd):
     # the kernel evaluates lo/hi once per x1 node and builds its nodes in
-    # place; the reference repeats x1 over every node, one cell at a time
+    # place; the reference repeats x1 over every node, one cell at a time.
+    # The kernel's rectangles come shuffled across the cells.
     f, cells, rects = case
-    got = _cell_rect_values(f, cells, rects)
-    assert len(got) == len(cells)
-    for (ik, err), cell, rect in zip(got, cells, rects):
+    row = np.repeat(np.arange(len(cells)), [len(r) for r in rects])
+    order = np.arange(len(row))
+    rnd.shuffle(order)
+    ik, err = _cell_rect_values(f, cells, np.vstack(rects)[order], row[order])
+    for i, (cell, rect) in enumerate(zip(cells, rects)):
         ref_ik, ref_err = ref_cell_tensor(f, cell, rect)
-        assert np.array_equal(ik, ref_ik) and np.array_equal(err, ref_err)
+        mine = order[row[order] == i].argsort()
+        assert np.array_equal(ik[row[order] == i][mine], ref_ik)
+        assert np.array_equal(err[row[order] == i][mine], ref_err)
 
 
 @st.composite
