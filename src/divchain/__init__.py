@@ -10,8 +10,8 @@ from .chainrule import (ChainRuleBreakdown, ScalarFunction, anzellotti_pairing,
                         layer_cake_action, product_rule)
 from .field import ParamField, PrimitiveField, mollified_normal_trace, singular_set_check
 from .geometry import Domain, subboxes
-from .measure import (RadonMeasure, TestFunction, check_dominated, lub_measures,
-                      oscillatory_bump, plateau_bump)
+from .measure import (RadonMeasure, TestFunction, check_dominated, oscillatory_bump,
+                      plateau_bump)
 from .oracle import TestSuite, build_suite, compare, mollification_study, weak_divergence
 from .rectifiable import GraphCurve, JumpPoint, RectifiableSet, Segment, merge_sets
 
@@ -23,7 +23,7 @@ __all__ = [
     "chain_bv_scalar", "chain_dm", "chain_w11", "green_check", "layer_cake_action",
     "product_rule", "ParamField", "PrimitiveField", "mollified_normal_trace",
     "singular_set_check", "Domain", "subboxes", "RadonMeasure", "TestFunction",
-    "check_dominated", "lub_measures", "oscillatory_bump", "plateau_bump", "TestSuite",
+    "check_dominated", "oscillatory_bump", "plateau_bump", "TestSuite",
     "build_suite", "compare", "mollification_study", "weak_divergence", "GraphCurve",
     "JumpPoint", "RectifiableSet", "Segment", "merge_sets", "__version__",
 ]

@@ -15,7 +15,7 @@ import numpy as np
 from .cantor import CantorPart
 from .errors import BoundaryError, NotOnJumpSetError
 from .geometry import Domain, as_points
-from .measure import RadonMeasure, lub_measures
+from .measure import RadonMeasure
 from .quadrature import integrate_1d, integrate_polar, integrate_to_upper
 from .rectifiable import RectifiableSet
 
@@ -73,26 +73,26 @@ class ParamField:
         return g
 
     # -- measures ---------------------------------------------------------
+    def _measure(self, ac, jump, cantor_weight):
+        """A measure with this field's parts: the a.c. density ac (pts) -> (n,)
+        where diva is declared, the jump density jump (pts, nus) -> (n,) on the
+        singular set, and the Cantor part weighted by cantor_weight()."""
+        sing = None if self.singular_set.is_empty else self.singular_set
+        return RadonMeasure(
+            self.domain, ac=None if self._diva is None else ac, ac_singular=sing,
+            jumps=None if sing is None else RadonMeasure.from_jump(self.domain, sing, jump).jumps,
+            cantor=None if self.divc_part is None else self.divc_part.scaled(cantor_weight()))
+
     def div_measure(self, t):
         """Div_x b(., t) as a RadonMeasure (decomposition formula)."""
-        jumps = None
-        if not self.singular_set.is_empty:
-            jumps = RadonMeasure.from_jump(self.domain, self.singular_set,
-                                           self.jump_density(t)).jumps
-        cantor = None
-        if self.divc_part is not None:
-            m = float(self.divc_multiplier(t)) if self.divc_multiplier is not None else 1.0
-            cantor = self.divc_part.scaled(m)
-        ac = None
-        if self._diva is not None:
-            ac = lambda pts, t=t: self.diva(pts, t)
-        return RadonMeasure(self.domain, ac=ac,
-                            ac_singular=None if self.singular_set.is_empty else self.singular_set,
-                            jumps=jumps, cantor=cantor)
+        m = self.divc_multiplier
+        return self._measure(lambda pts: self.diva(pts, t), self.jump_density(t),
+                             lambda: 1.0 if m is None else float(m(t)))
 
     def sigma(self, t_samples):
-        """Dominating measure: lub of |Div_x b(., t)| over the sample set,
-        joined with the author-declared analytic envelope when present."""
+        """Dominating measure: the part-by-part max of |Div_x b(., t)| over the
+        sample set and the author-declared analytic envelope when present.
+        Every member lives on this field's singular set and Cantor base."""
         t_samples = list(t_samples)
         if not t_samples:
             raise ValueError("sigma requires at least one parameter sample")
@@ -103,7 +103,18 @@ class ParamField:
         family = [self.div_measure(t) for t in t_samples]
         if self.sigma_envelope is not None:
             family.append(self.sigma_envelope)
-        return lub_measures(family)
+
+        def peak(fs):
+            return lambda *a: np.max([np.abs(np.asarray(f(*a), dtype=float)) for f in fs], axis=0)
+
+        acs = [m.ac for m in family if m.ac is not None]
+        jumps = {key: (comp, peak([m.jumps[key][1] for m in family if key in m.jumps]))
+                 for key, comp in self.singular_set.components()}
+        cparts = [m.cantor for m in family if m.cantor is not None]
+        cantor = CantorPart(cparts[0].spec, max(abs(c.mass) for c in cparts)) if cparts else None
+        return RadonMeasure(self.domain, ac=peak(acs) if acs else None,
+                            ac_singular=None if self.singular_set.is_empty else self.singular_set,
+                            jumps=jumps, cantor=cantor)
 
     def flipped(self):
         """Reversed orientation of the singular set, traces swapped."""
@@ -213,20 +224,8 @@ class PrimitiveField:
 
     def div_measure(self, t):
         """Div_x B(., t): a.c. + Cantor + jump parts (all t-integrated)."""
-        f = self.field
-        jumps = None
-        if not f.singular_set.is_empty:
-            jumps = RadonMeasure.from_jump(self.domain, f.singular_set,
-                                           self.normal_jump(t)).jumps
-        cantor = None
-        if f.divc_part is not None:
-            cantor = f.divc_part.scaled(float(self.divc_weight(t)[0]))
-        ac = None
-        if f._diva is not None:
-            ac = lambda pts, t=t: self.diva(pts, t)
-        return RadonMeasure(self.domain, ac=ac,
-                            ac_singular=None if f.singular_set.is_empty else f.singular_set,
-                            jumps=jumps, cantor=cantor)
+        return self.field._measure(lambda pts: self.diva(pts, t), self.normal_jump(t),
+                                   lambda: float(self.divc_weight(t)[0]))
 
 
 def mollified_normal_trace(field: ParamField, t, x, eps):

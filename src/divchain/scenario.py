@@ -27,9 +27,9 @@ from .chainrule import ScalarFunction
 from .conslaw import EntropyPair, FluxSpec, GridState
 from .conslaw.diagnostics import kato_cells
 from .conslaw.solver import DEFAULT_CFL, MAX_TRAJECTORY_FLOATS, in_invariant_region, step_count
-from .errors import ScenarioParseError, ScenarioValidationError
+from .errors import NotOnJumpSetError, ScenarioParseError, ScenarioValidationError
 from .exprs import compile_field, compile_of_t, compile_scalar, compile_uv
-from .field import ParamField
+from .field import ParamField, _normal_at
 from .geometry import Domain
 from .measure import RadonMeasure
 from .rectifiable import GraphCurve, RectifiableSet, Segment
@@ -512,11 +512,17 @@ def build_omegas(raw: RawScenario, domain: Domain):
     return omegas
 
 
-def build_moll(raw: RawScenario, domain: Domain):
+def build_moll(raw: RawScenario, domain: Domain, singular: RectifiableSet):
     sec = raw.sections.get("moll", {})
     ln = lambda k: raw.line("moll", k)
     points = [_numbers(item, ln("points"), "points", domain.dim)
               for item in sec.get("points", ", ".join("0" * domain.dim)).split(";")]
+    for p in points:        # the run takes the normal there, by the same test
+        try:
+            _normal_at(singular, np.atleast_2d(p))
+        except NotOnJumpSetError as exc:     # the default point 0 has no line
+            where = f"line {ln('points')}" if ln("points") else "[moll] points"
+            raise ScenarioValidationError(f"{where}: {exc}") from exc
     eps = _numbers(sec.get("eps", "0.1, 0.05, 0.025"), ln("eps"))
     if not eps or min(eps) <= 0 or any(e2 >= e1 for e1, e2 in zip(eps, eps[1:])):
         raise ScenarioValidationError(f"line {ln('eps')}: eps must be > 0 and strictly "
@@ -577,7 +583,7 @@ class Scenario:
         self.sigma_samples = build_sigma_samples(raw, self.field) if needs_field else None
         self.h = build_product_fn(raw) if "product" in exps else None
         self.omegas = build_omegas(raw, self.domain) if "green" in exps else None
-        self.moll = build_moll(raw, self.domain) if "moll" in exps else None
+        self.moll = build_moll(raw, self.domain, self.singular) if "moll" in exps else None
         self.flux = build_flux(raw, self.domain) if ("conslaw" in exps or "kato" in exps) \
             else None
         self.conslaw = build_conslaw_run(raw, self.domain, self.flux) \

@@ -83,6 +83,17 @@ def test_cantor_file_with_a_box_edge_in_the_cantor_set_runs(tmp_path, capsys):
     assert "SCENARIO cantor-divb-bv: PASS" in capsys.readouterr().out.splitlines()
 
 
+def test_cantor_divergence_of_mass_zero_runs(tmp_path, capsys):
+    # Div^c_x B = 0 under a sigma whose Cantor part is 0: 0 << 0 holds, where
+    # the domination check once read a vanishing Cantor part of sigma as a failure
+    with open(scenario_path("sign-const"), encoding="utf-8") as fh:
+        text = fh.read()
+    scn = tmp_path / "sign-const.scn"
+    scn.write_text(text.replace("M = 1\n", "M = 1\ndivc_mass = 0\n"))
+    assert main(["run", str(scn), "--out", str(tmp_path / "out")]) == EXIT_OK
+    assert "SCENARIO sign-const: PASS" in capsys.readouterr().out.splitlines()
+
+
 def test_negative_control_exits_nonzero(tmp_path):
     code = main(["run", scenario_path("negative-control"), "--out", str(tmp_path)])
     assert code == EXIT_CHECKS_FAILED
@@ -316,6 +327,9 @@ MALFORMED = [
     ("moll-eps-zero", "sign-const", [("eps = 0.1, 0.05, 0.025", "eps = 0.1, 0")], "eps",
      EXIT_VALIDATION_ERROR),
     ("moll-point-two-coords-1d", "sign-const", [("points = 0\n", "points = 0, 5\n")],
+     "[moll] points", EXIT_VALIDATION_ERROR),
+    # the run takes the singular set's normal at each point
+    ("moll-point-off-the-singular-set", "moll-sign-exp", [("points = 0\n", "points = 0.5\n")],
      "[moll] points", EXIT_VALIDATION_ERROR),
     ("box-one-interval-2d", "2d-vline-jump",
      [("experiments = chain, green", "experiments = green"),

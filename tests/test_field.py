@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from divchain import (ParamField, PrimitiveField, RectifiableSet,
-                      mollified_normal_trace, plateau_bump, singular_set_check)
+from divchain import (ParamField, PrimitiveField, RadonMeasure, RectifiableSet,
+                      mollified_normal_trace, plateau_bump, singular_set_check, subboxes)
 from divchain.cantor import MIDDLE_THIRDS, CantorPart, cantor_function
 from divchain.cli import bundled_dir
 from divchain.errors import BoundaryError
@@ -43,6 +43,53 @@ def test_sigma_trivial_cases(dom11, point_zero, bump):
     assert const.sigma([0.0, 1.0]).apply(bump) == pytest.approx(0.0)
     b = sign_field(dom11, point_zero)
     assert b.sigma([0.5]).apply(bump) == pytest.approx(2.0)
+
+
+def peaked_field():
+    """A field on [-0.5, 1.5] with a jump point at -0.25 and a Cantor
+    divergence on [0, 1], whose |diva|, jump density and Cantor multiplier
+    peak at t = 0, 1 and 2, and an envelope (4 - 4 x^2) dx, a jump of 1.5
+    and a Cantor mass of 2 that wins only on the a.c. part near x = 0."""
+    dom = interval_domain(-0.5, 1.5)
+    rect = RectifiableSet(1, [-0.25], [1.0])
+    half_jump = lambda pts, t: np.full((len(pts), 1), (1 + 2 * t - t * t) / 2)
+    envelope = RadonMeasure(dom, ac=lambda pts: 4 - 4 * pts[:, 0] ** 2, ac_singular=rect,
+                            jumps=RadonMeasure.from_jump(
+                                dom, rect, lambda pts, nus: np.full(len(pts), 1.5)).jumps,
+                            cantor=CantorPart(MIDDLE_THIRDS, 2.0))
+    b = ParamField(dom, lambda pts, t: np.zeros((len(pts), 1)), sup_bound=1.0,
+                   singular_set=rect, b_plus=half_jump,
+                   b_minus=lambda pts, t: -half_jump(pts, t),
+                   diva=lambda pts, t: (3 - 2 * t) * (1 + pts[:, 0] ** 2),
+                   divc_part=CantorPart(MIDDLE_THIRDS, 1.0),
+                   divc_multiplier=lambda t: t * t - 1, t_range=(0, 2),
+                   sigma_envelope=envelope)
+    return b, [0.0, 1.0, 2.0]
+
+
+def test_sigma_is_the_part_wise_max():
+    b, samples = peaked_field()
+    dom, rect = b.domain, b.singular_set
+    by_hand = RadonMeasure(
+        dom, ac=lambda pts: np.maximum(3.0 * (1 + pts[:, 0] ** 2), 4 - 4 * pts[:, 0] ** 2),
+        ac_singular=rect,
+        jumps=RadonMeasure.from_jump(dom, rect, lambda pts, nus: np.full(len(pts), 2.0)).jumps,
+        cantor=CantorPart(MIDDLE_THIRDS, 3.0))
+    sigma = b.sigma(samples)
+    for phi in (plateau_bump([(-0.4, 1.4)], [(-0.3, 1.2)]),
+                plateau_bump([(-0.45, 0.3)], [(-0.3, 0.1)])):
+        assert sigma.apply(phi) == by_hand.apply(phi)
+    for box in (((-0.5, 1.5),), ((-0.4, 0.2),), ((0.1, 0.9),)):
+        assert sigma.total_variation(box) == by_hand.total_variation(box)
+
+
+def test_sigma_dominates_every_sample_on_each_sub_box():
+    b, samples = peaked_field()
+    sigma = b.sigma(samples)
+    for box in subboxes(b.domain, 4):
+        tv = sigma.total_variation(box)
+        for t in samples:
+            assert tv >= b.div_measure(t).total_variation(box)
 
 
 def test_singular_set_check(dom11, point_zero):

@@ -2,11 +2,9 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from divchain import (RadonMeasure, RectifiableSet, Segment,
-                      check_dominated, lub_measures, plateau_bump)
+from divchain import RadonMeasure, RectifiableSet, Segment, check_dominated, plateau_bump
 from divchain.cantor import MIDDLE_THIRDS, CantorPart, integrate_ifs
-from divchain.errors import (AbsoluteContinuityError, DomainMismatchError,
-                             UnsupportedStructureError)
+from divchain.errors import AbsoluteContinuityError, DomainMismatchError
 
 from helpers import box_domain, cantor_measure, interval_domain, lebesgue, point_mass
 
@@ -76,37 +74,6 @@ def test_cantor_tv_of_a_box_holding_the_base_is_unchanged():
         == 2.0 * integrate_ifs(lambda x: np.abs(h(x)), MIDDLE_THIRDS)
 
 
-def test_lub_examples(dom):
-    d01 = interval_domain(0.0, 1.0)
-    phi = plateau_bump([(0.1, 0.9)], [(0.3, 0.7)])
-    two = lub_measures([lebesgue(d01),
-                        lebesgue(d01, lambda p: 2 * np.ones(len(p)))])
-    ref = lebesgue(d01, lambda p: 2 * np.ones(len(p))).apply(phi)
-    assert two.apply(phi) == pytest.approx(ref, abs=1e-10)
-
-    deltas = lub_measures([point_mass(dom, 0.0, 1.0),
-                           point_mass(dom, 0.0, 3.0)])
-    phic = plateau_bump([(-0.5, 0.5)], [(-0.2, 0.2)])
-    assert deltas.apply(phic) == pytest.approx(3.0)
-
-    # |sign| = 1 dominates 1 - |x|
-    sgn = lebesgue(dom, lambda p: np.sign(p[:, 0]),
-                                singular=RectifiableSet(1, [0.0], [1.0]))
-    hat = lebesgue(dom, lambda p: 1 - np.abs(p[:, 0]))
-    assert lub_measures([sgn, hat]).total_variation() == pytest.approx(2.0, abs=1e-9)
-
-
-def test_lub_restricted_tv_dominates(dom):
-    sgn = lebesgue(dom, lambda p: np.sign(p[:, 0]),
-                                singular=RectifiableSet(1, [0.0], [1.0]))
-    hat = lebesgue(dom, lambda p: 1 - np.abs(p[:, 0]))
-    sup = lub_measures([sgn, hat])
-    for box in (((-1.0, 0.0),), ((-0.5, 0.5),), ((0.25, 1.0),)):
-        tv = sup.total_variation(box=box)
-        assert tv + 1e-9 >= sgn.total_variation(box=box)
-        assert tv + 1e-9 >= hat.total_variation(box=box)
-
-
 def test_linearity(dom):
     phi = plateau_bump([(-0.6, 0.6)], [(-0.3, 0.3)])
     m1 = lebesgue(dom, lambda p: p[:, 0] ** 2)
@@ -166,6 +133,14 @@ def test_check_dominated_violation(dom):
         check_dominated(cantor_measure(dd, CantorPart(MIDDLE_THIRDS, 1.0)),
                         cantor_measure(dd, CantorPart(MIDDLE_THIRDS, 1.0),
                                        density=lambda x: (x < 0.5).astype(float)))
+    # a part that sigma lacks has density 0
+    with pytest.raises(AbsoluteContinuityError, match="jump density"):
+        check_dominated(point_mass(dom, 0.0, 1.0), lebesgue(dom))
+    with pytest.raises(AbsoluteContinuityError, match="Cantor density"):
+        check_dominated(cantor_measure(dd, CantorPart(MIDDLE_THIRDS, 1.0)), lebesgue(dd))
+    # 0 << 0: a Cantor divergence of mass 0 under a sigma whose Cantor part is 0
+    check_dominated(cantor_measure(dd, CantorPart(MIDDLE_THIRDS, 0.0)),
+                    cantor_measure(dd, CantorPart(MIDDLE_THIRDS, 0.0)))
 
 
 def test_ball_mass(dom):
@@ -176,9 +151,3 @@ def test_ball_mass(dom):
         d2, RectifiableSet(2, pieces=[Segment(0, 0.0, -1, 1, +1)]),
         lambda pts, nus: np.full(len(pts), 2.0))
     assert line.ball_mass((0.0, 0.0), 0.25) == pytest.approx(1.0, abs=1e-9)
-
-
-def test_lub_mismatched_supports_raise(dom):
-    with pytest.raises(UnsupportedStructureError):
-        lub_measures([point_mass(dom, 0.0, 1.0),
-                      point_mass(dom, 0.5, 1.0)])

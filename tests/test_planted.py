@@ -1,6 +1,7 @@
 """Planted faults: each conslaw and kato check, the tv_bound check where the
-bound is tight, and the oracle and Gauss-Green checks, which rest on the
-adaptive quadrature, must read FAIL under a fault in the code it guards.
+bound is tight, the oracle and Gauss-Green checks, which rest on the
+adaptive quadrature, and the two checks of sigma must read FAIL under a
+fault in the code it guards.
 
 A row names a check, a scenario (a bundled file, or a lighter copy of one
 written here), and a fault: a monkeypatch of the src function the check
@@ -14,7 +15,7 @@ import functools
 import numpy as np
 import pytest
 
-from divchain import chainrule, runner
+from divchain import RadonMeasure, chainrule, field, runner
 from divchain.cli import bundled_dir
 from divchain.conslaw import diagnostics, solver
 from divchain.conslaw.hatbasis import PiecewiseLinearWeight
@@ -177,6 +178,17 @@ def fault_jump_term_off_by_1e3(mp):
     mp.setattr(runner, "chain_dm", chain_dm)
 
 
+def fault_sigma_without_jumps(mp):
+    # sigma loses its jump part: nothing on 0 dominates the jump of Div_x B
+    orig = field.ParamField.sigma
+
+    def sigma(self, t_samples):
+        s = orig(self, t_samples)
+        return RadonMeasure(s.domain, ac=s.ac, ac_singular=s.ac_singular, cantor=s.cantor,
+                            cantor_density=s.cantor_density)
+    mp.setattr(field.ParamField, "sigma", sigma)
+
+
 def fault_green_lhs_off_by_1e5(mp):
     # green_check's extrapolated Div A of the region, to a relative 1e-5
     def green_check(field, omega):
@@ -198,6 +210,8 @@ PLANTED = [
     ("w11:tv_bound", W11_SIGN_XSQ, fault_term3_off_by_1e6),
     ("chain:oracle_equivalence", VOLPERT, fault_jump_term_off_by_1e3),
     ("green:closure", SIGN_CONST, fault_green_lhs_off_by_1e5),
+    ("sigma:primitive_dominated", SIGN_CONST, fault_sigma_without_jumps),
+    ("sigma:singular_set_density", SIGN_CONST, fault_sigma_without_jumps),
 ]
 
 # checks that a row's fault must leave passing: the pairs next to pair 1
