@@ -25,7 +25,7 @@ from .cantor import CantorPart, support_nodes
 from .errors import GeometryError, OrientationError, WrongRegularityError
 from .field import ParamField, PrimitiveField
 from .measure import RadonMeasure, TestFunction, plateau_bump
-from .quadrature import integrate_1d, integrate_to_upper
+from .quadrature import integrate_1d, integrate_polar, integrate_to_upper
 from .rectifiable import merge_sets
 
 
@@ -508,12 +508,15 @@ def green_check(field: ParamField, omega, w0=0.04):
     lhs: Div A of the region via mollified indicators at three widths,
     Richardson-extrapolated to width 0.  rhs: boundary flux of A.
     omega: ("box", bounds) or ("disc", (center, radius)).  Both sides run
-    their quadratures at 1e-11 in 1-D and 1e-8 in 2-D.
+    their quadratures at 1e-11 in 1-D and 1e-8 in 2-D.  On a disc, Div A of a
+    field with no singular set is its a.c. part alone, integrated in polar
+    cells split at r - w, where chi_w starts to fall; otherwise box cells.
     """
     kind, bounds = omega
     quad_tol = 1e-11 if field.domain.dim == 1 else 1e-8
     _transversal(field, bounds, kind)
     div_a = field.div_measure(0.0)
+    polar = kind == "disc" and field.singular_set.is_empty and div_a.ac is not None
 
     vals = []
     widths = [w0, w0 / 2, w0 / 4]
@@ -521,7 +524,12 @@ def green_check(field: ParamField, omega, w0=0.04):
         chi_w = _mollified_indicator(bounds, kind, w, field.domain.dim)
         if not field.domain.contains_box(chi_w.support_box):
             raise GeometryError("mollified indicator support exits the domain")
-        vals.append(div_a.apply(chi_w, tol_abs=quad_tol, tol_rel=1e-10))
+        if polar:
+            center, radius = bounds
+            vals.append(integrate_polar(lambda p: chi_w.value(p) * div_a.ac(p), center, radius + w,
+                                        rho_breaks=(radius - w,), tol_abs=quad_tol)[0])
+        else:
+            vals.append(div_a.apply(chi_w, tol_abs=quad_tol, tol_rel=1e-10))
     # quadratic Richardson through (w, value)
     A = np.vander(np.asarray(widths), 3, increasing=True)
     coef = np.linalg.solve(A, np.asarray(vals))

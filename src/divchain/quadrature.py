@@ -354,8 +354,8 @@ def integrate_abs(f, cells, tol_abs, tol_rel, breaks=()):
                              np.arange(len(cells)), np.full(len(cells), per), tol_rel)[0]))
 
 
-def integrate_polar(f, center, radius, theta_breaks=(), tol_abs=1e-10):
-    """Integral of f over a disc via polar coordinates."""
+def integrate_polar(f, center, radius, theta_breaks=(), tol_abs=1e-10, rho_breaks=()):
+    """Integral of f over a disc on polar cells [theta edges] x [0, *rho_breaks, radius]."""
     cx, cy = center
     t0, t1 = 0.0, 2.0 * np.pi
     # fold every angular break into [t0, t1]
@@ -370,7 +370,9 @@ def integrate_polar(f, center, radius, theta_breaks=(), tol_abs=1e-10):
     # put declared angular breakpoints in as separate cells
     bks = sorted(b for b in breaks if t0 < b < t1)
     edges = [t0] + bks + [t1]
-    cells = [CurvedCell(pa, pb, 0.0, float(radius)) for pa, pb in zip(edges[:-1], edges[1:])]
+    rho = [0.0] + sorted(float(r) for r in rho_breaks if 0.0 < r < radius) + [float(radius)]
+    cells = [CurvedCell(pa, pb, ra, rb) for pa, pb in zip(edges[:-1], edges[1:])
+             for ra, rb in zip(rho[:-1], rho[1:])]
     return integrate_cells(integrand, cells, tol_abs=tol_abs)
 
 

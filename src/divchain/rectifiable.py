@@ -139,9 +139,19 @@ def _ranges(piece, dist):
     ds = dist(s)
     if not (ds <= 0).any():
         return []
+    cuts = [piece.s0, piece.s1, *sign_crossings(dist, s, ds).tolist()]
+    # a run from a grid zero may end before the next grid point: probe just inside
+    z = np.flatnonzero(ds == 0.0)
+    if z.size:
+        zr, zl = z[z < len(s) - 1], z[z > 0]        # zeros with a right, a left neighbour
+        a = np.concatenate([s[zr] + 1e-9 * (s[zr + 1] - s[zr]), s[zl - 1]])
+        b = np.concatenate([s[zr + 1], s[zl] - 1e-9 * (s[zl] - s[zl - 1])])
+        fa, fb = dist(a), dist(b)
+        hit = np.sign(fa) * np.sign(fb) < 0
+        cuts += bracketed_roots(lambda x, live: dist(x), a[hit], b[hit], fa[hit], fb[hit]).tolist()
     # a list sort and a float diff: numpy's float sort and integer diff, which
     # no other step calls, raised the peak RSS of the 2-D runs by 0.3 MB
-    cuts = np.array(sorted([piece.s0, piece.s1, *sign_crossings(dist, s, ds).tolist()]))
+    cuts = np.array(sorted(cuts))
     a, b = cuts[:-1], cuts[1:]
     a, b = a[b > a], b[b > a]
     run = np.diff(np.concatenate([[0.0], dist(0.5 * (a + b)) <= 0, [0.0]]))

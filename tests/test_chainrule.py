@@ -16,7 +16,7 @@ from divchain.chainrule import ChainRuleBreakdown, _cantor_layer_cake, _mollifie
 from divchain.cli import bundled_paths
 from divchain.errors import GeometryError, WrongRegularityError
 from divchain.measure import _smoothstep
-from divchain.quadrature import integrate_1d
+from divchain.quadrature import integrate_1d, integrate_polar
 from divchain.runner import RunResult, run_chain
 from divchain.scenario import load
 
@@ -342,6 +342,57 @@ def test_green_examples(dom11, point_zero, sign):
     lhs, rhs = green_check(radial, ("disc", ((0.1, -0.1), 0.5)), w0=0.03)
     assert rhs == pytest.approx(2 * np.pi * 0.25, abs=1e-8)
     assert lhs == pytest.approx(rhs, rel=1e-6)
+
+
+def _spy_polar(monkey):
+    """Patches chainrule.integrate_polar to record each value it returns."""
+    got = []
+
+    def spy(*args, **kwargs):
+        v = integrate_polar(*args, **kwargs)
+        got.append(v[0])
+        return v
+
+    monkey.setattr(chainrule, "integrate_polar", spy)
+    return got
+
+
+@settings(max_examples=4, deadline=None, derandomize=True)
+@given(coef=st.lists(st.floats(-2.0, 2.0), min_size=10, max_size=10),
+       radius=st.floats(0.1, 0.4), at=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+       w0=st.floats(0.08, 0.12))
+# box cells at 1e-8 read 1.0284577460843358 at w = 0.03, off by 1.6e-6; polar cells are right
+@example([1.2734375, 1.0, 1.875, 0.40625, 0.390625, 0.208984375, -0.73046875, 0.0, 0.0,
+          -0.24609375], 0.37108872151070915, (0.58203125, 0.953125), 0.12)
+def test_polar_disc_value_matches_box_cells(coef, radius, at, w0):
+    """On a smooth field, diva = sum c_ij x1^i x2^j (i + j <= 3), each width's
+    polar value in green_check (at its 1e-8) equals the box-cell action it
+    replaces, taken at 1e-9: at 1e-8 the box cells' error estimate can miss."""
+    terms = list(zip(coef, [(i, j) for i in range(4) for j in range(4 - i)]))
+    diva = lambda p, t: sum(c * p[:, 0] ** i * p[:, 1] ** j for c, (i, j) in terms)
+    # b = (b1, 0) with d b1 / d x1 = diva
+    b1 = lambda p: sum(c * p[:, 0] ** (i + 1) * p[:, 1] ** j / (i + 1) for c, (i, j) in terms)
+    field = ParamField(box_domain((-1, 1), (-1, 1)), lambda p, t: np.column_stack([b1(p), 0 * b1(p)]),
+                       sup_bound=25.0, diva=diva, t_range=(-1, 1))
+    room = 0.99 - radius - w0                 # the support of chi_w0 stays inside the domain
+    center = (at[0] * room, at[1] * room)
+    with pytest.MonkeyPatch.context() as mp:
+        got = _spy_polar(mp)
+        green_check(field, ("disc", (center, radius)), w0=w0)
+    div_a = field.div_measure(0.0)
+    want = [div_a.apply(_mollified_indicator((center, radius), "disc", w, 2), tol_abs=1e-9,
+                        tol_rel=1e-10) for w in (w0, w0 / 2, w0 / 4)]
+    assert len(got) == 3
+    assert np.max(np.abs(np.array(got) - want)) <= 2e-8
+
+
+def test_green_disc_crossed_by_a_jump_runs_on_box_cells(monkeypatch):
+    field = load(_bundled("2d-vline-jump")).field
+    got = _spy_polar(monkeypatch)
+    lhs, rhs = green_check(field, ("disc", ((0.1, -0.1), 0.5)))
+    assert got == []
+    assert runner._round(lhs) == 1.959591774264
+    assert abs(lhs - rhs) <= 1e-6 * max(1.0, abs(rhs))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

@@ -372,6 +372,16 @@ def test_polar_disc_area_and_half():
     assert abs(val - np.pi * 0.25) < 1e-10
 
 
+def test_polar_radial_break_at_a_ring_kink():
+    # |x - c| - (r - w), cut off at 0: a kink at rho = r - w, smooth on both sides
+    c, r, w = (0.3, -0.2), 0.5, 0.02
+    inner, outer = r - w, r + w
+    f = lambda p: np.maximum(np.hypot(p[:, 0] - c[0], p[:, 1] - c[1]) - inner, 0.0)
+    val, _ = integrate_polar(f, c, outer, tol_abs=1e-12, rho_breaks=(inner,))
+    want = 2 * np.pi * ((outer ** 3 - inner ** 3) / 3 - inner * (outer ** 2 - inner ** 2) / 2)
+    assert abs(val - want) < 1e-12
+
+
 def test_polar_break_normalization():
     # discontinuity along the ray theta = -pi/4 must be split even though
     # the break angle is negative

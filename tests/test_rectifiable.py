@@ -290,12 +290,13 @@ def _reference_inside(piece, kind, data):
     return inside, lambda s: np.hypot(piece.points(s)[:, 0] - cx, piece.points(s)[:, 1] - cy) - r
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300, deadline=None, derandomize=True)
 @given(curve_data(), regions())
 @example(("h", -1.0, 1.0, 0.25), ("box", ((-0.5, 0.5), (-0.75, 0.25))))        # on an edge
 @example(("h", -1.0, 1.0, 0.25 + 1e-13), ("box", ((-0.5, 0.5), (-0.75, 0.25))))  # on the margin
 @example(("v", -1.0, 1.0, 0.0), ("disc", ((1.0, 0.0), 0.5)))                   # a miss
 @example(("v", 0.0, 1.0, 0.0), ("disc", ((0.0, 2.0), 1.0)))                    # a touch
+@example(("graph", 0.0, 2.0, 0.0, 2.0, 0.0, 0.0), ("disc", ((1 / 64, 0.0), 1 / 64)))  # a run
 def test_curve_ranges_match_indicator_bisection(data, region):
     """The same number of ranges, ends within 1e-13 max(1, |s|).  The one
     exception is a sliver, at most 1e-5 long, along which the curve runs
