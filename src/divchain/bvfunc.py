@@ -140,7 +140,7 @@ class BVFunction:
         return RadonMeasure(self.domain,
                             ac=lambda pts: np.linalg.norm(self.grad(pts), axis=1),
                             ac_singular=None if self.jump_set.is_empty else self.jump_set,
-                            jumps=jumps, cantor=cantor)
+                            jumps=jumps, cantor=cantor, nonnegative=True)
 
     def flipped(self):
         """Reversed joint orientation: nu -> -nu with traces swapped."""

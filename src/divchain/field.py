@@ -114,7 +114,7 @@ class ParamField:
         cantor = CantorPart(cparts[0].spec, max(abs(c.mass) for c in cparts)) if cparts else None
         return RadonMeasure(self.domain, ac=peak(acs) if acs else None,
                             ac_singular=None if self.singular_set.is_empty else self.singular_set,
-                            jumps=jumps, cantor=cantor)
+                            jumps=jumps, cantor=cantor, nonnegative=True)
 
     def flipped(self):
         """Reversed orientation of the singular set, traces swapped."""

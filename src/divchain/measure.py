@@ -130,11 +130,13 @@ def oscillatory_bump(support_box, plateau_box, wave_vector, label=""):
 
 
 class RadonMeasure:
-    """domain + optional (ac density, jump components, Cantor part)."""
+    """domain + optional (ac density, jump components, Cantor part), and
+    whether each part is >= 0 by construction (sums and multiples drop it)."""
 
     def __init__(self, domain: Domain, ac=None, ac_singular=None, jumps=None,
-                 cantor: CantorPart | None = None, cantor_density=None):
+                 cantor: CantorPart | None = None, cantor_density=None, nonnegative=False):
         self.domain = domain
+        self.nonnegative = nonnegative
         self.ac = ac
         self.ac_singular = ac_singular
         # jumps: dict key -> (single-component RectifiableSet, density g(pts, nus))
@@ -265,11 +267,15 @@ class RadonMeasure:
     def total_variation(self, box=None, tol_abs=1e-10, tol_rel=1e-9, breaks=()):
         """TV = \\int |ac| + \\int |g| dH^{N-1} + Cantor part variation, on box.
 
+        The a.c. part of a nonnegative measure is integrated as it is, by the
+        route of apply; any other is cut where it changes sign (integrate_abs).
         breaks: abscissae where the a.c. density may lose smoothness beyond its
         declared singular set (a Cantor construction's endpoints)."""
         box = box if box is not None else self.domain.bounds
         total = 0.0
-        if self.ac is not None:
+        if self.ac is not None and self.nonnegative:
+            total += self._integrate_ac(self.ac, box, tol_abs, tol_rel, breaks)
+        elif self.ac is not None:
             if self.domain.dim == 1:
                 (lo, hi), = box
                 cuts = [] if self.ac_singular is None else self.ac_singular.points_1d

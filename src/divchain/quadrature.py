@@ -171,28 +171,29 @@ def integrate_1d(f, a, b, breakpoints=(), tol_abs=DEFAULT_TOL, tol_rel=DEFAULT_T
     return float(total[0]), float(err[0])
 
 
-# A bracket is solved once it is no wider than ROOT_XTOL + 4 eps |a|.
+# The bracket width at which the crossing scans stop.
 ROOT_XTOL = 1e-14
 
 
-def bracketed_roots(f, a, b, fa, fb):
+def bracketed_roots(f, a, b, fa, fb, xtol=ROOT_XTOL):
     """One root of f in each bracket [a[i], b[i]] whose end values fa, fb have
-    strictly opposite signs: the midpoints of the brackets once solved.  Each
-    step calls the vectorized f(x, live) once, with x[j] in the open bracket
-    live[j], at its Illinois point (regula falsi that halves the value of an
-    end kept twice in a row) drawn toward the midpoint as in the ITP method,
-    so that no bracket takes more than 3 steps beyond bisection.  A
+    strictly opposite signs: the midpoints of the brackets once solved, that
+    is no wider than xtol + 4 eps |a|.  Each step calls the vectorized
+    f(x, live) once, with x[j] in the open bracket live[j], at its Illinois
+    point (regula falsi that halves the value of an end kept twice in a row)
+    drawn toward the midpoint as in the ITP method, so that no bracket takes
+    more than 3 steps beyond the log2(width / xtol) of bisection.  A
     non-finite f raises GeometryError."""
     a0, b0 = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     a, b, fa, fb = a0.copy(), b0.copy(), np.array(fa, dtype=float), np.array(fb, dtype=float)
-    steps = np.ceil(np.log2(np.maximum((b - a) / ROOT_XTOL, 1.0))) + 3     # steps left
+    steps = np.ceil(np.log2(np.maximum((b - a) / xtol, 1.0))) + 3     # steps left
     moved = np.zeros(len(a))              # +1: the last step moved a, -1: it moved b
-    live = np.flatnonzero(b - a > ROOT_XTOL + 4 * np.finfo(float).eps * np.abs(a))
+    live = np.flatnonzero(b - a > xtol + 4 * np.finfo(float).eps * np.abs(a))
     while live.size:
         al, bl, fal, fbl, ml = a[live], b[live], fa[live], fb[live], moved[live]
         steps[live] -= 1
-        # within r of the midpoint, the bracket is at most ROOT_XTOL 2^steps wide after
-        r = ROOT_XTOL * 2.0 ** steps[live] - 0.5 * (bl - al)
+        # within r of the midpoint, the bracket is at most xtol 2^steps wide after
+        r = xtol * 2.0 ** steps[live] - 0.5 * (bl - al)
         mid = 0.5 * (al + bl)
         x = np.clip(al + (bl - al) * fal / (fal - fbl), mid - r, mid + r)
         fx = np.asarray(f(x, live), dtype=float)
@@ -207,7 +208,7 @@ def bracketed_roots(f, a, b, fa, fb):
         fa[live] = np.where(left, fx, np.where(right & (ml < 0), 0.5 * fal, fal))
         fb[live] = np.where(right, fx, np.where(left & (ml > 0), 0.5 * fbl, fbl))
         moved[live] = left.astype(float) - right
-        live = live[b[live] - a[live] > ROOT_XTOL + 4 * np.finfo(float).eps * np.abs(a[live])]
+        live = live[b[live] - a[live] > xtol + 4 * np.finfo(float).eps * np.abs(a[live])]
     return 0.5 * (a + b)
 
 
@@ -274,10 +275,11 @@ def integrate_cells(f, cells, tol_abs=1e-10, tol_rel=1e-10):
     return float(sum(total)), float(sum(err))
 
 
-# integrate_abs: scan points per range, and the share of an outer node's
-# tolerance that its inner integrals get
+# integrate_abs: scan points per range, the share of an outer node's
+# tolerance that its inner integrals get, and the bracket width of its breaks
 ABS_SCAN_POINTS = 65
 ABS_INNER_SHARE = 0.1
+ABS_XTOL = 1e-9
 
 
 def _one_sign_ends(f, lo, hi):
@@ -306,7 +308,7 @@ def _one_sign_ends(f, lo, hi):
     flip = np.flatnonzero((row[1:] == row[:-1]) & ((fv[1:] > 0) != (fv[:-1] > 0)))
     r = row[flip]
     roots = bracketed_roots(lambda x, live: f(x, r[live]), y[flip], y[flip + 1],
-                            fv[flip], fv[flip + 1])
+                            fv[flip], fv[flip + 1], ABS_XTOL)
     row = np.concatenate([np.arange(n), np.arange(n), r])
     at = np.concatenate([lo, hi, roots])
     order = np.lexsort((at, row))
@@ -322,7 +324,10 @@ def _node_rule(g):
 def integrate_abs(f, cells, tol_abs, tol_rel, breaks=()):
     """\\int |f| over cells on which f is smooth, cut where f changes sign
     (_one_sign_ends), so that no rule straddles a kink of |f| that the scan
-    finds.  1-D: the cells are (a, b) intervals that tile a range, f maps
+    finds.  A break is solved to ABS_XTOL, not ROOT_XTOL: a cut delta from
+    the root leaves a sliver where the rule integrates -|f|, an error of at
+    most max|f'| delta^2, about 1e-18 against TV tolerances of 1e-9 to 3e-7.
+    1-D: the cells are (a, b) intervals that tile a range, f maps
     (n, 1) points, and the piece ends and the breaks split one integrate_1d.
     2-D: the cells are CurvedCells, f maps (n, 2) points, and the outer rule
     in x1 is one _refine row per cell, with the per-cell budget of

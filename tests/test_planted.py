@@ -15,7 +15,7 @@ import functools
 import numpy as np
 import pytest
 
-from divchain import RadonMeasure, chainrule, field, runner
+from divchain import RadonMeasure, bvfunc, chainrule, field, runner
 from divchain.cli import bundled_dir
 from divchain.conslaw import diagnostics, solver
 from divchain.conslaw.hatbasis import PiecewiseLinearWeight
@@ -95,6 +95,19 @@ VOLPERT = (bundled_dir() / "volpert-heaviside.scn").read_text(encoding="utf-8")
 SIGN_CONST = (bundled_dir() / "sign-const.scn").read_text(encoding="utf-8")
 # |Div v| = 2|x1| dx = M |Du| on the sub-boxes away from 0: no slack at all
 W11_SIGN_XSQ = (bundled_dir() / "w11-sign-xsq.scn").read_text(encoding="utf-8")
+# u = 1 against b = x1: |Div v| = dx = sigma and |Du| = 0, so sigma has no slack
+UNIT_STATE = HEAD.format(id="planted-unit-state", experiments="chain") + """[field]
+b = x1
+M = 1
+t_range = -1 .. 1
+diva = 1
+sigma_t_samples = 0
+[u]
+breaks =
+pieces = 1
+grads = 0
+sup = 1
+"""
 
 
 def scaled(cls, name, factor):
@@ -189,6 +202,29 @@ def fault_sigma_without_jumps(mp):
     mp.setattr(field.ParamField, "sigma", sigma)
 
 
+def density_short_by_1e3(cls, name):
+    """cls.name, whose nonnegative measure comes back with its a.c. density
+    0.1% short and still declared nonnegative."""
+    orig = getattr(cls, name)
+
+    def short(*args):
+        m = orig(*args)
+        return RadonMeasure(m.domain, ac=lambda pts: 0.999 * m.ac(pts), ac_singular=m.ac_singular,
+                            jumps=m.jumps, cantor=m.cantor, nonnegative=True)
+    return short
+
+
+def fault_du_density_short_by_1e3(mp):
+    # |Du| = 2|x1| dx on w11-sign-xsq, 0.1% short
+    mp.setattr(bvfunc.BVFunction, "variation_measure",
+               density_short_by_1e3(bvfunc.BVFunction, "variation_measure"))
+
+
+def fault_sigma_density_short_by_1e3(mp):
+    # sigma = dx on the unit state, 0.1% short
+    mp.setattr(field.ParamField, "sigma", density_short_by_1e3(field.ParamField, "sigma"))
+
+
 def fault_green_lhs_off_by_1e5(mp):
     # green_check's extrapolated Div A of the region, to a relative 1e-5
     def green_check(field, omega):
@@ -208,6 +244,8 @@ PLANTED = [
     ("kato:pair1", KATO3, fault_pair1_final_doubled),
     ("chain:tv_bound", SIGN_CONST, fault_jump_term_counted_twice),
     ("w11:tv_bound", W11_SIGN_XSQ, fault_term3_off_by_1e6),
+    ("w11:tv_bound", W11_SIGN_XSQ, fault_du_density_short_by_1e3),
+    ("chain:tv_bound", UNIT_STATE, fault_sigma_density_short_by_1e3),
     ("chain:oracle_equivalence", VOLPERT, fault_jump_term_off_by_1e3),
     ("green:closure", SIGN_CONST, fault_green_lhs_off_by_1e5),
     ("sigma:primitive_dominated", SIGN_CONST, fault_sigma_without_jumps),
@@ -232,7 +270,12 @@ def unfaulted(text):
     return verdicts(text)
 
 
-@pytest.mark.parametrize("check, text, fault", PLANTED, ids=[r[0] for r in PLANTED])
+# a row's id is its check, and the fault's name too when an earlier row has that check
+IDS = [c if c not in [r[0] for r in PLANTED[:i]] else f"{c}-{fault.__name__[len('fault_'):]}"
+       for i, (c, _, fault) in enumerate(PLANTED)]
+
+
+@pytest.mark.parametrize("check, text, fault", PLANTED, ids=IDS)
 def test_planted_fault_fails_the_check(check, text, fault, monkeypatch):
     assert unfaulted(text)[check] is True
     fault(monkeypatch)

@@ -8,13 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from divchain import ParamField, PrimitiveField
+from divchain import ParamField, PrimitiveField, quadrature
 from divchain.cantor import MIDDLE_THIRDS, construction_endpoints, ifs_cdf
 from divchain.errors import IntegrationError
-from divchain.quadrature import (_GAUSS_IDX, _WG, _WGK, _XGK, ABS_SCAN_POINTS, CurvedCell,
-                                 _cell_rect_values, _refine, _segments_from_breaks, gauss,
-                                 gk_segments, integrate_1d, integrate_abs, integrate_cells,
-                                 integrate_polar, integrate_to_upper)
+from divchain.quadrature import (_GAUSS_IDX, _WG, _WGK, _XGK, ABS_SCAN_POINTS, ROOT_XTOL,
+                                 CurvedCell, _cell_rect_values, _refine, _segments_from_breaks,
+                                 gauss, gk_segments, integrate_1d, integrate_abs,
+                                 integrate_cells, integrate_polar, integrate_to_upper)
 from divchain.rectifiable import GraphCurve, RectifiableSet, box_cells
 from divchain.scenario import build_domain, build_field, build_singular, parse_text
 
@@ -288,7 +288,7 @@ def test_cell_kernel_is_bit_equal_to_the_per_cell_reference(case, rnd):
 
 
 @st.composite
-def signed_densities(draw):
+def signed_densities(draw, kinds=("1d", "close", "cantor", "2d")):
     """A density that changes sign, for integrate_abs: (f, cells, breaks, tol,
     the reference's cells and breaks, whether the plain np.abs route costs
     more).  The reference is the np.abs route with the crossings declared
@@ -302,7 +302,7 @@ def signed_densities(draw):
     - a 2-D density that changes sign on a wavy graph, over the cells of a
       box with a curved edge; the tensor route bisecting toward the graph
       converged to values off by up to 5e-5 at tolerance 1e-8."""
-    kind = draw(st.sampled_from(["1d", "close", "cantor", "2d"]))
+    kind = draw(st.sampled_from(kinds))
     c = draw(st.sampled_from([1.0, -2.5]))
     if kind == "1d":
         s = draw(st.floats(-0.4, 0.4))
@@ -365,6 +365,20 @@ def test_abs_integral_matches_the_np_abs_route(case):
     assert abs(got - ref) <= tol + tol * abs(ref)
     if cheaper:
         assert count[0] < ref_count
+
+
+@pytest.mark.parametrize("kind", ["1d", "close", "cantor", "2d"])
+@settings(max_examples=4, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_breaks_at_abs_xtol_match_breaks_at_root_xtol(kind, data):
+    """integrate_abs with its breaks solved to ABS_XTOL agrees with the same
+    call solved to ROOT_XTOL within the TV tolerance."""
+    f, cells, breaks, tol, *_ = data.draw(signed_densities((kind,)))
+    got = integrate_abs(f, cells, tol, tol, breaks)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(quadrature, "ABS_XTOL", ROOT_XTOL)
+        ref = integrate_abs(f, cells, tol, tol, breaks)
+    assert abs(got - ref) <= tol + tol * abs(ref)
 
 
 def test_polar_disc_area_and_half():
