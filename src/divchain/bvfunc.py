@@ -36,15 +36,13 @@ class Piece:
 
 class BVFunction:
     def __init__(self, domain: Domain, pieces, jump_set: RectifiableSet | None = None,
-                 u_plus=None, u_minus=None, cantor=None, cantor_amplitude=0.0,
-                 sup_bound=None):
+                 u_plus=None, u_minus=None, cantor: CantorPart | None = None, sup_bound=None):
         self.domain = domain
         self.pieces = list(pieces)
         self.jump_set = jump_set if jump_set is not None else RectifiableSet.empty(domain.dim)
         self.u_plus = u_plus
         self.u_minus = u_minus
-        self.cantor = cantor                       # IFS CantorPart of D^c u (mass = amplitude)
-        self.cantor_amplitude = float(cantor_amplitude)
+        self.cantor = cantor                       # D^c u: a CantorPart whose mass is the amplitude
         if cantor is not None and domain.dim != 1:
             raise GeometryError("Cantor components are 1D only")
         self._cdf = None if cantor is None else cantor_function(cantor.spec)
@@ -54,7 +52,7 @@ class BVFunction:
     def _cantor_summand(self, pts):
         if self.cantor is None:
             return 0.0
-        return self.cantor_amplitude * self._cdf(pts[:, 0])
+        return self.cantor.mass * self._cdf(pts[:, 0])
 
     def _select(self, pts, part, shape):
         """part ("value" or "grad") of the first piece covering each point.
@@ -116,13 +114,10 @@ class BVFunction:
                             - np.asarray(self.u_minus(pts), dtype=float))
                     return jump * nus[:, ax]
                 jumps = RadonMeasure.from_jump(self.domain, self.jump_set, g).jumps
-            cantor = None
-            if self.cantor is not None and ax == 0 and self.cantor_amplitude != 0.0:
-                cantor = CantorPart(self.cantor.spec, self.cantor_amplitude)
             mu = RadonMeasure(self.domain,
                               ac=lambda pts, ax=ax: self.grad(pts)[:, ax],
-                              ac_singular=None if self.jump_set.is_empty else self.jump_set,
-                              jumps=jumps, cantor=cantor)
+                              ac_singular=self.jump_set, jumps=jumps,
+                              cantor=self.cantor if ax == 0 else None)
             out.append(mu)
         return out
 
@@ -134,20 +129,18 @@ class BVFunction:
                 return np.abs(np.asarray(self.u_plus(pts), dtype=float)
                               - np.asarray(self.u_minus(pts), dtype=float))
             jumps = RadonMeasure.from_jump(self.domain, self.jump_set, g).jumps
-        cantor = None
-        if self.cantor is not None and self.cantor_amplitude != 0.0:
-            cantor = CantorPart(self.cantor.spec, abs(self.cantor_amplitude))
+        cantor = None if self.cantor is None else \
+            CantorPart(self.cantor.spec, abs(self.cantor.mass))
         return RadonMeasure(self.domain,
                             ac=lambda pts: np.linalg.norm(self.grad(pts), axis=1),
-                            ac_singular=None if self.jump_set.is_empty else self.jump_set,
-                            jumps=jumps, cantor=cantor, nonnegative=True)
+                            ac_singular=self.jump_set, jumps=jumps, cantor=cantor,
+                            nonnegative=True)
 
     def flipped(self):
         """Reversed joint orientation: nu -> -nu with traces swapped."""
         return BVFunction(self.domain, self.pieces, self.jump_set.flipped(),
                           u_plus=self.u_minus, u_minus=self.u_plus,
-                          cantor=self.cantor, cantor_amplitude=self.cantor_amplitude,
-                          sup_bound=self.sup_bound)
+                          cantor=self.cantor, sup_bound=self.sup_bound)
 
     # -- level regions ---------------------------------------------------
     @cached_property
@@ -190,7 +183,7 @@ class BVFunction:
     # -- 1D constructor --------------------------------------------------
     @staticmethod
     def piecewise_1d(domain: Domain, breakpoints, values, grads, normals=None,
-                     cantor=None, cantor_amplitude=0.0, sup_bound=None):
+                     cantor=None, sup_bound=None):
         """Pieces between sorted breakpoints; traces derived from the pieces.
 
         values/grads: one vectorized callable per interval (len(breakpoints)+1).
@@ -223,15 +216,14 @@ class BVFunction:
                 piece_idx = j + (1 if (side * nu) > 0 else 0)
                 vals = np.asarray(values[piece_idx](np.full(mask.sum(), xb)), dtype=float)
                 if cdf is not None:
-                    vals = vals + cantor_amplitude * cdf(np.full(mask.sum(), xb))
+                    vals = vals + cantor.mass * cdf(np.full(mask.sum(), xb))
                 out[mask] = vals
             return out
 
         return BVFunction(domain, pieces, jump,
                           u_plus=lambda pts: one_sided(pts, +1),
                           u_minus=lambda pts: one_sided(pts, -1),
-                          cantor=cantor, cantor_amplitude=cantor_amplitude,
-                          sup_bound=sup_bound)
+                          cantor=cantor, sup_bound=sup_bound)
 
 
 class LevelRegion:

@@ -21,7 +21,7 @@ from functools import lru_cache
 import numpy as np
 
 from .bvfunc import BVFunction
-from .cantor import CantorPart, support_nodes
+from .cantor import support_nodes
 from .errors import GeometryError, OrientationError, WrongRegularityError
 from .field import ParamField, PrimitiveField
 from .measure import RadonMeasure, TestFunction, plateau_bump
@@ -74,6 +74,17 @@ def _merged_singular(field: ParamField, u: BVFunction):
         raise OrientationError(str(exc)) from exc
 
 
+def _jump_measure(field: ParamField, u: BVFunction, density):
+    """The jump measure on N u J_u: density(in_n, in_j) is the density
+    (pts, nus) -> (n,) of one component, given whether that component lies
+    in the field's singular set N and whether it lies in u's jump set J_u."""
+    n_keys = set(field.singular_set.component_keys())
+    j_keys = set(u.jump_set.component_keys())
+    return RadonMeasure(field.domain, jumps={
+        key: (comp, density(key in n_keys, key in j_keys))
+        for key, comp in _merged_singular(field, u).components()})
+
+
 def _u_sides(u: BVFunction, pts, in_j):
     """(u+, u-) on a component of J_u, the precise representative twice off it."""
     if in_j:
@@ -102,26 +113,25 @@ def _terms_off_jump(field: ParamField, u: BVFunction, P: PrimitiveField, singula
     density given u's values uv at pts; the a.c. part of the total evaluates
     u, grad u and b(x, u) once per point."""
     dom = field.domain
-    sing = None if singular.is_empty else singular
     # 1. absolutely continuous x-part: Div_x^a B(x, u(x))
-    term_diva = RadonMeasure(dom, ac=_at_u(u, P.diva), ac_singular=sing) \
+    term_diva = RadonMeasure(dom, ac=_at_u(u, P.diva), ac_singular=singular) \
         if field._diva is not None else RadonMeasure.zero(dom)
 
     # 2. Cantor-in-x part against the field's fixed Cantor component
     if field.divc_part is not None:
         term_divc = RadonMeasure(
-            dom, cantor=CantorPart(field.divc_part.spec, field.divc_part.mass),
+            dom, cantor=field.divc_part,
             cantor_density=lambda x: P.divc_weight(u.eval(np.asarray(x)[:, None])))
     else:
         term_divc = RadonMeasure.zero(dom)
 
     # 3. <b(x, u~), grad u> dx
-    term_ac_u = RadonMeasure(dom, ac=_at_u(u, b_grad_u), ac_singular=sing)
+    term_ac_u = RadonMeasure(dom, ac=_at_u(u, b_grad_u), ac_singular=singular)
 
     # 4. <b(x, u~), dD^c u>
-    if u.cantor is not None and u.cantor_amplitude != 0.0:
+    if u.cantor is not None:
         term_cantor_u = RadonMeasure(
-            dom, cantor=CantorPart(u.cantor.spec, u.cantor_amplitude),
+            dom, cantor=u.cantor,
             cantor_density=lambda x: field.eval(
                 np.asarray(x)[:, None], u.eval(np.asarray(x)[:, None]))[:, 0])
     else:
@@ -135,43 +145,34 @@ def chain_dm(field: ParamField, u: BVFunction, prim: PrimitiveField | None = Non
     if u.domain.bounds != field.domain.bounds:
         raise GeometryError("field and function live on different domains")
     P = prim if prim is not None else PrimitiveField(field)
-    dom = field.domain
-    merged = _merged_singular(field, u)
-    n_keys = set(field.singular_set.component_keys())
-    j_keys = set(u.jump_set.component_keys())
     term_diva, term_divc, term_ac_u, term_cantor_u, ac = _terms_off_jump(
-        field, u, P, merged, _b_dot_grad(field, u))
+        field, u, P, _merged_singular(field, u), _b_dot_grad(field, u))
 
     # 5. jump part on N u J_u
-    term_jump = RadonMeasure.zero(dom)
-    symmetric_jump = RadonMeasure.zero(dom)
-    for key, comp in merged.components():
-        in_n = key in n_keys
-        in_j = key in j_keys
+    def b_at(pts, tvals, side, in_n):
+        if in_n:
+            return P.plus(pts, tvals) if side > 0 else P.minus(pts, tvals)
+        return P.value(pts, tvals)
 
-        def b_at(pts, tvals, side, in_n=in_n):
-            if in_n:
-                return P.plus(pts, tvals) if side > 0 else P.minus(pts, tvals)
-            return P.value(pts, tvals)
-
-        def density(pts, nus, in_j=in_j, b_at=b_at):
+    def density(in_n, in_j):
+        def g(pts, nus):
             up, um = _u_sides(u, pts, in_j)
-            return np.einsum("ij,ij->i", b_at(pts, up, +1) - b_at(pts, um, -1), nus)
+            return np.einsum("ij,ij->i", b_at(pts, up, +1, in_n) - b_at(pts, um, -1, in_n), nus)
+        return g
 
-        def density_symmetric(pts, nus, in_j=in_j, b_at=b_at):
+    def density_symmetric(in_n, in_j):
+        def g(pts, nus):
             # B*(u+) - B*(u-) plus half-sum of the Div_x B jump at both levels
             up, um = _u_sides(u, pts, in_j)
-            bsp = 0.5 * (b_at(pts, up, +1) + b_at(pts, up, -1))
-            bsm = 0.5 * (b_at(pts, um, +1) + b_at(pts, um, -1))
-            jump_up = b_at(pts, up, +1) - b_at(pts, up, -1)
-            jump_um = b_at(pts, um, +1) - b_at(pts, um, -1)
-            return np.einsum("ij,ij->i", (bsp - bsm) + 0.5 * (jump_up + jump_um), nus)
-
-        term_jump = term_jump + RadonMeasure.from_jump(dom, comp, density)
-        symmetric_jump = symmetric_jump + RadonMeasure.from_jump(dom, comp, density_symmetric)
+            pp, pm = b_at(pts, up, +1, in_n), b_at(pts, up, -1, in_n)    # B+(u+), B-(u+)
+            mp, mm = b_at(pts, um, +1, in_n), b_at(pts, um, -1, in_n)    # B+(u-), B-(u-)
+            bstar = 0.5 * (pp + pm) - 0.5 * (mp + mm)
+            return np.einsum("ij,ij->i", bstar + 0.5 * ((pp - pm) + (mp - mm)), nus)
+        return g
 
     return ChainRuleBreakdown(term_diva, term_divc, term_ac_u, term_cantor_u,
-                              term_jump, jump_symmetric=symmetric_jump, ac=ac)
+                              _jump_measure(field, u, density),
+                              jump_symmetric=_jump_measure(field, u, density_symmetric), ac=ac)
 
 
 def _b_dot_grad(field: ParamField, u: BVFunction):
@@ -188,7 +189,7 @@ def chain_w11(field: ParamField, u: BVFunction, prim: PrimitiveField | None = No
     needs no precise representative)."""
     if not u.jump_set.is_empty:
         raise WrongRegularityError("u has a declared jump set; use chain_dm")
-    if u.cantor is not None and u.cantor_amplitude != 0.0:
+    if u.cantor is not None:
         raise WrongRegularityError("u has a Cantor component; use chain_dm")
     if u.domain.bounds != field.domain.bounds:
         raise GeometryError("field and function live on different domains")
@@ -283,12 +284,8 @@ def chain_bv_scalar(field: ParamField, u: BVFunction, prim: PrimitiveField | Non
     if field.domain.dim != 1:
         raise WrongRegularityError("scalar-b formula is stated for N = 1")
     P = prim if prim is not None else PrimitiveField(field)
-    dom = field.domain
-    merged = _merged_singular(field, u)
-    n_keys = set(field.singular_set.component_keys())
-    j_keys = set(u.jump_set.component_keys())
     term_diva, term_divc, term_ac_u, term_cantor_u, ac = _terms_off_jump(
-        field, u, P, merged,
+        field, u, P, _merged_singular(field, u),
         lambda pts, uv: field.eval(pts, uv)[:, 0] * u.grad(pts)[:, 0])
 
     def b_star(pts, tvals, on_n):
@@ -296,12 +293,8 @@ def chain_bv_scalar(field: ParamField, u: BVFunction, prim: PrimitiveField | Non
             return 0.5 * (field.trace(pts, tvals, +1) + field.trace(pts, tvals, -1))[:, 0]
         return field.eval(pts, tvals)[:, 0]
 
-    term_jump = RadonMeasure.zero(dom)
-    for key, comp in merged.components():
-        in_n = key in n_keys
-        in_j = key in j_keys
-
-        def density(pts, nus, in_n=in_n, in_j=in_j):
+    def density(in_n, in_j):
+        def g(pts, nus):
             nus = nus[:, 0]
             up, um = _u_sides(u, pts, in_j)
             out = np.zeros(len(pts))
@@ -312,17 +305,16 @@ def chain_bv_scalar(field: ParamField, u: BVFunction, prim: PrimitiveField | Non
                 out = out + 0.5 * (jp + jm) * nus
             if in_j:
                 # trace-interval integral of the precise representative
-                def bs(w, pts=pts, in_n=in_n):
+                def bs(w):
                     return b_star(pts, w, in_n)
                 upper = integrate_to_upper(bs, up, kinks=field.t_kinks, degree=field.t_degree)
                 lower = integrate_to_upper(bs, um, kinks=field.t_kinks, degree=field.t_degree)
                 out = out + (upper - lower) * nus
             return out
+        return g
 
-        term_jump = term_jump + RadonMeasure.from_jump(dom, comp, density)
-
-    return ChainRuleBreakdown(term_diva, term_divc, term_ac_u, term_cantor_u, term_jump,
-                              ac=ac)
+    return ChainRuleBreakdown(term_diva, term_divc, term_ac_u, term_cantor_u,
+                              _jump_measure(field, u, density), ac=ac)
 
 
 class ScalarFunction:
@@ -342,20 +334,17 @@ def product_rule(field: ParamField, h: ScalarFunction, u: BVFunction):
     """Divergence of A(x) h(u(x)) for a parameter-independent field A."""
     dom = field.domain
     merged = _merged_singular(field, u)
-    n_keys = set(field.singular_set.component_keys())
-    j_keys = set(u.jump_set.component_keys())
 
     def A(pts):
         return field.eval(pts, 0.0)
 
     term_diva = RadonMeasure(
         dom, ac=lambda pts: field.diva(pts, 0.0) * np.asarray(h.h(u.eval(pts)), dtype=float),
-        ac_singular=None if merged.is_empty else merged) \
-        if field._diva is not None else RadonMeasure.zero(dom)
+        ac_singular=merged) if field._diva is not None else RadonMeasure.zero(dom)
 
     if field.divc_part is not None:
         term_divc = RadonMeasure(
-            dom, cantor=CantorPart(field.divc_part.spec, field.divc_part.mass),
+            dom, cantor=field.divc_part,
             cantor_density=lambda x: np.asarray(
                 h.h(u.eval(np.asarray(x)[:, None])), dtype=float))
     else:
@@ -364,24 +353,19 @@ def product_rule(field: ParamField, h: ScalarFunction, u: BVFunction):
     term_ac_u = RadonMeasure(
         dom,
         ac=lambda pts: np.asarray(h.dh(u.eval(pts)), dtype=float)
-        * np.einsum("ij,ij->i", A(pts), u.grad(pts)),
-        ac_singular=None if merged.is_empty else merged)
+        * np.einsum("ij,ij->i", A(pts), u.grad(pts)), ac_singular=merged)
 
-    if u.cantor is not None and u.cantor_amplitude != 0.0:
+    if u.cantor is not None:
         term_cantor_u = RadonMeasure(
-            dom, cantor=CantorPart(u.cantor.spec, u.cantor_amplitude),
+            dom, cantor=u.cantor,
             cantor_density=lambda x: np.asarray(
                 h.dh(u.eval(np.asarray(x)[:, None])), dtype=float)
             * A(np.asarray(x)[:, None])[:, 0])
     else:
         term_cantor_u = RadonMeasure.zero(dom)
 
-    term_jump = RadonMeasure.zero(dom)
-    for key, comp in merged.components():
-        in_n = key in n_keys
-        in_j = key in j_keys
-
-        def density(pts, nus, in_n=in_n, in_j=in_j):
+    def density(in_n, in_j):
+        def g(pts, nus):
             up, um = _u_sides(u, pts, in_j)
             if in_n:
                 ap, am = field.trace(pts, 0.0, +1), field.trace(pts, 0.0, -1)
@@ -391,33 +375,24 @@ def product_rule(field: ParamField, h: ScalarFunction, u: BVFunction):
             hm = np.asarray(h.h(um), dtype=float)
             return (hp * np.einsum("ij,ij->i", ap, nus)
                     - hm * np.einsum("ij,ij->i", am, nus))
+        return g
 
-        term_jump = term_jump + RadonMeasure.from_jump(dom, comp, density)
-
-    return ChainRuleBreakdown(term_diva, term_divc, term_ac_u, term_cantor_u, term_jump)
+    return ChainRuleBreakdown(term_diva, term_divc, term_ac_u, term_cantor_u,
+                              _jump_measure(field, u, density))
 
 
 def u_star_div(field: ParamField, u: BVFunction):
     """The measure u* Div A (precise representative against each part)."""
     dom = field.domain
     merged = _merged_singular(field, u)
+    ac = None if field._diva is None else lambda pts: field.diva(pts, 0.0) * u.eval(pts)
+    cdens = None if field.divc_part is None else lambda x: u.eval(np.asarray(x)[:, None])
 
-    ac = None
-    if field._diva is not None:
-        ac = lambda pts: field.diva(pts, 0.0) * u.eval(pts)
-    cantor = None
-    cdens = None
-    if field.divc_part is not None:
-        cantor = CantorPart(field.divc_part.spec, field.divc_part.mass)
-        cdens = lambda x: u.eval(np.asarray(x)[:, None])
-    jumps = None
-    if not field.singular_set.is_empty:
-        def g(pts, nus):
-            ustar = u.precise_rep(pts)
-            return ustar * field.jump_density(0.0)(pts, nus)
-        jumps = RadonMeasure.from_jump(dom, field.singular_set, g).jumps
-    return RadonMeasure(dom, ac=ac, ac_singular=None if merged.is_empty else merged,
-                        jumps=jumps, cantor=cantor, cantor_density=cdens)
+    def g(pts, nus):
+        return u.precise_rep(pts) * field.jump_density(0.0)(pts, nus)
+    return RadonMeasure(dom, ac=ac, ac_singular=merged,
+                        jumps=RadonMeasure.from_jump(dom, field.singular_set, g).jumps,
+                        cantor=field.divc_part, cantor_density=cdens)
 
 
 def anzellotti_pairing(field: ParamField, u: BVFunction):
@@ -429,10 +404,7 @@ def anzellotti_pairing(field: ParamField, u: BVFunction):
     n_keys = set(field.singular_set.component_keys())
     merged = _merged_singular(field, u)
     A = lambda pts: field.eval(pts, 0.0)
-    cantor = cdens = None
-    if u.cantor is not None and u.cantor_amplitude != 0.0:
-        cantor = CantorPart(u.cantor.spec, u.cantor_amplitude)
-        cdens = lambda x: A(np.asarray(x)[:, None])[:, 0]
+    cdens = None if u.cantor is None else lambda x: A(np.asarray(x)[:, None])[:, 0]
     jumps = {}
     for key, comp in u.jump_set.components():
         def g(pts, nus, in_n=key in n_keys):
@@ -441,8 +413,7 @@ def anzellotti_pairing(field: ParamField, u: BVFunction):
             return 0.5 * np.einsum("ij,ij->i", a2, nus) * jump
         jumps[key] = (comp, g)
     return RadonMeasure(field.domain, ac=lambda pts: np.einsum("ij,ij->i", A(pts), u.grad(pts)),
-                        ac_singular=None if merged.is_empty else merged,
-                        jumps=jumps, cantor=cantor, cantor_density=cdens)
+                        ac_singular=merged, jumps=jumps, cantor=u.cantor, cantor_density=cdens)
 
 
 def _transversal(field: ParamField, bounds, kind):

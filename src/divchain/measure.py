@@ -16,7 +16,7 @@ from .cantor import CantorPart, require_same_spec, support_nodes
 from .errors import AbsoluteContinuityError, DomainMismatchError, UnsupportedStructureError
 from .geometry import Domain, as_points
 from .quadrature import integrate_1d, integrate_abs, integrate_cells, integrate_polar
-from .rectifiable import RectifiableSet, box_cells
+from .rectifiable import RectifiableSet, box_cells, merge_sets
 
 
 def _wrap_sum(f, g):
@@ -131,14 +131,18 @@ def oscillatory_bump(support_box, plateau_box, wave_vector, label=""):
 
 class RadonMeasure:
     """domain + optional (ac density, jump components, Cantor part), and
-    whether each part is >= 0 by construction (sums and multiples drop it)."""
+    whether each part is >= 0 by construction (sums and multiples drop it).
+    ac_singular is the set where the a.c. density may jump; an empty set
+    (the default) says it has none."""
 
-    def __init__(self, domain: Domain, ac=None, ac_singular=None, jumps=None,
-                 cantor: CantorPart | None = None, cantor_density=None, nonnegative=False):
+    def __init__(self, domain: Domain, ac=None, ac_singular: RectifiableSet | None = None,
+                 jumps=None, cantor: CantorPart | None = None, cantor_density=None,
+                 nonnegative=False):
         self.domain = domain
         self.nonnegative = nonnegative
         self.ac = ac
-        self.ac_singular = ac_singular
+        self.ac_singular = RectifiableSet.empty(domain.dim) if ac_singular is None \
+            else ac_singular
         # jumps: dict key -> (single-component RectifiableSet, density g(pts, nus))
         self.jumps = dict(jumps or {})
         if cantor is not None and domain.dim != 1:
@@ -187,11 +191,12 @@ class RadonMeasure:
                     b = m2 * (np.ones(len(np.atleast_1d(x))) if h2 is None else np.asarray(h2(x)))
                     return a + b
 
+        # a non-empty operand's set object as it is: the a.c. quadratures take
+        # their 1-D breaks and 2-D cells from it
         sing = self.ac_singular
-        if sing is None:
+        if sing.is_empty:
             sing = other.ac_singular
-        elif other.ac_singular is not None and other.ac_singular is not sing:
-            from .rectifiable import merge_sets
+        elif not other.ac_singular.is_empty and other.ac_singular is not sing:
             sing = merge_sets(sing, other.ac_singular)
         return RadonMeasure(self.domain, ac=_wrap_sum(self.ac, other.ac), ac_singular=sing,
                             jumps=jumps, cantor=cantor, cantor_density=cdens)
@@ -251,9 +256,8 @@ class RadonMeasure:
     def _integrate_ac(self, f, box, tol_abs, tol_rel, extra_breaks=(), extra_y_breaks=()):
         if self.domain.dim == 1:
             (lo, hi), = box
-            breaks = list(extra_breaks)
-            if self.ac_singular is not None:
-                breaks += list(self.ac_singular.points_1d)
+            breaks = list(extra_breaks) + list(self.ac_singular.points_1d)
+
             def f1(x):
                 return f(np.asarray(x, dtype=float)[:, None])
             v, _ = integrate_1d(f1, lo, hi, breakpoints=breaks, tol_abs=tol_abs, tol_rel=tol_rel)
@@ -278,8 +282,7 @@ class RadonMeasure:
         elif self.ac is not None:
             if self.domain.dim == 1:
                 (lo, hi), = box
-                cuts = [] if self.ac_singular is None else self.ac_singular.points_1d
-                edges = [lo, *sorted(p for p in cuts if lo < p < hi), hi]
+                edges = [lo, *sorted(p for p in self.ac_singular.points_1d if lo < p < hi), hi]
                 cells = list(zip(edges[:-1], edges[1:]))
             else:
                 cells = box_cells(box, [self.ac_singular], extra_x_breaks=breaks)
@@ -301,18 +304,16 @@ class RadonMeasure:
             c = center[0]
             lo, hi = max(c - r, self.domain.bounds[0][0]), min(c + r, self.domain.bounds[0][1])
             if self.ac is not None and hi > lo:
-                breaks = [] if self.ac_singular is None else list(self.ac_singular.points_1d)
                 v, _ = integrate_1d(lambda x: self.ac(x[:, None]), lo, hi,
-                                    breakpoints=breaks, tol_abs=1e-10)
+                                    breakpoints=list(self.ac_singular.points_1d), tol_abs=1e-10)
                 total += v
         elif self.ac is not None:
             tbreaks = []
-            if self.ac_singular is not None:
-                for piece in self.ac_singular.pieces:
-                    for sa, sb in piece.ranges_in_ball(center, r):
-                        for s in (sa, sb, 0.5 * (sa + sb)):
-                            p = piece.points(np.array([s]))[0]
-                            tbreaks.append(np.arctan2(p[1] - center[1], p[0] - center[0]))
+            for piece in self.ac_singular.pieces:
+                for sa, sb in piece.ranges_in_ball(center, r):
+                    for s in (sa, sb, 0.5 * (sa + sb)):
+                        p = piece.points(np.array([s]))[0]
+                        tbreaks.append(np.arctan2(p[1] - center[1], p[0] - center[0]))
             v, _ = integrate_polar(lambda pts: self.ac(pts), center, r,
                                    theta_breaks=tbreaks, tol_abs=1e-10)
             total += v

@@ -25,7 +25,7 @@ from .rectifiable import RectifiableSet, box_cells
 class TestSuite:
     """A family of test functions straddling and avoiding the singular set."""
 
-    def __init__(self, functions, domain: Domain, singular: RectifiableSet | None):
+    def __init__(self, functions, domain: Domain, singular: RectifiableSet):
         self.functions = list(functions)
         self.domain = domain
         self.singular = singular
@@ -57,7 +57,7 @@ def cantor_breaks(spec: IFSSpec):
     return construction_endpoints(spec, CANTOR_DEPTH)
 
 
-def build_suite(domain: Domain, singular: RectifiableSet | None = None, breaks_1d=()):
+def build_suite(domain: Domain, singular: RectifiableSet, breaks_1d=()):
     """Plateau/oscillatory bumps: >= 3 straddling each singular component,
     plus a grid of off-set bumps and sign-changing oscillatory ones, widened
     to at least 20 members.
@@ -84,7 +84,7 @@ def build_suite(domain: Domain, singular: RectifiableSet | None = None, breaks_1
         return oscillatory_bump(support, plateau, osc, label=label)
 
     # straddling bumps on every singular component, three scales each
-    if singular is not None and not singular.is_empty:
+    if not singular.is_empty:
         pts, _ = singular.samples(3)
         for i, p in enumerate(pts):
             for j, s in enumerate((0.35, 0.2, 0.1)):
@@ -126,8 +126,7 @@ def build_suite(domain: Domain, singular: RectifiableSet | None = None, breaks_1
     return TestSuite(fns, domain, singular)
 
 
-def weak_divergence(v_eval, phi: TestFunction, domain: Domain,
-                    singular: RectifiableSet | None = None,
+def weak_divergence(v_eval, phi: TestFunction, domain: Domain, singular: RectifiableSet,
                     tol_abs=1e-10, tol_rel=1e-9):
     """- \\int <grad phi, v> dx over phi's support, split along the curves.
 
@@ -139,7 +138,7 @@ def weak_divergence(v_eval, phi: TestFunction, domain: Domain,
         from .errors import DomainMismatchError
         raise DomainMismatchError("test function support exceeds the domain")
     if domain.dim == 1:
-        breaks = list(phi.breaks[0]) + ([] if singular is None else list(singular.points_1d))
+        breaks = list(phi.breaks[0]) + list(singular.points_1d)
 
         def f(x):
             pts = x[:, None]
@@ -150,8 +149,8 @@ def weak_divergence(v_eval, phi: TestFunction, domain: Domain,
         (lo, hi), = phi.support_box
         return integrate_1d(f, lo, hi, breakpoints=breaks, tol_abs=tol_abs, tol_rel=tol_rel)
 
-    cells = box_cells(phi.support_box, [singular] if singular is not None else [],
-                      extra_x_breaks=phi.breaks[0], extra_y_breaks=phi.breaks[1])
+    cells = box_cells(phi.support_box, [singular], extra_x_breaks=phi.breaks[0],
+                      extra_y_breaks=phi.breaks[1])
 
     def f(pts):
         g = phi.gradient(pts)

@@ -333,13 +333,11 @@ def merge_sets(*sets):
     Components shared between inputs must agree in orientation; a flipped
     duplicate is a scenario bug, not something to reconcile silently.
     """
-    dims = {s.dim for s in sets if s is not None}
+    dims = {s.dim for s in sets}
     if len(dims) != 1:
         raise GeometryError("cannot merge sets of different dimensions")
     seen = {}
     for s in sets:
-        if s is None:
-            continue
         for p in s.pieces:
             k = p.key()
             if k in seen and seen[k].side != p.side:
@@ -375,8 +373,6 @@ def box_cells(bounds, curve_sets, extra_x_breaks=(), extra_y_breaks=()):
     yb = {ylo, yhi}
     graphs = []
     for s in curve_sets:
-        if s is None or s.dim != 2:
-            continue
         for v in s.x_breaks():
             if xlo < v < xhi:
                 xb.add(float(v))

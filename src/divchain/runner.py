@@ -85,7 +85,7 @@ def _suite(scn: Scenario, breaks_1d=()):
         merged = merge_sets(scn.field.singular_set, scn.u.jump_set)
     else:
         merged = scn.field.singular_set if scn.field is not None else scn.u.jump_set
-    return build_suite(scn.domain, None if merged.is_empty else merged, breaks_1d=breaks_1d)
+    return build_suite(scn.domain, merged, breaks_1d=breaks_1d)
 
 
 def _actions_close(m1: RadonMeasure, m2: RadonMeasure, suite, tol, quad_tol=None):
@@ -212,12 +212,10 @@ def _volpert_breakdown(field, u: BVFunction):
         vals = field.eval(pts, u.eval(pts))
         return np.einsum("ij,ij->i", vals, u.grad(pts))
 
-    term_ac = RadonMeasure(dom, ac=ac,
-                           ac_singular=None if u.jump_set.is_empty else u.jump_set)
-    if u.cantor is not None and u.cantor_amplitude != 0.0:
-        from .cantor import CantorPart
+    term_ac = RadonMeasure(dom, ac=ac, ac_singular=u.jump_set)
+    if u.cantor is not None:
         term_cu = RadonMeasure(
-            dom, cantor=CantorPart(u.cantor.spec, u.cantor_amplitude),
+            dom, cantor=u.cantor,
             cantor_density=lambda x: field.eval(
                 np.asarray(x)[:, None], u.eval(np.asarray(x)[:, None]))[:, 0])
     else:

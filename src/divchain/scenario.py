@@ -349,8 +349,7 @@ def _build_envelope(raw, domain, singular, cantor_spec):
                                                  raw.line("field", "envelope_cantor_mass")))
     if ac is None and jumps is None and cantor is None:
         return None
-    return RadonMeasure(domain, ac=ac, ac_singular=None if singular.is_empty else singular,
-                        jumps=jumps, cantor=cantor)
+    return RadonMeasure(domain, ac=ac, ac_singular=singular, jumps=jumps, cantor=cantor)
 
 
 def build_u(raw: RawScenario, domain: Domain, cantor_spec) -> BVFunction:
@@ -358,11 +357,9 @@ def build_u(raw: RawScenario, domain: Domain, cantor_spec) -> BVFunction:
     if not sec:
         raise ScenarioValidationError("[u] section is required for this experiment")
     ln = lambda k: raw.line("u", k)
-    cantor = None
-    amp = 0.0
-    if "cantor_amplitude" in sec:
-        amp = _number(sec["cantor_amplitude"], ln("cantor_amplitude"))
-        cantor = CantorPart(cantor_spec, 1.0)
+    amp = _number(sec["cantor_amplitude"], ln("cantor_amplitude")) \
+        if "cantor_amplitude" in sec else 0.0
+    cantor = CantorPart(cantor_spec, amp) if amp != 0.0 else None      # D^c u
     sup = _number(sec["sup"], ln("sup")) if "sup" in sec else None
 
     if domain.dim == 1:
@@ -370,7 +367,7 @@ def build_u(raw: RawScenario, domain: Domain, cantor_spec) -> BVFunction:
         values = _pieces_1d(raw, "u", "pieces", len(bps) + 1, cantor_spec)
         grads = _pieces_1d(raw, "u", "grads", len(bps) + 1, cantor_spec)
         return BVFunction.piecewise_1d(domain, bps, values, grads, normals=nus,
-                                       cantor=cantor, cantor_amplitude=amp, sup_bound=sup)
+                                       cantor=cantor, sup_bound=sup)
 
     pieces = []
     for rtxt in raw.require("u", "regions").split("|"):

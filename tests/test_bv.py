@@ -54,8 +54,7 @@ def test_derivative_heaviside_is_dirac(heaviside, bump_center):
 def test_derivative_cantor_function():
     dom = interval_domain(-0.5, 1.5)
     u = BVFunction.piecewise_1d(dom, [], values=[ZEROS], grads=[ZEROS],
-                                cantor=CantorPart(MIDDLE_THIRDS, 1.0),
-                                cantor_amplitude=1.0)
+                                cantor=CantorPart(MIDDLE_THIRDS, 1.0))
     Du = u.derivative()[0]
     assert Du.total_variation() == pytest.approx(1.0)
     assert Du.apply_function(lambda p: p[:, 0]) == pytest.approx(0.5, abs=1e-9)
@@ -148,10 +147,9 @@ def piecewise(lo, hi, breaks, coefs, amplitude):
     """u on [lo, hi]: one polynomial (np.polyval coefficients) between each two
     breaks, plus amplitude times the Cantor function when amplitude is not 0."""
     values, grads = zip(*(_poly(c) for c in coefs))
-    cantor = CantorPart(MIDDLE_THIRDS, 1.0) if amplitude else None
+    cantor = CantorPart(MIDDLE_THIRDS, amplitude) if amplitude else None
     return BVFunction.piecewise_1d(interval_domain(lo, hi), breaks, values=list(values),
-                                   grads=list(grads), cantor=cantor,
-                                   cantor_amplitude=amplitude, sup_bound=1e3)
+                                   grads=list(grads), cantor=cantor, sup_bound=1e3)
 
 
 @st.composite

@@ -237,4 +237,3 @@ def test_validate_skips_every_grid_point_on_the_singular_set():
                    * np.array([1.0, 0.0]), sup_bound=1.0, singular_set=line)
     rows = {name: (ok, value) for name, ok, value in b.validate()}
     assert rows["bounded_by_M"] == (True, 1.0)
-    assert rows["t_continuity_osc"] == (True, 0.0)

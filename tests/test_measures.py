@@ -175,6 +175,27 @@ def test_linearity(dom):
     assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
 
 
+def test_sum_keeps_a_non_empty_singular_set_as_it_is():
+    # the 2-D cells and the 1-D breaks of an a.c. integral come from
+    # ac_singular: a sum keeps the one non-empty operand's set object, and
+    # merges only two distinct non-empty sets
+    d = box_domain((-1, 1), (-1, 1))
+    line = RectifiableSet(2, pieces=[Segment(0, 0.0, -1, 1, +1)])
+    other = RectifiableSet(2, pieces=[Segment(0, 0.5, -1, 1, +1)])
+    plain, on_line = lebesgue(d), lebesgue(d, singular=line)
+    assert plain.ac_singular.is_empty and plain.ac_singular.dim == 2
+    assert (plain + plain).ac_singular.is_empty
+    for m in (plain + on_line, on_line + plain, on_line + on_line,
+              on_line + RadonMeasure.zero(d), 2.0 * on_line - plain):
+        assert m.ac_singular is line
+    merged = (on_line + lebesgue(d, singular=other)).ac_singular
+    assert merged.component_keys() == line.component_keys() + other.component_keys()
+    # in 1-D a point mass brings no set of its own
+    jumps = RectifiableSet(1, [0.25], [1.0])
+    d1 = interval_domain(-1.0, 1.0)
+    assert (lebesgue(d1, singular=jumps) + point_mass(d1, 0.5, 1.0)).ac_singular is jumps
+
+
 def test_part_orthogonality(dom):
     # a test function supported away from the singular parts sees only the
     # absolutely continuous integral

@@ -20,7 +20,7 @@ from helpers import box_domain, check_gradient, interval_domain, lebesgue, point
 def test_weak_divergence_of_x(dom11, bump_center):
     # Div(x) = dx, so -int phi' x = int phi
     val, _ = weak_divergence(lambda pts: pts[:, 0][:, None], bump_center, dom11,
-                             tol_abs=1e-11, tol_rel=1e-11)
+                             RectifiableSet.empty(1), tol_abs=1e-11, tol_rel=1e-11)
     ref = lebesgue(dom11).apply(bump_center)
     assert val == pytest.approx(ref, abs=1e-9)
 
@@ -69,7 +69,7 @@ def test_compare_passes_on_consistent_pair(dom11, point_zero, bump_center):
 
 
 def test_compare_zero_measure_constant_field(dom11):
-    suite = build_suite(dom11, None)
+    suite = build_suite(dom11, RectifiableSet.empty(1))
     rep = compare(RadonMeasure.zero(dom11),
                   lambda pts: np.full((len(pts), 1), 0.7), suite)
     assert rep["pass"]
@@ -145,7 +145,7 @@ def _breaks_keep_the_values(phi, c, tol):
     def ac(p):
         return np.exp(c[0] * p[:, 0]) * np.cos(c[1] * p[:, -1])
 
-    val, _ = weak_divergence(v, phi, dom, tol_abs=tol)
+    val, _ = weak_divergence(v, phi, dom, RectifiableSet.empty(dom.dim), tol_abs=tol)
     ref = _piecewise_gauss(lambda p: -np.einsum("ij,ij->i", phi.gradient(p), v(p)),
                            phi.support_box, phi.breaks)
     assert abs(val - ref) <= 2 * tol

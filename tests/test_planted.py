@@ -1,7 +1,8 @@
 """Planted faults: each conslaw and kato check, the tv_bound check where the
 bound is tight, the oracle and Gauss-Green checks, which rest on the
-adaptive quadrature, and the two checks of sigma must read FAIL under a
-fault in the code it guards.
+adaptive quadrature, the two checks of sigma, and the orientation, Vol'pert
+reduction and scalar-BV agreement checks of the chain rule must read FAIL
+under a fault in the code it guards.
 
 A row names a check, a scenario (a bundled file, or a lighter copy of one
 written here), and a fault: a monkeypatch of the src function the check
@@ -107,6 +108,21 @@ breaks =
 pieces = 1
 grads = 0
 sup = 1
+"""
+
+# b = t against u = 0 | 2, with no singular set: the whole divergence is the
+# jump term, which chain_bv_scalar takes from its trace-interval integral of
+# b* = t (bv-scalar-signt-2h cannot carry that row: its b* is 0 on the jump)
+BV_SCALAR_T = HEAD.format(id="planted-bv-scalar-t", experiments="bv-scalar") + """[field]
+b = t
+M = 3
+t_range = -3 .. 3
+sigma_t_samples = 0, 1
+[u]
+breaks = 0 : +1
+pieces = 0 | 2
+grads = 0 | 0
+sup = 2
 """
 
 
@@ -225,6 +241,25 @@ def fault_sigma_density_short_by_1e3(mp):
     mp.setattr(field.ParamField, "sigma", density_short_by_1e3(field.ParamField, "sigma"))
 
 
+def fault_flipped_traces_unswapped(mp):
+    # u's reversed orientation flips nu but keeps u+ and u- where they were
+    mp.setattr(bvfunc.BVFunction, "flipped", lambda self: bvfunc.BVFunction(
+        self.domain, self.pieces, self.jump_set.flipped(), u_plus=self.u_plus,
+        u_minus=self.u_minus, cantor=self.cantor, sup_bound=self.sup_bound))
+
+
+def fault_u_sides_swapped(mp):
+    # the jump terms on J_u read (u-, u+) where they mean (u+, u-)
+    orig = chainrule._u_sides
+    mp.setattr(chainrule, "_u_sides", lambda u, pts, in_j: orig(u, pts, in_j)[::-1])
+
+
+def fault_upper_integral_high_by_1e6(mp):
+    # chain_bv_scalar's trace-interval integrals come back 1e-6 high, relatively
+    # (an absolute shift would cancel in the difference of the two integrals)
+    mp.setattr(chainrule, "integrate_to_upper", scaled(chainrule, "integrate_to_upper", 1 + 1e-6))
+
+
 def fault_green_lhs_off_by_1e5(mp):
     # green_check's extrapolated Div A of the region, to a relative 1e-5
     def green_check(field, omega):
@@ -250,6 +285,9 @@ PLANTED = [
     ("green:closure", SIGN_CONST, fault_green_lhs_off_by_1e5),
     ("sigma:primitive_dominated", SIGN_CONST, fault_sigma_without_jumps),
     ("sigma:singular_set_density", SIGN_CONST, fault_sigma_without_jumps),
+    ("chain:orientation_invariance", VOLPERT, fault_flipped_traces_unswapped),
+    ("chain:volpert_reduction", VOLPERT, fault_u_sides_swapped),
+    ("bv-scalar:matches_chain_dm", BV_SCALAR_T, fault_upper_integral_high_by_1e6),
 ]
 
 # checks that a row's fault must leave passing: the pairs next to pair 1
