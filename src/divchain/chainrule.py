@@ -489,18 +489,17 @@ def green_check(field: ParamField, omega, w0=0.04):
     div_a = field.div_measure(0.0)
     polar = kind == "disc" and field.singular_set.is_empty and div_a.ac is not None
 
-    vals = []
     widths = [w0, w0 / 2, w0 / 4]
-    for w in widths:
-        chi_w = _mollified_indicator(bounds, kind, w, field.domain.dim)
-        if not field.domain.contains_box(chi_w.support_box):
-            raise GeometryError("mollified indicator support exits the domain")
-        if polar:
-            center, radius = bounds
-            vals.append(integrate_polar(lambda p: chi_w.value(p) * div_a.ac(p), center, radius + w,
-                                        rho_breaks=(radius - w,), tol_abs=quad_tol)[0])
-        else:
-            vals.append(div_a.apply(chi_w, tol_abs=quad_tol, tol_rel=1e-10))
+    chis = [_mollified_indicator(bounds, kind, w, field.domain.dim) for w in widths]
+    if not all(field.domain.contains_box(chi_w.support_box) for chi_w in chis):
+        raise GeometryError("mollified indicator support exits the domain")
+    if polar:
+        center, radius = bounds
+        vals = [integrate_polar(lambda p, chi_w=chi_w: chi_w.value(p) * div_a.ac(p), center,
+                                radius + w, rho_breaks=(radius - w,), tol_abs=quad_tol)[0]
+                for w, chi_w in zip(widths, chis)]
+    else:
+        vals = div_a.apply(chis, tol_abs=quad_tol, tol_rel=1e-10)
     # quadratic Richardson through (w, value)
     A = np.vander(np.asarray(widths), 3, increasing=True)
     coef = np.linalg.solve(A, np.asarray(vals))

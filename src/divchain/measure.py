@@ -15,8 +15,8 @@ import numpy as np
 from .cantor import CantorPart, require_same_spec, support_nodes
 from .errors import AbsoluteContinuityError, DomainMismatchError, UnsupportedStructureError
 from .geometry import Domain, as_points
-from .quadrature import integrate_1d, integrate_abs, integrate_cells, integrate_polar
-from .rectifiable import RectifiableSet, box_cells, merge_sets
+from .quadrature import by_runs, integrate_1d, integrate_abs, integrate_cells, integrate_polar
+from .rectifiable import RectifiableSet, box_cells, integrate_on, merge_sets
 
 
 def _wrap_sum(f, g):
@@ -223,49 +223,67 @@ class RadonMeasure:
         return self + (other * -1.0)
 
     # -- evaluation ---------------------------------------------------
-    def apply(self, phi: TestFunction, tol_abs=1e-10, tol_rel=1e-10):
-        """Action <mu, phi> for a compactly supported test function."""
-        if phi.dim != self.domain.dim:
-            raise DomainMismatchError("test function dimension mismatch")
-        if not self.domain.contains_box(phi.support_box):
-            raise DomainMismatchError("test function support exceeds the measure's domain")
-        return self._apply_field(phi.value, phi.support_box, tol_abs, tol_rel, phi.breaks)
+    def apply(self, phis, tol_abs=1e-10, tol_rel=1e-10):
+        """Actions <mu, phi> on a sequence of compactly supported test
+        functions, as an array; on one TestFunction, a float."""
+        one = isinstance(phis, TestFunction)
+        phis = [phis] if one else list(phis)
+        for phi in phis:
+            if phi.dim != self.domain.dim:
+                raise DomainMismatchError("test function dimension mismatch")
+            if not self.domain.contains_box(phi.support_box):
+                raise DomainMismatchError("test function support exceeds the measure's domain")
+        out = self._actions([p.value for p in phis], [p.support_box for p in phis],
+                            [p.breaks for p in phis], tol_abs, tol_rel)
+        return float(out[0]) if one else out
 
     def apply_function(self, fn, tol_abs=1e-10, tol_rel=1e-10, extra_breaks=()):
         """Action on a bounded Borel field given over the whole domain."""
-        return self._apply_field(fn, self.domain.bounds, tol_abs, tol_rel, (extra_breaks,))
+        return float(self._actions([fn], [self.domain.bounds], [(extra_breaks,)],
+                                   tol_abs, tol_rel)[0])
 
-    def _apply_field(self, value, box, tol_abs, tol_rel, breaks):
-        """breaks: per-axis abscissae where the a.c. integral is split."""
-        total = 0.0
+    def _actions(self, values, boxes, breaks, tol_abs, tol_rel):
+        """Actions on the fields values[r] over boxes[r], one row r each;
+        breaks[r]: per-axis abscissae where the a.c. integral is split.  The
+        a.c. part is one quadrature over every row, and so is the jump part,
+        whose rows are (component, r, parameter range); the Cantor part goes
+        row by row."""
+        n = len(values)
+        total = np.zeros(n)
         if self.ac is not None:
-            f = lambda pts: np.asarray(value(pts), dtype=float) * np.asarray(self.ac(pts), dtype=float)
-            total += self._integrate_ac(f, box, tol_abs, tol_rel, *breaks)
-        for comp, g in self.jumps.values():
-            v, _ = comp.integrate(
-                lambda pts, nus: np.asarray(value(pts), dtype=float) * np.asarray(g(pts, nus), dtype=float),
-                tol_abs=tol_abs, tol_rel=tol_rel, box=box)
-            total += v
+            total += self._integrate_ac(
+                lambda pts, rows: by_runs(values, rows, pts) * np.asarray(self.ac(pts), dtype=float),
+                boxes, breaks, tol_abs, tol_rel)
+        if self.jumps:
+            # one piece per component (from_jump); rows (component k, r, range)
+            pieces, dens = zip(*((comp.pieces[0], g) for comp, g in self.jumps.values()))
+            at = [(k, r, rng) for k, p in enumerate(pieces) for r, box in enumerate(boxes)
+                  for rng in p.ranges_in_box(box)]
+            k_of, r_of = np.array([a[:2] for a in at], dtype=int).reshape(-1, 2).T
+            vals, _ = integrate_on(lambda pts, nus, rows: by_runs(values, r_of[rows], pts)
+                                   * by_runs(dens, k_of[rows], pts, nus),
+                                   pieces, k_of, [a[2] for a in at], tol_abs, tol_rel)
+            for comp_total in np.bincount(k_of * n + r_of, vals, len(pieces) * n).reshape(-1, n):
+                total += comp_total
         if self.cantor is not None:
             h = self.cantor_density
-            phi_1d = lambda x: np.asarray(value(np.asarray(x, dtype=float)[:, None]))
-            f = phi_1d if h is None else lambda x: phi_1d(x) * np.asarray(h(x))
-            total += self.cantor.apply(f, rtol=max(tol_rel / 10.0, 1e-10))
+            for r, value in enumerate(values):
+                phi_1d = lambda x, value=value: np.asarray(value(np.asarray(x, dtype=float)[:, None]))
+                f = phi_1d if h is None else lambda x, phi_1d=phi_1d: phi_1d(x) * np.asarray(h(x))
+                total[r] += self.cantor.apply(f, rtol=max(tol_rel / 10.0, 1e-10))
         return total
 
-    def _integrate_ac(self, f, box, tol_abs, tol_rel, extra_breaks=(), extra_y_breaks=()):
+    def _integrate_ac(self, f, boxes, breaks, tol_abs, tol_rel):
+        """Per-row integrals of f(pts, rows) over boxes[r], split at the a.c.
+        singular set and at breaks[r] (per axis): one integrate_1d or
+        integrate_cells over every row."""
         if self.domain.dim == 1:
-            (lo, hi), = box
-            breaks = list(extra_breaks) + list(self.ac_singular.points_1d)
-
-            def f1(x):
-                return f(np.asarray(x, dtype=float)[:, None])
-            v, _ = integrate_1d(f1, lo, hi, breakpoints=breaks, tol_abs=tol_abs, tol_rel=tol_rel)
-            return v
-        cells = box_cells(box, [self.ac_singular], extra_x_breaks=extra_breaks,
-                          extra_y_breaks=extra_y_breaks)
-        v, _ = integrate_cells(f, cells, tol_abs=tol_abs, tol_rel=tol_rel)
-        return v
+            lo, hi = np.array([box[0] for box in boxes], dtype=float).T
+            return integrate_1d(lambda x, rows: f(np.asarray(x, dtype=float)[:, None], rows), lo, hi,
+                                [list(br[0]) + list(self.ac_singular.points_1d) for br in breaks],
+                                tol_abs, tol_rel)[0]
+        cells = [box_cells(box, [self.ac_singular], *br) for box, br in zip(boxes, breaks)]
+        return integrate_cells(f, cells, tol_abs=tol_abs, tol_rel=tol_rel)[0]
 
     # -- summaries ----------------------------------------------------
     def total_variation(self, box=None, tol_abs=1e-10, tol_rel=1e-9, breaks=()):
@@ -278,7 +296,8 @@ class RadonMeasure:
         box = box if box is not None else self.domain.bounds
         total = 0.0
         if self.ac is not None and self.nonnegative:
-            total += self._integrate_ac(self.ac, box, tol_abs, tol_rel, breaks)
+            total += self._integrate_ac(lambda pts, rows: self.ac(pts), [box], [(breaks,)],
+                                        tol_abs, tol_rel)[0]
         elif self.ac is not None:
             if self.domain.dim == 1:
                 (lo, hi), = box

@@ -18,7 +18,7 @@ from .cantor import IFSSpec, construction_endpoints
 from .field import ParamField, mollified_normal_trace
 from .geometry import Domain
 from .measure import RadonMeasure, TestFunction, oscillatory_bump, plateau_bump
-from .quadrature import integrate_1d, integrate_cells
+from .quadrature import by_runs, integrate_1d, integrate_cells
 from .rectifiable import RectifiableSet, box_cells
 
 
@@ -126,49 +126,49 @@ def build_suite(domain: Domain, singular: RectifiableSet, breaks_1d=()):
     return TestSuite(fns, domain, singular)
 
 
-def weak_divergence(v_eval, phi: TestFunction, domain: Domain, singular: RectifiableSet,
+def weak_divergence(v_eval, phis, domain: Domain, singular: RectifiableSet,
                     tol_abs=1e-10, tol_rel=1e-9):
-    """- \\int <grad phi, v> dx over phi's support, split along the curves.
+    """- \\int <grad phi, v> dx over each phi's support, split along the curves,
+    for a sequence of test functions: one integrate_1d (1-D) or integrate_cells
+    (2-D) whose rows are the test functions, apart from any measure action.
 
     v_eval maps (n, dim) points to (n, dim) values; it is never evaluated
     on the singular set itself (quadrature nodes are interior to cells).
-    Returns (value, error_estimate).
+    Returns (values, error_estimates) as arrays; on one TestFunction, floats.
     """
-    if not domain.contains_box(phi.support_box):
+    one = isinstance(phis, TestFunction)
+    phis = [phis] if one else list(phis)
+    if not all(domain.contains_box(phi.support_box) for phi in phis):
         from .errors import DomainMismatchError
         raise DomainMismatchError("test function support exceeds the domain")
+    grads = [phi.gradient for phi in phis]
     if domain.dim == 1:
-        breaks = list(phi.breaks[0]) + list(singular.points_1d)
-
-        def f(x):
+        def f(x, rows):
             pts = x[:, None]
-            g = np.atleast_2d(phi.gradient(pts))
-            v = np.atleast_2d(v_eval(pts))
-            return -g[:, 0] * v[:, 0]
+            return -np.atleast_2d(by_runs(grads, rows, pts))[:, 0] * np.atleast_2d(v_eval(pts))[:, 0]
 
-        (lo, hi), = phi.support_box
-        return integrate_1d(f, lo, hi, breakpoints=breaks, tol_abs=tol_abs, tol_rel=tol_rel)
+        lo, hi = np.array([phi.support_box[0] for phi in phis]).T
+        vals, errs = integrate_1d(f, lo, hi, [list(phi.breaks[0]) + list(singular.points_1d)
+                                              for phi in phis], tol_abs=tol_abs, tol_rel=tol_rel)
+    else:
+        def f(pts, rows):
+            return -np.einsum("ij,ij->i", by_runs(grads, rows, pts), v_eval(pts))
 
-    cells = box_cells(phi.support_box, [singular], extra_x_breaks=phi.breaks[0],
-                      extra_y_breaks=phi.breaks[1])
-
-    def f(pts):
-        g = phi.gradient(pts)
-        v = v_eval(pts)
-        return -np.einsum("ij,ij->i", g, v)
-
-    return integrate_cells(f, cells, tol_abs=tol_abs, tol_rel=tol_rel)
+        vals, errs = integrate_cells(f, [box_cells(phi.support_box, [singular], *phi.breaks)
+                                         for phi in phis], tol_abs=tol_abs, tol_rel=tol_rel)
+    return (float(vals[0]), float(errs[0])) if one else (vals, errs)
 
 
 def compare(mu: RadonMeasure, v_eval, suite: TestSuite, tol_abs=1e-7, tol_rel=1e-6,
             quad_tol=1e-10):
-    """Per-test-function comparison of the measure action with the weak form."""
+    """Per-test-function comparison of the measure action with the weak form,
+    each side one batched action over the suite."""
+    phis = list(suite)
+    actions = mu.apply(phis, tol_abs=quad_tol, tol_rel=quad_tol)
+    weak, ests = weak_divergence(v_eval, phis, suite.domain, suite.singular, tol_abs=quad_tol)
     rows = []
     all_pass = True
-    for phi in suite:
-        a = mu.apply(phi, tol_abs=quad_tol, tol_rel=quad_tol)
-        b, est = weak_divergence(v_eval, phi, suite.domain, suite.singular,
-                                 tol_abs=quad_tol)
+    for phi, a, b, est in zip(phis, actions.tolist(), weak.tolist(), ests.tolist()):
         diff = a - b
         scale = max(abs(a), abs(b))
         ok = abs(diff) <= max(tol_abs, tol_rel * scale)

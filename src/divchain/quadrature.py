@@ -85,11 +85,14 @@ def gk_segments(f, lo, hi):
     vals = np.asarray(f(nodes.ravel()), dtype=float).reshape(nodes.shape)
     if not np.all(np.isfinite(vals)):
         raise _non_finite(vals.ravel(), nodes.ravel())
-    ik = half * (vals @ _WGK)
-    ig = half * (vals[:, _GAUSS_IDX] @ _WG)
+    # einsum, not a BLAS product, which rounds a row by the rows beside it; the
+    # Gauss nodes as a strided view, which einsum sums in the same order for
+    # any number of rows (a fancy-indexed copy is laid out by the row count)
+    ik = half * np.einsum("ij,j->i", vals, _WGK)
+    ig = half * np.einsum("ij,j->i", vals[:, 1::2], _WG)
     # QUADPACK-style sharpened error estimate
     mean = ik / np.where(hi - lo == 0, 1, hi - lo)
-    resasc = half * (np.abs(vals - mean[:, None]) @ _WGK)
+    resasc = half * np.einsum("ij,j->i", np.abs(vals - mean[:, None]), _WGK)
     raw = np.abs(ik - ig)
     with np.errstate(divide="ignore", invalid="ignore"):
         scaled = np.where(
@@ -101,9 +104,12 @@ def gk_segments(f, lo, hi):
     return ik, err
 
 
-# _refine: refinement rounds, and the parts that all rows of one call may hold
+# _refine: refinement rounds, the parts that all rows of one call may hold,
+# and, by dimension, the parts that one rule call evaluates (a cap on the
+# rule's memory that moves no value, since both rules are row-independent)
 _ROUNDS = 64
 _MAX_PARTS = 1 << 18
+_RULE_PARTS = {1: 1024, 2: 18}
 
 
 def _refine(rule, parts, row, tol_abs, tol_rel, max_parts=16384):
@@ -113,62 +119,93 @@ def _refine(rule, parts, row, tol_abs, tol_rel, max_parts=16384):
 
     parts[i] is an interval (lo, hi) or a rectangle (u0, u1, s0, s1) of row
     row[i], and rule(parts, row) returns each part's value and error
-    estimate; it runs once per round, on the new parts of every unfinished
-    row.  A row is done once its error sum is within max(tol_abs[row],
+    estimate; each round it runs on the new parts of every unfinished row, on
+    at most _RULE_PARTS of them per call.  A row is done, its total kept and
+    its parts dropped, once its error sum is within max(tol_abs[row],
     tol_rel |total|).  Until then it halves, across the longest side, each
     part whose error is above its size share of that budget or, when none
     is, each part with at least half the row's largest error.  A row of more
-    than max_parts parts, or all rows of more than _MAX_PARTS, stalls."""
+    than max_parts parts, or the unfinished rows of more than _MAX_PARTS,
+    stalls."""
     n, dim = len(tol_abs), parts.shape[1] // 2
-    vals, errs = rule(parts, row)
+    done_total, done_err = np.zeros(n), np.zeros(n)
+    vals, errs = _rule_in_chunks(rule, parts, row)
     for _ in range(_ROUNDS):
         total, errsum = np.bincount(row, vals, n), np.bincount(row, errs, n)
         tol = np.maximum(tol_abs, tol_rel * np.abs(total))
+        count = np.bincount(row, None, n)
         live = errsum > tol
+        done = ~live & (count > 0)
+        done_total[done], done_err[done] = total[done], errsum[done]
         if not live.any():
-            return total, errsum
+            return done_total, done_err
+        keep = live[row]
+        parts, row, vals, errs = parts[keep], row[keep], vals[keep], errs[keep]
         if len(parts) > max_parts:
-            count = np.where(live, np.bincount(row, None, n), 0)
-            worst = int(np.argmax(count))
+            worst = int(np.argmax(count * live))
             if count[worst] > max_parts or len(parts) > _MAX_PARTS:
                 raise IntegrationError(f"{dim}d quadrature stalled: {count[worst]} parts, "
                                        f"error {errsum[worst]:.3e} > {tol[worst]:.3e}")
         side = parts[:, 1::2] - parts[:, ::2]
         size = side.prod(axis=1)
         share = tol[row] * size / np.bincount(row, size, n)[row]
-        bad = live[row] & (errs > np.maximum(share, 1e-300))
+        bad = errs > np.maximum(share, 1e-300)
         flat = live & (np.bincount(row, bad, n) == 0)
         if flat.any():
             top = np.zeros(n)
             np.maximum.at(top, row, errs)
             bad |= flat[row] & (errs >= 0.5 * top[row])
         # both halves of each bad part, across its longer side (the first on a
-        # tie), first halves first
+        # tie); in each row first halves first, the rule seeing each row's
+        # halves side by side
         first, k = parts[bad], 2 * (side[:, -1] > side[:, 0])[bad]
         second, i = first.copy(), np.arange(len(first))
         first[i, k + 1] = second[i, k] = 0.5 * (first[i, k] + first[i, k + 1])
-        new, keep = (np.concatenate([first, second]), np.tile(row[bad], 2)), ~bad
+        new_row = np.tile(row[bad], 2)
+        order = np.argsort(new_row, kind="stable")
+        new, keep = (np.concatenate([first, second])[order], new_row[order]), ~bad
         parts, row, vals, errs = (np.concatenate([old[keep], add]) for old, add in
-                                  zip((parts, row, vals, errs), (*new, *rule(*new))))
+                                  zip((parts, row, vals, errs),
+                                      (*new, *_rule_in_chunks(rule, *new))))
     raise IntegrationError(f"{dim}d quadrature did not converge")
+
+
+def _rule_in_chunks(rule, parts, row):
+    """rule(parts, row) on at most _RULE_PARTS[dim] parts per call."""
+    cap = _RULE_PARTS[parts.shape[1] // 2]
+    out = [rule(parts[i:i + cap], row[i:i + cap]) for i in range(0, len(parts), cap)]
+    return tuple(np.concatenate(c) for c in zip(*out)) if out else (np.zeros(0), np.zeros(0))
+
+
+def by_runs(fns, keys, *args):
+    """fns[keys[j]] at the j-th entries of args, stacked: one call of each
+    function per run of equal consecutive keys."""
+    cut = (np.flatnonzero(keys[1:] != keys[:-1]) + 1).tolist()
+    return np.concatenate([np.asarray(fns[keys[a]](*(x[a:b] for x in args)), dtype=float)
+                           for a, b in zip([0, *cut], [*cut, len(keys)])])
 
 
 def integrate_1d(f, a, b, breakpoints=(), tol_abs=DEFAULT_TOL, tol_rel=DEFAULT_TOL,
                  max_segments=16384):
     """Adaptive integral of vectorized f over [a, b]: one _refine row over the
-    pieces between the breakpoints.
+    pieces between the breakpoints; returns (value, error_estimate).
 
-    Returns (value, error_estimate).  Raises IntegrationError when the
-    segment budget is exhausted before the tolerance is met.
+    Rows: with arrays a and b, row r integrates f(x, rows) over [a[r], b[r]]
+    split at breakpoints[r] (none when breakpoints is empty), each row to
+    tol_abs, where rows names the row of each abscissa, and values and error
+    estimates are arrays.  Raises IntegrationError when a row's segment budget
+    is exhausted before its tolerance is met.
     """
-    a, b = float(a), float(b)
-    if b <= a:
-        return 0.0, 0.0
-    parts = np.column_stack(_segments_from_breaks(a, b, breakpoints))
-    total, err = _refine(lambda p, r: gk_segments(f, p[:, 0], p[:, 1]), parts,
-                         np.zeros(len(parts), dtype=int), np.array([tol_abs]), tol_rel,
-                         max_segments)
-    return float(total[0]), float(err[0])
+    one = np.ndim(a) == 0
+    a, b = np.atleast_1d(np.asarray(a, dtype=float)), np.atleast_1d(np.asarray(b, dtype=float))
+    breaks = [breakpoints] if one else breakpoints if len(breakpoints) else [()] * len(a)
+    pieces = [np.column_stack(_segments_from_breaks(lo, hi, bk)) if hi > lo else np.empty((0, 2))
+              for lo, hi, bk in zip(a, b, breaks)]
+    total, err = _refine(_node_rule((lambda x, rows: f(x)) if one else f),
+                         np.concatenate([np.empty((0, 2)), *pieces]),
+                         np.repeat(np.arange(len(a)), [len(p) for p in pieces]),
+                         np.full(len(a), tol_abs), tol_rel, max_segments)
+    return (float(total[0]), float(err[0])) if one else (total, err)
 
 
 # The bracket width at which the crossing scans stop.
@@ -264,15 +301,23 @@ def integrate_cells(f, cells, tol_abs=1e-10, tol_rel=1e-10):
     Each cell is a _refine row of its (x1, s) square with the absolute budget
     tol_abs / len(cells), and the cell values are added in the order of
     `cells`.  Each refinement round evaluates the new rectangles of every
-    unfinished cell in one call to f.
+    unfinished cell in as few calls to f as _RULE_PARTS allows.
+
+    Rows: when cells is a list of cell lists, row r integrates f(pts, rows)
+    over cells[r], each of its cells with the budget tol_abs / len(cells[r]),
+    where rows names the row of each point, all in one _refine; values and
+    error estimates are arrays.
     """
-    if not cells:
-        return 0.0, 0.0
-    n = len(cells)
-    total, err = _refine(lambda p, r: _cell_rect_values(f, cells, p, r),
-                         np.array([[c.a1, c.b1, 0.0, 1.0] for c in cells]), np.arange(n),
-                         np.full(n, max(tol_abs / n, 1e-15)), tol_rel)
-    return float(sum(total)), float(sum(err))
+    one = not cells or isinstance(cells[0], CurvedCell)
+    groups = [cells] if one else cells
+    flat = [c for grp in groups for c in grp]
+    of = np.repeat(np.arange(len(groups)), [len(grp) for grp in groups])     # row of each cell
+    g = (lambda pts, rows: f(pts)) if one else f
+    total, err = (np.bincount(of, v, len(groups)) for v in _refine(
+        lambda p, r: _cell_rect_values(lambda pts: g(pts, np.repeat(of[r], 225)), flat, p, r),
+        np.array([[c.a1, c.b1, 0.0, 1.0] for c in flat]).reshape(-1, 4), np.arange(len(flat)),
+        np.array([max(tol_abs / len(grp), 1e-15) for grp in groups for _ in grp]), tol_rel))
+    return (float(total[0]), float(err[0])) if one else (total, err)
 
 
 # integrate_abs: scan points per range, the share of an outer node's
@@ -395,8 +440,9 @@ def integrate_to_upper(g, upper, kinks=(), degree=None):
     rounding.  Otherwise (degree None, or d above 511) the order doubles from
     8 to at most 256, and each component (column) stops at the first order
     where it stabilizes: max|F - F_prev| <= 1e-12 max(max|F|, 1) over the
-    points.  Raises IntegrationError when a component does not stabilize or
-    g is not finite.
+    points, so a point's value depends on the points beside it in the call
+    (by an ulp or so), where with a known degree it does not.  Raises
+    IntegrationError when a component does not stabilize or g is not finite.
     """
     upper = np.asarray(upper, dtype=float)
     sgn = np.sign(upper)

@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import GeometryError
-from .quadrature import CurvedCell, bracketed_roots, integrate_1d
+from .quadrature import CurvedCell, bracketed_roots, by_runs, integrate_1d
 
 CURVE_SCAN_POINTS = 257    # grid on which curve ranges and level crossings are bracketed
 
@@ -28,6 +28,7 @@ class JumpPoint:
             raise GeometryError("1d normals must be +-1")
         self.x = float(x)
         self.side = 1 if side > 0 else -1
+        self.s0 = self.s1 = self.x          # the parameter range of a curve
 
     # the parameter s of a curve has no counterpart: a point is one sample
     def points(self, s=None):
@@ -41,13 +42,6 @@ class JumpPoint:
 
     def flipped(self):
         return JumpPoint(self.x, -self.side)
-
-    def integrate(self, density, s_ranges=None, tol_abs=None, tol_rel=None):
-        """density(x, nu) at the point, exactly (H^0 counts points); an empty
-        s_ranges (the point lies outside the box or ball) gives 0."""
-        if s_ranges is not None and not s_ranges:
-            return 0.0, 0.0
-        return float(density(self.points(), self.normals())[0]), 0.0
 
     def param_samples(self, n=33):
         return np.array([self.x]), self.points(), self.normals()
@@ -96,23 +90,6 @@ class CurvePiece:
     def breaks(self):
         """(x-breaks, y-breaks) the piece induces on area integrals."""
         raise NotImplementedError
-
-    def integrate(self, density, s_ranges=None, tol_abs=1e-11, tol_rel=1e-11):
-        """\\int density(x, nu) |gamma'| ds over the piece (or sub-ranges)."""
-        ranges = s_ranges if s_ranges is not None else [(self.s0, self.s1)]
-        total, err = 0.0, 0.0
-
-        def f(s):
-            pts = self.points(s)
-            return np.asarray(density(pts, self.normals(s)), dtype=float) * self.jacobian(s)
-
-        for sa, sb in ranges:
-            if sb <= sa:
-                continue
-            v, e = integrate_1d(f, sa, sb, tol_abs=tol_abs, tol_rel=tol_rel)
-            total += v
-            err += e
-        return total, err
 
     def param_samples(self, n=33):
         s = np.linspace(self.s0, self.s1, n + 2)[1:-1]
@@ -294,23 +271,23 @@ class RectifiableSet:
 
         density maps pts (n, dim) and unit normals nus (n, dim) to (n,).
         """
-        total, err = 0.0, 0.0
-        for p in self.pieces:
-            ranges = None if box is None else p.ranges_in_box(box)
-            v, e = p.integrate(density, s_ranges=ranges, tol_abs=tol_abs, tol_rel=tol_rel)
-            total += v
-            err += e
-        return total, err
+        return self._on_ranges(density, [p.ranges_in_box(box) if box is not None
+                                         else [(p.s0, p.s1)] for p in self.pieces],
+                               tol_abs, tol_rel)
 
     def mass_in_ball(self, density, center, r):
         """\\int_{B_r(center)} density dH^{N-1} (used by density-ratio checks)."""
-        total = 0.0
-        for p in self.pieces:
-            ranges = p.ranges_in_ball(center, r)
-            if ranges:
-                v, _ = p.integrate(density, s_ranges=ranges)
-                total += v
-        return total
+        return self._on_ranges(density, [p.ranges_in_ball(center, r) for p in self.pieces],
+                               1e-11, 1e-11)[0]
+
+    def _on_ranges(self, density, ranges, tol_abs, tol_rel):
+        """(integral, error) of density over ranges[k] of each piece k, added
+        range by range within a piece and then piece by piece."""
+        at = np.array([k for k, rs in enumerate(ranges) for _ in rs], dtype=int)
+        vals, errs = integrate_on(lambda pts, nus, rows: density(pts, nus), self.pieces, at,
+                                  [s for rs in ranges for s in rs], tol_abs, tol_rel)
+        n = len(self.pieces)
+        return float(sum(np.bincount(at, vals, n))), float(sum(np.bincount(at, errs, n)))
 
     def samples(self, n_per_piece=17):
         """Representative points and normals on every component, (n, dim) each."""
@@ -325,6 +302,28 @@ class RectifiableSet:
 
     def y_breaks(self):
         return [v for p in self.pieces for v in p.breaks()[1]]
+
+
+def integrate_on(density, pieces, at, ranges, tol_abs, tol_rel):
+    """(values, errors), per row r, of \\int density(x, nu, rows) dH^{N-1} over
+    the parameter range ranges[r] = (sa, sb) of pieces[at[r]], where rows
+    names the row of each point.  Curve rows are one integrate_1d of
+    density |gamma'| (an empty range gives 0), each piece's points, normals
+    and arclength element taken once per run of rows on it; a jump point's
+    row, whose range is (x, x), is its density at the point, exactly (H^0
+    counts points)."""
+    if len(at) and isinstance(pieces[0], JumpPoint):
+        pts = np.array([[pieces[k].x] for k in at])
+        nus = np.array([[float(pieces[k].side)] for k in at])
+        return np.asarray(density(pts, nus, np.arange(len(at))), dtype=float), np.zeros(len(at))
+
+    def f(s, r):
+        pts, nus, jac = (by_runs([getattr(p, name) for p in pieces], at[r], s)
+                         for name in ("points", "normals", "jacobian"))
+        return np.asarray(density(pts, nus, r), dtype=float) * jac
+
+    sa, sb = np.array(ranges, dtype=float).reshape(-1, 2).T
+    return integrate_1d(f, sa, sb, (), tol_abs, tol_rel)
 
 
 def merge_sets(*sets):

@@ -4,17 +4,19 @@ Lebesgue, point-mass and Cantor measures, a point-sampled grid, two
 identities of the conservation-law harness evaluated from their definitions,
 a trajectory's final state, its interface traces and their W integral, the
 masked piece-selection loops that BVFunction.eval and grad are held to,
-the indicator bisection that a curve's box and disc ranges are held to, and
-the np.abs route that the split |f| quadrature is held to."""
+the indicator bisection that a curve's box and disc ranges are held to,
+the np.abs route that the split |f| quadrature is held to, and the
+per-test-function measure action and weak form that the suite-wide ones
+are held to."""
 
 import numpy as np
 
 from divchain.conslaw import FluxSpec, GridState, accumulated_interface_W, chi
-from divchain.errors import GeometryError, NotOnJumpSetError
+from divchain.errors import DomainMismatchError, GeometryError, NotOnJumpSetError
 from divchain.geometry import Domain, as_points
 from divchain.measure import RadonMeasure, TestFunction
 from divchain.quadrature import CurvedCell, integrate_1d, integrate_cells
-from divchain.rectifiable import RectifiableSet, Segment, box_cells
+from divchain.rectifiable import JumpPoint, RectifiableSet, Segment, box_cells
 
 
 def interval_domain(lo, hi):
@@ -232,3 +234,62 @@ def trajectory_W(traj_a, traj_b):
 def l1_distance(a, b):
     """The L1 distance of two GridStates on one mesh, as the Kato rows take it."""
     return float(np.sum(np.abs(a.averages - b.averages)) * a.dx)
+
+
+def weak_divergence_reference(v_eval, phi, domain, singular, tol_abs=1e-10, tol_rel=1e-9):
+    """oracle.weak_divergence one test function at a time, as it was before
+    it took the whole suite: its own integrate_1d or integrate_cells call."""
+    if not domain.contains_box(phi.support_box):
+        raise DomainMismatchError("test function support exceeds the domain")
+    if domain.dim == 1:
+        def f(x):
+            pts = x[:, None]
+            return -np.atleast_2d(phi.gradient(pts))[:, 0] * np.atleast_2d(v_eval(pts))[:, 0]
+
+        (lo, hi), = phi.support_box
+        return integrate_1d(f, lo, hi, list(phi.breaks[0]) + list(singular.points_1d),
+                            tol_abs=tol_abs, tol_rel=tol_rel)
+    cells = box_cells(phi.support_box, [singular], extra_x_breaks=phi.breaks[0],
+                      extra_y_breaks=phi.breaks[1])
+    return integrate_cells(lambda pts: -np.einsum("ij,ij->i", phi.gradient(pts), v_eval(pts)),
+                           cells, tol_abs=tol_abs, tol_rel=tol_rel)
+
+
+def apply_reference(mu, phi, tol_abs=1e-10, tol_rel=1e-10):
+    """RadonMeasure.apply one test function at a time, as it was before it
+    took the whole suite: the a.c. part in its own integrate_1d or
+    integrate_cells call, each jump range in its own integrate_1d (a jump
+    point's density at the point), then the Cantor part."""
+    value, box = phi.value, phi.support_box
+    total = 0.0
+    if mu.ac is not None:
+        f = lambda pts: np.asarray(value(pts), dtype=float) * np.asarray(mu.ac(pts), dtype=float)
+        if phi.dim == 1:
+            (lo, hi), = box
+            total += integrate_1d(lambda x: f(x[:, None]), lo, hi,
+                                  list(phi.breaks[0]) + list(mu.ac_singular.points_1d),
+                                  tol_abs=tol_abs, tol_rel=tol_rel)[0]
+        else:
+            total += integrate_cells(f, box_cells(box, [mu.ac_singular], *phi.breaks),
+                                     tol_abs=tol_abs, tol_rel=tol_rel)[0]
+    for comp, g in mu.jumps.values():
+        def density(pts, nus, g=g):
+            return np.asarray(value(pts), dtype=float) * np.asarray(g(pts, nus), dtype=float)
+        comp_total = 0.0
+        for piece in comp.pieces:
+            piece_total = 0.0
+            for sa, sb in piece.ranges_in_box(box):
+                if isinstance(piece, JumpPoint):
+                    piece_total = float(density(piece.points(), piece.normals())[0])
+                elif sb > sa:
+                    piece_total += integrate_1d(
+                        lambda s, p=piece: density(p.points(s), p.normals(s)) * p.jacobian(s),
+                        sa, sb, tol_abs=tol_abs, tol_rel=tol_rel)[0]
+            comp_total += piece_total
+        total += comp_total
+    if mu.cantor is not None:
+        h = mu.cantor_density
+        phi_1d = lambda x: np.asarray(value(np.asarray(x, dtype=float)[:, None]))
+        f = phi_1d if h is None else lambda x: phi_1d(x) * np.asarray(h(x))
+        total += mu.cantor.apply(f, rtol=max(tol_rel / 10.0, 1e-10))
+    return total

@@ -1,8 +1,9 @@
 """Planted faults: each conslaw and kato check, the tv_bound check where the
 bound is tight, the oracle and Gauss-Green checks, which rest on the
-adaptive quadrature, the two checks of sigma, and the orientation, Vol'pert
-reduction and scalar-BV agreement checks of the chain rule must read FAIL
-under a fault in the code it guards.
+adaptive quadrature, the two checks of sigma, the orientation, Vol'pert
+reduction and scalar-BV agreement checks of the chain rule, and the oracle
+checks of the W^{1,1} grouping, the product rule and the Div(u A) side of
+the pairing must read FAIL under a fault in the code it guards.
 
 A row names a check, a scenario (a bundled file, or a lighter copy of one
 written here), and a fault: a monkeypatch of the src function the check
@@ -110,6 +111,13 @@ grads = 0
 sup = 1
 """
 
+# product-sin-heaviside with one experiment each: sin(u) and u against sign(x1)
+PRODUCT = (bundled_dir() / "product-sin-heaviside.scn").read_text(encoding="utf-8")
+PRODUCT_ONLY = PRODUCT.replace("experiments = chain, product, anzellotti",
+                               "experiments = product")
+ANZELLOTTI_ONLY = PRODUCT.replace("experiments = chain, product, anzellotti",
+                                  "experiments = anzellotti")
+
 # b = t against u = 0 | 2, with no singular set: the whole divergence is the
 # jump term, which chain_bv_scalar takes from its trace-interval integral of
 # b* = t (bv-scalar-signt-2h cannot carry that row: its b* is 0 on the jump)
@@ -207,6 +215,25 @@ def fault_jump_term_off_by_1e3(mp):
     mp.setattr(runner, "chain_dm", chain_dm)
 
 
+def fault_w11_ac_term_off_by_1e3(mp):
+    # chain_w11 hands the runner a <b(x, u), grad u> term 1e-3 too large
+    def chain_w11(*args, **kw):
+        br = chainrule.chain_w11(*args, **kw)
+        return chainrule.ChainRuleBreakdown(br.term_diva, br.term_divc, br.term_ac_u * (1 + 1e-3),
+                                            br.term_cantor_u, br.term_jump)
+    mp.setattr(runner, "chain_w11", chain_w11)
+
+
+def fault_product_jump_off_by_1e3(mp):
+    # product_rule hands the runner a jump term 1e-3 too large: on
+    # product-sin-heaviside, the whole of Div(A h(u)) and of Div(u A)
+    def product_rule(*args, **kw):
+        br = chainrule.product_rule(*args, **kw)
+        return chainrule.ChainRuleBreakdown(br.term_diva, br.term_divc, br.term_ac_u,
+                                            br.term_cantor_u, br.term_jump * (1 + 1e-3))
+    mp.setattr(runner, "product_rule", product_rule)
+
+
 def fault_sigma_without_jumps(mp):
     # sigma loses its jump part: nothing on 0 dominates the jump of Div_x B
     orig = field.ParamField.sigma
@@ -288,6 +315,9 @@ PLANTED = [
     ("chain:orientation_invariance", VOLPERT, fault_flipped_traces_unswapped),
     ("chain:volpert_reduction", VOLPERT, fault_u_sides_swapped),
     ("bv-scalar:matches_chain_dm", BV_SCALAR_T, fault_upper_integral_high_by_1e6),
+    ("w11:oracle_equivalence", W11_SIGN_XSQ, fault_w11_ac_term_off_by_1e3),
+    ("product:oracle_equivalence", PRODUCT_ONLY, fault_product_jump_off_by_1e3),
+    ("anzellotti:product_oracle", ANZELLOTTI_ONLY, fault_product_jump_off_by_1e3),
 ]
 
 # checks that a row's fault must leave passing: the pairs next to pair 1

@@ -1,6 +1,7 @@
 """The quadrature engine against scipy's QUADPACK as an independent oracle."""
 
 import re
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -98,24 +99,26 @@ def one_d_rows(draw):
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
-@given(one_d_rows())
-def test_batched_rows_are_bit_equal_to_each_row_alone(rows):
-    # the rule runs G7-K15 on one segment at a time, because BLAS rounds a
-    # matrix-vector product by the number of rows as well as by their values
+@given(one_d_rows(), st.sampled_from([1, 3, 1024]))
+def test_batched_rows_are_bit_equal_to_each_row_alone(rows, cap):
+    # every segment of a round goes through one gk_segments call, or through
+    # calls of at most `cap` segments when the rule's batch cap splits the
+    # round (1024 is the 1-D cap), and each row still reads its value alone
     w, k = (np.array([r[i] for r in rows]) for i in (3, 4))
     g = lambda x, r: np.sin(w[r] * x) + np.abs(x - k[r])
     calls = []
 
     def rule(p, r):
-        calls.append(1)
-        return np.array([gk_segments(lambda x: g(x, np.full(15, i)), p[j:j + 1, 0], p[j:j + 1, 1])
-                         for j, i in enumerate(r)]).reshape(-1, 2).T
+        calls.append(len(p))
+        return gk_segments(lambda x: g(x, np.repeat(r, 15)), p[:, 0], p[:, 1])
 
     pieces = [np.column_stack(_segments_from_breaks(*r[:3])) for r in rows]
     tol = np.array([r[5] for r in rows])
-    total, err = _refine(rule, np.vstack(pieces),
-                         np.repeat(np.arange(len(rows)), [len(p) for p in pieces]), tol, 1e-10)
-    batch_rounds = len(calls)
+    with patch.dict(quadrature._RULE_PARTS, {1: cap}):
+        total, err = _refine(rule, np.vstack(pieces),
+                             np.repeat(np.arange(len(rows)), [len(p) for p in pieces]), tol, 1e-10)
+    assert max(calls) <= cap
+    batch_calls = len(calls)
     rounds = []
     for i, piece in enumerate(pieces):
         calls.clear()
@@ -123,8 +126,39 @@ def test_batched_rows_are_bit_equal_to_each_row_alone(rows):
                         tol[i:i + 1], 1e-10)
         assert (total[i], err[i]) == (alone[0][0], alone[1][0])
         rounds.append(len(calls))
-    # one rule call per round: as many as the slowest row needs alone
-    assert max(rounds) == batch_rounds
+    # uncapped, one rule call per round: as many as the slowest row needs alone
+    if cap == 1024:
+        assert max(rounds) == batch_calls
+
+
+def test_a_capped_round_keeps_every_value():
+    # 40 rows of one round: the 1-D cap of 1024 segments splits the round
+    # into calls, and every row reads the value of the uncapped call
+    edges = [np.linspace(a, a + 0.5 + 0.01 * r, 31) for r, a in enumerate(np.linspace(-1, 0.5, 40))]
+    parts = np.vstack([np.column_stack([e[:-1], e[1:]]) for e in edges])
+    row = np.repeat(np.arange(40), 30)
+    calls = []
+    rule = lambda p, r: calls.append(len(p)) or gk_segments(lambda x: np.sin(9 * x + np.repeat(r, 15)),
+                                                           p[:, 0], p[:, 1])
+    capped = _refine(rule, parts, row, np.full(40, 1e-13), 1e-13)
+    assert max(calls) == quadrature._RULE_PARTS[1] and len(calls) >= 2
+    with patch.dict(quadrature._RULE_PARTS, {1: 1 << 20}):
+        calls.clear()
+        whole = _refine(rule, parts, row, np.full(40, 1e-13), 1e-13)
+    assert calls[0] == len(parts)
+    assert np.array_equal(capped[0], whole[0]) and np.array_equal(capped[1], whole[1])
+
+
+def test_integrate_to_upper_without_a_degree_depends_on_the_batch():
+    # with degree None the Gauss order is chosen over all points of a call, so
+    # a point's value moves, by an ulp here, with the points beside it; a known
+    # degree fixes the order, and then the batch moves nothing
+    g = lambda w: np.exp(3 * w) * np.cos(7 * w)
+    assert integrate_to_upper(g, np.array([0.1]))[0] == 0.10662943659540115
+    assert integrate_to_upper(g, np.array([0.1, 4.0]))[0] == 0.10662943659540117
+    p = lambda w: 1 + w - 2 * w ** 3
+    assert integrate_to_upper(p, np.array([0.1]), degree=3)[0] \
+        == integrate_to_upper(p, np.array([0.1, 4.0]), degree=3)[0]
 
 
 def test_curved_cell():
@@ -235,16 +269,19 @@ def cells_and_integrands(draw):
 def test_batched_cells_match_per_cell_reference(case):
     f, cells, tol = case
     calls = []
-    got = integrate_cells(lambda p: calls.append(len(p)) or f(p), cells, tol_abs=tol)
-    # the same driver one cell at a time, each with its share of the budget
-    alone, rounds = [], []
-    for cell in cells:
-        mine = []
-        alone.append(integrate_cells(lambda p: mine.append(1) or f(p), [cell],
-                                     tol_abs=tol / len(cells)))
-        rounds.append(len(mine))
-    assert got == (float(sum(v for v, _ in alone)), float(sum(e for _, e in alone)))
-    # one call per refinement round: as many as the slowest cell needs alone
+    capped = integrate_cells(f, cells, tol_abs=tol)
+    # the rule's batch cap off: one call per refinement round
+    with patch.dict(quadrature._RULE_PARTS, {2: 1 << 20}):
+        got = integrate_cells(lambda p: calls.append(len(p)) or f(p), cells, tol_abs=tol)
+        # the same driver one cell at a time, each with its share of the budget
+        alone, rounds = [], []
+        for cell in cells:
+            mine = []
+            alone.append(integrate_cells(lambda p: mine.append(1) or f(p), [cell],
+                                         tol_abs=tol / len(cells)))
+            rounds.append(len(mine))
+    assert capped == got == (float(sum(v for v, _ in alone)), float(sum(e for _, e in alone)))
+    # as many calls as the slowest cell needs rounds alone
     assert len(calls) == max(rounds)
     # the per-cell loop that the driver replaced adds each cell's rectangles in
     # another order, so it agrees only within its own error estimate
