@@ -242,8 +242,9 @@ def bracketed_roots(f, a, b, fa, fb, xtol=ROOT_XTOL):
         right = np.sign(fx) == np.sign(fbl)      # the root is in [a, x]
         a[live] = np.where(right, al, x)         # f(x) == 0 moves both ends to x
         b[live] = np.where(left, bl, x)
-        fa[live] = np.where(left, fx, np.where(right & (ml < 0), 0.5 * fal, fal))
-        fb[live] = np.where(right, fx, np.where(left & (ml > 0), 0.5 * fbl, fbl))
+        # a half that underflows to 0 would lose the end's sign: keep the value
+        fa[live] = np.where(left, fx, np.where(right & (ml < 0) & (0.5 * fal != 0), 0.5 * fal, fal))
+        fb[live] = np.where(right, fx, np.where(left & (ml > 0) & (0.5 * fbl != 0), 0.5 * fbl, fbl))
         moved[live] = left.astype(float) - right
         live = live[b[live] - a[live] > xtol + 4 * np.finfo(float).eps * np.abs(a[live])]
     return 0.5 * (a + b)

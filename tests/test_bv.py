@@ -184,6 +184,8 @@ def crosses(u, t, x, tol):
                    [[0.0, 0.0, 7.718876329819288e-94], [0.0, 0.0, 0.0], [0.5, -1.0, 0.5]], 0.0),
          [0])
 @example(piecewise(-1.0, 1.0, [0.0], [[0.0, 0.0], [2.0, -1.0]], -1.0), [0.03125])
+# a level just below 0, where u - t on the left of the jump is 5e-324
+@example(piecewise(-1.0, 2.5, [0.0], [[0.0, 0.0], [0.0, -1.0]], 0.0), [-5e-324])
 def test_breakpoints_match_reference_loop(u, levels):
     (lo, hi), = u.domain.bounds
     xs = np.linspace(lo, hi, SCAN_POINTS)

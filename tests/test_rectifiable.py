@@ -228,6 +228,17 @@ def test_bracketed_roots_land_on_a_jump(jump, below, above, sign):
     assert abs(got[0] - jump) <= 2e-14
 
 
+@pytest.mark.parametrize("left, right", [(5e-324, -1.0), (-1.0, 5e-324), (-5e-324, 5e-324)])
+def test_bracketed_roots_keep_the_sign_of_a_subnormal_end(left, right):
+    """Halving an end value of 5e-324 gives 0; the end must keep its sign."""
+    def step(x):
+        return np.where(x < 0.0, left, right)
+
+    a, b = np.array([-0.3]), np.array([0.7])
+    got = bracketed_roots(lambda x, live: step(x), a, b, step(a), step(b))
+    assert abs(got[0]) <= 2e-14
+
+
 def test_bracketed_roots_reject_a_non_finite_value():
     def f(x):           # -1 at x = 1, but not a number on (0.5, 1)
         return np.where(x > 0.5, np.nan, x + 0.5)
