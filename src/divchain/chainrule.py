@@ -58,14 +58,6 @@ class ChainRuleBreakdown:
             "jump": self.term_jump,
         }
 
-    def tv_bound_holds(self, sigma: RadonMeasure, M, u: BVFunction, box=None, tv_rel=1e-9,
-                       breaks=()):
-        """|Div v|(box) <= sigma(box) + M |Du|(box) + 1e-9; breaks as in total_variation."""
-        tvs = [mu.total_variation(box=box, tol_abs=tv_rel, tol_rel=tv_rel, breaks=breaks)
-               for mu in (self.total, sigma, u.variation_measure())]
-        lhs, rhs = tvs[0], tvs[1] + M * tvs[2]
-        return lhs <= rhs + 1e-9, lhs, rhs
-
 
 def _merged_singular(field: ParamField, u: BVFunction):
     try:
@@ -416,15 +408,17 @@ def anzellotti_pairing(field: ParamField, u: BVFunction):
                         ac_singular=merged, jumps=jumps, cantor=u.cantor, cantor_density=cdens)
 
 
-def _transversal(field: ParamField, bounds, kind):
-    """Reject boundaries that touch the singular set tangentially."""
-    if field.domain.dim == 1:
+def green_indicators(domain, singular, omega, w0=0.04):
+    """(widths, mollified indicators of omega) of green_check; GeometryError
+    where omega's boundary touches the singular set tangentially or a
+    support leaves the domain."""
+    kind, bounds = omega
+    if singular.dim == 1:
         (lo, hi), = bounds
-        for x in field.singular_set.points_1d:
+        for x in singular.points_1d:
             if abs(x - lo) < 1e-9 or abs(x - hi) < 1e-9:
                 raise GeometryError("boundary point sits on the singular set")
-        return
-    for piece in field.singular_set.pieces:
+    for piece in (singular.pieces if singular.dim == 2 else ()):
         s = np.linspace(piece.s0, piece.s1, 257)
         p = piece.points(s)
         if kind == "box":
@@ -447,6 +441,11 @@ def _transversal(field: ParamField, bounds, kind):
                 radial = (p[i] - np.asarray(center)) / radius
                 if abs(tang @ radial) > 0.999:
                     raise GeometryError("singular curve tangent to the boundary circle")
+    widths = (w0, w0 / 2, w0 / 4)
+    chis = [_mollified_indicator(bounds, kind, w, domain.dim) for w in widths]
+    if not all(domain.contains_box(chi_w.support_box) for chi_w in chis):
+        raise GeometryError("mollified indicator support exits the domain")
+    return widths, chis
 
 
 def _mollified_indicator(bounds, kind, w, dim):
@@ -485,14 +484,9 @@ def green_check(field: ParamField, omega, w0=0.04):
     """
     kind, bounds = omega
     quad_tol = 1e-11 if field.domain.dim == 1 else 1e-8
-    _transversal(field, bounds, kind)
+    widths, chis = green_indicators(field.domain, field.singular_set, omega, w0)
     div_a = field.div_measure(0.0)
     polar = kind == "disc" and field.singular_set.is_empty and div_a.ac is not None
-
-    widths = [w0, w0 / 2, w0 / 4]
-    chis = [_mollified_indicator(bounds, kind, w, field.domain.dim) for w in widths]
-    if not all(field.domain.contains_box(chi_w.support_box) for chi_w in chis):
-        raise GeometryError("mollified indicator support exits the domain")
     if polar:
         center, radius = bounds
         vals = [integrate_polar(lambda p, chi_w=chi_w: chi_w.value(p) * div_a.ac(p), center,

@@ -202,13 +202,9 @@ def mollified_normal_trace(field: ParamField, t, x, eps):
     """<(rho_eps * b(., t))(x), nu(x)> with the C^1 bump (1 - |z/eps|^2)^2."""
     if eps <= 0:
         raise ValueError("eps must be positive")
-    pts = as_points(x, field.domain.dim)
-    nu = _normal_at(field.singular_set, pts)
+    pts, nu = moll_point(field.domain, field.singular_set, x, eps)
     if field.domain.dim == 1:
-        (lo, hi), = field.domain.bounds
         c = pts[0, 0]
-        if c - eps < lo or c + eps > hi:
-            raise BoundaryError("mollification ball exits the domain")
         breaks = [c - p for p in field.singular_set.points_1d if abs(p - c) < eps]
 
         def f(z):
@@ -218,9 +214,6 @@ def mollified_normal_trace(field: ParamField, t, x, eps):
 
         v, _ = integrate_1d(f, -eps, eps, breakpoints=breaks, tol_abs=1e-12)
         return float(v * nu[0])
-    for ax, (lo, hi) in enumerate(field.domain.bounds):
-        if pts[0, ax] - eps < lo or pts[0, ax] + eps > hi:
-            raise BoundaryError("mollification ball exits the domain")
     tbreaks = []
     for piece in field.singular_set.pieces:
         for sa, sb in piece.ranges_in_ball(pts[0], eps):
@@ -238,14 +231,19 @@ def mollified_normal_trace(field: ParamField, t, x, eps):
     return float(v)
 
 
-def _normal_at(singular_set: RectifiableSet, pts):
-    """Unit normal (dim,) at the sample nearest pts[0]: a jump point within
-    1e-11 in 1-D, one of 129 samples per curve within 1e-9 in 2-D."""
+def moll_point(domain: Domain, singular_set: RectifiableSet, x, eps):
+    """(x as (1, dim) points, the unit normal (dim,) at the sample nearest
+    x): a jump point within 1e-11 in 1-D, one of 129 samples per curve
+    within 1e-9 in 2-D, else NotOnJumpSetError; BoundaryError where the
+    ball of radius eps about x leaves the domain."""
+    pts = as_points(x, domain.dim)
     sp, sn = singular_set.samples(129)
     d = np.linalg.norm(sp - pts[0], axis=1)
     if not len(d) or d.min() > (1e-11 if singular_set.dim == 1 else 1e-9):
         raise NotOnJumpSetError(f"{pts[0]} is not a sample of the singular set")
-    return sn[int(np.argmin(d))]
+    if any(c - eps < lo or c + eps > hi for c, (lo, hi) in zip(pts[0], domain.bounds)):
+        raise BoundaryError(f"the mollification ball of radius {eps:g} exits the domain")
+    return pts, sn[int(np.argmin(d))]
 
 
 def singular_set_check(field: ParamField, sigma: RadonMeasure, radii=(1e-1, 1e-2, 1e-3)):

@@ -245,26 +245,16 @@ class RadonMeasure:
     def _actions(self, values, boxes, breaks, tol_abs, tol_rel):
         """Actions on the fields values[r] over boxes[r], one row r each;
         breaks[r]: per-axis abscissae where the a.c. integral is split.  The
-        a.c. part is one quadrature over every row, and so is the jump part,
-        whose rows are (component, r, parameter range); the Cantor part goes
-        row by row."""
-        n = len(values)
-        total = np.zeros(n)
+        a.c. part is one quadrature over every row, and so is the jump part
+        (_add_jumps); the Cantor part goes row by row."""
+        total = np.zeros(len(values))
         if self.ac is not None:
             total += self._integrate_ac(
                 lambda pts, rows: by_runs(values, rows, pts) * np.asarray(self.ac(pts), dtype=float),
                 boxes, breaks, tol_abs, tol_rel)
         if self.jumps:
-            # one piece per component (from_jump); rows (component k, r, range)
-            pieces, dens = zip(*((comp.pieces[0], g) for comp, g in self.jumps.values()))
-            at = [(k, r, rng) for k, p in enumerate(pieces) for r, box in enumerate(boxes)
-                  for rng in p.ranges_in_box(box)]
-            k_of, r_of = np.array([a[:2] for a in at], dtype=int).reshape(-1, 2).T
-            vals, _ = integrate_on(lambda pts, nus, rows: by_runs(values, r_of[rows], pts)
-                                   * by_runs(dens, k_of[rows], pts, nus),
-                                   pieces, k_of, [a[2] for a in at], tol_abs, tol_rel)
-            for comp_total in np.bincount(k_of * n + r_of, vals, len(pieces) * n).reshape(-1, n):
-                total += comp_total
+            self._add_jumps(total, lambda p: [p.ranges_in_box(box) for box in boxes],
+                            lambda g, pts, r: by_runs(values, r, pts) * g, tol_abs, tol_rel)
         if self.cantor is not None:
             h = self.cantor_density
             for r, value in enumerate(values):
@@ -272,6 +262,23 @@ class RadonMeasure:
                 f = phi_1d if h is None else lambda x, phi_1d=phi_1d: phi_1d(x) * np.asarray(h(x))
                 total[r] += self.cantor.apply(f, rtol=max(tol_rel / 10.0, 1e-10))
         return total
+
+    def _add_jumps(self, total, ranges, density, tol_abs, tol_rel):
+        """Add to total[r], component by component, the integral over region r
+        of density(g, pts, rows) dH^{N-1}, g the component's density at pts
+        and rows the region of each point, in one integrate_on whose rows are
+        (component, region, range); ranges(piece) lists its ranges per region."""
+        n = len(total)
+        # one piece per component (from_jump)
+        pieces, dens = zip(*((comp.pieces[0], g) for comp, g in self.jumps.values()))
+        at = [(k, r, rng) for k, p in enumerate(pieces) for r, rngs in enumerate(ranges(p))
+              for rng in rngs]
+        k_of, r_of = np.array([a[:2] for a in at], dtype=int).reshape(-1, 2).T
+        vals = integrate_on(lambda pts, nus, rows: density(by_runs(dens, k_of[rows], pts, nus),
+                                                           pts, r_of[rows]),
+                            pieces, k_of, [a[2] for a in at], tol_abs, tol_rel)
+        for comp_total in np.bincount(k_of * n + r_of, vals, len(pieces) * n).reshape(-1, n):
+            total += comp_total
 
     def _integrate_ac(self, f, boxes, breaks, tol_abs, tol_rel):
         """Per-row integrals of f(pts, rows) over boxes[r], split at the a.c.
@@ -286,46 +293,49 @@ class RadonMeasure:
         return integrate_cells(f, cells, tol_abs=tol_abs, tol_rel=tol_rel)[0]
 
     # -- summaries ----------------------------------------------------
-    def total_variation(self, box=None, tol_abs=1e-10, tol_rel=1e-9, breaks=()):
-        """TV = \\int |ac| + \\int |g| dH^{N-1} + Cantor part variation, on box.
+    def total_variation(self, boxes=None, tol_abs=1e-10, tol_rel=1e-9, breaks=()):
+        """TV = \\int |ac| + \\int |g| dH^{N-1} + Cantor part variation on each
+        box of a list, as an array; on one box or the domain (None), a float.
 
-        The a.c. part of a nonnegative measure is integrated as it is, by the
-        route of apply; any other is cut where it changes sign (integrate_abs).
+        One quadrature per part over every box, as in apply; the Cantor part
+        goes box by box.  The a.c. part of a nonnegative measure is integrated
+        as it is; any other is cut where it changes sign (integrate_abs).
         breaks: abscissae where the a.c. density may lose smoothness beyond its
         declared singular set (a Cantor construction's endpoints)."""
-        box = box if box is not None else self.domain.bounds
-        total = 0.0
+        one = boxes is None or np.ndim(boxes) == 2
+        boxes = [self.domain.bounds if boxes is None else boxes] if one else list(boxes)
+        total = np.zeros(len(boxes))
         if self.ac is not None and self.nonnegative:
-            total += self._integrate_ac(lambda pts, rows: self.ac(pts), [box], [(breaks,)],
-                                        tol_abs, tol_rel)[0]
+            total += self._integrate_ac(lambda pts, rows: self.ac(pts), boxes,
+                                        [(breaks,)] * len(boxes), tol_abs, tol_rel)
         elif self.ac is not None:
             if self.domain.dim == 1:
-                (lo, hi), = box
-                edges = [lo, *sorted(p for p in self.ac_singular.points_1d if lo < p < hi), hi]
-                cells = list(zip(edges[:-1], edges[1:]))
+                cells = []
+                for (lo, hi), in boxes:
+                    edges = [lo, *sorted(p for p in self.ac_singular.points_1d if lo < p < hi), hi]
+                    cells.append(list(zip(edges[:-1], edges[1:])))
             else:
-                cells = box_cells(box, [self.ac_singular], extra_x_breaks=breaks)
+                cells = [box_cells(box, [self.ac_singular], extra_x_breaks=breaks)
+                         for box in boxes]
             total += integrate_abs(self.ac, cells, tol_abs, tol_rel, breaks)
-        for comp, g in self.jumps.values():
-            v, _ = comp.integrate(lambda pts, nus: np.abs(g(pts, nus)), box=box,
-                                  tol_abs=tol_abs, tol_rel=tol_rel)
-            total += v
+        if self.jumps:
+            self._add_jumps(total, lambda p: [p.ranges_in_box(box) for box in boxes],
+                            lambda g, pts, r: np.abs(g), tol_abs, tol_rel)
         if self.cantor is not None:
-            (lo, hi), = box
-            total += self.cantor.total_variation(self.cantor_density, lo, hi)
-        return total
+            for r, ((lo, hi),) in enumerate(boxes):
+                total[r] += self.cantor.total_variation(self.cantor_density, lo, hi)
+        return float(total[0]) if one else total
 
     def ball_mass(self, center, r):
         """mu(B_r(center)), used by singular-set density diagnostics."""
         center = np.atleast_1d(np.asarray(center, dtype=float))
-        total = 0.0
+        total = np.zeros(1)
         if self.domain.dim == 1:
             c = center[0]
             lo, hi = max(c - r, self.domain.bounds[0][0]), min(c + r, self.domain.bounds[0][1])
-            if self.ac is not None and hi > lo:
-                v, _ = integrate_1d(lambda x: self.ac(x[:, None]), lo, hi,
-                                    breakpoints=list(self.ac_singular.points_1d), tol_abs=1e-10)
-                total += v
+            if self.ac is not None:
+                total += self._integrate_ac(lambda pts, rows: self.ac(pts), [((lo, hi),)],
+                                            [((),)], 1e-10, 1e-10)
         elif self.ac is not None:
             tbreaks = []
             for piece in self.ac_singular.pieces:
@@ -336,13 +346,14 @@ class RadonMeasure:
             v, _ = integrate_polar(lambda pts: self.ac(pts), center, r,
                                    theta_breaks=tbreaks, tol_abs=1e-10)
             total += v
-        for comp, g in self.jumps.values():
-            total += comp.mass_in_ball(g, center, r)
+        if self.jumps:
+            self._add_jumps(total, lambda p: [p.ranges_in_ball(center, r)],
+                            lambda g, pts, rows: g, 1e-11, 1e-11)
         if self.cantor is not None:         # Cantor parts are 1-D: lo, hi are set
             if self.cantor_density is not None:
                 raise UnsupportedStructureError("ball mass with weighted Cantor part")
             total += self.cantor.interval_mass(lo, hi)
-        return total
+        return float(total[0])
 
 
 DOMINATION_GRID = 65   # grid points per axis where the a.c. densities are compared

@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .cantor import IFSSpec, construction_endpoints
-from .field import ParamField, mollified_normal_trace
+from .field import ParamField, moll_point, mollified_normal_trace
 from .geometry import Domain
 from .measure import RadonMeasure, TestFunction, oscillatory_bump, plateau_bump
 from .quadrature import by_runs, integrate_1d, integrate_cells
@@ -190,9 +190,7 @@ def mollification_study(field: ParamField, t, x, eps_list):
     eps_list = list(eps_list)
     if any(e2 >= e1 for e1, e2 in zip(eps_list[:-1], eps_list[1:])):
         raise ValueError("eps_list must be decreasing")
-    pts = np.atleast_2d(np.asarray(x, dtype=float))
-    from .field import _normal_at
-    nu = _normal_at(field.singular_set, pts)
+    pts, nu = moll_point(field.domain, field.singular_set, x, max(eps_list, default=0.0))
     target = float(0.5 * (field.trace(pts, t, +1) + field.trace(pts, t, -1))[0] @ nu)
     rows = []
     for eps in eps_list:

@@ -379,30 +379,38 @@ def integrate_abs(f, cells, tol_abs, tol_rel, breaks=()):
     in x1 is one _refine row per cell, with the per-cell budget of
     integrate_cells; at each node x1 the inner rule integrates |f(x1, .)|
     over the pieces of [lo(x1), hi(x1)], one _refine row per node, to
-    ABS_INNER_SHARE of the node's share of that budget."""
-    if not cells:
-        return 0.0
-    if not isinstance(cells[0], CurvedCell):
-        a, b = np.array(cells, dtype=float).T
-        _, ends = _one_sign_ends(lambda y, rows: f(y[:, None]), a, b)
-        return integrate_1d(lambda x: np.abs(f(x[:, None])), a[0], b[-1],
-                            np.concatenate([ends, breaks]), tol_abs, tol_rel)[0]
-    per = max(tol_abs / len(cells), 1e-15)
-    width = np.array([c.b1 - c.a1 for c in cells])
+    ABS_INNER_SHARE of the node's share of that budget.  With a list of cell
+    lists, as in integrate_cells, each list is a group with its own budget
+    and value, from one scan and one refinement over every cell."""
+    one = not cells or not isinstance(cells[0], list)
+    groups = [cells] if one else cells
+    flat = [c for grp in groups for c in grp]
+    of = np.repeat(np.arange(len(groups)), [len(grp) for grp in groups])     # group of each cell
+    if not flat:
+        return 0.0 if one else np.zeros(len(groups))
+    if not isinstance(flat[0], CurvedCell):
+        a, b = np.array(flat, dtype=float).T
+        row, ends = _one_sign_ends(lambda y, rows: f(y[:, None]), a, b)
+        ends = np.split(ends, np.searchsorted(of[row], np.arange(1, len(groups))))
+        vals = integrate_1d(lambda x, rows: np.abs(f(x[:, None])), [g[0][0] for g in groups],
+                            [g[-1][1] for g in groups], [np.concatenate([e, breaks]) for e in ends],
+                            tol_abs, tol_rel)[0]
+    else:
+        per = np.array([max(tol_abs / len(grp), 1e-15) for grp in groups for _ in grp])
+        width = np.array([c.b1 - c.a1 for c in flat])
 
-    def across(x, cell):
-        lo, hi = np.empty_like(x), np.empty_like(x)
-        for i, c in enumerate(cells):
-            lo[cell == i], hi[cell == i] = c.lo(x[cell == i]), c.hi(x[cell == i])
-        g = lambda y, rows: f(np.column_stack([x[rows], y]))
-        row, at = _one_sign_ends(g, lo, hi)
-        cut = (row[1:] == row[:-1]) & (at[1:] > at[:-1])
-        return _refine(_node_rule(lambda y, rows: np.abs(g(y, rows))),
-                       np.column_stack([at[:-1][cut], at[1:][cut]]), row[:-1][cut],
-                       ABS_INNER_SHARE * per / width[cell], ABS_INNER_SHARE * tol_rel)[0]
+        def across(x, cell):
+            lo, hi = (by_runs([getattr(c, k) for c in flat], cell, x) for k in ("lo", "hi"))
+            g = lambda y, rows: f(np.column_stack([x[rows], y]))
+            row, at = _one_sign_ends(g, lo, hi)
+            cut = (row[1:] == row[:-1]) & (at[1:] > at[:-1])
+            return _refine(_node_rule(lambda y, rows: np.abs(g(y, rows))),
+                           np.column_stack([at[:-1][cut], at[1:][cut]]), row[:-1][cut],
+                           ABS_INNER_SHARE * per[cell] / width[cell], ABS_INNER_SHARE * tol_rel)[0]
 
-    return float(sum(_refine(_node_rule(across), np.array([[c.a1, c.b1] for c in cells]),
-                             np.arange(len(cells)), np.full(len(cells), per), tol_rel)[0]))
+        vals = np.bincount(of, _refine(_node_rule(across), np.array([[c.a1, c.b1] for c in flat]),
+                                       np.arange(len(flat)), per, tol_rel)[0], len(groups))
+    return float(vals[0]) if one else vals
 
 
 def integrate_polar(f, center, radius, theta_breaks=(), tol_abs=1e-10, rho_breaks=()):
@@ -439,11 +447,11 @@ def integrate_to_upper(g, upper, kinks=(), degree=None):
     When g is a polynomial in w of known `degree` d, one Gauss order,
     max(1, ceil((d + 1) / 2)), runs on each piece; it is exact up to
     rounding.  Otherwise (degree None, or d above 511) the order doubles from
-    8 to at most 256, and each component (column) stops at the first order
-    where it stabilizes: max|F - F_prev| <= 1e-12 max(max|F|, 1) over the
-    points, so a point's value depends on the points beside it in the call
-    (by an ulp or so), where with a known degree it does not.  Raises
-    IntegrationError when a component does not stabilize or g is not finite.
+    8 to at most 256, and each entry (point, and component) stops at the
+    first order where it stabilizes: |F - F_prev| <= 1e-12 max(|F|, 1), so
+    a point's value does not depend on the points beside it in the call.
+    Raises IntegrationError when an entry does not stabilize or g is not
+    finite.
     """
     upper = np.asarray(upper, dtype=float)
     sgn = np.sign(upper)
@@ -477,13 +485,11 @@ def integrate_to_upper(g, upper, kinks=(), degree=None):
     if degree is not None and degree < 2 * _UPPER_ORDERS[-1]:
         orders = ((degree + 2) // 2,)            # ceil((d + 1) / 2) nodes, exact
     prev = out = compute(orders[0])
-    settled = len(orders) == 1
+    settled = np.full(np.shape(out), len(orders) == 1)
     for n in orders[1:]:
         cur = compute(n)
-        scale = np.maximum(np.max(np.abs(cur), axis=0), 1.0)
-        stable = np.max(np.abs(cur - prev), axis=0) <= _UPPER_TOL * scale
         out = np.where(settled, out, cur)
-        settled = settled | stable
+        settled = settled | (np.abs(cur - prev) <= _UPPER_TOL * np.maximum(np.abs(cur), 1.0))
         if np.all(settled):
             break
         prev = cur

@@ -6,8 +6,11 @@ x2 = f(x1) -- which is enough to carry the singular sets of every
 bundled scenario while keeping splitting of area integrals exact.  Every
 piece carries a fixed orientation: the unit normal is part of the data, not
 derived on the fly.  All pieces share one interface (key, flipped, points,
-normals, integrate, param_samples, ranges_in_box, ranges_in_ball, contains,
-breaks), and points and normals are (n, dim) arrays in every dimension.
+normals, param_samples, ranges_in_box, ranges_in_ball, contains, breaks),
+and points and normals are (n, dim) arrays in every dimension.  H^{N-1}
+integrals over (piece, parameter range) rows are one integrate_on call;
+RadonMeasure takes its jump part's ranges from ranges_in_box or
+ranges_in_ball.
 """
 
 from __future__ import annotations
@@ -266,29 +269,6 @@ class RectifiableSet:
             mask |= p.contains(pts, tol)
         return mask
 
-    def integrate(self, density, tol_abs=1e-11, tol_rel=1e-11, box=None):
-        """\\int density(x, nu) dH^{N-1}; box restricts the integral.
-
-        density maps pts (n, dim) and unit normals nus (n, dim) to (n,).
-        """
-        return self._on_ranges(density, [p.ranges_in_box(box) if box is not None
-                                         else [(p.s0, p.s1)] for p in self.pieces],
-                               tol_abs, tol_rel)
-
-    def mass_in_ball(self, density, center, r):
-        """\\int_{B_r(center)} density dH^{N-1} (used by density-ratio checks)."""
-        return self._on_ranges(density, [p.ranges_in_ball(center, r) for p in self.pieces],
-                               1e-11, 1e-11)[0]
-
-    def _on_ranges(self, density, ranges, tol_abs, tol_rel):
-        """(integral, error) of density over ranges[k] of each piece k, added
-        range by range within a piece and then piece by piece."""
-        at = np.array([k for k, rs in enumerate(ranges) for _ in rs], dtype=int)
-        vals, errs = integrate_on(lambda pts, nus, rows: density(pts, nus), self.pieces, at,
-                                  [s for rs in ranges for s in rs], tol_abs, tol_rel)
-        n = len(self.pieces)
-        return float(sum(np.bincount(at, vals, n))), float(sum(np.bincount(at, errs, n)))
-
     def samples(self, n_per_piece=17):
         """Representative points and normals on every component, (n, dim) each."""
         if not self.pieces:
@@ -305,7 +285,7 @@ class RectifiableSet:
 
 
 def integrate_on(density, pieces, at, ranges, tol_abs, tol_rel):
-    """(values, errors), per row r, of \\int density(x, nu, rows) dH^{N-1} over
+    """Values, per row r, of \\int density(x, nu, rows) dH^{N-1} over
     the parameter range ranges[r] = (sa, sb) of pieces[at[r]], where rows
     names the row of each point.  Curve rows are one integrate_1d of
     density |gamma'| (an empty range gives 0), each piece's points, normals
@@ -315,7 +295,7 @@ def integrate_on(density, pieces, at, ranges, tol_abs, tol_rel):
     if len(at) and isinstance(pieces[0], JumpPoint):
         pts = np.array([[pieces[k].x] for k in at])
         nus = np.array([[float(pieces[k].side)] for k in at])
-        return np.asarray(density(pts, nus, np.arange(len(at))), dtype=float), np.zeros(len(at))
+        return np.asarray(density(pts, nus, np.arange(len(at))), dtype=float)
 
     def f(s, r):
         pts, nus, jac = (by_runs([getattr(p, name) for p in pieces], at[r], s)
@@ -323,7 +303,7 @@ def integrate_on(density, pieces, at, ranges, tol_abs, tol_rel):
         return np.asarray(density(pts, nus, r), dtype=float) * jac
 
     sa, sb = np.array(ranges, dtype=float).reshape(-1, 2).T
-    return integrate_1d(f, sa, sb, (), tol_abs, tol_rel)
+    return integrate_1d(f, sa, sb, (), tol_abs, tol_rel)[0]
 
 
 def merge_sets(*sets):

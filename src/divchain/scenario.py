@@ -23,13 +23,14 @@ import numpy as np
 
 from .bvfunc import BVFunction, Piece
 from .cantor import CantorPart, IFSSpec, MIDDLE_THIRDS
-from .chainrule import ScalarFunction
+from .chainrule import ScalarFunction, green_indicators
 from .conslaw import EntropyPair, FluxSpec, GridState
 from .conslaw.diagnostics import kato_cells
 from .conslaw.solver import DEFAULT_CFL, MAX_TRAJECTORY_FLOATS, in_invariant_region, step_count
-from .errors import NotOnJumpSetError, ScenarioParseError, ScenarioValidationError
+from .errors import (BoundaryError, GeometryError, NotOnJumpSetError, ScenarioParseError,
+                     ScenarioValidationError)
 from .exprs import compile_field, compile_of_t, compile_scalar, compile_uv
-from .field import ParamField, _normal_at
+from .field import ParamField, moll_point
 from .geometry import Domain
 from .measure import RadonMeasure
 from .rectifiable import GraphCurve, RectifiableSet, Segment
@@ -482,7 +483,7 @@ def build_kato(raw: RawScenario, domain: Domain, flux: FluxSpec):
     return SimpleNamespace(T=T, dx_list=dx_list, pairs=pairs)
 
 
-def build_omegas(raw: RawScenario, domain: Domain):
+def build_omegas(raw: RawScenario, domain: Domain, singular: RectifiableSet):
     """[green] omegas: ("box", ((lo, hi), ...)) and, in 2-D, ("disc", ((cx, cy), r))."""
     ln = raw.line("green", "omegas")
     omegas = []
@@ -504,6 +505,10 @@ def build_omegas(raw: RawScenario, domain: Domain):
             omegas.append(("disc", (tuple(nums[:2]), nums[2])))
         else:
             raise ScenarioValidationError(f"line {ln}: unknown omega kind {words[0]!r}")
+        try:        # a box narrower than the indicators' ramps is a ValueError
+            green_indicators(domain, singular, omegas[-1])
+        except (GeometryError, ValueError) as exc:
+            raise ScenarioValidationError(f"line {ln}: {item.strip()}: {exc}") from exc
     if not omegas:
         raise ScenarioValidationError("[green] omegas required for green experiment")
     return omegas
@@ -514,16 +519,17 @@ def build_moll(raw: RawScenario, domain: Domain, singular: RectifiableSet):
     ln = lambda k: raw.line("moll", k)
     points = [_numbers(item, ln("points"), "points", domain.dim)
               for item in sec.get("points", ", ".join("0" * domain.dim)).split(";")]
-    for p in points:        # the run takes the normal there, by the same test
-        try:
-            _normal_at(singular, np.atleast_2d(p))
-        except NotOnJumpSetError as exc:     # the default point 0 has no line
-            where = f"line {ln('points')}" if ln("points") else "[moll] points"
-            raise ScenarioValidationError(f"{where}: {exc}") from exc
     eps = _numbers(sec.get("eps", "0.1, 0.05, 0.025"), ln("eps"))
     if not eps or min(eps) <= 0 or any(e2 >= e1 for e1, e2 in zip(eps, eps[1:])):
         raise ScenarioValidationError(f"line {ln('eps')}: eps must be > 0 and strictly "
                                       f"decreasing")
+    for p in points:        # the run takes the normal there, and the widest ball
+        try:
+            moll_point(domain, singular, p, eps[0])
+        except (NotOnJumpSetError, BoundaryError) as exc:     # the defaults have no line
+            key = "eps" if isinstance(exc, BoundaryError) and ln("eps") else "points"
+            where = f"line {ln(key)}" if ln(key) else "[moll] points"
+            raise ScenarioValidationError(f"{where}: {exc}") from exc
     return SimpleNamespace(points=points, t=_number(sec.get("t", "1"), ln("t")), eps=eps)
 
 
@@ -579,7 +585,7 @@ class Scenario:
         self.u = build_u(raw, self.domain, self.cantor_spec) if needs_u else None
         self.sigma_samples = build_sigma_samples(raw, self.field) if needs_field else None
         self.h = build_product_fn(raw) if "product" in exps else None
-        self.omegas = build_omegas(raw, self.domain) if "green" in exps else None
+        self.omegas = build_omegas(raw, self.domain, self.singular) if "green" in exps else None
         self.moll = build_moll(raw, self.domain, self.singular) if "moll" in exps else None
         self.flux = build_flux(raw, self.domain) if ("conslaw" in exps or "kato" in exps) \
             else None

@@ -5,9 +5,10 @@ identities of the conservation-law harness evaluated from their definitions,
 a trajectory's final state, its interface traces and their W integral, the
 masked piece-selection loops that BVFunction.eval and grad are held to,
 the indicator bisection that a curve's box and disc ranges are held to,
-the np.abs route that the split |f| quadrature is held to, and the
+the np.abs route that the split |f| quadrature is held to, the
 per-test-function measure action and weak form that the suite-wide ones
-are held to."""
+are held to, and the per-box total variation and per-component ball mass
+that the batched ones are held to."""
 
 import numpy as np
 
@@ -15,8 +16,8 @@ from divchain.conslaw import FluxSpec, GridState, accumulated_interface_W, chi
 from divchain.errors import DomainMismatchError, GeometryError, NotOnJumpSetError
 from divchain.geometry import Domain, as_points
 from divchain.measure import RadonMeasure, TestFunction
-from divchain.quadrature import CurvedCell, integrate_1d, integrate_cells
-from divchain.rectifiable import JumpPoint, RectifiableSet, Segment, box_cells
+from divchain.quadrature import CurvedCell, integrate_1d, integrate_abs, integrate_cells
+from divchain.rectifiable import JumpPoint, RectifiableSet, Segment, box_cells, integrate_on
 
 
 def interval_domain(lo, hi):
@@ -292,4 +293,62 @@ def apply_reference(mu, phi, tol_abs=1e-10, tol_rel=1e-10):
         phi_1d = lambda x: np.asarray(value(np.asarray(x, dtype=float)[:, None]))
         f = phi_1d if h is None else lambda x: phi_1d(x) * np.asarray(h(x))
         total += mu.cantor.apply(f, rtol=max(tol_rel / 10.0, 1e-10))
+    return total
+
+
+def _component_integral(comp, g, ranges, tol_abs, tol_rel):
+    """\\int g dH^{N-1} over the parameter ranges of a one-piece component, in
+    its own integrate_on call, the ranges added in order (as
+    RectifiableSet.integrate and mass_in_ball did)."""
+    vals = integrate_on(lambda pts, nus, rows: g(pts, nus), comp.pieces,
+                        np.zeros(len(ranges), dtype=int), ranges, tol_abs, tol_rel)
+    return float(sum(vals))
+
+
+def total_variation_reference(mu, box, tol_abs, tol_rel, breaks=()):
+    """RadonMeasure.total_variation on one box, as it was before it took the
+    box list: the a.c. part in its own integrate_1d or integrate_cells call
+    (nonnegative) or integrate_abs call (one cell group), each jump
+    component in its own integrate_on over its ranges in the box, then the
+    Cantor part."""
+    total = 0.0
+    if mu.ac is not None and mu.domain.dim == 1:
+        (lo, hi), = box
+        sing = list(mu.ac_singular.points_1d)
+        if mu.nonnegative:
+            total += integrate_1d(lambda x: mu.ac(x[:, None]), lo, hi, [*breaks, *sing],
+                                  tol_abs, tol_rel)[0]
+        else:
+            edges = [lo, *sorted(p for p in sing if lo < p < hi), hi]
+            total += integrate_abs(mu.ac, list(zip(edges[:-1], edges[1:])), tol_abs, tol_rel,
+                                   breaks)
+    elif mu.ac is not None:
+        cells = box_cells(box, [mu.ac_singular], extra_x_breaks=breaks)
+        total += integrate_cells(mu.ac, cells, tol_abs=tol_abs, tol_rel=tol_rel)[0] \
+            if mu.nonnegative else integrate_abs(mu.ac, cells, tol_abs, tol_rel)
+    for comp, g in mu.jumps.values():
+        total += _component_integral(comp, lambda pts, nus, g=g: np.abs(g(pts, nus)),
+                                     comp.pieces[0].ranges_in_box(box), tol_abs, tol_rel)
+    if mu.cantor is not None:
+        (lo, hi), = box
+        total += mu.cantor.total_variation(mu.cantor_density, lo, hi)
+    return total
+
+
+def ball_mass_reference(mu, center, r):
+    """RadonMeasure.ball_mass of a 1-D measure with no weighted Cantor part,
+    as it was before its jump part shared the measure's quadrature: each
+    component in its own integrate_on over its ranges in the ball."""
+    c = float(np.atleast_1d(center)[0])
+    (dlo, dhi), = mu.domain.bounds
+    lo, hi = max(c - r, dlo), min(c + r, dhi)
+    total = 0.0
+    if mu.ac is not None and hi > lo:
+        total += integrate_1d(lambda x: mu.ac(x[:, None]), lo, hi,
+                              breakpoints=list(mu.ac_singular.points_1d), tol_abs=1e-10)[0]
+    for comp, g in mu.jumps.values():
+        total += _component_integral(comp, g, comp.pieces[0].ranges_in_ball(center, r),
+                                     1e-11, 1e-11)
+    if mu.cantor is not None:
+        total += mu.cantor.interval_mass(lo, hi)
     return total

@@ -335,6 +335,21 @@ MALFORMED = [
      [("experiments = chain, green", "experiments = green"),
       ("omegas = box -0.8 .. 0.8 x -0.7 .. 0.7", "omegas = box -0.8 .. 0.8")],
      "omegas", EXIT_VALIDATION_ERROR),
+    # geometry that green_check and the mollified trace need, checked at load
+    ("green-box-edge-on-the-singular-point", "sign-const",
+     [("omegas = box -0.9 .. 0.9 ; box -0.5 .. 0.7", "omegas = box 0 .. 0.9")], "omegas",
+     EXIT_VALIDATION_ERROR),
+    ("green-indicator-leaves-the-domain", "sign-const",
+     [("omegas = box -0.9 .. 0.9 ; box -0.5 .. 0.7", "omegas = box -0.99 .. 0.9")], "omegas",
+     EXIT_VALIDATION_ERROR),
+    ("green-box-narrower-than-the-ramps", "sign-const",
+     [("omegas = box -0.9 .. 0.9 ; box -0.5 .. 0.7", "omegas = box -0.01 .. 0.05")], "omegas",
+     EXIT_VALIDATION_ERROR),
+    ("green-curve-along-the-box-edge", "2d-vline-jump",
+     [("omegas = box -0.8 .. 0.8 x -0.7 .. 0.7", "omegas = box 0 .. 0.8 x -0.7 .. 0.7")],
+     "omegas", EXIT_VALIDATION_ERROR),
+    ("moll-ball-leaves-the-domain", "sign-const", [("eps = 0.1, 0.05, 0.025", "eps = 1.5, 0.05")],
+     "eps", EXIT_VALIDATION_ERROR),
     ("disc-in-1d", "sign-const",
      [("omegas = box -0.9 .. 0.9 ; box -0.5 .. 0.7", "omegas = disc 0 0 0.5")], "omegas",
      EXIT_VALIDATION_ERROR),

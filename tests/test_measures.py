@@ -65,7 +65,7 @@ def test_cantor_tv_of_sub_boxes_adds_up_across_edges_in_the_cantor_set():
     cuts = [-0.5, 0.25, 0.75, 1.5]
     for density in (None, lambda x: 1.0 + x * x):
         mu = cantor_measure(dom, CantorPart(MIDDLE_THIRDS, -2.0), density)
-        parts = [mu.total_variation(box=((a, b),)) for a, b in zip(cuts[:-1], cuts[1:])]
+        parts = mu.total_variation([((a, b),) for a, b in zip(cuts[:-1], cuts[1:])])
         assert min(parts) > 0.3
         assert abs(sum(parts) - mu.total_variation()) <= 1e-8
 
@@ -74,8 +74,8 @@ def test_cantor_tv_of_a_box_holding_the_base_is_unchanged():
     dom = interval_domain(-0.5, 1.5)
     h = lambda x: 1.0 + x * x
     box = ((-0.25, 1.0),)
-    assert cantor_measure(dom, CantorPart(MIDDLE_THIRDS, -2.0)).total_variation(box=box) == 2.0
-    assert cantor_measure(dom, CantorPart(MIDDLE_THIRDS, -2.0), h).total_variation(box=box) \
+    assert cantor_measure(dom, CantorPart(MIDDLE_THIRDS, -2.0)).total_variation(box) == 2.0
+    assert cantor_measure(dom, CantorPart(MIDDLE_THIRDS, -2.0), h).total_variation(box) \
         == 2.0 * integrate_ifs(lambda x: np.abs(h(x)), MIDDLE_THIRDS)
 
 

@@ -19,8 +19,9 @@ from divchain.rectifiable import GraphCurve, box_cells
 from divchain.cli import bundled_dir
 
 from conftest import sign_field
-from helpers import (apply_reference, box_domain, check_gradient, interval_domain, lebesgue,
-                     point_mass, weak_divergence_reference)
+from helpers import (apply_reference, ball_mass_reference, box_domain, check_gradient,
+                     interval_domain, lebesgue, point_mass, total_variation_reference,
+                     weak_divergence_reference)
 
 
 def test_weak_divergence_of_x(dom11, bump_center):
@@ -346,9 +347,21 @@ def test_cantor_breaks_come_from_the_scenario_not_the_measure(monkeypatch):
 
 
 # b = exp(t) sign(x1) against u = x1: B(x, u(x)) is not polynomial in t, so
-# integrate_to_upper picks its Gauss order over all the points of a call
+# integrate_to_upper doubles its Gauss order, point by point
 EXP_T = (bundled_dir() / "w11-growing-x.scn").read_text(encoding="utf-8").replace(
     "1+t^2", "exp(t)").replace("M = 10", "M = 21")
+
+
+@functools.lru_cache
+def chain_scenario(name):
+    """(scenario, primitive, chain_dm breakdown) of a bundled file, or of the
+    EXP_T text."""
+    from divchain.chainrule import chain_dm
+    from divchain.field import PrimitiveField
+    from divchain.scenario import Scenario, load, parse_text
+    scn = Scenario(parse_text(EXP_T)) if name == "exp-t" else load(bundled_dir() / f"{name}.scn")
+    prim = PrimitiveField(scn.field)
+    return scn, prim, chain_dm(scn.field, scn.u, prim=prim)
 
 
 @functools.lru_cache
@@ -356,14 +369,10 @@ def chain_case(name):
     """(suite, chain_dm total, v = B(x, u(x)), quadrature tolerance) as
     runner.run_chain builds them for a bundled file, or the EXP_T text."""
     from divchain import runner
-    from divchain.chainrule import chain_dm
-    from divchain.field import PrimitiveField
-    from divchain.scenario import Scenario, load, parse_text
-    scn = Scenario(parse_text(EXP_T)) if name == "exp-t" else load(bundled_dir() / f"{name}.scn")
+    scn, prim, br = chain_scenario(name)
     suite = runner._suite(scn, cantor_breaks(scn.cantor_spec) if scn.is_cantor else ())
-    prim = PrimitiveField(scn.field)
     q = max(scn.tol_abs / 3.0, 1e-10) if scn.is_cantor else max(scn.tol_abs / 30.0, 1e-10)
-    return suite, chain_dm(scn.field, scn.u, prim=prim).total, runner._v_eval(prim, scn.u), q
+    return suite, br.total, runner._v_eval(prim, scn.u), q
 
 
 # 1-D files with jumps and Cantor parts, 2-D files with a segment and a graph
@@ -376,8 +385,7 @@ DIFFERENTIAL = ["volpert-heaviside", "cantor-u-jump", "cantor-divb-bv", "2d-vlin
 @given(rnd=st.randoms(use_true_random=False), size=st.integers(1, 8))
 def test_suite_actions_equal_the_per_phi_reference(name, rnd, size):
     # the suite-wide measure action and weak form against their one-function
-    # routes, on a random subset of the suite in random order: bit-equal for
-    # the bundled fields, all polynomial in t; within ulps for b = exp(t)
+    # routes, on a random subset of the suite in random order: bit-equal
     suite, mu, v, q = chain_case(name)
     phis = rnd.sample(list(suite), min(size, len(suite)))
     got = mu.apply(phis, tol_abs=q, tol_rel=q)
@@ -385,12 +393,50 @@ def test_suite_actions_equal_the_per_phi_reference(name, rnd, size):
     ref = np.array([apply_reference(mu, phi, q, q) for phi in phis])
     ref_weak, ref_est = np.array([weak_divergence_reference(v, phi, suite.domain, suite.singular,
                                                             tol_abs=q) for phi in phis]).T
-    if name == "exp-t":
-        ulps = lambda a, b: np.max(np.abs(a - b) / np.spacing(np.maximum(np.abs(b), 1.0)))
-        assert ulps(got, ref) <= 4 and ulps(weak, ref_weak) <= 4
-        return
     assert got.tolist() == ref.tolist()
     assert weak.tolist() == ref_weak.tolist() and est.tolist() == ref_est.tolist()
+
+
+@st.composite
+def box_lists(draw, domain):
+    """One to four boxes, each axis cut at two of the nine points that split
+    the domain's side into eighths (the 4 x 4 sub-boxes of tv_bound among
+    them), in any order and possibly repeated."""
+    def box():
+        out = []
+        for lo, hi in domain.bounds:
+            i, j = sorted(draw(st.lists(st.integers(0, 8), min_size=2, max_size=2, unique=True)))
+            out.append((lo + (hi - lo) * i / 8, lo + (hi - lo) * j / 8))
+        return tuple(out)
+    return [box() for _ in range(draw(st.integers(1, 4)))]
+
+
+@pytest.mark.parametrize("name", DIFFERENTIAL)
+@settings(max_examples=5, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_box_list_total_variations_equal_the_per_box_reference(name, data):
+    # each term, the total, sigma and |Du| over a list of boxes in one call,
+    # against one call per box of the route it replaced: bit-equal
+    scn, _, br = chain_scenario(name)
+    boxes = data.draw(box_lists(scn.domain))
+    tol = 3e-7 if scn.is_cantor else 1e-9
+    breaks = cantor_breaks(scn.cantor_spec) if scn.is_cantor else ()
+    for mu in (*br.terms().values(), br.total, scn.field.sigma(scn.sigma_samples),
+               scn.u.variation_measure()):
+        got = mu.total_variation(boxes, tol, tol, breaks)
+        assert got.tolist() == [total_variation_reference(mu, box, tol, tol, breaks)
+                                for box in boxes]
+
+
+def test_ball_mass_equals_the_per_component_reference():
+    # the jump part of ball_mass in the measure's one quadrature against one
+    # integrate_on per component, at the centres and radii of the sigma checks
+    scn, _, br = chain_scenario("sign-const")
+    centres = [*scn.singular.samples(5)[0], *scn.domain.grid(5)]
+    for mu in (*br.terms().values(), br.total, scn.field.sigma(scn.sigma_samples)):
+        for c in centres:
+            for r in (1e-1, 1e-2, 1e-3, 0.6):
+                assert mu.ball_mass(c, r) == ball_mass_reference(mu, c, r)
 
 
 ONE_D = ["bv-scalar-signt-2h", "cantor-divb-bv", "cantor-divb-w11", "cantor-u-autonomous",

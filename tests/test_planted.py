@@ -1,5 +1,5 @@
 """Planted faults: each conslaw and kato check, the tv_bound check where the
-bound is tight, the oracle and Gauss-Green checks, which rest on the
+bound is tight (in 1-D, and in 2-D on an a.c. and a jump part), the oracle and Gauss-Green checks, which rest on the
 adaptive quadrature, the two checks of sigma, the orientation, Vol'pert
 reduction and scalar-BV agreement checks of the chain rule, and the oracle
 checks of the W^{1,1} grouping, the product rule and the Div(u A) side of
@@ -108,6 +108,34 @@ sigma_t_samples = 0
 breaks =
 pieces = 1
 grads = 0
+sup = 1
+"""
+
+# the same on [-1, 1]^2 with b = (x1, 0): |Div v| = dx = sigma on each sub-box
+HEAD_2D = HEAD.replace("dim = 1\ndomain = -1 .. 1", "dim = 2\ndomain = -1 .. 1 ; -1 .. 1")
+UNIT_STATE_2D = HEAD_2D.format(id="planted-unit-state-2d", experiments="chain") + """[field]
+b = x1, 0
+M = 1
+t_range = -1 .. 1
+diva = 1
+sigma_t_samples = 0
+[u]
+regions = (x1 < 2): 1 grad 0, 0
+sup = 1
+"""
+# u = 1 against b = (sign(x1), 0): |Div v| = 2 H^1 on the line x1 = 0 = sigma,
+# so the sub-boxes beside the line have no slack
+SIGN_LINE = HEAD_2D.format(id="planted-sign-line", experiments="chain") + """[singular]
+curves = vline 0 from -1 to 1 side +1
+[field]
+b = sign(x1), 0
+M = 1
+t_range = -1 .. 1
+b_plus = 1, 0
+b_minus = -1, 0
+sigma_t_samples = 0
+[u]
+regions = (x1 < 2): 1 grad 0, 0
 sup = 1
 """
 
@@ -268,6 +296,19 @@ def fault_sigma_density_short_by_1e3(mp):
     mp.setattr(field.ParamField, "sigma", density_short_by_1e3(field.ParamField, "sigma"))
 
 
+def fault_sigma_jump_density_short_by_1e3(mp):
+    # sigma = 2 H^1 on the line, its jump density 0.1% short and still nonnegative
+    orig = field.ParamField.sigma
+
+    def sigma(self, t_samples):
+        s = orig(self, t_samples)
+        jumps = {k: (comp, lambda pts, nus, g=g: 0.999 * g(pts, nus))
+                 for k, (comp, g) in s.jumps.items()}
+        return RadonMeasure(s.domain, ac=s.ac, ac_singular=s.ac_singular, jumps=jumps,
+                            cantor=s.cantor, cantor_density=s.cantor_density, nonnegative=True)
+    mp.setattr(field.ParamField, "sigma", sigma)
+
+
 def fault_flipped_traces_unswapped(mp):
     # u's reversed orientation flips nu but keeps u+ and u- where they were
     mp.setattr(bvfunc.BVFunction, "flipped", lambda self: bvfunc.BVFunction(
@@ -308,6 +349,8 @@ PLANTED = [
     ("w11:tv_bound", W11_SIGN_XSQ, fault_term3_off_by_1e6),
     ("w11:tv_bound", W11_SIGN_XSQ, fault_du_density_short_by_1e3),
     ("chain:tv_bound", UNIT_STATE, fault_sigma_density_short_by_1e3),
+    ("chain:tv_bound", UNIT_STATE_2D, fault_sigma_density_short_by_1e3),
+    ("chain:tv_bound", SIGN_LINE, fault_sigma_jump_density_short_by_1e3),
     ("chain:oracle_equivalence", VOLPERT, fault_jump_term_off_by_1e3),
     ("green:closure", SIGN_CONST, fault_green_lhs_off_by_1e5),
     ("sigma:primitive_dominated", SIGN_CONST, fault_sigma_without_jumps),
@@ -338,9 +381,19 @@ def unfaulted(text):
     return verdicts(text)
 
 
-# a row's id is its check, and the fault's name too when an earlier row has that check
-IDS = [c if c not in [r[0] for r in PLANTED[:i]] else f"{c}-{fault.__name__[len('fault_'):]}"
-       for i, (c, _, fault) in enumerate(PLANTED)]
+def row_id(i):
+    """A row's id: its check, then the fault's name when an earlier row has
+    that check, then the file's id when an earlier row has that check and fault."""
+    check, text, fault = PLANTED[i]
+    if check not in [r[0] for r in PLANTED[:i]]:
+        return check
+    rid = f"{check}-{fault.__name__[len('fault_'):]}"
+    if (check, fault) in [(r[0], r[2]) for r in PLANTED[:i]]:
+        rid += "-" + text.split("\nid = ", 1)[1].split("\n", 1)[0]
+    return rid
+
+
+IDS = [row_id(i) for i in range(len(PLANTED))]
 
 
 @pytest.mark.parametrize("check, text, fault", PLANTED, ids=IDS)
