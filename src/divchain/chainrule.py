@@ -98,22 +98,24 @@ def _at_u(u: BVFunction, *densities):
     return ac
 
 
-def _terms_off_jump(field: ParamField, u: BVFunction, P: PrimitiveField, singular,
+def _terms_off_jump(field: ParamField, u: BVFunction, singular, diva, divc_weight, b,
                     b_grad_u):
     """Terms 1-4 of the chain rule and the a.c. density of their sum, shared by
-    chain_dm, chain_w11 and chain_bv_scalar.  b_grad_u(pts, uv) is term 3's
-    density given u's values uv at pts; the a.c. part of the total evaluates
-    u, grad u and b(x, u) once per point."""
+    chain_dm, chain_w11, chain_bv_scalar and product_rule.  Given u's values
+    uv at pts: diva(pts, uv) is term 1's density, divc_weight(uv) term 2's
+    against the field's Cantor part, b(pts, uv)[:, 0] term 4's against D^c u
+    and b_grad_u(pts, uv) term 3's.  The a.c. part of the total evaluates u,
+    grad u and the densities once per point."""
     dom = field.domain
     # 1. absolutely continuous x-part: Div_x^a B(x, u(x))
-    term_diva = RadonMeasure(dom, ac=_at_u(u, P.diva), ac_singular=singular) \
+    term_diva = RadonMeasure(dom, ac=_at_u(u, diva), ac_singular=singular) \
         if field._diva is not None else RadonMeasure.zero(dom)
 
     # 2. Cantor-in-x part against the field's fixed Cantor component
     if field.divc_part is not None:
         term_divc = RadonMeasure(
             dom, cantor=field.divc_part,
-            cantor_density=lambda x: P.divc_weight(u.eval(np.asarray(x)[:, None])))
+            cantor_density=lambda x: divc_weight(u.eval(np.asarray(x)[:, None])))
     else:
         term_divc = RadonMeasure.zero(dom)
 
@@ -124,21 +126,22 @@ def _terms_off_jump(field: ParamField, u: BVFunction, P: PrimitiveField, singula
     if u.cantor is not None:
         term_cantor_u = RadonMeasure(
             dom, cantor=u.cantor,
-            cantor_density=lambda x: field.eval(
+            cantor_density=lambda x: b(
                 np.asarray(x)[:, None], u.eval(np.asarray(x)[:, None]))[:, 0])
     else:
         term_cantor_u = RadonMeasure.zero(dom)
-    ac = _at_u(u, P.diva, b_grad_u) if field._diva is not None else term_ac_u.ac
+    ac = _at_u(u, diva, b_grad_u) if field._diva is not None else term_ac_u.ac
     return term_diva, term_divc, term_ac_u, term_cantor_u, ac
 
 
-def chain_dm(field: ParamField, u: BVFunction, prim: PrimitiveField | None = None):
+def chain_dm(field: ParamField, u: BVFunction):
     """Full chain rule for a parameter field against a BV function."""
     if u.domain.bounds != field.domain.bounds:
         raise GeometryError("field and function live on different domains")
-    P = prim if prim is not None else PrimitiveField(field)
+    P = PrimitiveField(field)
     term_diva, term_divc, term_ac_u, term_cantor_u, ac = _terms_off_jump(
-        field, u, P, _merged_singular(field, u), _b_dot_grad(field, u))
+        field, u, _merged_singular(field, u), P.diva, P.divc_weight, field.eval,
+        _b_dot_grad(field, u))
 
     # 5. jump part on N u J_u
     def b_at(pts, tvals, side, in_n):
@@ -172,7 +175,7 @@ def _b_dot_grad(field: ParamField, u: BVFunction):
     return lambda pts, uv: np.einsum("ij,ij->i", field.eval(pts, uv), u.grad(pts))
 
 
-def chain_w11(field: ParamField, u: BVFunction, prim: PrimitiveField | None = None):
+def chain_w11(field: ParamField, u: BVFunction):
     """Chain rule for continuous (W^{1,1}) u: jump term lives on N only,
 
         <B^+(x, u(x)) - B^-(x, u(x)), nu> H^{N-1} |_N,
@@ -185,10 +188,10 @@ def chain_w11(field: ParamField, u: BVFunction, prim: PrimitiveField | None = No
         raise WrongRegularityError("u has a Cantor component; use chain_dm")
     if u.domain.bounds != field.domain.bounds:
         raise GeometryError("field and function live on different domains")
-    P = prim if prim is not None else PrimitiveField(field)
+    P = PrimitiveField(field)
     N = field.singular_set
     term_diva, term_divc, term_ac_u, term_cantor_u, ac = _terms_off_jump(
-        field, u, P, N, _b_dot_grad(field, u))
+        field, u, N, P.diva, P.divc_weight, field.eval, _b_dot_grad(field, u))
 
     def density(pts, nus):
         uv = u.eval(pts)
@@ -265,7 +268,7 @@ def _cantor_layer_cake(field: ParamField, u: BVFunction, phi: TestFunction):
     return field.divc_part.mass * total
 
 
-def chain_bv_scalar(field: ParamField, u: BVFunction, prim: PrimitiveField | None = None):
+def chain_bv_scalar(field: ParamField, u: BVFunction):
     """Scalar 1D chain rule grouped as in the BV-dependence formula.
 
     Terms: the t-integrated x-derivative measure evaluated through the
@@ -275,9 +278,9 @@ def chain_bv_scalar(field: ParamField, u: BVFunction, prim: PrimitiveField | Non
     """
     if field.domain.dim != 1:
         raise WrongRegularityError("scalar-b formula is stated for N = 1")
-    P = prim if prim is not None else PrimitiveField(field)
+    P = PrimitiveField(field)
     term_diva, term_divc, term_ac_u, term_cantor_u, ac = _terms_off_jump(
-        field, u, P, _merged_singular(field, u),
+        field, u, _merged_singular(field, u), P.diva, P.divc_weight, field.eval,
         lambda pts, uv: field.eval(pts, uv)[:, 0] * u.grad(pts)[:, 0])
 
     def b_star(pts, tvals, on_n):
@@ -323,38 +326,21 @@ IDENTITY = ScalarFunction(lambda t: np.asarray(t, dtype=float),
 
 
 def product_rule(field: ParamField, h: ScalarFunction, u: BVFunction):
-    """Divergence of A(x) h(u(x)) for a parameter-independent field A."""
-    dom = field.domain
-    merged = _merged_singular(field, u)
-
+    """Divergence of A(x) h(u(x)) for a parameter-independent field A: terms
+    1-4 are the chain rule's with Div_x B = h(t) Div A and b = h'(t) A."""
     def A(pts):
         return field.eval(pts, 0.0)
 
-    term_diva = RadonMeasure(
-        dom, ac=lambda pts: field.diva(pts, 0.0) * np.asarray(h.h(u.eval(pts)), dtype=float),
-        ac_singular=merged) if field._diva is not None else RadonMeasure.zero(dom)
+    def hv(t):
+        return np.asarray(h.h(t), dtype=float)
 
-    if field.divc_part is not None:
-        term_divc = RadonMeasure(
-            dom, cantor=field.divc_part,
-            cantor_density=lambda x: np.asarray(
-                h.h(u.eval(np.asarray(x)[:, None])), dtype=float))
-    else:
-        term_divc = RadonMeasure.zero(dom)
+    def dh(t):
+        return np.asarray(h.dh(t), dtype=float)
 
-    term_ac_u = RadonMeasure(
-        dom,
-        ac=lambda pts: np.asarray(h.dh(u.eval(pts)), dtype=float)
-        * np.einsum("ij,ij->i", A(pts), u.grad(pts)), ac_singular=merged)
-
-    if u.cantor is not None:
-        term_cantor_u = RadonMeasure(
-            dom, cantor=u.cantor,
-            cantor_density=lambda x: np.asarray(
-                h.dh(u.eval(np.asarray(x)[:, None])), dtype=float)
-            * A(np.asarray(x)[:, None])[:, 0])
-    else:
-        term_cantor_u = RadonMeasure.zero(dom)
+    term_diva, term_divc, term_ac_u, term_cantor_u, ac = _terms_off_jump(
+        field, u, _merged_singular(field, u), lambda pts, t: field.diva(pts, 0.0) * hv(t), hv,
+        lambda pts, t: dh(t)[:, None] * A(pts),
+        lambda pts, t: dh(t) * np.einsum("ij,ij->i", A(pts), u.grad(pts)))
 
     def density(in_n, in_j):
         def g(pts, nus):
@@ -363,14 +349,12 @@ def product_rule(field: ParamField, h: ScalarFunction, u: BVFunction):
                 ap, am = field.trace(pts, 0.0, +1), field.trace(pts, 0.0, -1)
             else:
                 ap = am = A(pts)
-            hp = np.asarray(h.h(up), dtype=float)
-            hm = np.asarray(h.h(um), dtype=float)
-            return (hp * np.einsum("ij,ij->i", ap, nus)
-                    - hm * np.einsum("ij,ij->i", am, nus))
+            return (hv(up) * np.einsum("ij,ij->i", ap, nus)
+                    - hv(um) * np.einsum("ij,ij->i", am, nus))
         return g
 
     return ChainRuleBreakdown(term_diva, term_divc, term_ac_u, term_cantor_u,
-                              _jump_measure(field, u, density))
+                              _jump_measure(field, u, density), ac=ac)
 
 
 def u_star_div(field: ParamField, u: BVFunction):

@@ -11,8 +11,8 @@ With several paths each scenario gets its own code and lines, a bad one does
 not stop the others, and the process exits with the largest code.  Under
 --jobs, a scenario whose worker process died is run again alone; if that
 worker dies too, the scenario gets code 4.  A scenario that raises anything
-but a DivchainError is an internal error: code 4, with the traceback on
-stderr.
+but a DivchainError, in `run` or `validate`, is an internal error: code 4,
+with the traceback on stderr.
 """
 
 from __future__ import annotations
@@ -65,6 +65,14 @@ def _load(path):
         return None, (EXIT_PARSE_ERROR, f"parse error in {path}: {exc}")
     except DivchainError as exc:
         return None, (EXIT_VALIDATION_ERROR, f"validation error in {path}: {exc}")
+    except Exception as exc:
+        return None, _internal_error(path, exc)
+
+
+def _internal_error(path, exc):
+    """A defect: the traceback on stderr, and code 4 for this path alone."""
+    traceback.print_exc()
+    return EXIT_NUMERICAL_ERROR, f"internal error in {path}: {type(exc).__name__}: {exc}"
 
 
 def _run_one(args_tuple):
@@ -82,9 +90,7 @@ def _run_one(args_tuple):
         except DivchainError as exc:
             return EXIT_NUMERICAL_ERROR, f"numerical failure in {path}: {exc}"
         except Exception as exc:                # a defect: report it, go on with the batch
-            traceback.print_exc()
-            return (EXIT_NUMERICAL_ERROR,
-                    f"internal error in {path}: {type(exc).__name__}: {exc}")
+            return _internal_error(path, exc)
     lines = [f"[{'PASS' if c['pass'] else 'FAIL'}] {scn.id}: {c['name']}" for c in res.checks]
     lines.append(f"SCENARIO {scn.id}: {'PASS' if res.passed else 'FAIL'}")
     return EXIT_OK if res.passed else EXIT_CHECKS_FAILED, "\n".join(lines)

@@ -70,6 +70,11 @@ def _tokenize(src, line=None):
                 j += 2
                 while j < n and src[j].isdigit():
                     j += 1
+            try:
+                float(src[i:j])
+            except ValueError:
+                raise ScenarioParseError(f"malformed number {src[i:j]!r}", line=line,
+                                         col=i + 1) from None
             toks.append(_Tok("num", src[i:j], i))
             i = j
             continue

@@ -15,7 +15,7 @@ import numpy as np
 from .cantor import CantorPart, require_same_spec, support_nodes
 from .errors import AbsoluteContinuityError, DomainMismatchError, UnsupportedStructureError
 from .geometry import Domain, as_points
-from .quadrature import by_runs, integrate_1d, integrate_abs, integrate_cells, integrate_polar
+from .quadrature import by_runs, integrate_1d, integrate_abs, integrate_cells
 from .rectifiable import RectifiableSet, box_cells, integrate_on, merge_sets
 
 
@@ -325,35 +325,6 @@ class RadonMeasure:
             for r, ((lo, hi),) in enumerate(boxes):
                 total[r] += self.cantor.total_variation(self.cantor_density, lo, hi)
         return float(total[0]) if one else total
-
-    def ball_mass(self, center, r):
-        """mu(B_r(center)), used by singular-set density diagnostics."""
-        center = np.atleast_1d(np.asarray(center, dtype=float))
-        total = np.zeros(1)
-        if self.domain.dim == 1:
-            c = center[0]
-            lo, hi = max(c - r, self.domain.bounds[0][0]), min(c + r, self.domain.bounds[0][1])
-            if self.ac is not None:
-                total += self._integrate_ac(lambda pts, rows: self.ac(pts), [((lo, hi),)],
-                                            [((),)], 1e-10, 1e-10)
-        elif self.ac is not None:
-            tbreaks = []
-            for piece in self.ac_singular.pieces:
-                for sa, sb in piece.ranges_in_ball(center, r):
-                    for s in (sa, sb, 0.5 * (sa + sb)):
-                        p = piece.points(np.array([s]))[0]
-                        tbreaks.append(np.arctan2(p[1] - center[1], p[0] - center[0]))
-            v, _ = integrate_polar(lambda pts: self.ac(pts), center, r,
-                                   theta_breaks=tbreaks, tol_abs=1e-10)
-            total += v
-        if self.jumps:
-            self._add_jumps(total, lambda p: [p.ranges_in_ball(center, r)],
-                            lambda g, pts, rows: g, 1e-11, 1e-11)
-        if self.cantor is not None:         # Cantor parts are 1-D: lo, hi are set
-            if self.cantor_density is not None:
-                raise UnsupportedStructureError("ball mass with weighted Cantor part")
-            total += self.cantor.interval_mass(lo, hi)
-        return float(total[0])
 
 
 DOMINATION_GRID = 65   # grid points per axis where the a.c. densities are compared

@@ -6,11 +6,11 @@ x2 = f(x1) -- which is enough to carry the singular sets of every
 bundled scenario while keeping splitting of area integrals exact.  Every
 piece carries a fixed orientation: the unit normal is part of the data, not
 derived on the fly.  All pieces share one interface (key, flipped, points,
-normals, param_samples, ranges_in_box, ranges_in_ball, contains, breaks),
-and points and normals are (n, dim) arrays in every dimension.  H^{N-1}
-integrals over (piece, parameter range) rows are one integrate_on call;
-RadonMeasure takes its jump part's ranges from ranges_in_box or
-ranges_in_ball.
+normals, param_samples, ranges_in_box, contains, breaks), and points and
+normals are (n, dim) arrays in every dimension; a curve also has its ranges
+in a disc (ranges_in_ball).  H^{N-1} integrals over (piece, parameter
+range) rows are one integrate_on call; RadonMeasure takes its jump part's
+ranges from ranges_in_box.
 """
 
 from __future__ import annotations
@@ -53,10 +53,6 @@ class JumpPoint:
         (lo, hi), = bounds
         return [(self.x, self.x)] if lo - 1e-13 <= self.x <= hi + 1e-13 else []
 
-    def ranges_in_ball(self, center, r):
-        c = float(np.atleast_1d(center)[0])
-        return [(self.x, self.x)] if abs(self.x - c) <= r else []
-
     def contains(self, pts, tol):
         return np.abs(pts[:, 0] - self.x) <= tol
 
@@ -70,6 +66,7 @@ class CurvePiece:
 
     s0: float
     s1: float
+    s_axis: int             # the coordinate that the parameter s is
 
     def points(self, s):
         raise NotImplementedError
@@ -106,20 +103,27 @@ class CurvePiece:
             p = self.points(s)
             return np.maximum(lo - p, p - hi).max(axis=1)
 
-        return _ranges(self, dist)
+        return _ranges(self, dist, lo[self.s_axis], hi[self.s_axis])
 
     def ranges_in_ball(self, center, r):
-        return _ranges(self, lambda s: ((self.points(s) - center) ** 2).sum(axis=1) - r * r)
+        c = center[self.s_axis]
+        return _ranges(self, lambda s: ((self.points(s) - center) ** 2).sum(axis=1) - r * r,
+                       c - r, c + r)
 
 
-def _ranges(piece, dist):
+def _ranges(piece, dist, lo, hi):
     """Runs of the pieces of [s0, s1], cut at the sign changes of the
-    continuous dist(s) (<= 0 inside), whose midpoints lie inside."""
-    s = np.linspace(piece.s0, piece.s1, CURVE_SCAN_POINTS)
+    continuous dist(s) (<= 0 inside), whose midpoints lie inside.  Only
+    [lo, hi], the values of s a point inside can have, is scanned, so a
+    region narrower than the scan step over the whole curve is still seen."""
+    lo, hi = max(piece.s0, lo), min(piece.s1, hi)
+    if lo > hi:
+        return []
+    s = np.linspace(lo, hi, CURVE_SCAN_POINTS)
     ds = dist(s)
     if not (ds <= 0).any():
         return []
-    cuts = [piece.s0, piece.s1, *sign_crossings(dist, s, ds).tolist()]
+    cuts = [lo, hi, *sign_crossings(dist, s, ds).tolist()]
     # a run from a grid zero may end before the next grid point: probe just inside
     z = np.flatnonzero(ds == 0.0)
     if z.size:
@@ -146,6 +150,7 @@ class Segment(CurvePiece):
         if s1 <= s0:
             raise GeometryError("empty segment")
         self.axis = int(axis)
+        self.s_axis = 1 - self.axis
         self.c = float(c)
         self.s0, self.s1 = float(s0), float(s1)
         self.side = int(side)
@@ -182,6 +187,8 @@ class Segment(CurvePiece):
 
 class GraphCurve(CurvePiece):
     """{x2 = f(x1), x1 in [x0, x1]}; normal = side*(-f', 1)/sqrt(1+f'^2)."""
+
+    s_axis = 0
 
     def __init__(self, fn, dfn, x0, x1, side=+1, label=""):
         if x1 <= x0:

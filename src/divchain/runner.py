@@ -103,13 +103,13 @@ def run_chain(scn: Scenario, res: RunResult, mode="chain"):
     breaks = cantor_breaks(scn.cantor_spec) if scn.is_cantor else ()
     suite = _suite(scn, breaks)
     if mode == "w11":
-        br = chain_w11(field, u, prim=prim)
+        br = chain_w11(field, u)
     elif mode == "bv-scalar":
-        br = chain_bv_scalar(field, u, prim=prim)
+        br = chain_bv_scalar(field, u)
     else:
-        br = chain_dm(field, u, prim=prim)
+        br = chain_dm(field, u)
     # the chain_dm breakdown, which carries the symmetric-mean jump regrouping
-    br_dm = br if mode == "chain" else chain_dm(field, u, prim=prim)
+    br_dm = br if mode == "chain" else chain_dm(field, u)
 
     total = br.total
     if scn.fake_scale is not None:

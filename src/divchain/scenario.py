@@ -33,7 +33,7 @@ from .exprs import compile_field, compile_of_t, compile_scalar, compile_uv
 from .field import ParamField, moll_point
 from .geometry import Domain
 from .measure import RadonMeasure
-from .rectifiable import GraphCurve, RectifiableSet, Segment
+from .rectifiable import GraphCurve, JumpPoint, RectifiableSet, Segment
 
 EXPERIMENTS = ("chain", "w11", "bv-scalar", "product", "anzellotti", "green",
                "moll", "sigma", "conslaw", "kato")
@@ -227,6 +227,14 @@ def _parse_points(text, ln):
             raise ScenarioParseError(f"expected 'x : nu', got {item!r}", ln)
         pts.append(_number(fields[0], ln))
         nus.append(_number(fields[1], ln))
+    # a measure keeps one component per key: the second point's mass would be lost
+    seen = {}
+    for x in pts:
+        key = JumpPoint(x).key()
+        if key in seen:
+            raise ScenarioValidationError(f"line {ln}: points {seen[key]!r} and {x!r} agree to "
+                                          "12 decimals, so they would be one jump point")
+        seen[key] = x
     return pts, nus
 
 

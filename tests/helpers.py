@@ -7,11 +7,12 @@ masked piece-selection loops that BVFunction.eval and grad are held to,
 the indicator bisection that a curve's box and disc ranges are held to,
 the np.abs route that the split |f| quadrature is held to, the
 per-test-function measure action and weak form that the suite-wide ones
-are held to, and the per-box total variation and per-component ball mass
-that the batched ones are held to."""
+are held to, the per-box total variation that the batched one is held to,
+and the hand-built product-rule terms that product_rule's are held to."""
 
 import numpy as np
 
+from divchain.chainrule import ChainRuleBreakdown, _jump_measure, _merged_singular, _u_sides
 from divchain.conslaw import FluxSpec, GridState, accumulated_interface_W, chi
 from divchain.errors import DomainMismatchError, GeometryError, NotOnJumpSetError
 from divchain.geometry import Domain, as_points
@@ -299,7 +300,7 @@ def apply_reference(mu, phi, tol_abs=1e-10, tol_rel=1e-10):
 def _component_integral(comp, g, ranges, tol_abs, tol_rel):
     """\\int g dH^{N-1} over the parameter ranges of a one-piece component, in
     its own integrate_on call, the ranges added in order (as
-    RectifiableSet.integrate and mass_in_ball did)."""
+    RectifiableSet.integrate did)."""
     vals = integrate_on(lambda pts, nus, rows: g(pts, nus), comp.pieces,
                         np.zeros(len(ranges), dtype=int), ranges, tol_abs, tol_rel)
     return float(sum(vals))
@@ -335,20 +336,54 @@ def total_variation_reference(mu, box, tol_abs, tol_rel, breaks=()):
     return total
 
 
-def ball_mass_reference(mu, center, r):
-    """RadonMeasure.ball_mass of a 1-D measure with no weighted Cantor part,
-    as it was before its jump part shared the measure's quadrature: each
-    component in its own integrate_on over its ranges in the ball."""
-    c = float(np.atleast_1d(center)[0])
-    (dlo, dhi), = mu.domain.bounds
-    lo, hi = max(c - r, dlo), min(c + r, dhi)
-    total = 0.0
-    if mu.ac is not None and hi > lo:
-        total += integrate_1d(lambda x: mu.ac(x[:, None]), lo, hi,
-                              breakpoints=list(mu.ac_singular.points_1d), tol_abs=1e-10)[0]
-    for comp, g in mu.jumps.values():
-        total += _component_integral(comp, g, comp.pieces[0].ranges_in_ball(center, r),
-                                     1e-11, 1e-11)
-    if mu.cantor is not None:
-        total += mu.cantor.interval_mass(lo, hi)
-    return total
+def product_rule_reference(field, h, u):
+    """chainrule.product_rule as it was before it took terms 1-4 from the
+    chain rule's builder: each term built by hand, and the total's a.c.
+    density the sum of the terms' densities."""
+    dom = field.domain
+    merged = _merged_singular(field, u)
+
+    def A(pts):
+        return field.eval(pts, 0.0)
+
+    term_diva = RadonMeasure(
+        dom, ac=lambda pts: field.diva(pts, 0.0) * np.asarray(h.h(u.eval(pts)), dtype=float),
+        ac_singular=merged) if field._diva is not None else RadonMeasure.zero(dom)
+
+    if field.divc_part is not None:
+        term_divc = RadonMeasure(
+            dom, cantor=field.divc_part,
+            cantor_density=lambda x: np.asarray(
+                h.h(u.eval(np.asarray(x)[:, None])), dtype=float))
+    else:
+        term_divc = RadonMeasure.zero(dom)
+
+    term_ac_u = RadonMeasure(
+        dom,
+        ac=lambda pts: np.asarray(h.dh(u.eval(pts)), dtype=float)
+        * np.einsum("ij,ij->i", A(pts), u.grad(pts)), ac_singular=merged)
+
+    if u.cantor is not None:
+        term_cantor_u = RadonMeasure(
+            dom, cantor=u.cantor,
+            cantor_density=lambda x: np.asarray(
+                h.dh(u.eval(np.asarray(x)[:, None])), dtype=float)
+            * A(np.asarray(x)[:, None])[:, 0])
+    else:
+        term_cantor_u = RadonMeasure.zero(dom)
+
+    def density(in_n, in_j):
+        def g(pts, nus):
+            up, um = _u_sides(u, pts, in_j)
+            if in_n:
+                ap, am = field.trace(pts, 0.0, +1), field.trace(pts, 0.0, -1)
+            else:
+                ap = am = A(pts)
+            hp = np.asarray(h.h(up), dtype=float)
+            hm = np.asarray(h.h(um), dtype=float)
+            return (hp * np.einsum("ij,ij->i", ap, nus)
+                    - hm * np.einsum("ij,ij->i", am, nus))
+        return g
+
+    return ChainRuleBreakdown(term_diva, term_divc, term_ac_u, term_cantor_u,
+                              _jump_measure(field, u, density))

@@ -292,6 +292,14 @@ MALFORMED = [
       ("omegas = box -0.8 .. 0.8 x -0.7 .. 0.7", "omegas = disc 0 0")],
      "omegas", EXIT_VALIDATION_ERROR),
     ("m-over-zero", "volpert-heaviside", [("M = 8", "M = 1/0")], "M", EXIT_PARSE_ERROR),
+    ("literal-two-points", "sign-const", [("b = sign(x1)", "b = 1.2.3")], "b",
+     EXIT_PARSE_ERROR),
+    # two entries of one list that agree to 12 decimals: one jump's mass was dropped
+    ("points-within-the-key", "sign-const",
+     [("points = 0 : +1\n", "points = 0 : +1 ; 4e-13 : +1\n")], "[singular] points",
+     EXIT_VALIDATION_ERROR),
+    ("breaks-equal", "volpert-heaviside", [("breaks = 0 : +1\n", "breaks = 0 : +1 ; 0 : +1\n")],
+     "breaks", EXIT_VALIDATION_ERROR),
     ("tol-abs-nan", "volpert-heaviside", [("dim = 1\n", "dim = 1\ntol_abs = nan\n")],
      "tol_abs", EXIT_VALIDATION_ERROR),
     ("tol-abs-negative", "volpert-heaviside", [("dim = 1\n", "dim = 1\ntol_abs = -1\n")],
@@ -508,7 +516,7 @@ def test_malformed_values_do_not_stop_the_batch(tmp_path, capsys):
     assert "Traceback" not in out
 
 
-_real_run_scenario = cli.run_scenario
+_real_run_scenario, _real_load = cli.run_scenario, cli.load
 
 
 def _defect_in_sign_const(scn, out_dir=None):
@@ -530,6 +538,28 @@ def test_internal_error_does_not_stop_the_batch(tmp_path, monkeypatch, capsys, j
     assert "SCENARIO sign-2t-heaviside: PASS" in captured.out
     if jobs == "1":         # a worker's stderr does not reach capsys
         assert "Traceback" in captured.err and "injected defect" in captured.err
+
+
+@pytest.mark.parametrize("cmd, last", [("validate", "ok: volpert-heaviside (chain)"),
+                                       ("run", "SCENARIO volpert-heaviside: PASS")],
+                         ids=["validate", "run"])
+def test_internal_error_in_load_does_not_stop_the_batch(tmp_path, monkeypatch, capsys, cmd,
+                                                        last):
+    bad, good = scenario_path("sign-const"), scenario_path("volpert-heaviside")
+
+    def load(path):
+        if path == bad:
+            raise RuntimeError("injected defect")
+        return _real_load(path)
+
+    monkeypatch.setattr(cli, "load", load)
+    out = ["--out", str(tmp_path)] if cmd == "run" else []
+    assert main([cmd, bad, good, *out]) == EXIT_NUMERICAL_ERROR
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert lines[0] == f"internal error in {bad}: RuntimeError: injected defect"
+    assert lines[-1] == last
+    assert "Traceback" in captured.err and "injected defect" in captured.err
 
 
 @pytest.mark.parametrize("replacements, key", [

@@ -255,11 +255,11 @@ def test_check_dominated_violation(dom):
                     cantor_measure(dd, CantorPart(MIDDLE_THIRDS, 0.0)))
 
 
-def test_ball_mass(dom):
+def test_box_mass(dom):
     mu = point_mass(dom, 0.0, 2.0) + lebesgue(dom)
-    assert mu.ball_mass([0.0], 0.25) == pytest.approx(2.5)
+    assert mu.total_variation(((-0.25, 0.25),)) == pytest.approx(2.5)
     d2 = box_domain((-1, 1), (-1, 1))
     line = RadonMeasure.from_jump(
         d2, RectifiableSet(2, pieces=[Segment(0, 0.0, -1, 1, +1)]),
         lambda pts, nus: np.full(len(pts), 2.0))
-    assert line.ball_mass((0.0, 0.0), 0.25) == pytest.approx(1.0, abs=1e-9)
+    assert line.total_variation(((-0.25, 0.25), (-0.25, 0.25))) == pytest.approx(1.0, abs=1e-9)

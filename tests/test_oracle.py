@@ -11,6 +11,7 @@ from scipy.integrate import quad
 from divchain import (RadonMeasure, RectifiableSet, build_suite, compare,
                       mollification_study, oscillatory_bump, plateau_bump, weak_divergence)
 from divchain.cantor import IFSSpec
+from divchain.chainrule import IDENTITY, ScalarFunction, product_rule
 from divchain.errors import GeometryError, IntegrationError
 from divchain.oracle import CANTOR_DEPTH, cantor_breaks
 from divchain.quadrature import integrate_cells
@@ -19,8 +20,8 @@ from divchain.rectifiable import GraphCurve, box_cells
 from divchain.cli import bundled_dir
 
 from conftest import sign_field
-from helpers import (apply_reference, ball_mass_reference, box_domain, check_gradient,
-                     interval_domain, lebesgue, point_mass, total_variation_reference,
+from helpers import (apply_reference, box_domain, check_gradient, interval_domain, lebesgue,
+                     point_mass, product_rule_reference, total_variation_reference,
                      weak_divergence_reference)
 
 
@@ -361,7 +362,7 @@ def chain_scenario(name):
     from divchain.scenario import Scenario, load, parse_text
     scn = Scenario(parse_text(EXP_T)) if name == "exp-t" else load(bundled_dir() / f"{name}.scn")
     prim = PrimitiveField(scn.field)
-    return scn, prim, chain_dm(scn.field, scn.u, prim=prim)
+    return scn, prim, chain_dm(scn.field, scn.u)
 
 
 @functools.lru_cache
@@ -428,15 +429,27 @@ def test_box_list_total_variations_equal_the_per_box_reference(name, data):
                                 for box in boxes]
 
 
-def test_ball_mass_equals_the_per_component_reference():
-    # the jump part of ball_mass in the measure's one quadrature against one
-    # integrate_on per component, at the centres and radii of the sigma checks
-    scn, _, br = chain_scenario("sign-const")
-    centres = [*scn.singular.samples(5)[0], *scn.domain.grid(5)]
-    for mu in (*br.terms().values(), br.total, scn.field.sigma(scn.sigma_samples)):
-        for c in centres:
-            for r in (1e-1, 1e-2, 1e-3, 0.6):
-                assert mu.ball_mass(c, r) == ball_mass_reference(mu, c, r)
+@pytest.mark.parametrize("name", ["product-sin-heaviside", "sign-const", "cantor-u-jump"])
+@pytest.mark.parametrize("h", [IDENTITY, ScalarFunction(np.sin, np.cos, 1.0)],
+                         ids=["identity", "sin"])
+@settings(max_examples=4, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_product_rule_terms_equal_the_hand_built_reference(name, h, data):
+    # product_rule's terms and total, taken from the chain rule's term builder,
+    # against the hand-built ones they replaced, on a random subset of the
+    # suite and a random box list: bit-equal (cantor-u-jump has a term 4)
+    suite, _, _, q = chain_case(name)
+    scn, _, _ = chain_scenario(name)
+    phis = data.draw(st.randoms(use_true_random=False)).sample(list(suite), 4)
+    boxes = data.draw(box_lists(scn.domain))
+    tol = 3e-7 if scn.is_cantor else 1e-9
+    breaks = cantor_breaks(scn.cantor_spec) if scn.is_cantor else ()
+    got, ref = (f(scn.field, h, scn.u) for f in (product_rule, product_rule_reference))
+    for mu, mu_ref in zip((*got.terms().values(), got.total),
+                          (*ref.terms().values(), ref.total)):
+        assert mu.apply(phis, q, q).tolist() == mu_ref.apply(phis, q, q).tolist()
+        assert mu.total_variation(boxes, tol, tol, breaks).tolist() == \
+            mu_ref.total_variation(boxes, tol, tol, breaks).tolist()
 
 
 ONE_D = ["bv-scalar-signt-2h", "cantor-divb-bv", "cantor-divb-w11", "cantor-u-autonomous",

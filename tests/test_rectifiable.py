@@ -42,14 +42,6 @@ class RefSet1D:
             total += float(density(np.array([[x]]), np.array([nu]))[0])
         return total, 0.0
 
-    def mass_in_ball(self, density, center, r):
-        c = float(np.atleast_1d(center)[0])
-        total = 0.0
-        for x, nu in zip(self.points_1d, self.normals_1d):
-            if abs(x - c) <= r:
-                total += float(density(np.array([[x]]), np.array([nu]))[0])
-        return total
-
     def samples(self):
         return self.points_1d[:, None].copy(), self.normals_1d.copy()
 
@@ -102,7 +94,8 @@ def test_1d_piece_list_matches_parallel_arrays(a, b, lo, width, r):
     new, ref = RectifiableSet(1, *a), RefSet1D(*a)
     hi = lo + width
     # the box test is +-1e-13 now, exact before; keep points off that margin
-    assume(not any(0 < lo - x <= 1e-13 or 0 < x - hi <= 1e-13 for x in a[0]))
+    assume(not any(0 < a_ - x <= 1e-13 or 0 < x - b_ <= 1e-13
+                   for x in a[0] for a_, b_ in ((lo, hi), (lo - r, lo + r))))
 
     assert np.array_equal(new.points_1d, ref.points_1d)
     assert new.component_keys() == ref.component_keys()
@@ -110,7 +103,8 @@ def test_1d_piece_list_matches_parallel_arrays(a, b, lo, width, r):
     if len(mu.jumps) == len(a[0]):      # no two points share a 12-digit key
         assert mu.total_variation() == ref.integrate(abs_density)[0]
         assert mu.total_variation(((lo, hi),)) == ref.integrate(abs_density, box=((lo, hi),))[0]
-        assert mu.ball_mass([lo], r) == ref.mass_in_ball(density, [lo], r)
+        assert mu.total_variation(((lo - r, lo + r),)) == \
+            ref.integrate(abs_density, box=((lo - r, lo + r),))[0]
 
     pts, nus = new.samples()
     rpts, rnus = ref.samples()
@@ -163,9 +157,9 @@ def test_merge_rejects_conflicting_orientation_2d():
         merge_sets(RectifiableSet(2, pieces=[seg]), RectifiableSet(2, pieces=[seg.flipped()]))
 
 
-@pytest.mark.parametrize("dim, apply, tv, ball", [(1, -0.5, 1.9, -0.5),
-                                                    (2, -1.0, 2.0, -1.0)])
-def test_jump_density_sees_n_by_dim_normals(dim, apply, tv, ball):
+@pytest.mark.parametrize("dim, apply, tv, box_tv", [(1, -0.5, 1.9, 1.9),
+                                                      (2, -1.0, 2.0, 1.0)])
+def test_jump_density_sees_n_by_dim_normals(dim, apply, tv, box_tv):
     if dim == 1:
         dom = interval_domain(-1, 1)
         rect = RectifiableSet(1, [-0.3, 0.2], [1.0, -1.0])
@@ -184,7 +178,7 @@ def test_jump_density_sees_n_by_dim_normals(dim, apply, tv, ball):
     mu = RadonMeasure.from_jump(dom, rect, g)
     assert mu.apply(phi) == pytest.approx(apply, abs=1e-9)
     assert mu.total_variation() == pytest.approx(tv, abs=1e-9)
-    assert mu.ball_mass(np.zeros(dim), 0.5) == pytest.approx(ball, abs=1e-9)
+    assert mu.total_variation([(-0.5, 0.5)] * dim) == pytest.approx(box_tv, abs=1e-9)
     assert calls
 
 
@@ -334,3 +328,22 @@ def test_curve_ranges_match_indicator_bisection(data, region):
             assert abs(x - y) <= 1e-13 * max(1.0, abs(y)) or sliver(min(x, y), max(x, y))
     assert all(b < a for (_, b), (a, _) in zip(got, got[1:]))      # runs are merged
 
+
+
+@pytest.mark.parametrize("kind", ["box", "disc"])
+@pytest.mark.parametrize("piece", [Segment(0, 0.0, -1.0, 1.0),
+                                   GraphCurve(lambda x: 0.3 * x - 2 / 3, lambda x: 0.3 + 0 * x,
+                                              -0.9, 1.0)], ids=["vline", "graph"])
+def test_ranges_in_a_region_narrower_than_the_scan_step(piece, kind):
+    """A box or disc of half-width 1e-3 about (0, -2/3), on the curve and
+    between two points of a 257-point scan over the whole curve (0.0078 and
+    0.0074 apart): only the part of [s0, s1] the region allows is scanned."""
+    r, c = 1e-3, np.array([0.0, -2 / 3])
+    got = piece.ranges_in_box(tuple((v - r, v + r) for v in c)) if kind == "box" \
+        else piece.ranges_in_ball(c, r)
+    # the box is widened by 1e-13; along the graph, |x - c| = sqrt(1.09) |x1|
+    slope = 0.3 if isinstance(piece, GraphCurve) else 0.0
+    half = r + 1e-13 if kind == "box" else r / np.hypot(1.0, slope)
+    want = (c[piece.s_axis] - half, c[piece.s_axis] + half)
+    assert len(got) == 1
+    assert got[0] == pytest.approx(want, rel=0, abs=1e-13)
