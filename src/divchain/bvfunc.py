@@ -172,9 +172,10 @@ class BVFunction:
             sp, sn = self.jump_set.samples()
             up = np.asarray(self.u_plus(sp), dtype=float)
             um = np.asarray(self.u_minus(sp), dtype=float)
-            shift1, shift2 = sn * 1e-6, sn * 2e-6
-            lim_p = 2 * self.eval(sp + shift1) - self.eval(sp + shift2)
-            lim_m = 2 * self.eval(sp - shift1) - self.eval(sp - shift2)
+            # the pieces extrapolated, the Hoelder Cantor summand at the jump
+            piece = lambda d: self._select(sp + d, "value", (len(sp),))
+            lim_p, lim_m = (2 * piece(d) - piece(2 * d) + self._cantor_summand(sp)
+                            for d in (sn * 1e-6, sn * -1e-6))
             rows.append(("trace_plus", bool(np.max(np.abs(lim_p - up)) <= 1e-8)))
             rows.append(("trace_minus", bool(np.max(np.abs(lim_m - um)) <= 1e-8)))
             rows.append(("jump_nondegenerate", bool(np.min(np.abs(up - um)) > 0)))

@@ -16,12 +16,9 @@ levels) is exposed as a derived view and must agree with it.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 
 from .bvfunc import BVFunction
-from .cantor import support_nodes
 from .errors import GeometryError, OrientationError, WrongRegularityError
 from .field import ParamField, PrimitiveField
 from .measure import RadonMeasure, TestFunction, plateau_bump
@@ -114,7 +111,7 @@ def _terms_off_jump(field: ParamField, u: BVFunction, singular, diva, divc_weigh
     # 2. Cantor-in-x part against the field's fixed Cantor component
     if field.divc_part is not None:
         term_divc = RadonMeasure(
-            dom, cantor=field.divc_part,
+            dom, ac_singular=singular, cantor=field.divc_part,
             cantor_density=lambda x: divc_weight(u.eval(np.asarray(x)[:, None])))
     else:
         term_divc = RadonMeasure.zero(dom)
@@ -125,7 +122,7 @@ def _terms_off_jump(field: ParamField, u: BVFunction, singular, diva, divc_weigh
     # 4. <b(x, u~), dD^c u>
     if u.cantor is not None:
         term_cantor_u = RadonMeasure(
-            dom, cantor=u.cantor,
+            dom, ac_singular=singular, cantor=u.cantor,
             cantor_density=lambda x: b(
                 np.asarray(x)[:, None], u.eval(np.asarray(x)[:, None]))[:, 0])
     else:
@@ -202,22 +199,16 @@ def chain_w11(field: ParamField, u: BVFunction):
                               ac=ac)
 
 
-@lru_cache(maxsize=None)
-def _cantor_nodes(spec):
-    """Depth-20 cylinder midpoints and weights, built once per spec."""
-    return support_nodes(spec, 20)
-
-
 def layer_cake_action(field: ParamField, u: BVFunction, phi: TestFunction,
                       t_tol=1e-9, quad_tol=1e-10):
     """x-part of <Div v, phi> via the layer-cake (t-integral) route:
 
         \\int sgn(t) [Div_x b(., t)](phi chi*_{Omega_{u,t}}) dt
 
-    Independent re-evaluation of term_diva + term_divc + term_jump for
-    continuous u; a quadrature-consistency cross-check, not an oracle.  The
-    a.c. and jump parts run level by level; the Cantor part is the same
-    t-integral summed exactly, by Fubini, in _cantor_layer_cake.
+    Re-evaluation of term_diva + term_divc + term_jump for continuous u, a
+    cross-check, not an oracle: independent in the a.c. and jump parts, run
+    level by level.  The Cantor part, the t-integral summed by Fubini in
+    _cantor_layer_cake, is term 2's integral on term 2's route.
     """
     rng = u.sup_bound + 1e-9
 
@@ -242,30 +233,17 @@ def layer_cake_action(field: ParamField, u: BVFunction, phi: TestFunction,
     val, _ = integrate_1d(integrand, -rng, rng, breakpoints=[0.0],
                           tol_abs=t_tol, tol_rel=t_tol, max_segments=8192)
     if field.divc_part is not None:
-        val += _cantor_layer_cake(field, u, phi)
+        val += _cantor_layer_cake(field, u, phi, quad_tol)
     return val
 
 
-def _cantor_layer_cake(field: ParamField, u: BVFunction, phi: TestFunction):
-    """Cantor x-part of the layer-cake action, exact in t:
-
-        mass * sum_n phi(x_n) w_n F(u(x_n)),  F(s) = \\int_0^s multiplier(t) dt,
-
-    over the cached depth-20 cylinder midpoints x_n with weights w_n (node
-    error O(2^-20)).  The nodes are sorted, so only the run of them inside
-    phi's support is summed, in chunks of at most 2^16 nodes to bound the
-    memory of F.
-    """
-    xs, ws = _cantor_nodes(field.divc_part.spec)
-    (lo, hi), = phi.support_box
-    start, stop = np.searchsorted(xs, lo, "left"), np.searchsorted(xs, hi, "right")
+def _cantor_layer_cake(field: ParamField, u: BVFunction, phi: TestFunction, quad_tol):
+    """Cantor x-part of the layer-cake action, exact in t: the action on phi
+    of the Cantor part with density divc_weight(u) = \\int_0^u multiplier."""
     P = PrimitiveField(field)
-    total = 0.0
-    for i in range(start, stop, 2 ** 16):
-        j = min(i + 2 ** 16, stop)
-        x = xs[i:j, None]
-        total += float(np.dot(phi.value(x) * ws[i:j], P.divc_weight(u.eval(x))))
-    return field.divc_part.mass * total
+    mu = RadonMeasure(field.domain, ac_singular=u.jump_set, cantor=field.divc_part,
+                      cantor_density=lambda x: P.divc_weight(u.eval(x[:, None])))
+    return mu.apply(phi, quad_tol, quad_tol)
 
 
 def chain_bv_scalar(field: ParamField, u: BVFunction):

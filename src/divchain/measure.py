@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .cantor import CantorPart, require_same_spec, support_nodes
+from .cantor import CantorPart, construction_endpoints, integrate_ifs, require_same_spec
 from .errors import AbsoluteContinuityError, DomainMismatchError, UnsupportedStructureError
 from .geometry import Domain, as_points
 from .quadrature import by_runs, integrate_1d, integrate_abs, integrate_cells
@@ -132,8 +132,8 @@ def oscillatory_bump(support_box, plateau_box, wave_vector, label=""):
 class RadonMeasure:
     """domain + optional (ac density, jump components, Cantor part), and
     whether each part is >= 0 by construction (sums and multiples drop it).
-    ac_singular is the set where the a.c. density may jump; an empty set
-    (the default) says it has none."""
+    ac_singular is the set where the a.c. and Cantor densities may jump; an
+    empty set (the default) says they have none."""
 
     def __init__(self, domain: Domain, ac=None, ac_singular: RectifiableSet | None = None,
                  jumps=None, cantor: CantorPart | None = None, cantor_density=None,
@@ -182,14 +182,10 @@ class RadonMeasure:
                 cantor, cdens = other.cantor, other.cantor_density
             else:
                 require_same_spec([cantor, other.cantor])
-                m1, h1 = cantor.mass, cdens
-                m2, h2 = other.cantor.mass, other.cantor_density
+                both = ((cantor.mass, cdens), (other.cantor.mass, other.cantor_density))
                 cantor = CantorPart(cantor.spec, 1.0)
-
-                def cdens(x, m1=m1, h1=h1, m2=m2, h2=h2):
-                    a = m1 * (np.ones(len(np.atleast_1d(x))) if h1 is None else np.asarray(h1(x)))
-                    b = m2 * (np.ones(len(np.atleast_1d(x))) if h2 is None else np.asarray(h2(x)))
-                    return a + b
+                cdens = lambda x, both=both: sum(m * (1.0 if h is None else np.asarray(h(x)))
+                                                 for m, h in both)
 
         # a non-empty operand's set object as it is: the a.c. quadratures take
         # their 1-D breaks and 2-D cells from it
@@ -244,9 +240,9 @@ class RadonMeasure:
 
     def _actions(self, values, boxes, breaks, tol_abs, tol_rel):
         """Actions on the fields values[r] over boxes[r], one row r each;
-        breaks[r]: per-axis abscissae where the a.c. integral is split.  The
-        a.c. part is one quadrature over every row, and so is the jump part
-        (_add_jumps); the Cantor part goes row by row."""
+        breaks[r]: per-axis abscissae where the a.c. integral is split.  Each
+        part is one quadrature over every row (_integrate_ac, _add_jumps,
+        _integrate_cantor)."""
         total = np.zeros(len(values))
         if self.ac is not None:
             total += self._integrate_ac(
@@ -256,11 +252,8 @@ class RadonMeasure:
             self._add_jumps(total, lambda p: [p.ranges_in_box(box) for box in boxes],
                             lambda g, pts, r: by_runs(values, r, pts) * g, tol_abs, tol_rel)
         if self.cantor is not None:
-            h = self.cantor_density
-            for r, value in enumerate(values):
-                phi_1d = lambda x, value=value: np.asarray(value(np.asarray(x, dtype=float)[:, None]))
-                f = phi_1d if h is None else lambda x, phi_1d=phi_1d: phi_1d(x) * np.asarray(h(x))
-                total[r] += self.cantor.apply(f, rtol=max(tol_rel / 10.0, 1e-10))
+            total += self._integrate_cantor(lambda x, r, d: by_runs(values, r, x[:, None]) * d,
+                                            [(-np.inf, np.inf)] * len(values), tol_rel)
         return total
 
     def _add_jumps(self, total, ranges, density, tol_abs, tol_rel):
@@ -292,14 +285,27 @@ class RadonMeasure:
         cells = [box_cells(box, [self.ac_singular], *br) for box, br in zip(boxes, breaks)]
         return integrate_cells(f, cells, tol_abs=tol_abs, tol_rel=tol_rel)[0]
 
+    def _integrate_cantor(self, f, windows, tol_rel):
+        """Per-row integrals of f(x, rows, d), d the Cantor density at x, over
+        windows[r] = (lo, hi), cut at ac_singular (test functions are C^2 at
+        their breaks), in one integrate_ifs to tol_rel / 100, at least 1e-10:
+        the Cantor files' oracle rows lean on the midpoint sums this replaced
+        running 60-130 times below tol_rel / 10, and at tol_rel / 10 the worst
+        read 4.5 times its old error (the estimate is sharp on Hoelder u)."""
+        h = self.cantor_density
+        g = lambda x, rows: f(x, rows, 1.0 if h is None else np.asarray(h(x), dtype=float))
+        tol = max(tol_rel / 100.0, 1e-10)
+        return self.cantor.mass * integrate_ifs(g, self.cantor.spec, windows,
+                                                self.ac_singular.points_1d, tol, tol)[0]
+
     # -- summaries ----------------------------------------------------
     def total_variation(self, boxes=None, tol_abs=1e-10, tol_rel=1e-9, breaks=()):
         """TV = \\int |ac| + \\int |g| dH^{N-1} + Cantor part variation on each
         box of a list, as an array; on one box or the domain (None), a float.
 
-        One quadrature per part over every box, as in apply; the Cantor part
-        goes box by box.  The a.c. part of a nonnegative measure is integrated
-        as it is; any other is cut where it changes sign (integrate_abs).
+        One quadrature per part over every box, as in apply.  The a.c. part of a
+        nonnegative measure is integrated as it is; any other is cut where it
+        changes sign (integrate_abs).
         breaks: abscissae where the a.c. density may lose smoothness beyond its
         declared singular set (a Cantor construction's endpoints)."""
         one = boxes is None or np.ndim(boxes) == 2
@@ -322,8 +328,8 @@ class RadonMeasure:
             self._add_jumps(total, lambda p: [p.ranges_in_box(box) for box in boxes],
                             lambda g, pts, r: np.abs(g), tol_abs, tol_rel)
         if self.cantor is not None:
-            for r, ((lo, hi),) in enumerate(boxes):
-                total[r] += self.cantor.total_variation(self.cantor_density, lo, hi)
+            total += np.abs(self._integrate_cantor(lambda x, rows, d: np.abs(d),
+                                                   [box[0] for box in boxes], tol_rel))
         return float(total[0]) if one else total
 
 
@@ -359,7 +365,7 @@ def check_dominated(mu: RadonMeasure, sigma: RadonMeasure):
 
     if mu.cantor is not None:
         require_same_spec([mu.cantor, sigma.cantor])
-        x, _ = support_nodes(mu.cantor.spec, DOMINATION_DEPTH)
+        x = construction_endpoints(mu.cantor.spec, DOMINATION_DEPTH).reshape(-1, 2).mean(axis=1)
 
         def density(m):
             if m.cantor is None:

@@ -208,7 +208,7 @@ def _volpert_breakdown(field, u: BVFunction):
     term_ac = RadonMeasure(dom, ac=ac, ac_singular=u.jump_set)
     if u.cantor is not None:
         term_cu = RadonMeasure(
-            dom, cantor=u.cantor,
+            dom, ac_singular=u.jump_set, cantor=u.cantor,
             cantor_density=lambda x: field.eval(
                 np.asarray(x)[:, None], u.eval(np.asarray(x)[:, None]))[:, 0])
     else:

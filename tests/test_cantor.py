@@ -1,23 +1,32 @@
 from fractions import Fraction
+from math import comb
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from divchain.cantor import (MIDDLE_THIRDS, CantorPart, IFSSpec, _cdf_middle_thirds,
-                             cantor_function, ifs_cdf, integrate_ifs, require_same_spec,
-                             support_nodes)
+from divchain.cantor import (_WC, _XC, MIDDLE_THIRDS, CantorPart, IFSSpec, _cdf_middle_thirds,
+                             _cylinder_left, cantor_function, construction_endpoints, ifs_cdf,
+                             integrate_ifs, require_same_spec)
 from divchain.errors import UnsupportedStructureError
+
+from helpers import cantor_measure, interval_domain, midpoint_ifs, support_nodes
+
+
+def ifs(f, lo=-np.inf, hi=np.inf, cuts=(), tol=1e-12, spec=MIDDLE_THIRDS):
+    """integrate_ifs on one row: (value, error estimate)."""
+    val, err = integrate_ifs(lambda x, rows: f(x), spec, [(lo, hi)], cuts, tol, tol)
+    return float(val[0]), float(err[0])
 
 
 def test_mean_by_symmetry():
-    assert abs(integrate_ifs(lambda x: x, MIDDLE_THIRDS) - 0.5) < 1e-12
+    assert abs(ifs(lambda x: x)[0] - 0.5) < 1e-12
 
 
 def test_second_moment():
     # E[X^2] = 3/8 for the middle-thirds measure (self-similarity recursion)
-    assert abs(integrate_ifs(lambda x: x * x, MIDDLE_THIRDS) - 3.0 / 8.0) < 1e-9
+    assert abs(ifs(lambda x: x * x)[0] - 3.0 / 8.0) < 1e-12
 
 
 def test_refinement_decay_is_geometric():
@@ -29,6 +38,128 @@ def test_refinement_decay_is_geometric():
     d2 = abs(vals[2] - vals[1])
     d3 = abs(vals[3] - vals[2])
     assert d2 < 0.5 * d1 and d3 < 0.5 * d2
+
+
+def moments(n):
+    """The measure's moments m_0..m_n on [0, 1], exactly, from
+    m_n (1 - 3^-n) = 3^-n / 2 sum_{k<n} C(n, k) 2^(n-k) m_k."""
+    m = [Fraction(1)]
+    for j in range(1, n + 1):
+        s = sum(comb(j, k) * 2 ** (j - k) * m[k] for k in range(j))
+        m.append(Fraction(1, 2 * 3 ** j) * s / (1 - Fraction(1, 3 ** j)))
+    return m
+
+
+def test_rule_from_the_moments():
+    # the Jacobi matrix of the orthogonal polynomials, built in exact
+    # arithmetic from the moments (Stieltjes), then one float eigensolve
+    # (Golub-Welsch): its eigenvalues are the nodes, the squared first
+    # components of its eigenvectors the weights
+    m = moments(8)
+    inner = lambda p, q: sum(a * b * m[i + j] for i, a in enumerate(p) for j, b in enumerate(q))
+    times_x = lambda p: [Fraction(0)] + p
+    polys, alpha, beta = [[Fraction(1)]], [], []
+    for k in range(4):
+        p = polys[-1]
+        alpha.append(inner(times_x(p), p) / inner(p, p))
+        nxt = [c - alpha[-1] * d for c, d in zip(times_x(p), p + [0])]
+        if k:
+            beta.append(inner(p, p) / inner(polys[-2], polys[-2]))
+            nxt = [c - beta[-1] * d for c, d in zip(nxt, polys[-2] + [0, 0])]
+        polys.append(nxt)
+    off = np.sqrt([float(b) for b in beta])
+    nodes, vecs = np.linalg.eigh(np.diag([float(a) for a in alpha]) + np.diag(off, 1)
+                                 + np.diag(off, -1))
+    assert np.max(np.abs(nodes - _XC)) <= 1e-14
+    assert np.max(np.abs(vecs[0] ** 2 - _WC)) <= 1e-14
+    # and the rule integrates x^0..x^7 to the exact moments
+    for n in range(8):
+        assert abs(float(np.dot(_WC, _XC ** n)) - float(m[n])) <= 1e-14
+
+
+@pytest.mark.parametrize("spec", [MIDDLE_THIRDS, IFSSpec(-0.3, 0.9)])
+def test_rule_is_exact_to_degree_7_on_one_cylinder(spec):
+    # the depth-3 cylinder whose s-interval is [5/8, 3/4]: its left end from
+    # the construction, and the rule on it against the scaled moments
+    w = spec.b - spec.a
+    x0 = spec.a + w * _cylinder_left(np.array([0.625]))[0]
+    assert x0 == pytest.approx(construction_endpoints(spec, 3)[2 * 5], abs=1e-15)
+    h, m = w / 27.0, moments(7)
+    rng = np.random.default_rng(7)
+    for degree in range(8):
+        c = rng.uniform(-1, 1, degree + 1)
+        # \int p over the cylinder: 1/8 of sum_j c_j E[(x0 + h X)^j]
+        exact = sum(c[j] * sum(comb(j, i) * x0 ** (j - i) * h ** i * float(m[i])
+                               for i in range(j + 1)) for j in range(degree + 1)) / 8.0
+        got = float(np.dot(_WC / 8.0, np.polyval(c[::-1], x0 + h * _XC)))
+        assert got == pytest.approx(exact, abs=1e-14)
+        # and on the whole base the route stops at the first rule
+        whole = sum(c[j] * sum(comb(j, i) * spec.a ** (j - i) * w ** i * float(m[i])
+                               for i in range(j + 1)) for j in range(degree + 1))
+        val, err = ifs(lambda x: np.polyval(c[::-1], x), spec=spec)
+        assert val == pytest.approx(whole, abs=1e-14) and err <= 1e-14
+
+
+def piecewise(draw_coefs, cut):
+    """A function with its own smooth branch on each side of cut."""
+    (a0, a1, a2), (b0, b1, b2) = draw_coefs
+    left = lambda x: a0 + a1 * np.sin(3 * x) + a2 * x * x
+    right = lambda x: b0 + b1 * np.cos(2 * x) + b2 * x
+    return (lambda x: np.where(x < cut, left(x), right(x))), left, right
+
+
+# points of the Cantor set of [0, 1] (ternary digits 0 and 2), of its gaps,
+# and of neither kind, where the branches may meet
+CUT_POINTS = [0.25, 0.75, 1.0 / 10.0, 0.5, 0.4, 0.31, 0.9]
+coefs = st.tuples(st.floats(-2, 2), st.floats(-2, 2), st.floats(-2, 2))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(c=st.tuples(coefs, coefs), cut=st.sampled_from(CUT_POINTS),
+       window=st.tuples(st.sampled_from([-np.inf, -0.2, 0.05, 0.25, 0.3]),
+                        st.sampled_from([np.inf, 1.2, 0.95, 0.75, 0.7])))
+def test_gauss_route_matches_the_midpoint_reference(c, cut, window):
+    # a function that jumps at cut, over a window: the rule at 1e-11 against
+    # the midpoint sums of each branch over its side of the cut.  Around a
+    # cut on the Cantor set, cylinders narrower than about 3^-33 of the base
+    # are below the float spacing of x, so the cut is resolved to a mass of
+    # about 2^-32 (ifs_cdf's limit too): a residue of that times the jump
+    f, left, right = piecewise(c, cut)
+    lo, hi = window
+    val, err = ifs(f, lo, hi, (cut,), tol=1e-11)
+    ref = sum(midpoint_ifs(g, MIDDLE_THIRDS, 1e-10, a, b, depth=12, max_depth=18)
+              for g, a, b in ((left, lo, min(hi, cut)), (right, max(lo, cut), hi)))
+    jump = abs(float(left(np.array([cut]))[0] - right(np.array([cut]))[0]))
+    assert abs(val - ref) <= 1e-9 + 2.0 ** -30 * jump
+    assert err <= 1e-11 * max(1.0, abs(val))
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(rows=st.lists(st.tuples(coefs, coefs, st.sampled_from([-np.inf, 0.1, 0.25]),
+                               st.sampled_from([np.inf, 0.75, 0.8])),
+                     min_size=1, max_size=5),
+       cut=st.sampled_from(CUT_POINTS), tol=st.sampled_from([1e-11, 1e-9, 3e-7]))
+def test_rows_together_equal_each_row_alone(rows, cut, tol):
+    # one integrate_ifs over every row against one call per row: bit-equal
+    fns = [piecewise((a, b), cut)[0] for a, b, _, _ in rows]
+    windows = [(lo, hi) for _, _, lo, hi in rows]
+    f = lambda x, rs: np.concatenate([fns[r](x[rs == r]) for r in range(len(rows))])[
+        np.argsort(np.argsort(rs, kind="stable"), kind="stable")]
+    got = integrate_ifs(f, MIDDLE_THIRDS, windows, [cut], tol, tol)
+    alone = [integrate_ifs(lambda x, rs, g=g: g(x), MIDDLE_THIRDS, [w], [cut], tol, tol)
+             for g, w in zip(fns, windows)]
+    assert got[0].tolist() == [float(v[0]) for v, _ in alone]
+    assert got[1].tolist() == [float(e[0]) for _, e in alone]
+
+
+def test_a_jump_on_the_cantor_set_splits_into_the_two_windows():
+    # the route cut at 0.25 against the two windows that meet there, to the
+    # float limit of a cut on the Cantor set (see the test above)
+    f, left, right = piecewise(((1.0, 0.5, -1.0), (3.0, -0.2, 0.4)), 0.25)
+    whole = ifs(f, cuts=(0.25,), tol=1e-11)[0]
+    parts = ifs(left, hi=0.25, tol=1e-11)[0] + ifs(right, lo=0.25, tol=1e-11)[0]
+    jump = abs(float(left(np.array([0.25]))[0] - right(np.array([0.25]))[0]))
+    assert abs(whole - parts) <= 1e-10 + 2.0 ** -30 * jump
 
 
 def test_cdf_values():
@@ -50,15 +181,16 @@ def test_general_spec_cdf_consistency():
 
 
 def test_part_mass_and_tv():
-    part = CantorPart(MIDDLE_THIRDS, -3.0)
-    assert part.total_variation() == 3.0
-    assert abs(part.apply(lambda x: np.ones_like(x)) + 3.0) < 1e-12
+    mu = cantor_measure(interval_domain(-0.5, 1.5), CantorPart(MIDDLE_THIRDS, -3.0))
+    assert mu.total_variation() == 3.0
+    assert abs(mu.apply_function(lambda p: np.ones(len(p))) + 3.0) < 1e-12
 
 
 def test_interval_mass():
-    part = CantorPart(MIDDLE_THIRDS, 1.0)
-    assert abs(part.interval_mass(0.0, 1.0 / 3.0) - 0.5) < 1e-12
-    assert abs(part.interval_mass(0.4, 0.6)) < 1e-12          # the central gap
+    mu = cantor_measure(interval_domain(-0.5, 1.5), CantorPart(MIDDLE_THIRDS, 1.0))
+    first, gap = mu.total_variation([((0.0, 1.0 / 3.0),), ((0.4, 0.6),)])
+    assert abs(first - 0.5) < 1e-12
+    assert abs(gap) < 1e-12          # the central gap
 
 
 def test_spec_mismatch_raises():

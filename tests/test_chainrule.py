@@ -11,7 +11,7 @@ from divchain import (BVFunction, ParamField, PrimitiveField, RectifiableSet,
                       chain_w11, green_check, layer_cake_action, plateau_bump,
                       product_rule, weak_divergence)
 from divchain import chainrule, runner
-from divchain.cantor import CantorPart, IFSSpec, cantor_function, integrate_ifs, support_nodes
+from divchain.cantor import CantorPart, IFSSpec, cantor_function
 from divchain.chainrule import ChainRuleBreakdown, _cantor_layer_cake, _mollified_indicator
 from divchain.cli import bundled_paths
 from divchain.errors import GeometryError, WrongRegularityError
@@ -21,7 +21,7 @@ from divchain.runner import RunResult, run_chain
 from divchain.scenario import load
 
 from conftest import ONES, ZEROS, sign_field, sign_t_field
-from helpers import box_domain, interval_domain
+from helpers import box_domain, interval_domain, midpoint_ifs, support_nodes
 
 
 def oracle(field, u, phi, dom, singular):
@@ -171,7 +171,7 @@ def test_cantor_layer_cake_is_the_exact_sum(spec, mass, coef, a, s, s_sign, ends
     width = spec.b - spec.a
     lo, plo, phi_, hi = (spec.a + e * width for e in ends)
     phi = plateau_bump([(lo, hi)], [(plo, phi_)])
-    exact = mass * integrate_ifs(lambda x: phi.value(x[:, None]) * F(u.eval(x[:, None])), spec)
+    exact = mass * midpoint_ifs(lambda x: phi.value(x[:, None]) * F(u.eval(x[:, None])), spec)
     assert layer_cake_action(field, u, phi) == pytest.approx(exact, abs=1e-7)
 
 
@@ -187,8 +187,8 @@ def test_cantor_layer_cake_matches_the_staircase_route():
         ref_cantor_layer_cake(field, u, phi, t_tol), abs=t_tol)
 
 
-# Reference: the Cantor sum over all the depth-20 nodes, before it was
-# restricted to the nodes inside phi's support.
+# Reference: the Cantor sum over all the depth-20 cylinder midpoints, which
+# _cantor_layer_cake summed before it ran on the Gauss route (a 16 MB table).
 def ref_full_cantor_layer_cake(field, u, phi):
     xs, ws = support_nodes(field.divc_part.spec, 20)
     P = PrimitiveField(field)
@@ -202,18 +202,21 @@ def ref_full_cantor_layer_cake(field, u, phi):
     ((0.0, 0.5), (0.1, 0.3), False),          # inside the base (-0.3, 0.9)
     ((-0.45, 0.1), (-0.3, -0.1), False),      # straddling its left end
     ((-0.4, 1.2), (-0.2, 1.0), False),        # covering it
-    ((0.15, 0.45), (0.2, 0.4), True),         # inside its middle gap: no node
-    ((-0.49, -0.31), (-0.4, -0.35), True),    # left of it: no node
+    ((0.15, 0.45), (0.2, 0.4), True),         # inside its middle gap: no mass
+    ((-0.49, -0.31), (-0.4, -0.35), True),    # left of it: no mass
 ], ids=["inside", "straddling", "covering", "gap", "outside"])
 def test_cantor_layer_cake_sums_only_the_support(support, plateau, empty):
+    # the Gauss route at 1e-10 against the depth-20 midpoint sum, whose error
+    # on this smooth integrand is second order in 3^-20; no node of the route
+    # sees phi where the measure has no mass
     field = cantor_x_field(IFSSpec(-0.3, 0.9), -1.5,
                            lambda t: 1 + np.asarray(t, dtype=float) - t ** 2, 2)
     u = affine_u(0.2, 0.8)
     phi = plateau_bump([support], [plateau])
-    got = _cantor_layer_cake(field, u, phi)
+    got = _cantor_layer_cake(field, u, phi, 1e-10)
     want = ref_full_cantor_layer_cake(field, u, phi)
     assert (got == 0.0) == empty
-    assert abs(got - want) <= 1e-15 * max(1.0, abs(want))
+    assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
 
 
 def test_chain_bv_scalar_examples(dom11, point_zero, bump_center):

@@ -7,7 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from divchain import cli
@@ -92,6 +92,27 @@ def test_cantor_divergence_of_mass_zero_runs(tmp_path, capsys):
     scn.write_text(text.replace("M = 1\n", "M = 1\ndivc_mass = 0\n"))
     assert main(["run", str(scn), "--out", str(tmp_path / "out")]) == EXIT_OK
     assert "SCENARIO sign-const: PASS" in capsys.readouterr().out.splitlines()
+
+
+@pytest.mark.parametrize("old, new", [
+    ("breaks = 0.5 : +1", "breaks = 0.25 : +1"),
+    ("cantor_amplitude = 1\n", "cantor_amplitude = 1\ncantor_base = -1 .. 1\n"),
+    ("cantor_amplitude = 1\n", "cantor_amplitude = 1\ncantor_base = 0.25 .. 1.25\n"),
+], ids=["jump-at-0.25", "base-minus-1-to-1", "base-0.25-to-1.25"])
+def test_u_jump_on_the_cantor_set_runs(tmp_path, capsys, old, new):
+    # u's jump on a point of the Cantor set (0.25 of [0, 1], 0.5 of the other
+    # bases): the chain terms' Cantor densities jump there, which the
+    # midpoint sums never resolved (exit 4); every check passes
+    with open(scenario_path("cantor-u-jump"), encoding="utf-8") as fh:
+        text = fh.read()
+    assert text.count(old) == 1
+    scn = tmp_path / "cantor-u-jump.scn"
+    scn.write_text(text.replace(old, new))
+    assert main(["run", str(scn), "--out", str(tmp_path / "out")]) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert "SCENARIO cantor-u-jump: PASS" in lines
+    assert [ln for ln in lines if ln.startswith("[")] and \
+        all(ln.startswith("[PASS]") for ln in lines if ln.startswith("["))
 
 
 def test_negative_control_exits_nonzero(tmp_path):
@@ -598,14 +619,19 @@ KEY_LINE = re.compile(r"(\w+) = (.*)")
 
 @st.composite
 def mutated_files(draw):
-    """(name, text) of a cheap bundled file with one mutation: a `key = value`
-    line set to a hostile value, new domain ends, a break or point moved, or
-    a new cantor_base."""
+    """(name, text, kind) of a cheap bundled file with one mutation, of the
+    kind named: a `key = value` line set to a hostile value, new domain ends,
+    a break or point moved, a new cantor_base, or a jump of u moved onto
+    0.25 or 0.75, points of the Cantor set of the default base [0, 1]."""
     name = draw(st.sampled_from(FUZZ_FILES))
     lines = (bundled_dir() / f"{name}.scn").read_text(encoding="utf-8").splitlines()
     keyed = [i for i, ln in enumerate(lines) if KEY_LINE.fullmatch(ln)]
     placed = [i for i in keyed if re.match(r"(breaks|points|k_breaks) = -?[\d.]", lines[i])]
-    kind = draw(st.sampled_from(["value", "domain", "cantor_base"] + ["break"] * bool(placed)))
+    cantor = any(ln.startswith(("cantor_amplitude = ", "divc_mass = ")) for ln in lines)
+    u_breaks = [i for i in placed if cantor and lines[i].startswith("breaks = ")
+                and lines[max(j for j in range(i) if lines[j].startswith("["))] == "[u]"]
+    kind = draw(st.sampled_from(["value", "domain", "cantor_base"] + ["break"] * bool(placed)
+                                + ["u_jump_on_cantor_set"] * bool(u_breaks)))
     if kind == "value":
         i = draw(st.sampled_from(keyed))
         lines[i] = f"{KEY_LINE.fullmatch(lines[i])[1]} = {draw(st.sampled_from(FUZZ_VALUES))}"
@@ -617,19 +643,32 @@ def mutated_files(draw):
         i = draw(st.sampled_from(placed))
         at = draw(st.sampled_from(FUZZ_ENDS + ["1/3", "0.999"]))
         lines[i] = re.sub(r"= -?[\d.]+", f"= {at}", lines[i], count=1)
+    elif kind == "u_jump_on_cantor_set":
+        i = draw(st.sampled_from(u_breaks))
+        lines[i] = re.sub(r"= -?[\d.]+", f"= {draw(st.sampled_from(['0.25', '0.75']))}", lines[i],
+                          count=1)
     else:
         section = "[field]" if "[field]" in lines else "[scenario]"
         lines.insert(lines.index(section) + 1, f"cantor_base = {draw(st.sampled_from(FUZZ_ENDS))}"
                      f" .. {draw(st.sampled_from(FUZZ_ENDS))}")
-    return name, "\n".join(lines) + "\n"
+    return name, "\n".join(lines) + "\n", kind
+
+
+def _u_jump_at(name, at):
+    """A bundled file's text with the jump of u moved to `at`."""
+    text = (bundled_dir() / f"{name}.scn").read_text(encoding="utf-8")
+    return name, re.sub(r"(?m)^breaks = [\d.]+", f"breaks = {at}", text, count=1), \
+        "u_jump_on_cantor_set"
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(mutated_files())
+@example(_u_jump_at("cantor-u-jump", "0.75"))
 def test_exit_codes_hold_for_mutated_files(tmp_path_factory, case):
     # validate and run agree on every file that validate rejects, and a file
-    # that validate accepts never fails to parse or validate in run
-    name, text = case
+    # that validate accepts never fails to parse or validate in run; a valid
+    # file whose jump of u sits on the Cantor set runs to its verdicts
+    name, text, kind = case
     path = tmp_path_factory.mktemp("fuzz") / f"{name}.scn"
     path.write_text(text, encoding="utf-8")
     _, failure = cli._load(str(path))
@@ -641,3 +680,5 @@ def test_exit_codes_hold_for_mutated_files(tmp_path_factory, case):
         assert code == failure[0]
     else:
         assert code not in (EXIT_PARSE_ERROR, EXIT_VALIDATION_ERROR)
+    if kind == "u_jump_on_cantor_set" and not failure:
+        assert code in (EXIT_OK, EXIT_CHECKS_FAILED), out
