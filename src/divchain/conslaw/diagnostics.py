@@ -26,23 +26,23 @@ def _segment_integrals(f, edges, order):
     return (vals @ gw) * half
 
 
-def _slab_tables(traj: Trajectory, per_state):
-    """Tables over the slab states u_i^n, one per leading index of per_state.
-
-    per_state(k, u) maps a coefficient value and an array of states to an
-    array of shape (ntab, ..., len(u)).  It is called once per coefficient
-    value, on that value's distinct slab states only (traj.slab_states); the
-    c-th table yielded has shape (..., nslab, ncell) and holds
-    per_state(k_i, u_i^n)[c].
-    """
-    inv, per_k = traj.slab_states
-    vals = np.concatenate([per_state(kv, u) for kv, u in per_k], axis=-1)
-    return (np.take(table, inv, axis=-1) for table in vals)
+def _min_and_upper(family, u, flux_part, Au):
+    """(\\int w min(v, u) dv, flux_part + Au \\int_{v>u} w) per row w of family,
+    with \\int_{v>u} w taken once and the sums in place, so that beside
+    flux_part at most two (rows, len(u)) arrays are alive at a time."""
+    upper = family.upper_integral(u)
+    flux_part += upper * Au
+    upper *= u
+    time_part = family.moment_cdf(u)
+    time_part += upper
+    return time_part, flux_part
 
 
 def _hat_pairings(traj: Trajectory, t_basis, x_basis, per_state):
-    """<g0, -d_t T_a X_b> + <g1, -T_a d_x X_b> for each pair of slab tables
-    (g0, g1) of per_state (see _slab_tables): an array (ntab, n_t, n_x).
+    """<g0, -d_t T_a X_b> + <g1, -T_a d_x X_b> for each table row c: an array
+    (ntab, n_t, n_x).  per_state(k, u) maps a coefficient value and its
+    distinct slab states (traj.slab_states) to the columns (g0, g1), each an
+    array (ntab, len(u)), and row c pairs g[c] at each slab state (k_i, u_i^n).
 
     Both pairings are in closed form for piecewise-constant-in-(t, x)
     tables, and the tables are built one at a time.
@@ -51,8 +51,11 @@ def _hat_pairings(traj: Trajectory, t_basis, x_basis, per_state):
     dT = t_basis.point_diffs(traj.times)     # (n_t, nslab)
     XI = x_basis.seg_integrals(traj.edges)   # (n_x, ncell)
     dX = x_basis.point_diffs(traj.edges)     # (n_x, ncell)
-    return np.array([-(dT @ g0 @ XI.T) - (TI @ g1 @ dX.T)
-                     for g0, g1 in _slab_tables(traj, per_state)])
+    inv, per_k = traj.slab_states
+    parts = [per_state(kv, u) for kv, u in per_k]
+    g0, g1 = parts[0] if len(parts) == 1 else (np.concatenate(c, axis=-1) for c in zip(*parts))
+    return np.array([-(dT @ g0[c][inv] @ XI.T) - (TI @ g1[c][inv] @ dX.T)
+                     for c in range(len(g0))])
 
 
 def space_time_bumps(traj: Trajectory):
@@ -106,7 +109,8 @@ def entropy_residual(traj: Trajectory, pair: EntropyPair):
             "entropy residual implemented for piecewise-constant coefficients")
     slabs = traj.states[:-1]
     t_edges = traj.times
-    eta, = _slab_tables(traj, lambda kv, u: pair.eta_of_k(flux, kv, u)[None])
+    inv, per_k = traj.slab_states
+    eta = np.concatenate([pair.eta_of_k(flux, kv, u) for kv, u in per_k])[inv]
     s_of_u = np.asarray(pair.S(traj.states), dtype=float)
 
     # per interface and u_hat variant: slab weights that do not depend on the bump
@@ -192,9 +196,7 @@ def kinetic_measure(traj: Trajectory, n_t=6, n_x=10, n_v=14):
 
     def per_state(kv, u):
         A = lambda v: flux.flux_at(kv, v)
-        return np.stack([hats.min_integral(u),
-                         hats.weighted_to_upper(A, u, flux.ahat_degree)
-                         + A(u) * hats.upper_integral(u)], axis=1)
+        return _min_and_upper(hats, u, hats.weighted_to_upper(A, u, flux.ahat_degree), A(u))
 
     masses = _hat_pairings(traj, t_basis, x_basis, per_state)
     # the interface part: minus a time series per v-hat at each coefficient
@@ -231,10 +233,11 @@ def kinetic_identity_residual(traj: Trajectory, km: KineticMeasure):
     def per_state(kv, u):
         a = lambda v: flux.speed_at(kv, v)
         A = lambda v: flux.flux_at(kv, v)
-        return np.stack([hats.cdf(u) + dhats.min_integral(u),
-                         hats.weighted_to_upper(a, u, flux.speed_degree)
-                         + dhats.weighted_to_upper(A, u, flux.ahat_degree)
-                         + A(u) * dhats.upper_integral(u)], axis=1)
+        flux_part = hats.weighted_to_upper(a, u, flux.speed_degree)
+        flux_part += dhats.weighted_to_upper(A, u, flux.ahat_degree)
+        time_part, flux_part = _min_and_upper(dhats, u, flux_part, A(u))
+        time_part += hats.cdf(u)
+        return time_part, flux_part
 
     return float(np.max(np.abs(_hat_pairings(traj, km.t_basis, km.x_basis, per_state))))
 

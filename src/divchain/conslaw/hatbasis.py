@@ -5,7 +5,9 @@ and \\int_{v<u} w(v) g(v) dv for every hat w of a basis and every distinct
 (k, u) slab state; a family holds the hats as rows, so each is one call.  The
 first two have closed forms.  The third runs Gauss on each clipped piece:
 ceil((d + 2) / 2) points when g is a polynomial of known degree d, which is
-exact (two for the bundled quadratic fluxes), and 12 points otherwise.
+exact (two for the bundled quadratic fluxes), and 12 points otherwise.  The
+j-th pieces of the rows follow each other along the line in row order, so
+one bisection per piece column places every state.
 """
 
 from __future__ import annotations
@@ -29,9 +31,13 @@ def _piece_integral(a, c, p, q):
 class PiecewiseLinearWeight:
     """Weights w_i(v) = p_ij + q_ij v on [a_ij, b_ij] (disjoint, sorted in j),
     zero elsewhere, from arrays of shape (n_weights, n_pieces).  Every method
-    returns one row per weight: shape (n_weights,) + its argument's shape."""
+    returns one row per weight: shape (n_weights,) + its argument's shape.
+    Each piece column is a sorted partition, a_0j <= b_0j <= a_1j <= ...,
+    which __init__ checks: the clipped integrals bisect it."""
 
     def __init__(self, a, b, p, q):
+        if not np.all(np.diff(np.stack([a, b], axis=1).reshape(-1, a.shape[1]), axis=0) >= 0):
+            raise ValueError("each piece column must be a sorted partition")
         self.a, self.b, self.p, self.q = a, b, p, q
 
     def val(self, x):
@@ -54,16 +60,18 @@ class PiecewiseLinearWeight:
     def _below(self, y, whole, part):
         """Per row, \\int_{-inf}^{y} as a sum over pieces: a piece wholly below y
         adds whole[:, j], one wholly above nothing, and only the (row, state)
-        pairs with y inside (a, b) get part(rows, j, y), over [a, y]."""
+        pairs with y inside (a, b) get part(rows, j, y), over [a, y].  In a
+        column, k rows have b <= y, and only row k (a = inf for k = n) can hold y."""
         y = np.asarray(y, dtype=float)
         flat = y.ravel()
         out = np.zeros((len(self.a), flat.size))
+        rank = np.arange(len(out))[:, None]
         for j in range(self.a.shape[1]):
-            a, b = self.a[:, j, None], self.b[:, j, None]
-            np.add(out, whole[:, j, None], out=out, where=flat >= b)
-            rows, at = np.nonzero((flat > a) & (flat < b))
-            if rows.size:
-                out[rows, at] += part(rows, j, flat[at])
+            k = np.searchsorted(self.b[:, j], flat, side="right")
+            np.add(out, whole[:, j, None], out=out, where=rank < k)
+            at = np.flatnonzero(flat > np.append(self.a[:, j], np.inf)[k])
+            if at.size:
+                out[k[at], at] += part(k[at], j, flat[at])
         return out.reshape(out.shape[:1] + y.shape)
 
     def cdf(self, y):
@@ -77,11 +85,6 @@ class PiecewiseLinearWeight:
         a3 = _cube(a)
         return self._below(y, f(a, b, a3, _cube(b), p, q),
                            lambda r, j, c: f(a[r, j], c, a3[r, j], c ** 3, p[r, j], q[r, j]))
-
-    def min_integral(self, u):
-        """\\int w(v) min(v, u) dv (exact)."""
-        u = np.asarray(u, dtype=float)
-        return self.moment_cdf(u) + u * self.upper_integral(u)
 
     def upper_integral(self, u):
         """\\int_{v > u} w(v) dv."""

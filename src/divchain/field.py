@@ -238,7 +238,8 @@ def moll_point(domain: Domain, singular_set: RectifiableSet, x, eps):
     ball of radius eps about x leaves the domain."""
     pts = as_points(x, domain.dim)
     sp, sn = singular_set.samples(129)
-    d = np.linalg.norm(sp - pts[0], axis=1)
+    # hypot scales, so a point far off reads a large distance, not an overflow
+    d = np.hypot.reduce(np.abs(sp - pts[0]), axis=1)
     if not len(d) or d.min() > (1e-11 if singular_set.dim == 1 else 1e-9):
         raise NotOnJumpSetError(f"{pts[0]} is not a sample of the singular set")
     if any(c - eps < lo or c + eps > hi for c, (lo, hi) in zip(pts[0], domain.bounds)):

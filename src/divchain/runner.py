@@ -412,7 +412,6 @@ def run_kato(scn: Scenario, res: RunResult):
     from .conslaw import kato_check
     kato = scn.kato
     all_rows = []
-    ok = True
     per_pair = kato_check(scn.flux, kato.pairs, kato.T, kato.dx_list, scn.domain)
     for j, rows in enumerate(per_pair):
         for r in rows:
@@ -425,7 +424,6 @@ def run_kato(scn: Scenario, res: RunResult):
         if len(rows) >= 2 and rows[-2]["deficit"] > 1e-7:
             ratio = rows[-1]["deficit"] / rows[-2]["deficit"]
             halving = 0.35 <= ratio <= 0.65
-        ok &= contraction and w_sign and w_int and halving
         res.check(f"kato:pair{j}", contraction and w_sign and w_int and halving,
                   contraction=contraction, w_sign_test=w_sign, w_integral=w_int,
                   deficit_halving=halving,
@@ -438,13 +436,10 @@ def run_kato(scn: Scenario, res: RunResult):
 
 
 def _trajectory_rows(traj):
-    rows = []
-    stride = max(1, len(traj.times) // 8)
-    for n in range(0, len(traj.times), stride):
-        for i in range(0, len(traj.centers), max(1, len(traj.centers) // 200)):
-            rows.append({"time": traj.times[n], "x": traj.centers[i],
-                         "u": traj.states[n, i]})
-    return rows
+    levels = range(0, len(traj.times), max(1, len(traj.times) // 8))
+    cells = range(0, len(traj.centers), max(1, len(traj.centers) // 200))
+    return [{"time": traj.times[n], "x": traj.centers[i], "u": traj.states[n, i]}
+            for n in levels for i in cells]
 
 
 def _emit_density_plot(scn, res, br):
@@ -510,12 +505,14 @@ def write_outputs(res: RunResult, out_dir):
 
 
 def _write_csv(path, rows):
-    keys = list(rows[0].keys())
+    # as a csv.DictWriter on the first row's keys: missing keys empty, others refused
+    keys = list(rows[0])
+    if extra := set().union(*rows) - set(keys):
+        raise ValueError(f"dict contains fields not in fieldnames: {', '.join(map(repr, extra))}")
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.DictWriter(fh, fieldnames=keys)
-        w.writeheader()
-        for r in rows:
-            w.writerow({k: _fmt(r.get(k)) for k in keys})
+        w = csv.writer(fh)
+        w.writerow(keys)
+        w.writerows([_fmt(r.get(k)) for k in keys] for r in rows)
 
 
 def _fmt(v):

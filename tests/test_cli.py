@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import re
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 from divchain import cli
 from divchain.cli import bundled_dir, bundled_paths, main
 from divchain.runner import (EXIT_CHECKS_FAILED, EXIT_NUMERICAL_ERROR, EXIT_OK,
-                             EXIT_PARSE_ERROR, EXIT_VALIDATION_ERROR)
+                             EXIT_PARSE_ERROR, EXIT_VALIDATION_ERROR, _fmt, _write_csv)
 
 from helpers import interval_domain
 
@@ -128,6 +129,36 @@ def test_reports_are_deterministic(tmp_path):
         assert main(["run", p, "--out", str(out)]) == EXIT_OK
         outs.append((out / "sign-2t-heaviside" / "report.json").read_bytes())
     assert outs[0] == outs[1]
+
+
+def dictwriter_csv(path, rows):
+    """The writer _write_csv replaced: a csv.DictWriter on the first row's
+    keys, fed one dict of formatted values per row."""
+    keys = list(rows[0].keys())
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        w = csv.DictWriter(fh, fieldnames=keys)
+        w.writeheader()
+        for r in rows:
+            w.writerow({k: _fmt(v) for k, v in r.items()})
+
+
+def test_csv_tables_equal_the_dictwriter_reference(tmp_path):
+    rows = [{"phi": "a,b", "value": np.float64(0.1) * 3, "n": 3, "ok": True, "note": None},
+            {"phi": 'say "hi"', "value": 1.0 / 3.0, "n": np.int64(-7), "ok": False,
+             "note": "two\nlines"},
+            {"phi": "", "value": float("inf"), "n": 0, "ok": np.bool_(True), "note": "x\r\ny"},
+            {"phi": "nan", "value": np.float64("nan"), "n": 2 ** 70},
+            {"value": -0.0, "ok": None, "phi": np.float32(0.1), "note": "'"}]
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    _write_csv(got, rows)
+    dictwriter_csv(want, rows)
+    assert got.read_bytes() == want.read_bytes()
+    # a key the header lacks is refused, as DictWriter refuses it
+    bad = rows + [{"phi": "p", "extra": 1.0}]
+    with pytest.raises(ValueError, match="'extra'"):
+        dictwriter_csv(tmp_path / "bad-ref.csv", bad)
+    with pytest.raises(ValueError, match="dict contains fields not in fieldnames: 'extra'"):
+        _write_csv(tmp_path / "bad.csv", bad)
 
 
 def test_parallel_jobs(tmp_path):
@@ -521,6 +552,20 @@ def test_kato_bound_counts_the_work_per_pair(tmp_path, capsys, levels, code):
     else:
         assert out.startswith(f"validation error in {path}: line {line}: the march to T = ")
         assert f"holds 2 x {levels:.3g} x 1.28e+04 floats" in out
+
+
+def test_far_moll_point_is_a_validation_error_without_overflow(tmp_path, capsys):
+    # the distance to the singular set's samples once overflowed for a point
+    # at 1e300, and RuntimeWarning as an error turned validate's exit 3 into 4
+    path, line = _write_malformed(tmp_path, "moll-point-1e300", "sign-const",
+                                  [("points = 0\n", "points = 1e300\n")], "[moll] points")
+    head = f"validation error in {path}: line {line}: "
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for argv in (["validate", path], ["run", path, "--out", str(tmp_path / "out")]):
+            assert main(argv) == EXIT_VALIDATION_ERROR
+            out = capsys.readouterr().out
+            assert out.startswith(head) and "is not a sample of the singular set" in out, out
 
 
 def test_malformed_values_do_not_stop_the_batch(tmp_path, capsys):

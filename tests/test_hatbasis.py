@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -89,6 +90,29 @@ def hat_derivative(l, m, r):
 def per_hat(nodes, weight=hat):
     """The interior hats (or their derivatives) on nodes, one object each."""
     return [weight(nodes[j - 1], nodes[j], nodes[j + 1]) for j in range(1, len(nodes) - 1)]
+
+
+# -- reference: mask every (row, state) pair of a piece column -------------
+# The route PiecewiseLinearWeight._below replaced: per piece column, one
+# (n_weights, n_states) comparison mask for the wholly-below pieces and a
+# 2-D nonzero for the pairs with the state inside the piece.  It needs no
+# sorted columns.
+
+def mask_below(self, y, whole, part):
+    y = np.asarray(y, dtype=float)
+    flat = y.ravel()
+    out = np.zeros((len(self.a), flat.size))
+    for j in range(self.a.shape[1]):
+        a, b = self.a[:, j, None], self.b[:, j, None]
+        np.add(out, whole[:, j, None], out=out, where=flat >= b)
+        rows, at = np.nonzero((flat > a) & (flat < b))
+        if rows.size:
+            out[rows, at] += part(rows, j, flat[at])
+    return out.reshape(out.shape[:1] + y.shape)
+
+
+class MaskedWeight(PiecewiseLinearWeight):
+    _below = mask_below
 
 
 # -- reference: clip every state into every piece -------------------------
@@ -200,8 +224,10 @@ def test_families_equal_the_per_hat_reference(by):
         assert np.array_equal(family.integral(), [w.integral() for w in refs])
         grid = np.linspace(basis.nodes[0] - 1.0, basis.nodes[-1] + 1.0, 64)
         for u in (np.concatenate([y, grid]), float(y[0])):
+            # \\int w min(v, u) as the kinetic assembly composes it
             got = {"val": family.val(u), "cdf": family.cdf(u),
-                   "moment_cdf": family.moment_cdf(u), "min_integral": family.min_integral(u),
+                   "moment_cdf": family.moment_cdf(u),
+                   "min_integral": family.moment_cdf(u) + u * family.upper_integral(u),
                    "upper_integral": family.upper_integral(u)}
             for g, degree in G_AND_DEGREE:
                 got[g, degree] = family.weighted_to_upper(g, u, degree)
@@ -222,3 +248,50 @@ def test_scalar_state_keeps_shape():
         assert got.shape == (3,)
         for i, pieces in enumerate(rows(family)):
             _close(got[i], ref_weighted_to_upper(pieces, np.exp, y))
+
+
+@st.composite
+def family_and_states(draw):
+    """A family of a basis, sometimes one with a node at 0.0, and states with
+    exact node values, +-0.0, values beyond the nodes, infinities and
+    repeats."""
+    if draw(st.booleans()):
+        basis, y = draw(basis_and_states())
+    else:
+        basis = HatBasis(-1.0, 1.0, 2 * draw(st.integers(1, 3)) - 1)
+        y = np.array(draw(st.lists(st.sampled_from(list(basis.nodes)), min_size=1)))
+    family = basis.hats if draw(st.booleans()) else basis.derivatives
+    lo, hi = basis.nodes[0], basis.nodes[-1]
+    extra = [0.0, -0.0, lo - 0.5, hi + 0.5, -1e300, 1e300, -np.inf, np.inf]
+    y = np.concatenate([y, basis.nodes, draw(st.lists(st.sampled_from(extra), max_size=8))])
+    return family, draw(st.permutations(np.concatenate([y, y[:draw(st.integers(0, len(y)))]])))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(family_and_states())
+def test_bisection_equals_the_mask_reference(fy):
+    family, y = fy
+    ref = MaskedWeight(family.a, family.b, family.p, family.q)
+    for u in (np.array(y), np.array(y).reshape(1, -1), float(y[0])):
+        for name in ("cdf", "moment_cdf", "upper_integral"):
+            got, want = getattr(family, name)(u), getattr(ref, name)(u)
+            assert got.shape == want.shape == (len(family.a),) + np.shape(u), name
+            assert np.array_equal(got, want), name
+        for g, degree in G_AND_DEGREE:
+            got, want = family.weighted_to_upper(g, u, degree), ref.weighted_to_upper(g, u, degree)
+            assert np.array_equal(got, want), degree
+
+
+def test_unsorted_piece_columns_are_refused():
+    family = HatBasis(0.0, 1.0, 3).hats
+    a, b, p, q = family.a, family.b, family.p, family.q
+    swap = [1, 0, 2]
+    with pytest.raises(ValueError, match="sorted partition"):
+        PiecewiseLinearWeight(a[swap], b[swap], p[swap], q[swap])
+    # overlapping pieces in one column, and a piece that ends before it starts
+    wide = b.copy()
+    wide[0, 0] += 0.01
+    with pytest.raises(ValueError, match="sorted partition"):
+        PiecewiseLinearWeight(a, wide, p, q)
+    with pytest.raises(ValueError, match="sorted partition"):
+        PiecewiseLinearWeight(b[:1], a[:1], p[:1], q[:1])
