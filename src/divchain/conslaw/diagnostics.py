@@ -185,9 +185,9 @@ def kinetic_measure(traj: Trajectory, n_t=6, n_x=10, n_v=14):
     polynomial in u.
     """
     flux = traj.flux
-    if np.min(traj.states) < -1e-12:
-        raise ScenarioValidationError("kinetic assembly implemented for u >= 0 runs")
     umax = float(np.max(traj.states))
+    if not (np.min(traj.states) >= -1e-12 and umax < np.inf):     # False at NaN
+        raise ScenarioValidationError("kinetic assembly implemented for finite u >= 0 runs")
     t_basis = HatBasis(traj.times[0], traj.times[-1], n_t)
     (xlo, xhi), = traj.domain.bounds
     x_basis = HatBasis(xlo, xhi, n_x)

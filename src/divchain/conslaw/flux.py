@@ -95,6 +95,16 @@ class FluxSpec:
     def flux_at(self, kv, u):
         return np.asarray(self.ahat(np.asarray(kv, dtype=float), u), dtype=float)
 
+    def ahat_into(self, kv, shape):
+        """u -> Ahat(kv, u) for u of one shape, in buffers made once (Expr.into);
+        a plain Python callable, as tests build, is called and copied in."""
+        kv = np.asarray(kv, dtype=float)
+        if hasattr(self.ahat, "expr"):
+            ev = self.ahat.expr.into({"k": kv.shape, "u": shape})
+            return lambda u: ev({"k": kv, "u": u})
+        out = np.empty(np.broadcast_shapes(kv.shape, shape))
+        return lambda u: np.copyto(out, self.flux_at(kv, u)) or out
+
     def speed_at(self, kv, u):
         return np.asarray(self.dahat_du(np.asarray(kv, dtype=float), u), dtype=float)
 

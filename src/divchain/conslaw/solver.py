@@ -5,12 +5,10 @@ cells.  Coefficient jumps must sit on cell faces; those faces couple the
 two one-sided fluxes through the demand/supply form of the Godunov flux,
 which selects the admissible interface state.  One vectorized numpy sweep
 serves every flux: it needs only Ahat and its declared critical points.
-The sweep marches any number of initial data on one mesh at once (fv_solve
-one, the Kato experiment every datum of every pair), one row each of a
-buffer padded with the ghost cells and updated in place.  Every operation
-acts on each row on its own, so a row's states do not depend on the others.
-It evaluates Ahat once per cell and step, and keeps the states of the cells
-it is given.
+It marches any number of initial data on one mesh at once (fv_solve one,
+the Kato experiment every datum of every pair), each a row of one buffer
+updated in place, and every operation acts on each row on its own.  After
+its first step it allocates nothing of the rows' size.
 """
 
 from __future__ import annotations
@@ -188,107 +186,93 @@ def _solve(flux: FluxSpec, mesh: GridState, data, T, record):
 def face_fluxes(flux: FluxSpec, kvals):
     """Godunov fluxes on the n+1 faces of n cells with coefficients kvals.
 
-    Returns F(u), the face fluxes for padded cell averages u of shape
-    (..., n + 2), one row per initial datum, whose first and last columns
-    are the ghost cells.  Ahat is evaluated once per padded cell, at
-    (k_i, u_i); a face takes its one-sided values from its two cells, and
-    only faces whose coefficients differ in the last bits without jumping
-    evaluate Ahat(k_left, u_right) anew.  Faces inside one coefficient
-    piece take the classical Godunov min/max of the flux over the Riemann
-    interval, using the declared critical points; faces where k jumps take
-    the demand/supply coupling min(D_left(uL), S_right(uR)), evaluated on
-    those faces only.  Flux values that do not depend on u (at the ends of
-    u_range and at the critical points) are computed here, once.
+    Returns F(u) for rows of F.width columns: cell averages with a ghost cell
+    at each end, then scratch cells that F fills.  F's face fluxes (..., n+1),
+    Ahat and all else are buffers made once per row shape, overwritten per call.
+    A face takes the min (uL <= uR) or max of Ahat(k, .) at its two cells and
+    at each critical point c they lie on two sides of (u < c against u >= c;
+    at an end, Ahat(k, c) is the end's value bit for bit).  A jump face is
+    min(D_L(uL), S_R(uR)) on a block of four scratch cells: D_L, the max of
+    Ahat(k_L, .) on [lo, uL], is the face (uL, lo) at k_L, and S_R the face
+    (hi, uR) at k_R, each pair the max and min of state and end.  A face
+    where k differs in the last bits has (uL, uR) at k_L twice in its block.
     """
     lo, hi = flux.u_range
+    n, inf = len(kvals), np.inf
     kpad = np.concatenate([kvals[:1], kvals, kvals[-1:]])
     kL, kR = kpad[:-1], kpad[1:]
-    same = np.abs(kL - kR) <= 1e-12
-    jump = np.flatnonzero(~same)
-    near = np.flatnonzero(same & (kL != kR))
-    critL, fcritL = _critical_table(flux, kL)
-    # demand/supply data on the faces where k jumps only
-    critLj = critL[:, jump]
-    fcritLj = [fc[jump] for fc in fcritL]
-    critRj, fcritRj = _critical_table(flux, kR[jump])
-    f_at_lo = flux.flux_at(kL[jump], lo)
-    f_at_hi = flux.flux_at(kR[jump], hi)
-    tiles = {}      # leading shape of u -> the face data as views of that shape
+    jump = np.flatnonzero(np.abs(kL - kR) > 1e-12)
+    near = np.flatnonzero((np.abs(kL - kR) <= 1e-12) & (kL != kR))
+    # scratch cells: (source cell, coefficient, clip floor, clip ceiling)
+    cells = [c for f in jump for c in ((f, kL[f], lo, inf), (f, kL[f], -inf, lo),
+                                        (f + 1, kR[f], hi, inf), (f + 1, kR[f], -inf, hi))]
+    cells += [c for f in near for c in 2 * ((f, kL[f], -inf, inf), (f + 1, kL[f], -inf, inf))]
+    src, kscr, floor, ceil = np.array(cells, dtype=float).reshape(-1, 4).T
+    src = src.astype(np.intp)
+    kext = np.concatenate([kpad, kscr])
+    crit, fcrit = _critical_table(flux, kext)
+    fixed = np.concatenate([jump, near])    # the min of two faces of a scratch block
+    buffers = {}
 
     def F(u):
-        rows = u.shape[:-1]
-        if rows not in tiles:
-            t = lambda arrays: [np.broadcast_to(a, rows + a.shape) for a in arrays]
-            tiles[rows] = (t([kpad, kL[near], f_at_lo, f_at_hi]), t(critL), t(fcritL),
-                           t(critLj), t(fcritLj), t(critRj), t(fcritRj))
-        (kv, k_near, f_lo, f_hi), cL, fcL, cLj, fcLj, cRj, fcRj = tiles[rows]
-        fc = flux.flux_at(kv, u)
-        uL, uR = u[..., :-1], u[..., 1:]
-        fl, fr = fc[..., :-1], fc[..., 1:]
-        if len(near):
-            fr = fr.copy()
-            fr[..., near] = flux.flux_at(k_near, uR[..., near])
-        fmin = np.minimum(fl, fr)
-        fmax = np.maximum(fl, fr)
-        for c, fcr in zip(cL, fcL):
-            # c strictly between uL and uR: False at NaN padding and equal ends
-            ok = ((uL < c) & (c < uR)) | ((uR < c) & (c < uL))
-            np.minimum(fmin, fcr, out=fmin, where=ok)
-            np.maximum(fmax, fcr, out=fmax, where=ok)
-        np.copyto(fmax, fmin, where=uL <= uR)
-        out = fmax
-        if len(jump):
-            uLj = uL[..., jump]
-            D = np.maximum(fl[..., jump], f_lo)
-            for c, fcr in zip(cLj, fcLj):
-                D = np.where((c > lo) & (c < uLj), np.maximum(D, fcr), D)
-            # Ahat(k_R, u_R) at a jump face is its right cell's value
-            uRj = uR[..., jump]
-            S = np.maximum(fr[..., jump], f_hi)
-            for c, fcr in zip(cRj, fcRj):
-                S = np.where((c > uRj) & (c < hi), np.maximum(S, fcr), S)
-            out[..., jump] = np.minimum(D, S)
-        return out
+        if u.shape not in buffers:
+            faces = u.shape[:-1] + (u.shape[-1] - 1,)
+            buffers[u.shape] = (flux.ahat_into(kext, u.shape), np.empty(faces), np.empty(faces),
+                                np.empty(u.shape, dtype=bool), np.empty(faces, dtype=bool))
+        ahat, fmin, fmax, side, mask = buffers[u.shape]
+        if len(src):
+            np.clip(u[..., src], floor, ceil, out=u[..., n + 2:])
+        fc = ahat(u)
+        np.minimum(fc[..., :-1], fc[..., 1:], out=fmin)
+        np.maximum(fc[..., :-1], fc[..., 1:], out=fmax)
+        for c, fcr in zip(crit, fcrit):
+            np.less(u, c, out=side)         # False at NaN padding
+            np.not_equal(side[..., :-1], side[..., 1:], out=mask)
+            np.minimum(fmin, fcr[:-1], out=fmin, where=mask)    # a face takes its left
+            np.maximum(fmax, fcr[:-1], out=fmax, where=mask)    # cell's value
+        np.less_equal(u[..., :-1], u[..., 1:], out=mask)
+        np.copyto(fmax, fmin, where=mask)
+        if len(src):
+            fmax[..., fixed] = np.minimum(fmax[..., n + 2::4], fmax[..., n + 4::4])
+        return fmax[..., :n + 1]
 
+    F.width = len(kext)
     return F
 
 
 def _critical_table(flux: FluxSpec, kv):
-    """Critical points of each face's flux as rows (NaN-padded where a face
+    """Critical points of each cell's flux as rows (NaN-padded where a cell
     has fewer), and the flux at them (at lo for the padding, unused).
     flux.critical runs once per distinct coefficient value."""
     ks, inv = np.unique(kv, return_inverse=True)
     crit = [tuple(flux.critical(k)) for k in ks]
-    table = np.full((max([len(c) for c in crit] + [0]), len(ks)), np.nan)
-    for i, c in enumerate(crit):
-        table[:len(c), i] = c
-    table = table[:, inv]
-    lo = flux.u_range[0]
-    return table, [flux.flux_at(kv, np.where(np.isnan(c), lo, c)) for c in table]
+    width = max(map(len, crit), default=0)
+    table = np.array([c + (np.nan,) * (width - len(c)) for c in crit])[inv].T
+    return table, [flux.flux_at(kv, np.where(np.isnan(c), flux.u_range[0], c)) for c in table]
 
 
 def _sweep(F, data, lam, nsteps, cells):
     """nsteps explicit steps u <- u - lam (F_{i+1/2} - F_{i-1/2}).
 
     data holds the initial cell averages, one array per datum, copied into
-    the rows of one buffer with a zero-gradient ghost cell at each end and
-    updated in place.  Returns the states of the given cells (an index or
+    the rows of one buffer of F.width columns (a ghost cell at each end, then
+    F's scratch cells).  Returns the states of the given cells (an index or
     slice) at every level, shape (rows, nsteps + 1, cells kept), each row's
     one C-contiguous block, and the final states.
     """
-    padded = np.empty((len(data), len(data[0]) + 2))
-    u = padded[:, 1:-1]
+    n = len(data[0])
+    padded = np.empty((len(data), F.width))
+    u = padded[:, 1:n + 1]
     u[...] = data
-    first = u[..., cells]
-    out = np.empty(first.shape[:-1] + (nsteps + 1, first.shape[-1]))
-    out[..., 0, :] = first
+    out = np.empty((len(data), nsteps + 1, u[0, cells].size))
+    out[..., 0, :] = u[..., cells]
     diff = np.empty_like(u)
-    for n in range(nsteps):
-        padded[..., 0] = padded[..., 1]
-        padded[..., -1] = padded[..., -2]
+    for step in range(1, nsteps + 1):
+        padded[:, 0] = padded[:, 1]
+        padded[:, n + 1] = padded[:, n]
         Fu = F(padded)
         np.subtract(Fu[..., 1:], Fu[..., :-1], out=diff)
         diff *= lam
         u -= diff
-        out[..., n + 1, :] = u[..., cells]
+        out[..., step, :] = u[..., cells]
     return out, u

@@ -5,13 +5,14 @@ parentheses, comparisons (< <= > >=) producing 0/1 masks, and the function
 set sign, abs, H, sin, cos, exp, sqrt, min, max, Cantor.  Parsing errors carry
 line/column positions; a variable the compiling wrapper does not allow is a
 parse error on the line.  An expression is parsed into a small tuple tree, which
-is compiled once into closures and can be asked for its polynomial degree in a
-variable (`Expr.poly_degree`).
+is compiled once into closures, or into buffers (`Expr.into`), and can be asked
+for its polynomial degree in a variable (`Expr.poly_degree`).
 """
 
 from __future__ import annotations
 
 import operator
+from functools import partial
 
 import numpy as np
 
@@ -29,20 +30,16 @@ _FUNCS = {
     "min": np.minimum,
     "max": np.maximum,
 }
-# tree operator or function name -> the callable it compiles to
-_OPS = {
-    "neg": operator.neg,
-    "+": operator.add,
-    "-": operator.sub,
-    "*": operator.mul,
-    "/": operator.truediv,
-    "^": np.power,
-    "<": lambda a, b: np.asarray(np.less(a, b), dtype=float),
-    "<=": lambda a, b: np.asarray(np.less_equal(a, b), dtype=float),
-    ">": lambda a, b: np.asarray(np.greater(a, b), dtype=float),
-    ">=": lambda a, b: np.asarray(np.greater_equal(a, b), dtype=float),
-    **_FUNCS,
-}
+# tree operator or function name -> the ufunc it applies to arrays
+_UFUNCS = {"neg": np.negative, "+": np.add, "-": np.subtract, "*": np.multiply,
+           "/": np.true_divide, "^": np.power, "<": np.less, "<=": np.less_equal,
+           ">": np.greater, ">=": np.greater_equal,
+           **{name: f for name, f in _FUNCS.items() if isinstance(f, np.ufunc)}}
+# tree operator or function name -> its closure's callable (constants stay floats)
+_OPS = {"neg": operator.neg, "+": operator.add, "-": operator.sub, "*": operator.mul,
+        "/": operator.truediv, "^": np.power, **_FUNCS,
+        **{op: (lambda a, b, f=_UFUNCS[op]: np.asarray(f(a, b), dtype=float))
+           for op in ("<", "<=", ">", ">=")}}
 
 
 class _Tok:
@@ -107,11 +104,24 @@ class Expr:
 
     def __init__(self, tree, cantor, source):
         self.tree = tree
+        self.cantor = cantor
         self.fn = _compile(tree, cantor)
         self.source = source
 
     def __call__(self, env):
         return self.fn(env)
+
+    def into(self, shapes):
+        """env -> value for variables of the given shapes ({name: shape}): the
+        closures' ufuncs on the same operands in the same order, so their values
+        bit for bit, into buffers allocated here once (H and Cantor allocate as
+        their closures do).  The value, of the shapes' broadcast shape, is a
+        buffer that the next call overwrites."""
+        out = np.empty(np.broadcast_shapes(*shapes.values()))
+        fn = _compile(self.tree, self.cantor, shapes, out)
+        if self.tree[0] in _UFUNCS and _variables(self.tree):
+            return fn                       # the root writes into out
+        return lambda env: np.copyto(out, fn(env)) or out   # copyto returns None
 
     def poly_degree(self, var):
         """Degree in `var` as written (an upper bound), or None when the
@@ -122,18 +132,23 @@ class Expr:
         return f"Expr({self.source!r})"
 
 
-def _compile(node, cantor):
-    """Closure evaluating `node`; operands are evaluated left to right."""
+def _compile(node, cantor, shapes=None, out=None):
+    """Closure evaluating `node`; operands are evaluated left to right.  With
+    shapes (Expr.into), a ufunc node with variables writes into out or into
+    a buffer of its own."""
     op = node[0]
     if op == "num":
         return lambda env, v=node[1]: v
     if op == "var":
         return lambda env, n=node[1]: env[n]
     f = (lambda x: cantor(np.asarray(x, dtype=float))) if op == "Cantor" else _OPS[op]
+    if shapes is not None and op in _UFUNCS and _variables(node):
+        shape = np.broadcast_shapes(*(shapes[v] for v in _variables(node)))
+        f = partial(_UFUNCS[op], out=np.empty(shape) if out is None else out)
+    a = _compile(node[1], cantor, shapes)
     if len(node) == 2:
-        return lambda env, f=f, a=_compile(node[1], cantor): f(a(env))
-    return (lambda env, f=f, a=_compile(node[1], cantor), b=_compile(node[2], cantor):
-            f(a(env), b(env)))
+        return lambda env, f=f, a=a: f(a(env))
+    return lambda env, f=f, a=a, b=_compile(node[2], cantor, shapes): f(a(env), b(env))
 
 
 def _variables(node):
@@ -310,7 +325,7 @@ def compile_scalar(src, line=None, cantor_spec=None, dim=2):
 
 
 def compile_uv(src, line=None):
-    """Expression in (k, u) -> vectorized fn(k, u) (flux forms)."""
+    """Expression in (k, u) -> vectorized fn(k, u) (flux forms), with fn.expr = e."""
     e = _parse_in(src, ("k", "u"), line)
 
     def fn(k, u):
@@ -323,6 +338,7 @@ def compile_uv(src, line=None):
             out = np.broadcast_to(out, shape).copy()
         return out if out.ndim else out[()]
 
+    fn.expr = e
     return fn, e
 
 

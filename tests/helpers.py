@@ -11,10 +11,13 @@ per-test-function measure action and weak form that the suite-wide ones
 are held to, the per-box total variation that the batched one is held to,
 and the hand-built product-rule terms that product_rule's are held to."""
 
+import os
+
 import numpy as np
 
 from divchain.cantor import RATIO, construction_endpoints, ifs_cdf
 from divchain.chainrule import ChainRuleBreakdown, _jump_measure, _merged_singular, _u_sides
+from divchain.cli import bundled_paths
 from divchain.conslaw import FluxSpec, GridState, accumulated_interface_W, chi
 from divchain.errors import DomainMismatchError, GeometryError, NotOnJumpSetError
 from divchain.geometry import Domain, as_points
@@ -418,3 +421,8 @@ def product_rule_reference(field, h, u):
 
     return ChainRuleBreakdown(term_diva, term_divc, term_ac_u, term_cantor_u,
                               _jump_measure(field, u, density))
+
+
+def bundled_path(name):
+    """The path of the bundled scenario file `name`.scn."""
+    return next(p for p in bundled_paths() if os.path.basename(p) == f"{name}.scn")

@@ -1,4 +1,3 @@
-import os
 from collections import Counter
 
 import numpy as np
@@ -13,7 +12,6 @@ from divchain import (BVFunction, ParamField, PrimitiveField, RectifiableSet,
 from divchain import chainrule, runner
 from divchain.cantor import CantorPart, IFSSpec, cantor_function
 from divchain.chainrule import ChainRuleBreakdown, _cantor_layer_cake, _mollified_indicator
-from divchain.cli import bundled_paths
 from divchain.errors import GeometryError, WrongRegularityError
 from divchain.measure import _smoothstep
 from divchain.quadrature import integrate_1d, integrate_polar
@@ -21,7 +19,7 @@ from divchain.runner import RunResult, run_chain
 from divchain.scenario import load
 
 from conftest import ONES, ZEROS, sign_field, sign_t_field
-from helpers import box_domain, interval_domain, midpoint_ifs, support_nodes
+from helpers import box_domain, bundled_path, interval_domain, midpoint_ifs, support_nodes
 
 
 def oracle(field, u, phi, dom, singular):
@@ -391,7 +389,7 @@ def test_polar_disc_value_matches_box_cells(coef, radius, at, w0):
 
 
 def test_green_disc_crossed_by_a_jump_runs_on_box_cells(monkeypatch):
-    field = load(_bundled("2d-vline-jump")).field
+    field = load(bundled_path("2d-vline-jump")).field
     got = _spy_polar(monkeypatch)
     lhs, rhs = green_check(field, ("disc", ((0.1, -0.1), 0.5)))
     assert got == []
@@ -424,14 +422,10 @@ def test_orientation_invariance(dom11, point_zero, heaviside, bump_center):
         br_f.total.apply(bump_center), abs=1e-12)
 
 
-def _bundled(name):
-    return next(p for p in bundled_paths() if os.path.basename(p) == f"{name}.scn")
-
-
 def _w11_offset(tmp_path):
     """w11-growing-x with u = x1 + 0.5: its jump term at 0 is 2 (0.5 + 0.5^3/3).
     Every bundled w11 file has u = 0 at its jump point, so a jump term of 0."""
-    text = open(_bundled("w11-growing-x"), encoding="utf-8").read()
+    text = open(bundled_path("w11-growing-x"), encoding="utf-8").read()
     edited = text.replace("pieces = x1\n", "pieces = x1 + 0.5\n").replace("sup = 1\n",
                                                                          "sup = 1.5\n")
     assert "pieces = x1 + 0.5\n" in edited and "sup = 1.5\n" in edited
@@ -471,7 +465,7 @@ def test_w11_matches_chain_dm_sees_a_scaled_jump_density(tmp_path, monkeypatch):
 def test_anzellotti_identity_sees_a_scaled_u_star_div(monkeypatch):
     # Div(u A) = u* Div A + (A, Du) compares two constructions: with u* Div A
     # scaled by 1.5 it must fail on the one bundled file that runs it
-    scn = load(_bundled("product-sin-heaviside"))
+    scn = load(bundled_path("product-sin-heaviside"))
     for scale, passes in ((1.0, True), (1.5, False)):
         real = chainrule.u_star_div
         monkeypatch.setattr(chainrule, "u_star_div", lambda *a, real=real: real(*a) * scale)
@@ -486,7 +480,7 @@ def test_anzellotti_identity_sees_a_scaled_u_star_div(monkeypatch):
                                          (chain_w11, "moll-sign-lin"),
                                          (chain_bv_scalar, "moll-sign-lin")])
 def test_total_density_evaluates_u_once_per_point(build, name):
-    scn = load(_bundled(name))
+    scn = load(bundled_path(name))
     calls = Counter()
 
     def counting(fn, key):

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from divchain import BVFunction, plateau_bump
 from divchain.cli import bundled_dir
-from divchain.conslaw import (EntropyPair, FluxSpec, GridState, Trajectory, chi,
+from divchain.conslaw import (EntropyPair, FluxSpec, GridState, Trajectory, chi, diagnostics,
                               entropy_residual, fv_solve, interface_W, kato_check,
                               kinetic_identity_residual, kinetic_measure)
 from divchain.conslaw.hatbasis import PiecewiseLinearWeight
@@ -435,6 +435,21 @@ def test_kinetic_negative_control_raises():
     assert kinetic_measure(bad).min_cell < -1e-8
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_kinetic_measure_refuses_a_non_finite_slab_state(monkeypatch, bad):
+    # np.searchsorted sorts NaN last, so a NaN state would take every hat
+    # piece below it: the assembly refuses it before it starts
+    traj = shock_traj(40)
+    states = traj.states.copy()
+    states[1, 7] = bad
+    broken = Trajectory(traj.flux, GridState(DOM, states[0]), traj.times, states, traj.kvals)
+    assembled = []
+    monkeypatch.setattr(diagnostics, "_hat_pairings", lambda *args: assembled.append(args))
+    with pytest.raises(ScenarioValidationError, match="kinetic assembly implemented for finite u >= 0 runs"):
+        kinetic_measure(broken)
+    assert not assembled
+
+
 def test_kinetic_identity_machine_level():
     traj = shock_traj(100)
     km = kinetic_measure(traj, n_t=6, n_x=8, n_v=10)
@@ -718,7 +733,7 @@ def test_a_non_finite_cell_that_is_not_recorded_still_raises(monkeypatch):
 
     def nan_at_cell(kk, u):
         out = np.array(ahat(kk, u), dtype=float)
-        if np.ndim(u) and np.shape(u)[-1] == n + 2:     # the padded rows of a step
+        if np.ndim(u) == 2 and np.shape(u)[-1] >= n + 2:    # a step's rows, scratch cells after
             calls.append(1)
             if len(calls) == nsteps:
                 out[-1, cell + 1] = np.nan

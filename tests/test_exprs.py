@@ -439,3 +439,52 @@ POLY_DEGREES = [
 def test_poly_degree_table(src, deg_t, deg_x1):
     e = parse_expr(src)
     assert (e.poly_degree("t"), e.poly_degree("x1")) == (deg_t, deg_x1)
+
+
+# -- Expr.into: the closures' values, written into buffers -------------------
+
+def _into_equals_closures(e):
+    """e.into against e's closures, bit for bit: every variable of shape (n,),
+    then k of shape (n,), as the sweep passes it, and the others (rows, n);
+    three calls on one set of buffers each."""
+    names = ("x1", "x2", "t", "k", "u")
+    rng = np.random.default_rng(38)
+    for shapes in ({v: (40,) for v in names}, {**{v: (3, 40) for v in names}, "k": (40,)}):
+        full = np.broadcast_shapes(*shapes.values())
+        with np.errstate(all="ignore"):
+            ev = e.into(shapes)
+        for _ in range(3):
+            env = {v: rng.uniform(-2.5, 2.5, s) for v, s in shapes.items()}
+            for a in env.values():
+                a[..., :6] = [0.0, -0.0, 1.0, 1.0 / 3.0, 2.0 / 3.0, 1.5]
+            with np.errstate(all="ignore"):
+                want = np.broadcast_to(np.asarray(e(env), dtype=float), full)
+                got = ev(env)
+            assert got.shape == full and got.dtype == float, e.source
+            assert np.array_equal(got.view(np.int64), want.view(np.int64)), e.source
+
+
+def test_into_equals_the_closures_on_bundled_fluxes():
+    from divchain.cli import bundled_paths
+    from divchain.scenario import load
+
+    seen = set()
+    for path in bundled_paths():
+        with open(path, encoding="utf-8") as fh:
+            if "[conslaw]" not in fh.read():
+                continue
+        flux = load(path).flux
+        for fn in (flux.ahat, flux.dahat_du):
+            _into_equals_closures(fn.expr)
+            seen.add(fn.expr.source)
+    assert seen == {"k*u^2/2", "k*u", "k*u*(1-u)", "k*(1-2*u)", "k"}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.recursive(_ATOMS, _compound, max_leaves=12))
+def test_into_equals_the_closures_on_generated_expressions(src):
+    try:
+        e = parse_expr(src)
+    except ScenarioParseError:          # "a < b < c" is not in the grammar
+        return
+    _into_equals_closures(e)

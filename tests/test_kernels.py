@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -5,18 +7,25 @@ from hypothesis import strategies as st
 
 from divchain import BVFunction
 from divchain.conslaw import FluxSpec
-from divchain.conslaw.solver import _sweep, face_fluxes
+from divchain.conslaw.solver import _critical_table, _sweep, face_fluxes
+from divchain.exprs import compile_uv
+from divchain.scenario import load
 
 from conftest import ZEROS
-from helpers import interval_domain
+from helpers import bundled_path, interval_domain
 
 DOM = interval_domain(-1.0, 1.0)
 
 
-def pad(u):
-    """u with a zero-gradient ghost cell at each end of its last axis, as
-    face_fluxes takes it."""
-    return np.pad(u, [(0, 0)] * (u.ndim - 1) + [(1, 1)], mode="edge")
+def faces(F, u):
+    """F at the cell averages u, as the sweep calls it: u in a buffer of
+    F.width columns, with a zero-gradient ghost cell at each end and room for
+    F's scratch cells after them."""
+    n = u.shape[-1]
+    buf = np.zeros(u.shape[:-1] + (F.width,))
+    buf[..., 1:n + 1] = u
+    buf[..., 0], buf[..., n + 1] = u[..., 0], u[..., -1]
+    return F(buf)
 
 
 # -- reference: closed-form Godunov fluxes for f(u) = alpha u^2 + beta u ---
@@ -108,7 +117,7 @@ def test_python_kernel_conserves_interior_mass():
     F = face_fluxes(flux, kvals)
     (out,), (final,) = _sweep(F, [u0], lam, nsteps, slice(None))
     assert np.all(final == out[-1])
-    F_first = F(pad(out[0]))
+    F_first = faces(F, out[0])
     # constant states near both boundaries: boundary fluxes are steady, so
     # the total mass changes exactly by the boundary in/outflow
     expected = nsteps * lam * (F_first[0] - F_first[-1])
@@ -124,7 +133,7 @@ def test_demand_supply_matches_classical_for_concave():
     f = lambda u: -u * u + u
     for _ in range(200):
         uL, uR = rng.uniform(0, 1, 2)
-        got = F(pad(np.array([uL, uR])))[1]
+        got = faces(F, np.array([uL, uR]))[1]
         if uL <= uR:
             ref = min(f(w) for w in [uL, uR] + ([0.5] if uL < 0.5 < uR else []))
         else:
@@ -135,7 +144,7 @@ def test_demand_supply_matches_classical_for_concave():
 def test_transonic_burgers_flux():
     # convex flux with the critical point inside: classical Godunov picks it
     flux, _, _ = quadratic_flux([(0.5, 0.0)], (-1.0, 1.0))
-    assert face_fluxes(flux, np.zeros(2))(pad(np.array([-1.0, 1.0])))[1] == 0.0
+    assert faces(face_fluxes(flux, np.zeros(2)), np.array([-1.0, 1.0]))[1] == 0.0
 
 
 # -- face fluxes against the closed form, by hypothesis --------------------
@@ -169,8 +178,11 @@ def test_face_fluxes_match_closed_form(problem):
     flux, a, b = quadratic_flux(pieces, u_range)
     i = kvals.astype(int)
     ref = godunov_fluxes(u, a[i], b[i], *u_range)
-    got = face_fluxes(flux, kvals)(pad(u))
+    got = faces(face_fluxes(flux, kvals), u)
     assert np.all(np.abs(got - ref) <= 1e-14 * np.maximum(1.0, np.abs(ref)))
+    # and equal to the face-by-face reference (a zero's sign may differ at a
+    # jump face whose two maxima are zeros of opposite signs)
+    assert np.array_equal(got, reference_face_fluxes(flux, kvals)(u))
 
 
 # -- the multi-row sweep against the one-row, face-by-face reference ---------
@@ -241,6 +253,33 @@ def shifted_flux():
                     u_range=(0.0, 1.0), critical=lambda kv: (0.5 * float(kv),))
 
 
+def uv_flux(ahat, dahat_du, critical):
+    """A flux compiled as a scenario compiles it (compile_uv), so that the
+    sweep evaluates its Ahat into buffers."""
+    k = BVFunction.piecewise_1d(DOM, [], values=[lambda x: np.ones_like(x)], grads=[ZEROS])
+    return FluxSpec(k, compile_uv(ahat)[0], compile_uv(dahat_du)[0], u_range=(0.0, 1.0),
+                    critical=critical)
+
+
+# name -> (flux, sup |dAhat/du| for k in [1, 2] and u in [0, 1])
+FLUXES = {
+    # a plain Python callable, with its maximum at k/2
+    "shifted": (shifted_flux(), 2.0),
+    # transcendental and monotone (and bounded, so no state that piles up at a
+    # jump whose right side carries less overflows it)
+    "exp": (uv_flux("k*(1-exp(-u))", "k*exp(-u)", lambda kv: ()), 2.0),
+    # transcendental, with two interior critical points at k/4 and 3k/4 when k < 4/3
+    "sine": (uv_flux("k*sin(2*pi*u/k)", "2*pi*cos(2*pi*u/k)", lambda kv: (0.25 * kv, 0.75 * kv)),
+             2.0 * np.pi),
+}
+
+
+def same_bits(a, b):
+    """Equal arrays, bit for bit: the sign of a zero counts."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
 # how the coefficient changes from one piece to the next: a jump, a change
 # within 1e-12 in its last bits, or none
 NEAR = [1e-12, -1e-12, 3e-13, -4e-14, "up", "down"]
@@ -248,8 +287,9 @@ NEAR = [1e-12, -1e-12, 3e-13, -4e-14, "up", "down"]
 
 @st.composite
 def piecewise_k_rows(draw):
+    name = draw(st.sampled_from(sorted(FLUXES)))
     n = draw(st.integers(1, 12))
-    cuts = sorted(draw(st.sets(st.integers(1, n - 1), max_size=3))) if n > 1 else []
+    cuts = sorted(draw(st.sets(st.integers(1, n - 1), max_size=4))) if n > 1 else []
     k = [draw(st.floats(1.0, 2.0))]
     for _ in cuts:
         kind = draw(st.sampled_from(["jump", "near", "same"]))
@@ -262,26 +302,93 @@ def piecewise_k_rows(draw):
         else:
             k.append(k[-1])
     kvals = np.repeat(k, np.diff([0] + cuts + [n]))
-    rows = draw(st.integers(1, 3))
-    state = st.one_of(st.sampled_from([0.0, 0.5, 1.0, 0.5 * k[0], 0.5 * k[-1]]),
-                      st.floats(0.0, 1.0))
+    # states exactly at the range ends and at every critical point in the range
+    crits = {c for kv in kvals for c in FLUXES[name][0].critical(kv) if 0.0 <= c <= 1.0}
+    state = st.one_of(st.sampled_from(sorted({0.0, 0.5, 1.0} | crits)), st.floats(0.0, 1.0))
+    rows = draw(st.sampled_from([1, 2, 3, 6]))
     u0 = np.array(draw(st.lists(st.lists(state, min_size=n, max_size=n),
                                 min_size=rows, max_size=rows)))
-    return kvals, u0, draw(st.integers(1, 25))
+    return name, kvals, u0, draw(st.integers(1, 25))
+
+
+def check_sweep(name, kvals, u0, nsteps):
+    """The face fluxes of u0 and the sweep from it, bit for bit those of the
+    one-row reference."""
+    flux, speed = FLUXES[name]
+    lam = 0.45 / speed
+    F = face_fluxes(flux, kvals)
+    ref_F = reference_face_fluxes(flux, kvals)
+    for row, got in zip(u0, faces(F, u0)):
+        assert same_bits(got, ref_F(row))
+    got, final = _sweep(F, u0, lam, nsteps, slice(None))
+    for row, states, last in zip(u0, got, final):
+        assert same_bits(states, reference_sweep(ref_F, row, lam, nsteps))
+        assert states.flags["C_CONTIGUOUS"]
+        assert same_bits(last, states[-1])
 
 
 @settings(max_examples=300, deadline=None)
 @given(piecewise_k_rows())
 def test_multi_row_sweep_matches_one_row_reference(problem):
-    kvals, u0, nsteps = problem
-    flux = shifted_flux()
-    lam = 0.45 / 2.0
-    got, final = _sweep(face_fluxes(flux, kvals), u0, lam, nsteps, slice(None))
-    ref_F = reference_face_fluxes(flux, kvals)
-    for row, states, last in zip(u0, got, final):
-        assert np.all(states == reference_sweep(ref_F, row, lam, nsteps))
-        assert states.flags["C_CONTIGUOUS"]
-        assert np.all(last == states[-1])
+    check_sweep(*problem)
+
+
+@pytest.mark.parametrize("name", sorted(FLUXES))
+def test_sweep_matches_the_reference_on_rows_above_the_mmap_threshold(name):
+    # six rows of 3,000 cells: every row-sized buffer is above glibc's 128 KiB
+    # mmap threshold; two jumps and a near face
+    kvals = np.repeat([1.2, 1.7, np.nextafter(1.7, 2.0), 1.05], [800, 900, 600, 700])
+    crits = [c for kv in (1.2, 1.7, 1.05) for c in FLUXES[name][0].critical(kv) if c <= 1.0]
+    rng = np.random.default_rng(38)
+    u0 = rng.choice(np.concatenate([[0.0, 1.0], crits, rng.uniform(0.0, 1.0, 50)]), (6, 3000))
+    check_sweep(name, kvals, u0, 4)
+
+
+@pytest.mark.parametrize("source", ["shifted", "sine", "burgers-shock",
+                                    "standing-shock-traffic", "traffic-kato"])
+def test_flux_at_a_critical_point_is_the_swept_value(source):
+    # a face sees a critical point c at the upper end of its Riemann interval:
+    # the critical table's Ahat(k, c) must be the value that the sweep's
+    # evaluation gives at u == c, bit for bit
+    if source in FLUXES:
+        flux = FLUXES[source][0]
+    else:
+        flux = load(bundled_path(source)).flux
+    kv = np.array([0.6, 1.0, 1.2, 4.0 / 3.0, 1.5, 2.0])
+    crit, fcrit = _critical_table(flux, kv)
+    assert len(crit)
+    ahat = flux.ahat_into(kv, (3, len(kv)))
+    for c, fc in zip(crit, fcrit):
+        u = np.tile(np.where(np.isnan(c), flux.u_range[0], c), (3, 1))
+        assert same_bits(ahat(u), np.broadcast_to(fc, u.shape))
+
+
+def test_steps_after_the_first_allocate_no_row_sized_array():
+    # a march of 6 rows x 3,200 cells across traffic-kato's coefficient jump:
+    # once step 1 has allocated every buffer, no later step allocates as much
+    # as one row-sized array (6 x 3,200 floats, 150 KB) at its peak
+    flux = load(bundled_path("traffic-kato")).flux
+    kvals = np.where(np.arange(3200) < 2400, 1.0, 0.6)
+    F = face_fluxes(flux, kvals)
+    rng = np.random.default_rng(3)
+    data = 0.4 + 0.2 * rng.uniform(0.0, 1.0, (6, 3200))
+    base = []
+
+    def spied(u):
+        if spied.calls == 1:
+            tracemalloc.reset_peak()
+            base.append(tracemalloc.get_traced_memory()[0])
+        spied.calls += 1
+        return F(u)
+    spied.calls, spied.width = 0, F.width
+    tracemalloc.start()
+    try:
+        _sweep(spied, data, 0.2, 6, np.array([2399, 2400]))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert spied.calls == 6
+    assert peak - base[0] < data.nbytes
 
 
 def test_near_equal_coefficients_keep_their_own_flux():
@@ -292,4 +399,18 @@ def test_near_equal_coefficients_keep_their_own_flux():
     u = np.array([0.8, 1.0])    # decreasing side: the face flux is f(kL, uR)
     assert np.abs(kvals[1] - kvals[0]) <= 1e-12
     assert flux.flux_at(kvals[0], u[1]) != flux.flux_at(kvals[1], u[1])
-    assert np.all(face_fluxes(flux, kvals)(pad(u)) == reference_face_fluxes(flux, kvals)(u))
+    assert np.all(faces(face_fluxes(flux, kvals), u) == reference_face_fluxes(flux, kvals)(u))
+
+
+def test_states_a_rounding_error_outside_the_range_couple_as_before():
+    # a jump face's scratch pairs are the max and min of its state and the
+    # range end, so a state just below lo or above hi meets the reference's
+    # one-sided maxima, max(f(uL), f(lo)) and max(f(uR), f(hi))
+    flux = FLUXES["shifted"][0]
+    kvals = np.array([1.3, 1.3, 1.8, 1.8])
+    F, ref_F = face_fluxes(flux, kvals), reference_face_fluxes(flux, kvals)
+    for u in ([0.5, -1e-13, 1.0 + 1e-13, 0.5], [0.2, -1e-13, 0.6, 0.5],
+              [0.5, 0.9, 1.0 + 1e-13, 0.5], [0.5, 1.0 + 1e-13, -1e-13, 0.5]):
+        u = np.array(u)
+        assert same_bits(faces(F, u), ref_F(u))
+

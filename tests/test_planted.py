@@ -196,6 +196,7 @@ def fault_central_flux(mp):
         def F(u):
             fc = flux.flux_at(kpad, u)
             return 0.5 * (fc[..., :-1] + fc[..., 1:])
+        F.width = len(kpad)
         return F
     mp.setattr(solver, "face_fluxes", face_fluxes)
 
